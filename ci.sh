@@ -95,6 +95,17 @@ run_counted --json --counters --jobs 8 > "$trace_dir/counters-j8.json"
 cmp "$trace_dir/counters-j1.json" "$trace_dir/counters-j8.json"
 grep -q '"tasks_assigned"' "$trace_dir/counters-j1.json"
 
+echo "==> simbench (replica fidelity tests + one untraced pass per workload)"
+# The benchmark package pins the engine's counters and outputs and keeps
+# a replica of the simulation loop; a broken pin or replica fails here.
+cargo test -q --release --offline --manifest-path simbench/Cargo.toml
+for workload in fig15 paper_scale traced_faults; do
+  result=$(cargo run -q --release --offline --manifest-path simbench/Cargo.toml -- \
+    --workload "$workload" --seed 81 --seconds 1 --trace 0 | tail -n 1)
+  echo "$workload: $result"
+  grep -q '"correct": true' <<< "$result"
+done
+
 echo "==> bench regression gate (offer_round rows vs BENCH_scheduler.json, +/-20%)"
 CRITERION_OUTPUT_JSON="$trace_dir/bench-now.json" \
   cargo bench -q -p ssr-bench --bench scheduler --offline > /dev/null

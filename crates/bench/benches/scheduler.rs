@@ -1,8 +1,10 @@
 //! The scheduler hot-path benchmark suite tracked in
 //! `BENCH_scheduler.json` at the repo root: resource-offer rounds at
 //! 100 / 1000 / 4000 slots (the paper's simulator scale), saturated
-//! re-offer rounds at the same scales, a full small-grid simulation, and
-//! event-queue throughput including the recycled-allocation path.
+//! re-offer rounds at the same scales, a contended offer round with 150
+//! candidate jobs on locality wait (the Fig. 15 shape), a full
+//! small-grid simulation, and event-queue throughput including the
+//! recycled-allocation path.
 //!
 //! Regenerate the JSON with:
 //!
@@ -61,6 +63,61 @@ fn bench_offer_round(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// Candidate jobs in the contended offer round: about as many as a
+/// Fig. 15 SSR round ranks.
+const CONTENDED_JOBS: u32 = 150;
+
+/// A scheduler holding [`CONTENDED_JOBS`] jobs whose downstream phase is
+/// ready but on locality wait: each prefers the slot its upstream task
+/// ran on, which a high-priority filler job now occupies, and the one
+/// free slot is remote. Every offer round at `t` then tries and declines
+/// all of them.
+fn contended_scheduler(t: SimTime) -> TaskScheduler {
+    let mut sched = TaskScheduler::new(
+        ClusterSpec::new(CONTENDED_JOBS + 1, 1).expect("valid"),
+        LocalityModel::paper_simulation().with_wait(SimDuration::from_secs(3)),
+        Box::new(WorkConserving),
+        Box::new(FifoPriority),
+    );
+    for i in 0..CONTENDED_JOBS {
+        let job = JobSpecBuilder::new(format!("bg{i}"))
+            .stage("up", 1, constant(1.0))
+            .stage("down", 1, constant(1.0))
+            .chain()
+            .build()
+            .expect("valid");
+        sched.submit(job, SimTime::ZERO);
+    }
+    let ups = sched.resource_offers(SimTime::ZERO);
+    assert_eq!(ups.len(), CONTENDED_JOBS as usize);
+    for a in &ups {
+        sched.task_finished(a.slot, t);
+    }
+    let filler = JobSpecBuilder::new("filler")
+        .priority(Priority::new(10))
+        .stage("map", CONTENDED_JOBS, constant(1.0))
+        .build()
+        .expect("valid");
+    sched.submit(filler, t);
+    assert_eq!(sched.resource_offers(t).len(), CONTENDED_JOBS as usize);
+    // One free slot, every downstream phase pending, none may take it.
+    assert_eq!(sched.slot_pool().free_slots().count(), 1);
+    assert_eq!(sched.jobs().pending_ids().count(), CONTENDED_JOBS as usize);
+    assert!(sched.resource_offers(t).is_empty());
+    sched
+}
+
+/// An offer round with one free slot and [`CONTENDED_JOBS`] candidates
+/// that all decline it on locality wait: one ranking of the candidates
+/// plus one failed attempt each.
+fn bench_offer_round_contended(c: &mut Criterion) {
+    let t = SimTime::from_secs(1);
+    let mut sched = contended_scheduler(t);
+    c.bench_function("scheduler/offer_round_contended", |b| {
+        b.iter(|| black_box(sched.resource_offers(t).len()))
+    });
 }
 
 /// A re-offer round on an already saturated cluster: the scheduler must
@@ -152,6 +209,7 @@ fn bench_event_queue(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_offer_round,
+    bench_offer_round_contended,
     bench_saturated_reoffer,
     bench_full_sim_small_grid,
     bench_event_queue

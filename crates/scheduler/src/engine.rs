@@ -20,7 +20,7 @@ use ssr_simcore::SimTime;
 use ssr_trace::{DenyReason, TraceEvent, TraceEventKind, TraceSink};
 
 use crate::jobs::{JobState, Jobs};
-use crate::order::{JobOrder, JobSnapshot};
+use crate::order::{requeue_served, sort_worst_first, JobOrder, JobSnapshot};
 use crate::policy::{PolicyCtx, ReservationPolicy, SlotDisposition};
 use crate::speculation::SpeculationConfig;
 use crate::taskset::{TaskInstance, TaskSetManager};
@@ -97,6 +97,18 @@ struct PendingPrereserve {
 /// The cluster task scheduler with pluggable job order and reservation
 /// policy.
 ///
+/// Time must not go backwards: the `now` passed to [`submit`],
+/// [`resource_offers`], [`task_finished`], [`fail_slots`] and
+/// [`restore_slots`] must never be smaller than the `now` of an earlier
+/// call (debug builds assert it). The locality-unlock window relies on
+/// this to drop task sets that can no longer unlock a level.
+///
+/// [`submit`]: TaskScheduler::submit
+/// [`resource_offers`]: TaskScheduler::resource_offers
+/// [`task_finished`]: TaskScheduler::task_finished
+/// [`fail_slots`]: TaskScheduler::fail_slots
+/// [`restore_slots`]: TaskScheduler::restore_slots
+///
 /// # Example
 ///
 /// ```
@@ -162,6 +174,8 @@ pub struct TaskScheduler {
     spec_plans_buf: Vec<(JobId, StageId, u32, SlotId, LocalityLevel)>,
     prereserve_free_buf: Vec<(SlotId, u32)>,
     prereserve_keys_buf: Vec<(JobId, StageId)>,
+    /// The latest `now` seen by a time-taking call (see the type docs).
+    last_now: SimTime,
 }
 
 impl TaskScheduler {
@@ -210,7 +224,20 @@ impl TaskScheduler {
             spec_plans_buf: Vec::new(),
             prereserve_free_buf: Vec::new(),
             prereserve_keys_buf: Vec::new(),
+            last_now: SimTime::ZERO,
         }
+    }
+
+    /// Records `now` as the current instant; debug builds check that it
+    /// did not move backwards.
+    #[inline]
+    fn advance_clock(&mut self, now: SimTime) {
+        debug_assert!(
+            now >= self.last_now,
+            "TaskScheduler time went backwards: {now:?} after {:?}",
+            self.last_now
+        );
+        self.last_now = now;
     }
 
     /// Enables status-quo progress-based speculative execution (the
@@ -319,6 +346,7 @@ impl TaskScheduler {
 
     /// Admits a job with a fair-share weight.
     pub fn submit_weighted(&mut self, spec: JobSpec, weight: f64, now: SimTime) -> JobId {
+        self.advance_clock(now);
         let id = JobId::new(self.next_job);
         self.next_job += 1;
         let mut state = JobState::new(id, spec, now);
@@ -360,8 +388,15 @@ impl TaskScheduler {
     /// finally launches straggler copies on reserved-idle slots if the
     /// policy mitigates stragglers.
     pub fn resource_offers(&mut self, now: SimTime) -> Vec<Assignment> {
+        self.advance_clock(now);
         self.counters.offer_rounds.inc();
         self.span_enter("offer_round");
+        // Task sets whose every locality level has unlocked can never
+        // wake the driver again; `now` only grows, so they leave for good.
+        let locality = &self.locality;
+        self.jobs.prune_unlock_window(|since| {
+            locality.next_unlock_after(now.saturating_since(since)).is_none()
+        });
         self.fill_prereservations(now);
         let mut assignments = Vec::new();
         // Early exit for a saturated cluster: no free or reserved slot means
@@ -379,9 +414,7 @@ impl TaskScheduler {
             }
             // Work on a copy of the cached snapshots: candidates drop out
             // as they drain or fail to place, and running counts advance
-            // per assignment. Slice order is irrelevant — every `JobOrder`
-            // is a total order with an id tie-break — so `swap_remove`
-            // maintenance is safe.
+            // per assignment.
             let mut candidates = std::mem::take(&mut self.candidates_buf);
             self.note_scratch(candidates.capacity());
             candidates.clear();
@@ -411,12 +444,11 @@ impl TaskScheduler {
                     candidates.retain(|c| self.viable_on_reserved(c.id, c.priority, now));
                 }
             }
+            // Sort once, worst job first, so each attempt serves the last
+            // element: the same job `select` would pick from the rest.
+            sort_worst_first(&*self.order, &mut candidates);
             while available > 0 {
-                let Some(job) = self.order.select(&candidates) else { break };
-                let pos = candidates
-                    .iter()
-                    .position(|s| s.id == job)
-                    .expect("selected job is a candidate");
+                let Some(job) = candidates.last().map(|c| c.id) else { break };
                 match self.try_assign_one(job, now) {
                     Some(a) => {
                         if self.trace.is_some() {
@@ -424,13 +456,10 @@ impl TaskScheduler {
                         }
                         assignments.push(a);
                         available -= 1;
-                        candidates[pos].running_slots += 1;
-                        let drained = self
-                            .jobs
-                            .get(job)
-                            .is_none_or(|state| !state.has_pending_tasks());
-                        if drained {
-                            candidates.swap_remove(pos);
+                        if self.jobs.is_pending(job) {
+                            requeue_served(&*self.order, &mut candidates);
+                        } else {
+                            candidates.pop();
                         }
                     }
                     None => {
@@ -438,7 +467,7 @@ impl TaskScheduler {
                             let (reason, stage) = self.deny_reason(job, now);
                             self.emit(now, TraceEventKind::OfferDeclined { job, reason, stage });
                         }
-                        candidates.swap_remove(pos);
+                        candidates.pop();
                     }
                 }
             }
@@ -521,23 +550,19 @@ impl TaskScheduler {
         (reason, blocked_stage)
     }
 
-    /// Re-derives the cached snapshot vector of schedulable jobs.
+    /// Re-derives the cached snapshot vector of schedulable jobs from the
+    /// pending-job index.
     fn rebuild_snapshots(&mut self) {
         self.counters.index_rescans.inc();
         self.snapshots.clear();
         let running_per_job = &self.running_per_job;
-        self.snapshots.extend(
-            self.jobs
-                .iter()
-                .filter(|j| !j.is_complete() && j.has_pending_tasks())
-                .map(|j| JobSnapshot {
-                    id: j.id(),
-                    priority: j.priority(),
-                    arrival: j.submitted_at(),
-                    running_slots: running_per_job.get(&j.id()).copied().unwrap_or(0),
-                    weight: j.weight(),
-                }),
-        );
+        self.snapshots.extend(self.jobs.pending_jobs().map(|j| JobSnapshot {
+            id: j.id(),
+            priority: j.priority(),
+            arrival: j.submitted_at(),
+            running_slots: running_per_job.get(&j.id()).copied().unwrap_or(0),
+            weight: j.weight(),
+        }));
         self.snapshots_dirty = false;
     }
 
@@ -579,13 +604,7 @@ impl TaskScheduler {
             }
         }
         let (stage, slot, level) = chosen?;
-        let tsm = self
-            .jobs
-            .get_mut(job)
-            .expect("job exists")
-            .taskset_mut(stage)
-            .expect("stage has a task set");
-        let instance = tsm.launch_next(slot).expect("stage had a pending task");
+        let instance = self.jobs.launch_next(job, stage, slot).expect("stage had a pending task");
         self.slots.assign(slot, instance.task).expect("candidate slot was not running");
         self.running.insert(slot, RunningInstance { instance, started: now, level });
         *self.running_per_job.entry(job).or_insert(0) += 1;
@@ -918,6 +937,7 @@ impl TaskScheduler {
     /// Panics if `slot` holds no running instance — the simulator must
     /// cancel finish events of killed copies.
     pub fn task_finished(&mut self, slot: SlotId, now: SimTime) -> FinishOutcome {
+        self.advance_clock(now);
         let ri = self
             .running
             .remove(&slot)
@@ -994,7 +1014,7 @@ impl TaskScheduler {
             let preferred = self.placement.preferred_slots(task.job, &parents);
             let tsm = TaskSetManager::new(task.job, ready_stage, parallelism, now)
                 .with_preferred(preferred, &self.spec);
-            self.jobs.get_mut(task.job).expect("job exists").insert_taskset(tsm, now);
+            self.jobs.insert_taskset(task.job, tsm, now);
             // The phase has started: stop pre-reserving for it.
             self.prereserve.remove(&(task.job, ready_stage));
         }
@@ -1046,7 +1066,7 @@ impl TaskScheduler {
             if self.trace.is_some() {
                 self.emit(now, TraceEventKind::JobCompleted { job: task.job });
             }
-            self.jobs.get_mut(task.job).expect("job exists").mark_complete(now);
+            self.jobs.mark_complete(task.job, now);
             let freed = self.slots.release_job_reservations(task.job);
             if self.trace.is_some() {
                 for s in freed {
@@ -1237,6 +1257,7 @@ impl TaskScheduler {
         kill_running: bool,
         cause: &'static str,
     ) -> FailureOutcome {
+        self.advance_clock(now);
         let mut outcome = FailureOutcome::default();
         for &slot in failed {
             if self.slots.is_offline(slot) {
@@ -1254,13 +1275,7 @@ impl TaskScheduler {
                     let freed = self.slots.finish(slot);
                     debug_assert!(freed.is_ok(), "tracked instance occupies a busy slot");
                     self.dec_running(task.job);
-                    let taskset = self
-                        .jobs
-                        .get_mut(task.job)
-                        .and_then(|job| job.taskset_mut(task.stage));
-                    debug_assert!(taskset.is_some(), "running instance has a task set");
-                    let requeued =
-                        taskset.is_some_and(|ts| ts.instance_crashed(ri.instance));
+                    let requeued = self.jobs.instance_crashed(ri.instance);
                     // Pending sets and running counts changed: the cached
                     // job snapshots are stale.
                     self.snapshots_dirty = true;
@@ -1300,6 +1315,7 @@ impl TaskScheduler {
     /// rejoin the offer pool immediately, partition survivors when their
     /// task finishes. Slots that were never offline are skipped.
     pub fn restore_slots(&mut self, restored: &[SlotId], now: SimTime) {
+        self.advance_clock(now);
         for &slot in restored {
             if self.slots.bring_online(slot) && self.trace.is_some() {
                 self.emit(now, TraceEventKind::SlotOnline { slot: slot.as_u32() });
@@ -1325,21 +1341,41 @@ impl TaskScheduler {
     /// The earliest future instant at which some pending task unlocks a
     /// more relaxed locality level (delay scheduling), for event
     /// scheduling.
+    ///
+    /// Walks only the task sets of the unlock window — those created
+    /// recently enough to unlock another level — not the job table, so
+    /// `now` must not precede the latest [`resource_offers`] call, which
+    /// prunes the window.
+    ///
+    /// [`resource_offers`]: TaskScheduler::resource_offers
     pub fn next_locality_unlock(&self, now: SimTime) -> Option<SimTime> {
-        let mut next: Option<SimTime> = None;
-        for job in self.jobs.iter().filter(|j| !j.is_complete()) {
-            for tsm in job.active_tasksets() {
-                if !tsm.has_pending() {
-                    continue;
-                }
-                let elapsed = now.saturating_since(tsm.ready_since());
-                if let Some(unlock) = self.locality.next_unlock_after(elapsed) {
-                    let at = tsm.ready_since() + unlock;
-                    next = Some(next.map_or(at, |n| n.min(at)));
-                }
-            }
-        }
-        next
+        self.jobs
+            .unlock_window()
+            .filter_map(|(job, stage)| {
+                let state = self.jobs.get(job).filter(|j| !j.is_complete())?;
+                self.unlock_at(state.pending_taskset(stage)?, now)
+            })
+            .min()
+    }
+
+    /// When `tsm` next unlocks a locality level after `now`, if ever.
+    fn unlock_at(&self, tsm: &TaskSetManager, now: SimTime) -> Option<SimTime> {
+        let elapsed = now.saturating_since(tsm.ready_since());
+        self.locality.next_unlock_after(elapsed).map(|unlock| tsm.ready_since() + unlock)
+    }
+
+    /// The full-walk reference [`next_locality_unlock`] is tested
+    /// against: every pending task set of every incomplete job.
+    ///
+    /// [`next_locality_unlock`]: TaskScheduler::next_locality_unlock
+    #[cfg(test)]
+    fn next_locality_unlock_full_walk(&self, now: SimTime) -> Option<SimTime> {
+        self.jobs
+            .iter()
+            .filter(|j| !j.is_complete())
+            .flat_map(|j| j.active_tasksets().filter(|t| t.has_pending()))
+            .filter_map(|tsm| self.unlock_at(tsm, now))
+            .min()
     }
 
     /// The cluster topology.
@@ -1387,7 +1423,7 @@ impl TaskScheduler {
 
     /// `true` while some admitted job is incomplete.
     pub fn has_unfinished_jobs(&self) -> bool {
-        self.jobs.iter().any(|j| !j.is_complete())
+        self.jobs.incomplete_count() > 0
     }
 
     /// The reservation policy's name (for reports).
@@ -1431,6 +1467,7 @@ mod tests {
     use super::*;
     use crate::order::{Fair, FifoPriority};
     use crate::policy::{StaticReservation, TimeoutReservation, WorkConserving};
+    use crate::speculation::SpeculationConfig;
     use ssr_dag::JobSpecBuilder;
     use ssr_simcore::dist::constant;
     use ssr_simcore::SimDuration;
@@ -1740,7 +1777,6 @@ mod tests {
 
     #[test]
     fn progress_speculation_copies_slow_tasks_cold() {
-        use crate::speculation::SpeculationConfig;
         let mut s = TaskScheduler::new(
             ClusterSpec::new(2, 4).unwrap(),
             LocalityModel::paper_simulation().with_wait(SimDuration::ZERO),
@@ -1775,7 +1811,6 @@ mod tests {
 
     #[test]
     fn progress_speculation_needs_quantile() {
-        use crate::speculation::SpeculationConfig;
         let mut s = TaskScheduler::new(
             ClusterSpec::new(2, 4).unwrap(),
             LocalityModel::paper_simulation().with_wait(SimDuration::ZERO),
@@ -1987,6 +2022,113 @@ mod tests {
             log
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// Asserts every index `TaskScheduler` keeps against the full walk it
+    /// replaces.
+    fn assert_indexes_match_full_walks(s: &TaskScheduler, now: SimTime) {
+        let pending: Vec<JobId> = s
+            .jobs()
+            .iter()
+            .filter(|j| !j.is_complete() && j.has_pending_tasks())
+            .map(|j| j.id())
+            .collect();
+        assert_eq!(s.jobs().pending_ids().collect::<Vec<_>>(), pending, "pending-job index");
+        assert_eq!(
+            s.next_locality_unlock(now),
+            s.next_locality_unlock_full_walk(now),
+            "locality-unlock window at {now:?}"
+        );
+        assert_eq!(s.has_unfinished_jobs(), s.jobs().iter().any(|j| !j.is_complete()));
+    }
+
+    /// Drives a scheduler with a random workload, random event order and
+    /// a random fault schedule (node crashes, network partitions, heals),
+    /// checking the indexes after every public call.
+    fn drive_with_faults(seed: u64, policy: usize, order: usize, wait_ms: u64) {
+        use crate::order::Fifo;
+        use ssr_simcore::rng::SimRng;
+        let mut rng = SimRng::stream(seed, 0);
+        let cluster = ClusterSpec::with_racks(4, 2, 2).unwrap();
+        let policy: Box<dyn ReservationPolicy> = match policy {
+            0 => Box::new(WorkConserving),
+            1 => Box::new(TimeoutReservation::new(SimDuration::from_secs(5))),
+            _ => Box::new(StaticReservation::new(2, Priority::new(2))),
+        };
+        let order: Box<dyn JobOrder> = match order {
+            0 => Box::new(FifoPriority),
+            1 => Box::new(Fair),
+            _ => Box::new(Fifo),
+        };
+        let locality =
+            LocalityModel::paper_simulation().with_wait(SimDuration::from_millis(wait_ms));
+        let mut s = TaskScheduler::new(cluster, locality, policy, order);
+        if rng.chance(0.3) {
+            s = s.with_speculation(SpeculationConfig::spark_defaults());
+        }
+        let node_slots = |node: u32| -> Vec<SlotId> {
+            cluster.iter_slots().filter(|&x| cluster.node_of(x).as_u32() == node).collect()
+        };
+        let mut now = SimTime::ZERO;
+        let mut submitted = 0;
+        for _ in 0..200 {
+            now += SimDuration::from_millis(rng.next_below(1_500));
+            match rng.next_below(10) {
+                0 if submitted < 8 => {
+                    submitted += 1;
+                    let mut b = JobSpecBuilder::new(format!("j{submitted}"))
+                        .priority(Priority::new(rng.next_below(3) as i32));
+                    for st in 0..1 + rng.next_below(3) {
+                        b = b.stage(format!("s{st}"), 1 + rng.next_below(4) as u32, constant(1.0));
+                    }
+                    s.submit(b.chain().build().unwrap(), now);
+                }
+                1..=3 => {
+                    s.resource_offers(now);
+                }
+                4..=6 => {
+                    let running: Vec<SlotId> = s.running_instances().map(|(x, _)| x).collect();
+                    if let Some(&slot) = rng.choose(&running) {
+                        s.task_finished(slot, now);
+                    }
+                }
+                7 => {
+                    s.expire_reservations(now);
+                }
+                8 => {
+                    let node = rng.next_below(4) as u32;
+                    let kill = rng.chance(0.7);
+                    s.fail_slots(&node_slots(node), now, kill, "fault");
+                }
+                _ => s.restore_slots(&node_slots(rng.next_below(4) as u32), now),
+            }
+            assert_indexes_match_full_walks(&s, now);
+        }
+    }
+
+    proptest::proptest! {
+        /// The pending-job index, the locality-unlock window and the
+        /// incomplete-job count agree with full walks of the job table
+        /// after every call, under random workloads, fault schedules,
+        /// policies and orders.
+        #[test]
+        fn indexes_agree_with_full_walks_under_faults(
+            seed in 0u64..1_000_000,
+            policy in 0usize..3,
+            order in 0usize..3,
+            wait_ms in 0u64..5_000,
+        ) {
+            drive_with_faults(seed, policy, order, wait_ms);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "time went backwards")]
+    fn time_going_backwards_is_caught_in_debug_builds() {
+        let mut s = scheduler(1, 1);
+        s.resource_offers(SimTime::from_secs(2));
+        s.resource_offers(SimTime::from_secs(1));
     }
 
     #[test]

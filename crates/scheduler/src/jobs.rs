@@ -1,12 +1,13 @@
 //! Per-job scheduler state: the DAG run, per-phase task sets and runtime
 //! statistics.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use ssr_cluster::SlotId;
 use ssr_dag::{JobId, JobRun, JobSpec, Priority, StageId, StageState};
 use ssr_simcore::SimTime;
 
-use crate::taskset::TaskSetManager;
+use crate::taskset::{TaskInstance, TaskSetManager};
 
 /// Runtime statistics of one phase, fed to reservation policies.
 ///
@@ -161,6 +162,16 @@ impl JobState {
         self.active_tasksets().any(|t| t.has_pending())
     }
 
+    /// The task set of `stage` if that phase is ready, unfinished and has
+    /// an unlaunched original task — one element of
+    /// [`active_tasksets`](Self::active_tasksets) filtered by
+    /// `has_pending`, looked up directly.
+    pub(crate) fn pending_taskset(&self, stage: StageId) -> Option<&TaskSetManager> {
+        self.tsms.get(&stage).filter(|t| {
+            t.has_pending() && !t.is_complete() && self.run.state(stage) == StageState::Ready
+        })
+    }
+
     pub(crate) fn run_mut(&mut self) -> &mut JobRun {
         &mut self.run
     }
@@ -190,9 +201,26 @@ impl JobState {
 
 /// The set of jobs known to the scheduler, iterated in deterministic
 /// (job-id) order.
+///
+/// Besides the jobs themselves it keeps three indexes, each updated by
+/// the mutation that can change it, so per-event queries never walk the
+/// whole job table:
+///
+/// - the *pending set*: incomplete jobs with an unlaunched original task
+///   (exactly the jobs an offer round may serve);
+/// - the *unlock window*: task sets in creation order, from which the
+///   scheduler prunes those too old to unlock another locality level;
+/// - the count of incomplete jobs.
+///
+/// Mutations that can change whether a job has pending tasks — launching
+/// an original, a phase becoming ready, a crash re-queue, completion —
+/// therefore go through `Jobs`, not through [`JobState`] directly.
 #[derive(Debug, Clone, Default)]
 pub struct Jobs {
     map: BTreeMap<JobId, JobState>,
+    pending: BTreeSet<JobId>,
+    unlock_window: VecDeque<(SimTime, JobId, StageId)>,
+    incomplete: usize,
 }
 
 impl Jobs {
@@ -221,12 +249,122 @@ impl Jobs {
         self.map.is_empty()
     }
 
+    /// Number of admitted jobs that have not completed.
+    pub(crate) fn incomplete_count(&self) -> usize {
+        self.incomplete
+    }
+
+    /// Ids of the incomplete jobs with an unlaunched original task, in
+    /// ascending order — equal to filtering [`iter`](Self::iter) by
+    /// `!is_complete() && has_pending_tasks()`, without the walk.
+    pub fn pending_ids(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.pending.iter().copied()
+    }
+
+    /// The jobs of [`pending_ids`](Self::pending_ids), in id order.
+    pub(crate) fn pending_jobs(&self) -> impl Iterator<Item = &JobState> {
+        self.pending.iter().filter_map(|id| self.map.get(id))
+    }
+
+    /// `true` if `id` is incomplete and has an unlaunched original task.
+    pub(crate) fn is_pending(&self, id: JobId) -> bool {
+        self.pending.contains(&id)
+    }
+
+    /// `(job, stage)` of every task set still in the locality-unlock
+    /// window, oldest first. A task set's `ready_since` never changes, so
+    /// once one can unlock no further locality level it leaves the window
+    /// for good (see [`prune_unlock_window`](Self::prune_unlock_window)).
+    pub(crate) fn unlock_window(&self) -> impl Iterator<Item = (JobId, StageId)> + '_ {
+        self.unlock_window.iter().map(|&(_, job, stage)| (job, stage))
+    }
+
+    /// Drops task sets from the front of the unlock window while
+    /// `expired(ready_since)` holds. Entries are in `ready_since` order,
+    /// so `expired` must be monotone: once true for an instant it must be
+    /// true for every earlier one.
+    pub(crate) fn prune_unlock_window(&mut self, expired: impl Fn(SimTime) -> bool) {
+        while self.unlock_window.front().is_some_and(|&(since, _, _)| expired(since)) {
+            self.unlock_window.pop_front();
+        }
+    }
+
     pub(crate) fn get_mut(&mut self, id: JobId) -> Option<&mut JobState> {
         self.map.get_mut(&id)
     }
 
     pub(crate) fn insert(&mut self, state: JobState) {
-        self.map.insert(state.id(), state);
+        let id = state.id();
+        debug_assert!(!self.map.contains_key(&id), "job ids are never reused");
+        for tsm in state.tsms.values() {
+            self.unlock_window.push_back((tsm.ready_since(), id, tsm.stage()));
+        }
+        if !state.is_complete() {
+            self.incomplete += 1;
+        }
+        self.map.insert(id, state);
+        self.refresh_pending(id);
+    }
+
+    /// Registers the task set of a phase that became ready at `now`.
+    pub(crate) fn insert_taskset(&mut self, id: JobId, tsm: TaskSetManager, now: SimTime) {
+        let Some(state) = self.map.get_mut(&id) else { return };
+        self.unlock_window.push_back((tsm.ready_since(), id, tsm.stage()));
+        state.insert_taskset(tsm, now);
+        self.refresh_pending(id);
+    }
+
+    /// Launches the next pending original task of `stage` on `slot`.
+    pub(crate) fn launch_next(
+        &mut self,
+        id: JobId,
+        stage: StageId,
+        slot: SlotId,
+    ) -> Option<TaskInstance> {
+        let tsm = self.map.get_mut(&id)?.taskset_mut(stage)?;
+        let instance = tsm.launch_next(slot)?;
+        // Only draining this phase can end the job's pending state.
+        if !tsm.has_pending() {
+            self.refresh_pending(id);
+        }
+        Some(instance)
+    }
+
+    /// Forwards a lost instance to its task set (see
+    /// [`TaskSetManager::instance_crashed`]); a re-queued partition makes
+    /// its job pending again. Returns `true` when the partition was
+    /// re-queued. Never panics: it is on the fault-recovery path.
+    pub(crate) fn instance_crashed(&mut self, instance: TaskInstance) -> bool {
+        let id = instance.task.job;
+        let Some(state) = self.map.get_mut(&id) else { return false };
+        let taskset = state.taskset_mut(instance.task.stage);
+        debug_assert!(taskset.is_some(), "running instance has a task set");
+        let requeued = taskset.is_some_and(|ts| ts.instance_crashed(instance));
+        // The re-queued partition's phase is ready and unfinished (it
+        // still had a live instance), so no rescan is needed.
+        if requeued && !state.is_complete() {
+            self.pending.insert(id);
+        }
+        requeued
+    }
+
+    /// Marks job `id` completed at `at`.
+    pub(crate) fn mark_complete(&mut self, id: JobId, at: SimTime) {
+        let Some(state) = self.map.get_mut(&id) else { return };
+        if !state.is_complete() {
+            self.incomplete -= 1;
+        }
+        state.mark_complete(at);
+        self.pending.remove(&id);
+    }
+
+    /// Re-derives whether job `id` belongs in the pending set.
+    fn refresh_pending(&mut self, id: JobId) {
+        if self.map.get(&id).is_some_and(|j| !j.is_complete() && j.has_pending_tasks()) {
+            self.pending.insert(id);
+        } else {
+            self.pending.remove(&id);
+        }
     }
 }
 

@@ -6,6 +6,7 @@
 //! with the least allocation is served first. Both are expressed through
 //! the [`JobOrder`] trait consulted on every resource offer round.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use ssr_dag::{JobId, Priority};
@@ -30,11 +31,30 @@ pub struct JobSnapshot {
 /// A policy that picks which job receives the next available slot.
 ///
 /// Implementations must be deterministic: ties must be broken by a total
-/// order (we use job id) so simulations replay exactly.
+/// order (we use job id) so simulations replay exactly. `select` must
+/// return the minimum of `candidates` under that order, and
+/// [`compare`](JobOrder::compare) must agree with it: the offer round
+/// sorts its candidates once with `compare` and then serves them best
+/// first.
 pub trait JobOrder: fmt::Debug {
     /// Picks the next job to serve from `candidates` (jobs with at least
     /// one pending task), or `None` if empty.
     fn select(&self, candidates: &[JobSnapshot]) -> Option<JobId>;
+
+    /// Orders two candidates: `Less` means `a` is served before `b`.
+    ///
+    /// The default asks [`select`](JobOrder::select) to pick from the
+    /// pair, so an order that implements only `select` still works; the
+    /// built-in orders implement it natively.
+    fn compare(&self, a: &JobSnapshot, b: &JobSnapshot) -> Ordering {
+        if a.id == b.id {
+            Ordering::Equal
+        } else if self.select(&[*a, *b]) == Some(a.id) {
+            Ordering::Less
+        } else {
+            Ordering::Greater
+        }
+    }
 
     /// A short human-readable name for reports.
     fn name(&self) -> &'static str;
@@ -48,15 +68,14 @@ pub struct FifoPriority;
 
 impl JobOrder for FifoPriority {
     fn select(&self, candidates: &[JobSnapshot]) -> Option<JobId> {
-        candidates
-            .iter()
-            .min_by(|a, b| {
-                b.priority
-                    .cmp(&a.priority) // higher priority first
-                    .then(a.arrival.cmp(&b.arrival))
-                    .then(a.id.cmp(&b.id))
-            })
-            .map(|s| s.id)
+        candidates.iter().min_by(|a, b| self.compare(a, b)).map(|s| s.id)
+    }
+
+    fn compare(&self, a: &JobSnapshot, b: &JobSnapshot) -> Ordering {
+        b.priority
+            .cmp(&a.priority) // higher priority first
+            .then(a.arrival.cmp(&b.arrival))
+            .then(a.id.cmp(&b.id))
     }
 
     fn name(&self) -> &'static str {
@@ -70,10 +89,11 @@ pub struct Fifo;
 
 impl JobOrder for Fifo {
     fn select(&self, candidates: &[JobSnapshot]) -> Option<JobId> {
-        candidates
-            .iter()
-            .min_by(|a, b| a.arrival.cmp(&b.arrival).then(a.id.cmp(&b.id)))
-            .map(|s| s.id)
+        candidates.iter().min_by(|a, b| self.compare(a, b)).map(|s| s.id)
+    }
+
+    fn compare(&self, a: &JobSnapshot, b: &JobSnapshot) -> Ordering {
+        a.arrival.cmp(&b.arrival).then(a.id.cmp(&b.id))
     }
 
     fn name(&self) -> &'static str {
@@ -89,16 +109,13 @@ pub struct Fair;
 
 impl JobOrder for Fair {
     fn select(&self, candidates: &[JobSnapshot]) -> Option<JobId> {
-        candidates
-            .iter()
-            .min_by(|a, b| {
-                let sa = a.running_slots as f64 / a.weight.max(1e-9);
-                let sb = b.running_slots as f64 / b.weight.max(1e-9);
-                sa.total_cmp(&sb)
-                    .then(a.arrival.cmp(&b.arrival))
-                    .then(a.id.cmp(&b.id))
-            })
-            .map(|s| s.id)
+        candidates.iter().min_by(|a, b| self.compare(a, b)).map(|s| s.id)
+    }
+
+    fn compare(&self, a: &JobSnapshot, b: &JobSnapshot) -> Ordering {
+        let sa = a.running_slots as f64 / a.weight.max(1e-9);
+        let sb = b.running_slots as f64 / b.weight.max(1e-9);
+        sa.total_cmp(&sb).then(a.arrival.cmp(&b.arrival)).then(a.id.cmp(&b.id))
     }
 
     fn name(&self) -> &'static str {
@@ -106,9 +123,33 @@ impl JobOrder for Fair {
     }
 }
 
+/// Sorts an offer round's candidates worst first, so the job to serve
+/// next is always the last element — the one
+/// [`select`](JobOrder::select) would pick from the whole slice.
+pub(crate) fn sort_worst_first(order: &dyn JobOrder, queue: &mut [JobSnapshot]) {
+    queue.sort_unstable_by(|a, b| order.compare(b, a));
+}
+
+/// Puts the last candidate of a [`sort_worst_first`] queue — the job just
+/// served one more slot — back in order after bumping its running count.
+/// Only an order that reads running counts ([`Fair`]) can move it; for
+/// the static orders one comparison confirms it stays at the end.
+pub(crate) fn requeue_served(order: &dyn JobOrder, queue: &mut Vec<JobSnapshot>) {
+    let Some(mut served) = queue.pop() else { return };
+    served.running_slots += 1;
+    match queue.last() {
+        Some(next) if order.compare(&served, next) == Ordering::Greater => {
+            let pos = queue.partition_point(|c| order.compare(c, &served) == Ordering::Greater);
+            queue.insert(pos, served);
+        }
+        _ => queue.push(served),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn snap(id: u64, prio: i32, arrival: u64, running: usize) -> JobSnapshot {
         JobSnapshot {
@@ -180,6 +221,134 @@ mod tests {
             assert!(running[0].abs_diff(running[1]) <= 1);
         }
         assert_eq!(running[0] + running[1], 100);
+    }
+
+    /// An order that implements only `select`, so `compare` falls back
+    /// to the trait default (as decorators that wrap another order do).
+    #[derive(Debug)]
+    struct SelectOnly(Fair);
+
+    impl JobOrder for SelectOnly {
+        fn select(&self, candidates: &[JobSnapshot]) -> Option<JobId> {
+            self.0.select(candidates)
+        }
+
+        fn name(&self) -> &'static str {
+            "select-only"
+        }
+    }
+
+    #[test]
+    fn native_compare_agrees_with_select() {
+        let c = [snap(1, 0, 4, 3), snap(2, 7, 9, 1), snap(3, 7, 2, 1), snap(4, 0, 4, 0)];
+        let orders: [&dyn JobOrder; 4] = [&FifoPriority, &Fifo, &Fair, &SelectOnly(Fair)];
+        for order in orders {
+            for a in &c {
+                assert_eq!(order.compare(a, a), Ordering::Equal);
+                for b in &c {
+                    if a.id == b.id {
+                        continue;
+                    }
+                    let first = if order.compare(a, b) == Ordering::Less { a.id } else { b.id };
+                    assert_eq!(order.select(&[*a, *b]), Some(first), "{}", order.name());
+                    assert_eq!(order.compare(a, b), order.compare(b, a).reverse());
+                }
+            }
+        }
+    }
+
+    /// How one offer-round attempt on the served job ends.
+    #[derive(Debug, Clone, Copy)]
+    enum Outcome {
+        /// Assigned, and the job still has pending tasks.
+        Assigned,
+        /// Assigned its last pending task.
+        Drained,
+        /// No acceptable slot: the job leaves the round.
+        Declined,
+    }
+
+    /// The pre-queue offer loop: `select` over what is left, then remove
+    /// by position. Returns the served job sequence.
+    fn served_by_select(
+        order: &dyn JobOrder,
+        mut candidates: Vec<JobSnapshot>,
+        outcomes: &[Outcome],
+    ) -> Vec<JobId> {
+        let mut served = Vec::new();
+        for &outcome in outcomes {
+            let Some(job) = order.select(&candidates) else { break };
+            served.push(job);
+            let pos = candidates.iter().position(|c| c.id == job).unwrap();
+            match outcome {
+                Outcome::Assigned => candidates[pos].running_slots += 1,
+                Outcome::Drained | Outcome::Declined => {
+                    candidates.swap_remove(pos);
+                }
+            }
+        }
+        served
+    }
+
+    /// The sorted queue the offer round uses.
+    fn served_by_queue(
+        order: &dyn JobOrder,
+        mut queue: Vec<JobSnapshot>,
+        outcomes: &[Outcome],
+    ) -> Vec<JobId> {
+        sort_worst_first(order, &mut queue);
+        let mut served = Vec::new();
+        for &outcome in outcomes {
+            let Some(job) = queue.last().map(|c| c.id) else { break };
+            served.push(job);
+            match outcome {
+                Outcome::Assigned => requeue_served(order, &mut queue),
+                Outcome::Drained | Outcome::Declined => {
+                    queue.pop();
+                }
+            }
+        }
+        served
+    }
+
+    fn outcome_strategy() -> impl Strategy<Value = Outcome> {
+        prop_oneof![
+            Just(Outcome::Assigned),
+            Just(Outcome::Assigned),
+            Just(Outcome::Drained),
+            Just(Outcome::Declined),
+        ]
+    }
+
+    proptest! {
+        /// The sorted offer queue — including `Fair`'s re-insert after an
+        /// assignment — serves exactly the job sequence that repeated
+        /// `select` + remove serves, for every built-in order and for a
+        /// select-only order that relies on the default `compare`.
+        #[test]
+        fn sorted_queue_serves_like_repeated_select(
+            jobs in proptest::collection::vec((0i32..3, 0u64..4, 0usize..6, 1u32..4), 0..24),
+            outcomes in proptest::collection::vec(outcome_strategy(), 0..80),
+        ) {
+            let candidates: Vec<JobSnapshot> = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, &(prio, arrival, running, weight))| JobSnapshot {
+                    weight: f64::from(weight),
+                    // Ids out of arrival order, so the id tie-break matters.
+                    ..snap((i as u64 * 7) % 31, prio, arrival, running)
+                })
+                .collect();
+            let orders: [&dyn JobOrder; 4] = [&FifoPriority, &Fifo, &Fair, &SelectOnly(Fair)];
+            for order in orders {
+                prop_assert_eq!(
+                    served_by_queue(order, candidates.clone(), &outcomes),
+                    served_by_select(order, candidates.clone(), &outcomes),
+                    "order {}",
+                    order.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -476,13 +476,7 @@ impl Simulation {
         let assignments = self.sched.resource_offers(self.now);
         for a in &assignments {
             let task = a.instance.task;
-            let spec = self
-                .sched
-                .jobs()
-                .get(task.job)
-                .expect("assigned job exists")
-                .spec()
-                .clone();
+            let spec = self.sched.jobs().get(task.job).expect("assigned job exists").spec();
             // Durations are a deterministic function of (job name, stage,
             // partition, attempt): a job draws identical intrinsic
             // durations whether it runs alone or in contention, so
