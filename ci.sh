@@ -7,25 +7,29 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
-echo "==> ssr-lint (determinism contract + workspace audits, baseline-gated)"
+echo "==> ssr-lint (D004 + P001/A001 call-graph audits, baseline-gated)"
 # Auto-loads ./lint.baseline: the gate is "zero findings beyond the
 # audited ledger". The per-code summary prints how each family fared.
 lint_dir=$(mktemp -d)
 cargo run -q --release -p ssr-lint --offline | tee "$lint_dir/lint.txt"
 grep -E "^per-code:" "$lint_dir/lint.txt"
-
-echo "==> ssr-lint --format json is byte-stable across runs"
-cargo run -q --release -p ssr-lint --offline -- --format json > "$lint_dir/lint1.json"
-cargo run -q --release -p ssr-lint --offline -- --format json > "$lint_dir/lint2.json"
-cmp "$lint_dir/lint1.json" "$lint_dir/lint2.json"
-grep -q '"schema_version": 2' "$lint_dir/lint1.json"
 rm -rf "$lint_dir"
+
+echo "==> determinism fixtures (each retired ssr-lint fixture is rejected by its clippy lint)"
+# Lints crates/lint/tests/fixtures/determinism with the determinism pass
+# below and fails unless every `//~ LINT` line is rejected by LINT and
+# nothing else is.
+cargo test -q --offline -p ssr-lint --test lint_codes
 
 echo "==> cargo test -q"
 cargo test -q --workspace --offline
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "==> determinism pass (crates/clippy.toml bans on shipped code; tests exempt)"
+cargo clippy --workspace --lib --bins --offline -- -D warnings \
+  -D clippy::disallowed_types -D clippy::disallowed_methods
 
 echo "==> cargo bench -- --test (smoke)"
 cargo bench --workspace --offline -- --test

@@ -25,7 +25,6 @@
 //! # Ok::<(), ssr_analytics::ModelError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod fit;

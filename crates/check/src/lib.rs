@@ -45,7 +45,6 @@
 //! assert!(report.is_clean());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod explore;

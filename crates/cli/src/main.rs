@@ -13,13 +13,19 @@
 //! ssr-cli explain trace.jsonl --alone alone-kmeans.jsonl
 //! ssr-cli check faulted.jsonl
 //! ssr-cli check --explore --json
-//! ssr-cli lint [--format json] [--baseline lint.baseline] [--explain-chain]
+//! ssr-cli lint [--baseline lint.baseline]
 //! ```
 
-#![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "non-deterministic crate: argv, files and the environment are its job"
+)]
 
 mod bench;
 mod opts;
+#[cfg(test)]
+mod parse_fuzz;
 mod spec;
 
 use std::process::ExitCode;
@@ -76,10 +82,9 @@ fn usage() {
          \x20 bench     diff two BENCH_*.json snapshots with a regression\n\
          \x20           gate: bench diff OLD.json NEW.json\n\
          \x20           [--threshold PCT] [--only SUBSTR]\n\
-         \x20 lint      run the workspace determinism linter (ssr-lint):\n\
-         \x20           per-file checks plus call-graph taint, panic-path,\n\
-         \x20           trace-coverage and hot-path-allocation audits\n\
-         \x20           (--baseline, --explain-chain, --format json)\n\
+         \x20 lint      run the workspace audits clippy cannot express\n\
+         \x20           (ssr-lint): partial_cmp comparators, recovery-path\n\
+         \x20           panics and hot-path allocation (--baseline)\n\
          \n\
          run flags:\n\
          \x20 --cluster NxS        nodes x slots-per-node (default 4x2)\n\

@@ -5,7 +5,7 @@ use std::fmt;
 use ssr_cluster::{ClusterSpec, LocalityModel};
 use ssr_dag::Priority;
 use ssr_scheduler::SpeculationConfig;
-use ssr_sim::{FaultPlan, OrderConfig, PolicyConfig};
+use ssr_sim::{FaultKind, FaultPlan, OrderConfig, PolicyConfig};
 use ssr_simcore::SimDuration;
 
 /// Error produced when command-line options cannot be parsed.
@@ -126,14 +126,12 @@ impl RunOptions {
                     sizing = Some((parts[0], parts[1], parts[2]));
                 }
                 "--locality-wait" => {
-                    wait = value("--locality-wait")?
-                        .parse()
-                        .map_err(|_| err("--locality-wait wants seconds"))?
+                    wait =
+                        non_negative(&value("--locality-wait")?, "--locality-wait wants seconds")?
                 }
                 "--any-slowdown" => {
-                    any_slowdown = value("--any-slowdown")?
-                        .parse()
-                        .map_err(|_| err("--any-slowdown wants a factor"))?
+                    any_slowdown =
+                        non_negative(&value("--any-slowdown")?, "--any-slowdown wants a factor")?
                 }
                 "--policy" => policy_str = value("--policy")?,
                 "--isolation" => {
@@ -194,6 +192,19 @@ impl RunOptions {
             }
             cluster = cluster.with_slot_sizing(small, large, every);
         }
+        for event in faults.events() {
+            let (what, index, bound) = match event.kind {
+                FaultKind::NodeCrash { node, .. }
+                | FaultKind::NetworkPartition { node, .. }
+                | FaultKind::ExecutorRestart { node, .. } => ("node", node, cluster.nodes()),
+                FaultKind::SlotRevocation { slot } => ("slot", slot, cluster.total_slots()),
+                FaultKind::StragglerStorm { .. } => continue,
+            };
+            if index >= bound {
+                let msg = format!("--faults {what}={index} is outside the {bound}-{what} cluster");
+                return Err(err(msg));
+            }
+        }
 
         let locality = LocalityModel::paper_simulation()
             .with_wait(SimDuration::from_secs_f64(wait))
@@ -211,9 +222,7 @@ impl RunOptions {
                 PolicyConfig::Ssr(config)
             }
             s if s.starts_with("timeout:") => {
-                let secs: f64 = s["timeout:".len()..]
-                    .parse()
-                    .map_err(|_| err("timeout:SECS wants seconds"))?;
+                let secs = non_negative(&s["timeout:".len()..], "timeout:SECS wants seconds")?;
                 PolicyConfig::Timeout(SimDuration::from_secs_f64(secs))
             }
             s if s.starts_with("static:") => {
@@ -255,6 +264,14 @@ impl RunOptions {
     }
 }
 
+/// Parses a finite, non-negative real; `what` names the expectation.
+fn non_negative(value: &str, what: &str) -> Result<f64, OptError> {
+    match value.parse::<f64>() {
+        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        _ => Err(err(format!("{what} (finite, non-negative), got {value}"))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,6 +298,31 @@ mod tests {
         assert!(!o.counters);
         assert!(!o.profile);
         assert!(!o.progress);
+    }
+
+    #[test]
+    fn negative_or_non_finite_reals_are_rejected() {
+        for args in [
+            ["--locality-wait", "-1"],
+            ["--locality-wait", "nan"],
+            ["--any-slowdown", "-2"],
+            ["--any-slowdown", "inf"],
+            ["--policy", "timeout:-1"],
+            ["--policy", "timeout:nan"],
+        ] {
+            let e = parse(&args).expect_err("must be rejected");
+            assert!(e.to_string().contains("finite, non-negative"), "{args:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn faults_outside_the_cluster_are_rejected() {
+        for spec in ["crash:node=2,at=1", "revoke:slot=4,at=1", "partition:node=9,at=1,secs=1"] {
+            let e = parse(&["--cluster", "2x2", "--faults", spec]).expect_err(spec);
+            assert!(e.to_string().contains("outside the"), "{spec}: {e}");
+        }
+        assert!(parse(&["--cluster", "2x2", "--faults", "crash:node=1,at=1;revoke:slot=3,at=1"])
+            .is_ok());
     }
 
     #[test]

@@ -10,8 +10,12 @@
 //! sql[:all,par=32,prio=10]                all 20 queries
 //! pipeline[:phases=3,par=8,tm=1,alpha=1.6,prio=10]   Pareto pipeline
 //! maponly[:tasks=64,secs=30,prio=0]       single-phase batch job
-//! google[:jobs=100,factor=1,seed=7,prio=0]           background trace mix
+//! google[:jobs=100,factor=1,seed=7,prio=0,horizon=3600]   background trace mix
 //! ```
+//!
+//! Unknown keys are errors. Times (`arrival`, `secs`, `horizon`) and `cv`
+//! must be finite and non-negative; means, factors, `tm` and `alpha` must
+//! be positive. No real-valued key may exceed [`MAX_REAL`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -38,6 +42,10 @@ fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
 
+/// The largest value a real-valued key accepts (about 31.7 years in
+/// seconds), so products of means and factors stay finite.
+const MAX_REAL: f64 = 1e9;
+
 /// Key/value options after the template name.
 #[derive(Debug, Default)]
 struct Options {
@@ -60,10 +68,41 @@ impl Options {
         Ok(options)
     }
 
+    /// Rejects keys and flags outside the template's grammar.
+    fn only(&self, template: &str, keys: &[&str], flags: &[&str]) -> Result<(), SpecError> {
+        let unknown = self.kv.keys().find(|k| !keys.contains(&k.as_str()));
+        match unknown.or_else(|| self.flags.iter().find(|f| !flags.contains(&f.as_str()))) {
+            Some(bad) => {
+                Err(err(format!("unknown key {bad} for {template}; known: {}", keys.join(" "))))
+            }
+            None => Ok(()),
+        }
+    }
+
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, SpecError> {
         match self.kv.get(key) {
             Some(v) => v.parse().map_err(|_| err(format!("bad value for {key}: {v}"))),
             None => Ok(default),
+        }
+    }
+
+    /// A real in `[0, MAX_REAL]`.
+    fn non_negative(&self, key: &str, default: f64) -> Result<f64, SpecError> {
+        let v = self.num(key, default)?;
+        if (0.0..=MAX_REAL).contains(&v) {
+            Ok(v)
+        } else {
+            Err(err(format!("{key}={v} must be finite, non-negative and at most {MAX_REAL}")))
+        }
+    }
+
+    /// A real in `(0, MAX_REAL]`.
+    fn positive(&self, key: &str, default: f64) -> Result<f64, SpecError> {
+        let v = self.non_negative(key, default)?;
+        if v > 0.0 {
+            Ok(v)
+        } else {
+            Err(err(format!("{key}={v} must be positive")))
         }
     }
 
@@ -82,13 +121,15 @@ pub fn parse(spec: &str) -> Result<Vec<JobSpec>, SpecError> {
     let o = Options::parse(rest)?;
     match template {
         "kmeans" | "svm" | "pagerank" => {
-            let params = MllibParams::small()
+            o.only(template, &["par", "iters", "prio", "mean", "cv", "factor", "arrival"], &[])?;
+            let mut params = MllibParams::small()
                 .with_parallelism(o.num("par", 8u32)?)
                 .with_iterations(o.num("iters", 4u32)?)
                 .with_priority(Priority::new(o.num("prio", 0i32)?))
-                .with_mean_task_secs(o.num("mean", 4.0f64)?)
-                .with_runtime_factor(o.num("factor", 1.0f64)?)
-                .with_arrival(SimTime::from_secs_f64(o.num("arrival", 0.0f64)?));
+                .with_mean_task_secs(o.positive("mean", 4.0)?)
+                .with_runtime_factor(o.positive("factor", 1.0)?)
+                .with_arrival(SimTime::from_secs_f64(o.non_negative("arrival", 0.0)?));
+            params.cv = o.non_negative("cv", params.cv)?;
             let job = match template {
                 "kmeans" => mllib::kmeans(&params),
                 "svm" => mllib::svm(&params),
@@ -98,10 +139,11 @@ pub fn parse(spec: &str) -> Result<Vec<JobSpec>, SpecError> {
             Ok(vec![job])
         }
         "sql" => {
+            o.only(template, &["q", "par", "prio", "factor"], &["all"])?;
             let params = SqlParams::medium()
                 .with_base_parallelism(o.num("par", 32u32)?)
                 .with_priority(Priority::new(o.num("prio", 0i32)?))
-                .with_runtime_factor(o.num("factor", 1.0f64)?);
+                .with_runtime_factor(o.positive("factor", 1.0)?);
             if o.has_flag("all") {
                 sql::all_queries(&params).map_err(|e| err(format!("sql: {e}")))
             } else {
@@ -113,34 +155,36 @@ pub fn parse(spec: &str) -> Result<Vec<JobSpec>, SpecError> {
             }
         }
         "pipeline" => {
+            o.only(template, &["phases", "par", "tm", "alpha", "prio"], &[])?;
             let job = synthetic::pareto_pipeline(
                 "pipeline",
                 o.num("phases", 3u32)?,
                 o.num("par", 8u32)?,
-                o.num("tm", 1.0f64)?,
-                o.num("alpha", 1.6f64)?,
+                o.positive("tm", 1.0)?,
+                o.positive("alpha", 1.6)?,
                 Priority::new(o.num("prio", 0i32)?),
             )
             .map_err(|e| err(format!("pipeline: {e}")))?;
             Ok(vec![job])
         }
         "maponly" => {
+            o.only(template, &["tasks", "secs", "prio"], &[])?;
             let job = synthetic::map_only(
                 "maponly",
                 o.num("tasks", 64u32)?,
-                ssr_simcore::dist::constant(o.num("secs", 30.0f64)?),
+                ssr_simcore::dist::constant(o.non_negative("secs", 30.0)?),
                 Priority::new(o.num("prio", 0i32)?),
             )
             .map_err(|e| err(format!("maponly: {e}")))?;
             Ok(vec![job])
         }
         "google" => {
-            let config = GoogleTraceConfig::cluster_hour()
+            o.only(template, &["jobs", "factor", "seed", "prio", "horizon"], &[])?;
+            let mut config = GoogleTraceConfig::cluster_hour()
                 .with_jobs(o.num("jobs", 100u32)?)
                 .with_priority(Priority::new(o.num("prio", 0i32)?))
-                .with_runtime_factor(o.num("factor", 1.0f64)?);
-            let mut config = config;
-            config.horizon = SimDuration::from_secs_f64(o.num("horizon", 3600.0f64)?);
+                .with_runtime_factor(o.positive("factor", 1.0)?);
+            config.horizon = SimDuration::from_secs_f64(o.non_negative("horizon", 3600.0)?);
             let mut rng = SimRng::stream(o.num("seed", 7u64)?, 0);
             GoogleTraceGenerator::new(config)
                 .generate(&mut rng)
@@ -211,6 +255,51 @@ mod tests {
         let e = parse("kmeans:par=abc").unwrap_err();
         assert!(e.0.contains("bad value for par"));
         assert!(format!("{}", parse("nosuch").unwrap_err()).contains("invalid workload spec"));
+    }
+
+    fn rejection(spec: &str) -> String {
+        parse(spec).expect_err("spec must be rejected").0
+    }
+
+    #[test]
+    fn maponly_negative_secs_is_rejected() {
+        assert!(rejection("maponly:secs=-1").contains("secs=-1"));
+    }
+
+    #[test]
+    fn maponly_non_finite_secs_is_rejected() {
+        assert!(rejection("maponly:secs=nan").contains("finite"));
+        assert!(rejection("maponly:secs=inf").contains("finite"));
+    }
+
+    #[test]
+    fn kmeans_negative_mean_is_rejected() {
+        assert!(rejection("kmeans:mean=-1").contains("mean=-1"));
+    }
+
+    #[test]
+    fn kmeans_negative_arrival_is_rejected() {
+        assert!(rejection("kmeans:arrival=-1").contains("arrival=-1"));
+    }
+
+    #[test]
+    fn google_negative_or_nan_horizon_is_rejected() {
+        assert!(rejection("google:horizon=-1").contains("horizon=-1"));
+        assert!(rejection("google:horizon=nan").contains("horizon=NaN"));
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected() {
+        let e = rejection("maponly:tasks=2,bogus=3");
+        assert!(e.contains("unknown key bogus for maponly"), "{e}");
+        assert!(rejection("kmeans:fast").contains("unknown key fast"));
+    }
+
+    #[test]
+    fn kmeans_cv_is_honoured() {
+        let skewed = parse("kmeans:cv=2").unwrap();
+        let even = parse("kmeans:cv=0").unwrap();
+        assert_ne!(format!("{skewed:?}"), format!("{even:?}"));
     }
 
     #[test]

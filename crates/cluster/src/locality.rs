@@ -212,7 +212,7 @@ impl Default for LocalityModel {
 /// The preference set is ordered (`BTreeSet`) so that every scan over it
 /// is deterministic; the membership tests below are order-independent
 /// either way, but the ordered type keeps the whole preference path
-/// inside the replay contract (lint D001).
+/// inside the replay contract.
 ///
 /// An empty preference means the task has no data affinity (e.g. a root
 /// phase reading evenly from a distributed store) and runs at

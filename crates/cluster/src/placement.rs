@@ -33,7 +33,7 @@ use crate::topology::SlotId;
 #[derive(Debug, Clone, Default)]
 pub struct DataPlacement {
     // Ordered map: iteration and clearing visit entries in key order, so
-    // nothing downstream can observe a hash-seed-dependent order (D001).
+    // nothing downstream can observe a hash-seed-dependent order.
     outputs: BTreeMap<(JobId, StageId), Vec<SlotId>>,
 }
 

@@ -34,7 +34,6 @@
 //! # Ok::<(), ssr_dag::DagError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ids;

@@ -23,7 +23,7 @@
 //!
 //! Everything is a pure function of the input traces: no wall clock, no
 //! randomness, no hash-order iteration (the workspace determinism contract
-//! enforced by `ssr-lint`).
+//! enforced by `crates/clippy.toml`).
 //!
 //! # Example
 //!
@@ -36,7 +36,6 @@
 //! assert!(report.render_text(64).contains("ssr-explain"));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attribution;

@@ -32,7 +32,6 @@
 //! no reservation outliving its owner, fill-order preserved across
 //! recovery, and per-job running-count conservation.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use ssr_simcore::{SimDuration, SimTime};
@@ -155,50 +154,44 @@ impl FaultPlan {
                 let (key, value) = pair
                     .split_once('=')
                     .ok_or_else(|| format!("fault arg `{pair}` is not key=value"))?;
-                let num: f64 = value
-                    .parse()
-                    .map_err(|_| format!("fault arg `{pair}`: `{value}` is not a number"))?;
                 match key {
-                    "at" => at = Some(num),
-                    "node" => node = Some(num as u32),
-                    "slot" => slot = Some(num as u32),
-                    "secs" => secs = Some(num),
-                    "down" => down = Some(num),
-                    "rampup" => rampup = Some(num),
-                    "factor" => factor = Some(num),
-                    "cold" => cold = Some(num),
+                    "node" => node = Some(index_arg(pair, value)?),
+                    "slot" => slot = Some(index_arg(pair, value)?),
+                    "at" => at = Some(non_negative_arg(pair, value)?),
+                    "secs" => secs = Some(non_negative_arg(pair, value)?),
+                    "down" => down = Some(non_negative_arg(pair, value)?),
+                    "rampup" => rampup = Some(non_negative_arg(pair, value)?),
+                    "factor" => factor = Some(non_negative_arg(pair, value)?),
+                    "cold" => cold = Some(non_negative_arg(pair, value)?),
                     other => return Err(format!("unknown fault arg `{other}` in `{clause}`")),
                 }
             }
-            let at = SimTime::from_secs_f64(
-                at.ok_or_else(|| format!("fault clause `{clause}` missing at=SECS"))?,
-            );
-            let need = |opt: Option<f64>, name: &str| {
-                opt.ok_or_else(|| format!("fault clause `{clause}` missing {name}="))
+            let missing = |name: &str| format!("fault clause `{clause}` missing {name}=");
+            let at = SimTime::from_secs_f64(at.ok_or_else(|| missing("at"))?);
+            let secs_of = |opt: Option<f64>, name: &str| {
+                opt.map(SimDuration::from_secs_f64).ok_or_else(|| missing(name))
             };
-            let need_node =
-                |opt: Option<u32>| need(opt.map(f64::from), "node").map(|n| n as u32);
             let kind = match kind {
                 "crash" => FaultKind::NodeCrash {
-                    node: need_node(node)?,
+                    node: node.ok_or_else(|| missing("node"))?,
                     down: down.map(SimDuration::from_secs_f64),
                 },
-                "revoke" => FaultKind::SlotRevocation {
-                    slot: need(slot.map(f64::from), "slot")? as u32,
-                },
+                "revoke" => {
+                    FaultKind::SlotRevocation { slot: slot.ok_or_else(|| missing("slot"))? }
+                }
                 "partition" => FaultKind::NetworkPartition {
-                    node: need_node(node)?,
-                    secs: SimDuration::from_secs_f64(need(secs, "secs")?),
+                    node: node.ok_or_else(|| missing("node"))?,
+                    secs: secs_of(secs, "secs")?,
                 },
                 "storm" => FaultKind::StragglerStorm {
-                    factor: need(factor, "factor")?,
-                    secs: SimDuration::from_secs_f64(need(secs, "secs")?),
+                    factor: factor.ok_or_else(|| missing("factor"))?,
+                    secs: secs_of(secs, "secs")?,
                 },
                 "restart" => FaultKind::ExecutorRestart {
-                    node: need_node(node)?,
-                    down: SimDuration::from_secs_f64(need(down, "down")?),
-                    rampup: SimDuration::from_secs_f64(need(rampup, "rampup")?),
-                    cold_factor: need(cold, "cold")?,
+                    node: node.ok_or_else(|| missing("node"))?,
+                    down: secs_of(down, "down")?,
+                    rampup: secs_of(rampup, "rampup")?,
+                    cold_factor: cold.ok_or_else(|| missing("cold"))?,
                 },
                 other => {
                     return Err(format!(
@@ -209,6 +202,25 @@ impl FaultPlan {
             plan.push(at, kind);
         }
         Ok(plan)
+    }
+}
+
+/// A node or slot index: a non-negative integer that fits in `u32`.
+fn index_arg(pair: &str, value: &str) -> Result<u32, String> {
+    value
+        .parse()
+        .map_err(|_| format!("fault arg `{pair}`: `{value}` is not a non-negative integer index"))
+}
+
+/// A time in seconds or a duration multiplier: finite and non-negative.
+fn non_negative_arg(pair: &str, value: &str) -> Result<f64, String> {
+    let num: f64 = value
+        .parse()
+        .map_err(|_| format!("fault arg `{pair}`: `{value}` is not a number"))?;
+    if num.is_finite() && num >= 0.0 {
+        Ok(num)
+    } else {
+        Err(format!("fault arg `{pair}`: `{value}` must be finite and non-negative"))
     }
 }
 
@@ -273,6 +285,49 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    fn rejection(spec: &str) -> String {
+        FaultPlan::parse(spec).expect_err("spec must be rejected")
+    }
+
+    #[test]
+    fn negative_crash_time_is_rejected() {
+        assert!(rejection("crash:node=0,at=-5").contains("`at=-5`"));
+    }
+
+    #[test]
+    fn negative_down_is_rejected() {
+        assert!(rejection("crash:node=0,at=5,down=-2").contains("`down=-2`"));
+    }
+
+    #[test]
+    fn negative_partition_secs_is_rejected() {
+        assert!(rejection("partition:node=0,at=5,secs=-3").contains("`secs=-3`"));
+    }
+
+    #[test]
+    fn negative_rampup_is_rejected() {
+        let e = rejection("restart:node=0,at=5,down=1,rampup=-1,cold=2");
+        assert!(e.contains("`rampup=-1`"), "{e}");
+    }
+
+    #[test]
+    fn non_finite_times_are_rejected() {
+        for spec in ["crash:node=0,at=nan", "crash:node=0,at=inf", "crash:node=0,at=1,down=inf"] {
+            assert!(rejection(spec).contains("finite and non-negative"), "{spec}");
+        }
+    }
+
+    #[test]
+    fn negative_node_is_rejected() {
+        assert!(rejection("crash:node=-1,at=5").contains("`node=-1`"));
+    }
+
+    #[test]
+    fn fractional_node_is_rejected() {
+        assert!(rejection("crash:node=1.5,at=5").contains("`node=1.5`"));
+        assert!(rejection("revoke:slot=0.5,at=5").contains("`slot=0.5`"));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{Lexed, Tok, TokKind};
+use crate::lexer::{Tok, TokKind};
 use crate::parser::ParsedFile;
 
 /// Method names that commonly resolve to std types; the unique-name
@@ -73,17 +73,6 @@ pub struct FnNode {
     pub body: Option<(usize, usize)>,
 }
 
-/// One resolved call edge with its first call site.
-#[derive(Debug, Clone, Copy)]
-pub struct CallSite {
-    /// Callee function index.
-    pub callee: usize,
-    /// 1-based line of the call in the caller's file.
-    pub line: u32,
-    /// 1-based column of the call.
-    pub col: u32,
-}
-
 /// The workspace call graph.
 #[derive(Debug, Default)]
 pub struct CallGraph {
@@ -91,11 +80,8 @@ pub struct CallGraph {
     /// functions are not included.
     pub fns: Vec<FnNode>,
     /// Forward edges: `calls[i]` are the resolved callees of `fns[i]`,
-    /// deduplicated per callee (first call site wins), in callee order.
-    pub calls: Vec<Vec<CallSite>>,
-    /// Reverse adjacency: `callers[i]` lists every `j` with an edge
-    /// `j -> i`.
-    pub callers: Vec<Vec<usize>>,
+    /// deduplicated, in ascending order.
+    pub calls: Vec<Vec<usize>>,
 }
 
 /// Per-file inputs to graph construction.
@@ -103,7 +89,7 @@ pub struct GraphFile<'a> {
     /// Workspace-relative path.
     pub rel: &'a str,
     /// The lexed tokens.
-    pub lexed: &'a Lexed,
+    pub tokens: &'a [Tok],
     /// The parsed items.
     pub parsed: &'a ParsedFile,
 }
@@ -176,8 +162,8 @@ impl CallGraph {
                 .copied()
                 .filter(|&(o, c)| o > open && c < close)
                 .collect();
-            let mut sites: Vec<CallSite> = Vec::new();
-            let tokens = &file.lexed.tokens;
+            let mut callees: Vec<usize> = Vec::new();
+            let tokens = file.tokens;
             let mut k = open + 1;
             while k < close {
                 if let Some(&(_, nc)) = nested.iter().find(|&&(no, _)| no == k) {
@@ -188,27 +174,13 @@ impl CallGraph {
                     && tokens.get(k + 1).is_some_and(|t| t.is_punct("("))
                     && !tokens.get(k.wrapping_sub(1)).is_some_and(|t| t.is_ident("fn"))
                 {
-                    for callee in resolver.resolve(node, uses, tokens, k) {
-                        if !sites.iter().any(|s| s.callee == callee) {
-                            sites.push(CallSite {
-                                callee,
-                                line: tokens[k].line,
-                                col: tokens[k].col,
-                            });
-                        }
-                    }
+                    callees.extend(resolver.resolve(node, uses, tokens, k));
                 }
                 k += 1;
             }
-            sites.sort_by_key(|s| s.callee);
-            g.calls[i] = sites;
-        }
-
-        g.callers = vec![Vec::new(); g.fns.len()];
-        for (i, sites) in g.calls.iter().enumerate() {
-            for s in sites {
-                g.callers[s.callee].push(i);
-            }
+            callees.sort_unstable();
+            callees.dedup();
+            g.calls[i] = callees;
         }
         g
     }
@@ -242,11 +214,10 @@ impl CallGraph {
         while head < queue.len() {
             let cur = queue[head];
             head += 1;
-            for s in &self.calls[cur] {
-                if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(s.callee)
-                {
+            for &callee in &self.calls[cur] {
+                if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(callee) {
                     e.insert(Some(cur));
-                    queue.push(s.callee);
+                    queue.push(callee);
                 }
             }
         }
@@ -361,7 +332,7 @@ impl Resolver {
     ) -> Vec<usize> {
         let krate = caller.krate.as_str();
         match head {
-            "crate" => self.resolve_abs(krate, rest, name),
+            "crate" => self.resolve_abs_in(krate, rest, name, rest),
             "self" => {
                 let mut m = caller.module.clone();
                 m.extend(rest.iter().cloned());
@@ -378,7 +349,7 @@ impl Resolver {
                 None => Vec::new(),
             },
             _ if self.crate_names.contains(ext_to_dir(head)) => {
-                self.resolve_abs(ext_to_dir(head), rest, name)
+                self.resolve_abs_in(ext_to_dir(head), rest, name, rest)
             }
             _ if is_camel(head) => {
                 // `Type::f(…)` — locate the type's crate: current crate
@@ -436,20 +407,9 @@ impl Resolver {
         }
     }
 
-    /// Resolves within a crate where the trailing segment may be a type
-    /// (`…::Type::f`) or a module path (`…::mod::f`).
-    fn resolve_abs(&self, krate: &str, segs: &[String], name: &str) -> Vec<usize> {
-        if let Some(last) = segs.last() {
-            if is_camel(last) {
-                return self.method(krate, last, name).cloned().unwrap_or_default();
-            }
-        }
-        self.resolve_in_module(krate, segs, name)
-    }
-
-    /// Like [`resolve_abs`](Resolver::resolve_abs) for an
-    /// already-joined module path: a trailing `Type` segment (taken
-    /// from the original `rest`) resolves as a method.
+    /// Resolves `name` in `module` of `krate`, where a trailing `Type`
+    /// segment of the written path `rest` (`…::Type::f`) makes it a
+    /// method and anything else a module path (`…::mod::f`).
     fn resolve_abs_in(
         &self,
         krate: &str,

@@ -1,53 +1,37 @@
-//! The determinism lint passes and the suppression-directive machinery.
+//! The three audits stock tooling cannot express.
 //!
-//! Every pass is a conservative, flow-insensitive pattern match over the
-//! token stream of one file (see [`crate::lexer`]). The passes prefer
-//! false positives over false negatives: a finding that is provably
-//! harmless is silenced *with a reason* via
-//! `// ssr-lint: allow(CODE, reason = "…")`, which keeps the
-//! justification next to the code it excuses.
+//! * **D004** — `partial_cmp` inside a sort/min/max comparator, a
+//!   per-file token match. Clippy has no equivalent that spares the
+//!   `#[derive(PartialOrd)]` expansions.
+//! * **P001** — a panic site reachable from a scheduler recovery root.
+//! * **A001** — an allocation reachable from the `resource_offers` hot
+//!   path.
+//!
+//! P001 and A001 walk the workspace call graph ([`crate::callgraph`])
+//! forward from their roots. Every pass prefers false positives over
+//! false negatives; an audited finding is budgeted in `lint.baseline`.
 //!
 //! `#[cfg(test)]` modules and `#[test]` functions are exempt: the
 //! byte-identical-replay contract governs shipped simulation code, and
 //! test-only nondeterminism is caught by the golden regression tests.
 
 use crate::callgraph::{CallGraph, GraphFile};
-use crate::lexer::{lex, Lexed, Tok, TokKind};
+use crate::lexer::{lex, Tok, TokKind};
+use crate::parser::{matching_brace, past_brackets};
 use crate::report::Diagnostic;
-use crate::suppress::{parse_directives, Suppression};
 
 /// Crates whose code is on the deterministic replay path: anything that
 /// executes between seed and report must be a pure function of its
-/// inputs. D001 applies only here.
+/// inputs. P001 and A001 walk and report only here.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
-    "check", "cluster", "core", "dag", "explain", "faults", "perf", "scheduler", "sim",
-    "simcore", "trace", "workload",
-];
-
-/// The only files allowed to read the wall clock (D002). Timing flows
-/// through `ssr_sim::walltime` so stderr `--timing` output can never
-/// leak into deterministic results.
-pub const TIMING_ONLY_FILES: &[&str] = &["crates/sim/src/walltime.rs"];
-
-/// The only file allowed to spawn threads or use channels (D003): the
-/// deterministic trial runner, whose order-preserving merge is what
-/// makes worker counts invisible in the output.
-pub const THREADING_FILES: &[&str] = &["crates/sim/src/runner.rs"];
-
-/// The home of RNG stream derivation (D005). Everyone else constructs
-/// generators through `SimRng::stream`/`SimRng::fork`.
-pub const RNG_HOME_FILES: &[&str] = &["crates/simcore/src/rng.rs"];
-
-/// All lint codes, in report order.
-pub const CODES: &[&str] = &[
-    "A001", "C001", "D001", "D002", "D003", "D004", "D005", "D101", "D102", "D103", "D104",
-    "D105", "D106", "L001", "L002", "P001", "S001", "T001",
+    "analytics", "check", "cluster", "core", "dag", "explain", "faults", "perf", "scheduler",
+    "sim", "simcore", "trace", "workload",
 ];
 
 /// Function names that root the P001 panic-path audit: the scheduler's
-/// fault-recovery entry points (PR 6). Anything these can reach on the
-/// call graph must not panic — a fault event escalating into a
-/// scheduler panic turns one lost slot into a lost scheduler.
+/// fault-recovery entry points. Anything these can reach on the call
+/// graph must not panic — a fault event escalating into a scheduler
+/// panic turns one lost slot into a lost scheduler.
 pub const RECOVERY_ROOTS: &[&str] = &[
     "fail_slots",
     "restore_slots",
@@ -59,42 +43,8 @@ pub const RECOVERY_ROOTS: &[&str] = &[
 ];
 
 /// Function names that root the A001 allocation audit: the offer-round
-/// hot path that must stay allocation-free to scale to 100k slots
-/// (ROADMAP item 1).
+/// hot path that must stay allocation-free to scale to 100k slots.
 pub const HOT_PATH_ROOTS: &[&str] = &["resource_offers"];
-
-/// The enum T001 audits for emission/reader exhaustiveness.
-pub const TRACE_EVENT_ENUM: &str = "TraceEventKind";
-
-/// The struct C001 audits for counter coverage.
-pub const COUNTER_STRUCT: &str = "WorkCounters";
-
-/// The crate that owns [`COUNTER_STRUCT`] and renders its report.
-pub const COUNTER_HOME_CRATE: &str = "perf";
-
-/// Methods that mutate a counter field (C001's notion of "incremented").
-const COUNTER_MUTATORS: &[&str] = &["inc", "add", "high_water"];
-
-/// Crates that must emit every trace event variant.
-const TRACE_EMITTER_CRATES: &[&str] = &["scheduler", "sim"];
-
-/// Crates that must reference every trace event variant (checker
-/// invariants or explain-side readers).
-const TRACE_READER_CRATES: &[&str] = &["check", "explain"];
-
-/// Hash-collection iteration methods whose visit order is
-/// nondeterministic (D001).
-const HASH_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-];
 
 /// Comparator-taking order operations (D004 context).
 const ORDERING_CALLS: &[&str] = &[
@@ -110,87 +60,20 @@ const ORDERING_CALLS: &[&str] = &[
     "select_nth_unstable_by",
 ];
 
-/// The result of linting one file.
-#[derive(Debug, Default)]
-pub struct FileOutcome {
-    /// Unsuppressed findings, sorted by (line, col, code).
-    pub findings: Vec<Diagnostic>,
-    /// Findings silenced by an `allow` directive.
-    pub suppressed: usize,
-    /// Every parsed suppression directive, so callers can audit that
-    /// each one carries a reason.
-    pub directives: Vec<Suppression>,
+/// Lints a single file given its workspace-relative path and source
+/// text: the per-file D004 pass, outside test regions. This is the unit
+/// the fixture tests drive directly.
+pub fn lint_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
+    lint_tokens(&rel_path.replace('\\', "/"), &lex(source))
 }
 
-/// Lints a single file given its workspace-relative path (which decides
-/// crate scoping) and source text. This is the unit the fixture tests
-/// drive directly.
-pub fn lint_source(rel_path: &str, source: &str) -> FileOutcome {
-    let rel = rel_path.replace('\\', "/");
-    let lexed = lex(source);
-    let exempt = exempt_ranges(&lexed.tokens);
-    let in_exempt = |line: u32| exempt.iter().any(|&(lo, hi)| lo <= line && line <= hi);
-
-    let (directives, mut raw) = parse_directives(&rel, &lexed);
-
-    let crate_name = crate_of(&rel);
-    let deterministic =
-        crate_name.is_some_and(|c| DETERMINISTIC_CRATES.contains(&c));
-
-    if deterministic {
-        check_d001(&rel, &lexed, &mut raw);
-    }
-    if !TIMING_ONLY_FILES.contains(&rel.as_str()) {
-        check_d002(&rel, &lexed.tokens, &mut raw);
-    }
-    if !THREADING_FILES.contains(&rel.as_str()) {
-        check_d003(&rel, &lexed.tokens, &mut raw);
-    }
-    check_d004(&rel, &lexed.tokens, &mut raw);
-    if !RNG_HOME_FILES.contains(&rel.as_str()) {
-        check_d005(&rel, &lexed.tokens, &mut raw);
-    }
-    check_s001(&rel, &lexed.tokens, &mut raw);
-
-    raw.retain(|d| !in_exempt(d.line));
-
+/// [`lint_source`] over an already-lexed file.
+pub(crate) fn lint_tokens(rel: &str, tokens: &[Tok]) -> Vec<Diagnostic> {
+    let exempt = exempt_ranges(tokens);
     let mut findings = Vec::new();
-    let mut suppressed = 0usize;
-    for diag in raw {
-        let silenced = directives
-            .iter()
-            .any(|dir| dir.code == diag.code && dir.applies_line == diag.line);
-        if silenced {
-            suppressed += 1;
-        } else {
-            findings.push(diag);
-        }
-    }
-    findings.sort_by(|a, b| {
-        (a.line, a.col, a.code.as_str()).cmp(&(b.line, b.col, b.code.as_str()))
-    });
-    FileOutcome { findings, suppressed, directives }
-}
-
-/// The crate directory name for a `crates/<name>/…` path.
-fn crate_of(rel: &str) -> Option<&str> {
-    let mut parts = rel.split('/');
-    if parts.next() != Some("crates") {
-        return None;
-    }
-    parts.next()
-}
-
-/// `true` for crate-root files: `src/lib.rs`, `src/main.rs`, or a
-/// `src/bin/*.rs` binary root — the places a `#![forbid(unsafe_code)]`
-/// attribute must live.
-fn is_crate_root(rel: &str) -> bool {
-    let parts: Vec<&str> = rel.split('/').collect();
-    match parts.as_slice() {
-        ["crates", _, "src", file] => *file == "lib.rs" || *file == "main.rs",
-        ["crates", _, "src", "bin", file] => file.ends_with(".rs"),
-        _ => false,
-    }
+    check_d004(rel, tokens, &mut findings);
+    findings.retain(|d| !exempt.iter().any(|&(lo, hi)| lo <= d.line && d.line <= hi));
+    findings
 }
 
 // ---------------------------------------------------------------------
@@ -205,13 +88,13 @@ pub(crate) fn exempt_ranges(tokens: &[Tok]) -> Vec<(u32, u32)> {
         if tokens[i].is_punct("#") && tokens[i + 1].is_punct("[") && is_test_attr(tokens, i + 2)
         {
             let start_line = tokens[i].line;
-            let mut j = skip_attr(tokens, i);
+            let mut j = past_brackets(tokens, i + 1);
             // Skip any further attributes stacked on the same item.
             while j + 1 < tokens.len()
                 && tokens[j].is_punct("#")
                 && tokens[j + 1].is_punct("[")
             {
-                j = skip_attr(tokens, j);
+                j = past_brackets(tokens, j + 1);
             }
             // Find the item body `{…}` (or a `;` for body-less items).
             while j < tokens.len() && !tokens[j].is_punct("{") && !tokens[j].is_punct(";") {
@@ -249,320 +132,6 @@ fn is_test_attr(tokens: &[Tok], i: usize) -> bool {
         && tokens
             .get(i + 3)
             .is_some_and(|t| t.is_punct(")") || t.is_punct(","))
-}
-
-/// Returns the index just past the `]` closing the attribute whose `#`
-/// is at `i`.
-fn skip_attr(tokens: &[Tok], i: usize) -> usize {
-    let mut j = i + 2; // past `#[`
-    let mut depth = 1i32;
-    while j < tokens.len() && depth > 0 {
-        if tokens[j].is_punct("[") {
-            depth += 1;
-        } else if tokens[j].is_punct("]") {
-            depth -= 1;
-        }
-        j += 1;
-    }
-    j
-}
-
-/// Returns the index of the `}` matching the `{` at `open`.
-fn matching_brace(tokens: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct("}") {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    tokens.len() - 1
-}
-
-// ---------------------------------------------------------------------
-// D001 — hash-collection iteration in deterministic-path crates
-// ---------------------------------------------------------------------
-
-/// Names bound to a `HashMap`/`HashSet` in this file, collected from
-/// type ascriptions (`name: HashMap<…>`, fields and parameters alike),
-/// constructor bindings (`let name = HashMap::new()`), and turbofish
-/// collects (`let name = …collect::<HashMap<…>>()`).
-fn hash_tainted_names(tokens: &[Tok]) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    let mut add = |name: &str| {
-        if !name.is_empty() && !names.iter().any(|n| n == name) {
-            names.push(name.to_owned());
-        }
-    };
-    for (i, tok) in tokens.iter().enumerate() {
-        if !(tok.is_ident("HashMap") || tok.is_ident("HashSet")) {
-            continue;
-        }
-        // Pattern A: `name: [&mut] [path::]Hash…` — walk back over the
-        // path prefix to the `:`.
-        let mut j = i;
-        while j >= 1 {
-            let prev = &tokens[j - 1];
-            if prev.is_punct("::") && j >= 2 && tokens[j - 2].kind == TokKind::Ident {
-                j -= 2;
-            } else if prev.is_punct("&")
-                || prev.is_ident("mut")
-                || prev.kind == TokKind::Lifetime
-            {
-                j -= 1;
-            } else {
-                break;
-            }
-        }
-        if j >= 2 && tokens[j - 1].is_punct(":") && tokens[j - 2].kind == TokKind::Ident {
-            add(&tokens[j - 2].text);
-            continue;
-        }
-        // Pattern C: `collect::<Hash…>` — rewind to the `collect` call.
-        let mut anchor = i;
-        if i >= 3
-            && tokens[i - 1].is_punct("<")
-            && tokens[i - 2].is_punct("::")
-            && tokens[i - 3].is_ident("collect")
-        {
-            anchor = i - 3;
-        } else {
-            // Pattern B requires a constructor: `Hash…::new()` etc.
-            let ctor = tokens.get(i + 1).is_some_and(|t| t.is_punct("::"))
-                && tokens.get(i + 2).is_some_and(|t| {
-                    t.is_ident("new")
-                        || t.is_ident("with_capacity")
-                        || t.is_ident("default")
-                        || t.is_ident("from")
-                        || t.is_ident("from_iter")
-                });
-            if !ctor {
-                continue;
-            }
-        }
-        // Walk back from the anchor to the `let` opening this statement.
-        let mut k = anchor;
-        while k > 0 {
-            let t = &tokens[k - 1];
-            if t.is_punct(";") || t.is_punct("{") || t.is_punct("}") {
-                break;
-            }
-            k -= 1;
-            if tokens[k].is_ident("let") {
-                let mut n = k + 1;
-                if tokens.get(n).is_some_and(|t| t.is_ident("mut")) {
-                    n += 1;
-                }
-                if let Some(name_tok) = tokens.get(n) {
-                    if name_tok.kind == TokKind::Ident {
-                        add(&name_tok.text);
-                    }
-                }
-                break;
-            }
-        }
-    }
-    names
-}
-
-/// One hash-collection iteration site, shared between the per-file
-/// D001 pass and the D103 taint-source detector.
-#[derive(Debug, Clone)]
-pub(crate) struct HashIterSite {
-    /// Token index of the method name (or the `for` keyword).
-    pub idx: usize,
-    /// The iterated collection's binding name.
-    pub name: String,
-    /// The iteration method, or `None` for a `for … in name` loop.
-    pub method: Option<String>,
-}
-
-impl HashIterSite {
-    /// Short source description for taint diagnostics.
-    pub(crate) fn desc(&self) -> String {
-        match &self.method {
-            Some(m) => format!("{}.{}()", self.name, m),
-            None => format!("for … in {}", self.name),
-        }
-    }
-}
-
-/// Detects every hash-collection iteration site in a file (regardless
-/// of crate — the caller decides whether that is a D001 finding or a
-/// D103 taint source).
-pub(crate) fn hash_iter_sites(lexed: &Lexed) -> Vec<HashIterSite> {
-    let tokens = &lexed.tokens;
-    let tainted = hash_tainted_names(tokens);
-    let mut sites = Vec::new();
-    if tainted.is_empty() {
-        return sites;
-    }
-    let is_tainted = |t: &Tok| t.kind == TokKind::Ident && tainted.contains(&t.text);
-
-    for (i, tok) in tokens.iter().enumerate() {
-        // `name.iter()` and friends.
-        if tok.kind == TokKind::Ident
-            && HASH_ITER_METHODS.contains(&tok.text.as_str())
-            && i >= 2
-            && tokens[i - 1].is_punct(".")
-            && is_tainted(&tokens[i - 2])
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct("("))
-        {
-            sites.push(HashIterSite {
-                idx: i,
-                name: tokens[i - 2].text.clone(),
-                method: Some(tok.text.clone()),
-            });
-        }
-        // `for x in [&[mut]] name {`.
-        if tok.is_ident("for") {
-            let mut j = i + 1;
-            let mut guard = 0;
-            while j < tokens.len() && !tokens[j].is_ident("in") && !tokens[j].is_punct("{") {
-                j += 1;
-                guard += 1;
-                if guard > 40 {
-                    break;
-                }
-            }
-            if j >= tokens.len() || !tokens[j].is_ident("in") {
-                continue;
-            }
-            let mut k = j + 1;
-            while tokens.get(k).is_some_and(|t| t.is_punct("&") || t.is_ident("mut")) {
-                k += 1;
-            }
-            // A dotted path such as `self.outputs`; remember the last
-            // identifier before the loop body.
-            let mut last_ident: Option<&Tok> = None;
-            while k < tokens.len() {
-                if tokens[k].kind == TokKind::Ident {
-                    last_ident = Some(&tokens[k]);
-                    k += 1;
-                } else if tokens[k].is_punct(".") {
-                    k += 1;
-                } else {
-                    break;
-                }
-            }
-            if tokens.get(k).is_some_and(|t| t.is_punct("{")) {
-                if let Some(name) = last_ident {
-                    if is_tainted(name) {
-                        sites.push(HashIterSite {
-                            idx: i,
-                            name: name.text.clone(),
-                            method: None,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    sites
-}
-
-fn check_d001(rel: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
-    let tokens = &lexed.tokens;
-    for site in hash_iter_sites(lexed) {
-        let tok = &tokens[site.idx];
-        let diag = match &site.method {
-            Some(method) => Diagnostic::new(
-                "D001",
-                rel,
-                tok.line,
-                tok.col,
-                format!(
-                    "iteration over hash collection `{}` via `.{}()` — visit order \
-                     is nondeterministic in a deterministic-path crate",
-                    site.name, method
-                ),
-                "use BTreeMap/BTreeSet (or collect and sort) so replay order is fixed; \
-                 if the result is provably order-independent, annotate with \
-                 `// ssr-lint: allow(D001, reason = \"…\")`"
-                    .to_owned(),
-            ),
-            None => Diagnostic::new(
-                "D001",
-                rel,
-                tok.line,
-                tok.col,
-                format!(
-                    "`for … in {}` iterates a hash collection — visit order \
-                     is nondeterministic in a deterministic-path crate",
-                    site.name
-                ),
-                "use BTreeMap/BTreeSet (or collect and sort) so replay order \
-                 is fixed; if the loop body is provably order-independent, \
-                 annotate with `// ssr-lint: allow(D001, reason = \"…\")`"
-                    .to_owned(),
-            ),
-        };
-        out.push(diag);
-    }
-}
-
-// ---------------------------------------------------------------------
-// D002 — wall-clock reads outside the timing module
-// ---------------------------------------------------------------------
-
-fn check_d002(rel: &str, tokens: &[Tok], out: &mut Vec<Diagnostic>) {
-    for tok in tokens {
-        if tok.is_ident("Instant") || tok.is_ident("SystemTime") {
-            out.push(Diagnostic::new(
-                "D002",
-                rel,
-                tok.line,
-                tok.col,
-                format!(
-                    "wall-clock access (`{}`) outside the sanctioned timing module — \
-                     real time must never influence simulated results",
-                    tok.text
-                ),
-                format!(
-                    "route timing through `ssr_sim::walltime` (the only file on the \
-                     timing allowlist: {})",
-                    TIMING_ONLY_FILES.join(", ")
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// D003 — threads/channels outside the trial runner
-// ---------------------------------------------------------------------
-
-fn check_d003(rel: &str, tokens: &[Tok], out: &mut Vec<Diagnostic>) {
-    for (i, tok) in tokens.iter().enumerate() {
-        let hit = if tok.is_ident("thread") {
-            i >= 2 && tokens[i - 1].is_punct("::") && tokens[i - 2].is_ident("std")
-        } else if tok.is_ident("spawn") || tok.is_ident("scope") {
-            i >= 2 && tokens[i - 1].is_punct("::") && tokens[i - 2].is_ident("thread")
-        } else {
-            tok.is_ident("mpsc")
-        };
-        if hit {
-            out.push(Diagnostic::new(
-                "D003",
-                rel,
-                tok.line,
-                tok.col,
-                format!(
-                    "thread/channel use (`{}`) outside the trial runner — parallelism \
-                     is only sound behind the order-preserving merge in {}",
-                    tok.text,
-                    THREADING_FILES.join(", ")
-                ),
-                "express parallelism as independent trials through \
-                 `ssr_sim::runner::par_map`, which merges results in input order"
-                    .to_owned(),
-            ));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -621,211 +190,128 @@ fn check_d004(rel: &str, tokens: &[Tok], out: &mut Vec<Diagnostic>) {
 }
 
 // ---------------------------------------------------------------------
-// D005 — RNG construction outside stream derivation
+// P001 / A001 — forward-reachability audits
 // ---------------------------------------------------------------------
 
-fn check_d005(rel: &str, tokens: &[Tok], out: &mut Vec<Diagnostic>) {
-    for tok in tokens {
-        if tok.is_ident("seed_from_u64") {
-            out.push(Diagnostic::new(
-                "D005",
-                rel,
-                tok.line,
-                tok.col,
-                "raw RNG construction (`seed_from_u64`) outside `simcore::rng` — \
-                 ad-hoc seeding breaks the one-stream-per-trial discipline"
-                    .to_owned(),
-                "derive generators with `SimRng::stream(root_seed, index)` (or `fork` \
-                 from an existing stream); `stream(seed, 0)` is the root stream for a \
-                 user-provided seed"
-                    .to_owned(),
-            ));
-        }
-    }
+/// One forward-reachability audit: every `site` in a deterministic-crate
+/// function reachable from one of `roots` is a finding.
+pub(crate) struct Audit {
+    code: &'static str,
+    roots: &'static [&'static str],
+    /// The site label if the token at `k` starts one.
+    site: fn(&[Tok], usize) -> Option<&'static str>,
+    /// `(site, function, root)` to the finding's message.
+    message: fn(&str, &str, &str) -> String,
+    hint: &'static str,
 }
 
-// ---------------------------------------------------------------------
-// P001 — panic sites on scheduler recovery paths
-// ---------------------------------------------------------------------
+/// P001: panic sites on scheduler recovery paths.
+pub(crate) const P001: Audit = Audit {
+    code: "P001",
+    roots: RECOVERY_ROOTS,
+    site: panic_site,
+    message: |what, function, root| {
+        format!(
+            "`{what}` in `{function}` on a scheduler recovery path (reachable from \
+             recovery root `{root}`) — a fault event must not escalate into a \
+             scheduler panic"
+        )
+    },
+    hint: "handle the `None`/`Err` case with a typed early-return, or name the \
+           invariant in the `expect` message and record the site in lint.baseline",
+};
 
-/// Potential panic sites in one body range: `.unwrap()`, `.expect(…)`,
+/// A001: allocations on the offer-round hot path.
+pub(crate) const A001: Audit = Audit {
+    code: "A001",
+    roots: HOT_PATH_ROOTS,
+    site: alloc_site,
+    message: |what, function, root| {
+        format!(
+            "allocation (`{what}`) in `{function}`, reachable from `{root}` — the offer \
+             round must stay allocation-free to scale to 100k slots"
+        )
+    },
+    hint: "hoist the allocation into a reusable scratch buffer owned by the \
+           scheduler (see the `candidates`/`scratch` pattern in TaskScheduler) \
+           or record it in lint.baseline with a reason",
+};
+
+/// Potential panic sites: `.unwrap()`, `.expect(…)`,
 /// `panic!`/`unreachable!`, and indexing.
-fn panic_sites(tokens: &[Tok], open: usize, close: usize, skip: &[(usize, usize)]) -> Vec<(usize, &'static str)> {
-    let mut sites = Vec::new();
-    let in_skip = |k: usize| skip.iter().any(|&(o, c)| o <= k && k <= c);
-    for k in open + 1..close {
-        if in_skip(k) {
-            continue;
-        }
-        let t = &tokens[k];
-        let prev = k.checked_sub(1).and_then(|p| tokens.get(p));
-        let next = tokens.get(k + 1);
-        if t.is_ident("unwrap")
+fn panic_site(tokens: &[Tok], k: usize) -> Option<&'static str> {
+    let t = &tokens[k];
+    let prev = k.checked_sub(1).and_then(|p| tokens.get(p));
+    let next = tokens.get(k + 1);
+    let method = |name: &str| {
+        t.is_ident(name)
             && prev.is_some_and(|p| p.is_punct("."))
             && next.is_some_and(|n| n.is_punct("("))
-        {
-            sites.push((k, ".unwrap()"));
-        } else if t.is_ident("expect")
-            && prev.is_some_and(|p| p.is_punct("."))
-            && next.is_some_and(|n| n.is_punct("("))
-        {
-            sites.push((k, ".expect(…)"));
-        } else if t.is_ident("panic") && next.is_some_and(|n| n.is_punct("!")) {
-            sites.push((k, "panic!"));
-        } else if t.is_ident("unreachable") && next.is_some_and(|n| n.is_punct("!")) {
-            sites.push((k, "unreachable!"));
-        } else if t.is_punct("[")
-            && prev.is_some_and(|p| {
-                (p.kind == TokKind::Ident && !p.is_ident("mut") && !p.is_ident("in"))
-                    || p.is_punct(")")
-                    || p.is_punct("]")
-            })
-        {
-            sites.push((k, "indexing `[…]`"));
-        }
+    };
+    let mac = |name: &str| t.is_ident(name) && next.is_some_and(|n| n.is_punct("!"));
+    if method("unwrap") {
+        Some(".unwrap()")
+    } else if method("expect") {
+        Some(".expect(…)")
+    } else if mac("panic") {
+        Some("panic!")
+    } else if mac("unreachable") {
+        Some("unreachable!")
+    } else if t.is_punct("[")
+        && prev.is_some_and(|p| {
+            (p.kind == TokKind::Ident && !p.is_ident("mut") && !p.is_ident("in"))
+                || p.is_punct(")")
+                || p.is_punct("]")
+        })
+    {
+        Some("indexing `[…]`")
+    } else {
+        None
     }
-    sites
 }
 
-/// P001: walks forward from the recovery roots and reports every panic
-/// site reachable in a deterministic crate, with the root→site chain.
-pub(crate) fn check_p001(graph: &CallGraph, files: &[GraphFile<'_>], out: &mut Vec<Diagnostic>) {
-    reachability_audit(graph, files, RECOVERY_ROOTS, out, &mut |node, tokens, open, close, skip, chain, root| {
-        panic_sites(tokens, open, close, skip)
-            .into_iter()
-            .map(|(k, what)| {
-                Diagnostic::new(
-                    "P001",
-                    &node.file,
-                    tokens[k].line,
-                    tokens[k].col,
-                    format!(
-                        "`{}` in `{}` on a scheduler recovery path (reachable from \
-                         recovery root `{}`) — a fault event must not escalate into a \
-                         scheduler panic",
-                        what, node.name, root
-                    ),
-                    "handle the `None`/`Err` case with a typed early-return, or name the \
-                     invariant in the `expect` message and record the site in \
-                     lint.baseline (or `// ssr-lint: allow(P001, reason = \"…\")`)"
-                        .to_owned(),
-                )
-                .with_function(&node.name)
-                .with_chain(chain.to_vec())
-            })
-            .collect()
-    });
-}
-
-// ---------------------------------------------------------------------
-// A001 — allocation in the offer-round hot path
-// ---------------------------------------------------------------------
-
-/// Allocation markers in one body range: `Vec::new`, `vec!`,
-/// `Box::new`, `.clone()`, `.collect()`.
-fn alloc_sites(tokens: &[Tok], open: usize, close: usize, skip: &[(usize, usize)]) -> Vec<(usize, &'static str)> {
-    let mut sites = Vec::new();
-    let in_skip = |k: usize| skip.iter().any(|&(o, c)| o <= k && k <= c);
-    for k in open + 1..close {
-        if in_skip(k) {
-            continue;
-        }
-        let t = &tokens[k];
-        let prev = k.checked_sub(1).and_then(|p| tokens.get(p));
-        let next = tokens.get(k + 1);
-        if t.is_ident("Vec")
+/// Allocation markers: `Vec::new`, `vec!`, `Box::new`, `.clone()`,
+/// `.collect()`.
+fn alloc_site(tokens: &[Tok], k: usize) -> Option<&'static str> {
+    let t = &tokens[k];
+    let prev = k.checked_sub(1).and_then(|p| tokens.get(p));
+    let next = tokens.get(k + 1);
+    let ctor = |ty: &str| {
+        t.is_ident(ty)
             && next.is_some_and(|n| n.is_punct("::"))
             && tokens.get(k + 2).is_some_and(|n| n.is_ident("new"))
-        {
-            sites.push((k, "Vec::new"));
-        } else if t.is_ident("vec") && next.is_some_and(|n| n.is_punct("!")) {
-            sites.push((k, "vec!"));
-        } else if t.is_ident("Box")
-            && next.is_some_and(|n| n.is_punct("::"))
-            && tokens.get(k + 2).is_some_and(|n| n.is_ident("new"))
-        {
-            sites.push((k, "Box::new"));
-        } else if t.is_ident("clone")
-            && prev.is_some_and(|p| p.is_punct("."))
-            && next.is_some_and(|n| n.is_punct("("))
-        {
-            sites.push((k, ".clone()"));
-        } else if t.is_ident("collect")
-            && prev.is_some_and(|p| p.is_punct("."))
-            && next.is_some_and(|n| n.is_punct("(") || n.is_punct("::"))
-        {
-            sites.push((k, ".collect()"));
-        }
+    };
+    let method = |name: &str| t.is_ident(name) && prev.is_some_and(|p| p.is_punct("."));
+    if ctor("Vec") {
+        Some("Vec::new")
+    } else if t.is_ident("vec") && next.is_some_and(|n| n.is_punct("!")) {
+        Some("vec!")
+    } else if ctor("Box") {
+        Some("Box::new")
+    } else if method("clone") && next.is_some_and(|n| n.is_punct("(")) {
+        Some(".clone()")
+    } else if method("collect") && next.is_some_and(|n| n.is_punct("(") || n.is_punct("::")) {
+        Some(".collect()")
+    } else {
+        None
     }
-    sites
 }
 
-/// A001: walks forward from `resource_offers` and reports every
-/// allocation marker reachable in a deterministic crate.
-pub(crate) fn check_a001(graph: &CallGraph, files: &[GraphFile<'_>], out: &mut Vec<Diagnostic>) {
-    reachability_audit(graph, files, HOT_PATH_ROOTS, out, &mut |node, tokens, open, close, skip, chain, root| {
-        alloc_sites(tokens, open, close, skip)
-            .into_iter()
-            .map(|(k, what)| {
-                Diagnostic::new(
-                    "A001",
-                    &node.file,
-                    tokens[k].line,
-                    tokens[k].col,
-                    format!(
-                        "allocation (`{}`) in `{}`, reachable from `{}` — the offer \
-                         round must stay allocation-free to scale to 100k slots",
-                        what, node.name, root
-                    ),
-                    "hoist the allocation into a reusable scratch buffer owned by the \
-                     scheduler (see the `candidates`/`scratch` pattern in TaskScheduler) \
-                     or record it in lint.baseline with a reason"
-                        .to_owned(),
-                )
-                .with_function(&node.name)
-                .with_chain(chain.to_vec())
-            })
-            .collect()
-    });
-}
-
-/// Callback for [`reachability_audit`]: turns one reached
-/// deterministic-crate function — `(node, tokens, body_open,
-/// body_close, nested_ranges, chain, root_name)` — into findings.
-type AuditEmit<'a> = dyn FnMut(
-        &crate::callgraph::FnNode,
-        &[Tok],
-        usize,
-        usize,
-        &[(usize, usize)],
-        &[String],
-        &str,
-    ) -> Vec<Diagnostic>
-    + 'a;
-
-/// Shared driver for the forward-reachability audits: finds the roots
-/// by name in deterministic crates, BFS-walks the graph, and lets
-/// `emit` turn each reached deterministic-crate function into findings.
-fn reachability_audit(
+/// Runs `audit`: finds its roots by name in deterministic crates,
+/// BFS-walks the graph, and reports every site in each reached
+/// deterministic-crate function with the root→function chain.
+pub(crate) fn run_audit(
+    audit: &Audit,
     graph: &CallGraph,
     files: &[GraphFile<'_>],
-    root_names: &[&str],
     out: &mut Vec<Diagnostic>,
-    emit: &mut AuditEmit<'_>,
 ) {
-    let roots: Vec<usize> = graph
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            DETERMINISTIC_CRATES.contains(&f.krate.as_str())
-                && root_names.contains(&f.name.as_str())
+    let roots: Vec<usize> = (0..graph.fns.len())
+        .filter(|&i| {
+            let f = &graph.fns[i];
+            DETERMINISTIC_CRATES.contains(&f.krate.as_str()) && audit.roots.contains(&f.name.as_str())
         })
-        .map(|(i, _)| i)
         .collect();
-    if roots.is_empty() {
-        return;
-    }
     let parents = graph.reach_forward(&roots);
     for &idx in parents.keys() {
         let node = &graph.fns[idx];
@@ -833,292 +319,37 @@ fn reachability_audit(
             continue;
         }
         let Some((open, close)) = node.body else { continue };
-        let tokens = &files[node.file_idx].lexed.tokens;
+        let tokens = files[node.file_idx].tokens;
         let skip = graph.nested_bodies(idx);
         let chain_idx = CallGraph::chain_to(&parents, idx);
-        let root_name = graph.fns[chain_idx[0]].name.clone();
+        let root = &graph.fns[chain_idx[0]].name;
         let chain: Vec<String> = chain_idx
             .iter()
             .enumerate()
             .map(|(i, &ci)| {
                 let n = &graph.fns[ci];
-                if i == 0 {
-                    format!("{}:{} {} (recovery/hot-path root)", n.file, n.line, n.name)
-                } else {
-                    format!("{}:{} {}", n.file, n.line, n.name)
-                }
+                let tag = if i == 0 { " (recovery/hot-path root)" } else { "" };
+                format!("{}:{} {}{tag}", n.file, n.line, n.name)
             })
             .collect();
-        out.extend(emit(node, tokens, open, close, &skip, &chain, &root_name));
-    }
-}
-
-// ---------------------------------------------------------------------
-// T001 — trace-emission exhaustiveness
-// ---------------------------------------------------------------------
-
-/// T001: every `TraceEventKind` variant must be emitted somewhere in
-/// the scheduler/sim crates and referenced somewhere in the
-/// check/explain crates, so the trace schema cannot silently drift
-/// from the engine or outlive its consumers.
-pub(crate) fn check_t001(files: &[GraphFile<'_>], out: &mut Vec<Diagnostic>) {
-    // Locate the enum in the trace crate.
-    let mut variants: Vec<(String, u32)> = Vec::new();
-    let mut enum_file = String::new();
-    for f in files {
-        if f.parsed.krate.as_deref() != Some("trace") {
-            continue;
-        }
-        for e in &f.parsed.enums {
-            if e.name == TRACE_EVENT_ENUM {
-                variants.clone_from(&e.variants);
-                enum_file = f.rel.to_owned();
+        for k in open + 1..close {
+            if skip.iter().any(|&(o, c)| o <= k && k <= c) {
+                continue;
+            }
+            if let Some(what) = (audit.site)(tokens, k) {
+                out.push(Diagnostic {
+                    chain: chain.clone(),
+                    function: node.name.clone(),
+                    ..Diagnostic::new(
+                        audit.code,
+                        &node.file,
+                        tokens[k].line,
+                        tokens[k].col,
+                        (audit.message)(what, &node.name, root),
+                        audit.hint.to_owned(),
+                    )
+                });
             }
         }
-    }
-    if variants.is_empty() {
-        return;
-    }
-    let mut emitted: Vec<&str> = Vec::new();
-    let mut referenced: Vec<&str> = Vec::new();
-    for f in files {
-        let Some(krate) = f.parsed.krate.as_deref() else { continue };
-        let tokens = &f.lexed.tokens;
-        if TRACE_EMITTER_CRATES.contains(&krate) {
-            let exempt = exempt_ranges(tokens);
-            let in_exempt =
-                |line: u32| exempt.iter().any(|&(lo, hi)| lo <= line && line <= hi);
-            for (k, t) in tokens.iter().enumerate() {
-                if t.is_ident(TRACE_EVENT_ENUM)
-                    && tokens.get(k + 1).is_some_and(|n| n.is_punct("::"))
-                    && !in_exempt(t.line)
-                {
-                    if let Some(v) = tokens.get(k + 2) {
-                        if let Some((name, _)) =
-                            variants.iter().find(|(name, _)| v.is_ident(name))
-                        {
-                            if !emitted.contains(&name.as_str()) {
-                                emitted.push(name);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if TRACE_READER_CRATES.contains(&krate) {
-            // Reader references may live in tests — a pinned reader
-            // test is exactly the kind of consumer T001 wants.
-            for t in tokens {
-                if let Some((name, _)) = variants.iter().find(|(name, _)| t.is_ident(name)) {
-                    if !referenced.contains(&name.as_str()) {
-                        referenced.push(name);
-                    }
-                }
-            }
-        }
-    }
-    for (name, line) in &variants {
-        if !emitted.contains(&name.as_str()) {
-            out.push(
-                Diagnostic::new(
-                    "T001",
-                    &enum_file,
-                    *line,
-                    1,
-                    format!(
-                        "`{TRACE_EVENT_ENUM}::{name}` is never emitted by the \
-                         scheduler/sim crates — the trace schema has drifted from the \
-                         engine"
-                    ),
-                    "emit the event at the state transition it describes, or delete the \
-                     variant (bumping the trace format notes in EXPERIMENTS.md)"
-                        .to_owned(),
-                )
-                .with_function(name),
-            );
-        }
-        if !referenced.contains(&name.as_str()) {
-            out.push(
-                Diagnostic::new(
-                    "T001",
-                    &enum_file,
-                    *line,
-                    1,
-                    format!(
-                        "`{TRACE_EVENT_ENUM}::{name}` has no reference in the \
-                         check/explain crates — events nobody validates or explains rot \
-                         silently"
-                    ),
-                    "add a checker invariant or an explain-side reader for the variant \
-                     (see crates/check and crates/explain)"
-                        .to_owned(),
-                )
-                .with_function(name),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// C001 — work-counter coverage
-// ---------------------------------------------------------------------
-
-/// C001: every field of `WorkCounters` (crates/perf) must be mutated by
-/// engine code outside its home crate *and* listed in the `fields()`
-/// report table, so a counter can neither silently read zero nor
-/// silently vanish from the rendered report.
-pub(crate) fn check_c001(files: &[GraphFile<'_>], out: &mut Vec<Diagnostic>) {
-    // Locate the struct in its home crate and collect its field names.
-    let mut counter_fields: Vec<(String, u32)> = Vec::new();
-    let mut struct_file = String::new();
-    for f in files {
-        if f.parsed.krate.as_deref() != Some(COUNTER_HOME_CRATE) {
-            continue;
-        }
-        let tokens = &f.lexed.tokens;
-        for (i, t) in tokens.iter().enumerate() {
-            if t.is_ident("struct")
-                && tokens.get(i + 1).is_some_and(|n| n.is_ident(COUNTER_STRUCT))
-                && tokens.get(i + 2).is_some_and(|b| b.is_punct("{"))
-            {
-                let close = matching_brace(tokens, i + 2);
-                let mut k = i + 3;
-                while k < close {
-                    if tokens[k].is_ident("pub")
-                        && tokens.get(k + 1).map(|n| n.kind) == Some(TokKind::Ident)
-                        && tokens.get(k + 2).is_some_and(|c| c.is_punct(":"))
-                    {
-                        counter_fields.push((tokens[k + 1].text.clone(), tokens[k + 1].line));
-                        k += 3;
-                    } else {
-                        k += 1;
-                    }
-                }
-                struct_file = f.rel.to_owned();
-            }
-        }
-    }
-    if counter_fields.is_empty() {
-        return;
-    }
-
-    // `rendered`: fields listed in the report table — idents inside the
-    // body of `WorkCounters::fields`, which both rendering and merging
-    // walk. `incremented`: fields mutated (`.field.inc/add/high_water`)
-    // in shipped code outside the home crate.
-    let mut rendered: Vec<&str> = Vec::new();
-    let mut incremented: Vec<&str> = Vec::new();
-    for f in files {
-        let Some(krate) = f.parsed.krate.as_deref() else { continue };
-        let tokens = &f.lexed.tokens;
-        if krate == COUNTER_HOME_CRATE {
-            for item in &f.parsed.fns {
-                if item.name != "fields"
-                    || item.self_type.as_deref() != Some(COUNTER_STRUCT)
-                {
-                    continue;
-                }
-                let Some((open, close)) = item.body else { continue };
-                for t in &tokens[open..=close] {
-                    if let Some((name, _)) =
-                        counter_fields.iter().find(|(n, _)| t.is_ident(n))
-                    {
-                        if !rendered.contains(&name.as_str()) {
-                            rendered.push(name);
-                        }
-                    }
-                }
-            }
-        } else {
-            let exempt = exempt_ranges(tokens);
-            let in_exempt =
-                |line: u32| exempt.iter().any(|&(lo, hi)| lo <= line && line <= hi);
-            for (k, t) in tokens.iter().enumerate() {
-                if k == 0 || !tokens[k - 1].is_punct(".") || in_exempt(t.line) {
-                    continue;
-                }
-                let Some((name, _)) = counter_fields.iter().find(|(n, _)| t.is_ident(n))
-                else {
-                    continue;
-                };
-                let mutated = tokens.get(k + 1).is_some_and(|d| d.is_punct("."))
-                    && tokens
-                        .get(k + 2)
-                        .is_some_and(|m| COUNTER_MUTATORS.iter().any(|mm| m.is_ident(mm)));
-                if mutated && !incremented.contains(&name.as_str()) {
-                    incremented.push(name);
-                }
-            }
-        }
-    }
-    for (name, line) in &counter_fields {
-        if !incremented.contains(&name.as_str()) {
-            out.push(
-                Diagnostic::new(
-                    "C001",
-                    &struct_file,
-                    *line,
-                    1,
-                    format!(
-                        "`{COUNTER_STRUCT}::{name}` is never incremented outside \
-                         crates/{COUNTER_HOME_CRATE} — the counter always reads zero"
-                    ),
-                    "increment the field on the code path it measures, or delete it"
-                        .to_owned(),
-                )
-                .with_function(name),
-            );
-        }
-        if !rendered.contains(&name.as_str()) {
-            out.push(
-                Diagnostic::new(
-                    "C001",
-                    &struct_file,
-                    *line,
-                    1,
-                    format!(
-                        "`{COUNTER_STRUCT}::{name}` is missing from the `fields()` \
-                         report table — the count is collected but never rendered"
-                    ),
-                    format!(
-                        "add a row to `{COUNTER_STRUCT}::fields()`; rendering and \
-                         merging both walk that table"
-                    ),
-                )
-                .with_function(name),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// S001 — missing #![forbid(unsafe_code)] on crate roots
-// ---------------------------------------------------------------------
-
-fn check_s001(rel: &str, tokens: &[Tok], out: &mut Vec<Diagnostic>) {
-    if !is_crate_root(rel) {
-        return;
-    }
-    let has = tokens.windows(8).any(|w| {
-        w[0].is_punct("#")
-            && w[1].is_punct("!")
-            && w[2].is_punct("[")
-            && w[3].is_ident("forbid")
-            && w[4].is_punct("(")
-            && w[5].is_ident("unsafe_code")
-            && w[6].is_punct(")")
-            && w[7].is_punct("]")
-    });
-    if !has {
-        out.push(Diagnostic::new(
-            "S001",
-            rel,
-            1,
-            1,
-            "crate root without `#![forbid(unsafe_code)]` — unsafe code could smuggle \
-             in platform-dependent behaviour"
-                .to_owned(),
-            "add `#![forbid(unsafe_code)]` at the top of the crate root".to_owned(),
-        ));
     }
 }

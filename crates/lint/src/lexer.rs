@@ -1,13 +1,11 @@
 //! A minimal token-level Rust lexer — just enough structure for the
-//! determinism lints.
+//! audits.
 //!
 //! The lexer produces identifiers, punctuation, literals and lifetimes
-//! with exact 1-based line/column positions, and reports `//` line
-//! comments separately (suppression directives are line comments).
-//! String literals, char literals, raw strings and (nested) block
-//! comments are consumed as opaque units so their *contents* can never
-//! produce a false lint match — `"HashMap"` inside a string or a doc
-//! example is invisible to the lint passes.
+//! with exact 1-based line/column positions. Comments, string literals,
+//! char literals and raw strings are consumed as opaque units so their
+//! *contents* can never produce a false lint match — `"partial_cmp"`
+//! inside a string or a doc example is invisible to the lint passes.
 //!
 //! This is deliberately not a full Rust lexer: numeric literals with
 //! exotic exponents may split into several tokens, which is harmless for
@@ -51,33 +49,8 @@ impl Tok {
     }
 }
 
-/// A `//` line comment. Block comments are consumed but not reported:
-/// suppression directives must be line comments.
-#[derive(Debug, Clone)]
-pub struct LineComment {
-    /// The comment text including the leading `//`.
-    pub text: String,
-    /// 1-based source line.
-    pub line: u32,
-    /// 1-based source column of the first `/`.
-    pub col: u32,
-    /// `true` if only whitespace precedes the comment on its line — a
-    /// standalone comment, which governs the *following* line when it
-    /// carries a suppression directive.
-    pub own_line: bool,
-}
-
-/// The result of lexing one file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// All non-comment tokens, in source order.
-    pub tokens: Vec<Tok>,
-    /// All `//` line comments, in source order.
-    pub comments: Vec<LineComment>,
-}
-
-/// Lexes `source` into tokens and line comments.
-pub fn lex(source: &str) -> Lexed {
+/// Lexes `source` into its non-comment tokens, in source order.
+pub fn lex(source: &str) -> Vec<Tok> {
     Lexer::new(source).run()
 }
 
@@ -86,9 +59,7 @@ struct Lexer {
     i: usize,
     line: u32,
     col: u32,
-    /// `true` once a token has been emitted on the current line.
-    line_has_token: bool,
-    out: Lexed,
+    out: Vec<Tok>,
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -106,8 +77,7 @@ impl Lexer {
             i: 0,
             line: 1,
             col: 1,
-            line_has_token: false,
-            out: Lexed::default(),
+            out: Vec::new(),
         }
     }
 
@@ -122,7 +92,6 @@ impl Lexer {
         if c == '\n' {
             self.line += 1;
             self.col = 1;
-            self.line_has_token = false;
         } else {
             self.col += 1;
         }
@@ -130,17 +99,18 @@ impl Lexer {
     }
 
     fn push(&mut self, kind: TokKind, text: String, line: u32, col: u32) {
-        self.line_has_token = true;
-        self.out.tokens.push(Tok { kind, text, line, col });
+        self.out.push(Tok { kind, text, line, col });
     }
 
-    fn run(mut self) -> Lexed {
+    fn run(mut self) -> Vec<Tok> {
         while let Some(c) = self.peek(0) {
             let (line, col) = (self.line, self.col);
             if c.is_whitespace() {
                 self.bump();
             } else if c == '/' && self.peek(1) == Some('/') {
-                self.line_comment(line, col);
+                while self.peek(0).is_some_and(|c| c != '\n') {
+                    self.bump();
+                }
             } else if c == '/' && self.peek(1) == Some('*') {
                 self.block_comment();
             } else if c == '"' {
@@ -167,18 +137,6 @@ impl Lexer {
             }
         }
         self.out
-    }
-
-    fn line_comment(&mut self, line: u32, col: u32) {
-        let own_line = !self.line_has_token;
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(self.bump());
-        }
-        self.out.comments.push(LineComment { text, line, col, own_line });
     }
 
     fn block_comment(&mut self) {
@@ -338,7 +296,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .into_iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text)
@@ -361,16 +318,16 @@ mod tests {
     #[test]
     fn positions_are_one_based() {
         let lexed = lex("fn main() {}\nlet x = 1;\n");
-        let first = &lexed.tokens[0];
+        let first = &lexed[0];
         assert_eq!((first.line, first.col), (1, 1));
-        let let_tok = lexed.tokens.iter().find(|t| t.is_ident("let")).unwrap();
+        let let_tok = lexed.iter().find(|t| t.is_ident("let")).unwrap();
         assert_eq!((let_tok.line, let_tok.col), (2, 1));
     }
 
     #[test]
     fn path_separator_coalesces() {
         let lexed = lex("std::collections::HashMap");
-        let texts: Vec<&str> = lexed.tokens.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = lexed.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, ["std", "::", "collections", "::", "HashMap"]);
     }
 
@@ -378,33 +335,23 @@ mod tests {
     fn lifetimes_vs_char_literals() {
         let lexed = lex("fn f<'a>(x: &'a u8) { let c = 'a'; let n = '\\n'; }");
         let lifetimes: Vec<&Tok> =
-            lexed.tokens.iter().filter(|t| t.kind == TokKind::Lifetime).collect();
+            lexed.iter().filter(|t| t.kind == TokKind::Lifetime).collect();
         assert_eq!(lifetimes.len(), 2);
-        let chars = lexed.tokens.iter().filter(|t| t.text == "'…'").count();
+        let chars = lexed.iter().filter(|t| t.text == "'…'").count();
         assert_eq!(chars, 2);
     }
 
     #[test]
     fn tuple_field_access_keeps_dot() {
         let lexed = lex("self.0.iter()");
-        let texts: Vec<&str> = lexed.tokens.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = lexed.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, ["self", ".", "0", ".", "iter", "(", ")"]);
-    }
-
-    #[test]
-    fn own_line_comments_are_flagged() {
-        let src = "let a = 1; // trailing\n// standalone\nlet b = 2;\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.comments.len(), 2);
-        assert!(!lexed.comments[0].own_line);
-        assert!(lexed.comments[1].own_line);
-        assert_eq!(lexed.comments[1].line, 2);
     }
 
     #[test]
     fn float_literals_lex_as_one_token() {
         let lexed = lex("let x = 1.5 + 2.0_f64;");
-        assert!(lexed.tokens.iter().any(|t| t.text == "1.5"));
-        assert!(lexed.tokens.iter().any(|t| t.text == "2.0_f64"));
+        assert!(lexed.iter().any(|t| t.text == "1.5"));
+        assert!(lexed.iter().any(|t| t.text == "2.0_f64"));
     }
 }

@@ -1,65 +1,46 @@
 //! # ssr-lint
 //!
-//! The workspace determinism linter: mechanically enforces the
-//! byte-identical-replay contract that every figure in this reproduction
-//! rests on. A simulation must be a pure function of its seed — so
-//! outputs are byte-identical at `--jobs 1/2/8` and across re-runs — and
-//! this crate turns that convention into a build failure.
-//!
-//! Two layers of analysis run over every `crates/*/src` file:
-//!
-//! **Per-file token checks** (a self-contained lexer, no external
-//! dependencies beyond the vendored `serde` stubs used for JSON output):
+//! The workspace audits that back the byte-identical-replay contract
+//! where stock tooling cannot. A simulation must be a pure function of
+//! (workload, seed, fault plan), so outputs are byte-identical at
+//! `--jobs 1/2/8` and across re-runs. Clippy (`crates/clippy.toml`), the
+//! workspace `[lints]` table and the crate-graph test enforce most of
+//! that contract; this crate keeps the three checks they cannot express:
 //!
 //! | code | finding |
 //! |------|---------|
-//! | D001 | `HashMap`/`HashSet` iteration in a deterministic-path crate |
-//! | D002 | wall-clock reads (`Instant::now`, `SystemTime`) outside `sim/src/walltime.rs` |
-//! | D003 | threads/channels outside `sim/src/runner.rs` |
 //! | D004 | `partial_cmp` inside a sort/min/max comparator |
-//! | D005 | RNG construction (`seed_from_u64`) outside `simcore::rng` |
-//! | S001 | crate root missing `#![forbid(unsafe_code)]` |
-//! | L001 | malformed or reasonless suppression directive |
-//! | L002 | unknown lint code in a suppression directive |
-//!
-//! **Workspace call-graph checks** (an item parser and interprocedural
-//! call graph built on the same lexer — see [`parser`], [`callgraph`],
-//! [`taint`]):
-//!
-//! | code | finding |
-//! |------|---------|
-//! | D101–D106 | nondeterminism taint (wall clock, threads, hash iteration, randomized hashers, pointer addresses, env/fs input) reaching a deterministic crate through call edges |
 //! | P001 | panic site (`unwrap`/`expect`/`panic!`/indexing) reachable from a scheduler recovery root |
-//! | T001 | `TraceEventKind` variant never emitted by scheduler/sim or never read by check/explain |
 //! | A001 | allocation reachable from the `resource_offers` hot path |
-//! | C001 | `WorkCounters` field never incremented by engine code or missing from the report table |
 //!
-//! Call-graph findings carry a witness `chain` (sink→source or
-//! root→site) in the JSON report; `--explain-chain` prints it in text
-//! mode.
+//! D004 is a per-file token match ([`lexer`]). P001 and A001 walk an
+//! interprocedural call graph built from an item parser on the same
+//! lexer ([`parser`], [`callgraph`]); their findings carry the witness
+//! chain from the root to the flagged function.
 //!
-//! Each finding is individually suppressible on its line (or from a
-//! standalone comment on the line above) with
-//! `// ssr-lint: allow(CODE, reason = "…")` — a suppression without a
-//! reason is itself an L001 finding. Larger audited debts live in a
-//! checked-in [`baseline`] file (`lint.baseline` at the workspace root,
-//! auto-loaded) whose entries are keyed `(code, file, function)` with a
-//! count budget and a mandatory reason.
+//! Audited debt lives in a checked-in [`baseline`] file (`lint.baseline`
+//! at the workspace root, auto-loaded) whose entries are keyed
+//! `(code, file, function)` with a count budget and a mandatory reason.
+//! It is the only exception mechanism.
 //!
 //! # Example
 //!
 //! ```
-//! let out = ssr_lint::lint_source(
+//! let findings = ssr_lint::lint_source(
 //!     "crates/scheduler/src/example.rs",
-//!     "pub fn f(m: &std::collections::HashMap<u32, u32>) -> Vec<u32> {\n\
-//!          m.keys().copied().collect()\n\
+//!     "pub fn f(v: &mut [f64]) {\n\
+//!          v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
 //!      }\n",
 //! );
-//! assert_eq!(out.findings.len(), 1);
-//! assert_eq!(out.findings[0].code, "D001");
+//! assert_eq!(findings.len(), 1);
+//! assert_eq!(findings[0].code, "D004");
 //! ```
 
-#![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "non-deterministic crate: walks and reads the source tree"
+)]
 #![deny(missing_docs)]
 
 pub mod baseline;
@@ -68,8 +49,6 @@ pub mod checks;
 pub mod lexer;
 pub mod parser;
 pub mod report;
-pub mod suppress;
-pub mod taint;
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -78,46 +57,27 @@ use std::process::ExitCode;
 use callgraph::{CallGraph, GraphFile};
 
 pub use baseline::{Baseline, BaselineEntry};
-pub use checks::{
-    lint_source, FileOutcome, CODES, DETERMINISTIC_CRATES, RNG_HOME_FILES, THREADING_FILES,
-    TIMING_ONLY_FILES,
-};
+pub use checks::{lint_source, DETERMINISTIC_CRATES};
 pub use report::{Diagnostic, Report};
-pub use suppress::Suppression;
 
-/// Options for a workspace lint run.
-#[derive(Debug, Default)]
-pub struct LintOptions {
-    /// Explicit baseline file. `None` auto-loads `<root>/lint.baseline`
-    /// when it exists; `Some` is an error if the file is missing.
-    pub baseline_path: Option<PathBuf>,
-}
-
-/// A whole-workspace lint run: the report plus every suppression
-/// directive encountered, for auditing that each carries a reason.
+/// A whole-workspace lint run.
 #[derive(Debug)]
 pub struct WorkspaceOutcome {
     /// The aggregated report.
     pub report: Report,
-    /// `(file, directive)` pairs across the workspace.
-    pub suppressions: Vec<(String, Suppression)>,
     /// Baseline entries that absorbed fewer findings than budgeted —
     /// debt that has been paid down and should be removed from the file.
     pub stale_baseline: Vec<String>,
 }
 
-/// Lints every `.rs` file under `<root>/crates/*/src` with default
-/// options (auto-loading `<root>/lint.baseline` when present).
-pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceOutcome> {
-    lint_workspace_with(root, &LintOptions::default())
-}
-
-/// Lints the workspace: per-file checks, then the call-graph passes
-/// (taint, panic-path, trace exhaustiveness, hot-path allocation) over
-/// all files together. Files are visited in sorted path order and every
-/// pass is deterministic, so the report is identical across runs and
-/// platforms.
-pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> io::Result<WorkspaceOutcome> {
+/// Lints every `.rs` file under `<root>/crates/*/src`: the per-file D004
+/// pass, then the P001 and A001 call-graph audits over all files
+/// together. Files are visited in sorted path order and every pass is
+/// deterministic, so the report is identical across runs and platforms.
+///
+/// `baseline` names the ledger; `None` auto-loads `<root>/lint.baseline`
+/// when it exists, while a named file that is missing is an error.
+pub fn lint_workspace(root: &Path, baseline: Option<&Path>) -> io::Result<WorkspaceOutcome> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
@@ -131,13 +91,8 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> io::Result<Worksp
     files.sort();
 
     let mut findings = Vec::new();
-    let mut suppressed = 0usize;
-    let mut suppressions = Vec::new();
     let files_scanned = files.len();
-
-    // Pass 1: per-file checks, and lex+parse for the graph passes.
-    let mut units: Vec<(String, lexer::Lexed, parser::ParsedFile)> = Vec::new();
-    let mut directives: Vec<Vec<Suppression>> = Vec::new();
+    let mut units: Vec<(String, Vec<lexer::Tok>, parser::ParsedFile)> = Vec::new();
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -147,62 +102,29 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> io::Result<Worksp
             .collect::<Vec<_>>()
             .join("/");
         let source = std::fs::read_to_string(path)?;
-        let outcome = lint_source(&rel, &source);
-        findings.extend(outcome.findings);
-        suppressed += outcome.suppressed;
-        suppressions
-            .extend(outcome.directives.iter().cloned().map(|d| (rel.clone(), d)));
-        directives.push(outcome.directives);
-        let lexed = lexer::lex(&source);
-        let parsed = parser::parse_file(&rel, &lexed);
-        units.push((rel, lexed, parsed));
+        let tokens = lexer::lex(&source);
+        findings.extend(checks::lint_tokens(&rel, &tokens));
+        let parsed = parser::parse_file(&rel, &tokens);
+        units.push((rel, tokens, parsed));
     }
 
-    // Pass 2: workspace call-graph checks.
     let graph_files: Vec<GraphFile<'_>> = units
         .iter()
-        .map(|(rel, lexed, parsed)| GraphFile { rel, lexed, parsed })
+        .map(|(rel, tokens, parsed)| GraphFile { rel, tokens, parsed })
         .collect();
     let graph = CallGraph::build(&graph_files);
-    let mut ws = Vec::new();
-    taint::check_taint(&graph, &graph_files, &mut ws);
-    checks::check_p001(&graph, &graph_files, &mut ws);
-    checks::check_a001(&graph, &graph_files, &mut ws);
-    checks::check_t001(&graph_files, &mut ws);
-    checks::check_c001(&graph_files, &mut ws);
-
-    // Workspace findings honour the same line-targeted directives as
-    // per-file ones.
-    for diag in ws {
-        let fidx = units.iter().position(|(rel, _, _)| *rel == diag.file);
-        let silenced = fidx.is_some_and(|i| {
-            directives[i]
-                .iter()
-                .any(|dir| dir.code == diag.code && dir.applies_line == diag.line)
-        });
-        if silenced {
-            suppressed += 1;
-        } else {
-            findings.push(diag);
-        }
+    for audit in [&checks::P001, &checks::A001] {
+        checks::run_audit(audit, &graph, &graph_files, &mut findings);
     }
 
     // Baseline: explicit path, else auto-load `<root>/lint.baseline`.
-    let baseline_path = match &opts.baseline_path {
-        Some(p) => Some(p.clone()),
-        None => {
-            let auto = root.join("lint.baseline");
-            auto.exists().then_some(auto)
-        }
-    };
+    let auto = root.join("lint.baseline");
+    let baseline_path = baseline.map(Path::to_path_buf).or(auto.exists().then_some(auto));
     let (findings, baselined, stale_baseline) = match baseline_path {
         Some(p) => {
             let text = std::fs::read_to_string(&p)?;
             let bl = Baseline::parse(&text).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: {e}", p.display()),
-                )
+                io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", p.display()))
             })?;
             bl.apply(findings)
         }
@@ -210,13 +132,14 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> io::Result<Worksp
     };
 
     Ok(WorkspaceOutcome {
-        report: Report::new(findings, files_scanned, suppressed, baselined),
-        suppressions,
+        report: Report::new(findings, files_scanned, baselined),
         stale_baseline,
     })
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Appends every `.rs` file under `dir` (recursively, in sorted order)
+/// to `out`; a missing `dir` adds nothing.
+pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
@@ -252,57 +175,29 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// Runs the linter as a command-line tool; shared by the `ssr-lint`
 /// binary and the `ssr-cli lint` subcommand.
 ///
-/// Flags: `--root PATH` (default: nearest workspace root), `--format
-/// text|json` (default text), `--baseline PATH` (default:
-/// `<root>/lint.baseline` when present), `--explain-chain` (print
-/// witness call chains in text mode). Exits nonzero on any unsuppressed,
-/// non-baselined finding.
+/// Flags: `--root PATH` (default: nearest workspace root) and
+/// `--baseline PATH` (default: `<root>/lint.baseline` when present).
+/// Exits nonzero on any non-baselined finding.
 pub fn run_cli(args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut format = "text".to_owned();
     let mut baseline_path: Option<PathBuf> = None;
-    let mut explain_chain = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --root requires a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match it.next() {
-                Some(f) if f == "text" || f == "json" => format.clone_from(f),
-                _ => {
-                    eprintln!("error: --format requires `text` or `json`");
-                    return ExitCode::from(2);
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --baseline requires a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--explain-chain" => explain_chain = true,
+        let target = match arg.as_str() {
+            "--root" => &mut root,
+            "--baseline" => &mut baseline_path,
             "--help" | "-h" => {
                 eprintln!(
-                    "ssr-lint — workspace determinism linter\n\
+                    "ssr-lint — workspace audits for the determinism contract\n\
                      \n\
-                     usage: ssr-lint [--root PATH] [--format text|json]\n\
-                     \x20               [--baseline PATH] [--explain-chain]\n\
+                     usage: ssr-lint [--root PATH] [--baseline PATH]\n\
                      \n\
-                     Walks crates/*/src and enforces the byte-identical-replay\n\
-                     contract: per-file checks (D001-D005, S001, L001/L002) plus\n\
-                     interprocedural call-graph audits (D101-D106 nondeterminism\n\
-                     taint, P001 recovery-path panics, T001 trace exhaustiveness,\n\
-                     A001 hot-path allocation, C001 counter coverage; see EXPERIMENTS.md \"The\n\
-                     determinism contract\"). Audited debt lives in\n\
-                     <root>/lint.baseline (auto-loaded; override with\n\
-                     --baseline). Exits nonzero on any unsuppressed,\n\
-                     non-baselined finding."
+                     Walks crates/*/src and runs the checks clippy cannot: D004\n\
+                     (partial_cmp in a comparator) and the call-graph audits P001\n\
+                     (recovery-path panics) and A001 (hot-path allocation); see\n\
+                     EXPERIMENTS.md \"The determinism contract\". Audited debt\n\
+                     lives in <root>/lint.baseline (auto-loaded; override with\n\
+                     --baseline). Exits nonzero on any non-baselined finding."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -310,39 +205,28 @@ pub fn run_cli(args: &[String]) -> ExitCode {
                 eprintln!("error: unknown argument {other}");
                 return ExitCode::from(2);
             }
-        }
-    }
-    let root = match root {
-        Some(r) => r,
-        None => {
-            let cwd = match std::env::current_dir() {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: cannot determine working directory: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match find_workspace_root(&cwd) {
-                Some(r) => r,
-                None => {
-                    eprintln!("error: no workspace root found above {}", cwd.display());
-                    return ExitCode::from(2);
-                }
+        };
+        match it.next() {
+            Some(p) => *target = Some(PathBuf::from(p)),
+            None => {
+                eprintln!("error: {arg} requires a path");
+                return ExitCode::from(2);
             }
         }
+    }
+    let root = root.or_else(|| find_workspace_root(&std::env::current_dir().ok()?));
+    let Some(root) = root else {
+        eprintln!("error: no workspace root found above the working directory");
+        return ExitCode::from(2);
     };
-    let opts = LintOptions { baseline_path };
-    let outcome = match lint_workspace_with(&root, &opts) {
+    let outcome = match lint_workspace(&root, baseline_path.as_deref()) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    match format.as_str() {
-        "json" => print!("{}", outcome.report.render_json()),
-        _ => print!("{}", outcome.report.render_text(explain_chain)),
-    }
+    print!("{}", outcome.report.render_text());
     for stale in &outcome.stale_baseline {
         eprintln!("note: stale baseline entry — {stale}");
     }

@@ -1,7 +1,11 @@
-//! The `ssr-lint` binary: walk the workspace, report determinism
-//! violations, exit nonzero if any are unsuppressed.
+//! The `ssr-lint` binary: walk the workspace, report D004/P001/A001
+//! findings, exit nonzero on any beyond the baseline.
 
-#![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "non-deterministic crate: reads argv"
+)]
 
 use std::process::ExitCode;
 

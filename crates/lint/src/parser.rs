@@ -1,15 +1,15 @@
 //! A lightweight item parser on top of the token lexer: functions,
-//! `impl`/`trait` blocks, inline modules, `use` declarations and enums.
+//! `impl`/`trait` blocks, inline modules and `use` declarations.
 //!
-//! This is the substrate the workspace passes (call graph, taint,
-//! panic/allocation audits, trace exhaustiveness) are built on. It is
+//! This is the substrate the call graph and the panic/allocation audits
+//! are built on. It is
 //! deliberately partial — generics, lifetimes and expression structure
 //! are skipped — but it recovers exactly what call resolution needs:
 //! every function's name, enclosing `impl`/`trait` type, module path,
 //! and body token range, plus the file's import aliases.
 
 use crate::checks::exempt_ranges;
-use crate::lexer::{Lexed, Tok, TokKind};
+use crate::lexer::{Tok, TokKind};
 
 /// One parsed function (or default trait method) with a body.
 #[derive(Debug, Clone)]
@@ -22,8 +22,6 @@ pub struct FnItem {
     pub module: Vec<String>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
     /// Token index range `[open, close]` of the body braces, if any
     /// (trait method signatures have none).
     pub body: Option<(usize, usize)>,
@@ -42,28 +40,15 @@ pub struct UseItem {
     pub path: Vec<String>,
 }
 
-/// One parsed `enum` with its variant names.
-#[derive(Debug, Clone)]
-pub struct EnumItem {
-    /// The enum name.
-    pub name: String,
-    /// `(variant, line)` pairs in declaration order.
-    pub variants: Vec<(String, u32)>,
-}
-
 /// Everything the workspace passes need from one file.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
     /// Crate directory name for `crates/<name>/…` paths.
     pub krate: Option<String>,
-    /// Module path derived from the file's location under `src/`.
-    pub file_module: Vec<String>,
     /// Functions with their bodies.
     pub fns: Vec<FnItem>,
     /// Import aliases.
     pub uses: Vec<UseItem>,
-    /// Enums (for the trace-exhaustiveness pass).
-    pub enums: Vec<EnumItem>,
 }
 
 /// The module path a file's items live in: `src/lib.rs`, `src/main.rs`
@@ -106,13 +91,12 @@ enum ScopeKind {
 }
 
 /// Parses one lexed file into items.
-pub fn parse_file(rel: &str, lexed: &Lexed) -> ParsedFile {
-    let tokens = &lexed.tokens;
+pub fn parse_file(rel: &str, tokens: &[Tok]) -> ParsedFile {
     let (krate, file_module) = file_module_of(rel);
     let exempt = exempt_ranges(tokens);
     let in_exempt = |line: u32| exempt.iter().any(|&(lo, hi)| lo <= line && line <= hi);
 
-    let mut out = ParsedFile { krate, file_module: file_module.clone(), ..Default::default() };
+    let mut out = ParsedFile { krate, ..Default::default() };
     let mut scopes: Vec<Scope> = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -154,11 +138,6 @@ pub fn parse_file(rel: &str, lexed: &Lexed) -> ParsedFile {
                 continue;
             }
         }
-        if t.is_ident("enum") && tokens.get(i + 1).map(|n| n.kind) == Some(TokKind::Ident) {
-            if let Some(item) = parse_enum(tokens, i) {
-                out.enums.push(item);
-            }
-        }
         if t.is_ident("use") && use_at_statement(tokens, i) {
             let (items, next) = parse_use(tokens, i + 1);
             out.uses.extend(items);
@@ -197,7 +176,6 @@ pub fn parse_file(rel: &str, lexed: &Lexed) -> ParsedFile {
                 self_type,
                 module,
                 line: t.line,
-                col: t.col,
                 body,
                 exempt: in_exempt(t.line),
             });
@@ -367,45 +345,6 @@ fn parse_use_tree(
     i
 }
 
-/// Parses `enum Name { … }` at `i` into variant names.
-fn parse_enum(tokens: &[Tok], i: usize) -> Option<EnumItem> {
-    let name = tokens.get(i + 1)?.text.clone();
-    let mut j = i + 2;
-    while j < tokens.len() && !tokens[j].is_punct("{") && !tokens[j].is_punct(";") {
-        j += 1;
-    }
-    if !tokens.get(j).is_some_and(|t| t.is_punct("{")) {
-        return None;
-    }
-    let close = matching_brace(tokens, j);
-    let mut variants = Vec::new();
-    let mut k = j + 1;
-    let mut expect_variant = true;
-    while k < close {
-        let t = &tokens[k];
-        if t.is_punct("#") && tokens.get(k + 1).is_some_and(|b| b.is_punct("[")) {
-            k = skip_brackets(tokens, k + 1);
-            continue;
-        }
-        if expect_variant && t.kind == TokKind::Ident {
-            variants.push((t.text.clone(), t.line));
-            expect_variant = false;
-            k += 1;
-            continue;
-        }
-        match t.text.as_str() {
-            "{" => k = matching_brace(tokens, k) + 1,
-            "(" => k = skip_parens(tokens, k) + 1,
-            "," if t.kind == TokKind::Punct => {
-                expect_variant = true;
-                k += 1;
-            }
-            _ => k += 1,
-        }
-    }
-    Some(EnumItem { name, variants })
-}
-
 /// Returns the index of the `}` matching the `{` at `open` (last token
 /// if unbalanced).
 pub(crate) fn matching_brace(tokens: &[Tok], open: usize) -> usize {
@@ -424,39 +363,7 @@ pub(crate) fn matching_brace(tokens: &[Tok], open: usize) -> usize {
 }
 
 /// Returns the index just past the `]` matching the `[` at `open`.
-fn past_brackets(tokens: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct("[") {
-            depth += 1;
-        } else if t.is_punct("]") {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-    }
-    tokens.len()
-}
-
-/// Returns the index of the `)` matching the `(` at `open`.
-fn skip_parens(tokens: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct("(") {
-            depth += 1;
-        } else if t.is_punct(")") {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    tokens.len().saturating_sub(1)
-}
-
-/// Returns the index just past the `]` matching the `[` at `open`.
-fn skip_brackets(tokens: &[Tok], open: usize) -> usize {
+pub(crate) fn past_brackets(tokens: &[Tok], open: usize) -> usize {
     let mut depth = 0i32;
     for (j, t) in tokens.iter().enumerate().skip(open) {
         if t.is_punct("[") {

@@ -1,48 +1,18 @@
 //! Diagnostics and report rendering.
 //!
-//! The JSON schema is small, stable, and emitted with keys in sorted
-//! order (struct fields are declared alphabetically and the vendored
-//! `serde` serializes in declaration order):
-//!
-//! ```json
-//! {
-//!   "baselined": 0,
-//!   "files_scanned": 42,
-//!   "findings": [
-//!     { "chain": ["crates/…:12 sink", "crates/…:3 source (source: Instant, line 4)"],
-//!       "code": "D101", "col": 9, "file": "crates/…", "function": "sink",
-//!       "hint": "…", "line": 7, "message": "…" }
-//!   ],
-//!   "schema_version": 2,
-//!   "suppressed": 3
-//! }
-//! ```
-//!
-//! Schema history: v1 had no `chain`/`function`/`baselined` fields and
-//! unsorted keys; v2 (the workspace-analyzer release) added them and
-//! pinned the key order.
-//!
-//! Findings are sorted by `(file, line, col, code)` and serialization
-//! goes through the vendored `serde_json`, so two runs over the same
-//! tree produce byte-identical output.
+//! Findings are sorted by `(file, line, col, code)`, so two runs over
+//! the same tree print byte-identical reports.
 
-use serde::Serialize;
-
-/// The JSON schema version emitted by [`Report::render_json`].
-pub const SCHEMA_VERSION: u32 = 2;
+use std::collections::BTreeMap;
 
 /// One lint finding at a precise source location.
-///
-/// Fields are declared in alphabetical order so the JSON rendering has
-/// sorted keys; keep it that way when adding fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// For call-graph findings: the witness chain from the flagged
-    /// function to the source/root, one `file:line name` entry per hop.
-    /// Empty for per-file findings.
+    /// For call-graph findings: the witness chain from the audit root to
+    /// the flagged function, one `file:line name` entry per hop. Empty
+    /// for per-file findings.
     pub chain: Vec<String>,
-    /// The lint code (`D001`…, `D1xx`, `P001`, `T001`, `A001`, `S001`,
-    /// `L001`/`L002`).
+    /// The lint code (`A001`, `D004`, `P001`).
     pub code: String,
     /// 1-based column.
     pub col: u32,
@@ -80,54 +50,27 @@ impl Diagnostic {
             message,
         }
     }
-
-    /// Attaches the enclosing function name.
-    #[must_use]
-    pub fn with_function(mut self, function: &str) -> Self {
-        self.function = function.to_owned();
-        self
-    }
-
-    /// Attaches a witness call chain.
-    #[must_use]
-    pub fn with_chain(mut self, chain: Vec<String>) -> Self {
-        self.chain = chain;
-        self
-    }
 }
 
 /// A whole-workspace lint report.
-///
-/// Fields are declared in alphabetical order so the JSON rendering has
-/// sorted keys; keep it that way when adding fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Report {
     /// Findings absorbed by the checked-in baseline.
     pub baselined: usize,
     /// Number of `.rs` files visited.
     pub files_scanned: usize,
-    /// Unsuppressed, non-baselined findings, sorted by
-    /// `(file, line, col, code)`.
+    /// Non-baselined findings, sorted by `(file, line, col, code)`.
     pub findings: Vec<Diagnostic>,
-    /// Bumped only on breaking JSON layout changes.
-    pub schema_version: u32,
-    /// Findings silenced by `allow` directives.
-    pub suppressed: usize,
 }
 
 impl Report {
     /// Creates a report, sorting `findings` into canonical order.
-    pub fn new(
-        mut findings: Vec<Diagnostic>,
-        files_scanned: usize,
-        suppressed: usize,
-        baselined: usize,
-    ) -> Self {
+    pub fn new(mut findings: Vec<Diagnostic>, files_scanned: usize, baselined: usize) -> Self {
         findings.sort_by(|a, b| {
             (a.file.as_str(), a.line, a.col, a.code.as_str())
                 .cmp(&(b.file.as_str(), b.line, b.col, b.code.as_str()))
         });
-        Report { baselined, files_scanned, findings, schema_version: SCHEMA_VERSION, suppressed }
+        Report { baselined, files_scanned, findings }
     }
 
     /// `true` when the workspace honours the determinism contract.
@@ -135,24 +78,9 @@ impl Report {
         self.findings.is_empty()
     }
 
-    /// Per-code counts over findings and baselined-or-not: the one-line
-    /// `CODE=found` summary CI greps. Only codes that occur appear.
-    fn per_code_counts(&self) -> Vec<(String, usize)> {
-        let mut counts: Vec<(String, usize)> = Vec::new();
-        for d in &self.findings {
-            match counts.iter_mut().find(|(c, _)| c == &d.code) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((d.code.clone(), 1)),
-            }
-        }
-        counts.sort();
-        counts
-    }
-
     /// Human-readable rendering: one `file:line:col: CODE message` block
-    /// per finding plus a summary line. With `explain_chains`, findings
-    /// that carry a witness chain print it one hop per line.
-    pub fn render_text(&self, explain_chains: bool) -> String {
+    /// per finding, its witness chain one hop per line, and a summary.
+    pub fn render_text(&self) -> String {
         let mut out = String::new();
         for d in &self.findings {
             let in_fn = if d.function.is_empty() {
@@ -164,7 +92,7 @@ impl Report {
                 "{}:{}:{}: {}{} {}\n  hint: {}\n",
                 d.file, d.line, d.col, d.code, in_fn, d.message, d.hint
             ));
-            if explain_chains && !d.chain.is_empty() {
+            if !d.chain.is_empty() {
                 out.push_str("  chain:\n");
                 for hop in &d.chain {
                     out.push_str(&format!("    -> {hop}\n"));
@@ -172,32 +100,20 @@ impl Report {
             }
         }
         out.push_str(&format!(
-            "ssr-lint: {} finding(s), {} baselined, {} suppressed, {} file(s) scanned\n",
+            "ssr-lint: {} finding(s), {} baselined, {} file(s) scanned\n",
             self.findings.len(),
             self.baselined,
-            self.suppressed,
             self.files_scanned
         ));
-        let counts = self.per_code_counts();
-        if counts.is_empty() {
-            out.push_str("per-code: none\n");
-        } else {
-            let parts: Vec<String> =
-                counts.iter().map(|(c, n)| format!("{c}={n}")).collect();
-            out.push_str(&format!("per-code: {}\n", parts.join(" ")));
+        // The one-line `CODE=count` summary CI greps; only codes that
+        // occur appear.
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for d in &self.findings {
+            *counts.entry(&d.code).or_default() += 1;
         }
+        let parts: Vec<String> = counts.iter().map(|(c, n)| format!("{c}={n}")).collect();
+        let summary = if parts.is_empty() { "none".to_owned() } else { parts.join(" ") };
+        out.push_str(&format!("per-code: {summary}\n"));
         out
-    }
-
-    /// Stable JSON rendering through the vendored `serde_json`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if serialization fails, which for this tree of plain
-    /// strings and integers cannot happen.
-    pub fn render_json(&self) -> String {
-        let mut s = serde_json::to_string_pretty(self).expect("report serializes");
-        s.push('\n');
-        s
     }
 }

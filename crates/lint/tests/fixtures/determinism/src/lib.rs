@@ -1,0 +1,16 @@
+//! Each module holds the fixture of one retired ssr-lint code. A line
+//! ending in `//~ LINT` must be rejected by LINT; every other line must
+//! be clean.
+
+pub mod clean;
+pub mod d001;
+pub mod d002;
+pub mod d003;
+pub mod d005;
+pub mod d104;
+pub mod d105;
+pub mod d106;
+pub mod l001;
+pub mod l001_malformed;
+pub mod l002;
+pub mod s001;

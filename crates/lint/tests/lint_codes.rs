@@ -1,177 +1,234 @@
-//! One fixture per lint code: each code fires where it should and stays
-//! quiet on the clean fixture.
+//! One fixture per retired or kept lint code, each rejected by its
+//! enforcer. D004 is still an ssr-lint pass; the other codes moved to
+//! clippy, so their fixtures live in the `tests/fixtures/determinism`
+//! crate and this file lints it exactly as ci.sh's determinism pass
+//! lints the workspace. A fixture line ending in `//~ LINT` must be
+//! rejected by LINT, and no other line may be.
 
-use ssr_lint::lint_source;
+mod common;
 
-fn codes(outcome: &ssr_lint::FileOutcome) -> Vec<&str> {
-    outcome.findings.iter().map(|d| d.code.as_str()).collect()
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::sync::OnceLock;
+
+use serde_json::Value;
+use ssr_lint::{lint_source, DETERMINISTIC_CRATES};
+
+fn fixture_crate() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/determinism")
 }
 
-#[test]
-fn d001_fires_on_hash_iteration() {
-    let out = lint_source(
-        "crates/scheduler/src/fixture.rs",
-        include_str!("fixtures/d001_hash_iter.rs"),
-    );
-    let codes = codes(&out);
-    assert_eq!(codes, ["D001", "D001"], "for-loop and .values() both fire: {:?}", out.findings);
-    // Findings carry precise locations and actionable hints.
-    assert!(out.findings.iter().all(|d| d.line > 0 && d.col > 0));
-    assert!(out.findings.iter().all(|d| d.hint.contains("BTreeMap")));
+fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
+    match value {
+        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
 }
 
-#[test]
-fn d001_is_scoped_to_deterministic_crates() {
-    // The same source in a non-deterministic-path crate is fine: the CLI
-    // may iterate hashes when formatting output.
-    let out = lint_source(
-        "crates/cli/src/fixture.rs",
-        include_str!("fixtures/d001_hash_iter.rs"),
-    );
-    assert!(out.findings.is_empty(), "unexpected: {:?}", out.findings);
+fn text(value: Option<&Value>) -> Option<&str> {
+    match value {
+        Some(Value::Str(s)) => Some(s),
+        _ => None,
+    }
 }
 
-#[test]
-fn d002_fires_on_wall_clock() {
-    let out = lint_source(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/d002_instant.rs"),
-    );
-    assert!(!out.findings.is_empty());
-    assert!(codes(&out).iter().all(|c| *c == "D002"), "got {:?}", out.findings);
-    assert!(out.findings[0].hint.contains("walltime"));
+/// `(file, line, lint)` for every diagnostic clippy reports on the
+/// fixture crate, run once per test binary.
+fn clippy_findings() -> &'static BTreeSet<(String, u64, String)> {
+    static FINDINGS: OnceLock<BTreeSet<(String, u64, String)>> = OnceLock::new();
+    FINDINGS.get_or_init(|| {
+        let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+        let output = Command::new(cargo)
+            .args(["clippy", "--offline", "--quiet", "--message-format=json", "--manifest-path"])
+            .arg(fixture_crate().join("Cargo.toml"))
+            .arg("--target-dir")
+            .arg(Path::new(env!("CARGO_TARGET_TMPDIR")).join("determinism-fixtures"))
+            .args(["--", "-D", "warnings"])
+            .args(["-D", "clippy::disallowed_types", "-D", "clippy::disallowed_methods"])
+            .output()
+            .expect("cargo clippy runs");
+        let stdout = String::from_utf8(output.stdout).expect("cargo emits UTF-8");
+        let mut findings = BTreeSet::new();
+        for line in stdout.lines() {
+            let msg = serde_json::from_str(line).expect("cargo emits one JSON message per line");
+            if text(field(&msg, "reason")) != Some("compiler-message") {
+                continue;
+            }
+            let message = field(&msg, "message").expect("compiler message");
+            let Some(lint) = field(message, "code").and_then(|c| text(field(c, "code"))) else {
+                continue; // summaries such as "could not compile"
+            };
+            let Some(Value::Array(spans)) = field(message, "spans") else {
+                continue;
+            };
+            for span in spans {
+                if field(span, "is_primary") == Some(&Value::Bool(true)) {
+                    let file = text(field(span, "file_name")).expect("span file").to_owned();
+                    let Some(Value::UInt(line)) = field(span, "line_start") else {
+                        continue;
+                    };
+                    findings.insert((file, *line, lint.to_owned()));
+                }
+            }
+        }
+        assert!(
+            !findings.is_empty(),
+            "clippy reported nothing:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        findings
+    })
 }
 
-#[test]
-fn d002_allows_the_timing_module() {
-    let out = lint_source(
-        "crates/sim/src/walltime.rs",
-        include_str!("fixtures/d002_instant.rs"),
-    );
-    assert!(out.findings.is_empty(), "unexpected: {:?}", out.findings);
+/// Asserts that clippy rejects exactly the `//~`-annotated lines of
+/// `src/<module>.rs`, each with its named lint.
+fn assert_rejected(module: &str) {
+    let file = format!("src/{module}.rs");
+    let source = std::fs::read_to_string(fixture_crate().join(&file)).expect("fixture exists");
+    let expected: BTreeSet<(u64, String)> = (1..)
+        .zip(source.lines())
+        .filter_map(|(n, line)| {
+            line.split_once("//~ ").map(|(_, lint)| (n, lint.trim().to_owned()))
+        })
+        .collect();
+    let actual: BTreeSet<(u64, String)> = clippy_findings()
+        .iter()
+        .filter(|(f, _, _)| *f == file)
+        .map(|(_, line, lint)| (*line, lint.clone()))
+        .collect();
+    assert_eq!(actual, expected, "{file}: clippy findings vs `//~` annotations");
 }
 
-#[test]
-fn d003_fires_on_threads() {
-    let out = lint_source(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/d003_thread.rs"),
-    );
-    assert!(!out.findings.is_empty());
-    assert!(codes(&out).iter().all(|c| *c == "D003"), "got {:?}", out.findings);
-}
-
-#[test]
-fn d003_allows_the_trial_runner() {
-    let out = lint_source(
-        "crates/sim/src/runner.rs",
-        include_str!("fixtures/d003_thread.rs"),
-    );
-    assert!(out.findings.is_empty(), "unexpected: {:?}", out.findings);
-}
-
-#[test]
-fn d004_fires_on_partial_cmp_comparator() {
-    let out = lint_source(
-        "crates/simcore/src/fixture.rs",
-        include_str!("fixtures/d004_partial_cmp.rs"),
-    );
-    assert_eq!(codes(&out), ["D004"], "got {:?}", out.findings);
-    assert!(out.findings[0].hint.contains("total_cmp"));
-}
-
-#[test]
-fn d004_is_quiet_on_total_cmp() {
-    let out = lint_source(
-        "crates/simcore/src/fixture.rs",
-        "pub fn sort_floats(values: &mut Vec<f64>) {\n    values.sort_by(f64::total_cmp);\n}\n",
-    );
-    assert!(out.findings.is_empty(), "unexpected: {:?}", out.findings);
-}
-
-#[test]
-fn d005_fires_on_raw_seeding() {
-    let out = lint_source(
-        "crates/workload/src/fixture.rs",
-        include_str!("fixtures/d005_seed.rs"),
-    );
-    assert_eq!(codes(&out), ["D005"], "got {:?}", out.findings);
-    assert!(out.findings[0].hint.contains("SimRng::stream"));
-}
-
-#[test]
-fn d005_allows_the_rng_home() {
-    let out = lint_source(
-        "crates/simcore/src/rng.rs",
-        include_str!("fixtures/d005_seed.rs"),
-    );
-    assert!(out.findings.is_empty(), "unexpected: {:?}", out.findings);
-}
-
-#[test]
-fn s001_fires_on_crate_root_without_forbid() {
-    let src = include_str!("fixtures/s001_missing_forbid.rs");
-    let out = lint_source("crates/demo/src/lib.rs", src);
-    assert_eq!(codes(&out), ["S001"], "got {:?}", out.findings);
-    // Non-root files in the same crate are not required to carry it.
-    let out = lint_source("crates/demo/src/helpers.rs", src);
-    assert!(out.findings.is_empty(), "unexpected: {:?}", out.findings);
-    // Binary roots are.
-    let out = lint_source("crates/demo/src/bin/tool.rs", src);
-    assert_eq!(codes(&out), ["S001"]);
-}
-
-#[test]
-fn l001_fires_on_reasonless_allow_but_still_suppresses() {
-    let out = lint_source(
-        "crates/dag/src/fixture.rs",
-        include_str!("fixtures/l001_reasonless.rs"),
-    );
-    assert_eq!(codes(&out), ["L001"], "got {:?}", out.findings);
-    assert_eq!(out.suppressed, 1, "the D001 it targets is still silenced");
-    assert!(out.directives.len() == 1 && out.directives[0].reason.is_none());
-}
-
-#[test]
-fn l002_fires_on_unknown_code_and_the_directive_is_inert() {
-    // Pre-v2 this was an L001; it now has its own code because the
-    // failure mode is distinct: the author thinks a finding is excused
-    // while the linter knows no such code.
-    let out = lint_source(
-        "crates/dag/src/fixture.rs",
-        "// ssr-lint: allow(D999, reason = \"no such code\")\npub fn f() {}\n",
-    );
-    assert_eq!(codes(&out), ["L002"], "got {:?}", out.findings);
-    assert!(out.findings[0].hint.contains("known codes"));
-    assert!(out.directives.is_empty(), "an unknown-code directive must not suppress");
-}
-
-#[test]
-fn l001_fires_on_malformed_directives() {
-    let out = lint_source(
-        "crates/dag/src/fixture.rs",
-        "// ssr-lint: deny(D001)\npub fn f() {}\n",
-    );
-    assert_eq!(codes(&out), ["L001"]);
-}
-
-#[test]
-fn reasoned_allow_is_clean() {
-    let out = lint_source(
-        "crates/cluster/src/fixture.rs",
-        include_str!("fixtures/allowed_with_reason.rs"),
-    );
-    assert!(out.findings.is_empty(), "unexpected: {:?}", out.findings);
-    assert_eq!(out.suppressed, 1);
-    assert_eq!(
-        out.directives[0].reason.as_deref(),
-        Some("summation is commutative, order cannot matter")
+/// Asserts that a barrier module opts out of `lint` with a reasoned
+/// `#![expect]`, so the lint still fires (and is expected) there.
+fn assert_barrier(file: &str, lint: &str) {
+    let sites = common::opt_out_sites();
+    let attr = sites.iter().find(|(f, _)| f == file).map(|(_, a)| a.as_str());
+    assert!(
+        attr.is_some_and(|a| a.starts_with("#![expect(")
+            && a.contains(lint)
+            && a.contains("reason = ")),
+        "{file} must carry `#![expect({lint}, reason = \"…\")]`, found {attr:?}"
     );
 }
 
 #[test]
 fn clean_fixture_is_clean() {
-    let out = lint_source("crates/demo/src/lib.rs", include_str!("fixtures/clean.rs"));
-    assert!(out.findings.is_empty(), "unexpected: {:?}", out.findings);
-    assert_eq!(out.suppressed, 0);
+    assert_rejected("clean");
+}
+
+#[test]
+fn d001_fires_on_hash_iteration() {
+    assert_rejected("d001");
+}
+
+#[test]
+fn d001_is_scoped_to_deterministic_crates() {
+    // Crate-root opt-outs live only in crates outside the deterministic
+    // set; the crate-graph test keeps deterministic crates from
+    // depending on them.
+    let crate_roots: BTreeSet<String> = common::opt_out_sites()
+        .into_iter()
+        .filter(|(_, attr)| attr.starts_with("#![allow(") && attr.contains("disallowed_types"))
+        .map(|(file, _)| file.split('/').nth(1).expect("crates/<name>/…").to_owned())
+        .collect();
+    assert_eq!(crate_roots, BTreeSet::from(["bench", "cli", "lint"].map(String::from)));
+    assert!(crate_roots.iter().all(|c| !DETERMINISTIC_CRATES.contains(&c.as_str())));
+}
+
+#[test]
+fn d002_fires_on_wall_clock() {
+    assert_rejected("d002");
+}
+
+#[test]
+fn d002_allows_the_timing_module() {
+    assert_barrier("crates/sim/src/walltime.rs", "clippy::disallowed_types");
+}
+
+#[test]
+fn d003_fires_on_threads() {
+    assert_rejected("d003");
+}
+
+#[test]
+fn d003_allows_the_trial_runner() {
+    assert_barrier("crates/sim/src/runner.rs", "clippy::disallowed_methods");
+}
+
+#[test]
+fn d004_fires_on_partial_cmp_comparator() {
+    let findings =
+        lint_source("crates/simcore/src/fixture.rs", include_str!("fixtures/d004_partial_cmp.rs"));
+    let codes: Vec<&str> = findings.iter().map(|d| d.code.as_str()).collect();
+    assert_eq!(codes, ["D004"], "got {findings:?}");
+    assert!(findings[0].hint.contains("total_cmp"));
+}
+
+#[test]
+fn d004_is_quiet_on_total_cmp() {
+    let findings = lint_source(
+        "crates/simcore/src/fixture.rs",
+        "pub fn sort_floats(values: &mut Vec<f64>) {\n    values.sort_by(f64::total_cmp);\n}\n",
+    );
+    assert!(findings.is_empty(), "unexpected: {findings:?}");
+}
+
+#[test]
+fn d005_fires_on_raw_seeding() {
+    assert_rejected("d005");
+}
+
+#[test]
+fn d005_allows_the_rng_home() {
+    assert_barrier("crates/simcore/src/rng.rs", "clippy::disallowed_methods");
+}
+
+#[test]
+fn d104_fires_on_randomized_hashers() {
+    assert_rejected("d104");
+}
+
+#[test]
+fn d105_fires_on_pointer_addresses() {
+    assert_rejected("d105");
+}
+
+#[test]
+fn d106_fires_on_environment_and_file_input() {
+    assert_rejected("d106");
+}
+
+#[test]
+fn s001_fires_on_crate_root_without_forbid() {
+    // `unsafe_code = "forbid"` now comes from `[workspace.lints]`, which
+    // every crate inherits (the crate-graph test checks the opt-in).
+    assert_rejected("s001");
+}
+
+#[test]
+fn l001_fires_on_reasonless_allow_but_still_suppresses() {
+    // The reasonless `allow` is rejected, yet the HashMap it covers
+    // raises nothing.
+    assert_rejected("l001");
+}
+
+#[test]
+fn l001_fires_on_malformed_directives() {
+    assert_rejected("l001_malformed");
+}
+
+#[test]
+fn l002_fires_on_unknown_code_and_the_directive_is_inert() {
+    assert_rejected("l002");
+}
+
+#[test]
+fn reasoned_allow_is_clean() {
+    // `clean.rs` holds a reasoned `#[expect]` over a disallowed call.
+    assert!(std::fs::read_to_string(fixture_crate().join("src/clean.rs"))
+        .expect("fixture exists")
+        .contains("#[expect(clippy::disallowed_methods, reason = "));
+    assert_rejected("clean");
 }

@@ -1,116 +1,30 @@
-//! Integration tests for the workspace-level call-graph passes, driven
+//! Integration tests for the workspace-level call-graph audits, driven
 //! by small fixture trees under `tests/fixtures/ws_*`. The trees are
 //! read from disk at runtime — cargo never compiles them — so they can
 //! contain deliberate contract violations.
 
 use std::path::{Path, PathBuf};
 
-use ssr_lint::{lint_workspace, lint_workspace_with, LintOptions};
+use ssr_lint::lint_workspace;
 
 fn fixture_root(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
 }
 
 #[test]
-fn d101_flags_two_hop_wall_clock_chain_with_full_witness() {
-    // crates/scheduler (deterministic) -> ssr_util::wrapped_nanos ->
-    // raw_nanos -> Instant::now(). The only nondeterminism is two call
-    // hops away, in another crate; the finding must name the frontier
-    // function and carry the whole chain.
-    let outcome = lint_workspace(&fixture_root("ws_taint")).expect("fixture lints");
-    let report = &outcome.report;
-    assert_eq!(report.findings.len(), 1, "got:\n{}", report.render_text(true));
-    let d = &report.findings[0];
-    assert_eq!(d.code, "D101");
-    assert_eq!(d.file, "crates/scheduler/src/lib.rs");
-    assert_eq!(d.function, "stamp", "frontier rule: the last det-crate fn is flagged");
-    assert_eq!(d.chain.len(), 3, "sink, intermediate hop, source: {:?}", d.chain);
-    assert!(d.chain[0].contains("stamp"));
-    assert!(d.chain[1].contains("wrapped_nanos"));
-    assert!(d.chain[2].contains("raw_nanos") && d.chain[2].contains("source: Instant"));
-    assert!(d.message.contains("2 call hop(s)"));
-    // The per-file D002 at the source was suppressed with a reason and
-    // must not have leaked into the findings.
-    assert_eq!(report.suppressed, 1);
-}
-
-#[test]
-fn taint_stops_at_sanctioned_boundary_and_outside_det_crates() {
-    let outcome = lint_workspace(&fixture_root("ws_taint")).expect("fixture lints");
-    for d in &outcome.report.findings {
-        // crates/sim reaches the clock only through walltime.rs (the
-        // allowlisted barrier) — it must stay clean; crates/util is not
-        // a deterministic-path crate — taint flows through it but never
-        // flags it.
-        assert!(
-            !d.file.starts_with("crates/sim/") && !d.file.starts_with("crates/util/"),
-            "unexpected finding: {d:?}"
-        );
-    }
-}
-
-#[test]
 fn p001_baseline_round_trip() {
     let root = fixture_root("ws_panic");
     // Auto-loaded `<root>/lint.baseline` absorbs the audited P001.
-    let with = lint_workspace(&root).expect("fixture lints");
-    assert!(with.report.is_clean(), "got:\n{}", with.report.render_text(true));
+    let with = lint_workspace(&root, None).expect("fixture lints");
+    assert!(with.report.is_clean(), "got:\n{}", with.report.render_text());
     assert_eq!(with.report.baselined, 1);
     assert!(with.stale_baseline.is_empty());
     // Overriding with an empty ledger surfaces it, chain intact.
-    let opts = LintOptions { baseline_path: Some(root.join("empty.baseline")) };
-    let without = lint_workspace_with(&root, &opts).expect("fixture lints");
+    let without =
+        lint_workspace(&root, Some(&root.join("empty.baseline"))).expect("fixture lints");
     assert_eq!(without.report.findings.len(), 1);
     let d = &without.report.findings[0];
     assert_eq!((d.code.as_str(), d.function.as_str()), ("P001", "first_failed"));
     assert!(d.chain[0].contains("fail_slots") && d.chain[0].contains("root"));
     assert_eq!(without.report.baselined, 0);
-}
-
-#[test]
-fn t001_flags_unemitted_and_unread_variants() {
-    let outcome = lint_workspace(&fixture_root("ws_trace")).expect("fixture lints");
-    let report = &outcome.report;
-    assert_eq!(report.findings.len(), 2, "got:\n{}", report.render_text(false));
-    let ghost = report.findings.iter().find(|d| d.function == "Ghost").expect("Ghost");
-    assert!(ghost.message.contains("never emitted"), "{}", ghost.message);
-    let unread = report.findings.iter().find(|d| d.function == "Unread").expect("Unread");
-    assert!(unread.message.contains("no reference"), "{}", unread.message);
-    assert!(report.findings.iter().all(|d| d.code == "T001"));
-    // `Covered` is emitted and read — no finding mentions it.
-    assert!(report.findings.iter().all(|d| d.function != "Covered"));
-}
-
-#[test]
-fn c001_flags_unbumped_and_unrendered_counter_fields() {
-    let outcome = lint_workspace(&fixture_root("ws_counters")).expect("fixture lints");
-    let report = &outcome.report;
-    assert_eq!(report.findings.len(), 2, "got:\n{}", report.render_text(false));
-    assert!(report.findings.iter().all(|d| d.code == "C001"));
-    assert!(report.findings.iter().all(|d| d.file == "crates/perf/src/lib.rs"));
-    let unbumped =
-        report.findings.iter().find(|d| d.function == "never_bumped").expect("never_bumped");
-    assert!(unbumped.message.contains("never incremented"), "{}", unbumped.message);
-    let unrendered = report
-        .findings
-        .iter()
-        .find(|d| d.function == "never_rendered")
-        .expect("never_rendered");
-    assert!(unrendered.message.contains("never rendered"), "{}", unrendered.message);
-    // `covered` is bumped by the engine and listed in the report table;
-    // the test-only bump of `never_bumped` must not count as coverage.
-    assert!(report.findings.iter().all(|d| d.function != "covered"));
-}
-
-#[test]
-fn json_output_matches_checked_in_golden_byte_for_byte() {
-    // schema_version 2, alphabetically sorted keys, trailing newline —
-    // downstream tooling diffs this stream, so it is pinned exactly.
-    let outcome = lint_workspace(&fixture_root("ws_taint")).expect("fixture lints");
-    let golden = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws_taint.golden.json"),
-    )
-    .expect("golden file is checked in");
-    assert_eq!(outcome.report.render_json(), golden);
-    assert_eq!(outcome.report.schema_version, ssr_lint::report::SCHEMA_VERSION);
 }

@@ -1,25 +1,21 @@
 //! The workspace-level regression: the tree this crate ships in must
-//! itself satisfy the determinism contract, every suppression must carry
-//! a reason, and the JSON report must be byte-stable.
+//! itself pass the audits, and every determinism opt-out must be a
+//! reasoned attribute at a sanctioned site.
 
-use std::path::Path;
+mod common;
 
-use ssr_lint::{find_workspace_root, lint_workspace};
-
-fn workspace_root() -> std::path::PathBuf {
-    find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("crates/lint lives inside the workspace")
-}
+use common::workspace_root;
+use ssr_lint::lint_workspace;
 
 #[test]
 fn workspace_has_no_unsuppressed_findings() {
     // `lint_workspace` auto-loads `<root>/lint.baseline`, so this gate
     // means: zero findings beyond the audited, reasoned ledger.
-    let outcome = lint_workspace(&workspace_root()).expect("workspace lints");
+    let outcome = lint_workspace(&workspace_root(), None).expect("workspace lints");
     assert!(
         outcome.report.is_clean(),
         "determinism contract violated:\n{}",
-        outcome.report.render_text(true)
+        outcome.report.render_text()
     );
     assert!(outcome.report.files_scanned > 0);
 }
@@ -28,7 +24,7 @@ fn workspace_has_no_unsuppressed_findings() {
 fn baseline_has_no_stale_entries() {
     // Paid-down debt must leave the ledger: every baseline entry's
     // budget is fully consumed by current findings.
-    let outcome = lint_workspace(&workspace_root()).expect("workspace lints");
+    let outcome = lint_workspace(&workspace_root(), None).expect("workspace lints");
     assert!(
         outcome.stale_baseline.is_empty(),
         "stale lint.baseline entries (remove or tighten them):\n{}",
@@ -48,35 +44,33 @@ fn baseline_file_round_trips() {
 
 #[test]
 fn every_suppression_carries_a_reason() {
-    let outcome = lint_workspace(&workspace_root()).expect("workspace lints");
-    for (file, sup) in &outcome.suppressions {
-        assert!(
-            sup.reason.as_deref().is_some_and(|r| !r.trim().is_empty()),
-            "{file}:{}: allow({}) without a reason",
-            sup.line,
-            sup.code
-        );
+    // Clippy rejects reasonless opt-outs; this pins *where* they may sit:
+    // the three barrier modules and the non-deterministic crate roots.
+    let sites = common::opt_out_sites();
+    for (file, attr) in &sites {
+        assert!(attr.contains("reason = \""), "{file}: opt-out without a reason: {attr}");
     }
+    let files: Vec<&str> = sites.iter().map(|(f, _)| f.as_str()).collect();
+    assert_eq!(
+        files,
+        [
+            "crates/bench/src/bin/figures.rs",
+            "crates/bench/src/lib.rs",
+            "crates/cli/src/main.rs",
+            "crates/lint/src/lib.rs",
+            "crates/lint/src/main.rs",
+            "crates/sim/src/runner.rs",
+            "crates/sim/src/walltime.rs",
+            "crates/simcore/src/rng.rs",
+        ]
+    );
 }
 
 #[test]
-fn json_report_is_byte_stable_across_runs() {
+fn report_is_byte_stable_across_runs() {
     let root = workspace_root();
-    let a = lint_workspace(&root).expect("first run").report;
-    let b = lint_workspace(&root).expect("second run").report;
+    let a = lint_workspace(&root, None).expect("first run").report;
+    let b = lint_workspace(&root, None).expect("second run").report;
     assert_eq!(a, b);
-    assert_eq!(a.render_json(), b.render_json());
-}
-
-#[test]
-fn json_report_round_trips_through_vendored_serde_json() {
-    // The binary's `--format json` output is exactly the vendored
-    // serde_json serialization of the in-memory report (plus a trailing
-    // newline), so downstream tooling sees one canonical byte stream.
-    let outcome = lint_workspace(&workspace_root()).expect("workspace lints");
-    let direct = serde_json::to_string_pretty(&outcome.report).expect("serializes");
-    assert_eq!(outcome.report.render_json(), format!("{direct}\n"));
-    for key in ["schema_version", "findings", "files_scanned", "suppressed"] {
-        assert!(direct.contains(key), "schema key `{key}` missing from {direct}");
-    }
+    assert_eq!(a.render_text(), b.render_text());
 }

@@ -64,9 +64,9 @@ enum Merge {
 /// Deterministic work counts for one run (or a merge of several).
 ///
 /// Every field must be incremented by engine code *and* rendered in the
-/// report — ssr-lint check **C001** fails the build otherwise, so a
-/// counter can neither silently read zero nor silently disappear from
-/// the output.
+/// report — `tests/contract_coverage.rs` and `fields_cover_struct` fail
+/// otherwise, so a counter can neither silently read zero nor silently
+/// disappear from the output.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct WorkCounters {
     /// `ApprovalLogic` invocations while ranking offer candidates.
@@ -109,7 +109,7 @@ impl WorkCounters {
     ///
     /// Rendering and merging both walk this table, so a field added to
     /// the struct without a row here fails the `fields_cover_struct`
-    /// test (and C001 in ssr-lint).
+    /// test.
     fn fields(&self) -> [(&'static str, &Counter, Merge); 14] {
         [
             ("approval_calls", &self.approval_calls, Merge::Sum),

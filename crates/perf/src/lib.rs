@@ -21,7 +21,6 @@
 //! artifacts, spans may not.** Anything byte-pinned (figures, traces,
 //! counter reports) must derive from the counter plane only.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod counters;

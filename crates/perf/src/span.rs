@@ -7,9 +7,9 @@
 //! The profiler never reads a clock itself: readings come from an
 //! injected [`SpanClock`], whose only real-time implementation lives at
 //! the workspace's sanctioned wall-clock barrier (`ssr-sim::walltime`).
-//! That keeps ssr-lint's D002/D10x contract intact — this crate stays
-//! inside `DETERMINISTIC_CRATES` because nothing here can observe time
-//! without a caller handing it a clock. Span output belongs to the
+//! That keeps the clippy wall-clock ban intact — this crate stays
+//! deterministic because nothing here can observe time without a
+//! caller handing it a clock. Span output belongs to the
 //! non-deterministic plane: stderr and explicitly wall-clock report
 //! files only, never byte-pinned artifacts.
 

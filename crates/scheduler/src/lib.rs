@@ -26,7 +26,6 @@
 //! paper's actual contribution — speculative slot reservation — lives in
 //! the `ssr-core` crate and plugs into the same [`ReservationPolicy`] seam.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

@@ -117,7 +117,7 @@ impl TaskSetManager {
     /// Sets the preferred slots (those holding upstream outputs), caching
     /// their node and rack projections so per-slot locality lookups need
     /// no scan over the preference set. The set is ordered, so every
-    /// walk over it happens in ascending slot order (lint D001).
+    /// walk over it happens in ascending slot order.
     pub fn with_preferred(mut self, preferred: BTreeSet<SlotId>, spec: &ClusterSpec) -> Self {
         self.pref_nodes = preferred.iter().map(|&s| spec.node_of(s)).collect();
         self.pref_racks = self.pref_nodes.iter().map(|&n| spec.rack_of(n)).collect();

@@ -19,6 +19,11 @@
 //!
 //! [`SimRng::stream`]: ssr_simcore::rng::SimRng::stream
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the threading barrier: results merge in input order, so worker count and timing never reach output"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 

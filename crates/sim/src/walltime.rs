@@ -1,13 +1,18 @@
 //! The workspace's single sanctioned wall-clock access point.
 //!
-//! Determinism lint **D002** forbids `Instant`/`SystemTime` everywhere
+//! `crates/clippy.toml` disallows `Instant`/`SystemTime` everywhere
 //! except this module: real time must never influence simulated results,
 //! so every wall-clock read in the workspace funnels through
 //! [`Stopwatch`], whose readings only ever reach *stderr* timing output
 //! (`--timing`) and `#[serde(skip)]` fields — never serialized reports.
 //!
 //! If you need timing somewhere new, take a [`Stopwatch`] here rather
-//! than adding another file to the lint's allowlist.
+//! than opting another module out of the ban.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the wall-clock barrier: readings reach stderr and skipped fields only"
+)]
 
 use std::time::Instant;
 

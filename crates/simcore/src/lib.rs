@@ -32,7 +32,6 @@
 //! assert!(t > SimTime::ZERO);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;

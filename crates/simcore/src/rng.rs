@@ -5,6 +5,11 @@
 //! platforms and crate upgrades. All workload synthesis and task-duration
 //! sampling flows through [`SimRng`].
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the RNG barrier: `fork` and `stream` are the only callers of `seed_from_u64` outside tests"
+)]
+
 /// A deterministic xoshiro256\*\* pseudo-random number generator.
 ///
 /// Not cryptographically secure; intended exclusively for simulation.

@@ -22,7 +22,6 @@
 //! EXPERIMENTS.md): simulated time only, `BTreeMap` state, no wall-clock —
 //! two runs with the same seed yield byte-identical traces.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;

@@ -82,7 +82,8 @@ impl TraceSink for VecSink {
 /// The first line is a header identifying the schema; every subsequent line
 /// is one event. Each line is a compact JSON object with its keys — at both
 /// the top level and inside `"fields"` — in sorted (ASCII) order, the same
-/// discipline as `ssr-lint --format json`, so equal traces are equal bytes:
+/// discipline as the counter and explain JSON, so equal traces are equal
+/// bytes:
 ///
 /// ```text
 /// {"event":"trace-start","fields":{"schema_version":3},"seq":0,"time_secs":0.0}

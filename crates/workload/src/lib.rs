@@ -31,7 +31,6 @@
 //! # Ok::<(), ssr_dag::DagError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod google;
