@@ -69,6 +69,24 @@ cmp "$trace_dir/faulted1.jsonl" "$trace_dir/faulted2.jsonl"
 grep -q '"event":"task-crashed"' "$trace_dir/faulted1.jsonl"
 ./target/release/ssr-cli check "$trace_dir/faulted1.jsonl" | grep -q "0 violations"
 
+echo "==> hostile trace smoke (a malformed trace is an error, exit 1, never a panic, exit 101)"
+header='{"event":"trace-start","fields":{"schema_version":3},"seq":0,"time_secs":0.0}'
+printf '%s\n%s\n' "$header" \
+  '{"event":"job-completed","fields":{"job":0},"seq":1,"time_secs":1e400}' > "$trace_dir/inf.jsonl"
+printf '%s\n%s\n' "$header" \
+  '{"event":"job-completed","fields":{"bogus":5,"job":0},"seq":1,"time_secs":0.0}' \
+  > "$trace_dir/unknown.jsonl"
+for doc in inf unknown; do
+  for cmd in check explain; do
+    status=0
+    ./target/release/ssr-cli "$cmd" "$trace_dir/$doc.jsonl" > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+      echo "ssr-cli $cmd $doc.jsonl exited $status, want 1"
+      exit 1
+    fi
+  done
+done
+
 echo "==> protocol exploration (pinned state count, byte-identical JSON)"
 for i in 1 2; do
   ./target/release/ssr-cli check --explore --json > "$trace_dir/explore$i.json"

@@ -1,9 +1,10 @@
 //! Runtime invariant checker over the decision-trace stream.
 //!
 //! [`InvariantChecker`] is a [`TraceSink`]: attach it to any run (or feed
-//! it a parsed trace) and it shadows the slot pool and per-job accounting
-//! from the events alone, flagging every transition the reservation
-//! protocol forbids. The invariants it enforces:
+//! it a parsed trace) and it replays the slot pool (through `ssr-trace`'s
+//! [`SlotReplay`]) and per-job accounting from the events alone, flagging
+//! every transition the reservation protocol forbids. The invariants it
+//! enforces:
 //!
 //! - **I1 — no double grant**: a reservation is only granted or
 //!   prereserve-filled on a slot the trace shows as free and in service.
@@ -32,7 +33,7 @@
 use std::collections::BTreeMap;
 
 use ssr_dag::JobId;
-use ssr_trace::{TraceEvent, TraceEventKind, TraceSink};
+use ssr_trace::{Slot, SlotReplay, SlotState, TraceEvent, TraceEventKind, TraceSink};
 
 /// One invariant breach, anchored to the event that exposed it.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,20 +46,6 @@ pub struct Violation {
     pub invariant: &'static str,
     /// Human-readable description of the breach.
     pub message: String,
-}
-
-/// Shadowed occupancy of one slot, as reconstructed from the trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Occupancy {
-    Free,
-    Reserved(JobId),
-    Running(JobId),
-}
-
-#[derive(Debug, Clone)]
-struct SlotShadow {
-    occ: Occupancy,
-    offline: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -152,7 +139,7 @@ impl serde::Serialize for Raw {
 /// as events stream past. See the module docs for the invariant list.
 #[derive(Debug, Default)]
 pub struct InvariantChecker {
-    slots: Vec<SlotShadow>,
+    replay: SlotReplay,
     jobs: BTreeMap<JobId, JobShadow>,
     index: u64,
     violations: Vec<Violation>,
@@ -179,8 +166,8 @@ impl InvariantChecker {
     /// Finalizes: runs the end-of-stream checks (I2's "no reservation
     /// outlives its owner") and returns the verdict.
     pub fn finish(mut self) -> CheckReport {
-        for (idx, s) in self.slots.iter().enumerate() {
-            if let Occupancy::Reserved(job) = s.occ {
+        for (idx, s) in self.replay.slots().iter().enumerate() {
+            if let SlotState::Reserved { job, .. } = s.state {
                 if self.jobs.get(&job).is_some_and(|j| j.completed) {
                     self.violations.push(Violation {
                         index: self.index.saturating_sub(1),
@@ -201,40 +188,21 @@ impl InvariantChecker {
         self.violations.push(Violation { index: self.index, time_secs, invariant, message });
     }
 
-    fn slot(&mut self, slot: u32) -> &mut SlotShadow {
-        let idx = slot as usize;
-        while self.slots.len() <= idx {
-            self.slots.push(SlotShadow { occ: Occupancy::Free, offline: false });
-        }
-        &mut self.slots[idx]
-    }
-
     /// I1 + I5 + I2(grant side): a reservation lands on a free, in-service
     /// slot owned by a live job.
-    fn check_grant(&mut self, t: f64, slot: u32, job: JobId, what: &str) {
-        let shadow = self.slot(slot).clone();
-        match shadow.occ {
-            Occupancy::Free => {}
-            Occupancy::Reserved(held) => self.flag(
+    fn check_grant(&mut self, t: f64, slot: u32, before: Slot, job: JobId, what: &str) {
+        if before.state != SlotState::Free {
+            self.flag(
                 t,
                 "double-grant",
                 format!(
-                    "{what} on slot {slot} for job {} while reserved for job {}",
+                    "{what} on slot {slot} for job {} while {}",
                     job.as_u64(),
-                    held.as_u64()
+                    describe(before.state)
                 ),
-            ),
-            Occupancy::Running(held) => self.flag(
-                t,
-                "double-grant",
-                format!(
-                    "{what} on slot {slot} for job {} while running job {}",
-                    job.as_u64(),
-                    held.as_u64()
-                ),
-            ),
+            );
         }
-        if shadow.offline {
+        if before.offline {
             self.flag(
                 t,
                 "grant-offline",
@@ -248,25 +216,22 @@ impl InvariantChecker {
                 format!("{what} on slot {slot} for already-completed job {}", job.as_u64()),
             );
         }
-        self.slot(slot).occ = Occupancy::Reserved(job);
     }
 
     /// I5 (run side) + I4: a run-closing event must hit a slot running
     /// that job.
-    fn check_run_close(&mut self, t: f64, slot: u32, job: JobId, what: &str) {
-        let occ = self.slot(slot).occ;
-        match occ {
-            Occupancy::Running(held) if held == job => {}
-            other => self.flag(
+    fn check_run_close(&mut self, t: f64, slot: u32, before: Slot, job: JobId, what: &str) {
+        if !matches!(before.state, SlotState::Running { job: held, .. } if held == job) {
+            self.flag(
                 t,
                 "phantom-finish",
                 format!(
-                    "{what} on slot {slot} for job {} but slot is {other:?}",
-                    job.as_u64()
+                    "{what} on slot {slot} for job {} but slot is {}",
+                    job.as_u64(),
+                    describe(before.state)
                 ),
-            ),
+            );
         }
-        self.slot(slot).occ = Occupancy::Free;
         if let Some(j) = self.jobs.get_mut(&job) {
             j.running -= 1;
             if j.running < 0 {
@@ -282,20 +247,27 @@ impl InvariantChecker {
 
     /// I5 (reservation side): a reservation-closing event must hit a slot
     /// reserved for that job.
-    fn check_reservation_close(&mut self, t: f64, slot: u32, job: JobId, what: &str) {
-        let occ = self.slot(slot).occ;
-        match occ {
-            Occupancy::Reserved(held) if held == job => {}
-            other => self.flag(
+    fn check_reservation_close(&mut self, t: f64, slot: u32, before: Slot, job: JobId, what: &str) {
+        if !matches!(before.state, SlotState::Reserved { job: held, .. } if held == job) {
+            self.flag(
                 t,
                 "phantom-release",
                 format!(
-                    "{what} on slot {slot} for job {} but slot is {other:?}",
-                    job.as_u64()
+                    "{what} on slot {slot} for job {} but slot is {}",
+                    job.as_u64(),
+                    describe(before.state)
                 ),
-            ),
+            );
         }
-        self.slot(slot).occ = Occupancy::Free;
+    }
+}
+
+/// A slot's occupancy in words, for violation messages.
+fn describe(state: SlotState) -> String {
+    match state {
+        SlotState::Free => "free".to_owned(),
+        SlotState::Reserved { job, .. } => format!("reserved for job {}", job.as_u64()),
+        SlotState::Running { job, .. } => format!("running job {}", job.as_u64()),
     }
 }
 
@@ -305,6 +277,8 @@ impl TraceSink for InvariantChecker {
         let t = event.time.as_secs_f64();
         // I3 applies to *contiguous* fill runs: any other event ends one.
         let fill_prev = self.fill_run_prev.take();
+        // Every slot-touching event is judged by the state it found.
+        let before = self.replay.apply(event).map_or(Slot::FREE, |(_, before)| before);
         match &event.kind {
             K::JobSubmitted { job, name, .. } => {
                 self.jobs.insert(
@@ -313,50 +287,43 @@ impl TraceSink for InvariantChecker {
                 );
             }
             K::TaskLaunched { slot, job, .. } => {
-                let shadow = self.slot(*slot).clone();
-                match shadow.occ {
-                    Occupancy::Free => {}
-                    // A launch on a reserved slot consumes the reservation.
-                    // The owner always may; a foreign job may when the
-                    // policy's ApprovalLogic said yes — a verdict the trace
-                    // does not carry, so the checker accepts any foreign
-                    // launch here rather than second-guess the policy.
-                    Occupancy::Reserved(_) => {}
-                    Occupancy::Running(held) => self.flag(
+                // A launch on a reserved slot consumes the reservation. The
+                // owner always may; a foreign job may when the policy's
+                // ApprovalLogic said yes — a verdict the trace does not
+                // carry, so the checker accepts any foreign launch here
+                // rather than second-guess the policy.
+                if let SlotState::Running { job: held, .. } = before.state {
+                    self.flag(
                         t,
                         "double-launch",
-                        format!(
-                            "launch on slot {slot} already running job {}",
-                            held.as_u64()
-                        ),
-                    ),
+                        format!("launch on slot {slot} already running job {}", held.as_u64()),
+                    );
                 }
-                if shadow.offline {
+                if before.offline {
                     self.flag(
                         t,
                         "launch-offline",
                         format!("job {} launched on out-of-service slot {slot}", job.as_u64()),
                     );
                 }
-                self.slot(*slot).occ = Occupancy::Running(*job);
                 if let Some(j) = self.jobs.get_mut(job) {
                     j.running += 1;
                 }
             }
             K::TaskFinished { slot, job, .. } => {
-                self.check_run_close(t, *slot, *job, "task-finished");
+                self.check_run_close(t, *slot, before, *job, "task-finished");
             }
             K::CopyKilled { slot, job, .. } => {
-                self.check_run_close(t, *slot, *job, "copy-killed");
+                self.check_run_close(t, *slot, before, *job, "copy-killed");
             }
             K::TaskCrashed { slot, job, .. } => {
-                self.check_run_close(t, *slot, *job, "task-crashed");
+                self.check_run_close(t, *slot, before, *job, "task-crashed");
             }
             K::ReservationGranted { slot, job, .. } => {
-                self.check_grant(t, *slot, *job, "reservation-granted");
+                self.check_grant(t, *slot, before, *job, "reservation-granted");
             }
             K::PrereserveFilled { slot, job, priority, .. } => {
-                self.check_grant(t, *slot, *job, "prereserve-filled");
+                self.check_grant(t, *slot, before, *job, "prereserve-filled");
                 let level = priority.level();
                 if let Some(prev) = fill_prev {
                     if level > prev {
@@ -372,36 +339,34 @@ impl TraceSink for InvariantChecker {
                 self.fill_run_prev = Some(level);
             }
             K::ReservationExpired { slot, job } => {
-                self.check_reservation_close(t, *slot, *job, "reservation-expired");
+                self.check_reservation_close(t, *slot, before, *job, "reservation-expired");
             }
             K::ReservationReleased { slot, job } => {
-                self.check_reservation_close(t, *slot, *job, "reservation-released");
+                self.check_reservation_close(t, *slot, before, *job, "reservation-released");
             }
             K::StaleReservationReleased { slot, job, .. } => {
-                self.check_reservation_close(t, *slot, *job, "stale-reservation-released");
+                self.check_reservation_close(t, *slot, before, *job, "stale-reservation-released");
             }
             K::ReservationRevoked { slot, job } => {
-                self.check_reservation_close(t, *slot, *job, "reservation-revoked");
+                self.check_reservation_close(t, *slot, before, *job, "reservation-revoked");
             }
             K::SlotOffline { slot, cause } => {
-                if self.slot(*slot).offline {
+                if before.offline {
                     self.flag(
                         t,
                         "double-offline",
                         format!("slot {slot} taken offline ({cause}) while already offline"),
                     );
                 }
-                self.slot(*slot).offline = true;
             }
             K::SlotOnline { slot } => {
-                if !self.slot(*slot).offline {
+                if !before.offline {
                     self.flag(
                         t,
                         "double-online",
                         format!("slot {slot} brought online while already in service"),
                     );
                 }
-                self.slot(*slot).offline = false;
             }
             K::JobCompleted { job } => {
                 if let Some(j) = self.jobs.get_mut(job) {

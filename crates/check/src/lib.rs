@@ -3,14 +3,14 @@
 //! The verification cascade for the reservation protocol, in two layers:
 //!
 //! 1. **Runtime invariant checking** — [`InvariantChecker`] is an
-//!    `ssr_trace::TraceSink` that shadows the slot pool and per-job
-//!    accounting from the decision-event stream and flags every
-//!    transition the protocol forbids: double slot grants, reservations
-//!    outliving their owner, broken pre-reservation fill order, negative
-//!    running counts, and illegal slot state-machine moves (including the
-//!    fault lifecycle: offline/online must alternate, nothing launches on
-//!    an out-of-service slot). Attach it to any run, or feed it a parsed
-//!    trace after the fact.
+//!    `ssr_trace::TraceSink` that replays the slot pool (`ssr_trace`'s
+//!    `SlotReplay`) and per-job accounting from the decision-event stream and
+//!    flags every transition the protocol forbids: double slot grants,
+//!    reservations outliving their owner, broken pre-reservation fill order,
+//!    negative running counts, and illegal slot state-machine moves (including
+//!    the fault lifecycle: offline/online must alternate, nothing launches on
+//!    an out-of-service slot). Attach it to any run, or feed it a parsed trace
+//!    after the fact.
 //!
 //! 2. **Bounded-exhaustive exploration** — [`explore`] drives the real
 //!    `TaskScheduler` through every interleaving of offer, finish, crash

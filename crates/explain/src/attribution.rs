@@ -33,9 +33,7 @@ use std::fmt;
 
 use ssr_dag::{JobId, StageId};
 use ssr_simcore::SimTime;
-use ssr_trace::{DenyReason, TraceEvent, TraceEventKind};
-
-use crate::reader::Trace;
+use ssr_trace::{DenyReason, Slot, SlotReplay, SlotState, Trace, TraceEvent, TraceEventKind};
 
 /// Attribution failure: the job wasn't found or never completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,10 +236,9 @@ struct Sweep {
     runnable: Vec<bool>,
     /// Running instance count across all slots.
     running: usize,
-    /// Open speculative copies: slot → launch time.
-    copies: Vec<(u32, SimTime)>,
-    /// Cluster-wide out-of-service slot count (from slot-offline/online).
-    offline: usize,
+    /// Every slot's lifecycle: killed copies' launch times and the
+    /// cluster's out-of-service slots.
+    replay: SlotReplay,
     /// End of the last integrated interval; set at `job-submitted`.
     last: Option<SimTime>,
     cause: Cause,
@@ -258,8 +255,7 @@ impl Sweep {
             pending: Vec::new(),
             runnable: Vec::new(),
             running: 0,
-            copies: Vec::new(),
-            offline: 0,
+            replay: SlotReplay::new(),
             last: None,
             cause: Cause::Unattributed,
             profile: BlockedProfile::default(),
@@ -329,6 +325,7 @@ impl Sweep {
         use TraceEventKind as K;
         for event in events {
             let t = event.time;
+            let before = self.replay.apply(event).map_or(Slot::FREE, |(_, before)| before);
             match &event.kind {
                 K::JobSubmitted { job, stages, .. } if *job == self.job => {
                     self.submitted = Some(t);
@@ -349,46 +346,44 @@ impl Sweep {
                     // explained by this decline. A saturated cluster with
                     // slots out of service is a fault symptom, not ramp-up.
                     self.advance(t);
+                    let offline = || self.replay.slots().iter().any(|s| s.offline);
                     self.cause =
-                        if *reason == DenyReason::NoFittingSlot && self.offline > 0 {
+                        if *reason == DenyReason::NoFittingSlot && offline() {
                             Cause::FaultRecovery
                         } else {
                             Cause::of(*reason)
                         };
                 }
-                K::TaskLaunched { job, stage, speculative, slot, .. } if *job == self.job => {
+                K::TaskLaunched { job, stage, speculative, .. } if *job == self.job => {
                     self.advance(t);
                     self.running += 1;
-                    if *speculative {
-                        self.copies.push((*slot, t));
-                    } else if let Some(idx) = self.stage_idx(*stage) {
-                        self.pending[idx] = self.pending[idx].saturating_sub(1);
+                    if !*speculative {
+                        if let Some(idx) = self.stage_idx(*stage) {
+                            self.pending[idx] = self.pending[idx].saturating_sub(1);
+                        }
                     }
                 }
-                K::TaskFinished { job, slot, .. } if *job == self.job => {
+                // A finishing speculative copy won its race; no waste.
+                K::TaskFinished { job, .. } if *job == self.job => {
                     self.advance(t);
                     self.running = self.running.saturating_sub(1);
-                    // A finishing speculative copy won its race; no waste.
-                    self.copies.retain(|(s, _)| s != slot);
                 }
-                K::CopyKilled { job, slot, .. } if *job == self.job => {
+                K::CopyKilled { job, .. } if *job == self.job => {
                     self.advance(t);
                     self.running = self.running.saturating_sub(1);
-                    if let Some(pos) = self.copies.iter().position(|(s, _)| s == slot) {
-                        let (_, launched) = self.copies.remove(pos);
+                    if let SlotState::Running { since, speculative: true, .. } = before.state {
                         self.profile.speculation_wasted_secs +=
-                            t.saturating_since(launched).as_secs_f64();
+                            t.saturating_since(since).as_secs_f64();
                     }
                 }
                 K::JobCompleted { job } if *job == self.job => {
                     self.advance(t);
                     self.completed = Some(t);
                 }
-                K::TaskCrashed { job, slot, stage, requeued, .. } if *job == self.job => {
+                // A crashed copy is fault loss, not speculation waste.
+                K::TaskCrashed { job, stage, requeued, .. } if *job == self.job => {
                     self.advance(t);
                     self.running = self.running.saturating_sub(1);
-                    // A crashed copy is fault loss, not speculation waste.
-                    self.copies.retain(|(s, _)| s != slot);
                     if *requeued {
                         if let Some(idx) = self.stage_idx(*stage) {
                             self.pending[idx] += 1;
@@ -401,12 +396,6 @@ impl Sweep {
                     // stall that follows is fault-induced.
                     self.advance(t);
                     self.cause = Cause::FaultRecovery;
-                }
-                K::SlotOffline { .. } => {
-                    self.offline += 1;
-                }
-                K::SlotOnline { .. } => {
-                    self.offline = self.offline.saturating_sub(1);
                 }
                 _ => {}
             }

@@ -6,11 +6,10 @@
 //! back and answering the question the paper's evaluation keeps asking:
 //! *where did the foreground job's time go?*
 //!
-//! Three layers build on each other:
+//! The reader itself lives beside the writer in `ssr-trace`
+//! ([`parse_trace`], schema v1 through v3, re-exported here). Three layers
+//! build on the parsed stream:
 //!
-//! - [`reader`] parses and schema-validates a JSONL trace back into the
-//!   typed [`ssr_trace::TraceEvent`] stream (lossless round-trip, schema
-//!   v1 and v2);
 //! - [`timeline`] replays the stream into per-slot occupancy segments,
 //!   per-job running / reserved-idle / waiting interval sets, per-stage
 //!   lifecycle marks, stage critical paths, and an ASCII gantt;
@@ -39,14 +38,10 @@
 #![warn(missing_docs)]
 
 pub mod attribution;
-pub mod reader;
 pub mod report;
 pub mod timeline;
 
-#[cfg(test)]
-pub(crate) mod test_events;
-
 pub use attribution::{attribute, blocked_profile, Attribution, AttributionError, BlockedProfile};
-pub use reader::{parse_trace, ReadError, Trace, ALL_EVENT_NAMES};
+pub use ssr_trace::{parse_trace, ReadError, SlotState, Trace};
 pub use report::{explain, Report, REPORT_VERSION};
-pub use timeline::{CriticalHop, Interval, JobTimeline, SlotState, StageTimeline, Timeline};
+pub use timeline::{CriticalHop, Interval, JobTimeline, StageTimeline, Timeline};

@@ -6,9 +6,9 @@
 //! same input yields byte-identical output, and CI diffs exactly that.
 
 use serde::Value;
+use ssr_trace::Trace;
 
 use crate::attribution::{attribute, Attribution, AttributionError};
-use crate::reader::Trace;
 use crate::timeline::{total_secs, Timeline};
 
 /// Version of the *report* format (independent of the trace schema);
@@ -271,16 +271,7 @@ impl serde::Serialize for Raw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::parse_trace;
-    use ssr_trace::{JsonlSink, TraceSink};
-
-    fn fixture_trace() -> Trace {
-        let mut sink = JsonlSink::new();
-        for e in crate::test_events::one_of_each() {
-            sink.record(&e);
-        }
-        parse_trace(&sink.finish()).expect("fixture parses")
-    }
+    use crate::timeline::tests::two_stage_trace as fixture_trace;
 
     #[test]
     fn text_report_is_byte_stable() {

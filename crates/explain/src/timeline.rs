@@ -2,9 +2,10 @@
 //! per-slot occupancy, per-job activity intervals and per-stage lifecycle
 //! marks.
 //!
-//! The reconstruction replays the trace through a small slot state machine
-//! (free → reserved → running → free …) mirroring the scheduler's own slot
-//! pool, then derives interval sets from the resulting segments:
+//! Slot lifecycles come from `ssr-trace`'s [`SlotReplay`], the state
+//! machine the invariant checker and `MetricsSink` read too. The timeline
+//! draws each slot's replayed state as a run of [`Segment`]s and derives
+//! interval sets from the drawn segments:
 //!
 //! - **running** — union of times the job had at least one instance on a
 //!   slot (speculative copies included);
@@ -12,6 +13,16 @@
 //!   the job without running anything;
 //! - **waiting** — the job's lifetime minus its running union: time it was
 //!   submitted but made no forward progress anywhere.
+//!
+//! **Out-of-service slots draw Free.** At `slot-offline` the timeline ends
+//! whatever was drawn on the slot, so a partition survivor's instance ends
+//! there, and the close event that follows adds nothing; at the horizon
+//! only slots still drawn busy are closed. The checker and the metrics, by
+//! contrast, count the survivor as running until its `task-finished`.
+//! The pinned explain digests depend on this rule, so aligning the
+//! timeline with the other two is left to a change that may re-record
+//! them. (If the partition heals before the survivor finishes, the slot
+//! draws as running again from `slot-online`.)
 //!
 //! [`Timeline::render_gantt`] draws the slot matrix as fixed-width ASCII
 //! (the shape of Fig. 5's sawtooth is directly visible in the per-job
@@ -21,9 +32,7 @@ use std::collections::BTreeMap;
 
 use ssr_dag::{JobId, StageId};
 use ssr_simcore::SimTime;
-use ssr_trace::{TraceEvent, TraceEventKind};
-
-use crate::reader::Trace;
+use ssr_trace::{SlotReplay, SlotState, Trace, TraceEvent, TraceEventKind};
 
 /// A half-open time interval `[start, end)` in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,22 +96,6 @@ fn subtract(a: Interval, b: &[Interval]) -> Vec<Interval> {
         out.push(Interval { start: cursor, end: a.end });
     }
     out
-}
-
-/// What one slot is doing over one segment of time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotState {
-    /// Unowned and idle.
-    Free,
-    /// Held idle under a reservation for the job.
-    Reserved(JobId),
-    /// Occupied by a task instance of the job.
-    Running {
-        /// The owning job.
-        job: JobId,
-        /// Whether the instance is a speculative copy.
-        speculative: bool,
-    },
 }
 
 /// A state change on one slot; the segment lasts until the next change (or
@@ -261,7 +254,7 @@ impl Timeline {
         for slot in 0..self.slots {
             match self.slot_state(slot, t) {
                 SlotState::Free => counts.0 += 1,
-                SlotState::Reserved(_) => counts.1 += 1,
+                SlotState::Reserved { .. } => counts.1 += 1,
                 SlotState::Running { .. } => counts.2 += 1,
             }
         }
@@ -321,8 +314,8 @@ impl Timeline {
             for i in 0..width {
                 row.push(match self.slot_state(slot, col_mid(i)) {
                     SlotState::Free => '.',
-                    SlotState::Reserved(_) => '=',
-                    SlotState::Running { job, speculative } => {
+                    SlotState::Reserved { .. } => '=',
+                    SlotState::Running { job, speculative, .. } => {
                         let c = letter_of.get(&job).copied().unwrap_or('?');
                         if speculative {
                             c.to_ascii_lowercase()
@@ -367,12 +360,9 @@ struct JobScratch {
 struct Builder {
     slots: usize,
     jobs: BTreeMap<JobId, JobScratch>,
-    /// Current state and segment history per slot.
+    replay: SlotReplay,
+    /// Drawn segments per slot; the last one is what the slot shows now.
     segments: Vec<Vec<Segment>>,
-    /// Open running instance per slot: (job, start, speculative).
-    open_run: BTreeMap<usize, (JobId, SimTime, bool)>,
-    /// Open reservation per slot: (job, start).
-    open_reservation: BTreeMap<usize, (JobId, SimTime)>,
 }
 
 impl Builder {
@@ -385,47 +375,48 @@ impl Builder {
         }
     }
 
-    fn transition(&mut self, slot: usize, at: SimTime, state: SlotState) {
-        self.ensure_slot(slot);
-        let segments = &mut self.segments[slot];
+    /// Redraws `slot` from the replay at `at`. When what the slot shows
+    /// changes, the drawn run or reservation it showed becomes an instance
+    /// or reserved-idle interval of its job.
+    fn draw(&mut self, slot: u32, at: SimTime) {
+        let idx = slot as usize;
+        self.ensure_slot(idx);
+        let now = self.replay.slot(slot);
+        let state = if now.offline { SlotState::Free } else { now.state };
+        let segments = &mut self.segments[idx];
+        let shown = segments.last().copied();
+        if shown.map_or(SlotState::Free, |s| s.state) == state {
+            return;
+        }
         match segments.last_mut() {
             // Same-timestamp transitions collapse (e.g. task-finished then
             // reservation-granted on the same slot in one scheduler step):
             // the last state at a timestamp wins, matching the pool state
             // the scheduler leaves behind.
             Some(last) if last.start == at => last.state = state,
-            Some(last) if last.state == state => {}
             _ => segments.push(Segment { start: at, state }),
         }
-    }
-
-    fn close_run(&mut self, slot: usize, at: SimTime) {
-        if let Some((job, start, speculative)) = self.open_run.remove(&slot) {
-            if let Some(scratch) = self.jobs.get_mut(&job) {
-                scratch.instances.push((Interval { start, end: at }, speculative));
-            }
+        if let Some(shown) = shown {
+            self.close(shown, at);
         }
     }
 
-    fn close_reservation(&mut self, slot: usize, at: SimTime) {
-        if let Some((job, start)) = self.open_reservation.remove(&slot) {
-            if let Some(scratch) = self.jobs.get_mut(&job) {
-                scratch.reserved.push(Interval { start, end: at });
+    /// Ends a drawn segment at `end`, recording its job's interval.
+    fn close(&mut self, shown: Segment, end: SimTime) {
+        let iv = Interval { start: shown.start, end };
+        match shown.state {
+            SlotState::Free => {}
+            SlotState::Reserved { job, .. } => {
+                if let Some(scratch) = self.jobs.get_mut(&job) {
+                    scratch.reserved.push(iv);
+                }
+            }
+            SlotState::Running { job, speculative, .. } => {
+                if let Some(scratch) = self.jobs.get_mut(&job) {
+                    scratch.instances.push((iv, speculative));
+                }
             }
         }
-    }
-
-    fn reserve_slot(&mut self, slot: usize, job: JobId, at: SimTime) {
-        self.close_run(slot, at);
-        self.close_reservation(slot, at);
-        self.open_reservation.insert(slot, (job, at));
-        self.transition(slot, at, SlotState::Reserved(job));
-    }
-
-    fn free_slot(&mut self, slot: usize, at: SimTime) {
-        self.close_run(slot, at);
-        self.close_reservation(slot, at);
-        self.transition(slot, at, SlotState::Free);
     }
 
     fn replay(mut self, events: &[TraceEvent]) -> Timeline {
@@ -433,6 +424,9 @@ impl Builder {
         let horizon = events.last().map(|e| e.time).unwrap_or(SimTime::ZERO);
         for event in events {
             let t = event.time;
+            if let Some((slot, _)) = self.replay.apply(event) {
+                self.draw(slot, t);
+            }
             match &event.kind {
                 K::JobSubmitted { job, name, priority, stages } => {
                     let scratch = self.jobs.entry(*job).or_default();
@@ -462,12 +456,7 @@ impl Builder {
                         self.ensure_slot(pool - 1);
                     }
                 }
-                K::TaskLaunched { slot, job, stage, speculative, .. } => {
-                    let slot = *slot as usize;
-                    self.close_run(slot, t);
-                    self.close_reservation(slot, t);
-                    self.open_run.insert(slot, (*job, t, *speculative));
-                    self.transition(slot, t, SlotState::Running { job: *job, speculative: *speculative });
+                K::TaskLaunched { job, stage, .. } => {
                     let scratch = self.jobs.entry(*job).or_default();
                     let entry = scratch.stages.entry(*stage).or_insert_with(|| StageTimeline {
                         stage: *stage,
@@ -480,17 +469,6 @@ impl Builder {
                     if entry.first_launch.is_none() {
                         entry.first_launch = Some(t);
                     }
-                }
-                K::TaskFinished { slot, .. } | K::CopyKilled { slot, .. } => {
-                    self.free_slot(*slot as usize, t);
-                }
-                K::ReservationGranted { slot, job, .. } | K::PrereserveFilled { slot, job, .. } => {
-                    self.reserve_slot(*slot as usize, *job, t);
-                }
-                K::ReservationExpired { slot, .. }
-                | K::ReservationReleased { slot, .. }
-                | K::StaleReservationReleased { slot, .. } => {
-                    self.free_slot(*slot as usize, t);
                 }
                 K::BarrierCleared { job, stage } => {
                     if let Some(s) = self.jobs.get_mut(job).and_then(|j| j.stages.get_mut(stage)) {
@@ -507,31 +485,17 @@ impl Builder {
                         j.completed = Some(t);
                     }
                 }
-                // A crash closes the victim's run; a revocation closes the
-                // reservation. The paired slot-offline event then leaves the
-                // slot rendered Free (out-of-service shading is a job-level
-                // concern the attribution layer handles).
-                K::TaskCrashed { slot, .. } | K::ReservationRevoked { slot, .. } => {
-                    self.free_slot(*slot as usize, t);
-                }
-                K::SlotOffline { slot, .. } => {
-                    self.free_slot(*slot as usize, t);
-                }
-                K::OfferRoundEnded { .. }
-                | K::OfferDeclined { .. }
-                | K::LocalityUnlocked
-                | K::SlotOnline { .. } => {}
+                // Slot events were drawn above; the rest carry no
+                // timeline marks.
+                _ => {}
             }
         }
-        // Close instances and reservations still open at the horizon
-        // (truncated traces, e.g. --stop-after runs).
-        let open_slots: Vec<usize> = self.open_run.keys().copied().collect();
-        for slot in open_slots {
-            self.close_run(slot, horizon);
-        }
-        let open_slots: Vec<usize> = self.open_reservation.keys().copied().collect();
-        for slot in open_slots {
-            self.close_reservation(slot, horizon);
+        // Close whatever is still drawn busy at the horizon (truncated
+        // traces, e.g. --stop-after runs).
+        for idx in 0..self.segments.len() {
+            if let Some(&shown) = self.segments[idx].last() {
+                self.close(shown, horizon);
+            }
         }
 
         let jobs = std::mem::take(&mut self.jobs)
@@ -562,7 +526,7 @@ impl Builder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ssr_dag::Priority;
     use ssr_trace::StageMeta;
@@ -578,7 +542,7 @@ mod tests {
     /// A hand-written two-stage run on a 2-slot cluster: stage 0 (2 tasks)
     /// runs 0..2 on both slots, slot 1 is then reserved until stage 1's
     /// single task consumes it at t=3 and finishes at t=5.
-    fn two_stage_trace() -> Trace {
+    pub(crate) fn two_stage_trace() -> Trace {
         use TraceEventKind as K;
         let job = JobId::new(0);
         let s0 = StageId::new(0);
@@ -659,8 +623,11 @@ mod tests {
         assert_eq!(job.waiting, vec![iv(2.5, 3.0)]);
         assert!((total_secs(&job.running) - 4.5).abs() < 1e-9);
         // Slot states at probe points.
-        assert_eq!(tl.slot_state(1, t(1.0)), SlotState::Running { job: job.job, speculative: false });
-        assert_eq!(tl.slot_state(1, t(2.2)), SlotState::Reserved(job.job));
+        assert_eq!(
+            tl.slot_state(1, t(1.0)),
+            SlotState::Running { job: job.job, since: t(0.0), speculative: false }
+        );
+        assert_eq!(tl.slot_state(1, t(2.2)), SlotState::Reserved { job: job.job, since: t(2.0) });
         assert_eq!(tl.slot_state(0, t(3.0)), SlotState::Free);
         assert_eq!(tl.occupancy(t(2.2)), (0, 1, 1));
         // Stage marks.
@@ -705,5 +672,58 @@ mod tests {
         let tl = Timeline::reconstruct(&Trace { schema_version: 2, events: vec![] });
         assert_eq!(tl.slots, 0);
         assert!(tl.render_gantt(40).contains("empty trace"));
+    }
+
+    /// A partition survivor: slot 0 runs a task, goes offline at t=1 and
+    /// finishes out of service at t=3. The timeline ends the instance and
+    /// draws the slot Free at `slot-offline`; the checker and the metrics
+    /// keep it running until `task-finished`. The pinned explain digests
+    /// hold the timeline to this rule.
+    #[test]
+    fn partition_survivor_draws_free_from_slot_offline() {
+        use ssr_trace::{MetricsSink, TraceSink};
+        use TraceEventKind as K;
+        let job = JobId::new(0);
+        let s0 = StageId::new(0);
+        let events = vec![
+            TraceEvent::new(
+                t(0.0),
+                K::JobSubmitted {
+                    job,
+                    name: "fg".into(),
+                    priority: Priority::new(10),
+                    stages: vec![StageMeta { tasks: 1, parents: vec![] }],
+                },
+            ),
+            TraceEvent::new(
+                t(0.0),
+                K::TaskLaunched { slot: 0, job, stage: s0, partition: 0, attempt: 0, level: "ANY", speculative: false, warm: false },
+            ),
+            TraceEvent::new(t(1.0), K::SlotOffline { slot: 0, cause: "partition" }),
+            TraceEvent::new(
+                t(3.0),
+                K::TaskFinished { slot: 0, job, stage: s0, partition: 0, attempt: 0, duration_secs: 3.0 },
+            ),
+            TraceEvent::new(t(3.0), K::StageCompleted { job, stage: s0 }),
+            TraceEvent::new(t(3.0), K::JobCompleted { job }),
+            TraceEvent::new(t(4.0), K::SlotOnline { slot: 0 }),
+        ];
+        let tl = Timeline::reconstruct(&Trace { schema_version: 3, events: events.clone() });
+        let fg = &tl.jobs[0];
+        assert_eq!(fg.instances, vec![(iv(0.0, 1.0), false)]);
+        assert_eq!(fg.running, vec![iv(0.0, 1.0)]);
+        assert_eq!(fg.waiting, vec![iv(1.0, 3.0)]);
+        assert_eq!(tl.slot_state(0, t(0.5)), SlotState::Running { job, since: t(0.0), speculative: false });
+        assert_eq!(tl.slot_state(0, t(2.0)), SlotState::Free);
+        assert_eq!(tl.slot_state(0, t(4.0)), SlotState::Free);
+
+        let check = ssr_check::InvariantChecker::new().check_all(&events);
+        assert!(check.is_clean(), "{}", check.render_text());
+
+        let mut metrics = MetricsSink::new();
+        for e in &events {
+            metrics.record(e);
+        }
+        assert_eq!(metrics.report().slot_seconds_per_job[&0], 3.0);
     }
 }

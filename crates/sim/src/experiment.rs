@@ -282,92 +282,6 @@ impl Experiment {
         self
     }
 
-    /// Runs one foreground job alone (work-conserving — reservations are
-    /// irrelevant without contention, and any injected fault plan is
-    /// stripped: the baseline measures the undisturbed job) and returns
-    /// the full report.
-    fn alone_report(&self, job: &JobSpec) -> SimReport {
-        Simulation::new(
-            self.sim_config.clone().without_faults(),
-            PolicyConfig::WorkConserving,
-            self.order,
-            vec![job.clone()],
-        )
-        .run()
-    }
-
-    /// [`alone_report`](Self::alone_report) with a JSONL decision-trace
-    /// sink attached, returning the report and the rendered trace.
-    fn alone_report_traced(&self, job: &JobSpec) -> (SimReport, String) {
-        let (report, sink) = Simulation::new(
-            self.sim_config.clone().without_faults(),
-            PolicyConfig::WorkConserving,
-            self.order,
-            vec![job.clone()],
-        )
-        .with_trace_sink(Box::new(ssr_trace::JsonlSink::new()))
-        .run_traced();
-        let jsonl = sink
-            .expect("sink attached above")
-            .into_any()
-            .downcast::<ssr_trace::JsonlSink>()
-            .expect("JsonlSink recovered")
-            .finish();
-        (report, jsonl)
-    }
-
-    /// Runs one foreground job alone (work-conserving — reservations are
-    /// irrelevant without contention) and returns its JCT in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job does not finish within the horizon.
-    pub fn run_alone(&self, job: &JobSpec) -> f64 {
-        self.alone_report(job)
-            .jct_secs(job.name())
-            .unwrap_or_else(|| panic!("job {} did not finish alone", job.name()))
-    }
-
-    /// Runs the contended mix and returns the full report.
-    pub fn run_contended(&self) -> SimReport {
-        self.run_contended_traced(None).0
-    }
-
-    /// Runs the contended mix with an optional scheduler decision-trace
-    /// sink attached, returning the report and the sink (pass-through
-    /// `None` when no sink was given).
-    pub fn run_contended_traced(
-        &self,
-        sink: Option<Box<dyn ssr_trace::TraceSink>>,
-    ) -> (SimReport, Option<Box<dyn ssr_trace::TraceSink>>) {
-        let (report, sink, _) = self.run_contended_instrumented(sink, None);
-        (report, sink)
-    }
-
-    /// [`run_contended_traced`](Experiment::run_contended_traced) plus an
-    /// optional wall-clock span profiler, returned with its aggregated
-    /// spans after the run.
-    fn run_contended_instrumented(
-        &self,
-        sink: Option<Box<dyn ssr_trace::TraceSink>>,
-        profiler: Option<Box<SpanProfiler>>,
-    ) -> (SimReport, Option<Box<dyn ssr_trace::TraceSink>>, Option<Box<SpanProfiler>>) {
-        let mut jobs = self.foreground.clone();
-        jobs.extend(self.background.iter().cloned());
-        let mut sim =
-            Simulation::new(self.sim_config.clone(), self.policy.clone(), self.order, jobs);
-        if let Some(sink) = sink {
-            sim = sim.with_trace_sink(sink);
-        }
-        if let Some(profiler) = profiler {
-            sim = sim.with_span_profiler(profiler);
-        }
-        if let Some(every) = self.progress_every {
-            sim = sim.with_progress_heartbeat(every);
-        }
-        sim.run_instrumented()
-    }
-
     /// Runs the complete experiment: alone baselines + contended run +
     /// slowdowns. The per-job alone baselines are independent simulations
     /// and fan out across the runner's worker pool; results are merged in
@@ -377,24 +291,12 @@ impl Experiment {
     ///
     /// Panics if a foreground job fails to finish in either setting.
     pub fn run(&self) -> ExperimentOutcome {
-        self.run_traced(None).0
+        self.run_instrumented(None, None, false).0
     }
 
     /// [`run`](Experiment::run) with an optional decision-trace sink on
-    /// the *contended* simulation. The alone baselines are not traced on
-    /// this path; use
-    /// [`run_traced_with_baselines`](Experiment::run_traced_with_baselines)
-    /// when the attribution reference is needed.
-    pub fn run_traced(
-        &self,
-        sink: Option<Box<dyn ssr_trace::TraceSink>>,
-    ) -> (ExperimentOutcome, Option<Box<dyn ssr_trace::TraceSink>>) {
-        let (outcome, sink, _, _) = self.run_instrumented(sink, None, false);
-        (outcome, sink)
-    }
-
-    /// [`run_traced`](Experiment::run_traced) plus a JSONL decision trace
-    /// of every run-alone baseline, in foreground order.
+    /// the *contended* simulation, plus a JSONL decision trace of every
+    /// run-alone baseline, in foreground order.
     ///
     /// Attaching the baseline sinks never changes the simulations
     /// themselves (tracing is observation-only), so the outcome is
@@ -413,6 +315,10 @@ impl Experiment {
     /// optional JSONL traces of the alone baselines. Instrumentation is
     /// observation-only — the outcome is byte-identical to
     /// [`run`](Experiment::run) whatever is attached.
+    ///
+    /// Each foreground job's baseline runs alone, work-conserving
+    /// (reservations are irrelevant without contention) and without the
+    /// fault plan: it measures the undisturbed job.
     pub fn run_instrumented(
         &self,
         sink: Option<Box<dyn ssr_trace::TraceSink>>,
@@ -420,31 +326,47 @@ impl Experiment {
         trace_baselines: bool,
     ) -> InstrumentedOutcome {
         let started = crate::walltime::Stopwatch::start();
-        let (contended, sink, profiler) = self.run_contended_instrumented(sink, profiler);
-        let alone_runs: Vec<(SimReport, Option<String>)> = crate::runner::par_map(
+        let mut jobs = self.foreground.clone();
+        jobs.extend(self.background.iter().cloned());
+        let mut sim =
+            Simulation::new(self.sim_config.clone(), self.policy.clone(), self.order, jobs);
+        if let Some(sink) = sink {
+            sim = sim.with_trace_sink(sink);
+        }
+        if let Some(profiler) = profiler {
+            sim = sim.with_span_profiler(profiler);
+        }
+        if let Some(every) = self.progress_every {
+            sim = sim.with_progress_heartbeat(every);
+        }
+        let (contended, sink, profiler) = sim.run_instrumented();
+        let alone_runs: Vec<(SimReport, Option<AloneTrace>)> = crate::runner::par_map(
             crate::runner::worker_count(),
             &self.foreground,
             |job| {
-                if trace_baselines {
-                    let (report, jsonl) = self.alone_report_traced(job);
-                    (report, Some(jsonl))
-                } else {
-                    (self.alone_report(job), None)
+                let alone = Simulation::new(
+                    self.sim_config.clone().without_faults(),
+                    PolicyConfig::WorkConserving,
+                    self.order,
+                    vec![job.clone()],
+                );
+                if !trace_baselines {
+                    return (alone.run(), None);
                 }
+                let (report, sink) =
+                    alone.with_trace_sink(Box::new(ssr_trace::JsonlSink::new())).run_traced();
+                let jsonl = sink
+                    .expect("sink attached above")
+                    .into_any()
+                    .downcast::<ssr_trace::JsonlSink>()
+                    .expect("JsonlSink recovered")
+                    .finish();
+                (report, Some(AloneTrace { job: job.name().to_owned(), jsonl }))
             },
         );
-        let alone_traces: Vec<AloneTrace> = self
-            .foreground
-            .iter()
-            .zip(&alone_runs)
-            .filter_map(|(job, (_, jsonl))| {
-                jsonl.as_ref().map(|jsonl| AloneTrace {
-                    job: job.name().to_owned(),
-                    jsonl: jsonl.clone(),
-                })
-            })
-            .collect();
-        let alone_reports: Vec<&SimReport> = alone_runs.iter().map(|(r, _)| r).collect();
+        let (alone_reports, alone_traces): (Vec<SimReport>, Vec<Option<AloneTrace>>) =
+            alone_runs.into_iter().unzip();
+        let alone_traces: Vec<AloneTrace> = alone_traces.into_iter().flatten().collect();
         let mut events_processed = contended.events_processed;
         let counters = contended.counters.clone();
         let foreground = self

@@ -294,6 +294,33 @@ impl TraceEventKind {
     }
 }
 
+/// Every event name the schema defines, in declaration order. The
+/// exhaustive `match` in [`TraceEventKind::name`] is the compile-time
+/// witness that every variant has a name; the every-variant round-trip
+/// test checks this list against it.
+pub const ALL_EVENT_NAMES: [&str; 20] = [
+    "job-submitted",
+    "offer-round-started",
+    "offer-round-ended",
+    "offer-declined",
+    "task-launched",
+    "task-finished",
+    "copy-killed",
+    "reservation-granted",
+    "prereserve-filled",
+    "reservation-expired",
+    "reservation-released",
+    "stale-reservation-released",
+    "barrier-cleared",
+    "stage-completed",
+    "job-completed",
+    "locality-unlocked",
+    "task-crashed",
+    "reservation-revoked",
+    "slot-offline",
+    "slot-online",
+];
+
 /// A timestamped scheduler decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {

@@ -18,6 +18,12 @@
 //! - [`MetricsSink`] folds the stream into a [`MetricsReport`] of counters
 //!   and histograms (`ssr-cli run --metrics`).
 //!
+//! The crate also owns the two things every trace consumer needs:
+//! [`parse_trace`], the inverse of `JsonlSink` (the writer and reader share
+//! one module, so the format is spelled once), and [`SlotReplay`], the one
+//! per-slot state machine that `ssr-check`, `ssr-explain` and
+//! `MetricsSink` read slot lifecycles from.
+//!
 //! Everything here obeys the workspace determinism contract (see
 //! EXPERIMENTS.md): simulated time only, `BTreeMap` state, no wall-clock —
 //! two runs with the same seed yield byte-identical traces.
@@ -25,97 +31,38 @@
 #![warn(missing_docs)]
 
 mod event;
+mod jsonl;
 mod metrics;
+mod replay;
 mod sink;
 
-pub use event::{DenyReason, StageMeta, TraceEvent, TraceEventKind};
+pub use event::{DenyReason, StageMeta, TraceEvent, TraceEventKind, ALL_EVENT_NAMES};
+pub use jsonl::{parse_trace, JsonlSink, ReadError, Trace, SCHEMA_VERSION};
 pub use metrics::{Histogram, MetricsReport, MetricsSink, HOLD_TIME_BOUNDS_SECS};
-pub use sink::{JsonlSink, SplitSink, TraceSink, VecSink, SCHEMA_VERSION};
+pub use replay::{Slot, SlotReplay, SlotState};
+pub use sink::{SplitSink, TraceSink, VecSink};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssr_dag::{JobId, Priority, StageId};
-    use ssr_simcore::SimTime;
-
-    fn sample_events() -> Vec<TraceEvent> {
-        let job = JobId::new(3);
-        let t0 = SimTime::ZERO;
-        let t1 = SimTime::from_secs_f64(1.5);
-        let t2 = SimTime::from_secs_f64(4.0);
-        vec![
-            TraceEvent::new(
-                t0,
-                TraceEventKind::JobSubmitted {
-                    job,
-                    name: "fg".into(),
-                    priority: Priority::new(10),
-                    stages: vec![
-                        StageMeta { tasks: 4, parents: vec![] },
-                        StageMeta { tasks: 2, parents: vec![StageId::new(0)] },
-                    ],
-                },
-            ),
-            TraceEvent::new(
-                t0,
-                TraceEventKind::OfferRoundStarted { free: 4, running: 0, reserved: 0 },
-            ),
-            TraceEvent::new(
-                t0,
-                TraceEventKind::TaskLaunched {
-                    slot: 0,
-                    job,
-                    stage: StageId::new(0),
-                    partition: 0,
-                    attempt: 0,
-                    level: "node-local",
-                    speculative: false,
-                    warm: false,
-                },
-            ),
-            TraceEvent::new(t0, TraceEventKind::OfferRoundEnded { assignments: 1 }),
-            TraceEvent::new(
-                t1,
-                TraceEventKind::TaskFinished {
-                    slot: 0,
-                    job,
-                    stage: StageId::new(0),
-                    partition: 0,
-                    attempt: 0,
-                    duration_secs: 1.5,
-                },
-            ),
-            TraceEvent::new(
-                t1,
-                TraceEventKind::ReservationGranted {
-                    slot: 0,
-                    job,
-                    priority: Priority::new(10),
-                    stage: Some(StageId::new(1)),
-                    deadline_secs: Some(31.5),
-                },
-            ),
-            TraceEvent::new(t2, TraceEventKind::ReservationExpired { slot: 0, job }),
-            TraceEvent::new(t2, TraceEventKind::JobCompleted { job }),
-        ]
-    }
+    use crate::jsonl::tests::every_variant;
 
     #[test]
     fn vec_sink_keeps_emission_order() {
         let mut sink = VecSink::new();
-        for e in sample_events() {
+        for e in every_variant() {
             sink.record(&e);
         }
-        assert_eq!(sink.events().len(), 8);
+        assert_eq!(sink.events().len(), 20);
         assert_eq!(sink.events()[0].kind.name(), "job-submitted");
-        assert_eq!(sink.events()[7].kind.name(), "job-completed");
+        assert_eq!(sink.events()[19].kind.name(), "slot-online");
     }
 
     #[test]
     fn jsonl_output_is_byte_stable() {
         let render = || {
             let mut sink = JsonlSink::new();
-            for e in sample_events() {
+            for e in every_variant() {
                 sink.record(&e);
             }
             sink.finish()
@@ -129,12 +76,12 @@ mod tests {
     #[test]
     fn jsonl_header_and_line_shape() {
         let mut sink = JsonlSink::new();
-        for e in sample_events() {
+        for e in every_variant() {
             sink.record(&e);
         }
         let out = sink.finish();
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 9);
+        assert_eq!(lines.len(), 21);
         assert_eq!(
             lines[0],
             r#"{"event":"trace-start","fields":{"schema_version":3},"seq":0,"time_secs":0.0}"#
@@ -142,15 +89,15 @@ mod tests {
         assert_eq!(
             lines[1],
             concat!(
-                r#"{"event":"job-submitted","fields":{"job":3,"name":"fg","priority":10,"#,
-                r#""stages":[{"parents":[],"tasks":4},{"parents":[0],"tasks":2}]},"seq":1,"time_secs":0.0}"#
+                r#"{"event":"job-submitted","fields":{"job":5,"name":"fixture","priority":-2,"#,
+                r#""stages":[{"parents":[],"tasks":3},{"parents":[0],"tasks":1}]},"seq":1,"time_secs":0.0}"#
             )
         );
         assert_eq!(
-            lines[3],
+            lines[5],
             concat!(
-                r#"{"event":"task-launched","fields":{"attempt":0,"job":3,"level":"node-local","#,
-                r#""partition":0,"slot":0,"speculative":false,"stage":0,"warm":false},"seq":3,"time_secs":0.0}"#
+                r#"{"event":"task-launched","fields":{"attempt":1,"job":5,"level":"RACK_LOCAL","#,
+                r#""partition":2,"slot":3,"speculative":true,"stage":0,"warm":true},"seq":5,"time_secs":0.0}"#
             )
         );
         // Every line carries a strictly increasing seq.
@@ -162,25 +109,43 @@ mod tests {
     #[test]
     fn metrics_sink_aggregates_counters_and_hold_times() {
         let mut sink = MetricsSink::new();
-        for e in sample_events() {
+        for e in every_variant() {
             sink.record(&e);
         }
         let report = sink.into_report();
-        assert_eq!(report.jobs_submitted, 1);
-        assert_eq!(report.jobs_completed, 1);
-        assert_eq!(report.offer_rounds, 1);
-        assert_eq!(report.tasks_launched, 1);
-        assert_eq!(report.reservations_granted, 1);
-        assert_eq!(report.reservations_expired, 1);
-        // One reservation held from t=1.5 to t=4.0.
-        assert_eq!(report.reservation_hold_secs.count, 1);
-        assert!((report.reservation_hold_secs.sum - 2.5).abs() < 1e-9);
-        // One task busy on slot 0 from t=0 to t=1.5 for job 3.
-        assert!((report.slot_seconds_per_job[&3] - 1.5).abs() < 1e-9);
-        assert_eq!(report.speculation_win_rate(), None);
+        // One event of each kind: every counter reads 1.
+        for n in [
+            report.jobs_submitted,
+            report.jobs_completed,
+            report.offer_rounds,
+            report.tasks_launched,
+            report.speculative_launched,
+            report.copy_wins,
+            report.copy_kills,
+            report.reservations_granted,
+            report.prereserves_filled,
+            report.reservations_expired,
+            report.reservations_released,
+            report.stale_reservations_released,
+            report.tasks_crashed,
+            report.reservations_revoked,
+            report.barriers_cleared,
+            report.locality_unlocks,
+        ] {
+            assert_eq!(n, 1);
+        }
+        // Slot 0 is held 1.5..2.5 and slot 3 1.25..3.0; events on slots
+        // that hold nothing close nothing.
+        assert_eq!(report.reservation_hold_secs.count, 2);
+        assert!((report.reservation_hold_secs.sum - 2.75).abs() < 1e-9);
+        // The copy ran on slot 3 from t=0 to t=1.25 for job 5.
+        assert_eq!(report.slot_seconds_per_job.len(), 1);
+        assert!((report.slot_seconds_per_job[&5] - 1.25).abs() < 1e-9);
+        assert_eq!(report.speculation_win_rate(), Some(1.0));
         let text = report.render_text();
         assert!(text.contains("jobs: 1 submitted, 1 completed"));
-        assert!(text.contains("job-3: 1.5"));
+        assert!(text.contains("reservation-denied: 1"));
+        assert!(text.contains("job-5: 1.2"), "{text}");
     }
 
     #[test]
@@ -259,7 +224,7 @@ mod tests {
     fn metrics_json_is_sorted_pinned_and_byte_stable() {
         let render = || {
             let mut sink = MetricsSink::new();
-            for e in sample_events() {
+            for e in every_variant() {
                 sink.record(&e);
             }
             sink.into_report().render_json()
@@ -280,16 +245,14 @@ mod tests {
             assert!(at > last || last == 0, "{key} out of order");
             last = at;
         }
-        // Pinned summary values for the sample stream: one reservation held
-        // 2.5s (bucket (2, 4]), one task busy 1.5 slot-seconds for job 3.
-        // A single occupied bucket pins every quantile to the mean — the
-        // exact hold time here — not an interpolated spread.
-        assert!(json.contains("\"count\": 1"), "{json}");
-        assert!(json.contains("\"mean_secs\": 2.5"), "{json}");
-        assert!(json.contains("\"p50_secs\": 2.5"), "{json}");
-        assert!(json.contains("\"p99_secs\": 2.5"), "{json}");
-        assert!(json.contains("\"3\": 1.5"), "{json}");
-        assert!(json.contains("\"speculation_win_rate\": null"), "{json}");
+        // Pinned summary values for the sample stream: holds of 1.0s and
+        // 1.75s (buckets (0.5, 1] and (1, 2]), one copy busy 1.25
+        // slot-seconds for job 5 that won its race.
+        assert!(json.contains("\"count\": 2"), "{json}");
+        assert!(json.contains("\"mean_secs\": 1.375"), "{json}");
+        assert!(json.contains("\"p50_secs\": 1.0"), "{json}");
+        assert!(json.contains("\"5\": 1.25"), "{json}");
+        assert!(json.contains("\"speculation_win_rate\": 1.0"), "{json}");
     }
 
     #[test]
@@ -298,12 +261,12 @@ mod tests {
             jsonl: Some(JsonlSink::new()),
             metrics: Some(MetricsSink::new()),
         };
-        for e in sample_events() {
+        for e in every_variant() {
             sink.record(&e);
         }
         let any = (Box::new(sink) as Box<dyn TraceSink>).into_any();
         let split = any.downcast::<SplitSink>().expect("concrete type recovered");
-        assert_eq!(split.jsonl.unwrap().finish().lines().count(), 9);
+        assert_eq!(split.jsonl.unwrap().finish().lines().count(), 21);
         assert_eq!(split.metrics.unwrap().into_report().offer_rounds, 1);
     }
 

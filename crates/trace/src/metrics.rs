@@ -8,6 +8,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 use crate::event::{TraceEvent, TraceEventKind};
+use crate::replay::{SlotReplay, SlotState};
 use crate::sink::TraceSink;
 
 /// Bucket upper bounds (seconds) for the reservation hold-time histogram.
@@ -301,8 +302,8 @@ impl MetricsReport {
             ("tasks_crashed", uint(self.tasks_crashed)),
             ("tasks_launched", uint(self.tasks_launched)),
         ]);
-        debug_assert!(crate::sink::sorted_keys(&root), "metrics JSON keys must be sorted");
-        serde_json::to_string_pretty(&crate::sink::Raw(root)).expect("serializer is total")
+        debug_assert!(crate::jsonl::sorted_keys(&root), "metrics JSON keys must be sorted");
+        serde_json::to_string_pretty(&crate::jsonl::Raw(root)).expect("serializer is total")
     }
 }
 
@@ -310,10 +311,8 @@ impl MetricsReport {
 #[derive(Debug, Default)]
 pub struct MetricsSink {
     report: MetricsReport,
-    /// Open reservation per slot: grant/fill time in seconds.
-    open_reservations: BTreeMap<u32, f64>,
-    /// Running instance per slot: (job id, launch time in seconds).
-    open_tasks: BTreeMap<u32, (u64, f64)>,
+    /// Who holds each slot, for hold times and busy slot-seconds.
+    replay: SlotReplay,
 }
 
 impl MetricsSink {
@@ -331,85 +330,62 @@ impl MetricsSink {
     pub fn report(&self) -> &MetricsReport {
         &self.report
     }
-
-    fn close_reservation(&mut self, slot: u32, now_secs: f64) {
-        if let Some(start) = self.open_reservations.remove(&slot) {
-            self.report.reservation_hold_secs.record(now_secs - start);
-        }
-    }
-
-    fn close_task(&mut self, slot: u32, now_secs: f64) {
-        if let Some((job, start)) = self.open_tasks.remove(&slot) {
-            *self.report.slot_seconds_per_job.entry(job).or_insert(0.0) += now_secs - start;
-        }
-    }
 }
 
 impl TraceSink for MetricsSink {
     fn record(&mut self, event: &TraceEvent) {
         use TraceEventKind as K;
-        let now = event.time.as_secs_f64();
+        let r = &mut self.report;
         match &event.kind {
-            K::JobSubmitted { .. } => self.report.jobs_submitted += 1,
-            K::JobCompleted { .. } => self.report.jobs_completed += 1,
-            K::OfferRoundStarted { .. } => self.report.offer_rounds += 1,
-            K::OfferRoundEnded { .. } => {}
+            K::JobSubmitted { .. } => r.jobs_submitted += 1,
+            K::JobCompleted { .. } => r.jobs_completed += 1,
+            K::OfferRoundStarted { .. } => r.offer_rounds += 1,
             K::OfferDeclined { reason, .. } => {
-                *self.report.offers_declined.entry(reason.as_str().to_owned()).or_insert(0) += 1;
+                *r.offers_declined.entry(reason.as_str().to_owned()).or_insert(0) += 1;
             }
-            K::TaskLaunched { slot, job, speculative, .. } => {
-                self.report.tasks_launched += 1;
+            K::TaskLaunched { speculative, .. } => {
+                r.tasks_launched += 1;
                 if *speculative {
-                    self.report.speculative_launched += 1;
+                    r.speculative_launched += 1;
                 }
-                // A launch onto a reserved slot consumes the reservation.
-                self.close_reservation(*slot, now);
-                self.open_tasks.insert(*slot, (job.as_u64(), now));
             }
-            K::TaskFinished { slot, attempt, .. } => {
+            K::TaskFinished { attempt, .. } => {
                 if *attempt > 0 {
-                    self.report.copy_wins += 1;
+                    r.copy_wins += 1;
                 }
-                self.close_task(*slot, now);
             }
-            K::CopyKilled { slot, .. } => {
-                self.report.copy_kills += 1;
-                self.close_task(*slot, now);
+            K::CopyKilled { .. } => r.copy_kills += 1,
+            K::ReservationGranted { .. } => r.reservations_granted += 1,
+            K::PrereserveFilled { .. } => r.prereserves_filled += 1,
+            K::ReservationExpired { .. } => r.reservations_expired += 1,
+            K::ReservationReleased { .. } => r.reservations_released += 1,
+            K::StaleReservationReleased { .. } => r.stale_reservations_released += 1,
+            K::BarrierCleared { .. } => r.barriers_cleared += 1,
+            K::LocalityUnlocked => r.locality_unlocks += 1,
+            K::TaskCrashed { .. } => r.tasks_crashed += 1,
+            K::ReservationRevoked { .. } => r.reservations_revoked += 1,
+            K::OfferRoundEnded { .. }
+            | K::StageCompleted { .. }
+            | K::SlotOffline { .. }
+            | K::SlotOnline { .. } => {}
+        }
+        // An occupancy change ends whatever the slot held (a launch
+        // consumes a reservation). Going offline changes nothing: a
+        // partition survivor stays busy until it finishes.
+        let Some((slot, before)) = self.replay.apply(event) else { return };
+        if self.replay.slot(slot).state == before.state {
+            return;
+        }
+        let now = event.time.as_secs_f64();
+        match before.state {
+            SlotState::Free => {}
+            SlotState::Reserved { since, .. } => {
+                r.reservation_hold_secs.record(now - since.as_secs_f64());
             }
-            K::ReservationGranted { slot, .. } => {
-                self.report.reservations_granted += 1;
-                self.open_reservations.insert(*slot, now);
+            SlotState::Running { job, since, .. } => {
+                *r.slot_seconds_per_job.entry(job.as_u64()).or_insert(0.0) +=
+                    now - since.as_secs_f64();
             }
-            K::PrereserveFilled { slot, .. } => {
-                self.report.prereserves_filled += 1;
-                self.open_reservations.insert(*slot, now);
-            }
-            K::ReservationExpired { slot, .. } => {
-                self.report.reservations_expired += 1;
-                self.close_reservation(*slot, now);
-            }
-            K::ReservationReleased { slot, .. } => {
-                self.report.reservations_released += 1;
-                self.close_reservation(*slot, now);
-            }
-            K::StaleReservationReleased { slot, .. } => {
-                self.report.stale_reservations_released += 1;
-                self.close_reservation(*slot, now);
-            }
-            K::BarrierCleared { .. } => self.report.barriers_cleared += 1,
-            K::StageCompleted { .. } => {}
-            K::LocalityUnlocked => self.report.locality_unlocks += 1,
-            K::TaskCrashed { slot, .. } => {
-                self.report.tasks_crashed += 1;
-                self.close_task(*slot, now);
-            }
-            K::ReservationRevoked { slot, .. } => {
-                self.report.reservations_revoked += 1;
-                self.close_reservation(*slot, now);
-            }
-            // Going offline follows the kill/revocation events, so there is
-            // nothing left open on the slot; coming back online starts fresh.
-            K::SlotOffline { .. } | K::SlotOnline { .. } => {}
         }
     }
 

@@ -3,8 +3,8 @@
 //! between them emit every trace event name and move every
 //! `WorkCounters` field. A variant the engine never emits, or a counter
 //! it never bumps, fails here. The readers' side is held by the
-//! exhaustive `match` in ssr-explain and by `fields_cover_struct` in
-//! ssr-perf.
+//! exhaustive `match` in `TraceEventKind::name` with ssr-trace's
+//! every-variant round trip, and by `fields_cover_struct` in ssr-perf.
 
 use std::collections::BTreeSet;
 
@@ -72,7 +72,7 @@ fn scenarios() -> Vec<(SimReport, BTreeSet<&'static str>)> {
 fn scenarios_emit_every_trace_event() {
     let emitted: BTreeSet<&str> = scenarios().into_iter().flat_map(|(_, names)| names).collect();
     let missing: Vec<&str> =
-        ssr_explain::ALL_EVENT_NAMES.iter().copied().filter(|n| !emitted.contains(n)).collect();
+        ssr_trace::ALL_EVENT_NAMES.iter().copied().filter(|n| !emitted.contains(n)).collect();
     assert!(missing.is_empty(), "never emitted: {missing:?}");
 }
 
