@@ -42,6 +42,28 @@ pub mod report;
 pub mod timeline;
 
 pub use attribution::{attribute, blocked_profile, Attribution, AttributionError, BlockedProfile};
-pub use ssr_trace::{parse_trace, ReadError, SlotState, Trace};
+pub use reader::{parse_trace, ReadError, Trace};
+pub use ssr_trace::SlotState;
 pub use report::{explain, Report, REPORT_VERSION};
 pub use timeline::{CriticalHop, Interval, JobTimeline, StageTimeline, Timeline};
+
+/// The trace reader; it lives beside the writer in `ssr-trace`.
+mod reader {
+    pub use ssr_trace::{parse_trace, ReadError, Trace};
+
+    #[cfg(test)]
+    mod tests {
+        /// A line of each schema event name with empty fields reaches that
+        /// event's decoder: it parses or misses a field, never is unknown.
+        #[test]
+        fn sample_set_covers_every_event_name() {
+            let header = r#"{"event":"trace-start","fields":{"schema_version":3},"seq":0,"time_secs":0.0}"#;
+            for name in ssr_trace::ALL_EVENT_NAMES {
+                let line = format!(r#"{{"event":"{name}","fields":{{}},"seq":1,"time_secs":0.0}}"#);
+                if let Err(e) = super::parse_trace(&format!("{header}\n{line}\n")) {
+                    assert!(e.to_string().contains("missing field"), "{name}: {e}");
+                }
+            }
+        }
+    }
+}

@@ -685,28 +685,20 @@ pub(crate) mod tests {
         use TraceEventKind as K;
         let job = JobId::new(0);
         let s0 = StageId::new(0);
+        let at = |s: f64, kind: TraceEventKind| TraceEvent::new(t(s), kind);
         let events = vec![
-            TraceEvent::new(
-                t(0.0),
-                K::JobSubmitted {
-                    job,
-                    name: "fg".into(),
-                    priority: Priority::new(10),
-                    stages: vec![StageMeta { tasks: 1, parents: vec![] }],
-                },
-            ),
-            TraceEvent::new(
-                t(0.0),
-                K::TaskLaunched { slot: 0, job, stage: s0, partition: 0, attempt: 0, level: "ANY", speculative: false, warm: false },
-            ),
-            TraceEvent::new(t(1.0), K::SlotOffline { slot: 0, cause: "partition" }),
-            TraceEvent::new(
-                t(3.0),
-                K::TaskFinished { slot: 0, job, stage: s0, partition: 0, attempt: 0, duration_secs: 3.0 },
-            ),
-            TraceEvent::new(t(3.0), K::StageCompleted { job, stage: s0 }),
-            TraceEvent::new(t(3.0), K::JobCompleted { job }),
-            TraceEvent::new(t(4.0), K::SlotOnline { slot: 0 }),
+            at(0.0, K::JobSubmitted {
+                job,
+                name: "fg".into(),
+                priority: Priority::new(10),
+                stages: vec![StageMeta { tasks: 1, parents: vec![] }],
+            }),
+            at(0.0, K::TaskLaunched { slot: 0, job, stage: s0, partition: 0, attempt: 0, level: "ANY", speculative: false, warm: false }),
+            at(1.0, K::SlotOffline { slot: 0, cause: "partition" }),
+            at(3.0, K::TaskFinished { slot: 0, job, stage: s0, partition: 0, attempt: 0, duration_secs: 3.0 }),
+            at(3.0, K::StageCompleted { job, stage: s0 }),
+            at(3.0, K::JobCompleted { job }),
+            at(4.0, K::SlotOnline { slot: 0 }),
         ];
         let tl = Timeline::reconstruct(&Trace { schema_version: 3, events: events.clone() });
         let fg = &tl.jobs[0];

@@ -35,6 +35,8 @@ mod jsonl;
 mod metrics;
 mod replay;
 mod sink;
+#[cfg(test)]
+mod test_events;
 
 pub use event::{DenyReason, StageMeta, TraceEvent, TraceEventKind, ALL_EVENT_NAMES};
 pub use jsonl::{parse_trace, JsonlSink, ReadError, Trace, SCHEMA_VERSION};
@@ -45,7 +47,7 @@ pub use sink::{SplitSink, TraceSink, VecSink};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonl::tests::every_variant;
+    use crate::test_events::every_variant;
 
     #[test]
     fn vec_sink_keeps_emission_order() {
