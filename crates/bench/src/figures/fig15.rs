@@ -14,7 +14,7 @@
 
 use ssr_cluster::LocalityModel;
 use ssr_dag::JobSpec;
-use ssr_sim::{OrderConfig, PolicyConfig, SimConfig, Simulation};
+use ssr_sim::{OrderConfig, PolicyConfig, SimConfig, SimReport, Simulation};
 use ssr_simcore::SimDuration;
 use ssr_workload::{mllib, sql, MllibParams, SqlParams};
 
@@ -22,6 +22,9 @@ use crate::figures::common::{
     background_jobs_large, large_cluster, scaled, BG_PRIORITY, FG_PRIORITY,
 };
 use crate::table::{num, Table};
+
+/// How long the background workload keeps arriving.
+const HORIZON: SimDuration = SimDuration::from_secs(1800);
 
 /// Runs the figure and renders its tables.
 pub fn run() -> String {
@@ -85,12 +88,53 @@ fn settings() -> Vec<Setting> {
     ]
 }
 
+/// Every `(setting, suite)` index pair, in table order.
+fn grid(settings: usize, suites: usize) -> Vec<(usize, usize)> {
+    (0..settings).flat_map(|s| (0..suites).map(move |q| (s, q))).collect()
+}
+
+/// One contended cell: the suite's foreground `jobs` against `bg_jobs`
+/// background jobs under `policy`, in `setting`.
+fn contended(
+    setting: &Setting,
+    jobs: &[JobSpec],
+    policy: PolicyConfig,
+    bg_jobs: u32,
+    seed: u64,
+) -> SimReport {
+    let mut all = jobs.to_vec();
+    all.extend(background_jobs_large(bg_jobs, setting.bg_factor, HORIZON, seed));
+    Simulation::new(
+        SimConfig::new(large_cluster()).with_locality(setting.locality.clone()).with_seed(seed),
+        policy,
+        OrderConfig::FifoPriority,
+        all,
+    )
+    .run()
+}
+
+/// The work counters of every SSR contended cell of
+/// [`run_scaled`]`(bg_jobs, seed)`, one labelled `render_json` block per
+/// cell in table order. A layout change that moves counted work shows up
+/// here even when the rendered tables do not.
+pub fn ssr_cell_counters(bg_jobs: u32, seed: u64) -> String {
+    let settings = settings();
+    let suite_list = suites();
+    let cells = grid(settings.len(), suite_list.len());
+    let blocks = ssr_sim::par_map(ssr_sim::worker_count(), &cells, |&(si, qi)| {
+        let setting = &settings[si];
+        let (name, jobs) = &suite_list[qi];
+        let report = contended(setting, jobs, PolicyConfig::ssr_strict(), bg_jobs, seed);
+        format!("{} / {name}\n{}\n", setting.label, report.counters.render_json())
+    });
+    blocks.concat()
+}
+
 /// Runs the figure at an explicit background-job count and seed — the
 /// `run()` entry point uses the `SSR_FULL`-scaled defaults; tests and the
 /// golden-equivalence suite call this directly with a reduced grid.
 pub fn run_scaled(bg_jobs: u32, seed: u64) -> String {
     let cluster = large_cluster();
-    let horizon = SimDuration::from_secs(1800);
     let mut out = format!(
         "Fig. 15 — large-scale simulation ({} slots, {} background jobs)\n\
          paper: locality dominates in large clusters; SSR keeps MLlib < 1.10x, SQL 1.3-1.5x\n\n",
@@ -104,9 +148,7 @@ pub fn run_scaled(bg_jobs: u32, seed: u64) -> String {
     // byte-identical at every worker count.
     let settings = settings();
     let suite_list = suites();
-    let cells: Vec<(usize, usize)> = (0..settings.len())
-        .flat_map(|s| (0..suite_list.len()).map(move |q| (s, q)))
-        .collect();
+    let cells = grid(settings.len(), suite_list.len());
     let rows = ssr_sim::par_map(ssr_sim::worker_count(), &cells, |&(si, qi)| {
         let setting = &settings[si];
         let (name, jobs) = &suite_list[qi];
@@ -130,17 +172,7 @@ pub fn run_scaled(bg_jobs: u32, seed: u64) -> String {
             .collect();
         let mut row = vec![(*name).to_owned()];
         for policy in [PolicyConfig::WorkConserving, PolicyConfig::ssr_strict()] {
-            let mut all = jobs.clone();
-            all.extend(background_jobs_large(bg_jobs, setting.bg_factor, horizon, seed));
-            let report = Simulation::new(
-                SimConfig::new(cluster)
-                    .with_locality(setting.locality.clone())
-                    .with_seed(seed),
-                policy,
-                OrderConfig::FifoPriority,
-                all,
-            )
-            .run();
+            let report = contended(setting, jobs, policy, bg_jobs, seed);
             let slowdowns: Vec<f64> = jobs
                 .iter()
                 .zip(&alone)
@@ -178,7 +210,7 @@ pub fn run_scaled(bg_jobs: u32, seed: u64) -> String {
     let policies = [PolicyConfig::WorkConserving, fg_only];
     let reports = ssr_sim::par_map(ssr_sim::worker_count(), &policies, |policy| {
         let mut all = fg.clone();
-        all.extend(background_jobs_large(moderate_bg, 1.0, horizon, seed));
+        all.extend(background_jobs_large(moderate_bg, 1.0, HORIZON, seed));
         Simulation::new(
             SimConfig::new(cluster).with_seed(seed),
             policy.clone(),

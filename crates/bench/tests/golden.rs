@@ -3,7 +3,8 @@
 //!
 //! These guard the scheduler hot-path optimizations (indexed slot pool,
 //! incremental offer rounds) against behavioral drift: any change to the
-//! engine that alters a single byte of figure output fails here.
+//! engine that alters a single byte of figure output fails here, and any
+//! change that moves a work counter fails the counter snapshots.
 //!
 //! To regenerate the snapshots after an *intentional* behavior change:
 //!
@@ -52,6 +53,23 @@ fn fig15_reduced_matches_golden_snapshot() {
     // tests use), single worker: the full simulator pipeline end to end.
     ssr_sim::runner::set_worker_override(Some(1));
     assert_golden("fig15_reduced.txt", &ssr_bench::figures::fig15::run_scaled(12, 5));
+}
+
+#[test]
+fn counters_report_matches_golden_snapshot() {
+    // Exact work counts of the canonical contended scenario: a change to
+    // an index or a loop that moves counted work fails here even when
+    // every decision, and so every figure byte, stays the same.
+    assert_golden("counters_report.json", &ssr_bench::figures::counters_report(11));
+}
+
+#[test]
+fn fig15_ssr_cell_counters_match_golden_snapshot() {
+    // The SSR cells of the reduced Fig. 15 grid above: saturated offer
+    // rounds over many reservation groups, the regime the offer-round
+    // indexes exist for.
+    ssr_sim::runner::set_worker_override(Some(1));
+    assert_golden("fig15_ssr_counters.txt", &ssr_bench::figures::fig15::ssr_cell_counters(12, 5));
 }
 
 #[test]

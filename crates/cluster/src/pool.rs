@@ -75,7 +75,9 @@ pub struct SlotPool {
     /// Reserved-slot count per `(owner, priority)` group — the unit at
     /// which priority-based ApprovalLogic verdicts are uniform, letting
     /// the scheduler approve once per group instead of once per slot.
-    reserved_groups: BTreeMap<(JobId, Priority), usize>,
+    /// Sorted by `(owner, priority)`, with no zero counts: offer rounds
+    /// walk it once per candidate, so it is a flat array, not a tree.
+    reserved_groups: Vec<(JobId, Priority, usize)>,
     running_by_job: BTreeMap<JobId, usize>,
     /// `(deadline, slot)` for every reservation with a bounded deadline.
     deadlines: BTreeSet<(SimTime, SlotId)>,
@@ -116,7 +118,7 @@ impl SlotPool {
             free_by_rack,
             reserved: BTreeSet::new(),
             reserved_by_job: BTreeMap::new(),
-            reserved_groups: BTreeMap::new(),
+            reserved_groups: Vec::new(),
             running_by_job: BTreeMap::new(),
             deadlines: BTreeSet::new(),
             running_count: 0,
@@ -149,19 +151,28 @@ impl SlotPool {
     fn index_reservation(&mut self, slot: SlotId, r: &Reservation) {
         self.reserved.insert(slot);
         self.reserved_by_job.entry(r.job()).or_default().insert(slot);
-        *self.reserved_groups.entry((r.job(), r.priority())).or_insert(0) += 1;
+        match self.group_index(r) {
+            Ok(i) => self.reserved_groups[i].2 += 1,
+            Err(i) => self.reserved_groups.insert(i, (r.job(), r.priority(), 1)),
+        }
         if let Some(d) = r.deadline() {
             self.deadlines.insert((d, slot));
         }
     }
 
-    fn unindex_group(&mut self, r: &Reservation) {
+    /// Where `r`'s `(owner, priority)` group sits in `reserved_groups`:
+    /// `Ok(index)` when held, else `Err(insertion point)`.
+    fn group_index(&self, r: &Reservation) -> Result<usize, usize> {
         let key = (r.job(), r.priority());
-        if let Some(c) = self.reserved_groups.get_mut(&key) {
-            *c -= 1;
-            if *c == 0 {
-                self.reserved_groups.remove(&key);
-            }
+        self.reserved_groups.binary_search_by(|&(j, p, _)| (j, p).cmp(&key))
+    }
+
+    fn unindex_group(&mut self, r: &Reservation) {
+        let Ok(i) = self.group_index(r) else { return };
+        let Some((_, _, count)) = self.reserved_groups.get_mut(i) else { return };
+        *count -= 1;
+        if *count == 0 {
+            self.reserved_groups.remove(i);
         }
     }
 
@@ -465,7 +476,7 @@ impl SlotPool {
     pub fn reservation_groups(
         &self,
     ) -> impl Iterator<Item = (JobId, Priority, usize)> + '_ {
-        self.reserved_groups.iter().map(|(&(j, p), &c)| (j, p, c))
+        self.reserved_groups.iter().copied()
     }
 
     /// `true` if `job` currently holds at least one reservation —
@@ -730,25 +741,37 @@ mod proptests {
     use proptest::prelude::*;
     use ssr_dag::{Priority, StageId};
 
+    /// The scheduler's static-pool owner (`STATIC_POOL_JOB`): a
+    /// reservation holder that is not a schedulable job, at the far end
+    /// of the id range.
+    const STATIC_POOL: JobId = JobId::new(u64::MAX);
+
+    /// Every reservation owner the ops draw from: the static-pool
+    /// sentinel and four ordinary jobs.
+    fn owners() -> [JobId; 5] {
+        [JobId::new(1), JobId::new(2), JobId::new(3), JobId::new(4), STATIC_POOL]
+    }
+
     #[derive(Debug, Clone)]
     enum Op {
         Assign(u32, u64),
         Finish(u32),
-        Reserve(u32, u64, Option<u64>),
+        /// `(slot, owner index, raised priority, deadline)`.
+        Reserve(u32, usize, bool, Option<u64>),
         Release(u32),
         Expire(u64),
-        ReleaseJob(u64),
+        ReleaseJob(usize),
     }
 
     fn op_strategy(slots: u32) -> impl Strategy<Value = Op> {
         prop_oneof![
             (0..slots, 1u64..5).prop_map(|(s, j)| Op::Assign(s, j)),
             (0..slots).prop_map(Op::Finish),
-            (0..slots, 1u64..5, 0u64..40)
-                .prop_map(|(s, j, d)| Op::Reserve(s, j, (d > 0).then_some(d))),
+            (0..slots, 0usize..5, 0u32..2, 0u64..40)
+                .prop_map(|(s, o, hi, d)| Op::Reserve(s, o, hi == 1, (d > 0).then_some(d))),
             (0..slots).prop_map(Op::Release),
             (0u64..50).prop_map(Op::Expire),
-            (1u64..5).prop_map(Op::ReleaseJob),
+            (0usize..5).prop_map(Op::ReleaseJob),
         ]
     }
 
@@ -765,9 +788,11 @@ mod proptests {
                 let slot = SlotId::new(s);
                 prop_assert_eq!(pool.finish(slot), table.finish(slot));
             }
-            Op::Reserve(s, j, d) => {
+            Op::Reserve(s, o, raised, d) => {
                 let slot = SlotId::new(s);
-                let mut r = Reservation::new(JobId::new(j), Priority::new(j as i32));
+                // Each owner holds groups at two priorities.
+                let priority = Priority::new(o as i32 + if raised { 10 } else { 0 });
+                let mut r = Reservation::new(owners()[o], priority);
                 if let Some(d) = d {
                     r = r.with_deadline(SimTime::from_secs(d));
                 }
@@ -781,8 +806,8 @@ mod proptests {
                 let now = SimTime::from_secs(at);
                 prop_assert_eq!(pool.expire_reservations(now), table.expire_reservations(now));
             }
-            Op::ReleaseJob(j) => {
-                let job = JobId::new(j);
+            Op::ReleaseJob(o) => {
+                let job = owners()[o];
                 prop_assert_eq!(
                     pool.release_job_reservations(job),
                     table.release_job_reservations(job)
@@ -793,7 +818,8 @@ mod proptests {
 
     proptest! {
         /// The indexed pool and the naive rescan table agree on every
-        /// query after any operation sequence.
+        /// query after any operation sequence — the static-pool sentinel
+        /// and owners holding two priorities at once included.
         #[test]
         fn pool_agrees_with_rescan_reference(
             ops in proptest::collection::vec(op_strategy(8), 0..300)
@@ -808,8 +834,7 @@ mod proptests {
                     pool.free_slots().collect::<Vec<_>>(),
                     table.free_slots().collect::<Vec<_>>()
                 );
-                for j in 1..5u64 {
-                    let job = JobId::new(j);
+                for job in owners() {
                     prop_assert_eq!(
                         pool.reserved_for(job).collect::<Vec<_>>(),
                         table.reserved_for(job).collect::<Vec<_>>()
@@ -848,13 +873,22 @@ mod proptests {
                     pool.reservation_groups().collect::<Vec<_>>(),
                     naive_groups.into_iter().map(|((j, p), c)| (j, p, c)).collect::<Vec<_>>()
                 );
-                for j in 1..5u64 {
-                    let job = JobId::new(j);
+                for job in owners() {
                     prop_assert_eq!(
                         pool.has_reservations(job),
                         table.reserved_for(job).next().is_some()
                     );
                 }
+                prop_assert_eq!(
+                    pool.reservations_by_job()
+                        .map(|(j, set)| (j, set.iter().copied().collect::<Vec<_>>()))
+                        .collect::<Vec<_>>(),
+                    owners()
+                        .into_iter()
+                        .map(|j| (j, table.reserved_for(j).collect::<Vec<_>>()))
+                        .filter(|(_, slots)| !slots.is_empty())
+                        .collect::<Vec<_>>()
+                );
             }
         }
     }

@@ -137,8 +137,10 @@ pub struct TaskScheduler {
     placement: DataPlacement,
     locality: LocalityModel,
     jobs: Jobs,
-    running: BTreeMap<SlotId, RunningInstance>,
-    running_per_job: BTreeMap<JobId, usize>,
+    /// The instance on each slot, indexed by slot id (`None` when idle).
+    running: Vec<Option<RunningInstance>>,
+    /// Number of `Some` entries in `running`.
+    running_len: usize,
     policy: Box<dyn ReservationPolicy>,
     order: Box<dyn JobOrder>,
     speculation: Option<SpeculationConfig>,
@@ -204,8 +206,8 @@ impl TaskScheduler {
             placement: DataPlacement::new(),
             locality,
             jobs: Jobs::new(),
-            running: BTreeMap::new(),
-            running_per_job: BTreeMap::new(),
+            running: vec![None; cluster.total_slots() as usize],
+            running_len: 0,
             policy,
             order,
             speculation: None,
@@ -555,12 +557,11 @@ impl TaskScheduler {
     fn rebuild_snapshots(&mut self) {
         self.counters.index_rescans.inc();
         self.snapshots.clear();
-        let running_per_job = &self.running_per_job;
         self.snapshots.extend(self.jobs.pending_jobs().map(|j| JobSnapshot {
             id: j.id(),
             priority: j.priority(),
             arrival: j.submitted_at(),
-            running_slots: running_per_job.get(&j.id()).copied().unwrap_or(0),
+            running_slots: j.running_count(),
             weight: j.weight(),
         }));
         self.snapshots_dirty = false;
@@ -606,11 +607,26 @@ impl TaskScheduler {
         let (stage, slot, level) = chosen?;
         let instance = self.jobs.launch_next(job, stage, slot).expect("stage had a pending task");
         self.slots.assign(slot, instance.task).expect("candidate slot was not running");
-        self.running.insert(slot, RunningInstance { instance, started: now, level });
-        *self.running_per_job.entry(job).or_insert(0) += 1;
-        self.counters.tasks_assigned.inc();
-        self.counters.peak_running_instances.high_water(self.running.len() as u64);
+        self.start_instance(slot, RunningInstance { instance, started: now, level });
         Some(Assignment { slot, instance, level, speculative: false, warm: false })
+    }
+
+    /// Records `ri` as running on `slot` and counts the launch.
+    fn start_instance(&mut self, slot: SlotId, ri: RunningInstance) {
+        if let Some(entry) = self.running.get_mut(slot.index()) {
+            if entry.replace(ri).is_none() {
+                self.running_len += 1;
+            }
+        }
+        self.counters.tasks_assigned.inc();
+        self.counters.peak_running_instances.high_water(self.running_len as u64);
+    }
+
+    /// Removes and returns the instance running on `slot`, if any.
+    fn stop_instance(&mut self, slot: SlotId) -> Option<RunningInstance> {
+        let ri = self.running.get_mut(slot.index())?.take()?;
+        self.running_len -= 1;
+        Some(ri)
     }
 
     /// Ranks candidate slots for one task set from the pool's indexes,
@@ -824,21 +840,15 @@ impl TaskScheduler {
                     break;
                 };
                 let slot = remaining.remove(pos);
-                let tsm = self
+                let instance = self
                     .jobs
-                    .get_mut(job)
-                    .expect("job exists")
-                    .taskset_mut(stage)
+                    .launch_copy(job, stage, partition, slot)
                     .expect("stage has a task set");
-                let instance = tsm.launch_copy(partition, slot);
                 self.slots.assign(slot, instance.task).expect("reserved slot is assignable");
-                self.running.insert(
+                self.start_instance(
                     slot,
                     RunningInstance { instance, started: now, level: LocalityLevel::ProcessLocal },
                 );
-                *self.running_per_job.entry(job).or_insert(0) += 1;
-                self.counters.tasks_assigned.inc();
-                self.counters.peak_running_instances.high_water(self.running.len() as u64);
                 let a = Assignment {
                     slot,
                     instance,
@@ -888,7 +898,7 @@ impl TaskScheduler {
                     else {
                         continue;
                     };
-                    let Some(ri) = self.running.get(&running_slot) else { continue };
+                    let Some(Some(ri)) = self.running.get(running_slot.index()) else { continue };
                     debug_assert_eq!(ri.instance, instance);
                     let elapsed = now.saturating_since(ri.started).as_secs_f64();
                     if elapsed <= threshold {
@@ -907,18 +917,10 @@ impl TaskScheduler {
         }
         let mut out = Vec::new();
         for &(job, stage, partition, slot, level) in &plans {
-            let tsm = self
-                .jobs
-                .get_mut(job)
-                .expect("job exists")
-                .taskset_mut(stage)
-                .expect("stage has a task set");
-            let instance = tsm.launch_copy(partition, slot);
+            let instance =
+                self.jobs.launch_copy(job, stage, partition, slot).expect("stage has a task set");
             self.slots.assign(slot, instance.task).expect("free slot is assignable");
-            self.running.insert(slot, RunningInstance { instance, started: now, level });
-            *self.running_per_job.entry(job).or_insert(0) += 1;
-            self.counters.tasks_assigned.inc();
-            self.counters.peak_running_instances.high_water(self.running.len() as u64);
+            self.start_instance(slot, RunningInstance { instance, started: now, level });
             let a = Assignment { slot, instance, level, speculative: true, warm: false };
             if self.trace.is_some() {
                 self.emit(now, launch_event(&a));
@@ -939,15 +941,13 @@ impl TaskScheduler {
     pub fn task_finished(&mut self, slot: SlotId, now: SimTime) -> FinishOutcome {
         self.advance_clock(now);
         let ri = self
-            .running
-            .remove(&slot)
+            .stop_instance(slot)
             .unwrap_or_else(|| panic!("task_finished on {slot} with no running instance"));
         let task = ri.instance.task;
         // Running counts, pending sets and completion states all change
         // here: the cached job snapshots are stale.
         self.snapshots_dirty = true;
         self.slots.finish(slot).expect("slot was running");
-        self.dec_running(task.job);
         let duration = now.saturating_since(ri.started);
         if self.trace.is_some() {
             self.emit(
@@ -963,20 +963,19 @@ impl TaskScheduler {
             );
         }
 
-        let state = self.jobs.get_mut(task.job).expect("job exists");
-        state.stats_mut(task.stage).record_duration(duration.as_secs_f64());
-        let outcome = state
-            .taskset_mut(task.stage)
-            .expect("stage has a task set")
-            .instance_finished(ri.instance);
+        self.jobs
+            .get_mut(task.job)
+            .expect("job exists")
+            .stats_mut(task.stage)
+            .record_duration(duration.as_secs_f64());
+        let outcome = self.jobs.instance_finished(ri.instance).expect("stage has a task set");
         debug_assert!(outcome.first_finish, "losers are killed, not finished");
 
         // Kill losing copies of the same partition.
         let mut killed = Vec::new();
         for (_, loser_slot) in &outcome.losers {
             self.slots.finish(*loser_slot).expect("loser was running");
-            self.running.remove(loser_slot);
-            self.dec_running(task.job);
+            self.stop_instance(*loser_slot);
             if self.trace.is_some() {
                 self.emit(
                     now,
@@ -1148,18 +1147,6 @@ impl TaskScheduler {
         }
     }
 
-    fn dec_running(&mut self, job: JobId) {
-        if let Some(c) = self.running_per_job.get_mut(&job) {
-            *c = c.saturating_sub(1);
-            // Drop the entry once the count reaches zero so consumers of
-            // `running_per_job()` (e.g. Figure-7-style slot-composition
-            // sampling) never see drained or completed jobs pinned at 0.
-            if *c == 0 {
-                self.running_per_job.remove(&job);
-            }
-        }
-    }
-
     /// Grants pending pre-reservations from currently free slots.
     ///
     /// Requests are served highest priority first (deadline, then job id
@@ -1264,7 +1251,7 @@ impl TaskScheduler {
                 continue;
             }
             if kill_running {
-                if let Some(ri) = self.running.remove(&slot) {
+                if let Some(ri) = self.stop_instance(slot) {
                     let task = ri.instance.task;
                     // Invariant: a slot in `self.running` is Busy in the
                     // pool and its instance belongs to a registered
@@ -1274,7 +1261,6 @@ impl TaskScheduler {
                     // skipping the broken bookkeeping (P001).
                     let freed = self.slots.finish(slot);
                     debug_assert!(freed.is_ok(), "tracked instance occupies a busy slot");
-                    self.dec_running(task.job);
                     let requeued = self.jobs.instance_crashed(ri.instance);
                     // Pending sets and running counts changed: the cached
                     // job snapshots are stale.
@@ -1393,14 +1379,6 @@ impl TaskScheduler {
         &self.slots
     }
 
-    /// Per-job running-slot counts, keyed by job id — the O(1) source the
-    /// simulator samples its timeseries from. Only jobs with at least one
-    /// running task appear; entries are removed when their count drops to
-    /// zero.
-    pub fn running_per_job(&self) -> &BTreeMap<JobId, usize> {
-        &self.running_per_job
-    }
-
     /// All admitted jobs.
     pub fn jobs(&self) -> &Jobs {
         &self.jobs
@@ -1411,14 +1389,18 @@ impl TaskScheduler {
         &self.placement
     }
 
-    /// Slots currently running tasks of `job`.
+    /// Slots currently running tasks of `job` — O(1), 0 for an unknown
+    /// job.
     pub fn running_count_for(&self, job: JobId) -> usize {
-        self.running_per_job.get(&job).copied().unwrap_or(0)
+        self.jobs.get(job).map_or(0, JobState::running_count)
     }
 
     /// Iterate over `(slot, running instance)` pairs.
     pub fn running_instances(&self) -> impl Iterator<Item = (SlotId, &RunningInstance)> {
-        self.running.iter().map(|(s, r)| (*s, r))
+        self.running
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| Some((SlotId::new(i as u32), r.as_ref()?)))
     }
 
     /// `true` while some admitted job is incomplete.
@@ -1919,21 +1901,18 @@ mod tests {
 
     #[test]
     fn running_per_job_drops_drained_entries() {
-        // Regression: completed jobs stayed in `running_per_job` pinned at
-        // zero forever, polluting slot-composition consumers.
+        // Regression: completed jobs stayed pinned at a stale running
+        // count, polluting slot-composition consumers. The count now
+        // lives in the job table; a drained job must read 0.
         let mut s = scheduler(1, 2);
         let job = s.submit(one_stage_job("j", 2, 0), SimTime::ZERO);
         let a = s.resource_offers(SimTime::ZERO);
-        assert_eq!(s.running_per_job().get(&job), Some(&2));
+        assert_eq!(s.running_count_for(job), 2);
         s.task_finished(a[0].slot, SimTime::from_secs(1));
-        assert_eq!(s.running_per_job().get(&job), Some(&1));
+        assert_eq!(s.running_count_for(job), 1);
         let done = s.task_finished(a[1].slot, SimTime::from_secs(1));
         assert!(done.job_completed);
-        assert!(
-            !s.running_per_job().contains_key(&job),
-            "drained job must not linger at a zero count"
-        );
-        assert_eq!(s.running_count_for(job), 0);
+        assert_eq!(s.running_count_for(job), 0, "drained job must not linger at a stale count");
     }
 
     #[test]

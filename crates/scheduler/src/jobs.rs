@@ -7,7 +7,7 @@ use ssr_cluster::SlotId;
 use ssr_dag::{JobId, JobRun, JobSpec, Priority, StageId, StageState};
 use ssr_simcore::SimTime;
 
-use crate::taskset::{TaskInstance, TaskSetManager};
+use crate::taskset::{InstanceOutcome, TaskInstance, TaskSetManager};
 
 /// Runtime statistics of one phase, fed to reservation policies.
 ///
@@ -77,6 +77,8 @@ pub struct JobState {
     submitted_at: SimTime,
     completed_at: Option<SimTime>,
     weight: f64,
+    /// Slots currently running an instance (original or copy) of this job.
+    running: usize,
 }
 
 impl JobState {
@@ -91,6 +93,7 @@ impl JobState {
             submitted_at,
             completed_at: None,
             weight: 1.0,
+            running: 0,
         }
     }
 
@@ -132,6 +135,12 @@ impl JobState {
     /// Fair-share weight.
     pub fn weight(&self) -> f64 {
         self.weight
+    }
+
+    /// Number of slots currently running an instance of this job —
+    /// originals and copies alike; 0 once the job has drained.
+    pub fn running_count(&self) -> usize {
+        self.running
     }
 
     /// The task-set manager of `stage`, if the phase has become ready.
@@ -202,6 +211,12 @@ impl JobState {
 /// The set of jobs known to the scheduler, iterated in deterministic
 /// (job-id) order.
 ///
+/// Jobs live in a table indexed by [`JobId`]: the scheduler hands out
+/// ids 0, 1, 2… and never reuses one, so a lookup is an index, not a
+/// tree walk. An id that was never admitted is an empty entry (only
+/// hand-built fixtures skip ids). Each job also carries its running
+/// count, kept by the launch, finish and crash mutations below.
+///
 /// Besides the jobs themselves it keeps three indexes, each updated by
 /// the mutation that can change it, so per-event queries never walk the
 /// whole job table:
@@ -212,12 +227,14 @@ impl JobState {
 ///   scheduler prunes those too old to unlock another locality level;
 /// - the count of incomplete jobs.
 ///
-/// Mutations that can change whether a job has pending tasks — launching
-/// an original, a phase becoming ready, a crash re-queue, completion —
-/// therefore go through `Jobs`, not through [`JobState`] directly.
+/// Mutations that can change whether a job has pending tasks or how many
+/// of its instances run — launching, finishing, a phase becoming ready, a
+/// crash re-queue, completion — therefore go through `Jobs`, not through
+/// [`JobState`] directly.
 #[derive(Debug, Clone, Default)]
 pub struct Jobs {
-    map: BTreeMap<JobId, JobState>,
+    table: Vec<Option<JobState>>,
+    len: usize,
     pending: BTreeSet<JobId>,
     unlock_window: VecDeque<(SimTime, JobId, StageId)>,
     incomplete: usize,
@@ -229,24 +246,24 @@ impl Jobs {
         Jobs::default()
     }
 
-    /// The job with the given id.
+    /// The job with the given id — O(1).
     pub fn get(&self, id: JobId) -> Option<&JobState> {
-        self.map.get(&id)
+        self.table.get(index(id)?)?.as_ref()
     }
 
     /// Iterate over all jobs in id order.
     pub fn iter(&self) -> impl Iterator<Item = &JobState> {
-        self.map.values()
+        self.table.iter().flatten()
     }
 
     /// Number of admitted jobs (completed ones included).
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// `true` if no job was ever admitted.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Number of admitted jobs that have not completed.
@@ -263,7 +280,7 @@ impl Jobs {
 
     /// The jobs of [`pending_ids`](Self::pending_ids), in id order.
     pub(crate) fn pending_jobs(&self) -> impl Iterator<Item = &JobState> {
-        self.pending.iter().filter_map(|id| self.map.get(id))
+        self.pending.iter().filter_map(|&id| self.get(id))
     }
 
     /// `true` if `id` is incomplete and has an unlaunched original task.
@@ -290,25 +307,36 @@ impl Jobs {
     }
 
     pub(crate) fn get_mut(&mut self, id: JobId) -> Option<&mut JobState> {
-        self.map.get_mut(&id)
+        entry_mut(&mut self.table, id)
     }
 
+    /// Admits `state` under its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not fit a `usize` (the static-pool sentinel
+    /// is never admitted).
     pub(crate) fn insert(&mut self, state: JobState) {
         let id = state.id();
-        debug_assert!(!self.map.contains_key(&id), "job ids are never reused");
+        let i = index(id).expect("admitted job ids fit a usize");
+        if i >= self.table.len() {
+            self.table.resize_with(i + 1, || None);
+        }
+        debug_assert!(self.table[i].is_none(), "job ids are never reused");
         for tsm in state.tsms.values() {
             self.unlock_window.push_back((tsm.ready_since(), id, tsm.stage()));
         }
         if !state.is_complete() {
             self.incomplete += 1;
         }
-        self.map.insert(id, state);
+        self.table[i] = Some(state);
+        self.len += 1;
         self.refresh_pending(id);
     }
 
     /// Registers the task set of a phase that became ready at `now`.
     pub(crate) fn insert_taskset(&mut self, id: JobId, tsm: TaskSetManager, now: SimTime) {
-        let Some(state) = self.map.get_mut(&id) else { return };
+        let Some(state) = entry_mut(&mut self.table, id) else { return };
         self.unlock_window.push_back((tsm.ready_since(), id, tsm.stage()));
         state.insert_taskset(tsm, now);
         self.refresh_pending(id);
@@ -321,13 +349,42 @@ impl Jobs {
         stage: StageId,
         slot: SlotId,
     ) -> Option<TaskInstance> {
-        let tsm = self.map.get_mut(&id)?.taskset_mut(stage)?;
+        let state = self.get_mut(id)?;
+        let tsm = state.tsms.get_mut(&stage)?;
         let instance = tsm.launch_next(slot)?;
+        state.running += 1;
         // Only draining this phase can end the job's pending state.
         if !tsm.has_pending() {
             self.refresh_pending(id);
         }
         Some(instance)
+    }
+
+    /// Launches a speculative copy of `partition` of `stage` on `slot`
+    /// (see [`TaskSetManager::launch_copy`]). Copies never change the
+    /// pending set: the partition is already running.
+    pub(crate) fn launch_copy(
+        &mut self,
+        id: JobId,
+        stage: StageId,
+        partition: u32,
+        slot: SlotId,
+    ) -> Option<TaskInstance> {
+        let state = self.get_mut(id)?;
+        let instance = state.tsms.get_mut(&stage)?.launch_copy(partition, slot);
+        state.running += 1;
+        Some(instance)
+    }
+
+    /// Forwards a finished instance to its task set (see
+    /// [`TaskSetManager::instance_finished`]). The instance and every
+    /// losing copy the outcome names stop running; the caller kills the
+    /// losers' slots. `None` if the job or its phase is unknown.
+    pub(crate) fn instance_finished(&mut self, instance: TaskInstance) -> Option<InstanceOutcome> {
+        let state = self.get_mut(instance.task.job)?;
+        let outcome = state.tsms.get_mut(&instance.task.stage)?.instance_finished(instance);
+        state.running = state.running.saturating_sub(1 + outcome.losers.len());
+        Some(outcome)
     }
 
     /// Forwards a lost instance to its task set (see
@@ -336,7 +393,8 @@ impl Jobs {
     /// re-queued. Never panics: it is on the fault-recovery path.
     pub(crate) fn instance_crashed(&mut self, instance: TaskInstance) -> bool {
         let id = instance.task.job;
-        let Some(state) = self.map.get_mut(&id) else { return false };
+        let Some(state) = self.get_mut(id) else { return false };
+        state.running = state.running.saturating_sub(1);
         let taskset = state.taskset_mut(instance.task.stage);
         debug_assert!(taskset.is_some(), "running instance has a task set");
         let requeued = taskset.is_some_and(|ts| ts.instance_crashed(instance));
@@ -350,7 +408,7 @@ impl Jobs {
 
     /// Marks job `id` completed at `at`.
     pub(crate) fn mark_complete(&mut self, id: JobId, at: SimTime) {
-        let Some(state) = self.map.get_mut(&id) else { return };
+        let Some(state) = entry_mut(&mut self.table, id) else { return };
         if !state.is_complete() {
             self.incomplete -= 1;
         }
@@ -360,12 +418,22 @@ impl Jobs {
 
     /// Re-derives whether job `id` belongs in the pending set.
     fn refresh_pending(&mut self, id: JobId) {
-        if self.map.get(&id).is_some_and(|j| !j.is_complete() && j.has_pending_tasks()) {
+        if self.get(id).is_some_and(|j| !j.is_complete() && j.has_pending_tasks()) {
             self.pending.insert(id);
         } else {
             self.pending.remove(&id);
         }
     }
+}
+
+/// `id`'s position in the job table, if it fits a `usize`.
+fn index(id: JobId) -> Option<usize> {
+    usize::try_from(id.as_u64()).ok()
+}
+
+/// The job `id` in `table`, borrowed apart from `Jobs`' other fields.
+fn entry_mut(table: &mut [Option<JobState>], id: JobId) -> Option<&mut JobState> {
+    table.get_mut(index(id)?)?.as_mut()
 }
 
 #[cfg(test)]
@@ -453,5 +521,162 @@ mod tests {
         js.mark_complete(SimTime::from_secs(42));
         assert!(js.is_complete());
         assert_eq!(js.completed_at(), Some(SimTime::from_secs(42)));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use ssr_dag::JobSpecBuilder;
+    use ssr_simcore::dist::constant;
+    use std::collections::btree_map;
+
+    const STAGE: StageId = StageId::new(0);
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u64, u32),
+        Launch(u64, u32),
+        Copy(usize, u32),
+        Finish(usize),
+        Crash(usize),
+        Complete(u64),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..8, 1u32..4).prop_map(|(j, p)| Op::Insert(j, p)),
+            (0u64..9, 0u32..16).prop_map(|(j, s)| Op::Launch(j, s)),
+            (0usize..16, 0u32..16).prop_map(|(k, s)| Op::Copy(k, s)),
+            (0usize..16).prop_map(Op::Finish),
+            (0usize..16).prop_map(Op::Crash),
+            (0u64..9).prop_map(Op::Complete),
+        ]
+    }
+
+    /// A one-phase job whose phase is ready at time zero, as `submit`
+    /// builds it.
+    fn job(id: u64, parallelism: u32) -> JobState {
+        let spec = JobSpecBuilder::new(format!("j{id}"))
+            .stage("s", parallelism, constant(1.0))
+            .build()
+            .unwrap();
+        let mut state = JobState::new(JobId::new(id), spec, SimTime::ZERO);
+        let tsm = TaskSetManager::new(JobId::new(id), STAGE, parallelism, SimTime::ZERO);
+        state.insert_taskset(tsm, SimTime::ZERO);
+        state
+    }
+
+    /// The reference: an ordered map of job states driven through their
+    /// task sets directly, with its own running count per job.
+    type Reference = BTreeMap<JobId, (JobState, usize)>;
+
+    fn apply(jobs: &mut Jobs, reference: &mut Reference, live: &mut Vec<TaskInstance>, op: Op) {
+        let pick = |live: &Vec<TaskInstance>, k: usize| live.get(k % live.len().max(1)).copied();
+        match op {
+            Op::Insert(j, p) => {
+                if let btree_map::Entry::Vacant(entry) = reference.entry(JobId::new(j)) {
+                    jobs.insert(job(j, p));
+                    entry.insert((job(j, p), 0));
+                }
+            }
+            Op::Launch(j, s) => {
+                let (id, slot) = (JobId::new(j), SlotId::new(s));
+                let expected = reference.get_mut(&id).and_then(|(state, running)| {
+                    let instance = state.taskset_mut(STAGE)?.launch_next(slot)?;
+                    *running += 1;
+                    Some(instance)
+                });
+                prop_assert_eq!(jobs.launch_next(id, STAGE, slot), expected);
+                live.extend(expected);
+            }
+            Op::Copy(k, s) => {
+                let Some(of) = pick(live, k) else { return };
+                let (id, slot) = (of.task.job, SlotId::new(s));
+                let (state, running) = reference.get_mut(&id).expect("live job exists");
+                let expected =
+                    state.taskset_mut(STAGE).unwrap().launch_copy(of.task.partition, slot);
+                *running += 1;
+                prop_assert_eq!(
+                    jobs.launch_copy(id, STAGE, of.task.partition, slot),
+                    Some(expected)
+                );
+                live.push(expected);
+            }
+            Op::Finish(k) => {
+                let Some(instance) = pick(live, k) else { return };
+                let (state, running) = reference.get_mut(&instance.task.job).unwrap();
+                let expected = state.taskset_mut(STAGE).unwrap().instance_finished(instance);
+                *running -= 1 + expected.losers.len();
+                let outcome = jobs.instance_finished(instance).expect("live job exists");
+                prop_assert_eq!(outcome.first_finish, expected.first_finish);
+                prop_assert_eq!(&outcome.losers, &expected.losers);
+                live.retain(|i| *i != instance && !expected.losers.iter().any(|(l, _)| l == i));
+            }
+            Op::Crash(k) => {
+                let Some(instance) = pick(live, k) else { return };
+                let (state, running) = reference.get_mut(&instance.task.job).unwrap();
+                let expected = state.taskset_mut(STAGE).unwrap().instance_crashed(instance);
+                *running -= 1;
+                prop_assert_eq!(jobs.instance_crashed(instance), expected);
+                live.retain(|i| *i != instance);
+            }
+            Op::Complete(j) => {
+                let id = JobId::new(j);
+                if let Some((state, _)) = reference.get_mut(&id) {
+                    state.mark_complete(SimTime::from_secs(j));
+                }
+                jobs.mark_complete(id, SimTime::from_secs(j));
+            }
+        }
+    }
+
+    proptest! {
+        /// The id-indexed job table agrees with an ordered-map reference
+        /// on lookups, iteration order, the pending set, the incomplete
+        /// count and every job's running count, whatever order ids are
+        /// admitted in.
+        #[test]
+        fn job_table_agrees_with_ordered_map_reference(
+            ops in proptest::collection::vec(op_strategy(), 0..200)
+        ) {
+            let mut jobs = Jobs::new();
+            let mut reference = Reference::new();
+            let mut live = Vec::new();
+            for op in ops {
+                apply(&mut jobs, &mut reference, &mut live, op);
+                prop_assert_eq!(jobs.len(), reference.len());
+                prop_assert_eq!(jobs.is_empty(), reference.is_empty());
+                prop_assert_eq!(
+                    jobs.iter().map(|j| (j.id(), j.running_count())).collect::<Vec<_>>(),
+                    reference.iter().map(|(&id, &(_, running))| (id, running)).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    jobs.pending_ids().collect::<Vec<_>>(),
+                    reference
+                        .values()
+                        .filter(|(j, _)| !j.is_complete() && j.has_pending_tasks())
+                        .map(|(j, _)| j.id())
+                        .collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    jobs.incomplete_count(),
+                    reference.values().filter(|(j, _)| !j.is_complete()).count()
+                );
+                for j in 0..9u64 {
+                    let id = JobId::new(j);
+                    let got = jobs.get(id).map(|s| {
+                        (s.id(), s.is_complete(), s.running_count(), s.has_pending_tasks())
+                    });
+                    let want = reference.get(&id).map(|(s, running)| {
+                        (s.id(), s.is_complete(), *running, s.has_pending_tasks())
+                    });
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(jobs.is_pending(id), jobs.pending_ids().any(|p| p == id));
+                }
+                prop_assert!(jobs.get(JobId::new(u64::MAX)).is_none());
+            }
+        }
     }
 }

@@ -571,13 +571,10 @@ impl Simulation {
         if self.tracked.is_empty() {
             return;
         }
-        // One pass over the engine's per-job running map instead of a
-        // per-tracked-job lookup on every event.
-        let per_job = self.sched.running_per_job();
         let running: Vec<(String, usize)> = self
             .tracked
             .iter()
-            .map(|(id, name)| (name.clone(), per_job.get(id).copied().unwrap_or(0)))
+            .map(|(id, name)| (name.clone(), self.sched.running_count_for(*id)))
             .collect();
         self.collector.timeseries.push(TimeSample {
             time_secs: self.now.as_secs_f64(),
