@@ -117,6 +117,11 @@ run_counted --json --counters --jobs 8 > "$trace_dir/counters-j8.json"
 cmp "$trace_dir/counters-j1.json" "$trace_dir/counters-j8.json"
 grep -q '"tasks_assigned"' "$trace_dir/counters-j1.json"
 
+echo "==> figures byte-identity (figures all --jobs 2 vs the checked-in figures_output.txt)"
+# Perf changes must leave every figure byte alone; this holds them to it.
+./target/release/figures all --jobs 2 > "$trace_dir/figures.txt"
+cmp "$trace_dir/figures.txt" figures_output.txt
+
 echo "==> simbench (replica fidelity tests + one untraced pass per workload)"
 # The benchmark package pins the engine's counters and outputs and keeps
 # a replica of the simulation loop; a broken pin or replica fails here.

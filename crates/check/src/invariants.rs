@@ -166,7 +166,7 @@ impl InvariantChecker {
     /// Finalizes: runs the end-of-stream checks (I2's "no reservation
     /// outlives its owner") and returns the verdict.
     pub fn finish(mut self) -> CheckReport {
-        for (idx, s) in self.replay.slots().iter().enumerate() {
+        for (idx, s) in self.replay.slots() {
             if let SlotState::Reserved { job, .. } = s.state {
                 if self.jobs.get(&job).is_some_and(|j| j.completed) {
                     self.violations.push(Violation {

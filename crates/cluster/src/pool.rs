@@ -471,12 +471,11 @@ impl SlotPool {
     }
 
     /// The distinct `(owner, priority)` reservation groups currently held,
-    /// with their slot counts, in `(job, priority)` order — O(result).
-    /// Priority-based ApprovalLogic verdicts are uniform within a group.
-    pub fn reservation_groups(
-        &self,
-    ) -> impl Iterator<Item = (JobId, Priority, usize)> + '_ {
-        self.reserved_groups.iter().copied()
+    /// with their slot counts, in `(job, priority)` order: the sorted
+    /// table itself. Priority-based ApprovalLogic verdicts are uniform
+    /// within a group.
+    pub fn reservation_groups(&self) -> &[(JobId, Priority, usize)] {
+        &self.reserved_groups
     }
 
     /// `true` if `job` currently holds at least one reservation —
@@ -643,7 +642,7 @@ mod tests {
         p.reserve(SlotId::new(1), Reservation::new(j1, Priority::new(5))).unwrap();
         p.reserve(SlotId::new(2), Reservation::new(j2, Priority::new(9))).unwrap();
         assert_eq!(
-            p.reservation_groups().collect::<Vec<_>>(),
+            p.reservation_groups().to_vec(),
             vec![(j1, Priority::new(5), 2), (j2, Priority::new(9), 1)]
         );
         assert!(p.has_reservations(j1));
@@ -652,12 +651,12 @@ mod tests {
         // removes the group entirely.
         p.assign(SlotId::new(0), task(1, 0)).unwrap();
         assert_eq!(
-            p.reservation_groups().collect::<Vec<_>>(),
+            p.reservation_groups().to_vec(),
             vec![(j1, Priority::new(5), 1), (j2, Priority::new(9), 1)]
         );
         p.release_job_reservations(j1);
         assert!(!p.has_reservations(j1));
-        assert_eq!(p.reservation_groups().collect::<Vec<_>>(), vec![(j2, Priority::new(9), 1)]);
+        assert_eq!(p.reservation_groups().to_vec(), vec![(j2, Priority::new(9), 1)]);
     }
 
     #[test]
@@ -870,7 +869,7 @@ mod proptests {
                     }
                 }
                 prop_assert_eq!(
-                    pool.reservation_groups().collect::<Vec<_>>(),
+                    pool.reservation_groups().to_vec(),
                     naive_groups.into_iter().map(|((j, p), c)| (j, p, c)).collect::<Vec<_>>()
                 );
                 for job in owners() {

@@ -3,7 +3,7 @@
 use ssr_cluster::{Reservation, SlotId};
 use ssr_dag::{StageId, TaskId};
 use ssr_scheduler::{
-    PolicyCtx, PreReserveRequest, ReservationPolicy, SlotDisposition,
+    ApprovalRule, PolicyCtx, PreReserveRequest, ReservationPolicy, SlotDisposition,
 };
 use ssr_simcore::SimTime;
 
@@ -158,8 +158,9 @@ impl ReservationPolicy for SpeculativeReservation {
         "speculative-slot-reservation"
     }
 
-    fn approval_is_priority_based(&self) -> bool {
-        true // ApprovalLogic is the default (pure) priority rule
+    /// Algorithm 1, ApprovalLogic (lines 18–22).
+    fn approval_rule(&self) -> Option<ApprovalRule> {
+        Some(ApprovalRule::OwnerOrAbove)
     }
 
     /// Algorithm 1, `HandleTaskCompletion` (lines 1–17).
@@ -650,6 +651,8 @@ mod tests {
         let p = SpeculativeReservation::default();
         assert_eq!(p.config().isolation_target(), 1.0);
         assert!(!p.mitigate_stragglers());
+        assert_eq!(p.approval_rule(), Some(ApprovalRule::OwnerOrAbove));
+        assert!(p.approval_is_priority_based());
     }
 
     #[test]

@@ -346,7 +346,7 @@ impl Sweep {
                     // explained by this decline. A saturated cluster with
                     // slots out of service is a fault symptom, not ramp-up.
                     self.advance(t);
-                    let offline = || self.replay.slots().iter().any(|s| s.offline);
+                    let offline = || self.replay.slots().any(|(_, s)| s.offline);
                     self.cause =
                         if *reason == DenyReason::NoFittingSlot && offline() {
                             Cause::FaultRecovery

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 
 use ssr_dag::{JobId, StageId};
 use ssr_simcore::SimTime;
-use ssr_trace::{SlotReplay, SlotState, Trace, TraceEvent, TraceEventKind};
+use ssr_trace::{SlotReplay, SlotState, SlotTable, Trace, TraceEvent, TraceEventKind};
 
 /// A half-open time interval `[start, end)` in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,8 +226,9 @@ pub struct Timeline {
     pub horizon: SimTime,
     /// Per-job activity, ordered by job id.
     pub jobs: Vec<JobTimeline>,
-    /// Per-slot state segments, ordered by start time; index = slot.
-    pub slot_segments: Vec<Vec<Segment>>,
+    /// Per-slot state segments, ordered by start time. A slot that was
+    /// never drawn reserved or running has none.
+    pub slot_segments: SlotTable<Vec<Segment>>,
 }
 
 impl Timeline {
@@ -238,7 +239,7 @@ impl Timeline {
 
     /// The slot's state at time `t` (last transition at or before `t`).
     pub fn slot_state(&self, slot: usize, t: SimTime) -> SlotState {
-        let segments = match self.slot_segments.get(slot) {
+        let segments = match u32::try_from(slot).ok().and_then(|s| self.slot_segments.get(s)) {
             Some(s) if !s.is_empty() => s,
             _ => return SlotState::Free,
         };
@@ -250,13 +251,15 @@ impl Timeline {
 
     /// Cluster-wide pool counts `(free, reserved, running)` at time `t`.
     pub fn occupancy(&self, t: SimTime) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for slot in 0..self.slots {
-            match self.slot_state(slot, t) {
-                SlotState::Free => counts.0 += 1,
+        // Slots without segments are free throughout.
+        let mut counts = (self.slots, 0, 0);
+        for (slot, _) in self.slot_segments.iter() {
+            match self.slot_state(slot as usize, t) {
+                SlotState::Free => continue,
                 SlotState::Reserved { .. } => counts.1 += 1,
                 SlotState::Running { .. } => counts.2 += 1,
             }
+            counts.0 -= 1;
         }
         counts
     }
@@ -362,17 +365,13 @@ struct Builder {
     jobs: BTreeMap<JobId, JobScratch>,
     replay: SlotReplay,
     /// Drawn segments per slot; the last one is what the slot shows now.
-    segments: Vec<Vec<Segment>>,
+    segments: SlotTable<Vec<Segment>>,
 }
 
 impl Builder {
+    /// Counts `slot` in the cluster size.
     fn ensure_slot(&mut self, slot: usize) {
-        if slot >= self.slots {
-            self.slots = slot + 1;
-        }
-        while self.segments.len() <= slot {
-            self.segments.push(Vec::new());
-        }
+        self.slots = self.slots.max(slot + 1);
     }
 
     /// Redraws `slot` from the replay at `at`. When what the slot shows
@@ -383,11 +382,11 @@ impl Builder {
         self.ensure_slot(idx);
         let now = self.replay.slot(slot);
         let state = if now.offline { SlotState::Free } else { now.state };
-        let segments = &mut self.segments[idx];
-        let shown = segments.last().copied();
+        let shown = self.segments.get(slot).and_then(|segments| segments.last()).copied();
         if shown.map_or(SlotState::Free, |s| s.state) == state {
             return;
         }
+        let segments = self.segments.entry(slot);
         match segments.last_mut() {
             // Same-timestamp transitions collapse (e.g. task-finished then
             // reservation-granted on the same slot in one scheduler step):
@@ -451,7 +450,7 @@ impl Builder {
                     }
                 }
                 K::OfferRoundStarted { free, running, reserved } => {
-                    let pool = free + running + reserved;
+                    let pool = free.saturating_add(*running).saturating_add(*reserved);
                     if pool > self.slots {
                         self.ensure_slot(pool - 1);
                     }
@@ -492,10 +491,10 @@ impl Builder {
         }
         // Close whatever is still drawn busy at the horizon (truncated
         // traces, e.g. --stop-after runs).
-        for idx in 0..self.segments.len() {
-            if let Some(&shown) = self.segments[idx].last() {
-                self.close(shown, horizon);
-            }
+        let shown: Vec<Segment> =
+            self.segments.iter().filter_map(|(_, segments)| segments.last().copied()).collect();
+        for shown in shown {
+            self.close(shown, horizon);
         }
 
         let jobs = std::mem::take(&mut self.jobs)

@@ -69,7 +69,8 @@ enum Merge {
 /// disappear from the output.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct WorkCounters {
-    /// `ApprovalLogic` invocations while ranking offer candidates.
+    /// `ApprovalLogic` verdicts taken while ranking offer candidates, by
+    /// the inline rule or an `approve` call.
     pub approval_calls: Counter,
     /// Events popped off the simulation event queue.
     pub events_popped: Counter,

@@ -21,7 +21,7 @@ use ssr_trace::{DenyReason, TraceEvent, TraceEventKind, TraceSink};
 
 use crate::jobs::{JobState, Jobs};
 use crate::order::{requeue_served, sort_worst_first, JobOrder, JobSnapshot};
-use crate::policy::{PolicyCtx, ReservationPolicy, SlotDisposition};
+use crate::policy::{ApprovalRule, PolicyCtx, ReservationPolicy, SlotDisposition};
 use crate::speculation::SpeculationConfig;
 use crate::taskset::{TaskInstance, TaskSetManager};
 
@@ -142,6 +142,9 @@ pub struct TaskScheduler {
     /// Number of `Some` entries in `running`.
     running_len: usize,
     policy: Box<dyn ReservationPolicy>,
+    /// The policy's declared [`ApprovalRule`], read once here: offer
+    /// rounds evaluate it inline rather than through `policy.approve`.
+    approval: Option<ApprovalRule>,
     order: Box<dyn JobOrder>,
     speculation: Option<SpeculationConfig>,
     next_job: u64,
@@ -208,6 +211,7 @@ impl TaskScheduler {
             jobs: Jobs::new(),
             running: vec![None; cluster.total_slots() as usize],
             running_len: 0,
+            approval: policy.approval_rule(),
             policy,
             order,
             speculation: None,
@@ -421,7 +425,7 @@ impl TaskScheduler {
             self.note_scratch(candidates.capacity());
             candidates.clear();
             candidates.extend_from_slice(&self.snapshots);
-            if free == 0 && self.policy.approval_is_priority_based() {
+            if free == 0 && self.group_approval() {
                 // No free slot: a job can only place onto a reserved slot
                 // it owns or whose group approves its priority. Dropped
                 // candidates would fail `try_assign_one` unchanged, and
@@ -499,57 +503,64 @@ impl TaskScheduler {
     /// Classifies why a candidate job could not place a task this round,
     /// along with the lowest-id pending stage that was blocked (`None`
     /// when the job had no pending stage). Only called on the trace path,
-    /// so the O(slots) re-examination costs nothing when tracing is
-    /// disabled.
+    /// so the re-examination costs nothing when tracing is disabled.
     fn deny_reason(&self, job: JobId, now: SimTime) -> (DenyReason, Option<ssr_dag::StageId>) {
         let Some(state) = self.jobs.get(job) else {
             return (DenyReason::NoPendingTasks, None);
         };
+        // A slot is usable by some pending stage iff it fits the
+        // smallest pending demand.
+        let Some((blocked_stage, demand)) = state
+            .active_tasksets()
+            .filter(|tsm| tsm.has_pending())
+            .map(|tsm| (tsm.stage(), state.spec().stage(tsm.stage()).demand()))
+            .reduce(|(s, d), (t, e)| (s.min(t), d.min(e)))
+        else {
+            return (DenyReason::NoPendingTasks, None);
+        };
+        let fits = |slot: SlotId| self.slots.size(slot) >= demand;
         let priority = state.priority();
-        let mut has_pending = false;
-        let mut blocked_stage: Option<ssr_dag::StageId> = None;
-        let mut usable_blocked_by_locality = false;
+        let mut usable = self.slots.free_slots().any(fits);
         let mut saw_denied_reservation = false;
-        for tsm in state.active_tasksets() {
-            if !tsm.has_pending() {
-                continue;
-            }
-            has_pending = true;
-            blocked_stage = Some(match blocked_stage {
-                Some(s) => s.min(tsm.stage()),
-                None => tsm.stage(),
-            });
-            let demand = state.spec().stage(tsm.stage()).demand();
-            let mut usable = self.slots.free_slots().any(|s| self.slots.size(s) >= demand);
-            for slot in self.slots.reserved_slots() {
-                if self.slots.size(slot) < demand {
-                    continue;
-                }
-                let r = self.slots.get(slot).reservation().expect("reserved index entry");
+        if !usable {
+            // Takes verdicts on fitting reserved slots until one approves:
+            // one per group when verdicts are group-uniform, else one per
+            // slot. The walk's counts are dropped: tracing must not move
+            // counters.
+            let mut note = |approved: bool| {
+                usable = approved;
+                saw_denied_reservation |= !approved;
+                approved
+            };
+            if self.group_approval() {
+                self.group_walk(job, priority, now)
+                    .filter(|&(owner, rprio, _)| {
+                        self.slots.reserved_for(owner).any(|slot| {
+                            fits(slot)
+                                && self.slots.get(slot).reservation().map(|r| r.priority())
+                                    == Some(rprio)
+                        })
+                    })
+                    .any(|(_, _, class)| note(class.is_some()));
+            } else {
                 let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
-                if r.job() == job || self.policy.approve(&ctx, r, job, priority) {
-                    usable = true;
-                } else {
-                    saw_denied_reservation = true;
-                }
-            }
-            // A usable (free or approved) fitting slot exists, yet
-            // `try_assign_one` declined: delay scheduling has not unlocked
-            // the locality level that slot sits at.
-            if usable {
-                usable_blocked_by_locality = true;
+                self.slots.reserved_slots().filter(|&slot| fits(slot)).any(|slot| {
+                    let r = self.slots.get(slot).reservation().expect("reserved index entry");
+                    note(r.job() == job || self.policy.approve(&ctx, r, job, priority))
+                });
             }
         }
-        let reason = if !has_pending {
-            DenyReason::NoPendingTasks
-        } else if usable_blocked_by_locality {
+        // A usable (free or approved) fitting slot exists, yet
+        // `try_assign_one` declined: delay scheduling has not unlocked
+        // the locality level that slot sits at.
+        let reason = if usable {
             DenyReason::LocalityWait
         } else if saw_denied_reservation {
             DenyReason::ReservationDenied
         } else {
             DenyReason::NoFittingSlot
         };
-        (reason, blocked_stage)
+        (reason, Some(blocked_stage))
     }
 
     /// Re-derives the cached snapshot vector of schedulable jobs from the
@@ -569,19 +580,50 @@ impl TaskScheduler {
 
     /// With zero free slots: can `job` possibly place a task at all?
     /// Only if it owns reservations, or some other job's reservation
-    /// group approves its priority (verdicts are group-uniform when the
-    /// policy declares priority-based approval).
+    /// group approves its priority (verdicts are group-uniform under
+    /// [`group_approval`](Self::group_approval)).
     fn viable_on_reserved(&self, job: JobId, priority: Priority, now: SimTime) -> bool {
         if self.slots.has_reservations(job) {
             return true;
         }
-        self.slots.reservation_groups().any(|(owner, rprio, _)| {
-            self.counters.reservation_groups_touched.inc();
-            let probe = Reservation::new(owner, rprio);
-            let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
-            self.counters.approval_calls.inc();
-            self.policy.approve(&ctx, &probe, job, priority)
-        })
+        let mut walk = self.group_walk(job, priority, now);
+        let viable = walk.any(|(_, _, class)| class.is_some());
+        self.count_walk(&walk);
+        viable
+    }
+
+    /// `true` when ApprovalLogic verdicts are uniform per `(owner,
+    /// priority)` reservation group, so offers walk groups, not slots.
+    fn group_approval(&self) -> bool {
+        self.approval.is_some() || self.policy.approval_is_priority_based()
+    }
+
+    /// A walk over the reservation groups for `job` at `priority`: the
+    /// declared rule runs inline, and only a policy that declares none is
+    /// asked through `approve`.
+    fn group_walk(&self, job: JobId, priority: Priority, now: SimTime) -> GroupWalk<'_> {
+        let verdicts = match self.approval {
+            Some(rule) => Verdicts::Rule(rule),
+            None => Verdicts::Approve(
+                &*self.policy,
+                PolicyCtx { now, slots: &self.slots, jobs: &self.jobs },
+            ),
+        };
+        GroupWalk {
+            groups: self.slots.reservation_groups().iter(),
+            job,
+            priority,
+            verdicts,
+            touched: 0,
+            calls: 0,
+        }
+    }
+
+    /// Adds one group walk's groups touched and approval calls to the
+    /// work counters.
+    fn count_walk(&self, walk: &GroupWalk<'_>) {
+        self.counters.reservation_groups_touched.add(walk.touched);
+        self.counters.approval_calls.add(walk.calls);
     }
 
     /// Finds the best placement for one pending task of `job` and applies
@@ -653,25 +695,15 @@ impl TaskScheduler {
         let preferred = tsm.preferred();
         // Best approved reserved candidate per locality level: (class, id).
         let mut reserved_best: [Option<(u8, SlotId)>; 4] = [None; 4];
-        if self.policy.approval_is_priority_based() {
+        if self.group_approval() {
             // Verdicts are uniform per (owner, priority) reservation
-            // group: one ApprovalLogic call covers every slot of a group,
-            // and the owning job never needs one. Visits the same
+            // group: one ApprovalLogic verdict covers every slot of a
+            // group, and the owning job never needs one. Visits the same
             // approved-slot set as the per-slot scan below, so the
             // min-rank result is identical.
-            for (owner, rprio, _) in self.slots.reservation_groups() {
-                self.counters.reservation_groups_touched.inc();
-                let class = if owner == job {
-                    0u8
-                } else {
-                    let probe = Reservation::new(owner, rprio);
-                    let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
-                    self.counters.approval_calls.inc();
-                    if !self.policy.approve(&ctx, &probe, job, priority) {
-                        continue;
-                    }
-                    2u8
-                };
+            let mut walk = self.group_walk(job, priority, now);
+            for (owner, rprio, class) in &mut walk {
+                let Some(class) = class else { continue };
                 for slot in self.slots.reserved_for(owner) {
                     self.counters.slots_scanned.inc();
                     let r = self.slots.get(slot).reservation().expect("reserved index entry");
@@ -693,6 +725,7 @@ impl TaskScheduler {
                     }
                 }
             }
+            self.count_walk(&walk);
         } else {
             for slot in self.slots.reserved_slots() {
                 self.counters.slots_scanned.inc();
@@ -717,16 +750,15 @@ impl TaskScheduler {
                 }
             }
         }
+        // With the free lists empty, their searches can only come back
+        // empty (and count nothing), so they are skipped.
+        let no_free = self.slots.counts().0 == 0;
         for &level in LocalityLevel::ALL.iter().filter(|&&l| l <= allowed) {
             let free = match level {
-                // No preference: every slot is process-local.
-                LocalityLevel::ProcessLocal if preferred.is_empty() => {
-                    self.min_free_fitting(self.slots.free_slots(), demand)
-                }
                 // Reads raw slot state, not the free lists, so the
                 // out-of-service guard the indexes apply must be repeated
                 // here: a crashed slot is Free but must never be offered.
-                LocalityLevel::ProcessLocal => preferred
+                LocalityLevel::ProcessLocal if !preferred.is_empty() => preferred
                     .iter()
                     .copied()
                     .inspect(|_| self.counters.slots_scanned.inc())
@@ -736,6 +768,11 @@ impl TaskScheduler {
                             && self.slots.size(s) >= demand
                     })
                     .min(),
+                _ if no_free => None,
+                // No preference: every slot is process-local.
+                LocalityLevel::ProcessLocal => {
+                    self.min_free_fitting(self.slots.free_slots(), demand)
+                }
                 LocalityLevel::NodeLocal => tsm
                     .pref_nodes()
                     .iter()
@@ -1419,6 +1456,49 @@ impl TaskScheduler {
     }
 }
 
+/// Where a group walk takes its ApprovalLogic verdicts from.
+enum Verdicts<'a> {
+    /// The policy's declared rule, evaluated inline.
+    Rule(ApprovalRule),
+    /// `approve` through the policy's vtable.
+    Approve(&'a dyn ReservationPolicy, PolicyCtx<'a>),
+}
+
+/// The reservation groups in `(owner, priority)` order, each with its
+/// standing for one candidate job: `Some(0)` for the job's own group,
+/// `Some(2)` for another job's group that approves it, `None` for one
+/// that does not. Counts the groups it touches and the verdicts it takes;
+/// the job's own group needs none.
+struct GroupWalk<'a> {
+    groups: std::slice::Iter<'a, (JobId, Priority, usize)>,
+    job: JobId,
+    priority: Priority,
+    verdicts: Verdicts<'a>,
+    touched: u64,
+    calls: u64,
+}
+
+impl Iterator for GroupWalk<'_> {
+    type Item = (JobId, Priority, Option<u8>);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let &(owner, rprio, _) = self.groups.next()?;
+        self.touched += 1;
+        if owner == self.job {
+            return Some((owner, rprio, Some(0)));
+        }
+        self.calls += 1;
+        let approved = match &self.verdicts {
+            Verdicts::Rule(rule) => rule.approves(owner, rprio, self.job, self.priority),
+            Verdicts::Approve(policy, ctx) => {
+                policy.approve(ctx, &Reservation::new(owner, rprio), self.job, self.priority)
+            }
+        };
+        Some((owner, rprio, approved.then_some(2)))
+    }
+}
+
 /// Lowers an [`Assignment`] into its trace event.
 fn launch_event(a: &Assignment) -> TraceEventKind {
     TraceEventKind::TaskLaunched {
@@ -2004,7 +2084,7 @@ mod tests {
     }
 
     /// Asserts every index `TaskScheduler` keeps against the full walk it
-    /// replaces.
+    /// replaces, and every job's deny reason against the per-slot scan.
     fn assert_indexes_match_full_walks(s: &TaskScheduler, now: SimTime) {
         let pending: Vec<JobId> = s
             .jobs()
@@ -2019,6 +2099,51 @@ mod tests {
             "locality-unlock window at {now:?}"
         );
         assert_eq!(s.has_unfinished_jobs(), s.jobs().iter().any(|j| !j.is_complete()));
+        for job in s.jobs().iter().map(|j| j.id()) {
+            assert_eq!(
+                s.deny_reason(job, now),
+                deny_reason_per_slot(s, job, now),
+                "deny reason of {job:?} at {now:?}"
+            );
+        }
+    }
+
+    /// `deny_reason` as it read before it shared the group walk: one
+    /// `approve` call per fitting reserved slot, per pending stage.
+    fn deny_reason_per_slot(
+        s: &TaskScheduler,
+        job: JobId,
+        now: SimTime,
+    ) -> (DenyReason, Option<StageId>) {
+        let Some(state) = s.jobs.get(job) else {
+            return (DenyReason::NoPendingTasks, None);
+        };
+        let priority = state.priority();
+        let mut blocked_stage: Option<StageId> = None;
+        let mut usable_anywhere = false;
+        let mut saw_denied_reservation = false;
+        for tsm in state.active_tasksets().filter(|t| t.has_pending()) {
+            blocked_stage = Some(blocked_stage.map_or(tsm.stage(), |b| b.min(tsm.stage())));
+            let demand = state.spec().stage(tsm.stage()).demand();
+            let mut usable = s.slots.free_slots().any(|x| s.slots.size(x) >= demand);
+            for slot in s.slots.reserved_slots().filter(|&x| s.slots.size(x) >= demand) {
+                let r = s.slots.get(slot).reservation().expect("reserved index entry");
+                let ctx = PolicyCtx { now, slots: &s.slots, jobs: &s.jobs };
+                if r.job() == job || s.policy.approve(&ctx, r, job, priority) {
+                    usable = true;
+                } else {
+                    saw_denied_reservation = true;
+                }
+            }
+            usable_anywhere |= usable;
+        }
+        let reason = match (blocked_stage, usable_anywhere, saw_denied_reservation) {
+            (None, _, _) => DenyReason::NoPendingTasks,
+            (_, true, _) => DenyReason::LocalityWait,
+            (_, _, true) => DenyReason::ReservationDenied,
+            _ => DenyReason::NoFittingSlot,
+        };
+        (reason, blocked_stage)
     }
 
     /// Drives a scheduler with a random workload, random event order and

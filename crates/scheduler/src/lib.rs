@@ -39,7 +39,7 @@ pub use engine::{Assignment, FailureOutcome, FinishOutcome, TaskScheduler};
 pub use jobs::{JobState, Jobs, StageStats};
 pub use order::{Fair, Fifo, FifoPriority, JobOrder, JobSnapshot};
 pub use policy::{
-    PolicyCtx, PreReserveRequest, ReservationPolicy, SlotDisposition, StaticReservation,
+    ApprovalRule, PolicyCtx, PreReserveRequest, ReservationPolicy, SlotDisposition, StaticReservation,
     TimeoutReservation, WorkConserving,
 };
 pub use speculation::SpeculationConfig;

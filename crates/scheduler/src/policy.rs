@@ -98,13 +98,25 @@ pub trait ReservationPolicy: fmt::Debug {
         slot: SlotId,
     ) -> SlotDisposition;
 
+    /// The ApprovalLogic (Algorithm 1, lines 18–22) stated as data: the
+    /// [`ApprovalRule`] every [`approve`](Self::approve) verdict follows,
+    /// or `None` when the verdict is computed some other way.
+    ///
+    /// Declaring a rule lets the scheduler evaluate it inline, once per
+    /// `(owner, priority)` reservation group, without calling `approve`.
+    /// The scheduler reads it once, when it is built. The default is
+    /// `None`; a policy overriding `approve` with slot- or time-dependent
+    /// logic must leave it that way.
+    fn approval_rule(&self) -> Option<ApprovalRule> {
+        None
+    }
+
     /// The ApprovalLogic (Algorithm 1, lines 18–22): may a task of `job`
     /// (at `priority`) be assigned onto a slot held by `reservation`?
     ///
-    /// The default reproduces the paper's rule: the reservation is
-    /// respected by jobs with lower **or equal** priority, but can be
-    /// overridden by strictly higher priorities — and the reserving job
-    /// itself may always use its own slots.
+    /// The default evaluates the declared
+    /// [`approval_rule`](Self::approval_rule), or the paper's rule
+    /// ([`ApprovalRule::OwnerOrAbove`]) when none is declared.
     fn approve(
         &self,
         ctx: &PolicyCtx<'_>,
@@ -113,7 +125,12 @@ pub trait ReservationPolicy: fmt::Debug {
         priority: Priority,
     ) -> bool {
         let _ = ctx;
-        job == reservation.job() || priority > reservation.priority()
+        self.approval_rule().unwrap_or(ApprovalRule::OwnerOrAbove).approves(
+            reservation.job(),
+            reservation.priority(),
+            job,
+            priority,
+        )
     }
 
     /// `true` iff this policy's [`approve`](Self::approve) verdict is a
@@ -125,11 +142,11 @@ pub trait ReservationPolicy: fmt::Debug {
     /// Declaring this lets the scheduler evaluate ApprovalLogic once per
     /// `(owner, priority)` reservation *group* instead of once per
     /// reserved slot, and to skip candidates that cannot match any group
-    /// when no free slots remain. The default is conservative (`false`:
-    /// one `approve` call per slot); a policy overriding [`approve`] with
-    /// slot- or time-dependent logic must leave it that way.
+    /// when no free slots remain. The default is `true` exactly when an
+    /// [`approval_rule`](Self::approval_rule) is declared; otherwise the
+    /// scheduler makes one `approve` call per slot.
     fn approval_is_priority_based(&self) -> bool {
-        false
+        self.approval_rule().is_some()
     }
 
     /// Called after `task`'s completion was processed; returns a
@@ -175,6 +192,35 @@ pub trait ReservationPolicy: fmt::Debug {
 /// ever receives this id.
 pub const STATIC_POOL_JOB: JobId = JobId::new(u64::MAX);
 
+/// ApprovalLogic (Algorithm 1, lines 18–22) as data: which candidates
+/// may take a slot held by a reservation.
+///
+/// A rule's verdict depends only on the reservation's `(owner,
+/// priority)` and the candidate's `(job, priority)`, so it is uniform
+/// over a reservation group and the scheduler can evaluate it inline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ApprovalRule {
+    /// The paper's rule: the owning job may use its own slot; any other
+    /// job needs a strictly higher priority than the reservation's.
+    OwnerOrAbove,
+    /// [`OwnerOrAbove`](Self::OwnerOrAbove), except that a reservation
+    /// owned by [`STATIC_POOL_JOB`] serves its whole class: any priority
+    /// at or above the reservation's.
+    StaticPoolAtLeast,
+}
+
+impl ApprovalRule {
+    /// May a task of `job` at `priority` take a slot that `owner` holds
+    /// at `rprio`?
+    #[inline]
+    pub fn approves(self, owner: JobId, rprio: Priority, job: JobId, priority: Priority) -> bool {
+        match self {
+            ApprovalRule::StaticPoolAtLeast if owner == STATIC_POOL_JOB => priority >= rprio,
+            _ => job == owner || priority > rprio,
+        }
+    }
+}
+
 /// The status-quo baseline: strictly work conserving, never reserves a
 /// slot. This is the configuration under which the paper demonstrates the
 /// isolation failure (§II-B).
@@ -186,8 +232,8 @@ impl ReservationPolicy for WorkConserving {
         "work-conserving"
     }
 
-    fn approval_is_priority_based(&self) -> bool {
-        true // uses the default (pure) approval rule
+    fn approval_rule(&self) -> Option<ApprovalRule> {
+        Some(ApprovalRule::OwnerOrAbove)
     }
 
     fn on_task_completed(
@@ -225,8 +271,8 @@ impl ReservationPolicy for TimeoutReservation {
         "timeout-reservation"
     }
 
-    fn approval_is_priority_based(&self) -> bool {
-        true // uses the default (pure) approval rule
+    fn approval_rule(&self) -> Option<ApprovalRule> {
+        Some(ApprovalRule::OwnerOrAbove)
     }
 
     fn on_task_completed(
@@ -275,10 +321,8 @@ impl ReservationPolicy for StaticReservation {
         "static-reservation"
     }
 
-    fn approval_is_priority_based(&self) -> bool {
-        // The pool-sentinel branch still only compares priorities against
-        // the reservation's owner and priority — pure in the same sense.
-        true
+    fn approval_rule(&self) -> Option<ApprovalRule> {
+        Some(ApprovalRule::StaticPoolAtLeast)
     }
 
     fn initial_static_pool(&self, total_slots: u32) -> Option<(u32, Priority)> {
@@ -301,21 +345,6 @@ impl ReservationPolicy for StaticReservation {
             SlotDisposition::Reserve(Reservation::new(STATIC_POOL_JOB, self.class))
         } else {
             SlotDisposition::Release
-        }
-    }
-
-    fn approve(
-        &self,
-        _ctx: &PolicyCtx<'_>,
-        reservation: &Reservation,
-        job: JobId,
-        priority: Priority,
-    ) -> bool {
-        if reservation.job() == STATIC_POOL_JOB {
-            // Pool slots serve the whole class (>= class priority).
-            priority >= reservation.priority()
-        } else {
-            job == reservation.job() || priority > reservation.priority()
         }
     }
 }
@@ -439,6 +468,90 @@ mod tests {
         assert!(WorkConserving.approval_is_priority_based());
         assert!(TimeoutReservation::new(SimDuration::from_secs(1)).approval_is_priority_based());
         assert!(StaticReservation::new(1, Priority::new(1)).approval_is_priority_based());
+        assert_eq!(WorkConserving.approval_rule(), Some(ApprovalRule::OwnerOrAbove));
+        assert_eq!(
+            TimeoutReservation::new(SimDuration::from_secs(1)).approval_rule(),
+            Some(ApprovalRule::OwnerOrAbove)
+        );
+        assert_eq!(
+            StaticReservation::new(1, Priority::new(1)).approval_rule(),
+            Some(ApprovalRule::StaticPoolAtLeast)
+        );
+    }
+
+    /// The paper's `approve` body as the default implemented it before
+    /// the rule was stated as data.
+    fn paper_approve(r: &Reservation, job: JobId, priority: Priority) -> bool {
+        job == r.job() || priority > r.priority()
+    }
+
+    /// `StaticReservation::approve` as it read before the rule was
+    /// stated as data.
+    fn static_approve(r: &Reservation, job: JobId, priority: Priority) -> bool {
+        if r.job() == STATIC_POOL_JOB {
+            priority >= r.priority()
+        } else {
+            job == r.job() || priority > r.priority()
+        }
+    }
+
+    /// A policy that declares no rule and keeps the default `approve`.
+    #[derive(Debug)]
+    struct NoRule;
+
+    impl ReservationPolicy for NoRule {
+        fn name(&self) -> &'static str {
+            "no-rule"
+        }
+
+        fn on_task_completed(
+            &mut self,
+            _ctx: &PolicyCtx<'_>,
+            _task: TaskId,
+            _slot: SlotId,
+        ) -> SlotDisposition {
+            SlotDisposition::Release
+        }
+    }
+
+    #[test]
+    fn approval_rule_truth_table_matches_the_approve_bodies() {
+        let (slots, jobs) = ctx_fixture();
+        let ctx = PolicyCtx { now: SimTime::ZERO, slots: &slots, jobs: &jobs };
+        let candidate = JobId::new(1);
+        let rprio = Priority::new(5);
+        let timeout = TimeoutReservation::new(SimDuration::from_secs(1));
+        let pool = StaticReservation::new(1, rprio);
+        assert!(!NoRule.approval_is_priority_based());
+        assert_eq!(NoRule.approval_rule(), None);
+        let mut rows = 0;
+        for owner in [candidate, JobId::new(2), STATIC_POOL_JOB] {
+            for priority in [Priority::new(4), rprio, Priority::new(6)] {
+                let r = Reservation::new(owner, rprio);
+                let paper = paper_approve(&r, candidate, priority);
+                let class = static_approve(&r, candidate, priority);
+                let case = format!("owner {owner:?}, candidate priority {priority:?}");
+                assert_eq!(
+                    ApprovalRule::OwnerOrAbove.approves(owner, rprio, candidate, priority),
+                    paper,
+                    "OwnerOrAbove, {case}"
+                );
+                assert_eq!(
+                    ApprovalRule::StaticPoolAtLeast.approves(owner, rprio, candidate, priority),
+                    class,
+                    "StaticPoolAtLeast, {case}"
+                );
+                assert_eq!(WorkConserving.approve(&ctx, &r, candidate, priority), paper, "{case}");
+                assert_eq!(timeout.approve(&ctx, &r, candidate, priority), paper, "{case}");
+                assert_eq!(NoRule.approve(&ctx, &r, candidate, priority), paper, "{case}");
+                assert_eq!(pool.approve(&ctx, &r, candidate, priority), class, "{case}");
+                rows += 1;
+            }
+        }
+        assert_eq!(rows, 9);
+        // The two rules differ only on the pool sentinel at equal priority.
+        assert!(!ApprovalRule::OwnerOrAbove.approves(STATIC_POOL_JOB, rprio, candidate, rprio));
+        assert!(ApprovalRule::StaticPoolAtLeast.approves(STATIC_POOL_JOB, rprio, candidate, rprio));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use ssr_cluster::{ClusterSpec, LocalityLevel, LocalityModel, SlotId};
 use ssr_dag::{JobId, JobSpec};
 use ssr_faults::{FaultKind, FaultPlan};
 use ssr_perf::SpanProfiler;
-use ssr_scheduler::TaskScheduler;
+use ssr_scheduler::{ReservationPolicy, TaskScheduler};
 use ssr_simcore::events::EventQueue;
 use ssr_simcore::rng::SimRng;
 use ssr_simcore::{SimDuration, SimTime};
@@ -192,12 +192,19 @@ impl Simulation {
         order: OrderConfig,
         jobs: Vec<JobSpec>,
     ) -> Self {
-        let mut sched = TaskScheduler::new(
-            config.cluster,
-            config.locality.clone(),
-            policy.build(),
-            order.build(),
-        );
+        Simulation::from_policy(config, policy.build(), order, jobs)
+    }
+
+    /// Creates a run like [`new`](Simulation::new) around a policy the
+    /// caller built, such as a decorator over a shipped one.
+    pub fn from_policy(
+        config: SimConfig,
+        policy: Box<dyn ReservationPolicy>,
+        order: OrderConfig,
+        jobs: Vec<JobSpec>,
+    ) -> Self {
+        let mut sched =
+            TaskScheduler::new(config.cluster, config.locality.clone(), policy, order.build());
         if let Some(spec_cfg) = config.speculation {
             sched = sched.with_speculation(spec_cfg);
         }

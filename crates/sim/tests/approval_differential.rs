@@ -1,0 +1,251 @@
+//! Differential test of the reservation-group walk.
+//!
+//! Every shipped policy declares its ApprovalLogic as an `ApprovalRule`,
+//! which the scheduler evaluates inline once per reservation group. The
+//! same run is repeated behind two forwarding decorators:
+//!
+//! - one hides the rule, so the group walk asks `approve` through the
+//!   vtable (the path a timing decorator takes);
+//! - one also reports `approval_is_priority_based() == false`, so the
+//!   scheduler asks `approve` once per reserved slot, and answers it with
+//!   the `approve` bodies as they read before the rule was stated as
+//!   data: the reference, independent of `ApprovalRule`.
+//!
+//! All three must place the same tasks on the same slots. The two group
+//! walks must also write the same trace, byte for byte, and count the
+//! same work. The reference writes the same trace except for its offer
+//! declines: without group verdicts, a round that starts with no free
+//! slot cannot drop the candidates no group approves up front, so the
+//! ones the round never reaches are not declined.
+
+use ssr_cluster::{ClusterSpec, LocalityModel, Reservation, SlotId};
+use ssr_core::SsrConfig;
+use ssr_dag::{JobId, JobSpec, JobSpecBuilder, Priority, StageId, TaskId};
+use ssr_perf::WorkCounters;
+use ssr_scheduler::policy::STATIC_POOL_JOB;
+use ssr_scheduler::{PolicyCtx, PreReserveRequest, ReservationPolicy, SlotDisposition};
+use ssr_sim::{FaultKind, FaultPlan, OrderConfig, PolicyConfig, SimConfig, Simulation};
+use ssr_simcore::dist::{constant, uniform};
+use ssr_simcore::rng::SimRng;
+use ssr_simcore::{SimDuration, SimTime};
+use ssr_trace::JsonlSink;
+
+/// Forwards every policy call except `approval_rule`, which it leaves at
+/// the default (`None`). With `per_slot` it also denies that approval is
+/// priority based and approves by [`reference_approve`].
+#[derive(Debug)]
+struct Forward {
+    inner: Box<dyn ReservationPolicy>,
+    per_slot: bool,
+}
+
+/// The shipped policies' `approve` bodies before the rule was stated as
+/// data: the paper's rule, except that a static pool serves its whole
+/// class. Only `StaticReservation` ever reserves for the pool sentinel.
+fn reference_approve(r: &Reservation, job: JobId, priority: Priority) -> bool {
+    if r.job() == STATIC_POOL_JOB {
+        priority >= r.priority()
+    } else {
+        job == r.job() || priority > r.priority()
+    }
+}
+
+impl ReservationPolicy for Forward {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn on_task_completed(
+        &mut self,
+        ctx: &PolicyCtx<'_>,
+        task: TaskId,
+        slot: SlotId,
+    ) -> SlotDisposition {
+        self.inner.on_task_completed(ctx, task, slot)
+    }
+
+    fn approve(
+        &self,
+        ctx: &PolicyCtx<'_>,
+        reservation: &Reservation,
+        job: JobId,
+        priority: Priority,
+    ) -> bool {
+        if self.per_slot {
+            reference_approve(reservation, job, priority)
+        } else {
+            self.inner.approve(ctx, reservation, job, priority)
+        }
+    }
+
+    fn approval_is_priority_based(&self) -> bool {
+        !self.per_slot && self.inner.approval_is_priority_based()
+    }
+
+    fn prereserve(&mut self, ctx: &PolicyCtx<'_>, task: TaskId) -> Option<PreReserveRequest> {
+        self.inner.prereserve(ctx, task)
+    }
+
+    fn mitigate_stragglers(&self) -> bool {
+        self.inner.mitigate_stragglers()
+    }
+
+    fn initial_static_pool(&self, total_slots: u32) -> Option<(u32, Priority)> {
+        self.inner.initial_static_pool(total_slots)
+    }
+
+    fn static_pool_assigned(&mut self, slots: &[SlotId]) {
+        self.inner.static_pool_assigned(slots);
+    }
+
+    fn on_stage_ready(&mut self, ctx: &PolicyCtx<'_>, job: JobId, stage: StageId) {
+        self.inner.on_stage_ready(ctx, job, stage);
+    }
+
+    fn on_job_completed(&mut self, ctx: &PolicyCtx<'_>, job: JobId) {
+        self.inner.on_job_completed(ctx, job);
+    }
+}
+
+/// One random scenario: cluster, jobs, policy, order and fault plan.
+struct Case {
+    config: SimConfig,
+    policy: PolicyConfig,
+    order: OrderConfig,
+    jobs: Vec<JobSpec>,
+}
+
+fn case(seed: u64, policy: usize, order: usize) -> Case {
+    let mut rng = SimRng::stream(seed, 0);
+    let nodes = 2 + rng.next_below(3) as u32;
+    let cluster = ClusterSpec::with_racks(nodes, 1 + rng.next_below(3) as u32, 2).unwrap();
+    let jobs = (0..2 + rng.next_below(6))
+        .map(|j| {
+            let mut b = JobSpecBuilder::new(format!("j{j}"))
+                .priority(Priority::new(rng.next_below(4) as i32))
+                .arrival(SimTime::from_millis(rng.next_below(20_000)));
+            for st in 0..1 + rng.next_below(3) {
+                let tasks = 1 + rng.next_below(6) as u32;
+                let secs = 0.5 + rng.next_below(40) as f64 / 10.0;
+                let duration = if rng.chance(0.5) { constant(secs) } else { uniform(secs, 2.0 * secs) };
+                b = b.stage(format!("s{st}"), tasks, duration);
+            }
+            b.chain().build().unwrap()
+        })
+        .collect();
+    let policy = match policy {
+        0 => PolicyConfig::WorkConserving,
+        1 => PolicyConfig::Timeout(SimDuration::from_millis(1_000 + rng.next_below(10_000))),
+        2 => PolicyConfig::Static {
+            count: 1 + rng.next_below(u64::from(cluster.total_slots() / 2)) as u32,
+            class: Priority::new(rng.next_below(4) as i32),
+        },
+        _ => PolicyConfig::Ssr(
+            SsrConfig::builder()
+                .isolation_target(if rng.chance(0.5) { 1.0 } else { 0.8 })
+                .prereserve_threshold(rng.next_below(5) as f64 / 4.0)
+                .mitigate_stragglers(rng.chance(0.5))
+                .build()
+                .unwrap(),
+        ),
+    };
+    let order = match order {
+        0 => OrderConfig::FifoPriority,
+        1 => OrderConfig::Fair,
+        _ => OrderConfig::Fifo,
+    };
+    let mut faults = FaultPlan::new();
+    for _ in 0..rng.next_below(4) {
+        let at = SimTime::from_millis(rng.next_below(30_000));
+        let node = rng.next_below(u64::from(nodes)) as u32;
+        let secs = SimDuration::from_millis(1_000 + rng.next_below(10_000));
+        let kind = match rng.next_below(5) {
+            0 => FaultKind::NodeCrash { node, down: rng.chance(0.7).then_some(secs) },
+            1 => FaultKind::SlotRevocation {
+                slot: rng.next_below(u64::from(cluster.total_slots())) as u32,
+            },
+            2 => FaultKind::NetworkPartition { node, secs },
+            3 => FaultKind::StragglerStorm { factor: 2.0, secs },
+            _ => FaultKind::ExecutorRestart { node, down: secs, rampup: secs, cold_factor: 1.5 },
+        };
+        faults.push(at, kind);
+    }
+    let config = SimConfig::new(cluster)
+        .with_locality(
+            LocalityModel::paper_simulation()
+                .with_wait(SimDuration::from_millis(rng.next_below(4_000))),
+        )
+        .with_seed(seed)
+        .with_faults(faults)
+        .with_horizon(SimTime::from_secs(100_000));
+    Case { config, policy, order, jobs }
+}
+
+/// The whole trace and the work counters of one run.
+fn run(case: &Case, policy: Box<dyn ReservationPolicy>) -> (String, WorkCounters) {
+    let (report, sink) =
+        Simulation::from_policy(case.config.clone(), policy, case.order, case.jobs.clone())
+            .with_trace_sink(Box::new(JsonlSink::new()))
+            .run_traced();
+    let jsonl = sink
+        .expect("sink attached")
+        .into_any()
+        .downcast::<JsonlSink>()
+        .expect("JsonlSink recovered")
+        .finish();
+    (jsonl, report.counters)
+}
+
+/// The trace's lines without offer declines and sequence numbers.
+fn decisions(jsonl: &str) -> Vec<String> {
+    jsonl
+        .lines()
+        .filter(|line| !line.contains("\"offer-declined\""))
+        .map(|line| {
+            let seq = line.find(",\"seq\":").expect("every event has a seq");
+            let next = line[seq + 1..].find(',').expect("time follows seq") + seq + 1;
+            format!("{}{}", &line[..seq], &line[next..])
+        })
+        .collect()
+}
+
+/// The task launches among `decisions`.
+fn launches(decisions: &[String]) -> Vec<&String> {
+    decisions.iter().filter(|line| line.contains("\"task-launched\"")).collect()
+}
+
+fn differential(seed: u64, policy: usize, order: usize) {
+    let case = case(seed, policy, order);
+    let built = case.policy.build();
+    assert!(built.approval_rule().is_some(), "{} declares its rule", built.name());
+    let (rule_trace, rule_counters) = run(&case, built);
+    let vtable = Forward { inner: case.policy.build(), per_slot: false };
+    let (vtable_trace, vtable_counters) = run(&case, Box::new(vtable));
+    let per_slot = Forward { inner: case.policy.build(), per_slot: true };
+    let (slot_trace, _) = run(&case, Box::new(per_slot));
+
+    let (rule, vtable, slot) =
+        (decisions(&rule_trace), decisions(&vtable_trace), decisions(&slot_trace));
+    assert!(!launches(&rule).is_empty(), "seed {seed}: the workload runs");
+    assert_eq!(launches(&rule), launches(&slot), "seed {seed}: rule vs per-slot assignments");
+    assert_eq!(launches(&vtable), launches(&slot), "seed {seed}: vtable vs per-slot assignments");
+    assert_eq!(rule, slot, "seed {seed}: rule vs per-slot decisions");
+    assert!(rule_trace == vtable_trace, "seed {seed}: rule vs vtable trace bytes");
+    assert_eq!(rule_counters, vtable_counters, "seed {seed}: rule vs vtable work counters");
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+    /// The inline rule, the vtable group walk and the per-slot reference
+    /// agree on every decision under random workloads, fault plans, the
+    /// four shipped policies and the three job orders.
+    #[test]
+    fn approval_paths_agree_under_faults(
+        seed in 0u64..1_000_000,
+        policy in 0usize..4,
+        order in 0usize..3,
+    ) {
+        differential(seed, policy, order);
+    }
+}

@@ -41,7 +41,7 @@ mod test_events;
 pub use event::{DenyReason, StageMeta, TraceEvent, TraceEventKind, ALL_EVENT_NAMES};
 pub use jsonl::{parse_trace, JsonlSink, ReadError, Trace, SCHEMA_VERSION};
 pub use metrics::{Histogram, MetricsReport, MetricsSink, HOLD_TIME_BOUNDS_SECS};
-pub use replay::{Slot, SlotReplay, SlotState};
+pub use replay::{Slot, SlotReplay, SlotState, SlotTable};
 pub use sink::{SplitSink, TraceSink, VecSink};
 
 #[cfg(test)]
