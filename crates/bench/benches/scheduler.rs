@@ -2,9 +2,10 @@
 //! `BENCH_scheduler.json` at the repo root: resource-offer rounds at
 //! 100 / 1000 / 4000 slots (the paper's simulator scale), saturated
 //! re-offer rounds at the same scales, a contended offer round with 150
-//! candidate jobs on locality wait (the Fig. 15 shape), a full
-//! small-grid simulation, and event-queue throughput including the
-//! recycled-allocation path.
+//! candidate jobs on locality wait (the Fig. 15 shape), a saturated
+//! round in which a phase preferring 2,000 slots takes its 2,000
+//! reservations (the `paper_scale` shape), a full small-grid simulation,
+//! and event-queue throughput including the recycled-allocation path.
 //!
 //! Regenerate the JSON with:
 //!
@@ -16,7 +17,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ssr_cluster::{ClusterSpec, LocalityModel};
-use ssr_dag::{JobSpecBuilder, Priority};
+use ssr_dag::{JobSpecBuilder, Priority, StageId};
 use ssr_scheduler::{FifoPriority, TaskScheduler, WorkConserving};
 use ssr_sim::{OrderConfig, PolicyConfig, SimConfig, Simulation};
 use ssr_simcore::dist::{constant, pareto};
@@ -120,6 +121,66 @@ fn bench_offer_round_contended(c: &mut Criterion) {
     });
 }
 
+/// Tasks per phase of the foreground job in the preferred-slot round:
+/// half of the paper's 4000 slots.
+const PREFERRED_PAR: u32 = 2_000;
+
+/// The `paper_scale` shape at the moment a barrier clears: 1000 nodes x
+/// 4 slots under SSR, a background job holding the 2,000 slots the
+/// foreground job did not, and the foreground's downstream phase ready,
+/// preferring the 2,000 slots its upstream ran on and owning a
+/// reservation on each. No slot is free.
+fn preferred_scheduler() -> TaskScheduler {
+    let mut sched = TaskScheduler::new(
+        ClusterSpec::with_racks(1000, 4, 20).expect("valid"),
+        LocalityModel::paper_simulation(),
+        Box::new(ssr_core::SpeculativeReservation::new()),
+        Box::new(FifoPriority),
+    );
+    let fg = JobSpecBuilder::new("fg")
+        .priority(Priority::new(10))
+        .stage("up", PREFERRED_PAR, constant(1.0))
+        .stage("down", PREFERRED_PAR, constant(1.0))
+        .chain()
+        .build()
+        .expect("valid");
+    let fg = sched.submit(fg, SimTime::ZERO);
+    let bg = JobSpecBuilder::new("bg")
+        .stage("map", 3 * PREFERRED_PAR, constant(30.0))
+        .build()
+        .expect("valid");
+    sched.submit(bg, SimTime::ZERO);
+    let ups = sched.resource_offers(SimTime::ZERO);
+    assert_eq!(ups.len(), 2 * PREFERRED_PAR as usize, "the cluster saturates");
+    let t = SimTime::from_secs(1);
+    for a in ups.iter().filter(|a| a.instance.task.job == fg) {
+        sched.task_finished(a.slot, t);
+    }
+    let down = sched.jobs().get(fg).and_then(|j| j.taskset(StageId::new(1))).expect("ready");
+    assert_eq!(down.preferred().len(), PREFERRED_PAR as usize);
+    assert_eq!(sched.slot_pool().counts(), (0, PREFERRED_PAR as usize, PREFERRED_PAR as usize));
+    assert_eq!(sched.slot_pool().reserved_for(fg).count(), PREFERRED_PAR as usize);
+    sched
+}
+
+/// One saturated offer round in which the ready phase takes all 2,000 of
+/// its reservations: 2,000 decisions, each ranking the phase's reserved
+/// slots and scanning its preferred ones.
+fn bench_offer_round_preferred(c: &mut Criterion) {
+    let t = SimTime::from_secs(1);
+    c.bench_function("scheduler/offer_round_preferred", |b| {
+        b.iter_batched(
+            preferred_scheduler,
+            |mut sched| {
+                let placed = sched.resource_offers(t).len();
+                assert_eq!(placed, PREFERRED_PAR as usize, "every reservation is taken");
+                black_box(placed)
+            },
+            criterion::BatchSize::LargeInput,
+        )
+    });
+}
+
 /// A re-offer round on an already saturated cluster: the scheduler must
 /// conclude "nothing to do" — the old engine paid a full slot scan per
 /// backlogged job to learn that.
@@ -210,6 +271,7 @@ criterion_group!(
     benches,
     bench_offer_round,
     bench_offer_round_contended,
+    bench_offer_round_preferred,
     bench_saturated_reoffer,
     bench_full_sim_small_grid,
     bench_event_queue

@@ -5,7 +5,8 @@
 //! [`SlotPool`] keeps, updated at every state transition:
 //!
 //! * the set of **free** slots (globally, per node and per rack) — O(log n)
-//!   membership updates, O(result) enumeration for candidate ranking,
+//!   membership updates, O(result) enumeration for candidate ranking, and
+//!   a dense per-slot flag for O(1) membership tests,
 //! * the set of **reserved** slots, globally and **per job** — O(result)
 //!   `reserved_for`, `release_job_reservations` and stale-reservation
 //!   cleanup,
@@ -68,6 +69,10 @@ pub struct SlotPool {
     /// case): demand filters reduce to a single comparison.
     uniform_size: bool,
     free: BTreeSet<SlotId>,
+    /// `slot -> in the free index` (dense): free and in service. Lets a
+    /// walk over known slot ids test free-list membership without a tree
+    /// lookup.
+    free_in_service: Vec<bool>,
     free_by_node: Vec<BTreeSet<SlotId>>,
     free_by_rack: Vec<BTreeSet<SlotId>>,
     reserved: BTreeSet<SlotId>,
@@ -114,6 +119,7 @@ impl SlotPool {
             rack_of,
             uniform_size,
             free,
+            free_in_service: vec![true; total],
             free_by_node,
             free_by_rack,
             reserved: BTreeSet::new(),
@@ -138,12 +144,18 @@ impl SlotPool {
             return;
         }
         self.free.insert(slot);
+        if let Some(flag) = self.free_in_service.get_mut(slot.index()) {
+            *flag = true;
+        }
         self.free_by_node[self.node_of[slot.index()].as_u32() as usize].insert(slot);
         self.free_by_rack[self.rack_of[slot.index()].as_u32() as usize].insert(slot);
     }
 
     fn unindex_free(&mut self, slot: SlotId) {
         self.free.remove(&slot);
+        if let Some(flag) = self.free_in_service.get_mut(slot.index()) {
+            *flag = false;
+        }
         self.free_by_node[self.node_of[slot.index()].as_u32() as usize].remove(&slot);
         self.free_by_rack[self.rack_of[slot.index()].as_u32() as usize].remove(&slot);
     }
@@ -384,6 +396,12 @@ impl SlotPool {
     /// `true` when `slot` is out of service.
     pub fn is_offline(&self, slot: SlotId) -> bool {
         self.offline[slot.index()]
+    }
+
+    /// `true` when `slot` is free and in service, i.e. in the free
+    /// indexes — O(1).
+    pub fn is_free_in_service(&self, slot: SlotId) -> bool {
+        self.free_in_service.get(slot.index()).copied().unwrap_or(false)
     }
 
     /// Number of slots currently out of service — O(slots).
@@ -760,6 +778,8 @@ mod proptests {
         Release(u32),
         Expire(u64),
         ReleaseJob(usize),
+        TakeOffline(u32),
+        BringOnline(u32),
     }
 
     fn op_strategy(slots: u32) -> impl Strategy<Value = Op> {
@@ -771,12 +791,15 @@ mod proptests {
             (0..slots).prop_map(Op::Release),
             (0u64..50).prop_map(Op::Expire),
             (0usize..5).prop_map(Op::ReleaseJob),
+            (0..slots).prop_map(Op::TakeOffline),
+            (0..slots).prop_map(Op::BringOnline),
         ]
     }
 
     /// Applies one op to both implementations and asserts identical
-    /// results; `SlotTable` is the naive rescan reference.
-    fn apply(pool: &mut SlotPool, table: &mut SlotTable, op: Op) {
+    /// results; `SlotTable` is the naive rescan reference, and `offline`
+    /// models the out-of-service set the table does not know about.
+    fn apply(pool: &mut SlotPool, table: &mut SlotTable, offline: &mut BTreeSet<SlotId>, op: Op) {
         match op {
             Op::Assign(s, j) => {
                 let slot = SlotId::new(s);
@@ -812,13 +835,31 @@ mod proptests {
                     table.release_job_reservations(job)
                 );
             }
+            Op::TakeOffline(s) => {
+                let slot = SlotId::new(s);
+                // A reserved slot loses its reservation; a running one
+                // keeps its task.
+                let revoked = (!offline.contains(&slot))
+                    .then(|| table.get(slot).reservation().copied())
+                    .flatten();
+                if revoked.is_some() {
+                    table.release(slot).unwrap();
+                }
+                prop_assert_eq!(pool.take_offline(slot), revoked);
+                offline.insert(slot);
+            }
+            Op::BringOnline(s) => {
+                let slot = SlotId::new(s);
+                prop_assert_eq!(pool.bring_online(slot), offline.remove(&slot));
+            }
         }
     }
 
     proptest! {
         /// The indexed pool and the naive rescan table agree on every
-        /// query after any operation sequence — the static-pool sentinel
-        /// and owners holding two priorities at once included.
+        /// query after any operation sequence — the static-pool sentinel,
+        /// owners holding two priorities at once, and slots going out of
+        /// and back into service included.
         #[test]
         fn pool_agrees_with_rescan_reference(
             ops in proptest::collection::vec(op_strategy(8), 0..300)
@@ -826,13 +867,24 @@ mod proptests {
             let spec = ClusterSpec::with_racks(4, 2, 2).unwrap();
             let mut pool = SlotPool::new(&spec);
             let mut table = SlotTable::new(&spec);
+            let mut offline = BTreeSet::new();
             for op in ops {
-                apply(&mut pool, &mut table, op);
-                prop_assert_eq!(pool.counts(), table.counts());
-                prop_assert_eq!(
-                    pool.free_slots().collect::<Vec<_>>(),
-                    table.free_slots().collect::<Vec<_>>()
-                );
+                apply(&mut pool, &mut table, &mut offline, op);
+                // Out-of-service slots leave the free indexes only.
+                let free_online: Vec<SlotId> =
+                    table.free_slots().filter(|s| !offline.contains(s)).collect();
+                let (_, running, reserved) = table.counts();
+                prop_assert_eq!(pool.counts(), (free_online.len(), running, reserved));
+                prop_assert_eq!(pool.free_slots().collect::<Vec<_>>(), free_online);
+                prop_assert_eq!(pool.offline_count(), offline.len());
+                // The dense flag is exactly "free and in service".
+                for slot in spec.iter_slots() {
+                    prop_assert_eq!(pool.is_offline(slot), offline.contains(&slot));
+                    prop_assert_eq!(
+                        pool.is_free_in_service(slot),
+                        !pool.is_offline(slot) && pool.get(slot).is_free()
+                    );
+                }
                 for job in owners() {
                     prop_assert_eq!(
                         pool.reserved_for(job).collect::<Vec<_>>(),

@@ -755,18 +755,14 @@ impl TaskScheduler {
         let no_free = self.slots.counts().0 == 0;
         for &level in LocalityLevel::ALL.iter().filter(|&&l| l <= allowed) {
             let free = match level {
-                // Reads raw slot state, not the free lists, so the
-                // out-of-service guard the indexes apply must be repeated
-                // here: a crashed slot is Free but must never be offered.
+                // Tests free-list membership per preferred slot, so the
+                // out-of-service guard comes with it: a crashed slot is
+                // Free but never in the free lists, and never offered.
                 LocalityLevel::ProcessLocal if !preferred.is_empty() => preferred
                     .iter()
                     .copied()
                     .inspect(|_| self.counters.slots_scanned.inc())
-                    .filter(|&s| {
-                        !self.slots.is_offline(s)
-                            && self.slots.get(s).is_free()
-                            && self.slots.size(s) >= demand
-                    })
+                    .filter(|&s| self.slots.is_free_in_service(s) && self.slots.size(s) >= demand)
                     .min(),
                 _ if no_free => None,
                 // No preference: every slot is process-local.
@@ -2084,7 +2080,9 @@ mod tests {
     }
 
     /// Asserts every index `TaskScheduler` keeps against the full walk it
-    /// replaces, and every job's deny reason against the per-slot scan.
+    /// replaces, every job's deny reason against the per-slot scan, and
+    /// the candidate-slot ranking of every pending task set against the
+    /// scan per decision.
     fn assert_indexes_match_full_walks(s: &TaskScheduler, now: SimTime) {
         let pending: Vec<JobId> = s
             .jobs()
@@ -2106,6 +2104,55 @@ mod tests {
                 "deny reason of {job:?} at {now:?}"
             );
         }
+        for state in s.jobs().iter().filter(|j| !j.is_complete()) {
+            for tsm in state.active_tasksets().filter(|t| t.has_pending()) {
+                let demand = state.spec().stage(tsm.stage()).demand();
+                let allowed = s.locality.max_allowed_level(now.saturating_since(tsm.ready_since()));
+                let (job, priority) = (state.id(), state.priority());
+                assert_eq!(
+                    s.best_candidate(job, priority, tsm, demand, allowed, now),
+                    best_candidate_full_scan(s, job, priority, tsm, demand, allowed, now),
+                    "best candidate of {:?}/{:?} at {now:?}",
+                    state.id(),
+                    tsm.stage()
+                );
+            }
+        }
+    }
+
+    /// Candidate-slot ranking as a scan per decision: every slot, the
+    /// ordered-set `level_for`, the out-of-service guard, and one
+    /// `approve` call per foreign reservation; the minimum of
+    /// `(level, class, slot)` with class 0 = own reservation, 1 = free,
+    /// 2 = another job's approved reservation.
+    fn best_candidate_full_scan(
+        s: &TaskScheduler,
+        job: JobId,
+        priority: Priority,
+        tsm: &TaskSetManager,
+        demand: u32,
+        allowed: LocalityLevel,
+        now: SimTime,
+    ) -> Option<(SlotId, LocalityLevel)> {
+        let preferred: std::collections::BTreeSet<SlotId> =
+            tsm.preferred().iter().copied().collect();
+        let ctx = PolicyCtx { now, slots: &s.slots, jobs: &s.jobs };
+        s.spec
+            .iter_slots()
+            .filter(|&x| !s.slots.is_offline(x) && s.slots.size(x) >= demand)
+            .filter_map(|x| {
+                let class = match s.slots.get(x) {
+                    ssr_cluster::SlotState::Free => 1u8,
+                    ssr_cluster::SlotState::Reserved(r) if r.job() == job => 0,
+                    ssr_cluster::SlotState::Reserved(r)
+                        if s.policy.approve(&ctx, r, job, priority) => 2,
+                    _ => return None,
+                };
+                let level = ssr_cluster::locality::level_for(&s.spec, &preferred, x);
+                (level <= allowed).then_some((level, class, x))
+            })
+            .min()
+            .map(|(level, _, x)| (x, level))
     }
 
     /// `deny_reason` as it read before it shared the group walk: one

@@ -72,10 +72,72 @@ pub struct TaskSetManager {
     ready_since: SimTime,
     pending: Vec<u32>,
     partitions: Vec<Partition>,
-    preferred: BTreeSet<SlotId>,
-    pref_nodes: BTreeSet<NodeId>,
-    pref_racks: BTreeSet<RackId>,
+    /// The phase's data-locality preference; `None` when it has none
+    /// (every slot is process-local). Boxed so that phases without a
+    /// preference, and the job tables holding them, stay small.
+    locality: Option<Box<LocalityView>>,
     finished_count: u32,
+}
+
+/// A phase's preferred slots in dense form: the slots and their node and
+/// rack projections as ascending lists, plus one membership bitset laid
+/// out as slots, then nodes, then racks. A locality lookup is at most
+/// three bit tests.
+#[derive(Debug, Clone)]
+struct LocalityView {
+    slots: Vec<SlotId>,
+    nodes: Vec<NodeId>,
+    racks: Vec<RackId>,
+    /// Bit `s` is slot `s`, bit `node_base + n` node `n`, bit
+    /// `rack_base + r` rack `r`.
+    bits: Vec<u64>,
+    node_base: usize,
+    rack_base: usize,
+}
+
+impl LocalityView {
+    fn new(preferred: &BTreeSet<SlotId>, spec: &ClusterSpec) -> Self {
+        let slots: Vec<SlotId> = preferred.iter().copied().collect();
+        // Slots are numbered node by node and nodes rack by rack, so the
+        // projections of an ascending list are ascending: dedup suffices.
+        let mut nodes: Vec<NodeId> = slots.iter().map(|&s| spec.node_of(s)).collect();
+        nodes.dedup();
+        let mut racks: Vec<RackId> = nodes.iter().map(|&n| spec.rack_of(n)).collect();
+        racks.dedup();
+        let node_base = spec.total_slots() as usize;
+        let rack_base = node_base + spec.nodes() as usize;
+        let len = rack_base + spec.racks() as usize;
+        let mut bits = vec![0u64; len.div_ceil(64)];
+        let members = slots
+            .iter()
+            .map(|s| s.index())
+            .chain(nodes.iter().map(|n| node_base + n.as_u32() as usize))
+            .chain(racks.iter().map(|r| rack_base + r.as_u32() as usize));
+        for bit in members {
+            bits[bit / 64] |= 1 << (bit % 64);
+        }
+        LocalityView { slots, nodes, racks, bits, node_base, rack_base }
+    }
+
+    /// `true` if bit `bit` is set; out-of-range bits read as unset.
+    #[inline]
+    fn has(&self, bit: usize) -> bool {
+        self.bits.get(bit / 64).is_some_and(|w| (w >> (bit % 64)) & 1 == 1)
+    }
+
+    fn level(&self, spec: &ClusterSpec, slot: SlotId) -> LocalityLevel {
+        if self.has(slot.index()) {
+            return LocalityLevel::ProcessLocal;
+        }
+        let node = spec.node_of(slot);
+        if self.has(self.node_base + node.as_u32() as usize) {
+            return LocalityLevel::NodeLocal;
+        }
+        if self.has(self.rack_base + spec.rack_of(node).as_u32() as usize) {
+            return LocalityLevel::RackLocal;
+        }
+        LocalityLevel::Any
+    }
 }
 
 /// The result of an instance finishing: whether it was the partition's
@@ -107,40 +169,30 @@ impl TaskSetManager {
             partitions: (0..parallelism)
                 .map(|_| Partition { running: Vec::new(), next_attempt: 0, finished: false })
                 .collect(),
-            preferred: BTreeSet::new(),
-            pref_nodes: BTreeSet::new(),
-            pref_racks: BTreeSet::new(),
+            locality: None,
             finished_count: 0,
         }
     }
 
-    /// Sets the preferred slots (those holding upstream outputs), caching
-    /// their node and rack projections so per-slot locality lookups need
-    /// no scan over the preference set. The set is ordered, so every
-    /// walk over it happens in ascending slot order.
+    /// Sets the preferred slots (those holding upstream outputs), with
+    /// their node and rack projections, so per-slot locality lookups need
+    /// no scan over the preference set. An empty set leaves the phase
+    /// without a preference.
     pub fn with_preferred(mut self, preferred: BTreeSet<SlotId>, spec: &ClusterSpec) -> Self {
-        self.pref_nodes = preferred.iter().map(|&s| spec.node_of(s)).collect();
-        self.pref_racks = self.pref_nodes.iter().map(|&n| spec.rack_of(n)).collect();
-        self.preferred = preferred;
+        self.locality =
+            (!preferred.is_empty()).then(|| Box::new(LocalityView::new(&preferred, spec)));
         self
     }
 
     /// The locality level `slot` offers this phase's tasks — pointwise
     /// equal to [`ssr_cluster::locality::level_for`] over
-    /// [`preferred`](Self::preferred), but answered from the cached node
-    /// and rack projections instead of scanning the preference set.
+    /// [`preferred`](Self::preferred), but answered by at most three bit
+    /// tests instead of scanning the preference set.
     pub fn level_on(&self, spec: &ClusterSpec, slot: SlotId) -> LocalityLevel {
-        if self.preferred.is_empty() || self.preferred.contains(&slot) {
-            return LocalityLevel::ProcessLocal;
+        match &self.locality {
+            Some(view) => view.level(spec, slot),
+            None => LocalityLevel::ProcessLocal,
         }
-        let node = spec.node_of(slot);
-        if self.pref_nodes.contains(&node) {
-            return LocalityLevel::NodeLocal;
-        }
-        if self.pref_racks.contains(&spec.rack_of(node)) {
-            return LocalityLevel::RackLocal;
-        }
-        LocalityLevel::Any
     }
 
     /// The owning job.
@@ -158,19 +210,19 @@ impl TaskSetManager {
         self.ready_since
     }
 
-    /// The preferred slots of this phase's tasks.
-    pub fn preferred(&self) -> &BTreeSet<SlotId> {
-        &self.preferred
+    /// The preferred slots of this phase's tasks, in ascending order.
+    pub fn preferred(&self) -> &[SlotId] {
+        self.locality.as_ref().map_or(&[], |v| &v.slots)
     }
 
     /// The nodes hosting preferred slots, in ascending order.
-    pub fn pref_nodes(&self) -> &BTreeSet<NodeId> {
-        &self.pref_nodes
+    pub fn pref_nodes(&self) -> &[NodeId] {
+        self.locality.as_ref().map_or(&[], |v| &v.nodes)
     }
 
     /// The racks hosting preferred slots, in ascending order.
-    pub fn pref_racks(&self) -> &BTreeSet<RackId> {
-        &self.pref_racks
+    pub fn pref_racks(&self) -> &[RackId] {
+        self.locality.as_ref().map_or(&[], |v| &v.racks)
     }
 
     /// Number of tasks not yet launched (originals only).
@@ -513,8 +565,8 @@ mod tests {
     fn preferred_slots_attach() {
         let spec = ClusterSpec::new(1, 8).unwrap();
         let preferred: BTreeSet<SlotId> = [SlotId::new(4)].into_iter().collect();
-        let t = tsm(1).with_preferred(preferred.clone(), &spec);
-        assert_eq!(t.preferred(), &preferred);
+        let t = tsm(1).with_preferred(preferred, &spec);
+        assert_eq!(t.preferred(), &[SlotId::new(4)]);
     }
 
     #[test]
@@ -523,17 +575,60 @@ mod tests {
         // locality tests.
         let spec = ClusterSpec::with_racks(4, 2, 2).unwrap();
         let preferred: BTreeSet<SlotId> = [SlotId::new(0)].into_iter().collect();
-        let t = tsm(1).with_preferred(preferred.clone(), &spec);
-        for slot in spec.iter_slots() {
-            assert_eq!(
-                t.level_on(&spec, slot),
-                ssr_cluster::locality::level_for(&spec, &preferred, slot),
-                "slot {slot}"
-            );
-        }
+        assert_view_matches_set(&spec, &preferred);
         // No preference: process-local everywhere.
         let free = tsm(1);
         assert_eq!(free.level_on(&spec, SlotId::new(5)), LocalityLevel::ProcessLocal);
+    }
+
+    /// A topology whose slot, node and rack counts are none of them
+    /// multiples of 64, so every bitset section ends mid-word, with 1–4
+    /// slots per node and several racks.
+    fn ragged_topology(nodes: u32, per_node: u32, per_rack: u32) -> ClusterSpec {
+        let mut nodes = nodes;
+        loop {
+            let spec = ClusterSpec::with_racks(nodes, per_node, per_rack).unwrap();
+            if [spec.total_slots(), spec.nodes(), spec.racks()].iter().all(|n| n % 64 != 0) {
+                return spec;
+            }
+            nodes += 1;
+        }
+    }
+
+    /// Asserts the dense view of `preferred` against `level_for` over
+    /// the ordered set for every slot, and its slices against the set's
+    /// projections in the sets' (ascending) order.
+    fn assert_view_matches_set(spec: &ClusterSpec, preferred: &BTreeSet<SlotId>) {
+        let t = tsm(1).with_preferred(preferred.clone(), spec);
+        for slot in spec.iter_slots() {
+            assert_eq!(
+                t.level_on(spec, slot),
+                ssr_cluster::locality::level_for(spec, preferred, slot),
+                "slot {slot}"
+            );
+        }
+        let nodes: BTreeSet<NodeId> = preferred.iter().map(|&s| spec.node_of(s)).collect();
+        let racks: BTreeSet<RackId> = nodes.iter().map(|&n| spec.rack_of(n)).collect();
+        assert_eq!(t.preferred(), preferred.iter().copied().collect::<Vec<_>>());
+        assert_eq!(t.pref_nodes(), nodes.into_iter().collect::<Vec<_>>());
+        assert_eq!(t.pref_racks(), racks.into_iter().collect::<Vec<_>>());
+    }
+
+    proptest::proptest! {
+        /// The dense view answers exactly what `level_for` answers over
+        /// the ordered set, on ragged topologies, for random preferred
+        /// sets and for the empty one.
+        #[test]
+        fn dense_level_on_matches_level_for(
+            shape in (1u32..300, 1u32..5, 1u32..40),
+            picks in proptest::collection::vec(0u32..1_000_000, 0..64),
+        ) {
+            let spec = ragged_topology(shape.0, shape.1, shape.2);
+            let preferred: BTreeSet<SlotId> =
+                picks.iter().map(|p| SlotId::new(p % spec.total_slots())).collect();
+            assert_view_matches_set(&spec, &preferred);
+            assert_view_matches_set(&spec, &BTreeSet::new());
+        }
     }
 
     #[test]
