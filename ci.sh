@@ -116,6 +116,18 @@ run_counted --json --counters --jobs 1 > "$trace_dir/counters-j1.json"
 run_counted --json --counters --jobs 8 > "$trace_dir/counters-j8.json"
 cmp "$trace_dir/counters-j1.json" "$trace_dir/counters-j8.json"
 grep -q '"tasks_assigned"' "$trace_dir/counters-j1.json"
+# Attaching a trace must not move a byte of the report either: a timeout
+# run whose saturated rounds decline offers and whose reservations expire.
+run_timeout() {
+  ./target/release/ssr-cli run --cluster 2x2 --policy timeout:5 --seed 7 \
+    --fg "pipeline:phases=3,par=4,prio=10" --bg "maponly:tasks=16,secs=10" \
+    --json --counters "$@"
+}
+run_timeout > "$trace_dir/untraced.json"
+run_timeout --trace "$trace_dir/timeout.jsonl" > "$trace_dir/traced.json"
+cmp "$trace_dir/untraced.json" "$trace_dir/traced.json"
+grep -q '"event":"offer-declined"' "$trace_dir/timeout.jsonl"
+grep -q '"event":"reservation-expired"' "$trace_dir/timeout.jsonl"
 
 echo "==> figures byte-identity (figures all --jobs 2 vs the checked-in figures_output.txt)"
 # Perf changes must leave every figure byte alone; this holds them to it.

@@ -99,10 +99,9 @@ fn bench_ssr_cycle(c: &mut Criterion) {
     c.bench_function("scheduler/ssr_two_phase_cycle_64slots", |b| {
         b.iter_batched(
             || {
-                let policy = ssr_core::SpeculativeReservation::builder()
-                    .isolation_target(0.9)
-                    .build()
-                    .expect("valid");
+                let policy = ssr_core::SpeculativeReservation::with_config(
+                    ssr_core::SsrConfig::builder().isolation_target(0.9).build().expect("valid"),
+                );
                 let mut sched = TaskScheduler::new(
                     ClusterSpec::new(16, 4).expect("valid"),
                     LocalityModel::paper_simulation().with_wait(SimDuration::ZERO),

@@ -10,9 +10,8 @@
 //! * the set of **reserved** slots, globally and **per job** — O(result)
 //!   `reserved_for`, `release_job_reservations` and stale-reservation
 //!   cleanup,
-//! * per-job **running counts** — O(log n) `running_for`,
 //! * a **deadline index** over bounded reservations — O(log n)
-//!   `next_deadline` and O(expired · log n) `expire_reservations`,
+//!   `next_deadline` and O(expired · log n) `expire_reservations_with`,
 //! * the `(free, running, reserved)` **counts** — O(1) `counts()`.
 //!
 //! The unindexed [`SlotTable`] survives as the naive reference
@@ -36,7 +35,7 @@ use crate::topology::{ClusterSpec, NodeId, RackId, SlotId};
 ///
 /// Drop-in replacement for [`SlotTable`](crate::slot::SlotTable) where the
 /// caller also needs fast queries: the transition API (`assign`, `finish`,
-/// `reserve`, `release`, `expire_reservations`,
+/// `reserve`, `release`, `expire_reservations_with`,
 /// `release_job_reservations`) behaves identically, and every enumeration
 /// (`free_slots`, `reserved_for`, expiry results) yields slots in the same
 /// ascending-id order the naive scan produced.
@@ -54,7 +53,6 @@ use crate::topology::{ClusterSpec, NodeId, RackId, SlotId};
 /// let slot = pool.free_slots().next().expect("all free initially");
 /// pool.assign(slot, TaskId::new(JobId::new(1), StageId::new(0), 0))?;
 /// assert_eq!(pool.counts(), (3, 1, 0));
-/// assert_eq!(pool.running_for(JobId::new(1)), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -83,7 +81,6 @@ pub struct SlotPool {
     /// Sorted by `(owner, priority)`, with no zero counts: offer rounds
     /// walk it once per candidate, so it is a flat array, not a tree.
     reserved_groups: Vec<(JobId, Priority, usize)>,
-    running_by_job: BTreeMap<JobId, usize>,
     /// `(deadline, slot)` for every reservation with a bounded deadline.
     deadlines: BTreeSet<(SimTime, SlotId)>,
     running_count: usize,
@@ -125,7 +122,6 @@ impl SlotPool {
             reserved: BTreeSet::new(),
             reserved_by_job: BTreeMap::new(),
             reserved_groups: Vec::new(),
-            running_by_job: BTreeMap::new(),
             deadlines: BTreeSet::new(),
             running_count: 0,
             offline: vec![false; total],
@@ -236,7 +232,6 @@ impl SlotPool {
         self.unindex_current(slot).expect("checked not running");
         self.states[slot.index()] = SlotState::Running(task);
         self.running_count += 1;
-        *self.running_by_job.entry(task.job).or_insert(0) += 1;
         Ok(())
     }
 
@@ -251,12 +246,6 @@ impl SlotPool {
         };
         self.states[slot.index()] = SlotState::Free;
         self.running_count -= 1;
-        if let Some(c) = self.running_by_job.get_mut(&task.job) {
-            *c -= 1;
-            if *c == 0 {
-                self.running_by_job.remove(&task.job);
-            }
-        }
         self.index_free(slot);
         Ok(task)
     }
@@ -291,16 +280,11 @@ impl SlotPool {
     /// returns the freed slots in ascending id order (§IV-B: "beyond the
     /// deadline the reservation is expired, and the slot becomes free to
     /// use by other jobs").
-    pub fn expire_reservations(&mut self, now: SimTime) -> Vec<SlotId> {
-        self.expire_reservations_with(now, |_, _| {})
-    }
-
-    /// [`expire_reservations`](SlotPool::expire_reservations), additionally
-    /// invoking `on_expire(slot, reservation)` for each lapsed reservation
-    /// just before it is freed — the only point at which the owning job of
-    /// an expired reservation is still known (used by decision tracing).
-    /// Callbacks fire in deadline order; the returned vector is in
-    /// ascending slot-id order as before.
+    ///
+    /// `on_expire(slot, reservation)` runs for each lapsed reservation just
+    /// before it is freed — the only point at which the owning job of an
+    /// expired reservation is still known (used by decision tracing).
+    /// Callbacks fire in deadline order.
     pub fn expire_reservations_with(
         &mut self,
         now: SimTime,
@@ -512,11 +496,6 @@ impl SlotPool {
         (self.free.len(), self.running_count, self.reserved.len())
     }
 
-    /// Number of slots currently running tasks of `job` — O(log jobs).
-    pub fn running_for(&self, job: JobId) -> usize {
-        self.running_by_job.get(&job).copied().unwrap_or(0)
-    }
-
     /// The earliest pending reservation deadline — O(1).
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.deadlines.first().map(|&(d, _)| d)
@@ -534,6 +513,10 @@ mod tests {
 
     fn task(job: u64, part: u32) -> TaskId {
         TaskId::new(JobId::new(job), StageId::new(0), part)
+    }
+
+    fn expire(p: &mut SlotPool, secs: u64) -> Vec<SlotId> {
+        p.expire_reservations_with(SimTime::from_secs(secs), |_, _| {})
     }
 
     #[test]
@@ -555,12 +538,10 @@ mod tests {
         let s = SlotId::new(1);
         p.assign(s, task(1, 0)).unwrap();
         assert_eq!(p.counts(), (3, 1, 0));
-        assert_eq!(p.running_for(JobId::new(1)), 1);
         assert!(!p.free_slots().any(|f| f == s));
         assert!(!p.free_on_node(NodeId::new(0)).any(|f| f == s));
         assert_eq!(p.finish(s).unwrap(), task(1, 0));
         assert_eq!(p.counts(), (4, 0, 0));
-        assert_eq!(p.running_for(JobId::new(1)), 0);
         assert!(p.free_on_node(NodeId::new(0)).any(|f| f == s));
     }
 
@@ -598,8 +579,8 @@ mod tests {
         assert_eq!(p.reserved_for(JobId::new(1)).count(), 0);
         assert_eq!(p.reserved_for(JobId::new(2)).count(), 1);
         assert_eq!(p.next_deadline(), Some(SimTime::from_secs(20)));
-        assert!(p.expire_reservations(SimTime::from_secs(10)).is_empty());
-        assert_eq!(p.expire_reservations(SimTime::from_secs(20)), vec![s]);
+        assert!(expire(&mut p, 10).is_empty());
+        assert_eq!(expire(&mut p, 20), vec![s]);
         assert_eq!(p.counts(), (2, 0, 0));
         assert_eq!(p.next_deadline(), None);
     }
@@ -648,7 +629,7 @@ mod tests {
                 .with_deadline(SimTime::from_secs(5)),
         )
         .unwrap();
-        let expired = p.expire_reservations(SimTime::from_secs(9));
+        let expired = expire(&mut p, 9);
         assert_eq!(expired, vec![SlotId::new(0), SlotId::new(2)]);
     }
 
@@ -709,7 +690,7 @@ mod tests {
         assert_eq!(p.next_deadline(), None);
         assert!(!p.has_reservations(JobId::new(7)));
         // Expiry at the old deadline is a no-op: the index entry is gone.
-        assert!(p.expire_reservations(SimTime::from_secs(10)).is_empty());
+        assert!(expire(&mut p, 10).is_empty());
     }
 
     #[test]
@@ -720,7 +701,6 @@ mod tests {
         // Partition: the task keeps running on the unreachable node.
         assert_eq!(p.take_offline(s), None);
         assert_eq!(p.counts(), (1, 1, 0));
-        assert_eq!(p.running_for(JobId::new(1)), 1);
         // It finishes mid-partition: the slot frees but stays invisible.
         assert_eq!(p.finish(s).unwrap(), task(1, 0));
         assert_eq!(p.counts(), (1, 0, 0));
@@ -826,7 +806,10 @@ mod proptests {
             }
             Op::Expire(at) => {
                 let now = SimTime::from_secs(at);
-                prop_assert_eq!(pool.expire_reservations(now), table.expire_reservations(now));
+                prop_assert_eq!(
+                    pool.expire_reservations_with(now, |_, _| {}),
+                    table.expire_reservations(now)
+                );
             }
             Op::ReleaseJob(o) => {
                 let job = owners()[o];
@@ -890,7 +873,6 @@ mod proptests {
                         pool.reserved_for(job).collect::<Vec<_>>(),
                         table.reserved_for(job).collect::<Vec<_>>()
                     );
-                    prop_assert_eq!(pool.running_for(job), table.running_for(job));
                 }
                 for (slot, state) in pool.iter() {
                     prop_assert_eq!(state, table.get(slot));

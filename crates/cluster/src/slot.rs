@@ -345,14 +345,6 @@ impl SlotTable {
         }
         (free, running, reserved)
     }
-
-    /// Number of slots currently running tasks of `job`.
-    pub fn running_for(&self, job: JobId) -> usize {
-        self.states
-            .iter()
-            .filter(|s| s.task().is_some_and(|t| t.job == job))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -455,17 +447,6 @@ mod tests {
         let freed = t.release_job_reservations(JobId::new(1));
         assert_eq!(freed, vec![SlotId::new(0)]);
         assert_eq!(t.counts(), (2, 0, 1));
-    }
-
-    #[test]
-    fn running_for_counts_per_job() {
-        let mut t = table(3);
-        t.assign(SlotId::new(0), task(1, 0)).unwrap();
-        t.assign(SlotId::new(1), task(1, 1)).unwrap();
-        t.assign(SlotId::new(2), task(2, 0)).unwrap();
-        assert_eq!(t.running_for(JobId::new(1)), 2);
-        assert_eq!(t.running_for(JobId::new(2)), 1);
-        assert_eq!(t.running_for(JobId::new(3)), 0);
     }
 
     #[test]

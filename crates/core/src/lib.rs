@@ -26,17 +26,19 @@
 //! # Example
 //!
 //! ```
-//! use ssr_core::SpeculativeReservation;
+//! use ssr_core::{SpeculativeReservation, SsrConfig};
 //! use ssr_scheduler::{TaskScheduler, FifoPriority};
 //! use ssr_cluster::{ClusterSpec, LocalityModel};
 //! use ssr_dag::{JobSpecBuilder, Priority};
 //! use ssr_simcore::{SimTime, dist::constant};
 //!
-//! let policy = SpeculativeReservation::builder()
-//!     .isolation_target(0.9)     // the tunable knob P
-//!     .prereserve_threshold(0.5) // R
-//!     .mitigate_stragglers(true)
-//!     .build()?;
+//! let policy = SpeculativeReservation::with_config(
+//!     SsrConfig::builder()
+//!         .isolation_target(0.9)     // the tunable knob P
+//!         .prereserve_threshold(0.5) // R
+//!         .mitigate_stragglers(true)
+//!         .build()?,
+//! );
 //!
 //! let mut sched = TaskScheduler::new(
 //!     ClusterSpec::new(4, 2)?,

@@ -7,7 +7,7 @@ use ssr_scheduler::{
 };
 use ssr_simcore::SimTime;
 
-use crate::config::{ConfigError, SsrBuilder, SsrConfig};
+use crate::config::SsrConfig;
 use crate::deadline::DeadlineModel;
 
 /// The speculative-slot-reservation policy (Algorithm 1 + §IV).
@@ -45,11 +45,6 @@ impl SpeculativeReservation {
     /// Creates the policy from a validated configuration.
     pub fn with_config(config: SsrConfig) -> Self {
         SpeculativeReservation { deadline: DeadlineModel::new(&config), config }
-    }
-
-    /// Starts building a policy configuration.
-    pub fn builder() -> Builder {
-        Builder { inner: SsrConfig::builder() }
     }
 
     /// The active configuration.
@@ -102,54 +97,6 @@ impl SpeculativeReservation {
 impl Default for SpeculativeReservation {
     fn default() -> Self {
         SpeculativeReservation::new()
-    }
-}
-
-/// Builder for [`SpeculativeReservation`]; thin wrapper over
-/// [`SsrBuilder`] that builds the policy directly.
-#[derive(Debug, Clone, Default)]
-pub struct Builder {
-    inner: SsrBuilder,
-}
-
-impl Builder {
-    /// Sets the isolation target `P` in `[0, 1]` (§IV-B knob).
-    pub fn isolation_target(mut self, p: f64) -> Self {
-        self.inner = self.inner.isolation_target(p);
-        self
-    }
-
-    /// Sets the pre-reservation threshold `R` in `[0, 1]`.
-    pub fn prereserve_threshold(mut self, r: f64) -> Self {
-        self.inner = self.inner.prereserve_threshold(r);
-        self
-    }
-
-    /// Sets the fallback Pareto shape.
-    pub fn default_shape(mut self, alpha: f64) -> Self {
-        self.inner = self.inner.default_shape(alpha);
-        self
-    }
-
-    /// Sets samples required before the fitted shape is used.
-    pub fn min_fit_samples(mut self, n: usize) -> Self {
-        self.inner = self.inner.min_fit_samples(n);
-        self
-    }
-
-    /// Enables §IV-C straggler mitigation.
-    pub fn mitigate_stragglers(mut self, enabled: bool) -> Self {
-        self.inner = self.inner.mitigate_stragglers(enabled);
-        self
-    }
-
-    /// Validates the configuration and builds the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if any parameter is out of domain.
-    pub fn build(self) -> Result<SpeculativeReservation, ConfigError> {
-        Ok(SpeculativeReservation::with_config(self.inner.build()?))
     }
 }
 
@@ -348,10 +295,9 @@ mod tests {
     fn growing_parallelism_prereserves_after_threshold() {
         // m = 2 -> n = 4 on a 6-slot cluster with an idle bystander slot
         // pool; R = 0.5 means pre-reservation starts at the 1st completion.
-        let policy = SpeculativeReservation::builder()
-            .prereserve_threshold(0.5)
-            .build()
-            .unwrap();
+        let policy = SpeculativeReservation::with_config(
+            SsrConfig::builder().prereserve_threshold(0.5).build().unwrap(),
+        );
         let mut s = scheduler_with(policy, 6);
         let spec = JobSpecBuilder::new("grow")
             .stage("up", 2, constant(1.0))
@@ -376,10 +322,9 @@ mod tests {
 
     #[test]
     fn high_threshold_delays_prereservation() {
-        let policy = SpeculativeReservation::builder()
-            .prereserve_threshold(1.0)
-            .build()
-            .unwrap();
+        let policy = SpeculativeReservation::with_config(
+            SsrConfig::builder().prereserve_threshold(1.0).build().unwrap(),
+        );
         let mut s = scheduler_with(policy, 6);
         let spec = JobSpecBuilder::new("grow")
             .stage("up", 2, constant(1.0))
@@ -433,10 +378,9 @@ mod tests {
 
     #[test]
     fn isolation_target_attaches_deadline() {
-        let policy = SpeculativeReservation::builder()
-            .isolation_target(0.5)
-            .build()
-            .unwrap();
+        let policy = SpeculativeReservation::with_config(
+            SsrConfig::builder().isolation_target(0.5).build().unwrap(),
+        );
         let mut s = scheduler_with(policy, 2);
         let spec = JobSpecBuilder::new("dl")
             .stage("up", 2, constant(2.0))
@@ -487,10 +431,9 @@ mod tests {
 
     #[test]
     fn straggler_copies_launch_on_reserved_slots() {
-        let policy = SpeculativeReservation::builder()
-            .mitigate_stragglers(true)
-            .build()
-            .unwrap();
+        let policy = SpeculativeReservation::with_config(
+            SsrConfig::builder().mitigate_stragglers(true).build().unwrap(),
+        );
         assert!(policy.mitigate_stragglers());
         let mut s = scheduler_with(policy, 4);
         let spec = JobSpecBuilder::new("strag")
@@ -522,10 +465,9 @@ mod tests {
 
     #[test]
     fn no_copies_when_reserved_slots_insufficient() {
-        let policy = SpeculativeReservation::builder()
-            .mitigate_stragglers(true)
-            .build()
-            .unwrap();
+        let policy = SpeculativeReservation::with_config(
+            SsrConfig::builder().mitigate_stragglers(true).build().unwrap(),
+        );
         let mut s = scheduler_with(policy, 4);
         let spec = JobSpecBuilder::new("strag")
             .stage("up", 4, constant(1.0))
@@ -630,7 +572,7 @@ mod tests {
 
     #[test]
     fn builder_propagates_config() {
-        let p = SpeculativeReservation::builder()
+        let config = SsrConfig::builder()
             .isolation_target(0.7)
             .prereserve_threshold(0.3)
             .default_shape(2.5)
@@ -638,12 +580,14 @@ mod tests {
             .mitigate_stragglers(true)
             .build()
             .unwrap();
+        let p = SpeculativeReservation::with_config(config);
         assert_eq!(p.config().isolation_target(), 0.7);
         assert_eq!(p.config().prereserve_threshold(), 0.3);
         assert_eq!(p.config().default_shape(), 2.5);
         assert_eq!(p.config().min_fit_samples(), 7);
+        assert!(p.mitigate_stragglers());
         assert_eq!(p.name(), "speculative-slot-reservation");
-        assert!(SpeculativeReservation::builder().isolation_target(2.0).build().is_err());
+        assert!(SsrConfig::builder().isolation_target(2.0).build().is_err());
     }
 
     #[test]

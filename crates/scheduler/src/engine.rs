@@ -139,8 +139,6 @@ pub struct TaskScheduler {
     jobs: Jobs,
     /// The instance on each slot, indexed by slot id (`None` when idle).
     running: Vec<Option<RunningInstance>>,
-    /// Number of `Some` entries in `running`.
-    running_len: usize,
     policy: Box<dyn ReservationPolicy>,
     /// The policy's declared [`ApprovalRule`], read once here: offer
     /// rounds evaluate it inline rather than through `policy.approve`.
@@ -150,8 +148,9 @@ pub struct TaskScheduler {
     next_job: u64,
     prereserve: BTreeMap<(JobId, StageId), PendingPrereserve>,
     /// Optional decision-trace sink. `None` (the default) means tracing is
-    /// off and no event is ever constructed — every emit site is guarded by
-    /// `self.trace.is_some()`, so the disabled path costs one branch.
+    /// off. Only [`emit`](Self::emit) reads it: call sites hand `emit` a
+    /// closure that builds the event, and with no sink the closure never
+    /// runs, so the disabled path costs one branch per decision.
     trace: Option<Box<dyn TraceSink>>,
     /// Deterministic work counters, always on: pure counts of engine
     /// work, a function of the seed alone. `Cell`-based so `&self` hot
@@ -161,7 +160,7 @@ pub struct TaskScheduler {
     /// Optional wall-clock span profiler (non-deterministic plane).
     /// `None` (the default) means no span is ever opened; every site is
     /// guarded by `self.profiler.is_some()`-shaped checks, so the
-    /// disabled path costs one branch — the same contract as `trace`.
+    /// disabled path costs one branch, as for `trace`.
     profiler: Option<Box<SpanProfiler>>,
     /// Cached `JobSnapshot`s of schedulable jobs (incomplete with pending
     /// tasks), rebuilt lazily when `snapshots_dirty`; offer rounds copy
@@ -210,7 +209,6 @@ impl TaskScheduler {
             locality,
             jobs: Jobs::new(),
             running: vec![None; cluster.total_slots() as usize],
-            running_len: 0,
             approval: policy.approval_rule(),
             policy,
             order,
@@ -321,26 +319,18 @@ impl TaskScheduler {
         }
     }
 
-    /// Classifies one scratch-buffer recycle: a buffer that kept its
-    /// capacity from a prior round is a reuse, one growing from zero is
-    /// a fresh allocation.
+    /// Reports one decision to the attached sink. With no sink attached
+    /// `build` never runs, so no event is constructed; otherwise it builds
+    /// the event from the engine's state, outside the `trace_emit` span.
     #[inline]
-    fn note_scratch(&self, capacity: usize) {
-        if capacity > 0 {
-            self.counters.scratch_reuses.inc();
-        } else {
-            self.counters.scratch_allocs.inc();
-        }
-    }
-
-    /// Reports one decision to the attached sink, if any.
-    fn emit(&mut self, time: SimTime, kind: TraceEventKind) {
+    fn emit(&mut self, time: SimTime, build: impl FnOnce(&Self) -> TraceEventKind) {
         if self.trace.is_none() {
             return;
         }
+        let event = TraceEvent::new(time, build(self));
         self.span_enter("trace_emit");
         if let Some(sink) = self.trace.as_mut() {
-            sink.record(&TraceEvent::new(time, kind));
+            sink.record(&event);
         }
         self.span_exit();
     }
@@ -357,23 +347,19 @@ impl TaskScheduler {
         self.next_job += 1;
         let mut state = JobState::new(id, spec, now);
         state.set_weight(weight);
-        if self.trace.is_some() {
-            let stages = state
+        self.emit(now, |_| TraceEventKind::JobSubmitted {
+            job: id,
+            name: state.spec().name().to_owned(),
+            priority: state.priority(),
+            stages: state
                 .spec()
                 .iter_stage_ids()
                 .map(|s| ssr_trace::StageMeta {
                     tasks: state.spec().stage(s).parallelism(),
                     parents: state.spec().parents(s).to_vec(),
                 })
-                .collect();
-            let kind = TraceEventKind::JobSubmitted {
-                job: id,
-                name: state.spec().name().to_owned(),
-                priority: state.priority(),
-                stages,
-            };
-            self.emit(now, kind);
-        }
+                .collect(),
+        });
         let roots = state.run().ready_stages();
         for &stage in &roots {
             let parallelism = state.spec().stage(stage).parallelism();
@@ -408,9 +394,7 @@ impl TaskScheduler {
         // Early exit for a saturated cluster: no free or reserved slot means
         // no assignment can possibly be made this round.
         let (free, running, reserved) = self.slots.counts();
-        if self.trace.is_some() {
-            self.emit(now, TraceEventKind::OfferRoundStarted { free, running, reserved });
-        }
+        self.emit(now, |_| TraceEventKind::OfferRoundStarted { free, running, reserved });
         let mut available = free + reserved;
         if available > 0 {
             if self.snapshots_dirty {
@@ -421,9 +405,7 @@ impl TaskScheduler {
             // Work on a copy of the cached snapshots: candidates drop out
             // as they drain or fail to place, and running counts advance
             // per assignment.
-            let mut candidates = std::mem::take(&mut self.candidates_buf);
-            self.note_scratch(candidates.capacity());
-            candidates.clear();
+            let mut candidates = take_scratch(&self.counters, &mut self.candidates_buf);
             candidates.extend_from_slice(&self.snapshots);
             if free == 0 && self.group_approval() {
                 // No free slot: a job can only place onto a reserved slot
@@ -432,22 +414,18 @@ impl TaskScheduler {
                 // the filter stays valid mid-round — assignments only
                 // consume slots (free stays 0, groups only shrink) — so
                 // the assignment sequence is identical to the unfiltered
-                // round.
-                if self.trace.is_some() {
-                    let mut dropped: Vec<JobId> = Vec::new();
-                    candidates.retain(|c| {
-                        let viable = self.viable_on_reserved(c.id, c.priority, now);
-                        if !viable {
-                            dropped.push(c.id);
-                        }
-                        viable
-                    });
-                    for job in dropped {
-                        let (reason, stage) = self.deny_reason(job, now);
-                        self.emit(now, TraceEventKind::OfferDeclined { job, reason, stage });
+                // round. The dropped ids are kept only for the trace.
+                let tracing = self.trace_enabled();
+                let mut dropped: Vec<JobId> = Vec::new();
+                candidates.retain(|c| {
+                    let viable = self.viable_on_reserved(c.id, c.priority, now);
+                    if !viable && tracing {
+                        dropped.push(c.id);
                     }
-                } else {
-                    candidates.retain(|c| self.viable_on_reserved(c.id, c.priority, now));
+                    viable
+                });
+                for job in dropped {
+                    self.emit(now, |s| declined_event(s, job, now));
                 }
             }
             // Sort once, worst job first, so each attempt serves the last
@@ -457,9 +435,7 @@ impl TaskScheduler {
                 let Some(job) = candidates.last().map(|c| c.id) else { break };
                 match self.try_assign_one(job, now) {
                     Some(a) => {
-                        if self.trace.is_some() {
-                            self.emit(now, launch_event(&a));
-                        }
+                        self.emit(now, |_| launch_event(&a));
                         assignments.push(a);
                         available -= 1;
                         if self.jobs.is_pending(job) {
@@ -469,10 +445,7 @@ impl TaskScheduler {
                         }
                     }
                     None => {
-                        if self.trace.is_some() {
-                            let (reason, stage) = self.deny_reason(job, now);
-                            self.emit(now, TraceEventKind::OfferDeclined { job, reason, stage });
-                        }
+                        self.emit(now, |s| declined_event(s, job, now));
                         candidates.pop();
                     }
                 }
@@ -493,9 +466,7 @@ impl TaskScheduler {
             // Launches changed running counts / pending sets.
             self.snapshots_dirty = true;
         }
-        if self.trace.is_some() {
-            self.emit(now, TraceEventKind::OfferRoundEnded { assignments: assignments.len() });
-        }
+        self.emit(now, |_| TraceEventKind::OfferRoundEnded { assignments: assignments.len() });
         self.span_exit();
         assignments
     }
@@ -656,19 +627,15 @@ impl TaskScheduler {
     /// Records `ri` as running on `slot` and counts the launch.
     fn start_instance(&mut self, slot: SlotId, ri: RunningInstance) {
         if let Some(entry) = self.running.get_mut(slot.index()) {
-            if entry.replace(ri).is_none() {
-                self.running_len += 1;
-            }
+            *entry = Some(ri);
         }
         self.counters.tasks_assigned.inc();
-        self.counters.peak_running_instances.high_water(self.running_len as u64);
+        self.counters.peak_running_instances.high_water(self.slots.counts().1 as u64);
     }
 
     /// Removes and returns the instance running on `slot`, if any.
     fn stop_instance(&mut self, slot: SlotId) -> Option<RunningInstance> {
-        let ri = self.running.get_mut(slot.index())?.take()?;
-        self.running_len -= 1;
-        Some(ri)
+        self.running.get_mut(slot.index())?.take()
     }
 
     /// Ranks candidate slots for one task set from the pool's indexes,
@@ -823,14 +790,10 @@ impl TaskScheduler {
         // Only jobs actually holding reservations can launch copies; the
         // per-job reservation index lists them in ascending id order, the
         // same relative order the all-jobs scan visited them in.
-        let mut job_ids = std::mem::take(&mut self.straggler_jobs_buf);
-        self.note_scratch(job_ids.capacity());
-        job_ids.clear();
+        let mut job_ids = take_scratch(&self.counters, &mut self.straggler_jobs_buf);
         job_ids.extend(self.slots.reservations_by_job().map(|(j, _)| j));
-        let mut remaining = std::mem::take(&mut self.straggler_slots_buf);
-        self.note_scratch(remaining.capacity());
-        let mut plans = std::mem::take(&mut self.straggler_plans_buf);
-        self.note_scratch(plans.capacity());
+        let mut remaining = take_scratch(&self.counters, &mut self.straggler_slots_buf);
+        let mut plans = take_scratch(&self.counters, &mut self.straggler_plans_buf);
         for &job in &job_ids {
             remaining.clear();
             remaining.extend(self.slots.reserved_for(job));
@@ -889,9 +852,7 @@ impl TaskScheduler {
                     speculative: true,
                     warm: true,
                 };
-                if self.trace.is_some() {
-                    self.emit(now, launch_event(&a));
-                }
+                self.emit(now, |_| launch_event(&a));
                 out.push(a);
             }
         }
@@ -905,12 +866,8 @@ impl TaskScheduler {
     fn launch_progress_speculation(&mut self, now: SimTime) -> Vec<Assignment> {
         let Some(cfg) = self.speculation else { return Vec::new() };
         // Plan immutably first: (job, stage, partition, slot, level).
-        let mut plans = std::mem::take(&mut self.spec_plans_buf);
-        self.note_scratch(plans.capacity());
-        plans.clear();
-        let mut free = std::mem::take(&mut self.spec_free_buf);
-        self.note_scratch(free.capacity());
-        free.clear();
+        let mut plans = take_scratch(&self.counters, &mut self.spec_plans_buf);
+        let mut free = take_scratch(&self.counters, &mut self.spec_free_buf);
         free.extend(self.slots.free_slots());
         for state in self.jobs.iter() {
             if state.is_complete() || free.is_empty() {
@@ -955,9 +912,7 @@ impl TaskScheduler {
             self.slots.assign(slot, instance.task).expect("free slot is assignable");
             self.start_instance(slot, RunningInstance { instance, started: now, level });
             let a = Assignment { slot, instance, level, speculative: true, warm: false };
-            if self.trace.is_some() {
-                self.emit(now, launch_event(&a));
-            }
+            self.emit(now, |_| launch_event(&a));
             out.push(a);
         }
         self.spec_plans_buf = plans;
@@ -982,19 +937,14 @@ impl TaskScheduler {
         self.snapshots_dirty = true;
         self.slots.finish(slot).expect("slot was running");
         let duration = now.saturating_since(ri.started);
-        if self.trace.is_some() {
-            self.emit(
-                now,
-                TraceEventKind::TaskFinished {
-                    slot: slot.as_u32(),
-                    job: task.job,
-                    stage: task.stage,
-                    partition: task.partition,
-                    attempt: ri.instance.attempt,
-                    duration_secs: duration.as_secs_f64(),
-                },
-            );
-        }
+        self.emit(now, |_| TraceEventKind::TaskFinished {
+            slot: slot.as_u32(),
+            job: task.job,
+            stage: task.stage,
+            partition: task.partition,
+            attempt: ri.instance.attempt,
+            duration_secs: duration.as_secs_f64(),
+        });
 
         self.jobs
             .get_mut(task.job)
@@ -1009,17 +959,12 @@ impl TaskScheduler {
         for (_, loser_slot) in &outcome.losers {
             self.slots.finish(*loser_slot).expect("loser was running");
             self.stop_instance(*loser_slot);
-            if self.trace.is_some() {
-                self.emit(
-                    now,
-                    TraceEventKind::CopyKilled {
-                        slot: loser_slot.as_u32(),
-                        job: task.job,
-                        stage: task.stage,
-                        partition: task.partition,
-                    },
-                );
-            }
+            self.emit(now, |_| TraceEventKind::CopyKilled {
+                slot: loser_slot.as_u32(),
+                job: task.job,
+                stage: task.stage,
+                partition: task.partition,
+            });
             killed.push(*loser_slot);
         }
 
@@ -1034,12 +979,7 @@ impl TaskScheduler {
                 self.jobs.get_mut(task.job).expect("job exists").run_mut().on_task_completed(task.stage);
         }
         for &ready_stage in &newly_ready {
-            if self.trace.is_some() {
-                self.emit(
-                    now,
-                    TraceEventKind::BarrierCleared { job: task.job, stage: ready_stage },
-                );
-            }
+            self.emit(now, |_| TraceEventKind::BarrierCleared { job: task.job, stage: ready_stage });
             let state = self.jobs.get(task.job).expect("job exists");
             let parents = state.spec().parents(ready_stage).to_vec();
             let parallelism = state.spec().stage(ready_stage).parallelism();
@@ -1057,9 +997,7 @@ impl TaskScheduler {
         let job_completed = state.run().is_complete();
 
         if stage_completed {
-            if self.trace.is_some() {
-                self.emit(now, TraceEventKind::StageCompleted { job: task.job, stage: task.stage });
-            }
+            self.emit(now, |_| TraceEventKind::StageCompleted { job: task.job, stage: task.stage });
             self.jobs
                 .get_mut(task.job)
                 .expect("job exists")
@@ -1080,33 +1018,23 @@ impl TaskScheduler {
                 .collect();
             for s in stale {
                 self.slots.release(s).expect("stale reservation is releasable");
-                if self.trace.is_some() {
-                    self.emit(
-                        now,
-                        TraceEventKind::StaleReservationReleased {
-                            slot: s.as_u32(),
-                            job: task.job,
-                            stage: task.stage,
-                        },
-                    );
-                }
+                self.emit(now, |_| TraceEventKind::StaleReservationReleased {
+                    slot: s.as_u32(),
+                    job: task.job,
+                    stage: task.stage,
+                });
             }
             self.prereserve.remove(&(task.job, task.stage));
         }
 
         if job_completed {
-            if self.trace.is_some() {
-                self.emit(now, TraceEventKind::JobCompleted { job: task.job });
-            }
+            self.emit(now, |_| TraceEventKind::JobCompleted { job: task.job });
             self.jobs.mark_complete(task.job, now);
-            let freed = self.slots.release_job_reservations(task.job);
-            if self.trace.is_some() {
-                for s in freed {
-                    self.emit(
-                        now,
-                        TraceEventKind::ReservationReleased { slot: s.as_u32(), job: task.job },
-                    );
-                }
+            for s in self.slots.release_job_reservations(task.job) {
+                self.emit(now, |_| TraceEventKind::ReservationReleased {
+                    slot: s.as_u32(),
+                    job: task.job,
+                });
             }
             self.placement.clear_job(task.job);
             self.prereserve.retain(|(j, _), _| *j != task.job);
@@ -1127,18 +1055,13 @@ impl TaskScheduler {
                     SlotDisposition::Release => {}
                     SlotDisposition::Reserve(r) => {
                         self.slots.reserve(s, r).expect("freed slot is reservable");
-                        if self.trace.is_some() {
-                            self.emit(
-                                now,
-                                TraceEventKind::ReservationGranted {
-                                    slot: s.as_u32(),
-                                    job: r.job(),
-                                    priority: r.priority(),
-                                    stage: r.stage(),
-                                    deadline_secs: r.deadline().map(|d| d.as_secs_f64()),
-                                },
-                            );
-                        }
+                        self.emit(now, |_| TraceEventKind::ReservationGranted {
+                            slot: s.as_u32(),
+                            job: r.job(),
+                            priority: r.priority(),
+                            stage: r.stage(),
+                            deadline_secs: r.deadline().map(|d| d.as_secs_f64()),
+                        });
                     }
                 }
             }
@@ -1191,13 +1114,9 @@ impl TaskScheduler {
         if self.prereserve.is_empty() {
             return;
         }
-        let mut free = std::mem::take(&mut self.prereserve_free_buf);
-        self.note_scratch(free.capacity());
-        free.clear();
+        let mut free = take_scratch(&self.counters, &mut self.prereserve_free_buf);
         free.extend(self.slots.free_slots().map(|s| (s, self.slots.size(s))));
-        let mut keys = std::mem::take(&mut self.prereserve_keys_buf);
-        self.note_scratch(keys.capacity());
-        keys.clear();
+        let mut keys = take_scratch(&self.counters, &mut self.prereserve_keys_buf);
         keys.extend(self.prereserve.keys().copied());
         let prereserve = &self.prereserve;
         keys.sort_by_key(|key| {
@@ -1221,18 +1140,13 @@ impl TaskScheduler {
                     r = r.with_deadline(d);
                 }
                 self.slots.reserve(slot, r).expect("free slot is reservable");
-                if self.trace.is_some() {
-                    self.emit(
-                        now,
-                        TraceEventKind::PrereserveFilled {
-                            slot: slot.as_u32(),
-                            job: key.0,
-                            stage: key.1,
-                            priority: entry.priority,
-                            deadline_secs: entry.deadline.map(|d| d.as_secs_f64()),
-                        },
-                    );
-                }
+                self.emit(now, |_| TraceEventKind::PrereserveFilled {
+                    slot: slot.as_u32(),
+                    job: key.0,
+                    stage: key.1,
+                    priority: entry.priority,
+                    deadline_secs: entry.deadline.map(|d| d.as_secs_f64()),
+                });
                 granted += 1;
             }
             self.prereserve.get_mut(&key).expect("key just listed").granted = granted;
@@ -1244,15 +1158,16 @@ impl TaskScheduler {
     /// Releases reservations whose deadline has passed; returns freed
     /// slots.
     pub fn expire_reservations(&mut self, now: SimTime) -> Vec<SlotId> {
-        if self.trace.is_none() {
-            return self.slots.expire_reservations(now);
-        }
+        // The owners are kept only for the trace, in deadline order.
+        let tracing = self.trace_enabled();
         let mut expired: Vec<(SlotId, JobId)> = Vec::new();
-        let freed = self
-            .slots
-            .expire_reservations_with(now, |slot, r| expired.push((slot, r.job())));
+        let freed = self.slots.expire_reservations_with(now, |slot, r| {
+            if tracing {
+                expired.push((slot, r.job()));
+            }
+        });
         for (slot, job) in expired {
-            self.emit(now, TraceEventKind::ReservationExpired { slot: slot.as_u32(), job });
+            self.emit(now, |_| TraceEventKind::ReservationExpired { slot: slot.as_u32(), job });
         }
         freed
     }
@@ -1298,34 +1213,25 @@ impl TaskScheduler {
                     // Pending sets and running counts changed: the cached
                     // job snapshots are stale.
                     self.snapshots_dirty = true;
-                    if self.trace.is_some() {
-                        self.emit(
-                            now,
-                            TraceEventKind::TaskCrashed {
-                                slot: slot.as_u32(),
-                                job: task.job,
-                                stage: task.stage,
-                                partition: task.partition,
-                                attempt: ri.instance.attempt,
-                                requeued,
-                            },
-                        );
-                    }
+                    self.emit(now, |_| TraceEventKind::TaskCrashed {
+                        slot: slot.as_u32(),
+                        job: task.job,
+                        stage: task.stage,
+                        partition: task.partition,
+                        attempt: ri.instance.attempt,
+                        requeued,
+                    });
                     outcome.killed.push(slot);
                 }
             }
             if let Some(r) = self.slots.take_offline(slot) {
                 outcome.revoked.push(slot);
-                if self.trace.is_some() {
-                    self.emit(
-                        now,
-                        TraceEventKind::ReservationRevoked { slot: slot.as_u32(), job: r.job() },
-                    );
-                }
+                self.emit(now, |_| TraceEventKind::ReservationRevoked {
+                    slot: slot.as_u32(),
+                    job: r.job(),
+                });
             }
-            if self.trace.is_some() {
-                self.emit(now, TraceEventKind::SlotOffline { slot: slot.as_u32(), cause });
-            }
+            self.emit(now, |_| TraceEventKind::SlotOffline { slot: slot.as_u32(), cause });
         }
         outcome
     }
@@ -1336,8 +1242,8 @@ impl TaskScheduler {
     pub fn restore_slots(&mut self, restored: &[SlotId], now: SimTime) {
         self.advance_clock(now);
         for &slot in restored {
-            if self.slots.bring_online(slot) && self.trace.is_some() {
-                self.emit(now, TraceEventKind::SlotOnline { slot: slot.as_u32() });
+            if self.slots.bring_online(slot) {
+                self.emit(now, |_| TraceEventKind::SlotOnline { slot: slot.as_u32() });
             }
         }
     }
@@ -1346,9 +1252,7 @@ impl TaskScheduler {
     /// driving simulator when its locality-unlock event fires, just before
     /// the offer round it triggers; a no-op without a sink.
     pub fn trace_locality_unlock(&mut self, now: SimTime) {
-        if self.trace.is_some() {
-            self.emit(now, TraceEventKind::LocalityUnlocked);
-        }
+        self.emit(now, |_| TraceEventKind::LocalityUnlocked);
     }
 
     /// The earliest reservation deadline currently pending, for event
@@ -1493,6 +1397,27 @@ impl Iterator for GroupWalk<'_> {
         };
         Some((owner, rprio, approved.then_some(2)))
     }
+}
+
+/// Takes a scratch buffer for one use, empty, and counts the recycle: a
+/// buffer that kept its capacity from a prior round is a reuse, one
+/// growing from zero is a fresh allocation. The caller puts it back.
+#[inline]
+fn take_scratch<T>(counters: &WorkCounters, buf: &mut Vec<T>) -> Vec<T> {
+    let mut taken = std::mem::take(buf);
+    if taken.capacity() > 0 {
+        counters.scratch_reuses.inc();
+    } else {
+        counters.scratch_allocs.inc();
+    }
+    taken.clear();
+    taken
+}
+
+/// The trace event for a candidate `job` that placed no task this round.
+fn declined_event(s: &TaskScheduler, job: JobId, now: SimTime) -> TraceEventKind {
+    let (reason, stage) = s.deny_reason(job, now);
+    TraceEventKind::OfferDeclined { job, reason, stage }
 }
 
 /// Lowers an [`Assignment`] into its trace event.
@@ -2051,8 +1976,12 @@ mod tests {
 
     #[test]
     fn disabled_trace_changes_nothing() {
-        // The whole decision sequence must be identical with and without a
-        // sink attached (zero-overhead contract, behaviour half).
+        // The whole decision sequence and every work counter must be
+        // identical with and without a sink attached (zero-overhead
+        // contract, behaviour half). The run reaches both places that keep
+        // extra data for the trace: a round that starts with no free slot
+        // drops the background job in the viability filter, and a
+        // reservation expires.
         let run = |traced: bool| {
             let mut s = TaskScheduler::new(
                 ClusterSpec::new(2, 2).unwrap(),
@@ -2066,17 +1995,38 @@ mod tests {
             s.submit(two_stage_job("fg", 2, 10), SimTime::ZERO);
             s.submit(one_stage_job("bg", 4, 0), SimTime::ZERO);
             let mut log: Vec<(u32, u64)> = Vec::new();
-            let a = s.resource_offers(SimTime::ZERO);
-            log.extend(a.iter().map(|x| (x.slot.as_u32(), x.instance.task.job.as_u64())));
+            let mut offer = |s: &mut TaskScheduler, t: SimTime| {
+                let a = s.resource_offers(t);
+                log.extend(a.iter().map(|x| (x.slot.as_u32(), x.instance.task.job.as_u64())));
+                a
+            };
+            let a = offer(&mut s, SimTime::ZERO);
             let t = SimTime::from_secs(1);
-            for slot in a.iter().map(|x| x.slot).collect::<Vec<_>>() {
-                s.task_finished(slot, t);
+            for x in a.iter().filter(|x| x.instance.task.job.as_u64() == 0) {
+                s.task_finished(x.slot, t);
             }
-            let b = s.resource_offers(t);
-            log.extend(b.iter().map(|x| (x.slot.as_u32(), x.instance.task.job.as_u64())));
-            log
+            let b = offer(&mut s, t);
+            // One downstream task finishes; its slot is reserved until 32 s.
+            s.task_finished(b[0].slot, SimTime::from_secs(2));
+            assert_eq!(s.expire_reservations(SimTime::from_secs(32)).len(), 1);
+            offer(&mut s, SimTime::from_secs(32));
+            let events = s.take_trace_sink().map(|sink| {
+                let sink = sink.into_any().downcast::<ssr_trace::VecSink>();
+                sink.expect("VecSink recovered").into_events()
+            });
+            (log, s.work_counters().render_json(), events)
         };
-        assert_eq!(run(false), run(true));
+        let (plain_log, plain_counters, _) = run(false);
+        let (traced_log, traced_counters, events) = run(true);
+        assert_eq!(plain_log, traced_log);
+        assert_eq!(plain_counters, traced_counters);
+        let events = events.expect("sink attached");
+        let saturated_decline = events.windows(2).any(|w| {
+            matches!(w[0].kind, TraceEventKind::OfferRoundStarted { free: 0, .. })
+                && matches!(w[1].kind, TraceEventKind::OfferDeclined { .. })
+        });
+        assert!(saturated_decline, "a round with no free slot declines a candidate");
+        assert!(events.iter().any(|e| e.kind.name() == "reservation-expired"));
     }
 
     /// Asserts every index `TaskScheduler` keeps against the full walk it
@@ -2097,6 +2047,16 @@ mod tests {
             "locality-unlock window at {now:?}"
         );
         assert_eq!(s.has_unfinished_jobs(), s.jobs().iter().any(|j| !j.is_complete()));
+        // Running counts: per job against the running table, and the
+        // table's size against the pool's.
+        for job in s.jobs().iter().map(|j| j.id()) {
+            assert_eq!(
+                s.running_count_for(job),
+                s.running_instances().filter(|(_, ri)| ri.instance.task.job == job).count(),
+                "running count of {job:?}"
+            );
+        }
+        assert_eq!(s.running_instances().count(), s.slot_pool().counts().1, "running slots");
         for job in s.jobs().iter().map(|j| j.id()) {
             assert_eq!(
                 s.deny_reason(job, now),

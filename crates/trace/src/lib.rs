@@ -7,8 +7,9 @@
 //! reservation lifecycle transition (grant / pre-reserve fill / expire /
 //! release / stale-release), speculation launch and loser-kill, delay
 //! scheduling unlock, and barrier clear is reported as a typed
-//! [`TraceEvent`]. With no sink attached, no event is constructed — tracing
-//! is zero-overhead when disabled.
+//! [`TraceEvent`]. Every event passes through one engine method, which
+//! checks for a sink before it builds the event: with none attached, no
+//! event is constructed, and tracing costs one branch per decision.
 //!
 //! Three sinks ship with the crate:
 //!

@@ -1,7 +1,9 @@
 //! Pluggable trace sinks: where decision events go.
 //!
-//! The engine holds an `Option<Box<dyn TraceSink>>`; when it is `None` no
-//! event is even constructed, so tracing is zero-overhead when disabled.
+//! The engine holds an `Option<Box<dyn TraceSink>>` and reports every
+//! decision through one `emit` method that takes a closure building the
+//! event. When the sink is `None` the closure never runs, so no event is
+//! constructed and a disabled trace costs one branch per decision.
 
 use std::any::Any;
 use std::fmt;

@@ -14,10 +14,9 @@ use ssr::prelude::*;
 use ssr::simcore::dist::constant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let policy = SpeculativeReservation::builder()
-        .isolation_target(0.9)
-        .prereserve_threshold(0.5)
-        .build()?;
+    let policy = SpeculativeReservation::with_config(
+        SsrConfig::builder().isolation_target(0.9).prereserve_threshold(0.5).build()?,
+    );
     let mut sched = TaskScheduler::new(
         ClusterSpec::new(2, 4)?,
         LocalityModel::paper_simulation().with_wait(SimDuration::ZERO),
