@@ -233,7 +233,7 @@ fn fingerprint(sched: &TaskScheduler, now: SimTime) -> String {
     let mut fp = String::new();
     let pool = sched.slot_pool();
     for (slot, state) in pool.iter() {
-        let offline = if pool.is_offline(slot) { "!" } else { "" };
+        let offline = if pool.is_offline(slot) == Ok(true) { "!" } else { "" };
         if let Some(task) = state.task() {
             let _ = write!(
                 fp,
@@ -292,11 +292,11 @@ fn applicable(sched: &TaskScheduler, crashes_used: u32, cfg: &ExploreConfig) -> 
             .iter_slots()
             .filter(|&s| spec.node_of(s).as_u32() == node)
             .collect();
-        let any_online = slots.iter().any(|&s| !pool.is_offline(s));
+        let any_online = slots.iter().any(|&s| pool.is_offline(s) == Ok(false));
         if any_online && crashes_used < cfg.crash_budget {
             actions.push(Action::Crash(node));
         }
-        if slots.iter().any(|&s| pool.is_offline(s)) {
+        if slots.iter().any(|&s| pool.is_offline(s) == Ok(true)) {
             actions.push(Action::Restore(node));
         }
     }

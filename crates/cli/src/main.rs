@@ -13,7 +13,7 @@
 //! ssr-cli explain trace.jsonl --alone alone-kmeans.jsonl
 //! ssr-cli check faulted.jsonl
 //! ssr-cli check --explore --json
-//! ssr-cli lint [--baseline lint.baseline]
+//! ssr-cli lint
 //! ```
 
 #![allow(
@@ -82,9 +82,8 @@ fn usage() {
          \x20 bench     diff two BENCH_*.json snapshots with a regression\n\
          \x20           gate: bench diff OLD.json NEW.json\n\
          \x20           [--threshold PCT] [--only SUBSTR]\n\
-         \x20 lint      run the workspace audits clippy cannot express\n\
-         \x20           (ssr-lint): partial_cmp comparators, recovery-path\n\
-         \x20           panics and hot-path allocation (--baseline)\n\
+         \x20 lint      run the workspace audit clippy cannot express\n\
+         \x20           (ssr-lint): partial_cmp in sort/min/max comparators\n\
          \n\
          run flags:\n\
          \x20 --cluster NxS        nodes x slots-per-node (default 4x2)\n\

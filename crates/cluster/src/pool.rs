@@ -14,11 +14,22 @@
 //!   `next_deadline` and O(expired · log n) `expire_reservations_with`,
 //! * the `(free, running, reserved)` **counts** — O(1) `counts()`.
 //!
+//! Fault recovery (`take_offline`, `bring_online`, reservation expiry)
+//! runs through this module, so none of it may panic: every per-slot
+//! lookup goes through the checked `SlotPool::slot` accessor, which
+//! returns [`ClusterError::UnknownSlot`] for an id outside the pool, and
+//! clippy rejects any indexing, `unwrap`, `expect` or panic macro here.
+//! The four public queries that document a `# Panics` contract are the
+//! only exceptions.
+//!
 //! The unindexed [`SlotTable`] survives as the naive reference
 //! implementation; a property test drives both through identical operation
 //! sequences and asserts they agree (see `proptests` below).
 //!
 //! [`SlotTable`]: crate::slot::SlotTable
+
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,12 +68,10 @@ use crate::topology::{ClusterSpec, NodeId, RackId, SlotId};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlotPool {
-    states: Vec<SlotState>,
+    slots: Vec<Slot>,
+    /// `slot -> size` (dense): the demand filters of offer rounds read it
+    /// for every candidate.
     sizes: Vec<u32>,
-    /// `slot -> node` (dense), avoiding per-query arithmetic in hot loops.
-    node_of: Vec<NodeId>,
-    /// `slot -> rack` (dense).
-    rack_of: Vec<RackId>,
     /// `true` when every slot has the same size (the common homogeneous
     /// case): demand filters reduce to a single comparison.
     uniform_size: bool,
@@ -84,12 +93,20 @@ pub struct SlotPool {
     /// `(deadline, slot)` for every reservation with a bounded deadline.
     deadlines: BTreeSet<(SimTime, SlotId)>,
     running_count: usize,
-    /// Slots currently out of service (crashed node, revoked slot,
-    /// partitioned executor). Orthogonal to [`SlotState`]: an offline slot
-    /// may still be `Running` (network partition — the task survives), but
-    /// it never appears in the free indexes, so it receives no offers or
-    /// pre-reservation fills until [`SlotPool::bring_online`].
-    offline: Vec<bool>,
+}
+
+/// One slot's state and its place in the topology.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    state: SlotState,
+    node: NodeId,
+    rack: RackId,
+    /// Out of service (crashed node, revoked slot, partitioned executor).
+    /// Orthogonal to `state`: an offline slot may still be `Running`
+    /// (network partition — the task survives), but it never appears in
+    /// the free indexes, so it receives no offers or pre-reservation
+    /// fills until [`SlotPool::bring_online`].
+    offline: bool,
 }
 
 impl SlotPool {
@@ -97,70 +114,104 @@ impl SlotPool {
     /// topology position from the cluster spec.
     pub fn new(spec: &ClusterSpec) -> Self {
         let total = spec.total_slots() as usize;
+        let slots: Vec<Slot> = spec
+            .iter_slots()
+            .map(|s| {
+                let node = spec.node_of(s);
+                Slot { state: SlotState::Free, node, rack: spec.rack_of(node), offline: false }
+            })
+            .collect();
         let sizes: Vec<u32> = spec.iter_slots().map(|s| spec.slot_size(s)).collect();
-        let node_of: Vec<NodeId> = spec.iter_slots().map(|s| spec.node_of(s)).collect();
-        let rack_of: Vec<RackId> =
-            node_of.iter().map(|&n| spec.rack_of(n)).collect();
-        let free: BTreeSet<SlotId> = spec.iter_slots().collect();
-        let mut free_by_node = vec![BTreeSet::new(); spec.nodes() as usize];
-        let mut free_by_rack = vec![BTreeSet::new(); spec.racks() as usize];
-        for &slot in &free {
-            free_by_node[node_of[slot.index()].as_u32() as usize].insert(slot);
-            free_by_rack[rack_of[slot.index()].as_u32() as usize].insert(slot);
-        }
-        let uniform_size = sizes.windows(2).all(|w| w[0] == w[1]);
-        SlotPool {
-            states: vec![SlotState::Free; total],
+        let uniform_size = sizes.iter().all(|s| Some(s) == sizes.first());
+        let mut pool = SlotPool {
+            slots,
             sizes,
-            node_of,
-            rack_of,
             uniform_size,
-            free,
-            free_in_service: vec![true; total],
-            free_by_node,
-            free_by_rack,
+            free: BTreeSet::new(),
+            free_in_service: vec![false; total],
+            free_by_node: vec![BTreeSet::new(); spec.nodes() as usize],
+            free_by_rack: vec![BTreeSet::new(); spec.racks() as usize],
             reserved: BTreeSet::new(),
             reserved_by_job: BTreeMap::new(),
             reserved_groups: Vec::new(),
             deadlines: BTreeSet::new(),
             running_count: 0,
-            offline: vec![false; total],
+        };
+        for slot in spec.iter_slots() {
+            // Every spec slot is in the pool: indexing it cannot fail.
+            let _ = pool.index_free(slot);
         }
+        pool
+    }
+
+    /// The checked per-slot accessor every transition goes through.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::UnknownSlot`] if `slot` is not in the pool.
+    fn slot(&self, slot: SlotId) -> Result<&Slot, ClusterError> {
+        self.slots.get(slot.index()).ok_or(ClusterError::UnknownSlot { slot })
+    }
+
+    /// [`SlotPool::slot`], mutably.
+    fn slot_mut(&mut self, slot: SlotId) -> Result<&mut Slot, ClusterError> {
+        self.slots.get_mut(slot.index()).ok_or(ClusterError::UnknownSlot { slot })
+    }
+
+    /// The reservation held on `slot`, if it is a reserved pool slot.
+    fn reservation_on(&self, slot: SlotId) -> Option<Reservation> {
+        self.slot(slot).ok()?.state.reservation().copied()
     }
 
     // ------------------------------------------------------------------
     // Index maintenance
     // ------------------------------------------------------------------
 
-    fn index_free(&mut self, slot: SlotId) {
+    fn index_free(&mut self, slot: SlotId) -> Result<(), ClusterError> {
+        let &Slot { node, rack, offline, .. } = self.slot(slot)?;
         // Offline slots never enter the free indexes, no matter which
         // transition frees them (finish during a partition, release,
         // expiry); `bring_online` re-indexes them when the fault heals.
-        if self.offline[slot.index()] {
-            return;
+        if offline {
+            return Ok(());
         }
         self.free.insert(slot);
         if let Some(flag) = self.free_in_service.get_mut(slot.index()) {
             *flag = true;
         }
-        self.free_by_node[self.node_of[slot.index()].as_u32() as usize].insert(slot);
-        self.free_by_rack[self.rack_of[slot.index()].as_u32() as usize].insert(slot);
+        if let Some(set) = self.free_by_node.get_mut(node.as_u32() as usize) {
+            set.insert(slot);
+        }
+        if let Some(set) = self.free_by_rack.get_mut(rack.as_u32() as usize) {
+            set.insert(slot);
+        }
+        Ok(())
     }
 
-    fn unindex_free(&mut self, slot: SlotId) {
+    fn unindex_free(&mut self, slot: SlotId) -> Result<(), ClusterError> {
+        let &Slot { node, rack, .. } = self.slot(slot)?;
         self.free.remove(&slot);
         if let Some(flag) = self.free_in_service.get_mut(slot.index()) {
             *flag = false;
         }
-        self.free_by_node[self.node_of[slot.index()].as_u32() as usize].remove(&slot);
-        self.free_by_rack[self.rack_of[slot.index()].as_u32() as usize].remove(&slot);
+        if let Some(set) = self.free_by_node.get_mut(node.as_u32() as usize) {
+            set.remove(&slot);
+        }
+        if let Some(set) = self.free_by_rack.get_mut(rack.as_u32() as usize) {
+            set.remove(&slot);
+        }
+        Ok(())
     }
 
     fn index_reservation(&mut self, slot: SlotId, r: &Reservation) {
         self.reserved.insert(slot);
         self.reserved_by_job.entry(r.job()).or_default().insert(slot);
         match self.group_index(r) {
-            Ok(i) => self.reserved_groups[i].2 += 1,
+            Ok(i) => {
+                if let Some((_, _, count)) = self.reserved_groups.get_mut(i) {
+                    *count += 1;
+                }
+            }
             Err(i) => self.reserved_groups.insert(i, (r.job(), r.priority(), 1)),
         }
         if let Some(d) = r.deadline() {
@@ -198,15 +249,20 @@ impl SlotPool {
         }
     }
 
+    /// Drops reservation `r` on `slot` from the indexes and frees the slot
+    /// (into the free indexes only while it is in service).
+    fn free_reserved(&mut self, slot: SlotId, r: &Reservation) -> Result<(), ClusterError> {
+        self.unindex_reservation(slot, r);
+        self.slot_mut(slot)?.state = SlotState::Free;
+        self.index_free(slot)
+    }
+
     /// Moves `slot` out of whatever non-running state it is in, dropping
     /// its index entries. Returns an error for running slots.
     fn unindex_current(&mut self, slot: SlotId) -> Result<(), ClusterError> {
-        match self.states[slot.index()] {
+        match self.slot(slot)?.state {
             SlotState::Running(_) => Err(ClusterError::CannotReserveBusy { slot }),
-            SlotState::Free => {
-                self.unindex_free(slot);
-                Ok(())
-            }
+            SlotState::Free => self.unindex_free(slot),
             SlotState::Reserved(r) => {
                 self.unindex_reservation(slot, &r);
                 Ok(())
@@ -224,13 +280,14 @@ impl SlotPool {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::SlotBusy`] if the slot is running a task.
+    /// Returns [`ClusterError::SlotBusy`] if the slot is running a task,
+    /// [`ClusterError::UnknownSlot`] if it is not in the pool.
     pub fn assign(&mut self, slot: SlotId, task: TaskId) -> Result<(), ClusterError> {
-        if let SlotState::Running(occupant) = self.states[slot.index()] {
+        if let SlotState::Running(occupant) = self.slot(slot)?.state {
             return Err(ClusterError::SlotBusy { slot, occupant });
         }
-        self.unindex_current(slot).expect("checked not running");
-        self.states[slot.index()] = SlotState::Running(task);
+        self.unindex_current(slot)?;
+        self.slot_mut(slot)?.state = SlotState::Running(task);
         self.running_count += 1;
         Ok(())
     }
@@ -239,14 +296,16 @@ impl SlotPool {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::NotRunning`] if the slot holds no task.
+    /// Returns [`ClusterError::NotRunning`] if the slot holds no task,
+    /// [`ClusterError::UnknownSlot`] if it is not in the pool.
     pub fn finish(&mut self, slot: SlotId) -> Result<TaskId, ClusterError> {
-        let SlotState::Running(task) = self.states[slot.index()] else {
+        let entry = self.slot_mut(slot)?;
+        let SlotState::Running(task) = entry.state else {
             return Err(ClusterError::NotRunning { slot });
         };
-        self.states[slot.index()] = SlotState::Free;
+        entry.state = SlotState::Free;
         self.running_count -= 1;
-        self.index_free(slot);
+        self.index_free(slot)?;
         Ok(task)
     }
 
@@ -255,10 +314,11 @@ impl SlotPool {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::CannotReserveBusy`] if the slot is running.
+    /// Returns [`ClusterError::CannotReserveBusy`] if the slot is running,
+    /// [`ClusterError::UnknownSlot`] if it is not in the pool.
     pub fn reserve(&mut self, slot: SlotId, reservation: Reservation) -> Result<(), ClusterError> {
         self.unindex_current(slot)?;
-        self.states[slot.index()] = SlotState::Reserved(reservation);
+        self.slot_mut(slot)?.state = SlotState::Reserved(reservation);
         self.index_reservation(slot, &reservation);
         Ok(())
     }
@@ -268,12 +328,12 @@ impl SlotPool {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::CannotReserveBusy`] if the slot is running.
+    /// Returns [`ClusterError::CannotReserveBusy`] if the slot is running,
+    /// [`ClusterError::UnknownSlot`] if it is not in the pool.
     pub fn release(&mut self, slot: SlotId) -> Result<(), ClusterError> {
         self.unindex_current(slot)?;
-        self.states[slot.index()] = SlotState::Free;
-        self.index_free(slot);
-        Ok(())
+        self.slot_mut(slot)?.state = SlotState::Free;
+        self.index_free(slot)
     }
 
     /// Frees every reservation whose deadline has passed at `now` and
@@ -297,14 +357,16 @@ impl SlotPool {
             if deadline > now {
                 break;
             }
-            let r = *self.states[slot.index()]
-                .reservation()
-                .expect("deadline index entries are reserved slots");
+            let Some(r) = self.reservation_on(slot) else {
+                // An entry without a live reservation is dropped, so a
+                // corrupt index cannot stall expiry.
+                self.deadlines.remove(&(deadline, slot));
+                continue;
+            };
             on_expire(slot, &r);
-            self.unindex_reservation(slot, &r);
-            self.states[slot.index()] = SlotState::Free;
-            self.index_free(slot);
-            expired.push(slot);
+            if self.free_reserved(slot, &r).is_ok() {
+                expired.push(slot);
+            }
         }
         // The deadline index yields (time, slot) order; the naive scan
         // yielded ascending slot ids.
@@ -316,20 +378,11 @@ impl SlotPool {
     /// and returns the freed slots in ascending id order.
     pub fn release_job_reservations(&mut self, job: JobId) -> Vec<SlotId> {
         let Some(set) = self.reserved_by_job.remove(&job) else { return Vec::new() };
-        let freed: Vec<SlotId> = set.into_iter().collect();
-        for &slot in &freed {
-            let r = *self.states[slot.index()]
-                .reservation()
-                .expect("per-job index entries are reserved slots");
-            self.reserved.remove(&slot);
-            self.unindex_group(&r);
-            if let Some(d) = r.deadline() {
-                self.deadlines.remove(&(d, slot));
-            }
-            self.states[slot.index()] = SlotState::Free;
-            self.index_free(slot);
-        }
-        freed
+        set.into_iter()
+            .filter(|&slot| {
+                self.reservation_on(slot).is_some_and(|r| self.free_reserved(slot, &r).is_ok())
+            })
+            .collect()
     }
 
     /// Takes `slot` out of service (fault injection). Idempotent.
@@ -339,22 +392,20 @@ impl SlotPool {
     /// revocation); a running slot keeps its task — the caller decides
     /// whether the fault kills it (`finish` first) or lets it survive a
     /// partition (the slot then frees without re-entering the indexes).
-    pub fn take_offline(&mut self, slot: SlotId) -> Option<Reservation> {
-        if self.offline[slot.index()] {
-            return None;
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::UnknownSlot`] if `slot` is not in the pool.
+    pub fn take_offline(&mut self, slot: SlotId) -> Result<Option<Reservation>, ClusterError> {
+        let entry = self.slot_mut(slot)?;
+        if entry.offline {
+            return Ok(None);
         }
-        self.offline[slot.index()] = true;
-        match self.states[slot.index()] {
-            SlotState::Running(_) => None,
-            SlotState::Free => {
-                self.unindex_free(slot);
-                None
-            }
-            SlotState::Reserved(r) => {
-                self.unindex_reservation(slot, &r);
-                self.states[slot.index()] = SlotState::Free;
-                Some(r)
-            }
+        entry.offline = true;
+        match entry.state {
+            SlotState::Running(_) => Ok(None),
+            SlotState::Free => self.unindex_free(slot).map(|()| None),
+            SlotState::Reserved(r) => self.free_reserved(slot, &r).map(|()| Some(r)),
         }
     }
 
@@ -362,15 +413,20 @@ impl SlotPool {
     /// `true` when the slot was actually offline. A freed slot rejoins the
     /// free indexes immediately; a still-running slot (partition survivor)
     /// rejoins when its task finishes.
-    pub fn bring_online(&mut self, slot: SlotId) -> bool {
-        if !self.offline[slot.index()] {
-            return false;
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::UnknownSlot`] if `slot` is not in the pool.
+    pub fn bring_online(&mut self, slot: SlotId) -> Result<bool, ClusterError> {
+        let entry = self.slot_mut(slot)?;
+        if !entry.offline {
+            return Ok(false);
         }
-        self.offline[slot.index()] = false;
-        if matches!(self.states[slot.index()], SlotState::Free) {
-            self.index_free(slot);
+        entry.offline = false;
+        if entry.state.is_free() {
+            self.index_free(slot)?;
         }
-        true
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -378,8 +434,12 @@ impl SlotPool {
     // ------------------------------------------------------------------
 
     /// `true` when `slot` is out of service.
-    pub fn is_offline(&self, slot: SlotId) -> bool {
-        self.offline[slot.index()]
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::UnknownSlot`] if `slot` is not in the pool.
+    pub fn is_offline(&self, slot: SlotId) -> Result<bool, ClusterError> {
+        Ok(self.slot(slot)?.offline)
     }
 
     /// `true` when `slot` is free and in service, i.e. in the free
@@ -390,7 +450,7 @@ impl SlotPool {
 
     /// Number of slots currently out of service — O(slots).
     pub fn offline_count(&self) -> usize {
-        self.offline.iter().filter(|&&o| o).count()
+        self.slots.iter().filter(|s| s.offline).count()
     }
 
     /// The resource size of `slot` (§III-C heterogeneous clusters; 1 in a
@@ -399,6 +459,7 @@ impl SlotPool {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
+    #[expect(clippy::indexing_slicing, reason = "documented # Panics contract")]
     pub fn size(&self, slot: SlotId) -> u32 {
         self.sizes[slot.index()]
     }
@@ -410,24 +471,34 @@ impl SlotPool {
     }
 
     /// The machine hosting `slot` (precomputed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    #[expect(clippy::indexing_slicing, reason = "documented # Panics contract")]
     pub fn node_of(&self, slot: SlotId) -> NodeId {
-        self.node_of[slot.index()]
+        self.slots[slot.index()].node
     }
 
     /// The rack containing `slot`'s machine (precomputed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    #[expect(clippy::indexing_slicing, reason = "documented # Panics contract")]
     pub fn rack_of(&self, slot: SlotId) -> RackId {
-        self.rack_of[slot.index()]
+        self.slots[slot.index()].rack
     }
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.slots.len()
     }
 
     /// `true` if the cluster has no slots (never true for a validated
     /// [`ClusterSpec`]).
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.slots.is_empty()
     }
 
     /// The state of `slot`.
@@ -435,8 +506,9 @@ impl SlotPool {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
+    #[expect(clippy::indexing_slicing, reason = "documented # Panics contract")]
     pub fn get(&self, slot: SlotId) -> &SlotState {
-        &self.states[slot.index()]
+        &self.slots[slot.index()].state
     }
 
     /// Iterator over free slots in ascending id order — O(result).
@@ -444,14 +516,18 @@ impl SlotPool {
         self.free.iter().copied()
     }
 
-    /// Free slots hosted by `node`, ascending — O(result).
+    /// Free slots hosted by `node`, ascending — O(result); none for a
+    /// node outside the cluster.
     pub fn free_on_node(&self, node: NodeId) -> impl Iterator<Item = SlotId> + '_ {
-        self.free_by_node[node.as_u32() as usize].iter().copied()
+        let set = self.free_by_node.get(node.as_u32() as usize);
+        set.map(BTreeSet::iter).unwrap_or_default().copied()
     }
 
-    /// Free slots in `rack`, ascending — O(result).
+    /// Free slots in `rack`, ascending — O(result); none for a rack
+    /// outside the cluster.
     pub fn free_in_rack(&self, rack: RackId) -> impl Iterator<Item = SlotId> + '_ {
-        self.free_by_rack[rack.as_u32() as usize].iter().copied()
+        let set = self.free_by_rack.get(rack.as_u32() as usize);
+        set.map(BTreeSet::iter).unwrap_or_default().copied()
     }
 
     /// Iterator over all reserved slots in ascending id order — O(result).
@@ -488,7 +564,7 @@ impl SlotPool {
 
     /// Iterator over `(slot, state)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &SlotState)> + '_ {
-        self.states.iter().enumerate().map(|(i, s)| (SlotId::new(i as u32), s))
+        self.slots.iter().enumerate().map(|(i, s)| (SlotId::new(i as u32), &s.state))
     }
 
     /// Counts of (free, running, reserved) slots — O(1).
@@ -663,16 +739,16 @@ mod tests {
         let mut p = pool(2, 2);
         let s = SlotId::new(1);
         // Free slot: vanishes from every index and from counts.
-        assert_eq!(p.take_offline(s), None);
-        assert!(p.is_offline(s));
+        assert_eq!(p.take_offline(s), Ok(None));
+        assert_eq!(p.is_offline(s), Ok(true));
         assert_eq!(p.offline_count(), 1);
         assert_eq!(p.counts(), (3, 0, 0));
         assert!(!p.free_slots().any(|f| f == s));
         assert!(!p.free_on_node(NodeId::new(0)).any(|f| f == s));
         // Idempotent.
-        assert_eq!(p.take_offline(s), None);
-        assert!(p.bring_online(s));
-        assert!(!p.bring_online(s));
+        assert_eq!(p.take_offline(s), Ok(None));
+        assert_eq!(p.bring_online(s), Ok(true));
+        assert_eq!(p.bring_online(s), Ok(false));
         assert_eq!(p.counts(), (4, 0, 0));
         assert!(p.free_on_node(NodeId::new(0)).any(|f| f == s));
     }
@@ -684,7 +760,7 @@ mod tests {
         let r = Reservation::new(JobId::new(7), Priority::new(3))
             .with_deadline(SimTime::from_secs(10));
         p.reserve(s, r).unwrap();
-        let revoked = p.take_offline(s).expect("reservation handed back");
+        let revoked = p.take_offline(s).unwrap().expect("reservation handed back");
         assert_eq!(revoked.job(), JobId::new(7));
         assert_eq!(p.counts(), (1, 0, 0));
         assert_eq!(p.next_deadline(), None);
@@ -699,15 +775,35 @@ mod tests {
         let s = SlotId::new(0);
         p.assign(s, task(1, 0)).unwrap();
         // Partition: the task keeps running on the unreachable node.
-        assert_eq!(p.take_offline(s), None);
+        assert_eq!(p.take_offline(s), Ok(None));
         assert_eq!(p.counts(), (1, 1, 0));
         // It finishes mid-partition: the slot frees but stays invisible.
         assert_eq!(p.finish(s).unwrap(), task(1, 0));
         assert_eq!(p.counts(), (1, 0, 0));
         assert!(!p.free_slots().any(|f| f == s));
         // Healing the partition restores it.
-        assert!(p.bring_online(s));
+        assert_eq!(p.bring_online(s), Ok(true));
         assert_eq!(p.counts(), (2, 0, 0));
+    }
+
+    #[test]
+    fn unknown_slots_are_errors_and_change_nothing() {
+        let mut p = pool(2, 2);
+        let s = SlotId::new(99);
+        let err = ClusterError::UnknownSlot { slot: s };
+        assert_eq!(p.take_offline(s), Err(err));
+        assert_eq!(p.bring_online(s), Err(err));
+        assert_eq!(p.is_offline(s), Err(err));
+        assert_eq!(p.assign(s, task(1, 0)), Err(err));
+        assert_eq!(p.finish(s), Err(err));
+        let r = Reservation::new(JobId::new(1), Priority::default());
+        assert_eq!(p.reserve(s, r), Err(err));
+        assert_eq!(p.release(s), Err(err));
+        assert_eq!(p.counts(), (4, 0, 0));
+        assert_eq!(p.offline_count(), 0);
+        assert!(!p.is_free_in_service(s));
+        assert_eq!(p.free_on_node(NodeId::new(9)).count(), 0);
+        assert_eq!(p.free_in_rack(RackId::new(9)).count(), 0);
     }
 
     #[test]
@@ -828,12 +924,12 @@ mod proptests {
                 if revoked.is_some() {
                     table.release(slot).unwrap();
                 }
-                prop_assert_eq!(pool.take_offline(slot), revoked);
+                prop_assert_eq!(pool.take_offline(slot), Ok(revoked));
                 offline.insert(slot);
             }
             Op::BringOnline(s) => {
                 let slot = SlotId::new(s);
-                prop_assert_eq!(pool.bring_online(slot), offline.remove(&slot));
+                prop_assert_eq!(pool.bring_online(slot), Ok(offline.remove(&slot)));
             }
         }
     }
@@ -862,10 +958,10 @@ mod proptests {
                 prop_assert_eq!(pool.offline_count(), offline.len());
                 // The dense flag is exactly "free and in service".
                 for slot in spec.iter_slots() {
-                    prop_assert_eq!(pool.is_offline(slot), offline.contains(&slot));
+                    prop_assert_eq!(pool.is_offline(slot), Ok(offline.contains(&slot)));
                     prop_assert_eq!(
                         pool.is_free_in_service(slot),
-                        !pool.is_offline(slot) && pool.get(slot).is_free()
+                        !offline.contains(&slot) && pool.get(slot).is_free()
                     );
                 }
                 for job in owners() {

@@ -53,6 +53,8 @@ impl Reservation {
     }
 
     /// The expiry deadline, if bounded.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn deadline(&self) -> Option<SimTime> {
         self.deadline
     }
@@ -63,6 +65,8 @@ impl Reservation {
     }
 
     /// `true` if the reservation has lapsed at `now`.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn expired_at(&self, now: SimTime) -> bool {
         self.deadline.is_some_and(|d| d <= now)
     }
@@ -98,6 +102,8 @@ impl SlotState {
     }
 
     /// The reservation, if any.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn reservation(&self) -> Option<&Reservation> {
         match self {
             SlotState::Reserved(r) => Some(r),
@@ -144,6 +150,11 @@ pub enum ClusterError {
         /// The target slot.
         slot: SlotId,
     },
+    /// The slot id is outside the cluster.
+    UnknownSlot {
+        /// The target slot.
+        slot: SlotId,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -156,6 +167,7 @@ impl fmt::Display for ClusterError {
             ClusterError::CannotReserveBusy { slot } => {
                 write!(f, "{slot} is running a task and cannot be reserved")
             }
+            ClusterError::UnknownSlot { slot } => write!(f, "{slot} is not in the cluster"),
         }
     }
 }
@@ -280,6 +292,8 @@ impl SlotTable {
     /// Frees every reservation whose deadline has passed at `now` and
     /// returns the freed slots (§IV-B: "beyond the deadline the reservation
     /// is expired, and the slot becomes free to use by other jobs").
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn expire_reservations(&mut self, now: SimTime) -> Vec<SlotId> {
         let mut expired = Vec::new();
         for (i, state) in self.states.iter_mut().enumerate() {

@@ -8,6 +8,8 @@ pub struct SlotId(u32);
 
 impl SlotId {
     /// Creates a slot id from a raw index.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub const fn new(raw: u32) -> Self {
         SlotId(raw)
     }

@@ -17,6 +17,8 @@ impl JobId {
     }
 
     /// The raw value.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub const fn as_u64(self) -> u64 {
         self.0
     }

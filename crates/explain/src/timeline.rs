@@ -229,6 +229,9 @@ pub struct Timeline {
     /// Per-slot state segments, ordered by start time. A slot that was
     /// never drawn reserved or running has none.
     pub slot_segments: SlotTable<Vec<Segment>>,
+    /// The largest pool an `offer-round-started` event reported (0 if
+    /// none): the gantt draws these slots even when they stay free.
+    pool_slots: usize,
 }
 
 impl Timeline {
@@ -264,18 +267,14 @@ impl Timeline {
         counts
     }
 
-    /// Looks a job up by name.
-    pub fn job_named(&self, name: &str) -> Option<&JobTimeline> {
-        self.jobs.iter().find(|j| j.name == name)
-    }
-
     /// The single-letter gantt key for the job at `index` in submission-id
     /// order (`A`, `B`, …, wrapping after 26 jobs).
     pub fn job_letter(index: usize) -> char {
         (b'A' + (index % 26) as u8) as char
     }
 
-    /// Renders the run as fixed-width ASCII: one row per slot sampling the
+    /// Renders the run as fixed-width ASCII: one row per slot of the
+    /// largest offer-round pool, and per slot drawn beyond it, sampling the
     /// slot state at each column's midpoint (`.` free, `=` reserved-idle,
     /// job letter running — lowercase for speculative copies), followed by
     /// one lane per job showing its running-instance count over time (`.`
@@ -312,7 +311,11 @@ impl Timeline {
             ));
         }
         out.push_str("  lowercase = speculative copy, '=' = reserved-idle, '.' = free\n");
-        for slot in 0..self.slots {
+        // One row per slot of the largest offer-round pool, plus each slot
+        // drawn beyond it: a trace naming slot 4294967295 costs one row.
+        let drawn = self.slot_segments.iter().filter(|(_, segments)| !segments.is_empty());
+        let beyond = drawn.map(|(slot, _)| slot as usize).filter(|&s| s >= self.pool_slots);
+        for slot in (0..self.pool_slots).chain(beyond) {
             let mut row = String::with_capacity(width);
             for i in 0..width {
                 row.push(match self.slot_state(slot, col_mid(i)) {
@@ -362,6 +365,7 @@ struct JobScratch {
 #[derive(Debug, Default)]
 struct Builder {
     slots: usize,
+    pool_slots: usize,
     jobs: BTreeMap<JobId, JobScratch>,
     replay: SlotReplay,
     /// Drawn segments per slot; the last one is what the slot shows now.
@@ -451,6 +455,7 @@ impl Builder {
                 }
                 K::OfferRoundStarted { free, running, reserved } => {
                     let pool = free.saturating_add(*running).saturating_add(*reserved);
+                    self.pool_slots = self.pool_slots.max(pool);
                     if pool > self.slots {
                         self.ensure_slot(pool - 1);
                     }
@@ -520,7 +525,13 @@ impl Builder {
                 }
             })
             .collect();
-        Timeline { slots: self.slots, horizon, jobs, slot_segments: self.segments }
+        Timeline {
+            slots: self.slots,
+            horizon,
+            jobs,
+            slot_segments: self.segments,
+            pool_slots: self.pool_slots,
+        }
     }
 }
 

@@ -95,4 +95,12 @@ fn slot_u32_max_is_analysed_without_a_table_up_to_it() {
     assert_eq!(tl.occupancy(SimTime::from_secs(1)), (FAR as usize, 1, 0));
     let attribution = &report.attributions[0];
     assert!(attribution.conserves(1e-9), "attribution conserves the slowdown: {attribution:?}");
+
+    // The gantt draws the two slots the trace touches, not a row per
+    // index up to the highest one named.
+    let gantt = tl.render_gantt(20);
+    let rows: Vec<&str> = gantt.lines().filter(|l| l.starts_with("slot")).collect();
+    assert_eq!(rows.len(), 2, "{gantt}");
+    assert!(rows[0].starts_with("slot   0 |") && rows[1].starts_with(&format!("slot {FAR} |")));
+    assert!(report.render_text(20).contains(rows[1]));
 }

@@ -1,5 +1,5 @@
-//! A minimal token-level Rust lexer — just enough structure for the
-//! audits.
+//! A minimal token-level Rust lexer — just enough structure for the D004
+//! audit.
 //!
 //! The lexer produces identifiers, punctuation, literals and lifetimes
 //! with exact 1-based line/column positions. Comments, string literals,

@@ -1,5 +1,5 @@
-//! The `ssr-lint` binary: walk the workspace, report D004/P001/A001
-//! findings, exit nonzero on any beyond the baseline.
+//! The `ssr-lint` binary: walk the workspace, report D004 findings, exit
+//! nonzero on any.
 
 #![allow(
     clippy::disallowed_types,

@@ -1,4 +1,5 @@
-//! Each module holds the fixture of one retired ssr-lint code. A line
+//! Each module holds the fixture of one retired ssr-lint code (the
+//! `p001*` modules: the clippy lints recovery code denies). A line
 //! ending in `//~ LINT` must be rejected by LINT; every other line must
 //! be clean.
 
@@ -13,4 +14,7 @@ pub mod d106;
 pub mod l001;
 pub mod l001_malformed;
 pub mod l002;
+pub mod p001;
+pub mod p001_expect;
+pub mod p001_stale;
 pub mod s001;

@@ -1,104 +1,15 @@
 //! One fixture per retired or kept lint code, each rejected by its
 //! enforcer. D004 is still an ssr-lint pass; the other codes moved to
 //! clippy, so their fixtures live in the `tests/fixtures/determinism`
-//! crate and this file lints it exactly as ci.sh's determinism pass
-//! lints the workspace. A fixture line ending in `//~ LINT` must be
-//! rejected by LINT, and no other line may be.
+//! crate, linted by [`clippy_fixture`].
 
+mod clippy_fixture;
 mod common;
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
-use std::process::Command;
-use std::sync::OnceLock;
 
-use serde_json::Value;
+use clippy_fixture::{assert_rejected, fixture_source};
 use ssr_lint::{lint_source, DETERMINISTIC_CRATES};
-
-fn fixture_crate() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/determinism")
-}
-
-fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
-    match value {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn text(value: Option<&Value>) -> Option<&str> {
-    match value {
-        Some(Value::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
-/// `(file, line, lint)` for every diagnostic clippy reports on the
-/// fixture crate, run once per test binary.
-fn clippy_findings() -> &'static BTreeSet<(String, u64, String)> {
-    static FINDINGS: OnceLock<BTreeSet<(String, u64, String)>> = OnceLock::new();
-    FINDINGS.get_or_init(|| {
-        let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
-        let output = Command::new(cargo)
-            .args(["clippy", "--offline", "--quiet", "--message-format=json", "--manifest-path"])
-            .arg(fixture_crate().join("Cargo.toml"))
-            .arg("--target-dir")
-            .arg(Path::new(env!("CARGO_TARGET_TMPDIR")).join("determinism-fixtures"))
-            .args(["--", "-D", "warnings"])
-            .args(["-D", "clippy::disallowed_types", "-D", "clippy::disallowed_methods"])
-            .output()
-            .expect("cargo clippy runs");
-        let stdout = String::from_utf8(output.stdout).expect("cargo emits UTF-8");
-        let mut findings = BTreeSet::new();
-        for line in stdout.lines() {
-            let msg = serde_json::from_str(line).expect("cargo emits one JSON message per line");
-            if text(field(&msg, "reason")) != Some("compiler-message") {
-                continue;
-            }
-            let message = field(&msg, "message").expect("compiler message");
-            let Some(lint) = field(message, "code").and_then(|c| text(field(c, "code"))) else {
-                continue; // summaries such as "could not compile"
-            };
-            let Some(Value::Array(spans)) = field(message, "spans") else {
-                continue;
-            };
-            for span in spans {
-                if field(span, "is_primary") == Some(&Value::Bool(true)) {
-                    let file = text(field(span, "file_name")).expect("span file").to_owned();
-                    let Some(Value::UInt(line)) = field(span, "line_start") else {
-                        continue;
-                    };
-                    findings.insert((file, *line, lint.to_owned()));
-                }
-            }
-        }
-        assert!(
-            !findings.is_empty(),
-            "clippy reported nothing:\n{}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        findings
-    })
-}
-
-/// Asserts that clippy rejects exactly the `//~`-annotated lines of
-/// `src/<module>.rs`, each with its named lint.
-fn assert_rejected(module: &str) {
-    let file = format!("src/{module}.rs");
-    let source = std::fs::read_to_string(fixture_crate().join(&file)).expect("fixture exists");
-    let expected: BTreeSet<(u64, String)> = (1..)
-        .zip(source.lines())
-        .filter_map(|(n, line)| {
-            line.split_once("//~ ").map(|(_, lint)| (n, lint.trim().to_owned()))
-        })
-        .collect();
-    let actual: BTreeSet<(u64, String)> = clippy_findings()
-        .iter()
-        .filter(|(f, _, _)| *f == file)
-        .map(|(_, line, lint)| (*line, lint.clone()))
-        .collect();
-    assert_eq!(actual, expected, "{file}: clippy findings vs `//~` annotations");
-}
 
 /// Asserts that a barrier module opts out of `lint` with a reasoned
 /// `#![expect]`, so the lint still fires (and is expected) there.
@@ -176,6 +87,12 @@ fn d004_is_quiet_on_total_cmp() {
 }
 
 #[test]
+fn p001_fires_on_recovery_path_panics() {
+    // The recovery code's deny list: one rejected line per lint.
+    assert_rejected("p001");
+}
+
+#[test]
 fn d005_fires_on_raw_seeding() {
     assert_rejected("d005");
 }
@@ -227,8 +144,6 @@ fn l002_fires_on_unknown_code_and_the_directive_is_inert() {
 #[test]
 fn reasoned_allow_is_clean() {
     // `clean.rs` holds a reasoned `#[expect]` over a disallowed call.
-    assert!(std::fs::read_to_string(fixture_crate().join("src/clean.rs"))
-        .expect("fixture exists")
-        .contains("#[expect(clippy::disallowed_methods, reason = "));
+    assert!(fixture_source("clean").contains("#[expect(clippy::disallowed_methods, reason = "));
     assert_rejected("clean");
 }

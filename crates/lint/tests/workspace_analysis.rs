@@ -1,30 +1,21 @@
-//! Integration tests for the workspace-level call-graph audits, driven
-//! by small fixture trees under `tests/fixtures/ws_*`. The trees are
-//! read from disk at runtime — cargo never compiles them — so they can
-//! contain deliberate contract violations.
+//! The exception mechanism for recovery code: a panic site is either
+//! fixed or carries a reasoned `#[expect]` right where it is, which
+//! clippy checks on every run.
 
-use std::path::{Path, PathBuf};
+mod clippy_fixture;
 
-use ssr_lint::lint_workspace;
-
-fn fixture_root(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
-}
+use clippy_fixture::{assert_rejected, fixture_source};
 
 #[test]
 fn p001_baseline_round_trip() {
-    let root = fixture_root("ws_panic");
-    // Auto-loaded `<root>/lint.baseline` absorbs the audited P001.
-    let with = lint_workspace(&root, None).expect("fixture lints");
-    assert!(with.report.is_clean(), "got:\n{}", with.report.render_text());
-    assert_eq!(with.report.baselined, 1);
-    assert!(with.stale_baseline.is_empty());
-    // Overriding with an empty ledger surfaces it, chain intact.
-    let without =
-        lint_workspace(&root, Some(&root.join("empty.baseline"))).expect("fixture lints");
-    assert_eq!(without.report.findings.len(), 1);
-    let d = &without.report.findings[0];
-    assert_eq!((d.code.as_str(), d.function.as_str()), ("P001", "first_failed"));
-    assert!(d.chain[0].contains("fail_slots") && d.chain[0].contains("root"));
-    assert_eq!(without.report.baselined, 0);
+    // The same indexing site, bare in `p001` and under a reasoned
+    // `#[expect]` in `p001_expect`: the lint fires on the first, and the
+    // second module is clean.
+    let bare = fixture_source("p001");
+    let expected = fixture_source("p001_expect");
+    assert!(bare.contains("    failed[0] //~ clippy::indexing_slicing\n"));
+    assert!(expected.contains("#[expect(clippy::indexing_slicing, reason = "));
+    assert!(expected.contains("    failed[0]\n"));
+    assert_rejected("p001");
+    assert_rejected("p001_expect");
 }

@@ -1,45 +1,93 @@
 //! The workspace-level regression: the tree this crate ships in must
-//! itself pass the audits, and every determinism opt-out must be a
+//! itself pass the audit, and every determinism opt-out must be a
 //! reasoned attribute at a sanctioned site.
 
+mod clippy_fixture;
 mod common;
 
+use clippy_fixture::assert_rejected;
 use common::workspace_root;
 use ssr_lint::lint_workspace;
 
 #[test]
 fn workspace_has_no_unsuppressed_findings() {
-    // `lint_workspace` auto-loads `<root>/lint.baseline`, so this gate
-    // means: zero findings beyond the audited, reasoned ledger.
-    let outcome = lint_workspace(&workspace_root(), None).expect("workspace lints");
-    assert!(
-        outcome.report.is_clean(),
-        "determinism contract violated:\n{}",
-        outcome.report.render_text()
-    );
-    assert!(outcome.report.files_scanned > 0);
+    let report = lint_workspace(&workspace_root()).expect("workspace lints");
+    assert!(report.is_clean(), "determinism contract violated:\n{}", report.render_text());
+    assert!(report.files_scanned > 0);
 }
 
 #[test]
 fn baseline_has_no_stale_entries() {
-    // Paid-down debt must leave the ledger: every baseline entry's
-    // budget is fully consumed by current findings.
-    let outcome = lint_workspace(&workspace_root(), None).expect("workspace lints");
-    assert!(
-        outcome.stale_baseline.is_empty(),
-        "stale lint.baseline entries (remove or tighten them):\n{}",
-        outcome.stale_baseline.join("\n")
-    );
+    // Paid-down debt must leave the code: an `#[expect]` whose lint no
+    // longer fires is itself an error under `-D warnings`.
+    assert_rejected("p001_stale");
+}
+
+/// The lints fault-recovery code denies, as each function outside
+/// `cluster/src/pool.rs` spells them (the pool denies them module-wide).
+const RECOVERY_DENY: [&str; 2] = [
+    "#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]",
+    "#[deny(clippy::panic, clippy::unreachable)]",
+];
+
+/// The recovery reach set outside `cluster/src/pool.rs`: every function
+/// the retired P001 call graph reached from `fail_slots`, `restore_slots`,
+/// `instance_crashed`, `instance_killed`, `take_offline`, `bring_online`
+/// and `expire_reservations`, by file. `Type::name` picks one of several
+/// functions called `name`.
+const RECOVERY_FNS: &[(&str, &[&str])] = &[
+    ("cluster/src/slot.rs", &["deadline", "expired_at", "reservation", "expire_reservations"]),
+    ("cluster/src/topology.rs", &["SlotId::new"]),
+    ("dag/src/ids.rs", &["as_u64"]),
+    ("perf/src/span.rs", &["enter", "exit"]),
+    ("scheduler/src/engine.rs", &["advance_clock", "trace_enabled", "span_enter", "span_exit"]),
+    ("scheduler/src/engine.rs", &["emit", "stop_instance", "expire_reservations"]),
+    ("scheduler/src/engine.rs", &["fail_slots", "restore_slots"]),
+    ("scheduler/src/jobs.rs", &["taskset_mut", "get_mut", "instance_crashed"]),
+    ("scheduler/src/jobs.rs", &["index", "entry_mut"]),
+    ("scheduler/src/taskset.rs", &["instance_crashed", "instance_killed"]),
+    ("trace/src/event.rs", &["new"]),
+];
+
+/// The attribute lines directly above function `entry` in `text`.
+fn attributes_of<'a>(text: &'a str, entry: &str) -> Vec<&'a str> {
+    let (from, name) = match entry.split_once("::") {
+        Some((ty, name)) => (text.find(&format!("impl {ty} {{")).expect("impl present"), name),
+        None => (0, entry),
+    };
+    let at = from + text[from..].find(&format!("fn {name}(")).expect("function present");
+    let above = &text[..text[..at].rfind('\n').expect("not on the first line")];
+    above.lines().rev().map(str::trim).take_while(|l| l.starts_with("#[")).collect()
 }
 
 #[test]
-fn baseline_file_round_trips() {
-    let text = std::fs::read_to_string(workspace_root().join("lint.baseline"))
-        .expect("lint.baseline is checked in");
-    let parsed = ssr_lint::Baseline::parse(&text).expect("baseline parses");
-    assert!(!parsed.entries.is_empty(), "ledger should not be empty while debt remains");
-    let reparsed = ssr_lint::Baseline::parse(&parsed.render()).expect("render round-trips");
-    assert_eq!(parsed, reparsed);
+fn recovery_functions_deny_panics() {
+    let crates = workspace_root().join("crates");
+    let read = |file: &str| std::fs::read_to_string(crates.join(file)).expect("source exists");
+    for &(file, names) in RECOVERY_FNS {
+        let text = read(file);
+        for name in names {
+            let attrs = attributes_of(&text, name);
+            assert!(RECOVERY_DENY.iter().all(|d| attrs.contains(d)), "{file}: `{name}`: {attrs:?}");
+            assert!(
+                !attrs.iter().any(|a| a.starts_with("#[allow(") || a.starts_with("#[expect(")),
+                "{file}: `{name}` opts out of a lint: {attrs:?}"
+            );
+        }
+    }
+    // The pool denies the same lints module-wide; its only exceptions are
+    // the four queries with a documented `# Panics` contract.
+    let pool = read("cluster/src/pool.rs");
+    let shipped = &pool[..pool.find("#[cfg(test)]").expect("pool has tests")];
+    for deny in RECOVERY_DENY {
+        assert!(shipped.contains(&deny.replacen("#[", "#![", 1)), "pool.rs lacks {deny}");
+    }
+    let expect = "#[expect(clippy::indexing_slicing, reason = \"documented # Panics contract\")]";
+    for name in ["size", "node_of", "rack_of", "get"] {
+        let attrs = attributes_of(shipped, name);
+        assert!(attrs.contains(&expect), "pool.rs: `{name}` documents its panic with {expect}");
+    }
+    assert_eq!(shipped.matches("#[expect(").count() + shipped.matches("#[allow(").count(), 4);
 }
 
 #[test]
@@ -69,8 +117,8 @@ fn every_suppression_carries_a_reason() {
 #[test]
 fn report_is_byte_stable_across_runs() {
     let root = workspace_root();
-    let a = lint_workspace(&root, None).expect("first run").report;
-    let b = lint_workspace(&root, None).expect("second run").report;
+    let a = lint_workspace(&root).expect("first run");
+    let b = lint_workspace(&root).expect("second run");
     assert_eq!(a, b);
     assert_eq!(a.render_text(), b.render_text());
 }

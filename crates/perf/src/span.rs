@@ -87,6 +87,8 @@ impl SpanProfiler {
     }
 
     /// Opens a span named `name` nested under the currently open span.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn enter(&mut self, name: &str) {
         let path = match self.stack.last() {
             Some(parent) => format!("{}/{name}", parent.path),
@@ -100,6 +102,8 @@ impl SpanProfiler {
     /// into the aggregate and charging it to the parent's child time.
     ///
     /// Exiting with no open span is a no-op (debug builds assert).
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn exit(&mut self) {
         let now = self.clock.now_secs();
         let Some(frame) = self.stack.pop() else {

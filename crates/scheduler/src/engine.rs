@@ -235,6 +235,8 @@ impl TaskScheduler {
     /// Records `now` as the current instant; debug builds check that it
     /// did not move backwards.
     #[inline]
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     fn advance_clock(&mut self, now: SimTime) {
         debug_assert!(
             now >= self.last_now,
@@ -273,6 +275,8 @@ impl TaskScheduler {
     }
 
     /// `true` while a trace sink is attached.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn trace_enabled(&self) -> bool {
         self.trace.is_some()
     }
@@ -305,6 +309,8 @@ impl TaskScheduler {
 
     /// Opens a profiler span, if a profiler is attached.
     #[inline]
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     fn span_enter(&mut self, name: &str) {
         if let Some(p) = self.profiler.as_mut() {
             p.enter(name);
@@ -313,6 +319,8 @@ impl TaskScheduler {
 
     /// Closes the innermost profiler span, if a profiler is attached.
     #[inline]
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     fn span_exit(&mut self) {
         if let Some(p) = self.profiler.as_mut() {
             p.exit();
@@ -323,6 +331,8 @@ impl TaskScheduler {
     /// `build` never runs, so no event is constructed; otherwise it builds
     /// the event from the engine's state, outside the `trace_emit` span.
     #[inline]
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     fn emit(&mut self, time: SimTime, build: impl FnOnce(&Self) -> TraceEventKind) {
         if self.trace.is_none() {
             return;
@@ -634,6 +644,8 @@ impl TaskScheduler {
     }
 
     /// Removes and returns the instance running on `slot`, if any.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     fn stop_instance(&mut self, slot: SlotId) -> Option<RunningInstance> {
         self.running.get_mut(slot.index())?.take()
     }
@@ -1047,7 +1059,7 @@ impl TaskScheduler {
                 // A slot that went offline mid-run (a partition survivor
                 // finishing out of service) cannot be handed back to the
                 // policy: it takes no reservation until it heals.
-                if self.slots.is_offline(s) {
+                if self.slots.is_offline(s) != Ok(false) {
                     continue;
                 }
                 let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
@@ -1157,6 +1169,8 @@ impl TaskScheduler {
 
     /// Releases reservations whose deadline has passed; returns freed
     /// slots.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn expire_reservations(&mut self, now: SimTime) -> Vec<SlotId> {
         // The owners are kept only for the trace, in deadline order.
         let tracing = self.trace_enabled();
@@ -1185,6 +1199,8 @@ impl TaskScheduler {
     /// events for every returned `killed` slot.
     ///
     /// [`restore_slots`]: TaskScheduler::restore_slots
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn fail_slots(
         &mut self,
         failed: &[SlotId],
@@ -1195,7 +1211,8 @@ impl TaskScheduler {
         self.advance_clock(now);
         let mut outcome = FailureOutcome::default();
         for &slot in failed {
-            if self.slots.is_offline(slot) {
+            // Unknown slots and slots already out of service are skipped.
+            if self.slots.is_offline(slot) != Ok(false) {
                 continue;
             }
             if kill_running {
@@ -1206,7 +1223,7 @@ impl TaskScheduler {
                     // job/stage. A violation would be internal index
                     // corruption — a fault event must not escalate it
                     // into a panic, so release builds degrade to
-                    // skipping the broken bookkeeping (P001).
+                    // skipping the broken bookkeeping.
                     let freed = self.slots.finish(slot);
                     debug_assert!(freed.is_ok(), "tracked instance occupies a busy slot");
                     let requeued = self.jobs.instance_crashed(ri.instance);
@@ -1224,7 +1241,7 @@ impl TaskScheduler {
                     outcome.killed.push(slot);
                 }
             }
-            if let Some(r) = self.slots.take_offline(slot) {
+            if let Ok(Some(r)) = self.slots.take_offline(slot) {
                 outcome.revoked.push(slot);
                 self.emit(now, |_| TraceEventKind::ReservationRevoked {
                     slot: slot.as_u32(),
@@ -1238,11 +1255,14 @@ impl TaskScheduler {
 
     /// Returns `restored` slots to service after a fault heals; freed slots
     /// rejoin the offer pool immediately, partition survivors when their
-    /// task finishes. Slots that were never offline are skipped.
+    /// task finishes. Slots that were never offline, or are not in the
+    /// cluster, are skipped.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn restore_slots(&mut self, restored: &[SlotId], now: SimTime) {
         self.advance_clock(now);
         for &slot in restored {
-            if self.slots.bring_online(slot) {
+            if self.slots.bring_online(slot) == Ok(true) {
                 self.emit(now, |_| TraceEventKind::SlotOnline { slot: slot.as_u32() });
             }
         }
@@ -2099,7 +2119,7 @@ mod tests {
         let ctx = PolicyCtx { now, slots: &s.slots, jobs: &s.jobs };
         s.spec
             .iter_slots()
-            .filter(|&x| !s.slots.is_offline(x) && s.slots.size(x) >= demand)
+            .filter(|&x| s.slots.is_offline(x) == Ok(false) && s.slots.size(x) >= demand)
             .filter_map(|x| {
                 let class = match s.slots.get(x) {
                     ssr_cluster::SlotState::Free => 1u8,
@@ -2240,6 +2260,39 @@ mod tests {
         let mut s = scheduler(1, 1);
         s.resource_offers(SimTime::from_secs(2));
         s.resource_offers(SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn recovery_on_unknown_slots_and_instances_changes_nothing() {
+        // Fault injection may name a slot outside the cluster or an
+        // instance a task set no longer tracks: the recovery paths skip
+        // them instead of panicking.
+        let mut s = scheduler(2, 2);
+        let job = s.submit(one_stage_job("j", 6, 0), SimTime::ZERO);
+        assert_eq!(s.resource_offers(SimTime::ZERO).len(), 4);
+        let state = |s: &TaskScheduler| {
+            let running: Vec<(SlotId, RunningInstance)> =
+                s.running_instances().map(|(slot, ri)| (slot, *ri)).collect();
+            (s.slot_pool().counts(), running, s.work_counters().render_json())
+        };
+        let before = state(&s);
+        let t = SimTime::from_secs(1);
+        let unknown = SlotId::new(99);
+        for kill_running in [true, false] {
+            let outcome = s.fail_slots(&[unknown], t, kill_running, "crash");
+            assert!(outcome.killed.is_empty() && outcome.revoked.is_empty());
+            assert_eq!(state(&s), before);
+        }
+        s.restore_slots(&[unknown], t);
+        assert_eq!(state(&s), before);
+        let stage = StageId::new(0);
+        for (partition, attempt) in [(99, 0), (0, 7)] {
+            let phantom =
+                TaskInstance { task: ssr_dag::TaskId::new(job, stage, partition), attempt };
+            let tsm = s.jobs.get_mut(job).and_then(|j| j.taskset_mut(stage)).unwrap();
+            tsm.instance_killed(phantom);
+            assert_eq!(state(&s), before);
+        }
     }
 
     #[test]

@@ -185,6 +185,8 @@ impl JobState {
         &mut self.run
     }
 
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub(crate) fn taskset_mut(&mut self, stage: StageId) -> Option<&mut TaskSetManager> {
         self.tsms.get_mut(&stage)
     }
@@ -306,6 +308,8 @@ impl Jobs {
         }
     }
 
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub(crate) fn get_mut(&mut self, id: JobId) -> Option<&mut JobState> {
         entry_mut(&mut self.table, id)
     }
@@ -391,6 +395,8 @@ impl Jobs {
     /// [`TaskSetManager::instance_crashed`]); a re-queued partition makes
     /// its job pending again. Returns `true` when the partition was
     /// re-queued. Never panics: it is on the fault-recovery path.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub(crate) fn instance_crashed(&mut self, instance: TaskInstance) -> bool {
         let id = instance.task.job;
         let Some(state) = self.get_mut(id) else { return false };
@@ -427,11 +433,15 @@ impl Jobs {
 }
 
 /// `id`'s position in the job table, if it fits a `usize`.
+#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#[deny(clippy::panic, clippy::unreachable)]
 fn index(id: JobId) -> Option<usize> {
     usize::try_from(id.as_u64()).ok()
 }
 
 /// The job `id` in `table`, borrowed apart from `Jobs`' other fields.
+#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#[deny(clippy::panic, clippy::unreachable)]
 fn entry_mut(table: &mut [Option<JobState>], id: JobId) -> Option<&mut JobState> {
     table.get_mut(index(id)?)?.as_mut()
 }

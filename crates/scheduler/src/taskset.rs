@@ -258,7 +258,7 @@ impl TaskSetManager {
 
     /// Iterator form of [`copy_candidates`], in ascending partition
     /// order — the offer-round paths use this to stay allocation-free
-    /// (A001).
+    /// (`tests/offer_round_allocations.rs`).
     ///
     /// [`copy_candidates`]: TaskSetManager::copy_candidates
     pub fn copy_candidate_iter(&self) -> impl Iterator<Item = u32> + '_ {
@@ -348,13 +348,11 @@ impl TaskSetManager {
     /// never be confused with the relaunch). Returns `true` when the
     /// partition was re-queued.
     ///
-    /// Unlike [`instance_killed`] — whose callers hold a kill list that
-    /// came from this very set — crashes arrive from fault injection,
-    /// so an instance this set is not tracking is ignored (returns
-    /// `false`) rather than escalating the fault into a scheduler panic
-    /// (P001).
-    ///
-    /// [`instance_killed`]: TaskSetManager::instance_killed
+    /// An instance this set is not tracking is ignored (returns `false`):
+    /// crashes arrive from fault injection, which must not escalate into
+    /// a scheduler panic.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn instance_crashed(&mut self, instance: TaskInstance) -> bool {
         let partition = instance.task.partition;
         let Some(p) = self.partitions.get_mut(partition as usize) else { return false };
@@ -371,19 +369,17 @@ impl TaskSetManager {
     }
 
     /// Removes `instance` from the running set without finishing its
-    /// partition (the instance was killed).
+    /// partition (the instance was killed). An instance this set is not
+    /// tracking is ignored, as in [`instance_crashed`].
     ///
-    /// # Panics
-    ///
-    /// Panics if the instance is not currently running in this set.
+    /// [`instance_crashed`]: TaskSetManager::instance_crashed
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn instance_killed(&mut self, instance: TaskInstance) {
-        let p = &mut self.partitions[instance.task.partition as usize];
-        let idx = p
-            .running
-            .iter()
-            .position(|(i, _)| *i == instance)
-            .unwrap_or_else(|| panic!("{instance} is not running"));
-        p.running.swap_remove(idx);
+        let Some(p) = self.partitions.get_mut(instance.task.partition as usize) else { return };
+        if let Some(idx) = p.running.iter().position(|(i, _)| *i == instance) {
+            p.running.swap_remove(idx);
+        }
     }
 }
 
@@ -513,7 +509,7 @@ mod tests {
         // A fault event naming an instance this set is not tracking (a
         // stale attempt, or a partition out of range) must be a no-op,
         // not a panic: crashes originate outside the scheduler's own
-        // bookkeeping. Before the P001 audit this panicked.
+        // bookkeeping.
         let mut t = tsm(1);
         let original = t.launch_next(SlotId::new(0)).unwrap();
         let stale = TaskInstance { task: original.task, attempt: original.attempt + 7 };

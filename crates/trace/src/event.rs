@@ -332,6 +332,8 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Convenience constructor.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
     pub fn new(time: SimTime, kind: TraceEventKind) -> Self {
         TraceEvent { time, kind }
     }
