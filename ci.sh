@@ -143,15 +143,20 @@ echo "==> figures byte-identity (figures all --jobs 2 vs the checked-in figures_
 ./target/release/figures all --jobs 2 > "$trace_dir/figures.txt"
 cmp "$trace_dir/figures.txt" figures_output.txt
 
-echo "==> simbench (replica fidelity tests + one untraced pass per workload)"
+echo "==> simbench (replica fidelity tests + one untraced and one traced pass per workload)"
 # The benchmark package pins the engine's counters and outputs and keeps
 # a replica of the simulation loop; a broken pin or replica fails here.
+# The traced pass runs the replica behind timing decorators that hide the
+# policy's declared ApprovalRule, and checks its counters against the
+# engine's: the vtable group walk must count what the rule walk counts.
 cargo test -q --release --offline --manifest-path simbench/Cargo.toml
 for workload in fig15 paper_scale traced_faults; do
-  result=$(cargo run -q --release --offline --manifest-path simbench/Cargo.toml -- \
-    --workload "$workload" --seed 81 --seconds 1 --trace 0 | tail -n 1)
-  echo "$workload: $result"
-  grep -q '"correct": true' <<< "$result"
+  for trace in 0 1; do
+    result=$(cargo run -q --release --offline --manifest-path simbench/Cargo.toml -- \
+      --workload "$workload" --seed 81 --seconds 1 --trace "$trace" | tail -n 1)
+    echo "$workload (trace $trace): $result"
+    grep -q '"correct": true' <<< "$result"
+  done
 done
 
 echo "==> bench regression gate (offer_round rows vs BENCH_scheduler.json, +/-20%)"

@@ -4,8 +4,11 @@
 //! re-offer rounds at the same scales, a contended offer round with 150
 //! candidate jobs on locality wait (the Fig. 15 shape), a saturated
 //! round in which a phase preferring 2,000 slots takes its 2,000
-//! reservations (the `paper_scale` shape), a full small-grid simulation,
-//! and event-queue throughput including the recycled-allocation path.
+//! reservations (the `paper_scale` shape), two per-unit rows for the
+//! offer round's inner loops (the reservation-group walk of a saturated
+//! round at 8 and 64 groups, and the process-local search of a phase
+//! preferring 2,000 of 4,000 slots), a full small-grid simulation, and
+//! event-queue throughput including the recycled-allocation path.
 //!
 //! Regenerate the JSON with:
 //!
@@ -18,7 +21,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use ssr_cluster::{ClusterSpec, LocalityModel};
 use ssr_dag::{JobSpecBuilder, Priority, StageId};
-use ssr_scheduler::{FifoPriority, TaskScheduler, WorkConserving};
+use ssr_scheduler::{FifoPriority, TaskScheduler, TimeoutReservation, WorkConserving};
 use ssr_sim::{OrderConfig, PolicyConfig, SimConfig, Simulation};
 use ssr_simcore::dist::{constant, pareto};
 use ssr_simcore::events::EventQueue;
@@ -181,6 +184,122 @@ fn bench_offer_round_preferred(c: &mut Criterion) {
     });
 }
 
+/// Candidate jobs in the approval-walk round.
+const WALK_CANDIDATES: u32 = 100;
+
+/// A saturated cluster under timeout reservation holding `groups`
+/// reservation groups: `groups` high-priority jobs each run one task and
+/// hold one reserved slot, with their downstream phase behind its
+/// barrier. [`WALK_CANDIDATES`] low-priority jobs wait with one pending
+/// task each, and no group approves any of them.
+fn approval_walk_scheduler(groups: u32, t: SimTime) -> TaskScheduler {
+    let mut sched = TaskScheduler::new(
+        ClusterSpec::new(2 * groups, 1).expect("valid"),
+        LocalityModel::paper_simulation(),
+        Box::new(TimeoutReservation::new(SimDuration::from_secs(1_000_000))),
+        Box::new(FifoPriority),
+    );
+    for i in 0..groups {
+        let holder = JobSpecBuilder::new(format!("holder{i}"))
+            .priority(Priority::new(10))
+            .stage("up", 2, constant(1.0))
+            .stage("down", 1, constant(1.0))
+            .chain()
+            .build()
+            .expect("valid");
+        sched.submit(holder, SimTime::ZERO);
+    }
+    for i in 0..WALK_CANDIDATES {
+        let job = JobSpecBuilder::new(format!("bg{i}"))
+            .stage("map", 1, constant(1.0))
+            .build()
+            .expect("valid");
+        sched.submit(job, SimTime::ZERO);
+    }
+    let ups = sched.resource_offers(SimTime::ZERO);
+    assert_eq!(ups.len(), 2 * groups as usize, "the holders fill the cluster");
+    // One finished task per holder leaves one reserved slot per holder.
+    for a in ups.iter().filter(|a| a.instance.task.partition == 0) {
+        sched.task_finished(a.slot, t);
+    }
+    assert_eq!(sched.slot_pool().counts(), (0, groups as usize, groups as usize));
+    assert_eq!(sched.slot_pool().reservation_groups().len(), groups as usize);
+    assert!(sched.resource_offers(t).is_empty());
+    sched
+}
+
+/// A saturated offer round with no free slot and `G` reservation groups,
+/// none approving the [`WALK_CANDIDATES`] candidates: the viability
+/// filter walks every group for every candidate and drops them all, so
+/// the round is `G × 100` group visits plus its fixed cost.
+fn bench_approval_walk(c: &mut Criterion) {
+    let t = SimTime::from_secs(1);
+    let mut group = c.benchmark_group("scheduler/approval_walk");
+    for groups in [8u32, 64] {
+        group.bench_with_input(BenchmarkId::from_parameter(groups), &groups, |b, &groups| {
+            let mut sched = approval_walk_scheduler(groups, t);
+            b.iter(|| black_box(sched.resource_offers(t).len()))
+        });
+    }
+    group.finish();
+}
+
+/// 1000 nodes x 4 slots, a phase preferring the 2,000 slots its upstream
+/// ran on, all of them now taken by a higher-priority filler, and the one
+/// free slot elsewhere. The phase is on locality wait, so each offer
+/// round tries it at process-local only and declines.
+fn process_local_scheduler(t: SimTime) -> TaskScheduler {
+    let mut sched = TaskScheduler::new(
+        ClusterSpec::with_racks(1000, 4, 20).expect("valid"),
+        LocalityModel::paper_simulation().with_wait(SimDuration::from_secs(3)),
+        Box::new(WorkConserving),
+        Box::new(FifoPriority),
+    );
+    let fg = JobSpecBuilder::new("fg")
+        .priority(Priority::new(10))
+        .stage("up", PREFERRED_PAR, constant(1.0))
+        .stage("down", 1, constant(1.0))
+        .chain()
+        .build()
+        .expect("valid");
+    let fg = sched.submit(fg, SimTime::ZERO);
+    let bg = JobSpecBuilder::new("bg")
+        .stage("map", PREFERRED_PAR, constant(30.0))
+        .build()
+        .expect("valid");
+    let bg = sched.submit(bg, SimTime::ZERO);
+    let ups = sched.resource_offers(SimTime::ZERO);
+    assert_eq!(ups.len(), 2 * PREFERRED_PAR as usize, "the cluster saturates");
+    for a in ups.iter().filter(|a| a.instance.task.job == fg) {
+        sched.task_finished(a.slot, t);
+    }
+    let bg_slot = ups.iter().find(|a| a.instance.task.job == bg).expect("bg runs").slot;
+    sched.task_finished(bg_slot, t);
+    let filler = JobSpecBuilder::new("filler")
+        .priority(Priority::new(20))
+        .stage("map", PREFERRED_PAR, constant(30.0))
+        .build()
+        .expect("valid");
+    sched.submit(filler, t);
+    assert_eq!(sched.resource_offers(t).len(), PREFERRED_PAR as usize);
+    let down = sched.jobs().get(fg).and_then(|j| j.taskset(StageId::new(1))).expect("ready");
+    assert_eq!(down.preferred().len(), PREFERRED_PAR as usize);
+    assert_eq!(sched.slot_pool().free_slots().collect::<Vec<_>>(), vec![bg_slot]);
+    assert!(!down.preferred().contains(&bg_slot));
+    assert!(sched.resource_offers(t).is_empty());
+    sched
+}
+
+/// An offer round whose one candidate searches its 2,000 preferred slots
+/// for a free one and finds none: one process-local search per call.
+fn bench_process_local(c: &mut Criterion) {
+    let t = SimTime::from_secs(1);
+    let mut sched = process_local_scheduler(t);
+    c.bench_function("scheduler/process_local/4000", |b| {
+        b.iter(|| black_box(sched.resource_offers(t).len()))
+    });
+}
+
 /// A re-offer round on an already saturated cluster: the scheduler must
 /// conclude "nothing to do" — the old engine paid a full slot scan per
 /// backlogged job to learn that.
@@ -272,6 +391,8 @@ criterion_group!(
     bench_offer_round,
     bench_offer_round_contended,
     bench_offer_round_preferred,
+    bench_approval_walk,
+    bench_process_local,
     bench_saturated_reoffer,
     bench_full_sim_small_grid,
     bench_event_queue

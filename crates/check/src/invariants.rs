@@ -40,7 +40,8 @@ use ssr_trace::{Slot, SlotReplay, SlotState, TraceEvent, TraceEventKind, TraceSi
 pub struct Violation {
     /// 0-based index of the offending event within the checked stream.
     pub index: u64,
-    /// Simulated time of the offending event, in seconds.
+    /// Simulated time of the offending event, in seconds; for an
+    /// end-of-stream violation, the time of the last event read.
     pub time_secs: f64,
     /// Short invariant identifier (e.g. `"double-grant"`).
     pub invariant: &'static str,
@@ -142,6 +143,9 @@ pub struct InvariantChecker {
     replay: SlotReplay,
     jobs: BTreeMap<JobId, JobShadow>,
     index: u64,
+    /// Time of the last event read, in seconds (0 before any): the time
+    /// end-of-stream violations are reported at.
+    last_time_secs: f64,
     violations: Vec<Violation>,
     /// Priority level of the previous event iff it was `prereserve-filled`
     /// (I3 checks contiguous fill runs only).
@@ -171,7 +175,7 @@ impl InvariantChecker {
                 if self.jobs.get(&job).is_some_and(|j| j.completed) {
                     self.violations.push(Violation {
                         index: self.index.saturating_sub(1),
-                        time_secs: f64::NAN,
+                        time_secs: self.last_time_secs,
                         invariant: "reservation-outlives-owner",
                         message: format!(
                             "slot {idx} still reserved for completed job {} at end of trace",
@@ -275,6 +279,7 @@ impl TraceSink for InvariantChecker {
     fn record(&mut self, event: &TraceEvent) {
         use TraceEventKind as K;
         let t = event.time.as_secs_f64();
+        self.last_time_secs = t;
         // I3 applies to *contiguous* fill runs: any other event ends one.
         let fill_prev = self.fill_run_prev.take();
         // Every slot-touching event is judged by the state it found.
@@ -526,6 +531,20 @@ mod tests {
         ]);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].invariant, "reservation-outlives-owner");
+        // Reported at the last event read, in both renders.
+        assert_eq!(report.violations[0].time_secs, 1.0);
+        assert!(report.render_text().contains("[event 2 t=1.000s] reservation-outlives-owner"));
+        let json = serde_json::from_str(&report.render_json()).expect("the JSON render parses");
+        let field = |v: &serde::Value, key: &str| match v {
+            serde::Value::Object(entries) => {
+                entries.iter().find(|(k, _)| k == key).map(|(_, x)| x.clone())
+            }
+            _ => None,
+        };
+        let Some(serde::Value::Array(violations)) = field(&json, "violations") else {
+            panic!("violations array in {json:?}");
+        };
+        assert_eq!(field(&violations[0], "time_secs"), Some(serde::Value::Float(1.0)));
         // The engine's actual order — completion, then release — is clean.
         let ok = InvariantChecker::new().check_all(&[
             submitted(0),

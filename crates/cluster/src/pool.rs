@@ -6,7 +6,7 @@
 //!
 //! * the set of **free** slots (globally, per node and per rack) — O(log n)
 //!   membership updates, O(result) enumeration for candidate ranking, and
-//!   a dense per-slot flag for O(1) membership tests,
+//!   a dense bitset for O(1) membership tests and word-wise intersection,
 //! * the set of **reserved** slots, globally and **per job** — O(result)
 //!   `reserved_for`, `release_job_reservations` and stale-reservation
 //!   cleanup,
@@ -76,10 +76,11 @@ pub struct SlotPool {
     /// case): demand filters reduce to a single comparison.
     uniform_size: bool,
     free: BTreeSet<SlotId>,
-    /// `slot -> in the free index` (dense): free and in service. Lets a
-    /// walk over known slot ids test free-list membership without a tree
-    /// lookup.
-    free_in_service: Vec<bool>,
+    /// Bit `s` is set iff slot `s` is in the free index (free and in
+    /// service). Lets a walk over known slot ids test free-list membership
+    /// without a tree lookup, and a slot bitset intersect the free set a
+    /// word at a time.
+    free_in_service: Vec<u64>,
     free_by_node: Vec<BTreeSet<SlotId>>,
     free_by_rack: Vec<BTreeSet<SlotId>>,
     reserved: BTreeSet<SlotId>,
@@ -128,7 +129,7 @@ impl SlotPool {
             sizes,
             uniform_size,
             free: BTreeSet::new(),
-            free_in_service: vec![false; total],
+            free_in_service: vec![0; total.div_ceil(64)],
             free_by_node: vec![BTreeSet::new(); spec.nodes() as usize],
             free_by_rack: vec![BTreeSet::new(); spec.racks() as usize],
             reserved: BTreeSet::new(),
@@ -176,8 +177,8 @@ impl SlotPool {
             return Ok(());
         }
         self.free.insert(slot);
-        if let Some(flag) = self.free_in_service.get_mut(slot.index()) {
-            *flag = true;
+        if let Some(word) = self.free_in_service.get_mut(slot.index() / 64) {
+            *word |= 1 << (slot.index() % 64);
         }
         if let Some(set) = self.free_by_node.get_mut(node.as_u32() as usize) {
             set.insert(slot);
@@ -191,8 +192,8 @@ impl SlotPool {
     fn unindex_free(&mut self, slot: SlotId) -> Result<(), ClusterError> {
         let &Slot { node, rack, .. } = self.slot(slot)?;
         self.free.remove(&slot);
-        if let Some(flag) = self.free_in_service.get_mut(slot.index()) {
-            *flag = false;
+        if let Some(word) = self.free_in_service.get_mut(slot.index() / 64) {
+            *word &= !(1 << (slot.index() % 64));
         }
         if let Some(set) = self.free_by_node.get_mut(node.as_u32() as usize) {
             set.remove(&slot);
@@ -445,7 +446,16 @@ impl SlotPool {
     /// `true` when `slot` is free and in service, i.e. in the free
     /// indexes — O(1).
     pub fn is_free_in_service(&self, slot: SlotId) -> bool {
-        self.free_in_service.get(slot.index()).copied().unwrap_or(false)
+        let (word, bit) = (slot.index() / 64, slot.index() % 64);
+        self.free_in_service.get(word).is_some_and(|w| (w >> bit) & 1 == 1)
+    }
+
+    /// The free index as a bitset over slot ids, 64 slots a word: bit
+    /// `s % 64` of word `s / 64` is [`is_free_in_service`] of slot `s`.
+    ///
+    /// [`is_free_in_service`]: SlotPool::is_free_in_service
+    pub fn free_bits(&self) -> &[u64] {
+        &self.free_in_service
     }
 
     /// Number of slots currently out of service — O(slots).
@@ -556,10 +566,12 @@ impl SlotPool {
         &self.reserved_groups
     }
 
-    /// `true` if `job` currently holds at least one reservation —
-    /// O(log jobs).
+    /// `true` if `job` currently holds at least one reservation — a
+    /// binary search of the group table, O(log groups).
     pub fn has_reservations(&self, job: JobId) -> bool {
-        self.reserved_by_job.contains_key(&job)
+        let groups = &self.reserved_groups;
+        let i = groups.partition_point(|&(owner, _, _)| owner < job);
+        groups.get(i).is_some_and(|&(owner, _, _)| owner == job)
     }
 
     /// Iterator over `(slot, state)` pairs.
@@ -1002,12 +1014,30 @@ mod proptests {
                     pool.reservation_groups().to_vec(),
                     naive_groups.into_iter().map(|((j, p), c)| (j, p, c)).collect::<Vec<_>>()
                 );
-                for job in owners() {
+                // Ownership answered from the group table agrees with the
+                // per-job index and the reference, for non-owners too.
+                for job in owners().into_iter().chain([JobId::new(0), JobId::new(5)]) {
                     prop_assert_eq!(
                         pool.has_reservations(job),
                         table.reserved_for(job).next().is_some()
                     );
+                    prop_assert_eq!(
+                        pool.has_reservations(job),
+                        pool.reservations_by_job().any(|(j, _)| j == job)
+                    );
                 }
+                // The free bitset holds exactly the free index, and nothing
+                // past the last slot.
+                let from_bits: Vec<SlotId> = pool
+                    .free_bits()
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, &w)| {
+                        (0..64).filter(move |b| (w >> b) & 1 == 1).map(move |b| i * 64 + b)
+                    })
+                    .map(|s| SlotId::new(s as u32))
+                    .collect();
+                prop_assert_eq!(from_bits, pool.free_slots().collect::<Vec<_>>());
                 prop_assert_eq!(
                     pool.reservations_by_job()
                         .map(|(j, set)| (j, set.iter().copied().collect::<Vec<_>>()))

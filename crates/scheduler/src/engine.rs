@@ -514,15 +514,13 @@ impl TaskScheduler {
                 approved
             };
             if self.group_approval() {
-                self.group_walk(job, priority, now)
-                    .filter(|&(owner, rprio, _)| {
-                        self.slots.reserved_for(owner).any(|slot| {
-                            fits(slot)
-                                && self.slots.get(slot).reservation().map(|r| r.priority())
-                                    == Some(rprio)
-                        })
-                    })
-                    .any(|(_, _, class)| note(class.is_some()));
+                self.walk_groups(job, priority, now, false, |owner, rprio, class| {
+                    self.slots.reserved_for(owner).any(|slot| {
+                        fits(slot)
+                            && self.slots.get(slot).reservation().map(|r| r.priority())
+                                == Some(rprio)
+                    }) && note(class.is_some())
+                });
             } else {
                 let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
                 self.slots.reserved_slots().filter(|&slot| fits(slot)).any(|slot| {
@@ -564,13 +562,8 @@ impl TaskScheduler {
     /// group approves its priority (verdicts are group-uniform under
     /// [`group_approval`](Self::group_approval)).
     fn viable_on_reserved(&self, job: JobId, priority: Priority, now: SimTime) -> bool {
-        if self.slots.has_reservations(job) {
-            return true;
-        }
-        let mut walk = self.group_walk(job, priority, now);
-        let viable = walk.any(|(_, _, class)| class.is_some());
-        self.count_walk(&walk);
-        viable
+        self.slots.has_reservations(job)
+            || self.walk_groups(job, priority, now, true, |_, _, class| class.is_some())
     }
 
     /// `true` when ApprovalLogic verdicts are uniform per `(owner,
@@ -579,32 +572,39 @@ impl TaskScheduler {
         self.approval.is_some() || self.policy.approval_is_priority_based()
     }
 
-    /// A walk over the reservation groups for `job` at `priority`: the
-    /// declared rule runs inline, and only a policy that declares none is
-    /// asked through `approve`.
-    fn group_walk(&self, job: JobId, priority: Priority, now: SimTime) -> GroupWalk<'_> {
-        let verdicts = match self.approval {
-            Some(rule) => Verdicts::Rule(rule),
-            None => Verdicts::Approve(
-                &*self.policy,
-                PolicyCtx { now, slots: &self.slots, jobs: &self.jobs },
-            ),
+    /// Walks the reservation groups in `(owner, priority)` order, handing
+    /// `visit` each group's standing for `job` at `priority`: `Some(0)`
+    /// for its own group, `Some(2)` for a group that approves it, `None`
+    /// for one that does not. Stops at the first group `visit` returns
+    /// `true` for, and returns whether it did. The verdict source is picked
+    /// once per walk: the declared rule inline, else `approve` through the
+    /// vtable. With `count`, the groups touched and the verdicts taken (its
+    /// own group needs none) are added to the work counters.
+    fn walk_groups(
+        &self,
+        job: JobId,
+        priority: Priority,
+        now: SimTime,
+        count: bool,
+        visit: impl FnMut(JobId, Priority, Option<u8>) -> bool,
+    ) -> bool {
+        let groups = self.slots.reservation_groups();
+        let (touched, calls, stopped) = match self.approval {
+            Some(rule) => {
+                walk_groups_with(groups, job, visit, |o, p| rule.approves(o, p, job, priority))
+            }
+            None => {
+                let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
+                walk_groups_with(groups, job, visit, |o, p| {
+                    self.policy.approve(&ctx, &Reservation::new(o, p), job, priority)
+                })
+            }
         };
-        GroupWalk {
-            groups: self.slots.reservation_groups().iter(),
-            job,
-            priority,
-            verdicts,
-            touched: 0,
-            calls: 0,
+        if count {
+            self.counters.reservation_groups_touched.add(touched);
+            self.counters.approval_calls.add(calls);
         }
-    }
-
-    /// Adds one group walk's groups touched and approval calls to the
-    /// work counters.
-    fn count_walk(&self, walk: &GroupWalk<'_>) {
-        self.counters.reservation_groups_touched.add(walk.touched);
-        self.counters.approval_calls.add(walk.calls);
+        stopped
     }
 
     /// Finds the best placement for one pending task of `job` and applies
@@ -680,31 +680,13 @@ impl TaskScheduler {
             // group, and the owning job never needs one. Visits the same
             // approved-slot set as the per-slot scan below, so the
             // min-rank result is identical.
-            let mut walk = self.group_walk(job, priority, now);
-            for (owner, rprio, class) in &mut walk {
-                let Some(class) = class else { continue };
-                for slot in self.slots.reserved_for(owner) {
-                    self.counters.slots_scanned.inc();
-                    let r = self.slots.get(slot).reservation().expect("reserved index entry");
-                    if r.priority() != rprio {
-                        continue;
-                    }
-                    // §III-C: a task only fits a slot of at least its demand.
-                    if self.slots.size(slot) < demand {
-                        continue;
-                    }
-                    let level = tsm.level_on(&self.spec, slot);
-                    if level > allowed {
-                        continue;
-                    }
-                    let rank = (class, slot);
-                    let entry = &mut reserved_best[level as usize];
-                    if entry.is_none_or(|b| rank < b) {
-                        *entry = Some(rank);
-                    }
+            self.walk_groups(job, priority, now, true, |owner, rprio, class| {
+                if let Some(class) = class {
+                    let group = (owner, rprio, class);
+                    self.rank_group(group, tsm, demand, allowed, &mut reserved_best);
                 }
-            }
-            self.count_walk(&walk);
+                false
+            });
         } else {
             for slot in self.slots.reserved_slots() {
                 self.counters.slots_scanned.inc();
@@ -734,15 +716,17 @@ impl TaskScheduler {
         let no_free = self.slots.counts().0 == 0;
         for &level in LocalityLevel::ALL.iter().filter(|&&l| l <= allowed) {
             let free = match level {
-                // Tests free-list membership per preferred slot, so the
-                // out-of-service guard comes with it: a crashed slot is
-                // Free but never in the free lists, and never offered.
-                LocalityLevel::ProcessLocal if !preferred.is_empty() => preferred
-                    .iter()
-                    .copied()
-                    .inspect(|_| self.counters.slots_scanned.inc())
-                    .filter(|&s| self.slots.is_free_in_service(s) && self.slots.size(s) >= demand)
-                    .min(),
+                // Intersects the preferred slots with the free bitset a
+                // word at a time, so the out-of-service guard comes with
+                // it: a crashed slot is Free but never in the free index,
+                // and never offered. Counts every preferred slot, as the
+                // per-slot filter it replaced did.
+                LocalityLevel::ProcessLocal if !preferred.is_empty() => {
+                    self.counters.slots_scanned.add(preferred.len() as u64);
+                    tsm.first_preferred_in(self.slots.free_bits(), |s| {
+                        self.slots.size(s) >= demand
+                    })
+                }
                 _ if no_free => None,
                 // No preference: every slot is process-local.
                 LocalityLevel::ProcessLocal => {
@@ -771,6 +755,41 @@ impl TaskScheduler {
             }
         }
         None
+    }
+
+    /// Ranks the slots of the approved reservation group `(owner, rprio)`
+    /// into `best`, the best `(class, slot)` per locality level. Kept out
+    /// of line so that the group walk calling it stays a tight loop over
+    /// the groups that do not approve.
+    #[inline(never)]
+    fn rank_group(
+        &self,
+        (owner, rprio, class): (JobId, Priority, u8),
+        tsm: &TaskSetManager,
+        demand: u32,
+        allowed: LocalityLevel,
+        best: &mut [Option<(u8, SlotId)>; 4],
+    ) {
+        for slot in self.slots.reserved_for(owner) {
+            self.counters.slots_scanned.inc();
+            let r = self.slots.get(slot).reservation().expect("reserved index entry");
+            if r.priority() != rprio {
+                continue;
+            }
+            // §III-C: a task only fits a slot of at least its demand.
+            if self.slots.size(slot) < demand {
+                continue;
+            }
+            let level = tsm.level_on(&self.spec, slot);
+            if level > allowed {
+                continue;
+            }
+            let rank = (class, slot);
+            let entry = &mut best[level as usize];
+            if entry.is_none_or(|b| rank < b) {
+                *entry = Some(rank);
+            }
+        }
     }
 
     /// The minimum free slot of size ≥ `demand` from an ascending
@@ -1376,47 +1395,28 @@ impl TaskScheduler {
     }
 }
 
-/// Where a group walk takes its ApprovalLogic verdicts from.
-enum Verdicts<'a> {
-    /// The policy's declared rule, evaluated inline.
-    Rule(ApprovalRule),
-    /// `approve` through the policy's vtable.
-    Approve(&'a dyn ReservationPolicy, PolicyCtx<'a>),
-}
-
-/// The reservation groups in `(owner, priority)` order, each with its
-/// standing for one candidate job: `Some(0)` for the job's own group,
-/// `Some(2)` for another job's group that approves it, `None` for one
-/// that does not. Counts the groups it touches and the verdicts it takes;
-/// the job's own group needs none.
-struct GroupWalk<'a> {
-    groups: std::slice::Iter<'a, (JobId, Priority, usize)>,
+/// [`TaskScheduler::walk_groups`], monomorphic per verdict source: returns
+/// the groups touched, the verdicts taken, and whether `visit` stopped it.
+#[inline(always)]
+fn walk_groups_with(
+    groups: &[(JobId, Priority, usize)],
     job: JobId,
-    priority: Priority,
-    verdicts: Verdicts<'a>,
-    touched: u64,
-    calls: u64,
-}
-
-impl Iterator for GroupWalk<'_> {
-    type Item = (JobId, Priority, Option<u8>);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        let &(owner, rprio, _) = self.groups.next()?;
-        self.touched += 1;
-        if owner == self.job {
-            return Some((owner, rprio, Some(0)));
-        }
-        self.calls += 1;
-        let approved = match &self.verdicts {
-            Verdicts::Rule(rule) => rule.approves(owner, rprio, self.job, self.priority),
-            Verdicts::Approve(policy, ctx) => {
-                policy.approve(ctx, &Reservation::new(owner, rprio), self.job, self.priority)
-            }
+    mut visit: impl FnMut(JobId, Priority, Option<u8>) -> bool,
+    approves: impl Fn(JobId, Priority) -> bool,
+) -> (u64, u64, bool) {
+    let mut calls = 0;
+    for (i, &(owner, rprio, _)) in groups.iter().enumerate() {
+        let class = if owner == job {
+            Some(0)
+        } else {
+            calls += 1;
+            approves(owner, rprio).then_some(2)
         };
-        Some((owner, rprio, approved.then_some(2)))
+        if visit(owner, rprio, class) {
+            return (i as u64 + 1, calls, true);
+        }
     }
+    (groups.len() as u64, calls, false)
 }
 
 /// Takes a scratch buffer for one use, empty, and counts the recycle: a

@@ -89,10 +89,11 @@ struct LocalityView {
     nodes: Vec<NodeId>,
     racks: Vec<RackId>,
     /// Bit `s` is slot `s`, bit `node_base + n` node `n`, bit
-    /// `rack_base + r` rack `r`.
+    /// `rack_base + r` rack `r` (see [`LocalityView::bases`]).
     bits: Vec<u64>,
-    node_base: usize,
-    rack_base: usize,
+    /// The first and last preferred slots, so a search of the slot words
+    /// reads their range without touching `slots`.
+    span: (SlotId, SlotId),
 }
 
 impl LocalityView {
@@ -104,8 +105,7 @@ impl LocalityView {
         nodes.dedup();
         let mut racks: Vec<RackId> = nodes.iter().map(|&n| spec.rack_of(n)).collect();
         racks.dedup();
-        let node_base = spec.total_slots() as usize;
-        let rack_base = node_base + spec.nodes() as usize;
+        let (node_base, rack_base) = Self::bases(spec);
         let len = rack_base + spec.racks() as usize;
         let mut bits = vec![0u64; len.div_ceil(64)];
         let members = slots
@@ -116,7 +116,16 @@ impl LocalityView {
         for bit in members {
             bits[bit / 64] |= 1 << (bit % 64);
         }
-        LocalityView { slots, nodes, racks, bits, node_base, rack_base }
+        let edge = |s: Option<&SlotId>| s.copied().unwrap_or(SlotId::new(0));
+        let span = (edge(slots.first()), edge(slots.last()));
+        LocalityView { slots, nodes, racks, bits, span }
+    }
+
+    /// Where the node bits and the rack bits begin on `spec`: after the
+    /// slot bits, then after the node bits.
+    fn bases(spec: &ClusterSpec) -> (usize, usize) {
+        let node_base = spec.total_slots() as usize;
+        (node_base, node_base + spec.nodes() as usize)
     }
 
     /// `true` if bit `bit` is set; out-of-range bits read as unset.
@@ -125,15 +134,41 @@ impl LocalityView {
         self.bits.get(bit / 64).is_some_and(|w| (w >> (bit % 64)) & 1 == 1)
     }
 
+    /// The lowest slot set both in the view and in `set` (a bitset over
+    /// slot ids, 64 a word) that passes `fits`. Reads only the words from
+    /// the first preferred slot's to the last one's, and masks the last
+    /// word past the last preferred slot, where the node bits may begin.
+    #[inline]
+    fn first_slot_in(&self, set: &[u64], mut fits: impl FnMut(SlotId) -> bool) -> Option<SlotId> {
+        let (first, last) = (self.span.0.index(), self.span.1.index());
+        let (lo, hi) = (first / 64, last / 64);
+        let words = self.bits.get(lo..=hi)?.iter().zip(set.get(lo..=hi)?);
+        for (i, (&mine, &theirs)) in (lo..).zip(words) {
+            let mut w = mine & theirs;
+            if i == hi {
+                w &= u64::MAX >> (63 - last % 64);
+            }
+            while w != 0 {
+                let slot = SlotId::new((i * 64 + w.trailing_zeros() as usize) as u32);
+                if fits(slot) {
+                    return Some(slot);
+                }
+                w &= w - 1;
+            }
+        }
+        None
+    }
+
     fn level(&self, spec: &ClusterSpec, slot: SlotId) -> LocalityLevel {
         if self.has(slot.index()) {
             return LocalityLevel::ProcessLocal;
         }
         let node = spec.node_of(slot);
-        if self.has(self.node_base + node.as_u32() as usize) {
+        let (node_base, rack_base) = Self::bases(spec);
+        if self.has(node_base + node.as_u32() as usize) {
             return LocalityLevel::NodeLocal;
         }
-        if self.has(self.rack_base + spec.rack_of(node).as_u32() as usize) {
+        if self.has(rack_base + spec.rack_of(node).as_u32() as usize) {
             return LocalityLevel::RackLocal;
         }
         LocalityLevel::Any
@@ -193,6 +228,22 @@ impl TaskSetManager {
             Some(view) => view.level(spec, slot),
             None => LocalityLevel::ProcessLocal,
         }
+    }
+
+    /// The lowest preferred slot that is set in `slots` and passes
+    /// `fits`, where `slots` is a bitset over slot ids laid out as
+    /// [`SlotPool::free_bits`]; `None` without a preference. Equal to the
+    /// minimum of [`preferred`](Self::preferred) filtered by membership
+    /// and `fits`, but tests 64 preferred slots per word instead of one.
+    ///
+    /// [`SlotPool::free_bits`]: ssr_cluster::SlotPool::free_bits
+    #[inline]
+    pub(crate) fn first_preferred_in(
+        &self,
+        slots: &[u64],
+        fits: impl FnMut(SlotId) -> bool,
+    ) -> Option<SlotId> {
+        self.locality.as_ref()?.first_slot_in(slots, fits)
     }
 
     /// The owning job.
@@ -624,6 +675,71 @@ mod tests {
                 picks.iter().map(|p| SlotId::new(p % spec.total_slots())).collect();
             assert_view_matches_set(&spec, &preferred);
             assert_view_matches_set(&spec, &BTreeSet::new());
+        }
+    }
+
+    /// The process-local search as it read before the word-wise one: a
+    /// filter over every preferred slot, then the minimum.
+    fn process_local_reference(
+        t: &TaskSetManager,
+        pool: &ssr_cluster::SlotPool,
+        demand: u32,
+    ) -> Option<SlotId> {
+        t.preferred()
+            .iter()
+            .copied()
+            .filter(|&s| pool.is_free_in_service(s) && pool.size(s) >= demand)
+            .min()
+    }
+
+    proptest::proptest! {
+        /// The word-wise process-local search returns the reference's
+        /// slot, on clusters whose slot counts end mid-word, uniform and
+        /// sized, for random preferred sets and random free sets (slots
+        /// running, reserved or out of service drop out of the free set).
+        #[test]
+        fn word_wise_process_local_matches_the_reference(
+            shape in 0usize..3,
+            sized in 0u32..2,
+            picks in proptest::collection::vec(0u32..1_000_000, 0..300),
+            taken in proptest::collection::vec((0u32..1_000_000, 0u32..3), 0..3000),
+            demand in 1u32..4,
+        ) {
+            // 100, 130 and 4000 slots: node bits begin mid-word in each.
+            let (nodes, per_node) = [(25, 4), (65, 2), (1000, 4)][shape];
+            let mut spec = ClusterSpec::with_racks(nodes, per_node, 20).unwrap();
+            if sized == 1 {
+                spec = spec.with_slot_sizing(1, 3, 3);
+            }
+            let total = spec.total_slots();
+            let mut pool = ssr_cluster::SlotPool::new(&spec);
+            for &(pick, how) in &taken {
+                let slot = SlotId::new(pick % total);
+                let _ = match how {
+                    0 => pool.assign(slot, TaskId::new(JobId::new(9), StageId::new(0), 0)),
+                    1 => pool.reserve(
+                        slot,
+                        ssr_cluster::Reservation::new(JobId::new(9), ssr_dag::Priority::new(1)),
+                    ),
+                    _ => pool.take_offline(slot).map(|_| ()),
+                };
+            }
+            let preferred: BTreeSet<SlotId> =
+                picks.iter().map(|p| SlotId::new(p % total)).collect();
+            let t = tsm(1).with_preferred(preferred, &spec);
+            let fits = |s: SlotId| pool.size(s) >= demand;
+            proptest::prop_assert_eq!(
+                t.first_preferred_in(pool.free_bits(), fits),
+                process_local_reference(&t, &pool, demand)
+            );
+            // Against a set with every bit on, past the last slot too,
+            // only preferred slots come back: the node bits that share
+            // the last slot word are masked off.
+            let everything = vec![u64::MAX; pool.free_bits().len() + 1];
+            proptest::prop_assert_eq!(
+                t.first_preferred_in(&everything, fits),
+                t.preferred().iter().copied().find(|&s| fits(s))
+            );
         }
     }
 

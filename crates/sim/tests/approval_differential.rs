@@ -17,13 +17,23 @@
 //! declines: without group verdicts, a round that starts with no free
 //! slot cannot drop the candidates no group approves up front, so the
 //! ones the round never reaches are not declined.
+//!
+//! The random scenarios rarely hold more than a handful of reservation
+//! groups at once, so two scripted rounds drive the scheduler directly
+//! with twenty groups at mixed priorities, the candidate that owns one of
+//! them in the middle of the table, and candidates whose viability walk
+//! stops at their first approving group: one under the paper's rule and
+//! one with a static pool's group at the end of the table.
 
 use ssr_cluster::{ClusterSpec, LocalityModel, Reservation, SlotId};
 use ssr_core::SsrConfig;
 use ssr_dag::{JobId, JobSpec, JobSpecBuilder, Priority, StageId, TaskId};
 use ssr_perf::WorkCounters;
-use ssr_scheduler::policy::STATIC_POOL_JOB;
-use ssr_scheduler::{PolicyCtx, PreReserveRequest, ReservationPolicy, SlotDisposition};
+use ssr_scheduler::policy::{ApprovalRule, STATIC_POOL_JOB};
+use ssr_scheduler::{
+    Assignment, FifoPriority, PolicyCtx, PreReserveRequest, ReservationPolicy, SlotDisposition,
+    StaticReservation, TaskScheduler, TimeoutReservation,
+};
 use ssr_sim::{FaultKind, FaultPlan, OrderConfig, PolicyConfig, SimConfig, Simulation};
 use ssr_simcore::dist::{constant, uniform};
 use ssr_simcore::rng::SimRng;
@@ -248,4 +258,162 @@ proptest::proptest! {
     ) {
         differential(seed, policy, order);
     }
+}
+
+/// Timeout reservation with a static pool: slots of the pool return to
+/// it, every other freed slot is held for its job, and the declared rule
+/// is [`ApprovalRule::StaticPoolAtLeast`].
+#[derive(Debug)]
+struct PooledTimeout {
+    timeout: TimeoutReservation,
+    pool: StaticReservation,
+}
+
+impl ReservationPolicy for PooledTimeout {
+    fn name(&self) -> &'static str {
+        "pooled-timeout"
+    }
+
+    fn approval_rule(&self) -> Option<ApprovalRule> {
+        Some(ApprovalRule::StaticPoolAtLeast)
+    }
+
+    fn on_task_completed(
+        &mut self,
+        ctx: &PolicyCtx<'_>,
+        task: TaskId,
+        slot: SlotId,
+    ) -> SlotDisposition {
+        if self.pool.pool_slots().contains(&slot) {
+            self.pool.on_task_completed(ctx, task, slot)
+        } else {
+            self.timeout.on_task_completed(ctx, task, slot)
+        }
+    }
+
+    fn initial_static_pool(&self, total_slots: u32) -> Option<(u32, Priority)> {
+        self.pool.initial_static_pool(total_slots)
+    }
+
+    fn static_pool_assigned(&mut self, slots: &[SlotId]) {
+        self.pool.static_pool_assigned(slots);
+    }
+}
+
+/// Reservation holders in the scripted rounds: one group each.
+const HOLDERS: u64 = 20;
+/// The holder that keeps a pending task: its group sits mid-table.
+const MID_OWNER: JobId = JobId::new(10);
+
+/// One scripted round under `policy`, with its decision trace and work
+/// counters. `HOLDERS` jobs fill a cluster of two slots per holder (plus
+/// `pool` static-pool slots); each finishes one task and holds that slot
+/// at its own priority. `MID_OWNER`, the lowest priority, has a third
+/// task still pending and holds both its slots. Twelve one-task jobs at
+/// priorities 0..=11 then arrive, and one offer round runs with no free
+/// slot.
+fn scripted_round(
+    policy: Box<dyn ReservationPolicy>,
+    pool: u32,
+) -> (Vec<Assignment>, String, WorkCounters) {
+    let now = SimTime::from_secs(1);
+    let mut sched = TaskScheduler::new(
+        ClusterSpec::new(2 * HOLDERS as u32 + pool, 1).unwrap(),
+        LocalityModel::paper_simulation(),
+        policy,
+        Box::new(FifoPriority),
+    )
+    .with_trace_sink(Box::new(JsonlSink::new()));
+    for i in 0..HOLDERS {
+        let mid = JobId::new(i) == MID_OWNER;
+        let holder = JobSpecBuilder::new(format!("holder{i}"))
+            .priority(Priority::new(if mid { 0 } else { 1 + (i as i32 * 7) % 9 }))
+            .stage("up", if mid { 3 } else { 2 }, constant(1.0))
+            .stage("down", 1, constant(1.0))
+            .chain()
+            .build()
+            .unwrap();
+        assert_eq!(sched.submit(holder, SimTime::ZERO), JobId::new(i));
+    }
+    let ups = sched.resource_offers(SimTime::ZERO);
+    assert_eq!(ups.len(), 2 * HOLDERS as usize, "the holders fill the free slots");
+    for a in
+        ups.iter().filter(|a| a.instance.task.partition == 0 || a.instance.task.job == MID_OWNER)
+    {
+        sched.task_finished(a.slot, now);
+    }
+    for (i, p) in [5, 0, 9, 2, 11, 4, 1, 7, 3, 10, 6, 8].into_iter().enumerate() {
+        let job = JobSpecBuilder::new(format!("c{i}"))
+            .priority(Priority::new(p))
+            .stage("map", 1, constant(1.0))
+            .build()
+            .unwrap();
+        sched.submit(job, now);
+    }
+
+    // The table the round starts from: twenty job groups (and the pool's
+    // at the end), the mid owner's in the middle, no free slot.
+    let groups = sched.slot_pool().reservation_groups().to_vec();
+    assert_eq!(groups.len(), HOLDERS as usize + usize::from(pool > 0));
+    let mid = groups.iter().position(|g| g.0 == MID_OWNER).expect("the mid owner holds a group");
+    assert!((5..15).contains(&mid), "own group at {mid} of {}", groups.len());
+    assert!(sched.jobs().get(MID_OWNER).unwrap().has_pending_tasks());
+    assert_eq!(sched.slot_pool().counts().0, 0);
+    // Some newcomer's viability walk stops at an approving group before
+    // the table's end, and some newcomer is approved by no job group.
+    let first_approving = |p: i32| {
+        groups.iter().position(|&(owner, rprio, _)| {
+            reference_approve(&Reservation::new(owner, rprio), JobId::new(99), Priority::new(p))
+        })
+    };
+    assert!((0..12).any(|p| first_approving(p).is_some_and(|i| i + 1 < groups.len())));
+    assert!((0..12).any(|p| first_approving(p).is_none_or(|i| groups[i].0 == STATIC_POOL_JOB)));
+
+    let placed = sched.resource_offers(now);
+    let jsonl = sched
+        .take_trace_sink()
+        .expect("sink attached")
+        .into_any()
+        .downcast::<JsonlSink>()
+        .expect("JsonlSink recovered")
+        .finish();
+    (placed, jsonl, sched.work_counters().clone())
+}
+
+/// Runs [`scripted_round`] under the declared rule, the vtable walk and
+/// the per-slot reference: the same placements everywhere, and the two
+/// group walks write the same trace and count the same work.
+fn scripted_differential(build: fn() -> Box<dyn ReservationPolicy>, pool: u32) {
+    assert!(build().approval_rule().is_some());
+    let (rule, rule_trace, rule_counters) = scripted_round(build(), pool);
+    let (vtable, vtable_trace, vtable_counters) =
+        scripted_round(Box::new(Forward { inner: build(), per_slot: false }), pool);
+    let (slot, _, _) = scripted_round(Box::new(Forward { inner: build(), per_slot: true }), pool);
+    assert!(rule.len() >= 8, "the round places tasks: {rule:?}");
+    assert!(rule.iter().any(|a| a.instance.task.job == MID_OWNER), "the mid owner places");
+    assert_eq!(rule, slot, "rule vs per-slot placements");
+    assert_eq!(vtable, slot, "vtable vs per-slot placements");
+    assert!(rule_trace == vtable_trace, "rule vs vtable trace bytes");
+    assert_eq!(rule_counters, vtable_counters, "rule vs vtable work counters");
+}
+
+#[test]
+fn many_groups_agree_when_the_viability_walk_stops_early() {
+    scripted_differential(
+        || Box::new(TimeoutReservation::new(SimDuration::from_secs(1_000_000))),
+        0,
+    );
+}
+
+#[test]
+fn many_groups_and_a_static_pool_agree() {
+    scripted_differential(
+        || {
+            Box::new(PooledTimeout {
+                timeout: TimeoutReservation::new(SimDuration::from_secs(1_000_000)),
+                pool: StaticReservation::new(3, Priority::new(3)),
+            })
+        },
+        3,
+    );
 }
