@@ -7,7 +7,9 @@
 //! reservations (the `paper_scale` shape), two per-unit rows for the
 //! offer round's inner loops (the reservation-group walk of a saturated
 //! round at 8 and 64 groups, and the process-local search of a phase
-//! preferring 2,000 of 4,000 slots), a full small-grid simulation, and
+//! preferring 2,000 of 4,000 slots), the ranking of an owner's 2,000
+//! reserved slots for a candidate that declines them, a full small-grid
+//! simulation, and
 //! event-queue throughput including the recycled-allocation path.
 //!
 //! Regenerate the JSON with:
@@ -300,6 +302,78 @@ fn bench_process_local(c: &mut Criterion) {
     });
 }
 
+/// Reservations the holder keeps in the reserved-ranking round.
+const RANKED_RESERVED: u32 = 2_000;
+
+/// 1000 nodes x 4 slots under timeout reservation, no slot free. A
+/// holder's downstream phase runs its one task, and the holder keeps
+/// [`RANKED_RESERVED`] reservations on that phase's other preferred
+/// slots (where its upstream ran). A candidate of higher priority, whom
+/// the holder's group approves, is on locality wait for the one slot
+/// its own upstream ran on, now taken by a higher-priority job. Each
+/// offer round ranks the holder's reserved slots for the candidate at
+/// process-local and declines.
+fn rank_reserved_scheduler(t: SimTime) -> TaskScheduler {
+    let mut sched = TaskScheduler::new(
+        ClusterSpec::with_racks(1000, 4, 20).expect("valid"),
+        LocalityModel::paper_simulation().with_wait(SimDuration::from_secs(3)),
+        Box::new(TimeoutReservation::new(SimDuration::from_secs(1_000_000))),
+        Box::new(FifoPriority),
+    );
+    let chain = |name: &str, priority: i32, up: u32| {
+        JobSpecBuilder::new(name)
+            .priority(Priority::new(priority))
+            .stage("up", up, constant(1.0))
+            .stage("down", 1, constant(30.0))
+            .chain()
+            .build()
+            .expect("valid")
+    };
+    let filler = JobSpecBuilder::new("filler")
+        .priority(Priority::new(20))
+        .stage("map", 4000 - RANKED_RESERVED - 2, constant(30.0))
+        .build()
+        .expect("valid");
+    let filler = sched.submit(filler, SimTime::ZERO);
+    let candidate = sched.submit(chain("candidate", 15, 1), SimTime::ZERO);
+    let holder = sched.submit(chain("holder", 10, RANKED_RESERVED + 1), SimTime::ZERO);
+    let ups = sched.resource_offers(SimTime::ZERO);
+    assert_eq!(ups.len(), 4000, "the cluster saturates");
+    for a in ups.iter().filter(|a| a.instance.task.job != filler) {
+        sched.task_finished(a.slot, t);
+    }
+    // A higher-priority arrival takes the candidate's reserved slot, the
+    // lowest reserved id; the holder's downstream takes one of its own.
+    let late = JobSpecBuilder::new("late")
+        .priority(Priority::new(20))
+        .stage("map", 1, constant(30.0))
+        .build()
+        .expect("valid");
+    sched.submit(late, t);
+    assert_eq!(sched.resource_offers(t).len(), 2);
+    let down = sched.jobs().get(candidate).and_then(|j| j.taskset(StageId::new(1)));
+    assert_eq!(down.expect("ready").preferred().len(), 1);
+    assert_eq!(sched.slot_pool().counts(), (0, 4000 - RANKED_RESERVED as usize, 2000));
+    assert_eq!(sched.slot_pool().reserved_for(holder).count(), RANKED_RESERVED as usize);
+    let scanned = sched.work_counters().slots_scanned.get();
+    assert!(sched.resource_offers(t).is_empty());
+    let scanned = sched.work_counters().slots_scanned.get() - scanned;
+    // Every reserved slot, plus the one preferred slot of the free search.
+    assert_eq!(scanned, u64::from(RANKED_RESERVED) + 1, "the round ranks the reserved slots");
+    sched
+}
+
+/// An offer round whose one candidate ranks the holder's 2,000 reserved
+/// slots, finds none it may use at process-local, and declines: one
+/// reserved-slot ranking per call.
+fn bench_rank_reserved(c: &mut Criterion) {
+    let t = SimTime::from_secs(1);
+    let mut sched = rank_reserved_scheduler(t);
+    c.bench_function("scheduler/rank_reserved/4000", |b| {
+        b.iter(|| black_box(sched.resource_offers(t).len()))
+    });
+}
+
 /// A re-offer round on an already saturated cluster: the scheduler must
 /// conclude "nothing to do" — the old engine paid a full slot scan per
 /// backlogged job to learn that.
@@ -393,6 +467,7 @@ criterion_group!(
     bench_offer_round_preferred,
     bench_approval_walk,
     bench_process_local,
+    bench_rank_reserved,
     bench_saturated_reoffer,
     bench_full_sim_small_grid,
     bench_event_queue

@@ -151,6 +151,43 @@ pub fn counters_report(seed: u64) -> String {
     report.counters.render_json()
 }
 
+/// Runs EXPERIMENTS.md's "Profiling a run" mix at the paper's simulator
+/// size — 1000 nodes × 4 slots, `pipeline:phases=3,par=2000,prio=10`
+/// against `maponly:tasks=6000,secs=30`, built as `ssr-cli run` builds it
+/// — under SSR and work-conserving, and renders each experiment's work
+/// counters (contended run plus alone baseline) as a labelled
+/// sorted-key JSON block.
+///
+/// Here slot scans dominate, where [`counters_report`] and Fig. 15 are
+/// dominated by reservation groups and job order.
+pub fn paper_scale_counters(seed: u64) -> String {
+    use ssr_cluster::{ClusterSpec, LocalityModel};
+    use ssr_dag::Priority;
+    use ssr_sim::{Experiment, OrderConfig, PolicyConfig, SimConfig};
+    use ssr_simcore::dist::constant;
+    use ssr_simcore::SimDuration;
+    use ssr_workload::synthetic::{map_only, pareto_pipeline};
+
+    let locality = LocalityModel::paper_simulation()
+        .with_wait(SimDuration::from_secs_f64(3.0))
+        .with_any_slowdown(5.0);
+    let cluster = ClusterSpec::new(1000, 4).expect("valid cluster");
+    let config = SimConfig::new(cluster).with_locality(locality).with_seed(seed);
+    let fg = pareto_pipeline("pipeline", 3, 2000, 1.0, 1.6, Priority::new(10)).expect("valid job");
+    let bg = map_only("maponly", 6000, constant(30.0), Priority::new(0)).expect("valid job");
+    [("ssr", PolicyConfig::ssr_strict()), ("work-conserving", PolicyConfig::WorkConserving)]
+        .into_iter()
+        .map(|(label, policy)| {
+            let outcome = Experiment::new(config.clone(), policy, OrderConfig::FifoPriority)
+                .foreground([fg.clone()])
+                .background([bg.clone()])
+                .run();
+            assert!(outcome.contended.completed, "{label}: paper-scale mix must complete");
+            format!("{label}\n{}\n", outcome.counters.render_json())
+        })
+        .collect()
+}
+
 /// Runs one figure by id and returns its rendered output.
 ///
 /// Returns `None` for an unknown id.

@@ -73,6 +73,15 @@ fn fig15_ssr_cell_counters_match_golden_snapshot() {
 }
 
 #[test]
+fn paper_scale_counters_match_golden_snapshot() {
+    // The 1000 x 4 "Profiling a run" mix under SSR and work-conserving:
+    // the slot-scan regime (process-local searches, reserved-slot
+    // ranking, free-list walks) that the two snapshots above barely
+    // reach. Pins the counted work of paper-scale offer rounds.
+    assert_golden("paper_scale_counters.txt", &ssr_bench::figures::paper_scale_counters(7));
+}
+
+#[test]
 fn empty_fault_plan_is_zero_cost_on_figure_scenarios() {
     // The fault hooks' zero-cost contract, made explicit: figure
     // SimConfigs carry the default (empty) FaultPlan, and attaching an

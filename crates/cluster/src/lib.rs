@@ -32,12 +32,14 @@
 
 #![warn(missing_docs)]
 
+pub mod bits;
 pub mod locality;
 pub mod placement;
 pub mod pool;
 pub mod slot;
 pub mod topology;
 
+pub use bits::SlotBits;
 pub use locality::{LocalityLevel, LocalityModel};
 pub use placement::DataPlacement;
 pub use pool::SlotPool;

@@ -4,12 +4,14 @@
 //!
 //! [`SlotPool`] keeps, updated at every state transition:
 //!
-//! * the set of **free** slots (globally, per node and per rack) — O(log n)
-//!   membership updates, O(result) enumeration for candidate ranking, and
-//!   a dense bitset for O(1) membership tests and word-wise intersection,
-//! * the set of **reserved** slots, globally and **per job** — O(result)
-//!   `reserved_for`, `release_job_reservations` and stale-reservation
-//!   cleanup,
+//! * the **free** slots (free and in service) as a [`SlotBits`] word
+//!   bitset — O(1) membership updates and tests, word-wise intersection,
+//!   and ascending enumeration of the whole cluster, a node or a rack
+//!   (both contiguous id ranges) at O(result + range / 4096),
+//! * the **reserved** slots, globally and **per job**, as the same kind
+//!   of bitset with a maintained count — O(log owners) per-job counts, O(result)
+//!   `reserved_for` and `release_job_reservations`,
+//! * the `(owner, priority)` **reservation groups** with their counts,
 //! * a **deadline index** over bounded reservations — O(log n)
 //!   `next_deadline` and O(expired · log n) `expire_reservations_with`,
 //! * the `(free, running, reserved)` **counts** — O(1) `counts()`.
@@ -19,8 +21,8 @@
 //! lookup goes through the checked `SlotPool::slot` accessor, which
 //! returns [`ClusterError::UnknownSlot`] for an id outside the pool, and
 //! clippy rejects any indexing, `unwrap`, `expect` or panic macro here.
-//! The four public queries that document a `# Panics` contract are the
-//! only exceptions.
+//! The public queries that document a `# Panics` contract are the only
+//! exceptions.
 //!
 //! The unindexed [`SlotTable`] survives as the naive reference
 //! implementation; a property test drives both through identical operation
@@ -36,13 +38,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use ssr_dag::{JobId, Priority, TaskId};
 use ssr_simcore::SimTime;
 
+use crate::bits::SlotBits;
 use crate::slot::{ClusterError, Reservation, SlotState};
 use crate::topology::{ClusterSpec, NodeId, RackId, SlotId};
 
 /// The state of every slot in the cluster with checked transitions and
-/// incrementally maintained indexes (free/reserved/running sets, per-node
-/// and per-rack free lists, per-job reservation sets, a reservation
-/// deadline index and O(1) state counts).
+/// incrementally maintained indexes (free and reserved slot bitsets, a
+/// bitset and count per reservation owner, the `(owner, priority)` group
+/// table, a reservation deadline index and O(1) state counts).
 ///
 /// Drop-in replacement for [`SlotTable`](crate::slot::SlotTable) where the
 /// caller also needs fast queries: the transition API (`assign`, `finish`,
@@ -68,6 +71,7 @@ use crate::topology::{ClusterSpec, NodeId, RackId, SlotId};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlotPool {
+    spec: ClusterSpec,
     slots: Vec<Slot>,
     /// `slot -> size` (dense): the demand filters of offer rounds read it
     /// for every candidate.
@@ -75,16 +79,12 @@ pub struct SlotPool {
     /// `true` when every slot has the same size (the common homogeneous
     /// case): demand filters reduce to a single comparison.
     uniform_size: bool,
-    free: BTreeSet<SlotId>,
-    /// Bit `s` is set iff slot `s` is in the free index (free and in
-    /// service). Lets a walk over known slot ids test free-list membership
-    /// without a tree lookup, and a slot bitset intersect the free set a
-    /// word at a time.
-    free_in_service: Vec<u64>,
-    free_by_node: Vec<BTreeSet<SlotId>>,
-    free_by_rack: Vec<BTreeSet<SlotId>>,
-    reserved: BTreeSet<SlotId>,
-    reserved_by_job: BTreeMap<JobId, BTreeSet<SlotId>>,
+    /// The free index: slots that are free and in service.
+    free: SlotBits,
+    reserved: SlotBits,
+    /// Each reservation owner's slots; an owner leaves when its last
+    /// reservation goes.
+    reserved_by_job: BTreeMap<JobId, SlotBits>,
     /// Reserved-slot count per `(owner, priority)` group — the unit at
     /// which priority-based ApprovalLogic verdicts are uniform, letting
     /// the scheduler approve once per group instead of once per slot.
@@ -96,53 +96,41 @@ pub struct SlotPool {
     running_count: usize,
 }
 
-/// One slot's state and its place in the topology.
+/// One slot's state.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     state: SlotState,
-    node: NodeId,
-    rack: RackId,
     /// Out of service (crashed node, revoked slot, partitioned executor).
     /// Orthogonal to `state`: an offline slot may still be `Running`
     /// (network partition — the task survives), but it never appears in
-    /// the free indexes, so it receives no offers or pre-reservation
-    /// fills until [`SlotPool::bring_online`].
+    /// the free index, so it receives no offers or pre-reservation fills
+    /// until [`SlotPool::bring_online`].
     offline: bool,
 }
 
 impl SlotPool {
-    /// Creates a pool with every slot free, recording each slot's size and
-    /// topology position from the cluster spec.
+    /// Creates a pool with every slot free, recording each slot's size
+    /// from the cluster spec.
     pub fn new(spec: &ClusterSpec) -> Self {
         let total = spec.total_slots() as usize;
-        let slots: Vec<Slot> = spec
-            .iter_slots()
-            .map(|s| {
-                let node = spec.node_of(s);
-                Slot { state: SlotState::Free, node, rack: spec.rack_of(node), offline: false }
-            })
-            .collect();
         let sizes: Vec<u32> = spec.iter_slots().map(|s| spec.slot_size(s)).collect();
         let uniform_size = sizes.iter().all(|s| Some(s) == sizes.first());
-        let mut pool = SlotPool {
-            slots,
+        let mut free = SlotBits::new(total);
+        for slot in spec.iter_slots() {
+            free.insert(slot);
+        }
+        SlotPool {
+            spec: *spec,
+            slots: vec![Slot { state: SlotState::Free, offline: false }; total],
             sizes,
             uniform_size,
-            free: BTreeSet::new(),
-            free_in_service: vec![0; total.div_ceil(64)],
-            free_by_node: vec![BTreeSet::new(); spec.nodes() as usize],
-            free_by_rack: vec![BTreeSet::new(); spec.racks() as usize],
-            reserved: BTreeSet::new(),
+            free,
+            reserved: SlotBits::new(total),
             reserved_by_job: BTreeMap::new(),
             reserved_groups: Vec::new(),
             deadlines: BTreeSet::new(),
             running_count: 0,
-        };
-        for slot in spec.iter_slots() {
-            // Every spec slot is in the pool: indexing it cannot fail.
-            let _ = pool.index_free(slot);
         }
-        pool
     }
 
     /// The checked per-slot accessor every transition goes through.
@@ -169,44 +157,19 @@ impl SlotPool {
     // ------------------------------------------------------------------
 
     fn index_free(&mut self, slot: SlotId) -> Result<(), ClusterError> {
-        let &Slot { node, rack, offline, .. } = self.slot(slot)?;
-        // Offline slots never enter the free indexes, no matter which
+        // Offline slots never enter the free index, no matter which
         // transition frees them (finish during a partition, release,
         // expiry); `bring_online` re-indexes them when the fault heals.
-        if offline {
-            return Ok(());
-        }
-        self.free.insert(slot);
-        if let Some(word) = self.free_in_service.get_mut(slot.index() / 64) {
-            *word |= 1 << (slot.index() % 64);
-        }
-        if let Some(set) = self.free_by_node.get_mut(node.as_u32() as usize) {
-            set.insert(slot);
-        }
-        if let Some(set) = self.free_by_rack.get_mut(rack.as_u32() as usize) {
-            set.insert(slot);
-        }
-        Ok(())
-    }
-
-    fn unindex_free(&mut self, slot: SlotId) -> Result<(), ClusterError> {
-        let &Slot { node, rack, .. } = self.slot(slot)?;
-        self.free.remove(&slot);
-        if let Some(word) = self.free_in_service.get_mut(slot.index() / 64) {
-            *word &= !(1 << (slot.index() % 64));
-        }
-        if let Some(set) = self.free_by_node.get_mut(node.as_u32() as usize) {
-            set.remove(&slot);
-        }
-        if let Some(set) = self.free_by_rack.get_mut(rack.as_u32() as usize) {
-            set.remove(&slot);
+        if !self.slot(slot)?.offline {
+            self.free.insert(slot);
         }
         Ok(())
     }
 
     fn index_reservation(&mut self, slot: SlotId, r: &Reservation) {
         self.reserved.insert(slot);
-        self.reserved_by_job.entry(r.job()).or_default().insert(slot);
+        let total = self.slots.len();
+        self.reserved_by_job.entry(r.job()).or_insert_with(|| SlotBits::new(total)).insert(slot);
         match self.group_index(r) {
             Ok(i) => {
                 if let Some((_, _, count)) = self.reserved_groups.get_mut(i) {
@@ -237,9 +200,9 @@ impl SlotPool {
     }
 
     fn unindex_reservation(&mut self, slot: SlotId, r: &Reservation) {
-        self.reserved.remove(&slot);
+        self.reserved.remove(slot);
         if let Some(set) = self.reserved_by_job.get_mut(&r.job()) {
-            set.remove(&slot);
+            set.remove(slot);
             if set.is_empty() {
                 self.reserved_by_job.remove(&r.job());
             }
@@ -251,7 +214,7 @@ impl SlotPool {
     }
 
     /// Drops reservation `r` on `slot` from the indexes and frees the slot
-    /// (into the free indexes only while it is in service).
+    /// (into the free index only while it is in service).
     fn free_reserved(&mut self, slot: SlotId, r: &Reservation) -> Result<(), ClusterError> {
         self.unindex_reservation(slot, r);
         self.slot_mut(slot)?.state = SlotState::Free;
@@ -263,7 +226,10 @@ impl SlotPool {
     fn unindex_current(&mut self, slot: SlotId) -> Result<(), ClusterError> {
         match self.slot(slot)?.state {
             SlotState::Running(_) => Err(ClusterError::CannotReserveBusy { slot }),
-            SlotState::Free => self.unindex_free(slot),
+            SlotState::Free => {
+                self.free.remove(slot);
+                Ok(())
+            }
             SlotState::Reserved(r) => {
                 self.unindex_reservation(slot, &r);
                 Ok(())
@@ -379,7 +345,7 @@ impl SlotPool {
     /// and returns the freed slots in ascending id order.
     pub fn release_job_reservations(&mut self, job: JobId) -> Vec<SlotId> {
         let Some(set) = self.reserved_by_job.remove(&job) else { return Vec::new() };
-        set.into_iter()
+        set.iter()
             .filter(|&slot| {
                 self.reservation_on(slot).is_some_and(|r| self.free_reserved(slot, &r).is_ok())
             })
@@ -388,7 +354,7 @@ impl SlotPool {
 
     /// Takes `slot` out of service (fault injection). Idempotent.
     ///
-    /// A free slot leaves the free indexes; a reserved slot's reservation
+    /// A free slot leaves the free index; a reserved slot's reservation
     /// is forcibly dropped (returned so the caller can trace the
     /// revocation); a running slot keeps its task — the caller decides
     /// whether the fault kills it (`finish` first) or lets it survive a
@@ -405,14 +371,17 @@ impl SlotPool {
         entry.offline = true;
         match entry.state {
             SlotState::Running(_) => Ok(None),
-            SlotState::Free => self.unindex_free(slot).map(|()| None),
+            SlotState::Free => {
+                self.free.remove(slot);
+                Ok(None)
+            }
             SlotState::Reserved(r) => self.free_reserved(slot, &r).map(|()| Some(r)),
         }
     }
 
     /// Returns `slot` to service after a fault heals. Idempotent; returns
     /// `true` when the slot was actually offline. A freed slot rejoins the
-    /// free indexes immediately; a still-running slot (partition survivor)
+    /// free index immediately; a still-running slot (partition survivor)
     /// rejoins when its task finishes.
     ///
     /// # Errors
@@ -444,10 +413,9 @@ impl SlotPool {
     }
 
     /// `true` when `slot` is free and in service, i.e. in the free
-    /// indexes — O(1).
+    /// index — O(1).
     pub fn is_free_in_service(&self, slot: SlotId) -> bool {
-        let (word, bit) = (slot.index() / 64, slot.index() % 64);
-        self.free_in_service.get(word).is_some_and(|w| (w >> bit) & 1 == 1)
+        self.free.contains(slot)
     }
 
     /// The free index as a bitset over slot ids, 64 slots a word: bit
@@ -455,7 +423,7 @@ impl SlotPool {
     ///
     /// [`is_free_in_service`]: SlotPool::is_free_in_service
     pub fn free_bits(&self) -> &[u64] {
-        &self.free_in_service
+        self.free.words()
     }
 
     /// Number of slots currently out of service — O(slots).
@@ -480,24 +448,22 @@ impl SlotPool {
         self.uniform_size
     }
 
-    /// The machine hosting `slot` (precomputed).
+    /// The machine hosting `slot`.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
-    #[expect(clippy::indexing_slicing, reason = "documented # Panics contract")]
     pub fn node_of(&self, slot: SlotId) -> NodeId {
-        self.slots[slot.index()].node
+        self.spec.node_of(slot)
     }
 
-    /// The rack containing `slot`'s machine (precomputed).
+    /// The rack containing `slot`'s machine.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
-    #[expect(clippy::indexing_slicing, reason = "documented # Panics contract")]
     pub fn rack_of(&self, slot: SlotId) -> RackId {
-        self.slots[slot.index()].rack
+        self.spec.rack_of(self.spec.node_of(slot))
     }
 
     /// Number of slots.
@@ -521,41 +487,49 @@ impl SlotPool {
         &self.slots[slot.index()].state
     }
 
-    /// Iterator over free slots in ascending id order — O(result).
+    /// Iterator over free slots in ascending id order.
     pub fn free_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
-        self.free.iter().copied()
+        self.free.iter()
     }
 
-    /// Free slots hosted by `node`, ascending — O(result); none for a
-    /// node outside the cluster.
+    /// Free slots hosted by `node`, ascending: a walk over the node's
+    /// contiguous id range of the free index. None for a node outside the
+    /// cluster.
     pub fn free_on_node(&self, node: NodeId) -> impl Iterator<Item = SlotId> + '_ {
-        let set = self.free_by_node.get(node.as_u32() as usize);
-        set.map(BTreeSet::iter).unwrap_or_default().copied()
+        let per_node = self.spec.slots_per_node() as usize;
+        let lo = node.as_u32() as usize * per_node;
+        self.free.range(lo, lo + per_node)
     }
 
-    /// Free slots in `rack`, ascending — O(result); none for a rack
-    /// outside the cluster.
+    /// Free slots in `rack`, ascending: a walk over the rack's contiguous
+    /// id range of the free index. None for a rack outside the cluster.
     pub fn free_in_rack(&self, rack: RackId) -> impl Iterator<Item = SlotId> + '_ {
-        let set = self.free_by_rack.get(rack.as_u32() as usize);
-        set.map(BTreeSet::iter).unwrap_or_default().copied()
+        let per_rack = self.spec.nodes_per_rack() as usize * self.spec.slots_per_node() as usize;
+        let lo = rack.as_u32() as usize * per_rack;
+        self.free.range(lo, lo + per_rack)
     }
 
-    /// Iterator over all reserved slots in ascending id order — O(result).
+    /// Iterator over all reserved slots in ascending id order.
     pub fn reserved_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
-        self.reserved.iter().copied()
+        self.reserved.iter()
     }
 
-    /// Iterator over slots reserved for `job`, ascending — O(result).
+    /// Iterator over slots reserved for `job`, ascending.
     pub fn reserved_for(&self, job: JobId) -> impl Iterator<Item = SlotId> + '_ {
-        self.reserved_by_job.get(&job).into_iter().flatten().copied()
+        self.reserved_by_job.get(&job).into_iter().flat_map(SlotBits::iter)
     }
 
-    /// The jobs currently holding reservations, with their slot sets, in
-    /// job-id order.
-    pub fn reservations_by_job(
-        &self,
-    ) -> impl Iterator<Item = (JobId, &BTreeSet<SlotId>)> + '_ {
-        self.reserved_by_job.iter().map(|(j, s)| (*j, s))
+    /// The slots reserved for `job` as a bitset (with its count), `None`
+    /// when it holds none: word-wise searches of one owner's slots read
+    /// it.
+    pub fn reserved_bits(&self, job: JobId) -> Option<&SlotBits> {
+        self.reserved_by_job.get(&job)
+    }
+
+    /// The jobs currently holding reservations, with their reserved-slot
+    /// counts, in job-id order.
+    pub fn reservations_by_job(&self) -> impl Iterator<Item = (JobId, usize)> + '_ {
+        self.reserved_by_job.iter().map(|(j, s)| (*j, s.len()))
     }
 
     /// The distinct `(owner, priority)` reservation groups currently held,
@@ -886,34 +860,29 @@ mod proptests {
 
     /// Applies one op to both implementations and asserts identical
     /// results; `SlotTable` is the naive rescan reference, and `offline`
-    /// models the out-of-service set the table does not know about.
+    /// models the out-of-service set the table does not know about. Slot
+    /// draws wrap around the pool's size.
     fn apply(pool: &mut SlotPool, table: &mut SlotTable, offline: &mut BTreeSet<SlotId>, op: Op) {
+        let len = pool.len() as u32;
+        let at = |s: u32| SlotId::new(s % len);
         match op {
             Op::Assign(s, j) => {
-                let slot = SlotId::new(s);
                 let t = TaskId::new(JobId::new(j), StageId::new(0), 0);
-                prop_assert_eq!(pool.assign(slot, t), table.assign(slot, t));
+                prop_assert_eq!(pool.assign(at(s), t), table.assign(at(s), t));
             }
-            Op::Finish(s) => {
-                let slot = SlotId::new(s);
-                prop_assert_eq!(pool.finish(slot), table.finish(slot));
-            }
+            Op::Finish(s) => prop_assert_eq!(pool.finish(at(s)), table.finish(at(s))),
             Op::Reserve(s, o, raised, d) => {
-                let slot = SlotId::new(s);
                 // Each owner holds groups at two priorities.
                 let priority = Priority::new(o as i32 + if raised { 10 } else { 0 });
                 let mut r = Reservation::new(owners()[o], priority);
                 if let Some(d) = d {
                     r = r.with_deadline(SimTime::from_secs(d));
                 }
-                prop_assert_eq!(pool.reserve(slot, r), table.reserve(slot, r));
+                prop_assert_eq!(pool.reserve(at(s), r), table.reserve(at(s), r));
             }
-            Op::Release(s) => {
-                let slot = SlotId::new(s);
-                prop_assert_eq!(pool.release(slot), table.release(slot));
-            }
-            Op::Expire(at) => {
-                let now = SimTime::from_secs(at);
+            Op::Release(s) => prop_assert_eq!(pool.release(at(s)), table.release(at(s))),
+            Op::Expire(t) => {
+                let now = SimTime::from_secs(t);
                 prop_assert_eq!(
                     pool.expire_reservations_with(now, |_, _| {}),
                     table.expire_reservations(now)
@@ -927,7 +896,7 @@ mod proptests {
                 );
             }
             Op::TakeOffline(s) => {
-                let slot = SlotId::new(s);
+                let slot = at(s);
                 // A reserved slot loses its reservation; a running one
                 // keeps its task.
                 let revoked = (!offline.contains(&slot))
@@ -940,114 +909,105 @@ mod proptests {
                 offline.insert(slot);
             }
             Op::BringOnline(s) => {
-                let slot = SlotId::new(s);
+                let slot = at(s);
                 prop_assert_eq!(pool.bring_online(slot), Ok(offline.remove(&slot)));
             }
         }
+    }
+
+    /// Every query of `pool` against a rescan of `table`, with `offline`
+    /// the out-of-service set.
+    fn check(spec: &ClusterSpec, pool: &SlotPool, table: &SlotTable, offline: &BTreeSet<SlotId>) {
+        // Out-of-service slots leave the free index only.
+        let free: Vec<SlotId> = table.free_slots().filter(|s| !offline.contains(s)).collect();
+        let reserved: Vec<SlotId> =
+            table.iter().filter(|(_, s)| s.is_reserved()).map(|(s, _)| s).collect();
+        prop_assert_eq!(pool.counts(), (free.len(), table.counts().1, reserved.len()));
+        prop_assert_eq!(pool.free_slots().collect::<Vec<_>>(), free.clone());
+        prop_assert_eq!(pool.reserved_slots().collect::<Vec<_>>(), reserved);
+        prop_assert_eq!(pool.offline_count(), offline.len());
+        // Node and rack walks, one past the last of each included.
+        for n in (0..=spec.nodes()).map(NodeId::new) {
+            let naive: Vec<SlotId> =
+                free.iter().copied().filter(|&s| spec.node_of(s) == n).collect();
+            prop_assert_eq!(pool.free_on_node(n).collect::<Vec<_>>(), naive);
+        }
+        for r in (0..=spec.racks()).map(RackId::new) {
+            let naive: Vec<SlotId> =
+                free.iter().copied().filter(|&s| pool.rack_of(s) == r).collect();
+            prop_assert_eq!(pool.free_in_rack(r).collect::<Vec<_>>(), naive);
+        }
+        // The dense flag is exactly "free and in service".
+        for slot in spec.iter_slots() {
+            prop_assert_eq!(pool.is_offline(slot), Ok(offline.contains(&slot)));
+            prop_assert_eq!(
+                pool.is_free_in_service(slot),
+                !offline.contains(&slot) && pool.get(slot).is_free()
+            );
+        }
+        for (slot, state) in pool.iter() {
+            prop_assert_eq!(state, table.get(slot));
+        }
+        // Per-owner slots, counts and bitsets; ownership answered from the
+        // group table agrees, for non-owners too.
+        let mut by_job = Vec::new();
+        for job in owners().into_iter().chain([JobId::new(0), JobId::new(5)]) {
+            let naive: Vec<SlotId> = table.reserved_for(job).collect();
+            prop_assert_eq!(pool.reserved_for(job).collect::<Vec<_>>(), naive.clone());
+            let held = (!naive.is_empty()).then_some(naive.len());
+            prop_assert_eq!(pool.reserved_bits(job).map(SlotBits::len), held);
+            prop_assert_eq!(pool.has_reservations(job), !naive.is_empty());
+            if !naive.is_empty() {
+                by_job.push((job, naive.len()));
+            }
+        }
+        prop_assert_eq!(pool.reservations_by_job().collect::<Vec<_>>(), by_job);
+        prop_assert_eq!(
+            pool.next_deadline(),
+            pool.iter().filter_map(|(_, s)| s.reservation().and_then(|r| r.deadline())).min()
+        );
+        // The (owner, priority) group index matches a naive recount.
+        let mut naive_groups: BTreeMap<(JobId, Priority), usize> = BTreeMap::new();
+        for (_, state) in table.iter() {
+            if let Some(r) = state.reservation() {
+                *naive_groups.entry((r.job(), r.priority())).or_insert(0) += 1;
+            }
+        }
+        prop_assert_eq!(
+            pool.reservation_groups().to_vec(),
+            naive_groups.into_iter().map(|((j, p), c)| (j, p, c)).collect::<Vec<_>>()
+        );
+        // The free bitset holds exactly the free index, and nothing past
+        // the last slot.
+        let from_bits: Vec<SlotId> = pool
+            .free_bits()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| (0..64).filter(move |b| (w >> b) & 1 == 1).map(move |b| i * 64 + b))
+            .map(|s| SlotId::new(s as u32))
+            .collect();
+        prop_assert_eq!(from_bits, free);
     }
 
     proptest! {
         /// The indexed pool and the naive rescan table agree on every
         /// query after any operation sequence — the static-pool sentinel,
         /// owners holding two priorities at once, and slots going out of
-        /// and back into service included.
+        /// and back into service included — on pools of 8, 63 and 65
+        /// slots (below and above a 64-slot word), with partial racks.
         #[test]
         fn pool_agrees_with_rescan_reference(
-            ops in proptest::collection::vec(op_strategy(8), 0..300)
+            ops in proptest::collection::vec(op_strategy(65), 0..300)
         ) {
-            let spec = ClusterSpec::with_racks(4, 2, 2).unwrap();
-            let mut pool = SlotPool::new(&spec);
-            let mut table = SlotTable::new(&spec);
-            let mut offline = BTreeSet::new();
-            for op in ops {
-                apply(&mut pool, &mut table, &mut offline, op);
-                // Out-of-service slots leave the free indexes only.
-                let free_online: Vec<SlotId> =
-                    table.free_slots().filter(|s| !offline.contains(s)).collect();
-                let (_, running, reserved) = table.counts();
-                prop_assert_eq!(pool.counts(), (free_online.len(), running, reserved));
-                prop_assert_eq!(pool.free_slots().collect::<Vec<_>>(), free_online);
-                prop_assert_eq!(pool.offline_count(), offline.len());
-                // The dense flag is exactly "free and in service".
-                for slot in spec.iter_slots() {
-                    prop_assert_eq!(pool.is_offline(slot), Ok(offline.contains(&slot)));
-                    prop_assert_eq!(
-                        pool.is_free_in_service(slot),
-                        !offline.contains(&slot) && pool.get(slot).is_free()
-                    );
+            for (nodes, per_node, per_rack) in [(4, 2, 2), (9, 7, 4), (13, 5, 3)] {
+                let spec = ClusterSpec::with_racks(nodes, per_node, per_rack).unwrap();
+                let mut pool = SlotPool::new(&spec);
+                let mut table = SlotTable::new(&spec);
+                let mut offline = BTreeSet::new();
+                for op in ops.clone() {
+                    apply(&mut pool, &mut table, &mut offline, op);
+                    check(&spec, &pool, &table, &offline);
                 }
-                for job in owners() {
-                    prop_assert_eq!(
-                        pool.reserved_for(job).collect::<Vec<_>>(),
-                        table.reserved_for(job).collect::<Vec<_>>()
-                    );
-                }
-                for (slot, state) in pool.iter() {
-                    prop_assert_eq!(state, table.get(slot));
-                }
-                // The derived indexes are internally consistent too.
-                let reserved_count = pool.reserved_slots().count();
-                prop_assert_eq!(reserved_count, pool.counts().2);
-                let per_node: usize = (0..spec.nodes())
-                    .map(|n| pool.free_on_node(NodeId::new(n)).count())
-                    .sum();
-                prop_assert_eq!(per_node, pool.counts().0);
-                let per_rack: usize = (0..spec.racks())
-                    .map(|r| pool.free_in_rack(RackId::new(r)).count())
-                    .sum();
-                prop_assert_eq!(per_rack, pool.counts().0);
-                prop_assert_eq!(
-                    pool.next_deadline(),
-                    pool.iter()
-                        .filter_map(|(_, s)| s.reservation().and_then(|r| r.deadline()))
-                        .min()
-                );
-                // The (owner, priority) group index matches a naive
-                // recount over all slot states.
-                let mut naive_groups: BTreeMap<(JobId, Priority), usize> = BTreeMap::new();
-                for (_, state) in pool.iter() {
-                    if let Some(r) = state.reservation() {
-                        *naive_groups.entry((r.job(), r.priority())).or_insert(0) += 1;
-                    }
-                }
-                prop_assert_eq!(
-                    pool.reservation_groups().to_vec(),
-                    naive_groups.into_iter().map(|((j, p), c)| (j, p, c)).collect::<Vec<_>>()
-                );
-                // Ownership answered from the group table agrees with the
-                // per-job index and the reference, for non-owners too.
-                for job in owners().into_iter().chain([JobId::new(0), JobId::new(5)]) {
-                    prop_assert_eq!(
-                        pool.has_reservations(job),
-                        table.reserved_for(job).next().is_some()
-                    );
-                    prop_assert_eq!(
-                        pool.has_reservations(job),
-                        pool.reservations_by_job().any(|(j, _)| j == job)
-                    );
-                }
-                // The free bitset holds exactly the free index, and nothing
-                // past the last slot.
-                let from_bits: Vec<SlotId> = pool
-                    .free_bits()
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(i, &w)| {
-                        (0..64).filter(move |b| (w >> b) & 1 == 1).map(move |b| i * 64 + b)
-                    })
-                    .map(|s| SlotId::new(s as u32))
-                    .collect();
-                prop_assert_eq!(from_bits, pool.free_slots().collect::<Vec<_>>());
-                prop_assert_eq!(
-                    pool.reservations_by_job()
-                        .map(|(j, set)| (j, set.iter().copied().collect::<Vec<_>>()))
-                        .collect::<Vec<_>>(),
-                    owners()
-                        .into_iter()
-                        .map(|j| (j, table.reserved_for(j).collect::<Vec<_>>()))
-                        .filter(|(_, slots)| !slots.is_empty())
-                        .collect::<Vec<_>>()
-                );
             }
         }
     }

@@ -232,6 +232,11 @@ impl ClusterSpec {
         self.slots_per_node
     }
 
+    /// Machines per rack (the last rack may hold fewer).
+    pub fn nodes_per_rack(&self) -> u32 {
+        self.nodes_per_rack
+    }
+
     /// Total compute slots in the cluster.
     pub fn total_slots(&self) -> u32 {
         self.nodes * self.slots_per_node

@@ -76,18 +76,19 @@ fn recovery_functions_deny_panics() {
         }
     }
     // The pool denies the same lints module-wide; its only exceptions are
-    // the four queries with a documented `# Panics` contract.
+    // the two queries that index with a documented `# Panics` contract
+    // (`node_of`/`rack_of` document theirs but defer to `ClusterSpec`).
     let pool = read("cluster/src/pool.rs");
     let shipped = &pool[..pool.find("#[cfg(test)]").expect("pool has tests")];
     for deny in RECOVERY_DENY {
         assert!(shipped.contains(&deny.replacen("#[", "#![", 1)), "pool.rs lacks {deny}");
     }
     let expect = "#[expect(clippy::indexing_slicing, reason = \"documented # Panics contract\")]";
-    for name in ["size", "node_of", "rack_of", "get"] {
+    for name in ["size", "get"] {
         let attrs = attributes_of(shipped, name);
         assert!(attrs.contains(&expect), "pool.rs: `{name}` documents its panic with {expect}");
     }
-    assert_eq!(shipped.matches("#[expect(").count() + shipped.matches("#[allow(").count(), 4);
+    assert_eq!(shipped.matches("#[expect(").count() + shipped.matches("#[allow(").count(), 2);
 }
 
 #[test]

@@ -92,7 +92,11 @@ pub struct WorkCounters {
     pub scratch_allocs: Counter,
     /// Scratch buffers reused with their prior capacity intact.
     pub scratch_reuses: Counter,
-    /// Slot entries scanned across free-list and candidate walks.
+    /// Slot entries scanned across free-list and candidate walks. A
+    /// search that tests a word of slots at a time counts the slots a
+    /// per-slot scan would visit: the whole preferred list for the
+    /// process-local search, the owner's whole reserved set for ranking
+    /// an approved reservation group.
     pub slots_scanned: Counter,
     /// Running instances examined as straggler/progress-speculation candidates.
     pub speculation_candidates_examined: Counter,

@@ -516,9 +516,7 @@ impl TaskScheduler {
             if self.group_approval() {
                 self.walk_groups(job, priority, now, false, |owner, rprio, class| {
                     self.slots.reserved_for(owner).any(|slot| {
-                        fits(slot)
-                            && self.slots.get(slot).reservation().map(|r| r.priority())
-                                == Some(rprio)
+                        fits(slot) && self.reserved_priority(slot) == Some(rprio)
                     }) && note(class.is_some())
                 });
             } else {
@@ -656,12 +654,14 @@ impl TaskScheduler {
     /// approved reservation, 1 = free, 2 = another job's approved
     /// reservation.
     ///
-    /// Free candidates are enumerated level by level from the per-node /
-    /// per-rack free lists. No exclusion is needed at the coarser levels:
-    /// the search returns at the *first* level with any candidate, so
-    /// reaching level L implies no free fitting slot exists at any better
-    /// level — a fit check alone suffices. Reserved slots (few, by the
-    /// §IV-B design) are ranked in one pass over the reserved index.
+    /// Free candidates are searched level by level in the pool's free
+    /// bitset: word-wise against the preferred slots, then over each
+    /// preferred node's and rack's contiguous id range. No exclusion is
+    /// needed at the coarser levels: the search returns at the *first*
+    /// level with any candidate, so reaching level L implies no free
+    /// fitting slot exists at any better level — a fit check alone
+    /// suffices. Reserved slots are ranked per approved reservation group
+    /// from its owner's bitset ([`rank_group`](Self::rank_group)).
     fn best_candidate(
         &self,
         job: JobId,
@@ -704,14 +704,11 @@ impl TaskScheduler {
                 if !self.policy.approve(&ctx, r, job, priority) {
                     continue;
                 }
-                let rank = (if r.job() == job { 0u8 } else { 2u8 }, slot);
-                let entry = &mut reserved_best[level as usize];
-                if entry.is_none_or(|b| rank < b) {
-                    *entry = Some(rank);
-                }
+                let class = if r.job() == job { 0u8 } else { 2u8 };
+                keep_min(&mut reserved_best[level as usize], (class, slot));
             }
         }
-        // With the free lists empty, their searches can only come back
+        // With the free index empty, its searches can only come back
         // empty (and count nothing), so they are skipped.
         let no_free = self.slots.counts().0 == 0;
         for &level in LocalityLevel::ALL.iter().filter(|&&l| l <= allowed) {
@@ -761,6 +758,15 @@ impl TaskScheduler {
     /// into `best`, the best `(class, slot)` per locality level. Kept out
     /// of line so that the group walk calling it stays a tight loop over
     /// the groups that do not approve.
+    ///
+    /// The group's process-local candidate is the lowest slot of the
+    /// owner's bitset that is preferred (every slot is, without a
+    /// preference), carries `rprio` and fits `demand`, found 64 slots a
+    /// word. `best_candidate` returns at the first level with a
+    /// candidate, so once `best` has a process-local entry the coarser
+    /// levels are never read: the per-slot walk that ranks them runs only
+    /// while it has none. Counts the owner's whole reserved set, as the
+    /// per-slot walk over it did.
     #[inline(never)]
     fn rank_group(
         &self,
@@ -770,30 +776,43 @@ impl TaskScheduler {
         allowed: LocalityLevel,
         best: &mut [Option<(u8, SlotId)>; 4],
     ) {
-        for slot in self.slots.reserved_for(owner) {
-            self.counters.slots_scanned.inc();
-            let r = self.slots.get(slot).reservation().expect("reserved index entry");
-            if r.priority() != rprio {
-                continue;
-            }
-            // §III-C: a task only fits a slot of at least its demand.
-            if self.slots.size(slot) < demand {
-                continue;
-            }
+        let Some(mine) = self.slots.reserved_bits(owner) else { return };
+        self.counters.slots_scanned.add(mine.len() as u64);
+        // §III-C: a task only fits a slot of at least its demand.
+        let fits = |slot: SlotId| {
+            self.reserved_priority(slot) == Some(rprio) && self.slots.size(slot) >= demand
+        };
+        let local = if tsm.preferred().is_empty() {
+            mine.iter().find(|&s| fits(s))
+        } else {
+            tsm.first_preferred_in(mine.words(), fits)
+        };
+        let local_best = &mut best[LocalityLevel::ProcessLocal as usize];
+        if let Some(slot) = local {
+            keep_min(local_best, (class, slot));
+            return;
+        }
+        if local_best.is_some()
+            || allowed == LocalityLevel::ProcessLocal
+            || tsm.preferred().is_empty()
+        {
+            return;
+        }
+        for slot in mine.iter().filter(|&s| fits(s)) {
             let level = tsm.level_on(&self.spec, slot);
-            if level > allowed {
-                continue;
-            }
-            let rank = (class, slot);
-            let entry = &mut best[level as usize];
-            if entry.is_none_or(|b| rank < b) {
-                *entry = Some(rank);
+            if level <= allowed {
+                keep_min(&mut best[level as usize], (class, slot));
             }
         }
     }
 
+    /// The priority of the reservation on `slot`, if it is reserved.
+    fn reserved_priority(&self, slot: SlotId) -> Option<Priority> {
+        self.slots.get(slot).reservation().map(|r| r.priority())
+    }
+
     /// The minimum free slot of size ≥ `demand` from an ascending
-    /// iterator over one of the pool's free lists.
+    /// iterator over the pool's free index (all of it, a node or a rack).
     fn min_free_fitting(
         &self,
         mut iter: impl Iterator<Item = SlotId>,
@@ -1419,6 +1438,14 @@ fn walk_groups_with(
     (groups.len() as u64, calls, false)
 }
 
+/// Keeps the lower of `entry` and `rank`, a `(class, slot)` candidate rank.
+#[inline]
+fn keep_min(entry: &mut Option<(u8, SlotId)>, rank: (u8, SlotId)) {
+    if entry.is_none_or(|b| rank < b) {
+        *entry = Some(rank);
+    }
+}
+
 /// Takes a scratch buffer for one use, empty, and counts the recycle: a
 /// buffer that kept its capacity from a prior round is a reuse, one
 /// growing from zero is a fresh allocation. The caller puts it back.
@@ -1471,7 +1498,7 @@ mod tests {
     use crate::order::{Fair, FifoPriority};
     use crate::policy::{StaticReservation, TimeoutReservation, WorkConserving};
     use crate::speculation::SpeculationConfig;
-    use ssr_dag::JobSpecBuilder;
+    use ssr_dag::{JobSpecBuilder, StageSpec};
     use ssr_simcore::dist::constant;
     use ssr_simcore::SimDuration;
 
@@ -2180,7 +2207,13 @@ mod tests {
         use crate::order::Fifo;
         use ssr_simcore::rng::SimRng;
         let mut rng = SimRng::stream(seed, 0);
-        let cluster = ClusterSpec::with_racks(4, 2, 2).unwrap();
+        // Half the clusters are sized: every third slot is large, and
+        // stages demand either size.
+        let sized = rng.chance(0.5);
+        let mut cluster = ClusterSpec::with_racks(4, 2, 2).unwrap();
+        if sized {
+            cluster = cluster.with_slot_sizing(1, 2, 3);
+        }
         let policy: Box<dyn ReservationPolicy> = match policy {
             0 => Box::new(WorkConserving),
             1 => Box::new(TimeoutReservation::new(SimDuration::from_secs(5))),
@@ -2210,7 +2243,10 @@ mod tests {
                     let mut b = JobSpecBuilder::new(format!("j{submitted}"))
                         .priority(Priority::new(rng.next_below(3) as i32));
                     for st in 0..1 + rng.next_below(3) {
-                        b = b.stage(format!("s{st}"), 1 + rng.next_below(4) as u32, constant(1.0));
+                        let par = 1 + rng.next_below(4) as u32;
+                        let demand = if sized { 1 + rng.next_below(2) as u32 } else { 1 };
+                        let stage = StageSpec::new(format!("s{st}"), par, constant(1.0));
+                        b = b.stage_spec(stage.with_demand(demand));
                     }
                     s.submit(b.chain().build().unwrap(), now);
                 }
@@ -2250,6 +2286,139 @@ mod tests {
             wait_ms in 0u64..5_000,
         ) {
             drive_with_faults(seed, policy, order, wait_ms);
+        }
+    }
+
+    /// `rank_group` as a loop over the owner's reserved slots, one slot
+    /// at a time: count it, test its priority, fit and level, and keep
+    /// the best `(class, slot)` per level.
+    fn rank_group_per_slot(
+        s: &TaskScheduler,
+        (owner, rprio, class): (JobId, Priority, u8),
+        tsm: &TaskSetManager,
+        demand: u32,
+        allowed: LocalityLevel,
+        best: &mut [Option<(u8, SlotId)>; 4],
+    ) {
+        for slot in s.slots.reserved_for(owner) {
+            s.counters.slots_scanned.inc();
+            let r = s.slots.get(slot).reservation().expect("reserved index entry");
+            if r.priority() != rprio || s.slots.size(slot) < demand {
+                continue;
+            }
+            let level = tsm.level_on(&s.spec, slot);
+            if level > allowed {
+                continue;
+            }
+            let entry = &mut best[level as usize];
+            if entry.is_none_or(|b| (class, slot) < b) {
+                *entry = Some((class, slot));
+            }
+        }
+    }
+
+    /// Fills a cluster with random free, running, reserved and offline
+    /// slots — up to four owners (the static pool among them) holding
+    /// reservations at several priorities each — and checks, for random
+    /// candidate jobs, demands and preferences (or none) at every allowed
+    /// level, that the word-wise `rank_group` ranks what the per-slot loop
+    /// ranks and counts the same slots, and that `best_candidate` picks
+    /// the full scan's slot.
+    fn check_reserved_ranking(seed: u64, shape: usize) {
+        use crate::policy::STATIC_POOL_JOB;
+        use ssr_simcore::rng::SimRng;
+        let mut rng = SimRng::stream(seed, 1);
+        // 80 and 150 slots uniform; 80 and 64 slots sized.
+        let spec = match shape {
+            0 => ClusterSpec::with_racks(20, 4, 6).unwrap(),
+            1 => ClusterSpec::with_racks(50, 3, 7).unwrap(),
+            2 => ClusterSpec::with_racks(20, 4, 6).unwrap().with_slot_sizing(1, 2, 3),
+            _ => ClusterSpec::with_racks(16, 4, 3).unwrap().with_slot_sizing(1, 3, 5),
+        };
+        let policy: Box<dyn ReservationPolicy> = if rng.chance(0.5) {
+            Box::new(TimeoutReservation::new(SimDuration::from_secs(5)))
+        } else {
+            Box::new(StaticReservation::new(0, Priority::new(2)))
+        };
+        let mut s =
+            TaskScheduler::new(spec, LocalityModel::paper_simulation(), policy, Box::new(Fair));
+        let owners = [JobId::new(0), JobId::new(1), JobId::new(2), STATIC_POOL_JOB];
+        let now = SimTime::ZERO;
+        for slot in spec.iter_slots() {
+            match rng.next_below(10) {
+                0..=3 => {}
+                4 | 5 => {
+                    let task = ssr_dag::TaskId::new(JobId::new(9), StageId::new(0), 0);
+                    s.slots.assign(slot, task).unwrap();
+                }
+                _ => {
+                    let owner = owners[rng.next_below(4) as usize];
+                    let rprio = Priority::new([0, 1, 2, 5][rng.next_below(4) as usize]);
+                    s.slots.reserve(slot, Reservation::new(owner, rprio)).unwrap();
+                }
+            }
+            if rng.chance(0.1) {
+                s.slots.take_offline(slot).unwrap();
+            }
+        }
+        for _ in 0..8 {
+            let job = JobId::new(rng.next_below(4));
+            let priority = Priority::new(rng.next_below(6) as i32);
+            let demand = 1 + rng.next_below(u64::from(spec.max_slot_size())) as u32;
+            let density = [0.0, 0.03, 0.3][rng.next_below(3) as usize];
+            let preferred = spec.iter_slots().filter(|_| rng.chance(density)).collect();
+            let tsm = TaskSetManager::new(job, StageId::new(0), 1, now)
+                .with_preferred(preferred, &spec);
+            for allowed in LocalityLevel::ALL {
+                let (mut words, mut slots) = ([None; 4], [None; 4]);
+                let scanned = |f: &mut dyn FnMut()| {
+                    let before = s.counters.slots_scanned.get();
+                    f();
+                    s.counters.slots_scanned.get() - before
+                };
+                let counted = (
+                    scanned(&mut || {
+                        s.walk_groups(job, priority, now, false, |owner, rprio, class| {
+                            if let Some(class) = class {
+                                let group = (owner, rprio, class);
+                                s.rank_group(group, &tsm, demand, allowed, &mut words);
+                            }
+                            false
+                        });
+                    }),
+                    scanned(&mut || {
+                        s.walk_groups(job, priority, now, false, |owner, rprio, class| {
+                            if let Some(class) = class {
+                                let group = (owner, rprio, class);
+                                rank_group_per_slot(&s, group, &tsm, demand, allowed, &mut slots);
+                            }
+                            false
+                        });
+                    }),
+                );
+                assert_eq!(counted.0, counted.1, "slots scanned, {job:?} at {allowed:?}");
+                // `best_candidate` reads levels up to the first one with a
+                // reserved candidate; those must agree, the rest may not.
+                let read = slots.iter().position(Option::is_some).map_or(4, |l| l + 1);
+                assert_eq!(words[..read], slots[..read], "{job:?} d{demand} at {allowed:?}");
+                assert_eq!(
+                    s.best_candidate(job, priority, &tsm, demand, allowed, now),
+                    best_candidate_full_scan(&s, job, priority, &tsm, demand, allowed, now),
+                    "best candidate of {job:?} d{demand} at {allowed:?}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The word-wise reserved-slot ranking agrees with the per-slot
+        /// loop and the full scan on uniform and sized clusters.
+        #[test]
+        fn reserved_ranking_agrees_with_per_slot_reference(
+            seed in 0u64..1_000_000,
+            shape in 0usize..4,
+        ) {
+            check_reserved_ranking(seed, shape);
         }
     }
 

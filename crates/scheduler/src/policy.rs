@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use ssr_cluster::{Reservation, SlotId, SlotPool};
+use ssr_cluster::{Reservation, SlotBits, SlotId, SlotPool};
 use ssr_dag::{JobId, Priority, StageId, TaskId};
 use ssr_simcore::{SimDuration, SimTime};
 
@@ -76,9 +76,9 @@ pub struct PolicyCtx<'a> {
 }
 
 impl PolicyCtx<'_> {
-    /// Number of slots currently reserved for `job`.
+    /// Number of slots currently reserved for `job` — O(log owners).
     pub fn reserved_count(&self, job: JobId) -> usize {
-        self.slots.reserved_for(job).count()
+        self.slots.reserved_bits(job).map_or(0, SlotBits::len)
     }
 }
 
