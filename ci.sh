@@ -7,20 +7,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
-echo "==> ssr-lint (D004: partial_cmp in a comparator)"
-# The gate is "zero findings"; the per-code summary line prints how the
-# check fared. Recovery-path panics are clippy's (below), offer-round
-# allocations a tier-1 test's (tests/offer_round_allocations.rs).
-lint_dir=$(mktemp -d)
-cargo run -q --release -p ssr-lint --offline | tee "$lint_dir/lint.txt"
-grep -E "^per-code:" "$lint_dir/lint.txt"
-rm -rf "$lint_dir"
-
-echo "==> determinism fixtures (each retired ssr-lint fixture is rejected by its clippy lint)"
-# Lints crates/lint/tests/fixtures/determinism with the determinism pass
-# below and fails unless every `//~ LINT` line is rejected by LINT and
-# nothing else is.
-cargo test -q --offline -p ssr-lint --test lint_codes
+echo "==> determinism fixtures (each determinism code is rejected by its clippy lint)"
+# Lints tests/fixtures/determinism with the determinism pass below and
+# fails unless every `//~ LINT` line is rejected by LINT and nothing else
+# is.
+cargo test -q --offline --test lint_codes
 
 echo "==> cargo test -q"
 cargo test -q --workspace --offline

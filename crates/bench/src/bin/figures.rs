@@ -19,12 +19,6 @@
 //! deterministically: stdout is byte-identical at every worker count.
 //! Timing output goes to stderr only, so it never perturbs that guarantee.
 
-#![allow(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "non-deterministic crate: reads argv and the environment; stdout stays byte-identical"
-)]
-
 use std::process::ExitCode;
 
 use ssr_bench::figures;
@@ -73,6 +67,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
+    #[expect(clippy::disallowed_methods, reason = "the command line picks the figures to print")]
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(

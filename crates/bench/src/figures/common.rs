@@ -14,6 +14,7 @@ pub const FG_PRIORITY: Priority = Priority::new(10);
 pub const BG_PRIORITY: Priority = Priority::new(0);
 
 /// `true` when paper-scale runs were requested via `SSR_FULL=1`.
+#[expect(clippy::disallowed_methods, reason = "SSR_FULL picks the scale, not a run's outcome")]
 pub fn full_scale() -> bool {
     std::env::var("SSR_FULL").is_ok_and(|v| v != "0" && !v.is_empty())
 }

@@ -11,11 +11,6 @@
 //! cargo run -p ssr-bench --release --bin figures -- fig08 fig10
 //! ```
 
-#![allow(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "non-deterministic crate: wall-clock timing and file I/O around deterministic runs"
-)]
 #![deny(missing_docs)]
 
 pub mod figures;

@@ -18,6 +18,7 @@
 //! are ordered, and replays are pure, so the explored state count is a
 //! stable artifact that CI pins byte-for-byte.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, VecDeque};
 
 use ssr_cluster::{ClusterSpec, LocalityModel, SlotId};
@@ -30,7 +31,7 @@ use ssr_workload::synthetic::{map_only, pipeline_of};
 use crate::invariants::{InvariantChecker, Violation};
 
 /// One atomic step the explorer can take against the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Run one resource-offer round.
     Offer,
@@ -40,6 +41,32 @@ pub enum Action {
     Crash(u32),
     /// Bring a crashed node's slots back into service.
     Restore(u32),
+}
+
+impl Action {
+    /// The order key: the variant in declaration order, then its operand.
+    fn key(self) -> (u8, u32) {
+        match self {
+            Action::Offer => (0, 0),
+            Action::Finish(slot) => (1, slot),
+            Action::Crash(node) => (2, node),
+            Action::Restore(node) => (3, node),
+        }
+    }
+}
+
+impl PartialOrd for Action {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Action {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 /// The small configuration the explorer enumerates.
@@ -351,6 +378,13 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn actions_order_by_variant_then_operand() {
+        use Action::{Crash, Finish, Offer, Restore};
+        let actions = [Offer, Finish(0), Finish(1), Crash(0), Restore(0)];
+        assert!(actions.windows(2).all(|w| w[0] < w[1]), "{actions:?}");
+    }
 
     #[test]
     fn small_config_closes_with_deterministic_state_count() {

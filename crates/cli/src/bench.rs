@@ -213,6 +213,7 @@ pub fn cmd_diff(args: &[String]) -> Result<(), String> {
     let [old_path, new_path] = paths.as_slice() else {
         return Err("bench diff wants exactly two snapshots: OLD.json NEW.json".to_owned());
     };
+    #[expect(clippy::disallowed_methods, reason = "bench diff reads the snapshots it is given")]
     let read = |path: &String| {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
     };

@@ -10,6 +10,7 @@
 //! two orders of magnitude (Fig. 6) and modelled as a conservative 5× (10×
 //! in the amplified setting) in simulation (§VI-B).
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -20,7 +21,7 @@ use ssr_simcore::SimDuration;
 use crate::topology::{ClusterSpec, SlotId};
 
 /// A Spark-style locality level, best first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LocalityLevel {
     /// The slot holds the task's input data (and a warm JVM).
     ProcessLocal,
@@ -62,6 +63,20 @@ impl fmt::Display for LocalityLevel {
             LocalityLevel::Any => "ANY",
         };
         f.write_str(s)
+    }
+}
+
+impl PartialOrd for LocalityLevel {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for LocalityLevel {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        (*self as u8).cmp(&(*other as u8))
     }
 }
 
@@ -239,6 +254,11 @@ pub fn level_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn levels_order_best_first() {
+        assert!(LocalityLevel::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
 
     fn spec() -> ClusterSpec {
         // 4 nodes x 2 slots, racks of 2 nodes: slots 0-3 rack 0, 4-7 rack 1.

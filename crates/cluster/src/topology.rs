@@ -1,9 +1,10 @@
 //! Cluster topology: racks contain nodes, nodes host compute slots.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A compute-slot identifier, dense in `0..ClusterSpec::total_slots()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlotId(u32);
 
 impl SlotId {
@@ -31,8 +32,22 @@ impl fmt::Display for SlotId {
     }
 }
 
+impl PartialOrd for SlotId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SlotId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
 /// A machine identifier, dense in `0..ClusterSpec::nodes()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -53,8 +68,22 @@ impl fmt::Display for NodeId {
     }
 }
 
+impl PartialOrd for NodeId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for NodeId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
 /// A rack identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RackId(u32);
 
 impl RackId {
@@ -75,6 +104,20 @@ impl fmt::Display for RackId {
     }
 }
 
+impl PartialOrd for RackId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for RackId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
 /// Error produced when a cluster specification is invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyError {
@@ -84,6 +127,8 @@ pub enum TopologyError {
     NoSlotsPerNode,
     /// Racks must contain at least one node.
     NoNodesPerRack,
+    /// The slot count (`nodes * slots_per_node`) must fit a `u32`.
+    TooManySlots,
 }
 
 impl fmt::Display for TopologyError {
@@ -92,6 +137,7 @@ impl fmt::Display for TopologyError {
             TopologyError::NoNodes => write!(f, "cluster requires at least one node"),
             TopologyError::NoSlotsPerNode => write!(f, "nodes require at least one slot"),
             TopologyError::NoNodesPerRack => write!(f, "racks require at least one node"),
+            TopologyError::TooManySlots => write!(f, "slot count overflows u32"),
         }
     }
 }
@@ -153,7 +199,8 @@ impl ClusterSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`TopologyError`] if either argument is zero.
+    /// Returns a [`TopologyError`] if either argument is zero or the slot
+    /// count overflows `u32`.
     pub fn new(nodes: u32, slots_per_node: u32) -> Result<Self, TopologyError> {
         ClusterSpec::with_racks(nodes, slots_per_node, nodes.max(1))
     }
@@ -163,7 +210,8 @@ impl ClusterSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`TopologyError`] if any argument is zero.
+    /// Returns a [`TopologyError`] if any argument is zero or the slot
+    /// count overflows `u32`.
     pub fn with_racks(
         nodes: u32,
         slots_per_node: u32,
@@ -177,6 +225,9 @@ impl ClusterSpec {
         }
         if nodes_per_rack == 0 {
             return Err(TopologyError::NoNodesPerRack);
+        }
+        if nodes.checked_mul(slots_per_node).is_none() {
+            return Err(TopologyError::TooManySlots);
         }
         Ok(ClusterSpec { nodes, slots_per_node, nodes_per_rack, sizing: None })
     }
@@ -294,6 +345,14 @@ mod tests {
         assert_eq!(ClusterSpec::new(2, 0), Err(TopologyError::NoSlotsPerNode));
         assert_eq!(ClusterSpec::with_racks(2, 2, 0), Err(TopologyError::NoNodesPerRack));
         assert!(ClusterSpec::new(1, 1).is_ok());
+    }
+
+    #[test]
+    fn slot_count_must_fit_u32() {
+        assert_eq!(ClusterSpec::new(100_000, 100_000), Err(TopologyError::TooManySlots));
+        assert_eq!(ClusterSpec::with_racks(1 << 16, 1 << 16, 4), Err(TopologyError::TooManySlots));
+        let widest = ClusterSpec::new(1 << 16, (1 << 16) - 1).expect("fits u32");
+        assert_eq!(widest.total_slots(), u32::MAX - (1 << 16) + 1);
     }
 
     #[test]

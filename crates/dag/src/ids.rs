@@ -1,13 +1,14 @@
 //! Typed identifiers for jobs, phases and tasks, plus the scheduling
 //! priority.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A cluster-unique job (application) identifier.
 ///
 /// In the paper a *job* is an application (e.g. one KMeans run), not a
 /// single Spark action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobId(u64);
 
 impl JobId {
@@ -30,9 +31,23 @@ impl fmt::Display for JobId {
     }
 }
 
+impl PartialOrd for JobId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for JobId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
 /// A phase (stage) index within one job; phases are numbered in the order
 /// they were declared to the builder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StageId(u32);
 
 impl StageId {
@@ -58,8 +73,22 @@ impl fmt::Display for StageId {
     }
 }
 
+impl PartialOrd for StageId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for StageId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
 /// A task identifier: job + phase + partition index within the phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskId {
     /// The owning job.
     pub job: JobId,
@@ -82,6 +111,20 @@ impl fmt::Display for TaskId {
     }
 }
 
+impl PartialOrd for TaskId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TaskId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.job, self.stage, self.partition).cmp(&(other.job, other.stage, other.partition))
+    }
+}
+
 /// A scheduling priority; **larger is more important**.
 ///
 /// The paper's foreground (latency-sensitive) jobs receive a higher
@@ -99,7 +142,7 @@ impl fmt::Display for TaskId {
 /// assert!(fg > bg);
 /// assert_eq!(Priority::default(), Priority::new(0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Priority(i32);
 
 impl Priority {
@@ -122,6 +165,20 @@ impl Priority {
 impl fmt::Display for Priority {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "prio({})", self.0)
+    }
+}
+
+impl PartialOrd for Priority {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Priority {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
     }
 }
 
@@ -163,5 +220,14 @@ mod tests {
     #[test]
     fn stage_ordering_follows_index() {
         assert!(StageId::new(0) < StageId::new(1));
+    }
+
+    #[test]
+    fn task_ids_order_by_job_then_stage_then_partition() {
+        let task = |j, s, p| TaskId::new(JobId::new(j), StageId::new(s), p);
+        let ascending =
+            [task(0, 0, 0), task(0, 0, 9), task(0, 1, 0), task(1, 0, 0), task(1, 2, 3)];
+        assert!(ascending.windows(2).all(|w| w[0] < w[1]), "{ascending:?}");
+        assert_eq!(task(2, 1, 1).partial_cmp(&task(2, 1, 1)), Some(Ordering::Equal));
     }
 }

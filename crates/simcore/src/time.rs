@@ -3,6 +3,7 @@
 //! The simulator measures time in integer **microseconds** so that event
 //! ordering is exact (no floating-point ties) and replay is deterministic.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -23,7 +24,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(t.as_micros(), 3_250_000);
 /// assert_eq!(format!("{t}"), "3.250s");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
@@ -37,7 +38,7 @@ pub struct SimTime(u64);
 /// assert_eq!(d.as_micros(), 1_500_000);
 /// assert_eq!(d * 2, SimDuration::from_secs(3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -271,9 +272,37 @@ impl fmt::Display for SimTime {
     }
 }
 
+impl PartialOrd for SimTime {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SimTime {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}.{:03}s", self.0 / 1_000_000, (self.0 % 1_000_000) / 1_000)
+    }
+}
+
+impl PartialOrd for SimDuration {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SimDuration {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
     }
 }
 

@@ -13,7 +13,7 @@ use ssr_simcore::SimTime;
 ///
 /// The reason is computed by the engine only when tracing is enabled, by
 /// re-examining the slot pool from the declined job's perspective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DenyReason {
     /// The job has no task set with pending (unlaunched) tasks.
     NoPendingTasks,
@@ -42,6 +42,20 @@ impl DenyReason {
 impl std::fmt::Display for DenyReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+impl PartialOrd for DenyReason {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for DenyReason {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
     }
 }
 
@@ -336,5 +350,21 @@ impl TraceEvent {
     #[deny(clippy::panic, clippy::unreachable)]
     pub fn new(time: SimTime, kind: TraceEventKind) -> Self {
         TraceEvent { time, kind }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn deny_reasons_order_in_declaration_order() {
+        let reasons = [
+            DenyReason::NoPendingTasks,
+            DenyReason::LocalityWait,
+            DenyReason::ReservationDenied,
+            DenyReason::NoFittingSlot,
+        ];
+        assert!(reasons.windows(2).all(|w| w[0] < w[1]), "{reasons:?}");
     }
 }

@@ -1,7 +1,8 @@
 //! Lints the `tests/fixtures/determinism` crate exactly as ci.sh's
 //! determinism pass lints the workspace, and checks its `//~`
 //! annotations: a fixture line ending in `//~ LINT` must be rejected by
-//! LINT, and no other line may be.
+//! LINT, and no other line may be. The crate sits outside `crates/`, so
+//! clippy finds `crates/clippy.toml` through `CLIPPY_CONF_DIR`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -41,6 +42,7 @@ fn clippy_findings() -> &'static BTreeSet<(String, u64, String)> {
     FINDINGS.get_or_init(|| {
         let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
         let output = Command::new(cargo)
+            .env("CLIPPY_CONF_DIR", Path::new(env!("CARGO_MANIFEST_DIR")).join("crates"))
             .args(["clippy", "--offline", "--quiet", "--message-format=json", "--manifest-path"])
             .arg(fixture_crate().join("Cargo.toml"))
             .arg("--target-dir")

@@ -1,13 +1,35 @@
-//! Helpers shared by the lint crate's integration tests.
+//! Helpers shared by the determinism-contract tests.
+
+#![allow(dead_code, reason = "each test binary uses a subset of these helpers")]
 
 use std::path::{Path, PathBuf};
 
-use ssr_lint::find_workspace_root;
+/// Crates whose code is on the deterministic replay path: anything that
+/// executes between seed and report must be a pure function of its
+/// inputs. The crate-graph test keeps them from depending on the
+/// non-deterministic bench and cli crates.
+pub const DETERMINISTIC_CRATES: &[&str] = &[
+    "analytics", "check", "cluster", "core", "dag", "explain", "faults", "perf", "scheduler",
+    "sim", "simcore", "trace", "workload",
+];
 
-/// The workspace this crate ships in.
+/// The workspace root.
 pub fn workspace_root() -> PathBuf {
-    find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("crates/lint lives inside the workspace")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Appends every `.rs` file under `dir` (recursively) to `out`; a
+/// missing `dir` adds nothing.
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for entry in entries {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            collect_rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
 }
 
 /// Every attribute under `crates/*/src` that opts out of a determinism
@@ -17,8 +39,7 @@ pub fn opt_out_sites() -> Vec<(String, String)> {
     let root = workspace_root();
     let mut files = Vec::new();
     for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is listable") {
-        let src = entry.expect("dir entry").path().join("src");
-        ssr_lint::collect_rs_files(&src, &mut files).expect("sources are listable");
+        collect_rs_files(&entry.expect("dir entry").path().join("src"), &mut files);
     }
     files.sort();
     let mut sites = Vec::new();

@@ -1,20 +1,16 @@
 //! The crate-graph half of the determinism contract, read from
 //! `crates/*/Cargo.toml`. Clippy bans every nondeterministic source
-//! outside the three barrier modules and the bench, cli and lint crates;
+//! outside the three barrier modules and the bench and cli crates;
 //! if no deterministic crate depends on those crates, nondeterminism can
 //! reach deterministic code only through a barrier module. That is the
 //! guarantee the retired D101–D106 taint pass gave.
 
-use std::path::{Path, PathBuf};
+mod common;
 
-use ssr_lint::{find_workspace_root, DETERMINISTIC_CRATES};
-
-fn workspace_root() -> PathBuf {
-    find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("inside the workspace")
-}
+use common::{workspace_root, DETERMINISTIC_CRATES};
 
 /// Crates that may read clocks, files, argv and the environment.
-const NONDETERMINISTIC_CRATES: &[&str] = &["bench", "cli", "lint"];
+const NONDETERMINISTIC_CRATES: &[&str] = &["bench", "cli"];
 
 /// Vendored stand-ins a deterministic crate may depend on: plain
 /// serialization, outside clippy's reach but free of I/O and clocks.
@@ -138,7 +134,7 @@ fn root_package_and_fixture_crate_share_the_workspace_lints() {
     assert!(lints.contains(&"unsafe_code = \"forbid\""), "{lints:?}");
     assert!(lints.contains(&"allow_attributes_without_reason = \"warn\""), "{lints:?}");
     let fixture =
-        std::fs::read_to_string(root.join("crates/lint/tests/fixtures/determinism/Cargo.toml"))
+        std::fs::read_to_string(root.join("tests/fixtures/determinism/Cargo.toml"))
             .expect("fixture manifest");
     assert_eq!(workspace_lints(&fixture), lints, "the clippy fixture must lint like the workspace");
 }

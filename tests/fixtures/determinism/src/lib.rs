@@ -1,4 +1,4 @@
-//! Each module holds the fixture of one retired ssr-lint code (the
+//! Each module holds the fixture of one determinism code (the
 //! `p001*` modules: the clippy lints recovery code denies). A line
 //! ending in `//~ LINT` must be rejected by LINT; every other line must
 //! be clean.
@@ -7,6 +7,7 @@ pub mod clean;
 pub mod d001;
 pub mod d002;
 pub mod d003;
+pub mod d004;
 pub mod d005;
 pub mod d104;
 pub mod d105;

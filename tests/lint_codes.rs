@@ -1,7 +1,6 @@
-//! One fixture per retired or kept lint code, each rejected by its
-//! enforcer. D004 is still an ssr-lint pass; the other codes moved to
-//! clippy, so their fixtures live in the `tests/fixtures/determinism`
-//! crate, linted by [`clippy_fixture`].
+//! One fixture per determinism lint code, each rejected by the clippy
+//! lint that enforces it. The fixtures live in the
+//! `tests/fixtures/determinism` crate, linted by [`clippy_fixture`].
 
 mod clippy_fixture;
 mod common;
@@ -9,7 +8,7 @@ mod common;
 use std::collections::BTreeSet;
 
 use clippy_fixture::{assert_rejected, fixture_source};
-use ssr_lint::{lint_source, DETERMINISTIC_CRATES};
+use common::DETERMINISTIC_CRATES;
 
 /// Asserts that a barrier module opts out of `lint` with a reasoned
 /// `#![expect]`, so the lint still fires (and is expected) there.
@@ -36,16 +35,19 @@ fn d001_fires_on_hash_iteration() {
 
 #[test]
 fn d001_is_scoped_to_deterministic_crates() {
-    // Crate-root opt-outs live only in crates outside the deterministic
+    // No crate opts out wholesale. Outside the barrier modules' `#![expect]`,
+    // opt-outs sit on single items of crates outside the deterministic
     // set; the crate-graph test keeps deterministic crates from
     // depending on them.
-    let crate_roots: BTreeSet<String> = common::opt_out_sites()
+    let sites = common::opt_out_sites();
+    assert!(sites.iter().all(|(_, attr)| !attr.starts_with("#![allow(")), "{sites:?}");
+    let item_level: BTreeSet<String> = sites
         .into_iter()
-        .filter(|(_, attr)| attr.starts_with("#![allow(") && attr.contains("disallowed_types"))
+        .filter(|(_, attr)| attr.starts_with("#[expect("))
         .map(|(file, _)| file.split('/').nth(1).expect("crates/<name>/…").to_owned())
         .collect();
-    assert_eq!(crate_roots, BTreeSet::from(["bench", "cli", "lint"].map(String::from)));
-    assert!(crate_roots.iter().all(|c| !DETERMINISTIC_CRATES.contains(&c.as_str())));
+    assert_eq!(item_level, BTreeSet::from(["bench", "cli"].map(String::from)));
+    assert!(item_level.iter().all(|c| !DETERMINISTIC_CRATES.contains(&c.as_str())));
 }
 
 #[test]
@@ -70,20 +72,17 @@ fn d003_allows_the_trial_runner() {
 
 #[test]
 fn d004_fires_on_partial_cmp_comparator() {
-    let findings =
-        lint_source("crates/simcore/src/fixture.rs", include_str!("fixtures/d004_partial_cmp.rs"));
-    let codes: Vec<&str> = findings.iter().map(|d| d.code.as_str()).collect();
-    assert_eq!(codes, ["D004"], "got {findings:?}");
-    assert!(findings[0].hint.contains("total_cmp"));
+    assert_rejected("d004");
 }
 
 #[test]
 fn d004_is_quiet_on_total_cmp() {
-    let findings = lint_source(
-        "crates/simcore/src/fixture.rs",
-        "pub fn sort_floats(values: &mut Vec<f64>) {\n    values.sort_by(f64::total_cmp);\n}\n",
-    );
-    assert!(findings.is_empty(), "unexpected: {findings:?}");
+    // `d004` also holds a `total_cmp` sort and a hand-written order whose
+    // `partial_cmp` defers to `cmp`; neither line may be rejected.
+    let source = fixture_source("d004");
+    assert!(source.contains("    values.sort_by(f64::total_cmp);\n"));
+    assert!(source.contains("        Some(self.cmp(other))\n"));
+    assert_rejected("d004");
 }
 
 #[test]
