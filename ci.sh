@@ -129,10 +129,13 @@ cmp "$trace_dir/untraced.json" "$trace_dir/traced.json"
 grep -q '"event":"offer-declined"' "$trace_dir/timeout.jsonl"
 grep -q '"event":"reservation-expired"' "$trace_dir/timeout.jsonl"
 
-echo "==> figures byte-identity (figures all --jobs 2 vs the checked-in figures_output.txt)"
-# Perf changes must leave every figure byte alone; this holds them to it.
-./target/release/figures all --jobs 2 > "$trace_dir/figures.txt"
-cmp "$trace_dir/figures.txt" figures_output.txt
+echo "==> figures byte-identity (figures all at --jobs 1 and 2 vs the checked-in figures_output.txt)"
+# Perf changes must leave every figure byte alone, and the worker count
+# must not move one either; this holds them to both.
+for jobs in 1 2; do
+  ./target/release/figures all --jobs "$jobs" > "$trace_dir/figures$jobs.txt"
+  cmp "$trace_dir/figures$jobs.txt" figures_output.txt
+done
 
 echo "==> simbench (replica fidelity tests + one untraced and one traced pass per workload)"
 # The benchmark package pins the engine's counters and outputs and keeps

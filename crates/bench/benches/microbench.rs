@@ -1,36 +1,19 @@
 //! Criterion micro-benchmarks for the hot paths of the SSR stack:
-//! event-queue operations, duration sampling, resource-offer rounds at
-//! paper scale (4000 slots), the Algorithm-1 completion handler, the
-//! analytical model, and a small end-to-end simulation.
+//! duration sampling, the Algorithm-1 completion handler, the analytical
+//! model, and a small end-to-end simulation. Event-queue operations and
+//! resource-offer rounds are timed in `scheduler.rs`.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use ssr_analytics::straggler::mitigation_study;
 use ssr_analytics::tradeoff::{deadline_for_isolation, utilization_bound_for_isolation};
 use ssr_cluster::{ClusterSpec, LocalityModel};
 use ssr_dag::{JobSpecBuilder, Priority};
-use ssr_scheduler::{FifoPriority, TaskScheduler, WorkConserving};
+use ssr_scheduler::{FifoPriority, TaskScheduler};
 use ssr_sim::{OrderConfig, PolicyConfig, SimConfig, Simulation};
 use ssr_simcore::dist::{constant, pareto, Distribution, Pareto};
-use ssr_simcore::events::EventQueue;
 use ssr_simcore::rng::SimRng;
 use ssr_simcore::{SimDuration, SimTime};
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue/push_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(10_000);
-            for i in 0..10_000u64 {
-                q.push(SimTime::from_micros((i * 2_654_435_761) % 1_000_000), i);
-            }
-            let mut sum = 0u64;
-            while let Some((_, e)) = q.pop() {
-                sum = sum.wrapping_add(e);
-            }
-            black_box(sum)
-        })
-    });
-}
 
 fn bench_sampling(c: &mut Criterion) {
     let p = Pareto::new(1.0, 1.6).expect("valid");
@@ -61,36 +44,6 @@ fn bench_analytics(c: &mut Criterion) {
     c.bench_function("analytics/mitigation_study_n100_r50", |b| {
         b.iter(|| black_box(mitigation_study(1.6, 100, 50, 7).expect("valid")))
     });
-}
-
-/// One resource-offer round on a paper-scale cluster (1000 nodes x 4
-/// slots) with a backlogged job — the scheduler's hottest path.
-fn bench_resource_offers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scheduler/resource_offers");
-    for &slots in &[400u32, 4000] {
-        group.bench_with_input(BenchmarkId::from_parameter(slots), &slots, |b, &slots| {
-            b.iter_batched(
-                || {
-                    let mut sched = TaskScheduler::new(
-                        ClusterSpec::with_racks(slots / 4, 4, 20).expect("valid"),
-                        LocalityModel::paper_simulation().with_wait(SimDuration::ZERO),
-                        Box::new(WorkConserving),
-                        Box::new(FifoPriority),
-                    );
-                    let job = JobSpecBuilder::new("big")
-                        .priority(Priority::new(5))
-                        .stage("map", slots * 2, constant(1.0))
-                        .build()
-                        .expect("valid");
-                    sched.submit(job, SimTime::ZERO);
-                    sched
-                },
-                |mut sched| black_box(sched.resource_offers(SimTime::ZERO).len()),
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    group.finish();
 }
 
 /// The Algorithm-1 seam: a full submit/offer/finish cycle under SSR on a
@@ -178,10 +131,8 @@ fn bench_end_to_end(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_event_queue,
     bench_sampling,
     bench_analytics,
-    bench_resource_offers,
     bench_ssr_cycle,
     bench_end_to_end
 );

@@ -11,7 +11,7 @@
 //! freed background slots can be pre-reserved — with long background
 //! tasks, missing that window costs a full background task length.
 
-use ssr_sim::{Experiment, OrderConfig, PolicyConfig, SimConfig, TrialGrid};
+use ssr_sim::{par_map, worker_count, Experiment, OrderConfig, PolicyConfig, SimConfig};
 use ssr_simcore::SimDuration;
 use ssr_workload::{sql, SqlParams};
 
@@ -36,21 +36,25 @@ pub(crate) fn run_scaled(bg_jobs: u32, queries: u32, seed: u64) -> String {
 
     let mut table = Table::new(["R", "avg SQL slowdown"]);
     for &r in &THRESHOLDS {
-        // One trial grid per threshold, all rooted at the same seed:
-        // query i runs under seed ⊕ i at every threshold, so the rows
-        // compare R values over paired conditions. Trials fan out across
-        // the runner's worker pool and merge back in query order.
-        let grid = TrialGrid::new(seed).experiments(suite.iter().map(|q| {
-            Experiment::new(
-                SimConfig::new(cluster).stop_after([q.name()]),
-                PolicyConfig::ssr_with_prereserve_threshold(r),
-                OrderConfig::FifoPriority,
-            )
-            .foreground([q.clone()])
-            .background(background.clone())
-        }));
-        let results = grid.run();
-        let slowdowns: Vec<f64> = results.iter().map(|t| t.outcome.mean_slowdown()).collect();
+        // Query i runs under seed ⊕ i at every threshold, so the rows
+        // compare R values over paired conditions. Queries fan out across
+        // the worker pool and merge back in query order.
+        let trials: Vec<Experiment> = suite
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                Experiment::new(
+                    SimConfig::new(cluster).stop_after([q.name()]),
+                    PolicyConfig::ssr_with_prereserve_threshold(r),
+                    OrderConfig::FifoPriority,
+                )
+                .foreground([q.clone()])
+                .background(background.clone())
+                .with_seed(seed ^ i as u64)
+            })
+            .collect();
+        let results = par_map(worker_count(), &trials, Experiment::run);
+        let slowdowns: Vec<f64> = results.iter().map(|o| o.mean_slowdown()).collect();
         let avg = slowdowns.iter().sum::<f64>() / slowdowns.len().max(1) as f64;
         table.row([format!("{r:.1}"), format!("{avg:.3}x")]);
     }

@@ -21,7 +21,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, VecDeque};
 
-use ssr_cluster::{ClusterSpec, LocalityModel, SlotId};
+use ssr_cluster::{ClusterSpec, LocalityModel, NodeId, SlotId};
 use ssr_core::{SpeculativeReservation, SsrConfig};
 use ssr_dag::Priority;
 use ssr_scheduler::{FifoPriority, TaskScheduler};
@@ -247,8 +247,7 @@ fn replay(cfg: &ExploreConfig, actions: &[Action]) -> (TaskScheduler, Vec<Violat
 }
 
 fn node_slots(sched: &TaskScheduler, node: u32) -> Vec<SlotId> {
-    let spec = sched.cluster_spec();
-    spec.iter_slots().filter(|&s| spec.node_of(s).as_u32() == node).collect()
+    sched.cluster_spec().slots_of(NodeId::new(node)).collect()
 }
 
 /// Canonical state fingerprint, excluding absolute time: per-slot

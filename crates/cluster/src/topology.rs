@@ -318,15 +318,16 @@ impl ClusterSpec {
         RackId::new(node.as_u32() / self.nodes_per_rack)
     }
 
-    /// The slots hosted by `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range for this cluster.
+    /// The slots hosted by `node`, ascending: its contiguous id range.
+    /// None for a node outside the cluster.
     pub fn slots_of(&self, node: NodeId) -> impl Iterator<Item = SlotId> {
-        assert!(node.as_u32() < self.nodes, "{node} out of range");
-        let start = node.as_u32() * self.slots_per_node;
-        (start..start + self.slots_per_node).map(SlotId::new)
+        let ids = if node.as_u32() < self.nodes {
+            let start = node.as_u32() * self.slots_per_node;
+            start..start + self.slots_per_node
+        } else {
+            0..0
+        };
+        ids.map(SlotId::new)
     }
 
     /// Iterator over all slot ids.
@@ -383,6 +384,8 @@ mod tests {
             }
         }
         assert_eq!(spec.iter_slots().count(), 12);
+        assert_eq!(spec.slots_of(NodeId::new(4)).count(), 0, "past the cluster: no slots");
+        assert_eq!(spec.slots_of(NodeId::new(u32::MAX)).count(), 0);
     }
 
     #[test]

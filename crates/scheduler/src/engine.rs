@@ -347,16 +347,10 @@ impl TaskScheduler {
 
     /// Admits a job at `now`; its root phases become ready immediately.
     pub fn submit(&mut self, spec: JobSpec, now: SimTime) -> JobId {
-        self.submit_weighted(spec, 1.0, now)
-    }
-
-    /// Admits a job with a fair-share weight.
-    pub fn submit_weighted(&mut self, spec: JobSpec, weight: f64, now: SimTime) -> JobId {
         self.advance_clock(now);
         let id = JobId::new(self.next_job);
         self.next_job += 1;
         let mut state = JobState::new(id, spec, now);
-        state.set_weight(weight);
         self.emit(now, |_| TraceEventKind::JobSubmitted {
             job: id,
             name: state.spec().name().to_owned(),
@@ -550,7 +544,6 @@ impl TaskScheduler {
             priority: j.priority(),
             arrival: j.submitted_at(),
             running_slots: j.running_count(),
-            weight: j.weight(),
         }));
         self.snapshots_dirty = false;
     }

@@ -76,7 +76,6 @@ pub struct JobState {
     stats: BTreeMap<StageId, StageStats>,
     submitted_at: SimTime,
     completed_at: Option<SimTime>,
-    weight: f64,
     /// Slots currently running an instance (original or copy) of this job.
     running: usize,
 }
@@ -92,7 +91,6 @@ impl JobState {
             stats: BTreeMap::new(),
             submitted_at,
             completed_at: None,
-            weight: 1.0,
             running: 0,
         }
     }
@@ -130,11 +128,6 @@ impl JobState {
     /// `true` once every phase has completed.
     pub fn is_complete(&self) -> bool {
         self.completed_at.is_some()
-    }
-
-    /// Fair-share weight.
-    pub fn weight(&self) -> f64 {
-        self.weight
     }
 
     /// Number of slots currently running an instance of this job —
@@ -203,10 +196,6 @@ impl JobState {
 
     pub(crate) fn mark_complete(&mut self, at: SimTime) {
         self.completed_at = Some(at);
-    }
-
-    pub(crate) fn set_weight(&mut self, weight: f64) {
-        self.weight = weight;
     }
 }
 
@@ -470,7 +459,6 @@ mod tests {
         assert_eq!(js.submitted_at(), SimTime::from_secs(1));
         assert!(js.taskset(StageId::new(0)).is_none());
         assert!(!js.has_pending_tasks());
-        assert_eq!(js.weight(), 1.0);
     }
 
     #[test]

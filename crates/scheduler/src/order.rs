@@ -24,8 +24,6 @@ pub struct JobSnapshot {
     pub arrival: SimTime,
     /// Slots currently running its tasks (for fair sharing).
     pub running_slots: usize,
-    /// Fair-share weight (≥ 1.0; larger earns a larger share).
-    pub weight: f64,
 }
 
 /// A policy that picks which job receives the next available slot.
@@ -102,7 +100,7 @@ impl JobOrder for Fifo {
 }
 
 /// Max-min fair sharing via dynamic priority: the job with the smallest
-/// weighted running allocation is served first (the Spark Fair Scheduler
+/// running allocation is served first (the Spark Fair Scheduler
 /// behaviour used in the paper's Fig. 13 experiment).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fair;
@@ -113,9 +111,10 @@ impl JobOrder for Fair {
     }
 
     fn compare(&self, a: &JobSnapshot, b: &JobSnapshot) -> Ordering {
-        let sa = a.running_slots as f64 / a.weight.max(1e-9);
-        let sb = b.running_slots as f64 / b.weight.max(1e-9);
-        sa.total_cmp(&sb).then(a.arrival.cmp(&b.arrival)).then(a.id.cmp(&b.id))
+        a.running_slots
+            .cmp(&b.running_slots)
+            .then(a.arrival.cmp(&b.arrival))
+            .then(a.id.cmp(&b.id))
     }
 
     fn name(&self) -> &'static str {
@@ -157,7 +156,6 @@ mod tests {
             priority: Priority::new(prio),
             arrival: SimTime::from_secs(arrival),
             running_slots: running,
-            weight: 1.0,
         }
     }
 
@@ -197,16 +195,6 @@ mod tests {
     fn fair_serves_least_allocated() {
         let c = [snap(1, 0, 0, 8), snap(2, 0, 5, 2)];
         assert_eq!(Fair.select(&c), Some(JobId::new(2)));
-    }
-
-    #[test]
-    fn fair_respects_weights() {
-        // Job 1 runs 4 slots at weight 4 (share 1); job 2 runs 2 at weight 1
-        // (share 2) -> job 1 is more underserved.
-        let mut a = snap(1, 0, 0, 4);
-        a.weight = 4.0;
-        let b = snap(2, 0, 0, 2);
-        assert_eq!(Fair.select(&[a, b]), Some(JobId::new(1)));
     }
 
     #[test]
@@ -327,16 +315,15 @@ mod tests {
         /// select-only order that relies on the default `compare`.
         #[test]
         fn sorted_queue_serves_like_repeated_select(
-            jobs in proptest::collection::vec((0i32..3, 0u64..4, 0usize..6, 1u32..4), 0..24),
+            jobs in proptest::collection::vec((0i32..3, 0u64..4, 0usize..6), 0..24),
             outcomes in proptest::collection::vec(outcome_strategy(), 0..80),
         ) {
             let candidates: Vec<JobSnapshot> = jobs
                 .iter()
                 .enumerate()
-                .map(|(i, &(prio, arrival, running, weight))| JobSnapshot {
-                    weight: f64::from(weight),
+                .map(|(i, &(prio, arrival, running))| {
                     // Ids out of arrival order, so the id tie-break matters.
-                    ..snap((i as u64 * 7) % 31, prio, arrival, running)
+                    snap((i as u64 * 7) % 31, prio, arrival, running)
                 })
                 .collect();
             let orders: [&dyn JobOrder; 4] = [&FifoPriority, &Fifo, &Fair, &SelectOnly(Fair)];

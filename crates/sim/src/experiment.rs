@@ -170,11 +170,6 @@ pub struct ExperimentOutcome {
     /// Events processed across the contended run and every alone
     /// baseline. Deterministic per seed.
     pub events_processed: u64,
-    /// Wall-clock seconds the whole experiment took. Excluded from
-    /// serialization so outcomes stay byte-identical across runs and
-    /// worker counts.
-    #[serde(skip)]
-    pub wall_secs: f64,
     /// Deterministic work counters merged over the contended run and
     /// every alone baseline, in foreground order — identical at any
     /// worker count. Excluded from serialization; counters carry their
@@ -274,8 +269,9 @@ impl Experiment {
         self.sim_config.cluster()
     }
 
-    /// Re-seeds the underlying simulation — the hook the trial runner uses
-    /// to give each repetition of a grid its own RNG stream.
+    /// Re-seeds the underlying simulation — the hook a fan-out through
+    /// [`par_map`](crate::par_map) uses to give each trial its own RNG
+    /// stream.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.sim_config = self.sim_config.with_seed(seed);
@@ -325,7 +321,6 @@ impl Experiment {
         profiler: Option<Box<SpanProfiler>>,
         trace_baselines: bool,
     ) -> InstrumentedOutcome {
-        let started = crate::walltime::Stopwatch::start();
         let mut jobs = self.foreground.clone();
         jobs.extend(self.background.iter().cloned());
         let mut sim =
@@ -395,7 +390,6 @@ impl Experiment {
             foreground,
             contended,
             events_processed,
-            wall_secs: started.elapsed_secs(),
             counters,
         };
         (outcome, sink, alone_traces, profiler)

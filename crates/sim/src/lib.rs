@@ -12,7 +12,10 @@
 //! * [`Simulation`] — one end-to-end simulated run,
 //! * [`SimReport`] / [`JobResult`] — the collected metrics,
 //! * [`experiment`] — the contention harness: foreground vs background
-//!   workloads, run-alone baselines, slowdown computation and repetition.
+//!   workloads, run-alone baselines and slowdown computation,
+//! * [`par_map`] / [`worker_count`] — the order-preserving parallel map
+//!   that fans independent trials out across workers with output
+//!   identical at every worker count.
 //!
 //! # Example
 //!
@@ -43,6 +46,6 @@ pub mod walltime;
 
 pub use experiment::{Experiment, ExperimentOutcome, OrderConfig, PolicyConfig, SlowdownRow};
 pub use report::{JobResult, SimReport, TaskTraceRecord, TimeSample};
-pub use runner::{merged_counters, par_map, worker_count, GridStats, Trial, TrialGrid, TrialResult};
+pub use runner::{par_map, worker_count};
 pub use simulation::{SimConfig, Simulation};
 pub use ssr_faults::{FaultEvent, FaultKind, FaultPlan};

@@ -102,11 +102,6 @@ pub struct SimReport {
     /// Events processed by the run loop. Deterministic per seed, so it is
     /// serialized and pinned by the determinism regression tests.
     pub events_processed: u64,
-    /// Wall-clock seconds the run took. Machine- and load-dependent, so
-    /// it is excluded from serialization: serialized reports stay
-    /// byte-identical across runs and worker counts.
-    #[serde(skip)]
-    pub wall_secs: f64,
     /// Deterministic work counters accumulated by the scheduler and the
     /// event queue over the run. Excluded from serialization — counters
     /// carry their own sorted-key report
@@ -234,7 +229,6 @@ mod tests {
             timeseries: vec![],
             trace: vec![],
             events_processed: 12,
-            wall_secs: 0.0,
             counters: WorkCounters::default(),
         }
     }

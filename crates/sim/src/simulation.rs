@@ -1,8 +1,6 @@
 //! The discrete-event simulation loop.
 
-use std::collections::BTreeMap;
-
-use ssr_cluster::{ClusterSpec, LocalityLevel, LocalityModel, SlotId};
+use ssr_cluster::{ClusterSpec, LocalityLevel, LocalityModel, NodeId, SlotId};
 use ssr_dag::{JobId, JobSpec};
 use ssr_faults::{FaultKind, FaultPlan};
 use ssr_perf::SpanProfiler;
@@ -152,7 +150,7 @@ pub struct Simulation {
     seed: u64,
     now: SimTime,
     jobs: Vec<JobSpec>,
-    submitted: BTreeMap<JobId, usize>,
+    submitted: usize,
     slot_tokens: Vec<u64>,
     collector: Collector,
     tracked: Vec<(JobId, String)>,
@@ -232,7 +230,7 @@ impl Simulation {
             seed: config.seed,
             now: SimTime::ZERO,
             jobs,
-            submitted: BTreeMap::new(),
+            submitted: 0,
             slot_tokens: vec![0; total_slots],
             collector: Collector::new(),
             tracked: Vec::new(),
@@ -303,12 +301,10 @@ impl Simulation {
     pub fn run_instrumented(
         mut self,
     ) -> (SimReport, Option<Box<dyn ssr_trace::TraceSink>>, Option<Box<SpanProfiler>>) {
-        let started = crate::walltime::Stopwatch::start();
         self.run_loop();
         let sink = self.sched.take_trace_sink();
         let profiler = self.sched.take_span_profiler();
-        let mut report = self.finish_report();
-        report.wall_secs = started.elapsed_secs();
+        let report = self.finish_report();
         (report, sink, profiler)
     }
 
@@ -357,7 +353,7 @@ impl Simulation {
                 Event::JobArrival(index) => {
                     let spec = self.jobs[index].clone();
                     let id = self.sched.submit(spec, t);
-                    self.submitted.insert(id, index);
+                    self.submitted += 1;
                     if self.track_names.iter().any(|n| n == self.jobs[index].name()) {
                         self.tracked.push((id, self.jobs[index].name().to_owned()));
                     }
@@ -396,7 +392,7 @@ impl Simulation {
             if !self.stop_names.is_empty() && self.stop_pending == 0 {
                 break;
             }
-            if !self.sched.has_unfinished_jobs() && self.submitted.len() == self.jobs.len() {
+            if !self.sched.has_unfinished_jobs() && self.submitted == self.jobs.len() {
                 break;
             }
         }
@@ -473,8 +469,7 @@ impl Simulation {
     /// All slots hosted on `node` (an out-of-range node has none — the
     /// fault is then a no-op).
     fn node_slots(&self, node: u32) -> Vec<SlotId> {
-        let spec = self.sched.cluster_spec();
-        spec.iter_slots().filter(|&s| spec.node_of(s).as_u32() == node).collect()
+        self.sched.cluster_spec().slots_of(NodeId::new(node)).collect()
     }
 
     /// Runs one resource-offer round and schedules the resulting finish,
@@ -640,7 +635,7 @@ impl Simulation {
         // Report unfinished jobs too.
         let mut jobs: Vec<JobResult> =
             self.collector.results.iter().map(|(_, r)| r.clone()).collect();
-        let mut all_done = self.submitted.len() == self.jobs.len();
+        let mut all_done = self.submitted == self.jobs.len();
         for state in self.sched.jobs().iter() {
             if state.is_complete() {
                 continue;
@@ -671,7 +666,6 @@ impl Simulation {
             timeseries: self.collector.timeseries,
             trace: self.collector.trace,
             events_processed: self.collector.events_processed,
-            wall_secs: 0.0,
             counters,
         }
     }
@@ -1041,6 +1035,28 @@ mod tests {
         // Every partition still finishes exactly once.
         let finished = report.trace.iter().filter(|r| r.outcome == "finished").count();
         assert_eq!(finished, 8);
+    }
+
+    #[test]
+    fn crash_of_a_node_past_the_cluster_is_a_no_op() {
+        let run = |plan: FaultPlan| {
+            let jobs = vec![
+                pareto_pipeline("fg", 3, 8, 1.0, 1.4, Priority::new(10)).unwrap(),
+                map_only("bg", 16, constant(5.0), Priority::new(0)).unwrap(),
+            ];
+            let cfg = config(2, 4).with_seed(11).with_faults(plan);
+            Simulation::new(cfg, PolicyConfig::ssr_strict(), OrderConfig::FifoPriority, jobs)
+                .with_trace_sink(Box::new(ssr_trace::JsonlSink::new()))
+                .run_traced()
+        };
+        let (plain, _) = run(FaultPlan::new());
+        let past = FaultKind::NodeCrash { node: 2, down: Some(SimDuration::from_secs(3)) };
+        let (faulted, sink) = run(FaultPlan::new().with(SimTime::from_secs(1), past));
+        let jsonl = jsonl_of(sink.unwrap());
+        assert!(!jsonl.contains("\"slot-offline\""), "no slot goes offline");
+        assert!(!jsonl.contains("\"task-crashed\""), "no task is killed");
+        let jcts = |r: &SimReport| r.jobs.iter().map(|j| j.jct).collect::<Vec<_>>();
+        assert_eq!(jcts(&faulted), jcts(&plain));
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! `crates/clippy.toml` disallows `Instant`/`SystemTime` everywhere
 //! except this module: real time must never influence simulated results,
 //! so every wall-clock read in the workspace funnels through
-//! [`Stopwatch`], whose readings only ever reach *stderr* timing output
-//! (`--timing`) and `#[serde(skip)]` fields — never serialized reports.
+//! [`Stopwatch`], whose readings only ever reach *stderr* (`--timing`,
+//! `--progress`, `--profile`) — never a report.
 //!
 //! If you need timing somewhere new, take a [`Stopwatch`] here rather
 //! than opting another module out of the ban.
 
 #![expect(
     clippy::disallowed_types,
-    reason = "the wall-clock barrier: readings reach stderr and skipped fields only"
+    reason = "the wall-clock barrier: readings reach stderr only"
 )]
 
 use std::time::Instant;

@@ -64,8 +64,7 @@ pub mod prelude {
     pub use ssr_faults::{FaultKind, FaultPlan};
     pub use ssr_scheduler::{Fair, FifoPriority, TaskScheduler, WorkConserving};
     pub use ssr_sim::{
-        Experiment, ExperimentOutcome, OrderConfig, PolicyConfig, SimConfig, SimReport,
-        Simulation, TrialGrid, TrialResult,
+        Experiment, ExperimentOutcome, OrderConfig, PolicyConfig, SimConfig, SimReport, Simulation,
     };
     pub use ssr_simcore::{SimDuration, SimTime};
 }
