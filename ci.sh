@@ -23,6 +23,9 @@ echo "==> determinism pass (crates/clippy.toml bans on shipped code; tests exemp
 cargo clippy --workspace --lib --bins --offline -- -D warnings \
   -D clippy::disallowed_types -D clippy::disallowed_methods
 
+echo "==> cargo doc (broken intra-doc links and other rustdoc warnings fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo bench -- --test (smoke)"
 cargo bench --workspace --offline -- --test
 

@@ -9,8 +9,9 @@
 //! round at 8 and 64 groups, and the process-local search of a phase
 //! preferring 2,000 of 4,000 slots), the ranking of an owner's 2,000
 //! reserved slots for a candidate that declines them, a full small-grid
-//! simulation, and
-//! event-queue throughput including the recycled-allocation path.
+//! simulation, the trace codec (writing and reading the small-grid SSR
+//! run's decision trace), and event-queue throughput including the
+//! recycled-allocation path.
 //!
 //! Regenerate the JSON with:
 //!
@@ -28,6 +29,7 @@ use ssr_sim::{OrderConfig, PolicyConfig, SimConfig, Simulation};
 use ssr_simcore::dist::{constant, pareto};
 use ssr_simcore::events::EventQueue;
 use ssr_simcore::{SimDuration, SimTime};
+use ssr_trace::{parse_trace, JsonlSink, TraceEvent, TraceSink, VecSink};
 
 /// The scales the acceptance criteria track: a small rack, a mid-size
 /// cluster, and the paper's 1000-node / 4000-slot simulator.
@@ -398,32 +400,72 @@ fn bench_full_sim_small_grid(c: &mut Criterion) {
         ("ssr", PolicyConfig::ssr_strict()),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| {
-                let fg = JobSpecBuilder::new("fg")
-                    .priority(Priority::new(10))
-                    .stage("up", 40, pareto(1.0, 1.6))
-                    .stage("down", 40, pareto(1.0, 1.6))
-                    .chain()
-                    .build()
-                    .expect("valid");
-                let bg = JobSpecBuilder::new("bg")
-                    .priority(Priority::new(0))
-                    .stage("map", 400, constant(5.0))
-                    .build()
-                    .expect("valid");
-                let report = Simulation::new(
-                    SimConfig::new(ClusterSpec::with_racks(25, 4, 20).expect("valid"))
-                        .with_seed(7),
-                    policy.clone(),
-                    OrderConfig::FifoPriority,
-                    vec![fg, bg],
-                )
-                .run();
-                black_box(report.makespan_secs)
-            })
+            b.iter(|| black_box(small_grid_simulation(policy.clone()).run().makespan_secs))
         });
     }
     group.finish();
+}
+
+/// The small-grid mix: a two-stage foreground job against a 400-task
+/// background job on 100 slots, at seed 7.
+fn small_grid_simulation(policy: PolicyConfig) -> Simulation {
+    let fg = JobSpecBuilder::new("fg")
+        .priority(Priority::new(10))
+        .stage("up", 40, pareto(1.0, 1.6))
+        .stage("down", 40, pareto(1.0, 1.6))
+        .chain()
+        .build()
+        .expect("valid");
+    let bg = JobSpecBuilder::new("bg")
+        .priority(Priority::new(0))
+        .stage("map", 400, constant(5.0))
+        .build()
+        .expect("valid");
+    Simulation::new(
+        SimConfig::new(ClusterSpec::with_racks(25, 4, 20).expect("valid")).with_seed(7),
+        policy,
+        OrderConfig::FifoPriority,
+        vec![fg, bg],
+    )
+}
+
+/// The decision events of the small-grid mix under SSR, so the trace
+/// rows see a real run's event mix.
+fn recorded_events() -> Vec<TraceEvent> {
+    let (_, sink) = small_grid_simulation(PolicyConfig::ssr_strict())
+        .with_trace_sink(Box::new(VecSink::new()))
+        .run_traced();
+    sink.expect("sink attached")
+        .into_any()
+        .downcast::<VecSink>()
+        .expect("a VecSink")
+        .into_events()
+}
+
+/// Trace emission and reading, per recorded stream: `JsonlSink`
+/// rendering every event of [`recorded_events`], and `parse_trace`
+/// reading the document back. Divide by the stream's event count for ns
+/// per event.
+fn bench_trace_codec(c: &mut Criterion) {
+    let events = recorded_events();
+    let mut sink = JsonlSink::new();
+    for e in &events {
+        sink.record(e);
+    }
+    let doc = sink.finish();
+    assert_eq!(parse_trace(&doc).expect("writer output parses").events, events);
+    c.bench_function("trace/jsonl_record", |b| {
+        b.iter(|| {
+            let mut sink = JsonlSink::new();
+            for e in &events {
+                sink.record(e);
+            }
+            black_box(sink.finish().len())
+        })
+    });
+    c.bench_function("trace/parse", |b| {
+        b.iter(|| black_box(parse_trace(&doc).map(|t| t.events.len())))
+    });
 }
 
 /// Event-queue push/pop throughput, including the recycled-allocation
@@ -470,6 +512,7 @@ criterion_group!(
     bench_rank_reserved,
     bench_saturated_reoffer,
     bench_full_sim_small_grid,
+    bench_trace_codec,
     bench_event_queue
 );
 criterion_main!(benches);

@@ -178,17 +178,9 @@ impl ExploreReport {
             ("truncated", Value::UInt(self.truncated)),
             ("violations", violations),
         ]);
-        let mut out = serde_json::to_string_pretty(&Raw(root)).expect("serializer is total");
+        let mut out = serde_json::to_string_pretty(&root).expect("serializer is total");
         out.push('\n');
         out
-    }
-}
-
-struct Raw(serde::Value);
-
-impl serde::Serialize for Raw {
-    fn to_value(&self) -> serde::Value {
-        self.0.clone()
     }
 }
 

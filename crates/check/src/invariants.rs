@@ -121,18 +121,9 @@ impl CheckReport {
             ("events", Value::UInt(self.events)),
             ("violations", violations),
         ]);
-        let mut out = serde_json::to_string_pretty(&Raw(root)).expect("serializer is total");
+        let mut out = serde_json::to_string_pretty(&root).expect("serializer is total");
         out.push('\n');
         out
-    }
-}
-
-/// Forwards an already-built `Value` through the `Serialize` entry point.
-struct Raw(serde::Value);
-
-impl serde::Serialize for Raw {
-    fn to_value(&self) -> serde::Value {
-        self.0.clone()
     }
 }
 

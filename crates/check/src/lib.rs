@@ -12,7 +12,7 @@
 //!    an out-of-service slot). Attach it to any run, or feed it a parsed trace
 //!    after the fact.
 //!
-//! 2. **Bounded-exhaustive exploration** — [`explore`] drives the real
+//! 2. **Bounded-exhaustive exploration** — [`explore()`] drives the real
 //!    `TaskScheduler` through every interleaving of offer, finish, crash
 //!    and restore actions reachable on a small configuration (breadth
 //!    first over canonical state fingerprints, depth bounded), with the

@@ -253,18 +253,9 @@ impl Report {
             ("slots", Value::UInt(tl.slots as u64)),
             ("trace_schema_version", Value::UInt(u64::from(self.trace_schema_version))),
         ]);
-        let mut out = serde_json::to_string_pretty(&Raw(root)).expect("serializer is total");
+        let mut out = serde_json::to_string_pretty(&root).expect("serializer is total");
         out.push('\n');
         out
-    }
-}
-
-/// Forwards an already-built `Value` through the `Serialize` entry point.
-struct Raw(Value);
-
-impl serde::Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
     }
 }
 

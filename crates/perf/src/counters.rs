@@ -179,7 +179,7 @@ impl WorkCounters {
             self.fields().iter().map(|(n, c, _)| ((*n).to_owned(), Value::UInt(c.get()))).collect(),
         );
         debug_assert!(crate::sorted_keys(&root), "counter JSON keys must be sorted");
-        serde_json::to_string_pretty(&crate::Raw(root)).expect("serializer is total")
+        serde_json::to_string_pretty(&root).expect("serializer is total")
     }
 }
 

@@ -41,12 +41,3 @@ pub(crate) fn sorted_keys(v: &Value) -> bool {
         _ => true,
     }
 }
-
-/// Serializes a pre-built [`Value`] tree verbatim.
-pub(crate) struct Raw(pub(crate) Value);
-
-impl serde::Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}

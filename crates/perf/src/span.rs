@@ -203,7 +203,7 @@ impl SpanReport {
             .collect();
         let root = Value::Object(vec![("spans".to_owned(), Value::Array(rows))]);
         debug_assert!(crate::sorted_keys(&root), "span JSON keys must be sorted");
-        serde_json::to_string_pretty(&crate::Raw(root)).expect("serializer is total")
+        serde_json::to_string_pretty(&root).expect("serializer is total")
     }
 }
 

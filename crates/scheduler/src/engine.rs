@@ -255,8 +255,8 @@ impl TaskScheduler {
         self
     }
 
-    /// Attaches a decision-trace sink (builder form). See [`set_trace_sink`]
-    /// (`TaskScheduler::set_trace_sink`).
+    /// Attaches a decision-trace sink (builder form). See
+    /// [`set_trace_sink`](TaskScheduler::set_trace_sink).
     pub fn with_trace_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.set_trace_sink(sink);
         self

@@ -7,6 +7,13 @@
 //! the engine emitted. A trace written by `JsonlSink` and read back
 //! round-trips exactly, field for field and timestamp for timestamp.
 //!
+//! Neither direction builds a `serde::Value` tree per line. The writer
+//! formats each line straight into its buffer, in the vendored
+//! serializer's byte format; the reader borrows each line's keys and
+//! strings from the input and leaves escape decoding to the vendored
+//! parser. Tests hold the writer to the tree writer it replaced and the
+//! reader to the vendored parser.
+//!
 //! The reader accepts schema v1 through v3 documents. v1 traces lack the
 //! per-stage DAG metadata on `job-submitted` and the blocked `stage` on
 //! `offer-declined`; those fields read back as empty/`None` and downstream
@@ -16,8 +23,9 @@
 //! simply contain none of them.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::cell::Cell;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use serde::Value;
 use ssr_dag::{JobId, Priority, StageId};
@@ -77,11 +85,7 @@ impl JsonlSink {
     /// Creates a sink and writes the `trace-start` header line.
     pub fn new() -> Self {
         let mut sink = JsonlSink { out: String::new(), seq: 0 };
-        let header = Value::Object(vec![(
-            "schema_version".into(),
-            Value::UInt(u64::from(SCHEMA_VERSION)),
-        )]);
-        sink.write_line("trace-start", 0.0, header);
+        sink.write_line("trace-start", 0.0, |f| f.uint("schema_version", SCHEMA_VERSION));
         sink
     }
 
@@ -96,15 +100,21 @@ impl JsonlSink {
         &self.out
     }
 
-    fn write_line(&mut self, event: &str, time_secs: f64, fields: Value) {
-        debug_assert!(sorted_keys(&fields), "JSONL field keys must be sorted: {fields:?}");
-        let line = Value::Object(vec![
-            ("event".into(), Value::Str(event.into())),
-            ("fields".into(), fields),
-            ("seq".into(), Value::UInt(self.seq)),
-            ("time_secs".into(), Value::Float(time_secs)),
-        ]);
-        self.out.push_str(&serde_json::to_string(&Raw(line)).expect("serializer is total"));
+    /// Appends one line: the event name, the payload `fields` writes, the
+    /// sequence number and the timestamp.
+    fn write_line(
+        &mut self,
+        event: &'static str,
+        time_secs: f64,
+        fields: impl FnOnce(&mut FieldWriter<'_>),
+    ) {
+        let seq = self.seq;
+        FieldWriter::write_object(&mut self.out, |line| {
+            line.ident("event", event);
+            line.object("fields", fields);
+            line.uint("seq", seq);
+            line.float("time_secs", time_secs);
+        });
         self.out.push('\n');
         self.seq += 1;
     }
@@ -112,8 +122,7 @@ impl JsonlSink {
 
 impl TraceSink for JsonlSink {
     fn record(&mut self, event: &TraceEvent) {
-        let fields = event_fields(&event.kind);
-        self.write_line(event.kind.name(), event.time.as_secs_f64(), fields);
+        self.write_line(event.kind.name(), event.time.as_secs_f64(), |f| write_fields(f, &event.kind));
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -121,139 +130,214 @@ impl TraceSink for JsonlSink {
     }
 }
 
-/// Lowers an event's payload into a `Value::Object` with sorted keys.
-fn event_fields(kind: &TraceEventKind) -> Value {
+/// Writes one JSON object's members straight into the line buffer, in the
+/// byte format of the vendored serializer: integers as `{n}`, floats as
+/// `{x:?}` (`null` when not finite), free text through its string escaping.
+///
+/// Keys must come in sorted order, as the format promises; debug builds
+/// check it.
+struct FieldWriter<'o> {
+    out: &'o mut String,
+    last: Option<&'static str>,
+}
+
+impl FieldWriter<'_> {
+    /// Writes `{`, the members, then `}`.
+    fn write_object(out: &mut String, members: impl FnOnce(&mut FieldWriter<'_>)) {
+        out.push('{');
+        let mut writer = FieldWriter { out, last: None };
+        members(&mut writer);
+        writer.out.push('}');
+    }
+
+    /// Writes the separator and `"key":`, returning the buffer for the value.
+    fn key(&mut self, key: &'static str) -> &mut String {
+        debug_assert!(
+            self.last.is_none_or(|last| last < key),
+            "JSONL keys must be sorted: {key:?} after {:?}",
+            self.last
+        );
+        if self.last.is_some() {
+            self.out.push(',');
+        }
+        self.last = Some(key);
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    fn object(&mut self, key: &'static str, members: impl FnOnce(&mut FieldWriter<'_>)) {
+        FieldWriter::write_object(self.key(key), members);
+    }
+
+    fn array<T>(
+        &mut self,
+        key: &'static str,
+        items: impl IntoIterator<Item = T>,
+        mut item: impl FnMut(&mut String, T),
+    ) {
+        let out = self.key(key);
+        out.push('[');
+        for (i, value) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item(out, value);
+        }
+        out.push(']');
+    }
+
+    fn uint(&mut self, key: &'static str, n: impl Into<u64>) {
+        let _ = write!(self.key(key), "{}", n.into());
+    }
+
+    fn int(&mut self, key: &'static str, n: i32) {
+        let _ = write!(self.key(key), "{n}");
+    }
+
+    fn opt_uint(&mut self, key: &'static str, n: Option<u32>) {
+        match n {
+            Some(n) => self.uint(key, n),
+            None => self.key(key).push_str("null"),
+        }
+    }
+
+    fn float(&mut self, key: &'static str, x: f64) {
+        let out = self.key(key);
+        if x.is_finite() {
+            let _ = write!(out, "{x:?}");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    fn opt_float(&mut self, key: &'static str, x: Option<f64>) {
+        match x {
+            Some(x) => self.float(key, x),
+            None => self.key(key).push_str("null"),
+        }
+    }
+
+    fn bool(&mut self, key: &'static str, b: bool) {
+        self.key(key).push_str(if b { "true" } else { "false" });
+    }
+
+    /// A static identifier (event name, level, reason, cause): written
+    /// raw, as it needs no escaping.
+    fn ident(&mut self, key: &'static str, name: &'static str) {
+        debug_assert!(
+            !name.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20),
+            "identifier {name:?} needs escaping"
+        );
+        let out = self.key(key);
+        out.push('"');
+        out.push_str(name);
+        out.push('"');
+    }
+
+    /// Free text, escaped by the vendored serializer.
+    fn text(&mut self, key: &'static str, text: &str) {
+        self.key(key).push_str(&serde_json::to_string(text).expect("serializer is total"));
+    }
+}
+
+/// Writes an event's payload, keys sorted.
+fn write_fields(f: &mut FieldWriter<'_>, kind: &TraceEventKind) {
     use TraceEventKind as K;
-    let obj = |entries: Vec<(&str, Value)>| {
-        Value::Object(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-    };
-    let uint = |n: u32| Value::UInt(u64::from(n));
-    let opt_secs = |d: Option<f64>| d.map(Value::Float).unwrap_or(Value::Null);
     match kind {
-        K::JobSubmitted { job, name, priority, stages } => obj(vec![
-            ("job", Value::UInt(job.as_u64())),
-            ("name", Value::Str(name.clone())),
-            ("priority", Value::Int(i64::from(priority.level()))),
-            (
-                "stages",
-                Value::Array(
-                    stages
-                        .iter()
-                        .map(|s| {
-                            obj(vec![
-                                ("parents", Value::Array(s.parents.iter().map(|p| uint(p.as_u32())).collect())),
-                                ("tasks", uint(s.tasks)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        K::OfferRoundStarted { free, running, reserved } => obj(vec![
-            ("free", Value::UInt(*free as u64)),
-            ("reserved", Value::UInt(*reserved as u64)),
-            ("running", Value::UInt(*running as u64)),
-        ]),
-        K::OfferRoundEnded { assignments } => {
-            obj(vec![("assignments", Value::UInt(*assignments as u64))])
+        K::JobSubmitted { job, name, priority, stages } => {
+            f.uint("job", job.as_u64());
+            f.text("name", name);
+            f.int("priority", priority.level());
+            f.array("stages", stages, |out, s| {
+                FieldWriter::write_object(out, |m| {
+                    m.array("parents", &s.parents, |out, p| {
+                        let _ = write!(out, "{}", p.as_u32());
+                    });
+                    m.uint("tasks", s.tasks);
+                });
+            });
         }
-        K::OfferDeclined { job, reason, stage } => obj(vec![
-            ("job", Value::UInt(job.as_u64())),
-            ("reason", Value::Str(reason.as_str().into())),
-            ("stage", stage.map(|s| uint(s.as_u32())).unwrap_or(Value::Null)),
-        ]),
+        K::OfferRoundStarted { free, running, reserved } => {
+            f.uint("free", *free as u64);
+            f.uint("reserved", *reserved as u64);
+            f.uint("running", *running as u64);
+        }
+        K::OfferRoundEnded { assignments } => f.uint("assignments", *assignments as u64),
+        K::OfferDeclined { job, reason, stage } => {
+            f.uint("job", job.as_u64());
+            f.ident("reason", reason.as_str());
+            f.opt_uint("stage", stage.map(StageId::as_u32));
+        }
         K::TaskLaunched { slot, job, stage, partition, attempt, level, speculative, warm } => {
-            obj(vec![
-                ("attempt", uint(*attempt)),
-                ("job", Value::UInt(job.as_u64())),
-                ("level", Value::Str((*level).into())),
-                ("partition", uint(*partition)),
-                ("slot", uint(*slot)),
-                ("speculative", Value::Bool(*speculative)),
-                ("stage", uint(stage.as_u32())),
-                ("warm", Value::Bool(*warm)),
-            ])
+            f.uint("attempt", *attempt);
+            f.uint("job", job.as_u64());
+            f.ident("level", level);
+            f.uint("partition", *partition);
+            f.uint("slot", *slot);
+            f.bool("speculative", *speculative);
+            f.uint("stage", stage.as_u32());
+            f.bool("warm", *warm);
         }
-        K::TaskFinished { slot, job, stage, partition, attempt, duration_secs } => obj(vec![
-            ("attempt", uint(*attempt)),
-            ("duration_secs", Value::Float(*duration_secs)),
-            ("job", Value::UInt(job.as_u64())),
-            ("partition", uint(*partition)),
-            ("slot", uint(*slot)),
-            ("stage", uint(stage.as_u32())),
-        ]),
-        K::CopyKilled { slot, job, stage, partition } => obj(vec![
-            ("job", Value::UInt(job.as_u64())),
-            ("partition", uint(*partition)),
-            ("slot", uint(*slot)),
-            ("stage", uint(stage.as_u32())),
-        ]),
-        K::ReservationGranted { slot, job, priority, stage, deadline_secs } => obj(vec![
-            ("deadline_secs", opt_secs(*deadline_secs)),
-            ("job", Value::UInt(job.as_u64())),
-            ("priority", Value::Int(i64::from(priority.level()))),
-            ("slot", uint(*slot)),
-            ("stage", stage.map(|s| uint(s.as_u32())).unwrap_or(Value::Null)),
-        ]),
-        K::PrereserveFilled { slot, job, stage, priority, deadline_secs } => obj(vec![
-            ("deadline_secs", opt_secs(*deadline_secs)),
-            ("job", Value::UInt(job.as_u64())),
-            ("priority", Value::Int(i64::from(priority.level()))),
-            ("slot", uint(*slot)),
-            ("stage", uint(stage.as_u32())),
-        ]),
-        K::ReservationExpired { slot, job } | K::ReservationReleased { slot, job } => obj(vec![
-            ("job", Value::UInt(job.as_u64())),
-            ("slot", uint(*slot)),
-        ]),
-        K::StaleReservationReleased { slot, job, stage } => obj(vec![
-            ("job", Value::UInt(job.as_u64())),
-            ("slot", uint(*slot)),
-            ("stage", uint(stage.as_u32())),
-        ]),
-        K::BarrierCleared { job, stage } | K::StageCompleted { job, stage } => obj(vec![
-            ("job", Value::UInt(job.as_u64())),
-            ("stage", uint(stage.as_u32())),
-        ]),
-        K::JobCompleted { job } => obj(vec![("job", Value::UInt(job.as_u64()))]),
-        K::LocalityUnlocked => obj(vec![]),
-        K::TaskCrashed { slot, job, stage, partition, attempt, requeued } => obj(vec![
-            ("attempt", uint(*attempt)),
-            ("job", Value::UInt(job.as_u64())),
-            ("partition", uint(*partition)),
-            ("requeued", Value::Bool(*requeued)),
-            ("slot", uint(*slot)),
-            ("stage", uint(stage.as_u32())),
-        ]),
-        K::ReservationRevoked { slot, job } => obj(vec![
-            ("job", Value::UInt(job.as_u64())),
-            ("slot", uint(*slot)),
-        ]),
-        K::SlotOffline { slot, cause } => obj(vec![
-            ("cause", Value::Str((*cause).into())),
-            ("slot", uint(*slot)),
-        ]),
-        K::SlotOnline { slot } => obj(vec![("slot", uint(*slot))]),
-    }
-}
-
-/// Checks that an object tree's keys are in sorted order (debug builds only).
-pub(crate) fn sorted_keys(v: &Value) -> bool {
-    match v {
-        Value::Object(entries) => {
-            entries.windows(2).all(|w| w[0].0 < w[1].0) && entries.iter().all(|(_, v)| sorted_keys(v))
+        K::TaskFinished { slot, job, stage, partition, attempt, duration_secs } => {
+            f.uint("attempt", *attempt);
+            f.float("duration_secs", *duration_secs);
+            f.uint("job", job.as_u64());
+            f.uint("partition", *partition);
+            f.uint("slot", *slot);
+            f.uint("stage", stage.as_u32());
         }
-        Value::Array(items) => items.iter().all(sorted_keys),
-        _ => true,
-    }
-}
-
-/// Forwards an already-built `Value` through the `Serialize` entry point.
-pub(crate) struct Raw(pub(crate) Value);
-
-impl serde::Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
+        K::CopyKilled { slot, job, stage, partition } => {
+            f.uint("job", job.as_u64());
+            f.uint("partition", *partition);
+            f.uint("slot", *slot);
+            f.uint("stage", stage.as_u32());
+        }
+        K::ReservationGranted { slot, job, priority, stage, deadline_secs } => {
+            f.opt_float("deadline_secs", *deadline_secs);
+            f.uint("job", job.as_u64());
+            f.int("priority", priority.level());
+            f.uint("slot", *slot);
+            f.opt_uint("stage", stage.map(StageId::as_u32));
+        }
+        K::PrereserveFilled { slot, job, stage, priority, deadline_secs } => {
+            f.opt_float("deadline_secs", *deadline_secs);
+            f.uint("job", job.as_u64());
+            f.int("priority", priority.level());
+            f.uint("slot", *slot);
+            f.uint("stage", stage.as_u32());
+        }
+        K::ReservationExpired { slot, job }
+        | K::ReservationReleased { slot, job }
+        | K::ReservationRevoked { slot, job } => {
+            f.uint("job", job.as_u64());
+            f.uint("slot", *slot);
+        }
+        K::StaleReservationReleased { slot, job, stage } => {
+            f.uint("job", job.as_u64());
+            f.uint("slot", *slot);
+            f.uint("stage", stage.as_u32());
+        }
+        K::BarrierCleared { job, stage } | K::StageCompleted { job, stage } => {
+            f.uint("job", job.as_u64());
+            f.uint("stage", stage.as_u32());
+        }
+        K::JobCompleted { job } => f.uint("job", job.as_u64()),
+        K::LocalityUnlocked => {}
+        K::TaskCrashed { slot, job, stage, partition, attempt, requeued } => {
+            f.uint("attempt", *attempt);
+            f.uint("job", job.as_u64());
+            f.uint("partition", *partition);
+            f.bool("requeued", *requeued);
+            f.uint("slot", *slot);
+            f.uint("stage", stage.as_u32());
+        }
+        K::SlotOffline { slot, cause } => {
+            f.ident("cause", cause);
+            f.uint("slot", *slot);
+        }
+        K::SlotOnline { slot } => f.uint("slot", *slot),
     }
 }
 
@@ -305,8 +389,9 @@ pub fn parse_trace(input: &str) -> Result<Trace, ReadError> {
     let (_, header) = lines
         .next()
         .ok_or_else(|| ReadError::new(0, "empty document: missing trace-start header"))?;
-    let header = json_line(1, header)?;
-    let (event, seq, _, fields) = read_line(1, &header)?;
+    let mut reader = JsonReader::default();
+    let header = reader.line(1, header)?;
+    let (event, seq, _, fields) = read_line(1, header)?;
     if event != "trace-start" {
         return Err(ReadError::new(1, format!("expected trace-start header, got {event:?}")));
     }
@@ -326,8 +411,8 @@ pub fn parse_trace(input: &str) -> Result<Trace, ReadError> {
     let mut last_time = SimTime::ZERO;
     for (idx, raw) in lines {
         let lineno = idx + 1;
-        let line = json_line(lineno, raw)?;
-        let (event, seq, time, fields) = read_line(lineno, &line)?;
+        let line = reader.line(lineno, raw)?;
+        let (event, seq, time, fields) = read_line(lineno, line)?;
         if seq != idx as u64 {
             return Err(ReadError::new(lineno, format!("seq {seq} out of order (expected {idx})")));
         }
@@ -345,13 +430,273 @@ pub fn parse_trace(input: &str) -> Result<Trace, ReadError> {
     Ok(Trace { schema_version, events })
 }
 
-fn json_line(lineno: usize, raw: &str) -> Result<Value, ReadError> {
-    serde_json::from_str(raw).map_err(|e| ReadError::new(lineno, format!("invalid JSON: {e}")))
+/// Reads one line at a time into a flat list of nodes, reused from line to
+/// line, so a document costs no allocation per line.
+///
+/// The grammar is the vendored parser's: the same whitespace, literals and
+/// number shapes (`UInt`, `Int` when negative, `Float` with a fraction or
+/// exponent). Keys and strings without an escape are slices of the input;
+/// a string with one is handed to the vendored parser, so `\u` and
+/// surrogate handling live in one place.
+#[derive(Default)]
+struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+    tape: Vec<Node<'a>>,
+}
+
+/// One value of a line, in document order: a container's node precedes
+/// its contents and records where they end.
+#[derive(Debug)]
+enum Node<'a> {
+    Null,
+    Bool(bool),
+    UInt(u64),
+    Int(i64),
+    Float(f64),
+    Str(Cow<'a, str>),
+    /// An array; its items follow, up to node `end`.
+    Array { end: usize },
+    /// An object of `len` members; each key (a `Str`) and its value
+    /// follow, up to node `end`.
+    Object { len: usize, end: usize },
+}
+
+impl<'a> JsonReader<'a> {
+    /// Reads line `lineno` and returns a view of its root value.
+    fn line(&mut self, lineno: usize, raw: &'a str) -> Result<Json<'_>, ReadError> {
+        self.text = raw;
+        self.pos = 0;
+        self.tape.clear();
+        self.document().map_err(|e| ReadError::new(lineno, format!("invalid JSON: {e}")))?;
+        Ok(Json { tape: &self.tape, at: 0 })
+    }
+
+    fn document(&mut self) -> Result<(), String> {
+        self.value()?;
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.error("trailing characters after JSON document"));
+        }
+        Ok(())
+    }
+
+    fn error(&self, msg: &str) -> String {
+        format!("at byte {}: {msg}", self.pos)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Consumes `byte` after any whitespace.
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.peek() == Some(byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.error(&format!("expected '{}'", byte as char)))
+        }
+    }
+
+    fn value(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        let node = match self.peek() {
+            Some(b'n') => self.literal("null", Node::Null)?,
+            Some(b't') => self.literal("true", Node::Bool(true))?,
+            Some(b'f') => self.literal("false", Node::Bool(false))?,
+            Some(b'"') => Node::Str(self.string()?),
+            Some(b'[') => return self.container(b']'),
+            Some(b'{') => return self.container(b'}'),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number()?,
+            Some(c) => return Err(self.error(&format!("unexpected character '{}'", c as char))),
+            None => return Err(self.error("unexpected end of input")),
+        };
+        self.tape.push(node);
+        Ok(())
+    }
+
+    fn literal(&mut self, word: &str, node: Node<'a>) -> Result<Node<'a>, String> {
+        if self.text[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(node)
+        } else {
+            Err(self.error(&format!("expected literal '{word}'")))
+        }
+    }
+
+    /// An array (`close` is `]`) or an object (`}`), from its opening
+    /// bracket on.
+    fn container(&mut self, close: u8) -> Result<(), String> {
+        let object = close == b'}';
+        let at = self.tape.len();
+        self.tape.push(Node::Null);
+        self.pos += 1;
+        self.skip_ws();
+        let mut len = 0;
+        if self.peek() == Some(close) {
+            self.pos += 1;
+        } else {
+            loop {
+                if object {
+                    self.skip_ws();
+                    if self.peek() != Some(b'"') {
+                        return Err(self.error("expected '\"'"));
+                    }
+                    let key = self.string()?;
+                    self.tape.push(Node::Str(key));
+                    self.expect(b':')?;
+                }
+                self.value()?;
+                len += 1;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.error(&format!("expected ',' or '{}'", close as char))),
+                }
+            }
+        }
+        let end = self.tape.len();
+        self.tape[at] = if object { Node::Object { len, end } } else { Node::Array { end } };
+        Ok(())
+    }
+
+    /// A string token: borrowed when it has no escape, decoded by the
+    /// vendored parser when it has one.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        let start = self.pos;
+        self.pos += 1;
+        let mut escaped = false;
+        loop {
+            match self.peek() {
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    escaped = true;
+                    self.pos += 2;
+                }
+                Some(c) if c < 0x20 => return Err(self.error("unescaped control character")),
+                Some(_) => self.pos += 1,
+                None => return Err(self.error("unterminated string")),
+            }
+        }
+        self.pos += 1;
+        let token = &self.text[start..self.pos];
+        if !escaped {
+            return Ok(Cow::Borrowed(&token[1..token.len() - 1]));
+        }
+        match serde_json::from_str(token) {
+            Ok(Value::Str(s)) => Ok(Cow::Owned(s)),
+            Ok(other) => Err(format!("at byte {start}: string token read as {other:?}")),
+            Err(e) => Err(format!("in the string at byte {start}: {e}")),
+        }
+    }
+
+    fn number(&mut self) -> Result<Node<'a>, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let mut fractional = false;
+        while let Some(c) = self.peek() {
+            match c {
+                b'0'..=b'9' => self.pos += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
+                    fractional = true;
+                    self.pos += 1;
+                }
+                _ => break,
+            }
+        }
+        let text = &self.text[start..self.pos];
+        let parsed = if fractional {
+            text.parse().map(Node::Float).ok()
+        } else if text.starts_with('-') {
+            text.parse().map(Node::Int).ok()
+        } else {
+            text.parse().map(Node::UInt).ok()
+        };
+        parsed.ok_or_else(|| format!("at byte {start}: malformed or out-of-range number '{text}'"))
+    }
+}
+
+/// A value of a line: node `at` of its reader's tape. Its `Debug` output
+/// is `serde::Value`'s, which the reader's error messages quote.
+#[derive(Clone, Copy)]
+struct Json<'t> {
+    tape: &'t [Node<'t>],
+    at: usize,
+}
+
+impl<'t> Json<'t> {
+    fn node(self) -> &'t Node<'t> {
+        &self.tape[self.at]
+    }
+
+    /// The tape index just past this value.
+    fn end(self) -> usize {
+        match self.node() {
+            Node::Array { end } | Node::Object { end, .. } => *end,
+            _ => self.at + 1,
+        }
+    }
+
+    /// An array's items.
+    fn items(self) -> impl Iterator<Item = Json<'t>> {
+        let end = self.end();
+        let mut next = Json { tape: self.tape, at: self.at + 1 };
+        std::iter::from_fn(move || {
+            let item = (next.at < end).then_some(next)?;
+            next.at = item.end();
+            Some(item)
+        })
+    }
+
+    /// An object's members, in document order.
+    fn entries(self) -> impl Iterator<Item = (&'t str, Json<'t>)> {
+        let end = self.end();
+        let mut key = self.at + 1;
+        std::iter::from_fn(move || {
+            if key >= end {
+                return None;
+            }
+            let Node::Str(name) = &self.tape[key] else { return None };
+            let value = Json { tape: self.tape, at: key + 1 };
+            key = value.end();
+            Some((&**name, value))
+        })
+    }
+}
+
+impl fmt::Debug for Json<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.node() {
+            Node::Array { .. } => f
+                .debug_tuple("Array")
+                .field(&fmt::from_fn(|f| f.debug_list().entries(self.items()).finish()))
+                .finish(),
+            Node::Object { .. } => f
+                .debug_tuple("Object")
+                .field(&fmt::from_fn(|f| f.debug_list().entries(self.entries()).finish()))
+                .finish(),
+            scalar => fmt::Debug::fmt(scalar, f),
+        }
+    }
 }
 
 /// Splits one line into its `event` name, `seq`, timestamp and the
 /// accessors over its `fields`.
-fn read_line(lineno: usize, line: &Value) -> Result<(&str, u64, SimTime, Fields<'_>), ReadError> {
+fn read_line(lineno: usize, line: Json<'_>) -> Result<(&str, u64, SimTime, Fields<'_>), ReadError> {
     let top = Fields::new(lineno, line, "line")?;
     let event = top.string("event")?;
     let seq = top.u64("seq")?;
@@ -370,11 +715,11 @@ fn read_line(lineno: usize, line: &Value) -> Result<(&str, u64, SimTime, Fields<
 /// in integer-typed fields, but a hand-edited trace may mix shapes. The
 /// vendored parser reads an overflowing literal such as `1e400` as
 /// infinity, which no field accepts.
-fn number(v: &Value) -> Option<f64> {
-    match v {
-        Value::UInt(n) => Some(*n as f64),
-        Value::Int(n) => Some(*n as f64),
-        Value::Float(f) if f.is_finite() => Some(*f),
+fn number(v: Json<'_>) -> Option<f64> {
+    match v.node() {
+        Node::UInt(n) => Some(*n as f64),
+        Node::Int(n) => Some(*n as f64),
+        Node::Float(f) if f.is_finite() => Some(*f),
         _ => None,
     }
 }
@@ -386,21 +731,19 @@ fn number(v: &Value) -> Option<f64> {
 /// [`finish`]: Fields::finish
 struct Fields<'a> {
     lineno: usize,
-    entries: &'a [(String, Value)],
-    /// Bit `i` is set once `entries[i]` has been read.
+    object: Json<'a>,
+    /// Bit `i` is set once member `i` has been read.
     read: Cell<u64>,
 }
 
 impl<'a> Fields<'a> {
-    fn new(lineno: usize, value: &'a Value, what: &str) -> Result<Self, ReadError> {
-        match value {
+    fn new(lineno: usize, value: Json<'a>, what: &str) -> Result<Self, ReadError> {
+        match value.node() {
             // No event has more than eight fields; the cap keeps the read
             // mask in one word.
-            Value::Object(entries) if entries.len() <= 64 => {
-                Ok(Fields { lineno, entries, read: Cell::new(0) })
-            }
-            Value::Object(_) => Err(ReadError::new(lineno, format!("{what} has too many keys"))),
-            other => Err(ReadError::new(lineno, format!("{what} must be an object, got {other:?}"))),
+            Node::Object { len, .. } if *len <= 64 => Ok(Fields { lineno, object: value, read: Cell::new(0) }),
+            Node::Object { .. } => Err(ReadError::new(lineno, format!("{what} has too many keys"))),
+            _ => Err(ReadError::new(lineno, format!("{what} must be an object, got {value:?}"))),
         }
     }
 
@@ -412,27 +755,28 @@ impl<'a> Fields<'a> {
     /// a duplicate of one that was read.
     fn finish(&self) -> Result<(), ReadError> {
         let read = self.read.get();
-        match self.entries.iter().enumerate().find(|(i, _)| read & (1 << i) == 0) {
+        match self.object.entries().enumerate().find(|(i, _)| read & (1 << i) == 0) {
             Some((_, (key, _))) => Err(self.err(format!("unknown or duplicate field {key:?}"))),
             None => Ok(()),
         }
     }
 
-    fn get(&self, key: &str) -> Result<&'a Value, ReadError> {
+    fn get(&self, key: &str) -> Result<Json<'a>, ReadError> {
         self.get_opt(key).ok_or_else(|| self.err(format!("missing field {key:?}")))
     }
 
     /// Like [`get`](Self::get) but tolerating absence (schema v1 traces).
-    fn get_opt(&self, key: &str) -> Option<&'a Value> {
-        let i = self.entries.iter().position(|(k, _)| k == key)?;
+    fn get_opt(&self, key: &str) -> Option<Json<'a>> {
+        let (i, (_, value)) = self.object.entries().enumerate().find(|(_, (k, _))| *k == key)?;
         self.read.set(self.read.get() | 1 << i);
-        Some(&self.entries[i].1)
+        Some(value)
     }
 
     fn u64(&self, key: &str) -> Result<u64, ReadError> {
-        match self.get(key)? {
-            Value::UInt(n) => Ok(*n),
-            other => Err(self.err(format!("{key:?} must be an unsigned integer, got {other:?}"))),
+        let value = self.get(key)?;
+        match value.node() {
+            Node::UInt(n) => Ok(*n),
+            _ => Err(self.err(format!("{key:?} must be an unsigned integer, got {value:?}"))),
         }
     }
 
@@ -447,10 +791,11 @@ impl<'a> Fields<'a> {
     }
 
     fn i32(&self, key: &str) -> Result<i32, ReadError> {
-        let raw = match self.get(key)? {
-            Value::Int(n) => *n,
-            Value::UInt(n) => i64::try_from(*n).map_err(|_| self.err(format!("{key:?} exceeds i64 range")))?,
-            other => return Err(self.err(format!("{key:?} must be an integer, got {other:?}"))),
+        let value = self.get(key)?;
+        let raw = match value.node() {
+            Node::Int(n) => *n,
+            Node::UInt(n) => i64::try_from(*n).map_err(|_| self.err(format!("{key:?} exceeds i64 range")))?,
+            _ => return Err(self.err(format!("{key:?} must be an integer, got {value:?}"))),
         };
         i32::try_from(raw).map_err(|_| self.err(format!("{key:?} exceeds i32 range")))
     }
@@ -460,16 +805,18 @@ impl<'a> Fields<'a> {
     }
 
     fn bool(&self, key: &str) -> Result<bool, ReadError> {
-        match self.get(key)? {
-            Value::Bool(b) => Ok(*b),
-            other => Err(self.err(format!("{key:?} must be a boolean, got {other:?}"))),
+        let value = self.get(key)?;
+        match value.node() {
+            Node::Bool(b) => Ok(*b),
+            _ => Err(self.err(format!("{key:?} must be a boolean, got {value:?}"))),
         }
     }
 
     fn string(&self, key: &str) -> Result<&'a str, ReadError> {
-        match self.get(key)? {
-            Value::Str(s) => Ok(s),
-            other => Err(self.err(format!("{key:?} must be a string, got {other:?}"))),
+        let value = self.get(key)?;
+        match value.node() {
+            Node::Str(s) => Ok(s),
+            _ => Err(self.err(format!("{key:?} must be a string, got {value:?}"))),
         }
     }
 
@@ -495,15 +842,15 @@ impl<'a> Fields<'a> {
     /// `stage` as a nullable field (`offer-declined`, `reservation-granted`);
     /// also absent entirely in schema v1 `offer-declined` lines.
     fn opt_stage(&self) -> Result<Option<StageId>, ReadError> {
-        match self.get_opt("stage") {
-            None | Some(Value::Null) => Ok(None),
+        match self.get_opt("stage").map(Json::node) {
+            None | Some(Node::Null) => Ok(None),
             Some(_) => self.stage().map(Some),
         }
     }
 
     fn opt_secs(&self, key: &str) -> Result<Option<f64>, ReadError> {
-        match self.get(key)? {
-            Value::Null => Ok(None),
+        match self.get(key)?.node() {
+            Node::Null => Ok(None),
             _ => self.f64(key).map(Some),
         }
     }
@@ -513,23 +860,24 @@ impl<'a> Fields<'a> {
         let Some(value) = self.get_opt("stages") else {
             return Ok(Vec::new());
         };
-        let Value::Array(items) = value else {
+        let Node::Array { .. } = value.node() else {
             return Err(self.err(format!("\"stages\" must be an array, got {value:?}")));
         };
-        items
-            .iter()
+        value
+            .items()
             .map(|item| {
                 let meta = Fields::new(self.lineno, item, "stage entry")?;
-                let Value::Array(parents) = meta.get("parents")? else {
+                let parents = meta.get("parents")?;
+                let Node::Array { .. } = parents.node() else {
                     return Err(self.err("\"parents\" must be an array"));
                 };
                 let parents = parents
-                    .iter()
-                    .map(|p| match p {
-                        Value::UInt(n) => u32::try_from(*n)
+                    .items()
+                    .map(|p| match p.node() {
+                        Node::UInt(n) => u32::try_from(*n)
                             .map(StageId::new)
                             .map_err(|_| self.err("parent stage id exceeds u32 range")),
-                        other => Err(self.err(format!("parent stage id must be an unsigned integer, got {other:?}"))),
+                        _ => Err(self.err(format!("parent stage id must be an unsigned integer, got {p:?}"))),
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 let tasks = meta.u32("tasks")?;
@@ -556,7 +904,7 @@ const DENY_REASONS: [DenyReason; 4] = [
 ];
 
 /// Lowers one line's `(event, fields)` pair into the typed event kind: the
-/// inverse of [`event_fields`], name for name.
+/// inverse of [`write_fields`], name for name.
 fn parse_kind(lineno: usize, event: &str, f: &Fields<'_>) -> Result<TraceEventKind, ReadError> {
     use TraceEventKind as K;
     Ok(match event {
@@ -675,6 +1023,324 @@ mod tests {
         parse_trace(&format!("{HEADER}\n{line}\n"))
     }
 
+    /// The tree the writer used to build per event, kept as the reference
+    /// the direct writer is byte-compared against.
+    fn event_fields(kind: &TraceEventKind) -> Value {
+        use TraceEventKind as K;
+        let obj = |entries: Vec<(&str, Value)>| {
+            Value::Object(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+        };
+        let uint = |n: u32| Value::UInt(u64::from(n));
+        let opt_secs = |d: Option<f64>| d.map(Value::Float).unwrap_or(Value::Null);
+        match kind {
+            K::JobSubmitted { job, name, priority, stages } => obj(vec![
+                ("job", Value::UInt(job.as_u64())),
+                ("name", Value::Str(name.clone())),
+                ("priority", Value::Int(i64::from(priority.level()))),
+                (
+                    "stages",
+                    Value::Array(
+                        stages
+                            .iter()
+                            .map(|s| {
+                                obj(vec![
+                                    ("parents", Value::Array(s.parents.iter().map(|p| uint(p.as_u32())).collect())),
+                                    ("tasks", uint(s.tasks)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+            K::OfferRoundStarted { free, running, reserved } => obj(vec![
+                ("free", Value::UInt(*free as u64)),
+                ("reserved", Value::UInt(*reserved as u64)),
+                ("running", Value::UInt(*running as u64)),
+            ]),
+            K::OfferRoundEnded { assignments } => {
+                obj(vec![("assignments", Value::UInt(*assignments as u64))])
+            }
+            K::OfferDeclined { job, reason, stage } => obj(vec![
+                ("job", Value::UInt(job.as_u64())),
+                ("reason", Value::Str(reason.as_str().into())),
+                ("stage", stage.map(|s| uint(s.as_u32())).unwrap_or(Value::Null)),
+            ]),
+            K::TaskLaunched { slot, job, stage, partition, attempt, level, speculative, warm } => {
+                obj(vec![
+                    ("attempt", uint(*attempt)),
+                    ("job", Value::UInt(job.as_u64())),
+                    ("level", Value::Str((*level).into())),
+                    ("partition", uint(*partition)),
+                    ("slot", uint(*slot)),
+                    ("speculative", Value::Bool(*speculative)),
+                    ("stage", uint(stage.as_u32())),
+                    ("warm", Value::Bool(*warm)),
+                ])
+            }
+            K::TaskFinished { slot, job, stage, partition, attempt, duration_secs } => obj(vec![
+                ("attempt", uint(*attempt)),
+                ("duration_secs", Value::Float(*duration_secs)),
+                ("job", Value::UInt(job.as_u64())),
+                ("partition", uint(*partition)),
+                ("slot", uint(*slot)),
+                ("stage", uint(stage.as_u32())),
+            ]),
+            K::CopyKilled { slot, job, stage, partition } => obj(vec![
+                ("job", Value::UInt(job.as_u64())),
+                ("partition", uint(*partition)),
+                ("slot", uint(*slot)),
+                ("stage", uint(stage.as_u32())),
+            ]),
+            K::ReservationGranted { slot, job, priority, stage, deadline_secs } => obj(vec![
+                ("deadline_secs", opt_secs(*deadline_secs)),
+                ("job", Value::UInt(job.as_u64())),
+                ("priority", Value::Int(i64::from(priority.level()))),
+                ("slot", uint(*slot)),
+                ("stage", stage.map(|s| uint(s.as_u32())).unwrap_or(Value::Null)),
+            ]),
+            K::PrereserveFilled { slot, job, stage, priority, deadline_secs } => obj(vec![
+                ("deadline_secs", opt_secs(*deadline_secs)),
+                ("job", Value::UInt(job.as_u64())),
+                ("priority", Value::Int(i64::from(priority.level()))),
+                ("slot", uint(*slot)),
+                ("stage", uint(stage.as_u32())),
+            ]),
+            K::ReservationExpired { slot, job } | K::ReservationReleased { slot, job } => obj(vec![
+                ("job", Value::UInt(job.as_u64())),
+                ("slot", uint(*slot)),
+            ]),
+            K::StaleReservationReleased { slot, job, stage } => obj(vec![
+                ("job", Value::UInt(job.as_u64())),
+                ("slot", uint(*slot)),
+                ("stage", uint(stage.as_u32())),
+            ]),
+            K::BarrierCleared { job, stage } | K::StageCompleted { job, stage } => obj(vec![
+                ("job", Value::UInt(job.as_u64())),
+                ("stage", uint(stage.as_u32())),
+            ]),
+            K::JobCompleted { job } => obj(vec![("job", Value::UInt(job.as_u64()))]),
+            K::LocalityUnlocked => obj(vec![]),
+            K::TaskCrashed { slot, job, stage, partition, attempt, requeued } => obj(vec![
+                ("attempt", uint(*attempt)),
+                ("job", Value::UInt(job.as_u64())),
+                ("partition", uint(*partition)),
+                ("requeued", Value::Bool(*requeued)),
+                ("slot", uint(*slot)),
+                ("stage", uint(stage.as_u32())),
+            ]),
+            K::ReservationRevoked { slot, job } => obj(vec![
+                ("job", Value::UInt(job.as_u64())),
+                ("slot", uint(*slot)),
+            ]),
+            K::SlotOffline { slot, cause } => obj(vec![
+                ("cause", Value::Str((*cause).into())),
+                ("slot", uint(*slot)),
+            ]),
+            K::SlotOnline { slot } => obj(vec![("slot", uint(*slot))]),
+        }
+    }
+
+    /// The document the writer produced when it built a `Value` tree per
+    /// line and handed it to the vendored serializer.
+    fn reference(events: &[TraceEvent]) -> String {
+        let line = |seq: u64, event: &str, time_secs: f64, fields: Value| {
+            let line = Value::Object(vec![
+                ("event".into(), Value::Str(event.into())),
+                ("fields".into(), fields),
+                ("seq".into(), Value::UInt(seq)),
+                ("time_secs".into(), Value::Float(time_secs)),
+            ]);
+            serde_json::to_string(&line).expect("serializer is total") + "\n"
+        };
+        let header = Value::Object(vec![("schema_version".into(), Value::UInt(u64::from(SCHEMA_VERSION)))]);
+        let mut out = line(0, "trace-start", 0.0, header);
+        for (seq, e) in (1..).zip(events) {
+            out.push_str(&line(seq, e.kind.name(), e.time.as_secs_f64(), event_fields(&e.kind)));
+        }
+        out
+    }
+
+    /// Job names that exercise every escaping rule and some that need none.
+    const NAMES: [&str; 11] = [
+        "",
+        "fg",
+        "quote\"d",
+        "back\\slash",
+        "new\nline",
+        "unit\u{1f}sep",
+        "del\u{7f}",
+        "line\u{2028}sep",
+        "naïve ✓ 名前 😀",
+        "\r\t\u{0}\u{8}\u{c}",
+        "/",
+    ];
+
+    /// Floats at the edges of the `{x:?}` format, and the non-finite ones
+    /// that must come out as `null`.
+    const FLOATS: [f64; 15] = [
+        0.0,
+        -0.0,
+        1.25,
+        0.1,
+        5e-324,
+        1e-310,
+        1e21,
+        1e-7,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        -1.5,
+        123_456_789.123,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    const U32S: [u32; 5] = [0, 1, 7, u32::MAX - 1, u32::MAX];
+    const U64S: [u64; 5] = [0, 1, 1 << 32, u64::MAX - 1, u64::MAX];
+    const I32S: [i32; 5] = [i32::MIN, -1, 0, 10, i32::MAX];
+    const USIZES: [usize; 4] = [0, 1, 4000, usize::MAX];
+
+    /// Draws field values from a generated word list: an even word picks
+    /// from the table of edge values, an odd one is used raw.
+    struct Picks<'a>(std::slice::Iter<'a, u64>);
+
+    impl Picks<'_> {
+        fn next(&mut self) -> u64 {
+            self.0.next().copied().unwrap_or(0)
+        }
+
+        fn edge<T: Copy>(&mut self, table: &[T], raw: impl FnOnce(u64) -> T) -> T {
+            let p = self.next();
+            if p & 1 == 0 {
+                table[(p >> 1) as usize % table.len()]
+            } else {
+                raw(p >> 1)
+            }
+        }
+
+        fn u32(&mut self) -> u32 {
+            self.edge(&U32S, |p| p as u32)
+        }
+
+        fn job(&mut self) -> JobId {
+            JobId::new(self.edge(&U64S, |p| p))
+        }
+
+        fn stage(&mut self) -> StageId {
+            StageId::new(self.u32())
+        }
+
+        fn opt_stage(&mut self) -> Option<StageId> {
+            (!self.next().is_multiple_of(3)).then(|| self.stage())
+        }
+
+        fn priority(&mut self) -> Priority {
+            Priority::new(self.edge(&I32S, |p| p as i32))
+        }
+
+        fn usize(&mut self) -> usize {
+            self.edge(&USIZES, |p| p as usize)
+        }
+
+        fn f64(&mut self) -> f64 {
+            self.edge(&FLOATS, f64::from_bits)
+        }
+
+        fn opt_f64(&mut self) -> Option<f64> {
+            (!self.next().is_multiple_of(3)).then(|| self.f64())
+        }
+
+        fn bool(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+
+        fn of<T: Copy>(&mut self, names: &[T]) -> T {
+            names[self.next() as usize % names.len()]
+        }
+
+        fn name(&mut self) -> String {
+            let (a, b) = (self.of(&NAMES), self.of(&NAMES));
+            format!("{a}{b}")
+        }
+
+        fn stages(&mut self) -> Vec<StageMeta> {
+            (0..self.next() % 4)
+                .map(|_| StageMeta {
+                    tasks: self.u32(),
+                    parents: (0..self.next() % 3).map(|_| self.stage()).collect(),
+                })
+                .collect()
+        }
+    }
+
+    /// One event of the variant `words[0]` names, its fields drawn from
+    /// the rest of `words`.
+    fn generated_event(words: &[u64]) -> TraceEvent {
+        use TraceEventKind as K;
+        let mut p = Picks(words.iter());
+        let variant = p.next() % 20;
+        let time = SimTime::from_micros(p.edge(&U64S, |w| w));
+        let kind = match variant {
+            0 => K::JobSubmitted { job: p.job(), name: p.name(), priority: p.priority(), stages: p.stages() },
+            1 => K::OfferRoundStarted { free: p.usize(), running: p.usize(), reserved: p.usize() },
+            2 => K::OfferRoundEnded { assignments: p.usize() },
+            3 => K::OfferDeclined { job: p.job(), reason: p.of(&DENY_REASONS), stage: p.opt_stage() },
+            4 => K::TaskLaunched {
+                slot: p.u32(),
+                job: p.job(),
+                stage: p.stage(),
+                partition: p.u32(),
+                attempt: p.u32(),
+                level: p.of(&LOCALITY_LEVELS),
+                speculative: p.bool(),
+                warm: p.bool(),
+            },
+            5 => K::TaskFinished {
+                slot: p.u32(),
+                job: p.job(),
+                stage: p.stage(),
+                partition: p.u32(),
+                attempt: p.u32(),
+                duration_secs: p.f64(),
+            },
+            6 => K::CopyKilled { slot: p.u32(), job: p.job(), stage: p.stage(), partition: p.u32() },
+            7 => K::ReservationGranted {
+                slot: p.u32(),
+                job: p.job(),
+                priority: p.priority(),
+                stage: p.opt_stage(),
+                deadline_secs: p.opt_f64(),
+            },
+            8 => K::PrereserveFilled {
+                slot: p.u32(),
+                job: p.job(),
+                stage: p.stage(),
+                priority: p.priority(),
+                deadline_secs: p.opt_f64(),
+            },
+            9 => K::ReservationExpired { slot: p.u32(), job: p.job() },
+            10 => K::ReservationReleased { slot: p.u32(), job: p.job() },
+            11 => K::StaleReservationReleased { slot: p.u32(), job: p.job(), stage: p.stage() },
+            12 => K::BarrierCleared { job: p.job(), stage: p.stage() },
+            13 => K::StageCompleted { job: p.job(), stage: p.stage() },
+            14 => K::JobCompleted { job: p.job() },
+            15 => K::LocalityUnlocked,
+            16 => K::TaskCrashed {
+                slot: p.u32(),
+                job: p.job(),
+                stage: p.stage(),
+                partition: p.u32(),
+                attempt: p.u32(),
+                requeued: p.bool(),
+            },
+            17 => K::ReservationRevoked { slot: p.u32(), job: p.job() },
+            18 => K::SlotOffline { slot: p.u32(), cause: p.of(&OFFLINE_CAUSES) },
+            _ => K::SlotOnline { slot: p.u32() },
+        };
+        TraceEvent::new(time, kind)
+    }
+
+
     #[test]
     fn round_trips_vec_sink_stream() {
         let events = every_variant();
@@ -753,6 +1419,16 @@ mod tests {
     }
 
     #[test]
+    fn rejects_objects_past_the_read_mask() {
+        let fields = |n: usize| (0..n).map(|i| format!(r#""k{i}":0"#)).collect::<Vec<_>>().join(",");
+        let line = |n| format!(r#"{{"event":"locality-unlocked","fields":{{{}}},"seq":1,"time_secs":0.0}}"#, fields(n));
+        let err = parse_one(&line(65)).unwrap_err();
+        assert_eq!((err.line, err.message.as_str()), (2, "fields has too many keys"));
+        let err = parse_one(&line(64)).unwrap_err();
+        assert_eq!(err.message, r#"unknown or duplicate field "k0""#);
+    }
+
+    #[test]
     fn accepts_schema_v1_without_new_fields() {
         let doc = concat!(
             "{\"event\":\"trace-start\",\"fields\":{\"schema_version\":1},\"seq\":0,\"time_secs\":0.0}\n",
@@ -813,15 +1489,26 @@ mod tests {
             (Value::Array(r), Value::Array(w)) => {
                 r.len() == w.len() && r.iter().zip(w).all(|(a, b)| same(a, b))
             }
-            _ => match (number(read), number(written)) {
+            _ => match (value_number(read), value_number(written)) {
                 (Some(a), Some(b)) => a == b,
                 _ => read == written,
             },
         }
     }
 
-    /// Hostile replacement values, as raw JSON text.
-    const REPLACEMENTS: [&str; 5] = ["1e400", "-1", "18446744073709551615", "\"x\"", "null"];
+    /// [`number`] over the vendored parser's tree.
+    fn value_number(v: &Value) -> Option<f64> {
+        match v {
+            Value::UInt(n) => Some(*n as f64),
+            Value::Int(n) => Some(*n as f64),
+            Value::Float(f) if f.is_finite() => Some(*f),
+            _ => None,
+        }
+    }
+
+    /// Hostile replacement values, as raw JSON text. The last is `"x"`
+    /// spelled with an escape, which must read as the plain one does.
+    const REPLACEMENTS: [&str; 6] = ["1e400", "-1", "18446744073709551615", "\"x\"", "null", r#""\u0078""#];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
@@ -834,7 +1521,7 @@ mod tests {
         fn hostile_edits_are_errors_never_panics(
             line_pick in 0usize..1000,
             position_pick in 0usize..1000,
-            mutation in 0usize..8,
+            mutation in 0usize..9,
         ) {
             let doc = render(&every_variant());
             let mut lines: Vec<Value> =
@@ -846,8 +1533,8 @@ mod tests {
             let path = &paths[position_pick % paths.len()];
             const MARK: &str = "@@replaced@@";
             match mutation {
-                0..=4 => *at(&mut lines[line], path) = Value::Str(MARK.into()),
-                5 => match path.split_last() {
+                0..=5 => *at(&mut lines[line], path) = Value::Str(MARK.into()),
+                6 => match path.split_last() {
                     Some((&i, parent)) => match at(&mut lines[line], parent) {
                         Value::Object(entries) => drop(entries.remove(i)),
                         Value::Array(items) => drop(items.remove(i)),
@@ -855,7 +1542,7 @@ mod tests {
                     },
                     None => drop(lines.remove(line)),
                 },
-                6 => match at(&mut lines[line], path) {
+                7 => match at(&mut lines[line], path) {
                     Value::Object(entries) => entries.push(("bogus".into(), Value::UInt(5))),
                     _ => match &mut lines[line] {
                         Value::Object(entries) => entries.push(("bogus".into(), Value::UInt(5))),
@@ -868,14 +1555,14 @@ mod tests {
             let mutated: String = lines
                 .iter()
                 .map(|v| {
-                    let text = serde_json::to_string(&Raw(v.clone())).expect("serializer is total");
+                    let text = serde_json::to_string(v).expect("serializer is total");
                     text.replace(&format!("\"{MARK}\""), raw) + "\n"
                 })
                 .collect();
             let parsed = parse_trace(&mutated);
             // No field takes a non-finite number or an unknown key, and
             // swapped lines break the seq order.
-            let must_fail = matches!(mutation, 0 | 6 | 7);
+            let must_fail = matches!(mutation, 0 | 7 | 8);
             prop_assert!(parsed.is_err() || !must_fail, "accepted:\n{mutated}");
             if let Ok(trace) = parsed {
                 let written: Vec<Value> = render(&trace.events)
@@ -888,6 +1575,155 @@ mod tests {
                     read.len() == written.len() && read.iter().zip(&written).all(|(r, w)| same(r, w)),
                     "accepted an edit it did not read faithfully:\n{mutated}"
                 );
+            }
+        }
+    }
+
+    /// A `job-submitted` line with sequence number `seq` whose `name` is
+    /// the raw JSON string body `name`.
+    fn submitted(seq: u64, name: &str) -> String {
+        format!(
+            r#"{{"event":"job-submitted","fields":{{"job":{seq},"name":"{name}","priority":1,"stages":[]}},"seq":{seq},"time_secs":0.0}}"#
+        )
+    }
+
+    #[test]
+    fn reads_escaped_keys_and_names_exactly() {
+        let trace = parse_one(r#"{"event":"job\u002dcompleted","fields":{"\u006a\u006fb":3},"seq":1,"time_secs":0.0}"#)
+            .expect("escaped names read as plain ones");
+        assert_eq!(trace.events[0].kind, TraceEventKind::JobCompleted { job: JobId::new(3) });
+        let trace = parse_one(&submitted(1, r#"a\"b\\c\/d\n\u00e9\ud83d\ude00 ✓"#)).expect("escapes decode");
+        match &trace.events[0].kind {
+            TraceEventKind::JobSubmitted { name, .. } => assert_eq!(name, "a\"b\\c/d\né😀 ✓"),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_bad_strings_on_their_line() {
+        let cases = [
+            r#"\ud800"#,
+            r#"\udc00"#,
+            r#"\ud800\u0041"#,
+            r#"\ud800\udbff"#,
+            r#"\u12"#,
+            r#"\x"#,
+            "raw\ttab",
+            "unit\u{1f}sep",
+            "nul\u{0}",
+        ];
+        for name in cases {
+            let doc = format!("{HEADER}\n{}\n{}\n", submitted(1, "ok"), submitted(2, name));
+            let err = parse_trace(&doc).expect_err(name);
+            assert_eq!(err.line, 3, "{name:?}: {err}");
+            assert!(err.message.starts_with("invalid JSON: "), "{name:?}: {err}");
+        }
+        let raw_key = format!("{HEADER}\n{}\n", r#"{"event":"job-completed","fields":{"jo\u{1}b":0},"seq":1,"time_secs":0.0}"#.replace("\\u{1}", "\u{1}"));
+        let err = parse_trace(&raw_key).expect_err("raw control character in a key");
+        assert_eq!(err.line, 2);
+        assert!(err.message.starts_with("invalid JSON: "), "{err}");
+    }
+
+    /// Number and literal tokens of the vendored grammar, valid or not.
+    const SCALARS: [&str; 22] = [
+        "0", "1", "-2", "0.5", "1e400", "-1e400", "-0", "1.5e-3", "2E+5", "-0.0e+0", "18446744073709551615",
+        "18446744073709551616", "-9223372036854775808", "-9223372036854775809", "1.2.3", "1e", "-", "01", "null",
+        "true", "false", "nul",
+    ];
+
+    /// String tokens: plain, escaped, and ones both parsers must reject.
+    const STRINGS: [&str; 13] = [
+        r#""k""#,
+        r#""""#,
+        r#""\u006b""#,
+        r#""a\"b\\c\/\n\t\b\f\r""#,
+        r#""\ud83d\ude00""#,
+        "\"é😀\"",
+        r#""\ud800""#,
+        r#""\udc00""#,
+        r#""\ud800\u0041""#,
+        "\"\u{1}\"",
+        r#""\x""#,
+        r#""\u12""#,
+        r#""\é""#,
+    ];
+
+    /// What a corruption inserts.
+    const SPLICES: [&str; 12] = ["{", "}", "[", "]", ",", ":", "\"", "\\", " ", "+1", "x", "\u{0}"];
+
+    /// Appends a JSON document drawn from `p`: scalars, strings, arrays and
+    /// objects nested up to three deep, with whitespace between tokens.
+    fn generated_document(p: &mut Picks<'_>, depth: u32, out: &mut String) {
+        let ws = |p: &mut Picks<'_>, out: &mut String| out.push_str(p.of(&["", "", " ", "\t", "\r\n"]));
+        ws(p, out);
+        match p.next() % if depth >= 3 { 2 } else { 4 } {
+            0 => out.push_str(p.of(&SCALARS)),
+            1 => out.push_str(p.of(&STRINGS)),
+            shape => {
+                let object = shape == 3;
+                out.push(if object { '{' } else { '[' });
+                for i in 0..p.next() % 4 {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    if object {
+                        ws(p, out);
+                        out.push_str(p.of(&STRINGS));
+                        ws(p, out);
+                        out.push(':');
+                    }
+                    generated_document(p, depth + 1, out);
+                }
+                ws(p, out);
+                out.push(if object { '}' } else { ']' });
+            }
+        }
+        ws(p, out);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The direct writer emits the bytes the tree writer did, on
+        /// streams of every variant with edge-case ids, floats and names.
+        #[test]
+        fn direct_writer_matches_tree_reference(
+            words in proptest::collection::vec(proptest::collection::vec(0u64..u64::MAX, 24), 1..12),
+        ) {
+            let events: Vec<TraceEvent> = words.iter().map(|w| generated_event(w)).collect();
+            let direct = render(&events);
+            prop_assert!(direct == reference(&events), "direct:\n{direct}\nreference:\n{}", reference(&events));
+        }
+
+        /// The borrowed reader accepts exactly what the vendored parser
+        /// accepts and reads it to the same tree, also after a corruption.
+        #[test]
+        fn borrowed_reader_agrees_with_vendored_parser(
+            words in proptest::collection::vec(0u64..u64::MAX, 96),
+        ) {
+            let mut picks = Picks(words.iter());
+            let mut doc = String::new();
+            generated_document(&mut picks, 0, &mut doc);
+            match picks.next() % 3 {
+                0 => {}
+                1 => {
+                    let at = picks.next() as usize % (doc.len() + 1);
+                    let at = (0..=at).rev().find(|&i| doc.is_char_boundary(i)).unwrap_or(0);
+                    doc.insert_str(at, picks.of(&SPLICES));
+                }
+                _ => {
+                    if let Some((at, _)) = doc.char_indices().nth(picks.next() as usize % doc.chars().count().max(1)) {
+                        doc.remove(at);
+                    }
+                }
+            }
+            let mut reader = JsonReader::default();
+            let borrowed = reader.line(1, &doc);
+            let owned = serde_json::from_str(&doc);
+            match (&borrowed, &owned) {
+                (Ok(b), Ok(o)) => prop_assert_eq!(format!("{b:?}"), format!("{o:?}"), "{:?}", doc),
+                (Err(_), Err(_)) => {}
+                _ => prop_assert!(false, "{doc:?}: borrowed {borrowed:?}, vendored {owned:?}"),
             }
         }
     }

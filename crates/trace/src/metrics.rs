@@ -302,8 +302,20 @@ impl MetricsReport {
             ("tasks_crashed", uint(self.tasks_crashed)),
             ("tasks_launched", uint(self.tasks_launched)),
         ]);
-        debug_assert!(crate::jsonl::sorted_keys(&root), "metrics JSON keys must be sorted");
-        serde_json::to_string_pretty(&crate::jsonl::Raw(root)).expect("serializer is total")
+        debug_assert!(sorted_keys(&root), "metrics JSON keys must be sorted");
+        serde_json::to_string_pretty(&root).expect("serializer is total")
+    }
+}
+
+/// Checks that an object tree's keys are in sorted order (debug builds only).
+fn sorted_keys(v: &serde::Value) -> bool {
+    use serde::Value;
+    match v {
+        Value::Object(entries) => {
+            entries.windows(2).all(|w| w[0].0 < w[1].0) && entries.iter().all(|(_, v)| sorted_keys(v))
+        }
+        Value::Array(items) => items.iter().all(sorted_keys),
+        _ => true,
     }
 }
 
