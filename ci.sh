@@ -71,7 +71,10 @@ printf '%s\n%s\n' "$header" \
 printf '%s\n%s\n' "$header" \
   '{"event":"job-completed","fields":{"bogus":5,"job":0},"seq":1,"time_secs":0.0}' \
   > "$trace_dir/unknown.jsonl"
-for doc in inf unknown; do
+printf '%s\n%s\n' "$header" \
+  '{"event":"job-completed","fields":{"job":0,"job":0},"seq":1,"time_secs":0.0}' \
+  > "$trace_dir/duplicate.jsonl"
+for doc in inf unknown duplicate; do
   for cmd in check explain; do
     status=0
     ./target/release/ssr-cli "$cmd" "$trace_dir/$doc.jsonl" > /dev/null 2>&1 || status=$?
@@ -89,6 +92,14 @@ printf '%s\n%s\n%s\n%s\n' "$header" \
   '{"event":"job-completed","fields":{"job":0},"seq":3,"time_secs":2.0}' > "$trace_dir/far.jsonl"
 timeout 30 ./target/release/ssr-cli explain "$trace_dir/far.jsonl" > "$trace_dir/far.txt"
 grep -q "^slot 4294967295 |" "$trace_dir/far.txt"
+# The reader takes keys in any order: the same trace with each `fields`
+# object's keys reversed explains to the same bytes.
+printf '%s\n%s\n%s\n%s\n' "$header" \
+  '{"event":"job-submitted","fields":{"stages":[{"parents":[],"tasks":1}],"priority":10,"name":"far","job":0},"seq":1,"time_secs":0.0}' \
+  '{"event":"reservation-granted","fields":{"stage":0,"slot":4294967295,"priority":10,"job":0,"deadline_secs":null},"seq":2,"time_secs":1.0}' \
+  '{"event":"job-completed","fields":{"job":0},"seq":3,"time_secs":2.0}' > "$trace_dir/far-reversed.jsonl"
+timeout 30 ./target/release/ssr-cli explain "$trace_dir/far-reversed.jsonl" > "$trace_dir/far-reversed.txt"
+cmp "$trace_dir/far.txt" "$trace_dir/far-reversed.txt"
 
 echo "==> protocol exploration (pinned state count, byte-identical JSON)"
 for i in 1 2; do

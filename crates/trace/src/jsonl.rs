@@ -2,17 +2,23 @@
 //! [`parse_trace`] reads it back.
 //!
 //! The reader validates a document against the schema the writer emits
-//! (sorted keys are not required on input, but event names, field names
-//! and types are) and lowers each line back into the typed [`TraceEvent`]
-//! the engine emitted. A trace written by `JsonlSink` and read back
-//! round-trips exactly, field for field and timestamp for timestamp.
+//! (event names, field names and types are required; key order is not)
+//! and lowers each line back into the typed [`TraceEvent`] the engine
+//! emitted. A trace written by `JsonlSink` and read back round-trips
+//! exactly, field for field and timestamp for timestamp.
 //!
 //! Neither direction builds a `serde::Value` tree per line. The writer
 //! formats each line straight into its buffer, in the vendored
-//! serializer's byte format; the reader borrows each line's keys and
-//! strings from the input and leaves escape decoding to the vendored
-//! parser. Tests hold the writer to the tree writer it replaced and the
-//! reader to the vendored parser.
+//! serializer's byte format, with integers and repeated timestamps
+//! written without `fmt`. The reader takes keys in any order and is
+//! fastest in the writer's: it first reads a line as the writer shapes
+//! it, comparing each key with the one expected next, and reads it again
+//! by the general JSON grammar only when the line departs from that
+//! shape. It borrows keys and strings from the input and leaves escape
+//! decoding to the vendored parser. Tests hold the writer to the tree
+//! writer it replaced, the reader's grammar to the vendored parser, and
+//! the reader to the search-per-field reader it replaced, error for
+//! error.
 //!
 //! The reader accepts schema v1 through v3 documents. v1 traces lack the
 //! per-stage DAG metadata on `job-submitted` and the blocked `stage` on
@@ -24,7 +30,6 @@
 
 use std::any::Any;
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::fmt::{self, Write as _};
 
 use serde::Value;
@@ -73,6 +78,9 @@ pub const SCHEMA_VERSION: u32 = 3;
 pub struct JsonlSink {
     out: String,
     seq: u64,
+    /// The last timestamp written, as `f64` bits and as text: runs of
+    /// events share a timestamp, so most lines reuse the text.
+    time: (u64, String),
 }
 
 impl Default for JsonlSink {
@@ -84,7 +92,8 @@ impl Default for JsonlSink {
 impl JsonlSink {
     /// Creates a sink and writes the `trace-start` header line.
     pub fn new() -> Self {
-        let mut sink = JsonlSink { out: String::new(), seq: 0 };
+        let mut sink = JsonlSink { out: String::new(), seq: 0, time: (0.0_f64.to_bits(), String::new()) };
+        push_float(&mut sink.time.1, 0.0);
         sink.write_line("trace-start", 0.0, |f| f.uint("schema_version", SCHEMA_VERSION));
         sink
     }
@@ -109,11 +118,17 @@ impl JsonlSink {
         fields: impl FnOnce(&mut FieldWriter<'_>),
     ) {
         let seq = self.seq;
+        if time_secs.to_bits() != self.time.0 {
+            self.time.0 = time_secs.to_bits();
+            self.time.1.clear();
+            push_float(&mut self.time.1, time_secs);
+        }
+        let time = &self.time.1;
         FieldWriter::write_object(&mut self.out, |line| {
             line.ident("event", event);
             line.object("fields", fields);
             line.uint("seq", seq);
-            line.float("time_secs", time_secs);
+            line.key("time_secs").push_str(time);
         });
         self.out.push('\n');
         self.seq += 1;
@@ -189,11 +204,15 @@ impl FieldWriter<'_> {
     }
 
     fn uint(&mut self, key: &'static str, n: impl Into<u64>) {
-        let _ = write!(self.key(key), "{}", n.into());
+        push_uint(self.key(key), n.into());
     }
 
     fn int(&mut self, key: &'static str, n: i32) {
-        let _ = write!(self.key(key), "{n}");
+        let out = self.key(key);
+        if n < 0 {
+            out.push('-');
+        }
+        push_uint(out, n.unsigned_abs().into());
     }
 
     fn opt_uint(&mut self, key: &'static str, n: Option<u32>) {
@@ -204,12 +223,7 @@ impl FieldWriter<'_> {
     }
 
     fn float(&mut self, key: &'static str, x: f64) {
-        let out = self.key(key);
-        if x.is_finite() {
-            let _ = write!(out, "{x:?}");
-        } else {
-            out.push_str("null");
-        }
+        push_float(self.key(key), x);
     }
 
     fn opt_float(&mut self, key: &'static str, x: Option<f64>) {
@@ -242,6 +256,30 @@ impl FieldWriter<'_> {
     }
 }
 
+/// Appends `n` as `{n}` formats it.
+fn push_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `x` as `{x:?}` formats it, or `null` when it is not finite.
+fn push_float(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 /// Writes an event's payload, keys sorted.
 fn write_fields(f: &mut FieldWriter<'_>, kind: &TraceEventKind) {
     use TraceEventKind as K;
@@ -252,9 +290,7 @@ fn write_fields(f: &mut FieldWriter<'_>, kind: &TraceEventKind) {
             f.int("priority", priority.level());
             f.array("stages", stages, |out, s| {
                 FieldWriter::write_object(out, |m| {
-                    m.array("parents", &s.parents, |out, p| {
-                        let _ = write!(out, "{}", p.as_u32());
-                    });
+                    m.array("parents", &s.parents, |out, p| push_uint(out, p.as_u32().into()));
                     m.uint("tasks", s.tasks);
                 });
             });
@@ -385,12 +421,11 @@ impl std::error::Error for ReadError {}
 /// errors naming the offending line; only the fields schema v1 lacked
 /// (`stages`, `stage`) may be missing.
 pub fn parse_trace(input: &str) -> Result<Trace, ReadError> {
-    let mut lines = input.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| ReadError::new(0, "empty document: missing trace-start header"))?;
+    if input.is_empty() {
+        return Err(ReadError::new(0, "empty document: missing trace-start header"));
+    }
     let mut reader = JsonReader::default();
-    let header = reader.line(1, header)?;
+    let (header, mut rest) = reader.next_line(1, input)?;
     let (event, seq, _, fields) = read_line(1, header)?;
     if event != "trace-start" {
         return Err(ReadError::new(1, format!("expected trace-start header, got {event:?}")));
@@ -398,7 +433,7 @@ pub fn parse_trace(input: &str) -> Result<Trace, ReadError> {
     if seq != 0 {
         return Err(ReadError::new(1, format!("header seq must be 0, got {seq}")));
     }
-    let schema_version = fields.u32("schema_version")?;
+    let schema_version = fields.u32(Key::SchemaVersion)?;
     fields.finish()?;
     if schema_version == 0 || schema_version > SCHEMA_VERSION {
         return Err(ReadError::new(
@@ -409,9 +444,12 @@ pub fn parse_trace(input: &str) -> Result<Trace, ReadError> {
 
     let mut events = Vec::new();
     let mut last_time = SimTime::ZERO;
-    for (idx, raw) in lines {
+    let mut idx = 0;
+    while !rest.is_empty() {
+        idx += 1;
         let lineno = idx + 1;
-        let line = reader.line(lineno, raw)?;
+        let (line, next) = reader.next_line(lineno, rest)?;
+        rest = next;
         let (event, seq, time, fields) = read_line(lineno, line)?;
         if seq != idx as u64 {
             return Err(ReadError::new(lineno, format!("seq {seq} out of order (expected {idx})")));
@@ -430,6 +468,140 @@ pub fn parse_trace(input: &str) -> Result<Trace, ReadError> {
     Ok(Trace { schema_version, events })
 }
 
+/// Declares [`Key`], one variant per key name.
+macro_rules! keys {
+    ($($key:ident = $name:literal,)*) => {
+        /// A key of the format at any depth: the line's four, a stage
+        /// entry's two and every payload field.
+        #[derive(Clone, Copy, PartialEq, Eq)]
+        enum Key {
+            $($key,)*
+        }
+
+        impl Key {
+            const COUNT: usize = [$($name),*].len();
+
+            fn name(self) -> &'static str {
+                match self {
+                    $(Key::$key => $name,)*
+                }
+            }
+
+            /// The key as it starts a member: `"name":`.
+            fn quoted(self) -> &'static str {
+                match self {
+                    $(Key::$key => concat!("\"", $name, "\":"),)*
+                }
+            }
+        }
+    };
+}
+
+keys! {
+    Event = "event",
+    Fields = "fields",
+    Seq = "seq",
+    TimeSecs = "time_secs",
+    Parents = "parents",
+    Tasks = "tasks",
+    Assignments = "assignments",
+    Attempt = "attempt",
+    Cause = "cause",
+    DeadlineSecs = "deadline_secs",
+    DurationSecs = "duration_secs",
+    Free = "free",
+    Job = "job",
+    Level = "level",
+    Name = "name",
+    Partition = "partition",
+    Priority = "priority",
+    Reason = "reason",
+    Requeued = "requeued",
+    Reserved = "reserved",
+    Running = "running",
+    SchemaVersion = "schema_version",
+    Slot = "slot",
+    Speculative = "speculative",
+    Stage = "stage",
+    Stages = "stages",
+    Warm = "warm",
+}
+
+/// A line's keys, in the order the writer emits them.
+const LINE_KEYS: &[Key] = &[Key::Event, Key::Fields, Key::Seq, Key::TimeSecs];
+
+/// A `job-submitted` stage entry's keys, in the order the writer emits them.
+const STAGE_KEYS: &[Key] = &[Key::Parents, Key::Tasks];
+
+/// The payload keys of `event`, in the order [`write_fields`] emits them
+/// (sorted); none for `locality-unlocked` and for unknown events.
+fn payload_keys(event: &str) -> &'static [Key] {
+    match event {
+        "trace-start" => &[Key::SchemaVersion],
+        "job-submitted" => &[Key::Job, Key::Name, Key::Priority, Key::Stages],
+        "offer-round-started" => &[Key::Free, Key::Reserved, Key::Running],
+        "offer-round-ended" => &[Key::Assignments],
+        "offer-declined" => &[Key::Job, Key::Reason, Key::Stage],
+        "task-launched" => &[
+            Key::Attempt,
+            Key::Job,
+            Key::Level,
+            Key::Partition,
+            Key::Slot,
+            Key::Speculative,
+            Key::Stage,
+            Key::Warm,
+        ],
+        "task-finished" => &[Key::Attempt, Key::DurationSecs, Key::Job, Key::Partition, Key::Slot, Key::Stage],
+        "copy-killed" => &[Key::Job, Key::Partition, Key::Slot, Key::Stage],
+        "reservation-granted" | "prereserve-filled" => {
+            &[Key::DeadlineSecs, Key::Job, Key::Priority, Key::Slot, Key::Stage]
+        }
+        "reservation-expired" | "reservation-released" | "reservation-revoked" => &[Key::Job, Key::Slot],
+        "stale-reservation-released" => &[Key::Job, Key::Slot, Key::Stage],
+        "barrier-cleared" | "stage-completed" => &[Key::Job, Key::Stage],
+        "job-completed" => &[Key::Job],
+        "task-crashed" => &[Key::Attempt, Key::Job, Key::Partition, Key::Requeued, Key::Slot, Key::Stage],
+        "slot-offline" => &[Key::Cause, Key::Slot],
+        "slot-online" => &[Key::Slot],
+        _ => &[],
+    }
+}
+
+/// Marks an absent tape index in [`Routes`].
+const ABSENT: usize = usize::MAX;
+
+/// Where an object's members sit on the tape: the value of each expected
+/// key's first occurrence, and the key of the first member no accessor
+/// reads (one the schema does not expect, or a repeat).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Routes {
+    value: [usize; Key::COUNT],
+    stray: usize,
+}
+
+impl Default for Routes {
+    fn default() -> Self {
+        Routes { value: [ABSENT; Key::COUNT], stray: ABSENT }
+    }
+}
+
+impl Routes {
+    /// Routes the members of `object`, already on the tape, by `keys`,
+    /// each looked up by name.
+    fn of(object: Json<'_>, keys: &[Key]) -> Routes {
+        let mut routes = Routes::default();
+        for (name, value) in object.entries() {
+            match keys.iter().copied().find(|key| key.name() == name) {
+                Some(key) if routes.value[key as usize] == ABSENT => routes.value[key as usize] = value.at,
+                _ if routes.stray == ABSENT => routes.stray = value.at - 1,
+                _ => {}
+            }
+        }
+        routes
+    }
+}
+
 /// Reads one line at a time into a flat list of nodes, reused from line to
 /// line, so a document costs no allocation per line.
 ///
@@ -438,11 +610,22 @@ pub fn parse_trace(input: &str) -> Result<Trace, ReadError> {
 /// exponent). Keys and strings without an escape are slices of the input;
 /// a string with one is handed to the vendored parser, so `\u` and
 /// surrogate handling live in one place.
+///
+/// A line is first read in the writer's byte shape: its keys in the order
+/// the writer emits them, each compared whole with the one expected next,
+/// and no whitespace; the newline after it marks its end. At the first
+/// byte that departs from that shape the line is split off as
+/// `str::lines` splits it and read again by the general grammar, which
+/// takes keys in any order and reports what is wrong. Either way the line
+/// ends up on the same tape, its objects' members located by [`Routes`].
 #[derive(Default)]
 struct JsonReader<'a> {
     text: &'a str,
     pos: usize,
     tape: Vec<Node<'a>>,
+    /// The routes of the line object and of its `fields` payload.
+    top: Routes,
+    payload: Routes,
 }
 
 /// One value of a line, in document order: a container's node precedes
@@ -462,21 +645,150 @@ enum Node<'a> {
     Object { len: usize, end: usize },
 }
 
+/// A line as [`JsonReader::line`] read it: its tape, the routes of its
+/// object and those of its payload.
+struct Line<'t> {
+    tape: &'t [Node<'t>],
+    top: &'t Routes,
+    payload: &'t Routes,
+}
+
+impl<'t> Line<'t> {
+    fn root(&self) -> Json<'t> {
+        Json { tape: self.tape, at: 0 }
+    }
+}
+
+/// The root value's `Debug` output.
+impl fmt::Debug for Line<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.root(), f)
+    }
+}
+
 impl<'a> JsonReader<'a> {
-    /// Reads line `lineno` and returns a view of its root value.
-    fn line(&mut self, lineno: usize, raw: &'a str) -> Result<Json<'_>, ReadError> {
+    /// Reads line `lineno`, the line `rest` starts with, and returns the
+    /// text after it. A line in the writer's shape is read where it
+    /// stands, its end found by reading it; any other is first split off
+    /// as `str::lines` splits it.
+    fn next_line(&mut self, lineno: usize, rest: &'a str) -> Result<(Line<'_>, &'a str), ReadError> {
+        let shaped = self.start(rest).writer_line().map(|()| &rest[self.pos..]);
+        let next = shaped.and_then(|after| match after.as_bytes() {
+            [] => Some(after),
+            [b'\n', ..] => Some(&after[1..]),
+            [b'\r', b'\n', ..] => Some(&after[2..]),
+            _ => None,
+        });
+        if let Some(next) = next {
+            return Ok((self.read(), next));
+        }
+        let (raw, next) = match rest.split_once('\n') {
+            Some((raw, next)) => (raw.strip_suffix('\r').unwrap_or(raw), next),
+            None => (rest, ""),
+        };
+        Ok((self.line(lineno, raw)?, next))
+    }
+
+    /// Reads line `lineno`, the whole of `raw`.
+    fn line(&mut self, lineno: usize, raw: &'a str) -> Result<Line<'_>, ReadError> {
+        if self.start(raw).writer_line().is_none() || self.pos != raw.len() {
+            self.start(raw).document().map_err(|e| ReadError::new(lineno, format!("invalid JSON: {e}")))?;
+        }
+        Ok(self.read())
+    }
+
+    /// The line last read.
+    fn read(&self) -> Line<'_> {
+        Line { tape: &self.tape, top: &self.top, payload: &self.payload }
+    }
+
+    /// Readies the reader for `raw`.
+    fn start(&mut self, raw: &'a str) -> &mut Self {
         self.text = raw;
         self.pos = 0;
         self.tape.clear();
-        self.document().map_err(|e| ReadError::new(lineno, format!("invalid JSON: {e}")))?;
-        Ok(Json { tape: &self.tape, at: 0 })
+        self.top = Routes::default();
+        self.payload = Routes::default();
+        self
     }
 
+    /// Reads a line object in the writer's byte shape from the start of
+    /// the text, routing as it goes; `None` at the first departure from
+    /// that shape. A line read this way holds no newline.
+    fn writer_line(&mut self) -> Option<()> {
+        self.tape.push(Node::Null);
+        self.token("{")?;
+        self.writer_member(Key::Event, false)?;
+        let Node::Str(event) = &self.tape[2] else { return None };
+        let keys = payload_keys(event);
+        self.token(",")?;
+        self.token(Key::Fields.quoted())?;
+        self.tape.push(Node::Str(Cow::Borrowed(Key::Fields.name())));
+        let payload = self.tape.len();
+        self.top.value[Key::Fields as usize] = payload;
+        self.tape.push(Node::Null);
+        self.token("{")?;
+        for (i, &key) in keys.iter().enumerate() {
+            if i > 0 {
+                self.token(",")?;
+            }
+            self.writer_member(key, true)?;
+        }
+        self.token("}")?;
+        self.tape[payload] = Node::Object { len: keys.len(), end: self.tape.len() };
+        self.token(",")?;
+        self.writer_member(Key::Seq, false)?;
+        self.token(",")?;
+        self.writer_member(Key::TimeSecs, false)?;
+        self.token("}")?;
+        self.tape[0] = Node::Object { len: LINE_KEYS.len(), end: self.tape.len() };
+        Some(())
+    }
+
+    /// One member of the line object (`payload` false) or of its payload,
+    /// its key expected to be `key`.
+    fn writer_member(&mut self, key: Key, payload: bool) -> Option<()> {
+        self.token(key.quoted())?;
+        self.tape.push(Node::Str(Cow::Borrowed(key.name())));
+        let value = self.tape.len();
+        self.writer_value()?;
+        if payload { &mut self.payload } else { &mut self.top }.value[key as usize] = value;
+        Some(())
+    }
+
+    /// A member's value, right after its key. `None` on whitespace before
+    /// it or a newline within it: a scalar holds none, but an array may.
+    fn writer_value(&mut self) -> Option<()> {
+        let (start, value) = (self.pos, self.tape.len());
+        if matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            return None;
+        }
+        self.value().ok()?;
+        let container = matches!(self.tape[value], Node::Array { .. } | Node::Object { .. });
+        (!container || !self.text[start..self.pos].contains('\n')).then_some(())
+    }
+
+    /// Consumes `token` if the input continues with it.
+    fn token(&mut self, token: &str) -> Option<()> {
+        let head = self.text.as_bytes().get(self.pos..self.pos + token.len())?;
+        (head == token.as_bytes()).then(|| self.pos += token.len())
+    }
+
+    /// The general grammar, from the line's start: a JSON value and
+    /// nothing after it. A line object's members, and its payload's when
+    /// it names an event, are routed once read.
     fn document(&mut self) -> Result<(), String> {
         self.value()?;
         self.skip_ws();
         if self.pos != self.text.len() {
             return Err(self.error("trailing characters after JSON document"));
+        }
+        if let Some(Node::Object { .. }) = self.tape.first() {
+            self.top = Routes::of(Json { tape: &self.tape, at: 0 }, LINE_KEYS);
+            let (event, fields) = (self.top.value[Key::Event as usize], self.top.value[Key::Fields as usize]);
+            if let (Some(Node::Str(event)), Some(Node::Object { .. })) = (self.tape.get(event), self.tape.get(fields)) {
+                self.payload = Routes::of(Json { tape: &self.tape, at: fields }, payload_keys(event));
+            }
         }
         Ok(())
     }
@@ -513,8 +825,8 @@ impl<'a> JsonReader<'a> {
             Some(b't') => self.literal("true", Node::Bool(true))?,
             Some(b'f') => self.literal("false", Node::Bool(false))?,
             Some(b'"') => Node::Str(self.string()?),
-            Some(b'[') => return self.container(b']'),
-            Some(b'{') => return self.container(b'}'),
+            Some(b'[') => return self.container(b']', Self::value),
+            Some(b'{') => return self.container(b'}', Self::member),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number()?,
             Some(c) => return Err(self.error(&format!("unexpected character '{}'", c as char))),
             None => return Err(self.error("unexpected end of input")),
@@ -533,9 +845,12 @@ impl<'a> JsonReader<'a> {
     }
 
     /// An array (`close` is `]`) or an object (`}`), from its opening
-    /// bracket on.
-    fn container(&mut self, close: u8) -> Result<(), String> {
-        let object = close == b'}';
+    /// bracket on; `item` reads each item or member.
+    fn container(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         let at = self.tape.len();
         self.tape.push(Node::Null);
         self.pos += 1;
@@ -545,16 +860,7 @@ impl<'a> JsonReader<'a> {
             self.pos += 1;
         } else {
             loop {
-                if object {
-                    self.skip_ws();
-                    if self.peek() != Some(b'"') {
-                        return Err(self.error("expected '\"'"));
-                    }
-                    let key = self.string()?;
-                    self.tape.push(Node::Str(key));
-                    self.expect(b':')?;
-                }
-                self.value()?;
+                item(self)?;
                 len += 1;
                 self.skip_ws();
                 match self.peek() {
@@ -568,29 +874,48 @@ impl<'a> JsonReader<'a> {
             }
         }
         let end = self.tape.len();
-        self.tape[at] = if object { Node::Object { len, end } } else { Node::Array { end } };
+        self.tape[at] = if close == b'}' { Node::Object { len, end } } else { Node::Array { end } };
         Ok(())
+    }
+
+    /// An object member: its key, the `:` and its value.
+    fn member(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.peek() != Some(b'"') {
+            return Err(self.error("expected '\"'"));
+        }
+        let key = self.string()?;
+        self.tape.push(Node::Str(key));
+        self.expect(b':')?;
+        self.value()
     }
 
     /// A string token: borrowed when it has no escape, decoded by the
     /// vendored parser when it has one.
     fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        self.pos += 1;
+        let mut at = start + 1;
         let mut escaped = false;
         loop {
-            match self.peek() {
+            match bytes.get(at) {
                 Some(b'"') => break,
                 Some(b'\\') => {
                     escaped = true;
-                    self.pos += 2;
+                    at += 2;
                 }
-                Some(c) if c < 0x20 => return Err(self.error("unescaped control character")),
-                Some(_) => self.pos += 1,
-                None => return Err(self.error("unterminated string")),
+                Some(&c) if c < 0x20 => {
+                    self.pos = at;
+                    return Err(self.error("unescaped control character"));
+                }
+                Some(_) => at += 1,
+                None => {
+                    self.pos = at;
+                    return Err(self.error("unterminated string"));
+                }
             }
         }
-        self.pos += 1;
+        self.pos = at + 1;
         let token = &self.text[start..self.pos];
         if !escaped {
             return Ok(Cow::Borrowed(&token[1..token.len() - 1]));
@@ -602,6 +927,8 @@ impl<'a> JsonReader<'a> {
         }
     }
 
+    /// A number token: the longest run of digits and `.eE+-` after an
+    /// optional `-`.
     fn number(&mut self) -> Result<Node<'a>, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -662,9 +989,13 @@ impl<'t> Json<'t> {
         })
     }
 
-    /// An object's members, in document order.
+    /// An object's members, in document order; none for any other value,
+    /// an array's items included.
     fn entries(self) -> impl Iterator<Item = (&'t str, Json<'t>)> {
-        let end = self.end();
+        let end = match self.node() {
+            Node::Object { end, .. } => *end,
+            _ => self.at,
+        };
         let mut key = self.at + 1;
         std::iter::from_fn(move || {
             if key >= end {
@@ -696,17 +1027,17 @@ impl fmt::Debug for Json<'_> {
 
 /// Splits one line into its `event` name, `seq`, timestamp and the
 /// accessors over its `fields`.
-fn read_line(lineno: usize, line: Json<'_>) -> Result<(&str, u64, SimTime, Fields<'_>), ReadError> {
-    let top = Fields::new(lineno, line, "line")?;
-    let event = top.string("event")?;
-    let seq = top.u64("seq")?;
+fn read_line(lineno: usize, line: Line<'_>) -> Result<(&str, u64, SimTime, Fields<'_>), ReadError> {
+    let top = Fields::new(lineno, line.root(), "line", line.top)?;
+    let event = top.string(Key::Event)?;
+    let seq = top.u64(Key::Seq)?;
     // The upper bound keeps the instant representable: `SimTime` would
     // silently saturate beyond it.
-    let time_secs = top.f64("time_secs")?;
+    let time_secs = top.f64(Key::TimeSecs)?;
     if !(0.0..=SimTime::MAX.as_secs_f64()).contains(&time_secs) {
         return Err(top.err(format!("time_secs {time_secs} is outside the simulated clock's range")));
     }
-    let fields = Fields::new(lineno, top.get("fields")?, "fields")?;
+    let fields = Fields::new(lineno, top.get(Key::Fields)?, "fields", line.payload)?;
     top.finish()?;
     Ok((event, seq, SimTime::from_secs_f64(time_secs), fields))
 }
@@ -724,24 +1055,23 @@ fn number(v: Json<'_>) -> Option<f64> {
     }
 }
 
-/// Typed accessors over one JSON object of a line (`"fields"` or a stage
-/// entry), remembering which keys were read so that [`finish`] can reject
-/// the rest.
+/// Typed accessors over one JSON object of a line (the line itself, its
+/// `"fields"` or a stage entry), through its [`Routes`]; [`finish`]
+/// rejects the members no accessor reads.
 ///
 /// [`finish`]: Fields::finish
 struct Fields<'a> {
     lineno: usize,
-    object: Json<'a>,
-    /// Bit `i` is set once member `i` has been read.
-    read: Cell<u64>,
+    tape: &'a [Node<'a>],
+    routes: &'a Routes,
 }
 
 impl<'a> Fields<'a> {
-    fn new(lineno: usize, value: Json<'a>, what: &str) -> Result<Self, ReadError> {
+    fn new(lineno: usize, value: Json<'a>, what: &str, routes: &'a Routes) -> Result<Self, ReadError> {
         match value.node() {
-            // No event has more than eight fields; the cap keeps the read
-            // mask in one word.
-            Node::Object { len, .. } if *len <= 64 => Ok(Fields { lineno, object: value, read: Cell::new(0) }),
+            // No event has more than eight fields; past 64 keys an object
+            // is rejected outright.
+            Node::Object { len, .. } if *len <= 64 => Ok(Fields { lineno, tape: value.tape, routes }),
             Node::Object { .. } => Err(ReadError::new(lineno, format!("{what} has too many keys"))),
             _ => Err(ReadError::new(lineno, format!("{what} must be an object, got {value:?}"))),
         }
@@ -751,104 +1081,111 @@ impl<'a> Fields<'a> {
         ReadError::new(self.lineno, msg)
     }
 
+    /// `key` has `problem`.
+    fn fault(&self, key: Key, problem: &str) -> ReadError {
+        self.err(format!("{:?} {problem}", key.name()))
+    }
+
+    /// `key` holds `value`, which is not `shape`.
+    fn mistyped(&self, key: Key, shape: &str, value: Json<'_>) -> ReadError {
+        self.err(format!("{:?} must be {shape}, got {value:?}", key.name()))
+    }
+
     /// Fails on the first key no accessor read: unknown to the schema, or
     /// a duplicate of one that was read.
     fn finish(&self) -> Result<(), ReadError> {
-        let read = self.read.get();
-        match self.object.entries().enumerate().find(|(i, _)| read & (1 << i) == 0) {
-            Some((_, (key, _))) => Err(self.err(format!("unknown or duplicate field {key:?}"))),
-            None => Ok(()),
+        match self.tape.get(self.routes.stray) {
+            Some(Node::Str(key)) => Err(self.err(format!("unknown or duplicate field {key:?}"))),
+            _ => Ok(()),
         }
     }
 
-    fn get(&self, key: &str) -> Result<Json<'a>, ReadError> {
-        self.get_opt(key).ok_or_else(|| self.err(format!("missing field {key:?}")))
+    fn get(&self, key: Key) -> Result<Json<'a>, ReadError> {
+        self.get_opt(key)
+            .ok_or_else(|| self.err(format!("missing field {:?}", key.name())))
     }
 
     /// Like [`get`](Self::get) but tolerating absence (schema v1 traces).
-    fn get_opt(&self, key: &str) -> Option<Json<'a>> {
-        let (i, (_, value)) = self.object.entries().enumerate().find(|(_, (k, _))| *k == key)?;
-        self.read.set(self.read.get() | 1 << i);
-        Some(value)
+    fn get_opt(&self, key: Key) -> Option<Json<'a>> {
+        let at = self.routes.value[key as usize];
+        (at != ABSENT).then_some(Json { tape: self.tape, at })
     }
 
-    fn u64(&self, key: &str) -> Result<u64, ReadError> {
+    fn u64(&self, key: Key) -> Result<u64, ReadError> {
         let value = self.get(key)?;
         match value.node() {
             Node::UInt(n) => Ok(*n),
-            _ => Err(self.err(format!("{key:?} must be an unsigned integer, got {value:?}"))),
+            _ => Err(self.mistyped(key, "an unsigned integer", value)),
         }
     }
 
-    fn u32(&self, key: &str) -> Result<u32, ReadError> {
-        u32::try_from(self.u64(key)?)
-            .map_err(|_| self.err(format!("{key:?} exceeds u32 range")))
+    fn u32(&self, key: Key) -> Result<u32, ReadError> {
+        u32::try_from(self.u64(key)?).map_err(|_| self.fault(key, "exceeds u32 range"))
     }
 
-    fn usize(&self, key: &str) -> Result<usize, ReadError> {
-        usize::try_from(self.u64(key)?)
-            .map_err(|_| self.err(format!("{key:?} exceeds usize range")))
+    fn usize(&self, key: Key) -> Result<usize, ReadError> {
+        usize::try_from(self.u64(key)?).map_err(|_| self.fault(key, "exceeds usize range"))
     }
 
-    fn i32(&self, key: &str) -> Result<i32, ReadError> {
+    fn i32(&self, key: Key) -> Result<i32, ReadError> {
         let value = self.get(key)?;
         let raw = match value.node() {
             Node::Int(n) => *n,
-            Node::UInt(n) => i64::try_from(*n).map_err(|_| self.err(format!("{key:?} exceeds i64 range")))?,
-            _ => return Err(self.err(format!("{key:?} must be an integer, got {value:?}"))),
+            Node::UInt(n) => i64::try_from(*n).map_err(|_| self.fault(key, "exceeds i64 range"))?,
+            _ => return Err(self.mistyped(key, "an integer", value)),
         };
-        i32::try_from(raw).map_err(|_| self.err(format!("{key:?} exceeds i32 range")))
+        i32::try_from(raw).map_err(|_| self.fault(key, "exceeds i32 range"))
     }
 
-    fn f64(&self, key: &str) -> Result<f64, ReadError> {
-        number(self.get(key)?).ok_or_else(|| self.err(format!("{key:?} must be a finite number")))
+    fn f64(&self, key: Key) -> Result<f64, ReadError> {
+        number(self.get(key)?).ok_or_else(|| self.fault(key, "must be a finite number"))
     }
 
-    fn bool(&self, key: &str) -> Result<bool, ReadError> {
+    fn bool(&self, key: Key) -> Result<bool, ReadError> {
         let value = self.get(key)?;
         match value.node() {
             Node::Bool(b) => Ok(*b),
-            _ => Err(self.err(format!("{key:?} must be a boolean, got {value:?}"))),
+            _ => Err(self.mistyped(key, "a boolean", value)),
         }
     }
 
-    fn string(&self, key: &str) -> Result<&'a str, ReadError> {
+    fn string(&self, key: Key) -> Result<&'a str, ReadError> {
         let value = self.get(key)?;
         match value.node() {
             Node::Str(s) => Ok(s),
-            _ => Err(self.err(format!("{key:?} must be a string, got {value:?}"))),
+            _ => Err(self.mistyped(key, "a string", value)),
         }
     }
 
     /// A string field that must be one of `names`, returned as the
     /// engine's static identifier.
-    fn one_of(&self, key: &str, names: &[&'static str]) -> Result<&'static str, ReadError> {
+    fn one_of(&self, key: Key, names: &[&'static str]) -> Result<&'static str, ReadError> {
         let value = self.string(key)?;
         names
             .iter()
             .copied()
             .find(|n| *n == value)
-            .ok_or_else(|| self.err(format!("unknown {key} {value:?}")))
+            .ok_or_else(|| self.err(format!("unknown {} {value:?}", key.name())))
     }
 
     fn job(&self) -> Result<JobId, ReadError> {
-        Ok(JobId::new(self.u64("job")?))
+        Ok(JobId::new(self.u64(Key::Job)?))
     }
 
     fn stage(&self) -> Result<StageId, ReadError> {
-        Ok(StageId::new(self.u32("stage")?))
+        Ok(StageId::new(self.u32(Key::Stage)?))
     }
 
     /// `stage` as a nullable field (`offer-declined`, `reservation-granted`);
     /// also absent entirely in schema v1 `offer-declined` lines.
     fn opt_stage(&self) -> Result<Option<StageId>, ReadError> {
-        match self.get_opt("stage").map(Json::node) {
+        match self.get_opt(Key::Stage).map(Json::node) {
             None | Some(Node::Null) => Ok(None),
             Some(_) => self.stage().map(Some),
         }
     }
 
-    fn opt_secs(&self, key: &str) -> Result<Option<f64>, ReadError> {
+    fn opt_secs(&self, key: Key) -> Result<Option<f64>, ReadError> {
         match self.get(key)?.node() {
             Node::Null => Ok(None),
             _ => self.f64(key).map(Some),
@@ -857,7 +1194,7 @@ impl<'a> Fields<'a> {
 
     /// `job-submitted`'s `stages` array; absent in schema v1 traces.
     fn stage_metas(&self) -> Result<Vec<StageMeta>, ReadError> {
-        let Some(value) = self.get_opt("stages") else {
+        let Some(value) = self.get_opt(Key::Stages) else {
             return Ok(Vec::new());
         };
         let Node::Array { .. } = value.node() else {
@@ -866,8 +1203,9 @@ impl<'a> Fields<'a> {
         value
             .items()
             .map(|item| {
-                let meta = Fields::new(self.lineno, item, "stage entry")?;
-                let parents = meta.get("parents")?;
+                let routes = Routes::of(item, STAGE_KEYS);
+                let meta = Fields::new(self.lineno, item, "stage entry", &routes)?;
+                let parents = meta.get(Key::Parents)?;
                 let Node::Array { .. } = parents.node() else {
                     return Err(self.err("\"parents\" must be an array"));
                 };
@@ -880,7 +1218,7 @@ impl<'a> Fields<'a> {
                         _ => Err(self.err(format!("parent stage id must be an unsigned integer, got {p:?}"))),
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                let tasks = meta.u32("tasks")?;
+                let tasks = meta.u32(Key::Tasks)?;
                 meta.finish()?;
                 Ok(StageMeta { tasks, parents })
             })
@@ -904,26 +1242,27 @@ const DENY_REASONS: [DenyReason; 4] = [
 ];
 
 /// Lowers one line's `(event, fields)` pair into the typed event kind: the
-/// inverse of [`write_fields`], name for name.
+/// inverse of [`write_fields`], name for name. The order of the accessors
+/// decides which of several faults a line reports.
 fn parse_kind(lineno: usize, event: &str, f: &Fields<'_>) -> Result<TraceEventKind, ReadError> {
     use TraceEventKind as K;
     Ok(match event {
         "job-submitted" => K::JobSubmitted {
             job: f.job()?,
-            name: f.string("name")?.to_owned(),
-            priority: Priority::new(f.i32("priority")?),
+            name: f.string(Key::Name)?.to_owned(),
+            priority: Priority::new(f.i32(Key::Priority)?),
             stages: f.stage_metas()?,
         },
         "offer-round-started" => K::OfferRoundStarted {
-            free: f.usize("free")?,
-            running: f.usize("running")?,
-            reserved: f.usize("reserved")?,
+            free: f.usize(Key::Free)?,
+            running: f.usize(Key::Running)?,
+            reserved: f.usize(Key::Reserved)?,
         },
-        "offer-round-ended" => K::OfferRoundEnded { assignments: f.usize("assignments")? },
+        "offer-round-ended" => K::OfferRoundEnded { assignments: f.usize(Key::Assignments)? },
         "offer-declined" => K::OfferDeclined {
             job: f.job()?,
             reason: {
-                let reason = f.string("reason")?;
+                let reason = f.string(Key::Reason)?;
                 DENY_REASONS
                     .into_iter()
                     .find(|r| r.as_str() == reason)
@@ -932,47 +1271,47 @@ fn parse_kind(lineno: usize, event: &str, f: &Fields<'_>) -> Result<TraceEventKi
             stage: f.opt_stage()?,
         },
         "task-launched" => K::TaskLaunched {
-            slot: f.u32("slot")?,
+            slot: f.u32(Key::Slot)?,
             job: f.job()?,
             stage: f.stage()?,
-            partition: f.u32("partition")?,
-            attempt: f.u32("attempt")?,
-            level: f.one_of("level", &LOCALITY_LEVELS)?,
-            speculative: f.bool("speculative")?,
-            warm: f.bool("warm")?,
+            partition: f.u32(Key::Partition)?,
+            attempt: f.u32(Key::Attempt)?,
+            level: f.one_of(Key::Level, &LOCALITY_LEVELS)?,
+            speculative: f.bool(Key::Speculative)?,
+            warm: f.bool(Key::Warm)?,
         },
         "task-finished" => K::TaskFinished {
-            slot: f.u32("slot")?,
+            slot: f.u32(Key::Slot)?,
             job: f.job()?,
             stage: f.stage()?,
-            partition: f.u32("partition")?,
-            attempt: f.u32("attempt")?,
-            duration_secs: f.f64("duration_secs")?,
+            partition: f.u32(Key::Partition)?,
+            attempt: f.u32(Key::Attempt)?,
+            duration_secs: f.f64(Key::DurationSecs)?,
         },
         "copy-killed" => K::CopyKilled {
-            slot: f.u32("slot")?,
+            slot: f.u32(Key::Slot)?,
             job: f.job()?,
             stage: f.stage()?,
-            partition: f.u32("partition")?,
+            partition: f.u32(Key::Partition)?,
         },
         "reservation-granted" => K::ReservationGranted {
-            slot: f.u32("slot")?,
+            slot: f.u32(Key::Slot)?,
             job: f.job()?,
-            priority: Priority::new(f.i32("priority")?),
+            priority: Priority::new(f.i32(Key::Priority)?),
             stage: f.opt_stage()?,
-            deadline_secs: f.opt_secs("deadline_secs")?,
+            deadline_secs: f.opt_secs(Key::DeadlineSecs)?,
         },
         "prereserve-filled" => K::PrereserveFilled {
-            slot: f.u32("slot")?,
+            slot: f.u32(Key::Slot)?,
             job: f.job()?,
             stage: f.stage()?,
-            priority: Priority::new(f.i32("priority")?),
-            deadline_secs: f.opt_secs("deadline_secs")?,
+            priority: Priority::new(f.i32(Key::Priority)?),
+            deadline_secs: f.opt_secs(Key::DeadlineSecs)?,
         },
-        "reservation-expired" => K::ReservationExpired { slot: f.u32("slot")?, job: f.job()? },
-        "reservation-released" => K::ReservationReleased { slot: f.u32("slot")?, job: f.job()? },
+        "reservation-expired" => K::ReservationExpired { slot: f.u32(Key::Slot)?, job: f.job()? },
+        "reservation-released" => K::ReservationReleased { slot: f.u32(Key::Slot)?, job: f.job()? },
         "stale-reservation-released" => K::StaleReservationReleased {
-            slot: f.u32("slot")?,
+            slot: f.u32(Key::Slot)?,
             job: f.job()?,
             stage: f.stage()?,
         },
@@ -981,19 +1320,19 @@ fn parse_kind(lineno: usize, event: &str, f: &Fields<'_>) -> Result<TraceEventKi
         "job-completed" => K::JobCompleted { job: f.job()? },
         "locality-unlocked" => K::LocalityUnlocked,
         "task-crashed" => K::TaskCrashed {
-            slot: f.u32("slot")?,
+            slot: f.u32(Key::Slot)?,
             job: f.job()?,
             stage: f.stage()?,
-            partition: f.u32("partition")?,
-            attempt: f.u32("attempt")?,
-            requeued: f.bool("requeued")?,
+            partition: f.u32(Key::Partition)?,
+            attempt: f.u32(Key::Attempt)?,
+            requeued: f.bool(Key::Requeued)?,
         },
-        "reservation-revoked" => K::ReservationRevoked { slot: f.u32("slot")?, job: f.job()? },
+        "reservation-revoked" => K::ReservationRevoked { slot: f.u32(Key::Slot)?, job: f.job()? },
         "slot-offline" => K::SlotOffline {
-            slot: f.u32("slot")?,
-            cause: f.one_of("cause", &OFFLINE_CAUSES)?,
+            slot: f.u32(Key::Slot)?,
+            cause: f.one_of(Key::Cause, &OFFLINE_CAUSES)?,
         },
-        "slot-online" => K::SlotOnline { slot: f.u32("slot")? },
+        "slot-online" => K::SlotOnline { slot: f.u32(Key::Slot)? },
         "trace-start" => {
             return Err(ReadError::new(lineno, "trace-start may only appear as the first line"))
         }
@@ -1340,6 +1679,22 @@ mod tests {
         TraceEvent::new(time, kind)
     }
 
+    /// Events drawn by [`generated_event`], one per word list. An event
+    /// whose last word is even takes its predecessor's timestamp, so runs
+    /// of lines share one, as they do in a run's trace.
+    fn generated_stream(words: &[Vec<u64>]) -> Vec<TraceEvent> {
+        let mut events: Vec<TraceEvent> = Vec::new();
+        for w in words {
+            let mut event = generated_event(w);
+            if let (Some(prev), Some(last)) = (events.last(), w.last()) {
+                if last % 2 == 0 {
+                    event.time = prev.time;
+                }
+            }
+            events.push(event);
+        }
+        events
+    }
 
     #[test]
     fn round_trips_vec_sink_stream() {
@@ -1510,6 +1865,50 @@ mod tests {
     /// spelled with an escape, which must read as the plain one does.
     const REPLACEMENTS: [&str; 6] = ["1e400", "-1", "18446744073709551615", "\"x\"", "null", r#""\u0078""#];
 
+    /// `doc` with one hostile edit, each pick taken modulo what it picks
+    /// from: a value of a line replaced by `REPLACEMENTS[mutation]` (0–5),
+    /// a member, item or line dropped (6), a key added (7), or two lines
+    /// swapped (8).
+    fn hostile_edit(doc: &str, line_pick: usize, position_pick: usize, mutation: usize) -> String {
+        let mut lines: Vec<Value> =
+            doc.lines().map(|l| serde_json::from_str(l).expect("writer output")).collect();
+        let count = lines.len();
+        let line = line_pick % count;
+        let mut paths = Vec::new();
+        positions(&lines[line], &mut Vec::new(), &mut paths);
+        let path = &paths[position_pick % paths.len()];
+        const MARK: &str = "@@replaced@@";
+        match mutation {
+            0..=5 => *at(&mut lines[line], path) = Value::Str(MARK.into()),
+            6 => match path.split_last() {
+                Some((&i, parent)) => match at(&mut lines[line], parent) {
+                    Value::Object(entries) => drop(entries.remove(i)),
+                    Value::Array(items) => drop(items.remove(i)),
+                    _ => unreachable!("a child's parent is a container"),
+                },
+                None => drop(lines.remove(line)),
+            },
+            7 => match at(&mut lines[line], path) {
+                Value::Object(entries) => entries.push(("bogus".into(), Value::UInt(5))),
+                // A line an earlier edit replaced whole takes no key.
+                _ => {
+                    if let Value::Object(entries) = &mut lines[line] {
+                        entries.push(("bogus".into(), Value::UInt(5)));
+                    }
+                }
+            },
+            _ => lines.swap(line, (line + 1) % count),
+        }
+        let raw = REPLACEMENTS.get(mutation).copied().unwrap_or_default();
+        lines
+            .iter()
+            .map(|v| {
+                let text = serde_json::to_string(v).expect("serializer is total");
+                text.replace(&format!("\"{MARK}\""), raw) + "\n"
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
@@ -1523,42 +1922,7 @@ mod tests {
             position_pick in 0usize..1000,
             mutation in 0usize..9,
         ) {
-            let doc = render(&every_variant());
-            let mut lines: Vec<Value> =
-                doc.lines().map(|l| serde_json::from_str(l).expect("writer output")).collect();
-            let count = lines.len();
-            let line = line_pick % count;
-            let mut paths = Vec::new();
-            positions(&lines[line], &mut Vec::new(), &mut paths);
-            let path = &paths[position_pick % paths.len()];
-            const MARK: &str = "@@replaced@@";
-            match mutation {
-                0..=5 => *at(&mut lines[line], path) = Value::Str(MARK.into()),
-                6 => match path.split_last() {
-                    Some((&i, parent)) => match at(&mut lines[line], parent) {
-                        Value::Object(entries) => drop(entries.remove(i)),
-                        Value::Array(items) => drop(items.remove(i)),
-                        _ => unreachable!("a child's parent is a container"),
-                    },
-                    None => drop(lines.remove(line)),
-                },
-                7 => match at(&mut lines[line], path) {
-                    Value::Object(entries) => entries.push(("bogus".into(), Value::UInt(5))),
-                    _ => match &mut lines[line] {
-                        Value::Object(entries) => entries.push(("bogus".into(), Value::UInt(5))),
-                        _ => unreachable!("every line is an object"),
-                    },
-                },
-                _ => lines.swap(line, (line + 1) % count),
-            }
-            let raw = REPLACEMENTS.get(mutation).copied().unwrap_or_default();
-            let mutated: String = lines
-                .iter()
-                .map(|v| {
-                    let text = serde_json::to_string(v).expect("serializer is total");
-                    text.replace(&format!("\"{MARK}\""), raw) + "\n"
-                })
-                .collect();
+            let mutated = hostile_edit(&render(&every_variant()), line_pick, position_pick, mutation);
             let parsed = parse_trace(&mutated);
             // No field takes a non-finite number or an unknown key, and
             // swapped lines break the seq order.
@@ -1690,7 +2054,7 @@ mod tests {
         fn direct_writer_matches_tree_reference(
             words in proptest::collection::vec(proptest::collection::vec(0u64..u64::MAX, 24), 1..12),
         ) {
-            let events: Vec<TraceEvent> = words.iter().map(|w| generated_event(w)).collect();
+            let events = generated_stream(&words);
             let direct = render(&events);
             prop_assert!(direct == reference(&events), "direct:\n{direct}\nreference:\n{}", reference(&events));
         }
@@ -1725,6 +2089,564 @@ mod tests {
                 (Err(_), Err(_)) => {}
                 _ => prop_assert!(false, "{doc:?}: borrowed {borrowed:?}, vendored {owned:?}"),
             }
+        }
+    }
+
+    /// The reader as it was before it read lines in the writer's key
+    /// order: each line lexed by the general grammar, and each field found
+    /// by a search from the object's first member, with a read mask for
+    /// the members left over. Kept as the reference the reader is held to,
+    /// message for message.
+    mod reference {
+        use std::cell::Cell;
+
+        use super::super::*;
+
+        pub(super) fn parse_trace(input: &str) -> Result<Trace, ReadError> {
+            let mut lines = input.lines().enumerate();
+            let (_, header) = lines
+                .next()
+                .ok_or_else(|| ReadError::new(0, "empty document: missing trace-start header"))?;
+            let mut reader = JsonReader::default();
+            let header = lex(&mut reader, 1, header)?;
+            let (event, seq, _, fields) = read_line(1, header)?;
+            if event != "trace-start" {
+                return Err(ReadError::new(1, format!("expected trace-start header, got {event:?}")));
+            }
+            if seq != 0 {
+                return Err(ReadError::new(1, format!("header seq must be 0, got {seq}")));
+            }
+            let schema_version = fields.u32("schema_version")?;
+            fields.finish()?;
+            if schema_version == 0 || schema_version > SCHEMA_VERSION {
+                return Err(ReadError::new(
+                    1,
+                    format!("unsupported schema_version {schema_version} (reader supports 1..={SCHEMA_VERSION})"),
+                ));
+            }
+            let mut events = Vec::new();
+            let mut last_time = SimTime::ZERO;
+            for (idx, raw) in lines {
+                let lineno = idx + 1;
+                let line = lex(&mut reader, lineno, raw)?;
+                let (event, seq, time, fields) = read_line(lineno, line)?;
+                if seq != idx as u64 {
+                    return Err(ReadError::new(lineno, format!("seq {seq} out of order (expected {idx})")));
+                }
+                if time < last_time {
+                    return Err(ReadError::new(
+                        lineno,
+                        format!("time_secs {} precedes the previous event", time.as_secs_f64()),
+                    ));
+                }
+                last_time = time;
+                let kind = parse_kind(lineno, event, &fields)?;
+                fields.finish()?;
+                events.push(TraceEvent::new(time, kind));
+            }
+            Ok(Trace { schema_version, events })
+        }
+
+        /// Line `lineno` on the tape, by the general grammar alone.
+        fn lex<'r, 'a>(reader: &'r mut JsonReader<'a>, lineno: usize, raw: &'a str) -> Result<Json<'r>, ReadError> {
+            reader.start(raw).document().map_err(|e| ReadError::new(lineno, format!("invalid JSON: {e}")))?;
+            Ok(Json { tape: &reader.tape, at: 0 })
+        }
+
+        fn read_line(lineno: usize, line: Json<'_>) -> Result<(&str, u64, SimTime, Fields<'_>), ReadError> {
+            let top = Fields::new(lineno, line, "line")?;
+            let event = top.string("event")?;
+            let seq = top.u64("seq")?;
+            let time_secs = top.f64("time_secs")?;
+            if !(0.0..=SimTime::MAX.as_secs_f64()).contains(&time_secs) {
+                return Err(top.err(format!("time_secs {time_secs} is outside the simulated clock's range")));
+            }
+            let fields = Fields::new(lineno, top.get("fields")?, "fields")?;
+            top.finish()?;
+            Ok((event, seq, SimTime::from_secs_f64(time_secs), fields))
+        }
+
+        struct Fields<'a> {
+            lineno: usize,
+            object: Json<'a>,
+            /// Bit `i` is set once member `i` has been read.
+            read: Cell<u64>,
+        }
+
+        impl<'a> Fields<'a> {
+            fn new(lineno: usize, value: Json<'a>, what: &str) -> Result<Self, ReadError> {
+                match value.node() {
+                    Node::Object { len, .. } if *len <= 64 => {
+                        Ok(Fields { lineno, object: value, read: Cell::new(0) })
+                    }
+                    Node::Object { .. } => Err(ReadError::new(lineno, format!("{what} has too many keys"))),
+                    _ => Err(ReadError::new(lineno, format!("{what} must be an object, got {value:?}"))),
+                }
+            }
+
+            fn err(&self, msg: impl Into<String>) -> ReadError {
+                ReadError::new(self.lineno, msg)
+            }
+
+            fn finish(&self) -> Result<(), ReadError> {
+                let read = self.read.get();
+                match self.object.entries().enumerate().find(|(i, _)| read & (1 << i) == 0) {
+                    Some((_, (key, _))) => Err(self.err(format!("unknown or duplicate field {key:?}"))),
+                    None => Ok(()),
+                }
+            }
+
+            fn get(&self, key: &str) -> Result<Json<'a>, ReadError> {
+                self.get_opt(key).ok_or_else(|| self.err(format!("missing field {key:?}")))
+            }
+
+            fn get_opt(&self, key: &str) -> Option<Json<'a>> {
+                let (i, (_, value)) = self.object.entries().enumerate().find(|(_, (k, _))| *k == key)?;
+                self.read.set(self.read.get() | 1 << i);
+                Some(value)
+            }
+
+            fn u64(&self, key: &str) -> Result<u64, ReadError> {
+                let value = self.get(key)?;
+                match value.node() {
+                    Node::UInt(n) => Ok(*n),
+                    _ => Err(self.err(format!("{key:?} must be an unsigned integer, got {value:?}"))),
+                }
+            }
+
+            fn u32(&self, key: &str) -> Result<u32, ReadError> {
+                u32::try_from(self.u64(key)?).map_err(|_| self.err(format!("{key:?} exceeds u32 range")))
+            }
+
+            fn usize(&self, key: &str) -> Result<usize, ReadError> {
+                usize::try_from(self.u64(key)?).map_err(|_| self.err(format!("{key:?} exceeds usize range")))
+            }
+
+            fn i32(&self, key: &str) -> Result<i32, ReadError> {
+                let value = self.get(key)?;
+                let raw = match value.node() {
+                    Node::Int(n) => *n,
+                    Node::UInt(n) => {
+                        i64::try_from(*n).map_err(|_| self.err(format!("{key:?} exceeds i64 range")))?
+                    }
+                    _ => return Err(self.err(format!("{key:?} must be an integer, got {value:?}"))),
+                };
+                i32::try_from(raw).map_err(|_| self.err(format!("{key:?} exceeds i32 range")))
+            }
+
+            fn f64(&self, key: &str) -> Result<f64, ReadError> {
+                number(self.get(key)?).ok_or_else(|| self.err(format!("{key:?} must be a finite number")))
+            }
+
+            fn bool(&self, key: &str) -> Result<bool, ReadError> {
+                let value = self.get(key)?;
+                match value.node() {
+                    Node::Bool(b) => Ok(*b),
+                    _ => Err(self.err(format!("{key:?} must be a boolean, got {value:?}"))),
+                }
+            }
+
+            fn string(&self, key: &str) -> Result<&'a str, ReadError> {
+                let value = self.get(key)?;
+                match value.node() {
+                    Node::Str(s) => Ok(s),
+                    _ => Err(self.err(format!("{key:?} must be a string, got {value:?}"))),
+                }
+            }
+
+            fn one_of(&self, key: &str, names: &[&'static str]) -> Result<&'static str, ReadError> {
+                let value = self.string(key)?;
+                names
+                    .iter()
+                    .copied()
+                    .find(|n| *n == value)
+                    .ok_or_else(|| self.err(format!("unknown {key} {value:?}")))
+            }
+
+            fn job(&self) -> Result<JobId, ReadError> {
+                Ok(JobId::new(self.u64("job")?))
+            }
+
+            fn stage(&self) -> Result<StageId, ReadError> {
+                Ok(StageId::new(self.u32("stage")?))
+            }
+
+            fn opt_stage(&self) -> Result<Option<StageId>, ReadError> {
+                match self.get_opt("stage").map(Json::node) {
+                    None | Some(Node::Null) => Ok(None),
+                    Some(_) => self.stage().map(Some),
+                }
+            }
+
+            fn opt_secs(&self, key: &str) -> Result<Option<f64>, ReadError> {
+                match self.get(key)?.node() {
+                    Node::Null => Ok(None),
+                    _ => self.f64(key).map(Some),
+                }
+            }
+
+            fn stage_metas(&self) -> Result<Vec<StageMeta>, ReadError> {
+                let Some(value) = self.get_opt("stages") else {
+                    return Ok(Vec::new());
+                };
+                let Node::Array { .. } = value.node() else {
+                    return Err(self.err(format!("\"stages\" must be an array, got {value:?}")));
+                };
+                value
+                    .items()
+                    .map(|item| {
+                        let meta = Fields::new(self.lineno, item, "stage entry")?;
+                        let parents = meta.get("parents")?;
+                        let Node::Array { .. } = parents.node() else {
+                            return Err(self.err("\"parents\" must be an array"));
+                        };
+                        let parents = parents
+                            .items()
+                            .map(|p| match p.node() {
+                                Node::UInt(n) => u32::try_from(*n)
+                                    .map(StageId::new)
+                                    .map_err(|_| self.err("parent stage id exceeds u32 range")),
+                                _ => Err(self.err(format!("parent stage id must be an unsigned integer, got {p:?}"))),
+                            })
+                            .collect::<Result<Vec<_>, _>>()?;
+                        let tasks = meta.u32("tasks")?;
+                        meta.finish()?;
+                        Ok(StageMeta { tasks, parents })
+                    })
+                    .collect()
+            }
+        }
+
+        fn parse_kind(lineno: usize, event: &str, f: &Fields<'_>) -> Result<TraceEventKind, ReadError> {
+            use TraceEventKind as K;
+            Ok(match event {
+                "job-submitted" => K::JobSubmitted {
+                    job: f.job()?,
+                    name: f.string("name")?.to_owned(),
+                    priority: Priority::new(f.i32("priority")?),
+                    stages: f.stage_metas()?,
+                },
+                "offer-round-started" => K::OfferRoundStarted {
+                    free: f.usize("free")?,
+                    running: f.usize("running")?,
+                    reserved: f.usize("reserved")?,
+                },
+                "offer-round-ended" => K::OfferRoundEnded { assignments: f.usize("assignments")? },
+                "offer-declined" => K::OfferDeclined {
+                    job: f.job()?,
+                    reason: {
+                        let reason = f.string("reason")?;
+                        DENY_REASONS
+                            .into_iter()
+                            .find(|r| r.as_str() == reason)
+                            .ok_or_else(|| f.err(format!("unknown deny reason {reason:?}")))?
+                    },
+                    stage: f.opt_stage()?,
+                },
+                "task-launched" => K::TaskLaunched {
+                    slot: f.u32("slot")?,
+                    job: f.job()?,
+                    stage: f.stage()?,
+                    partition: f.u32("partition")?,
+                    attempt: f.u32("attempt")?,
+                    level: f.one_of("level", &LOCALITY_LEVELS)?,
+                    speculative: f.bool("speculative")?,
+                    warm: f.bool("warm")?,
+                },
+                "task-finished" => K::TaskFinished {
+                    slot: f.u32("slot")?,
+                    job: f.job()?,
+                    stage: f.stage()?,
+                    partition: f.u32("partition")?,
+                    attempt: f.u32("attempt")?,
+                    duration_secs: f.f64("duration_secs")?,
+                },
+                "copy-killed" => K::CopyKilled {
+                    slot: f.u32("slot")?,
+                    job: f.job()?,
+                    stage: f.stage()?,
+                    partition: f.u32("partition")?,
+                },
+                "reservation-granted" => K::ReservationGranted {
+                    slot: f.u32("slot")?,
+                    job: f.job()?,
+                    priority: Priority::new(f.i32("priority")?),
+                    stage: f.opt_stage()?,
+                    deadline_secs: f.opt_secs("deadline_secs")?,
+                },
+                "prereserve-filled" => K::PrereserveFilled {
+                    slot: f.u32("slot")?,
+                    job: f.job()?,
+                    stage: f.stage()?,
+                    priority: Priority::new(f.i32("priority")?),
+                    deadline_secs: f.opt_secs("deadline_secs")?,
+                },
+                "reservation-expired" => K::ReservationExpired { slot: f.u32("slot")?, job: f.job()? },
+                "reservation-released" => K::ReservationReleased { slot: f.u32("slot")?, job: f.job()? },
+                "stale-reservation-released" => K::StaleReservationReleased {
+                    slot: f.u32("slot")?,
+                    job: f.job()?,
+                    stage: f.stage()?,
+                },
+                "barrier-cleared" => K::BarrierCleared { job: f.job()?, stage: f.stage()? },
+                "stage-completed" => K::StageCompleted { job: f.job()?, stage: f.stage()? },
+                "job-completed" => K::JobCompleted { job: f.job()? },
+                "locality-unlocked" => K::LocalityUnlocked,
+                "task-crashed" => K::TaskCrashed {
+                    slot: f.u32("slot")?,
+                    job: f.job()?,
+                    stage: f.stage()?,
+                    partition: f.u32("partition")?,
+                    attempt: f.u32("attempt")?,
+                    requeued: f.bool("requeued")?,
+                },
+                "reservation-revoked" => K::ReservationRevoked { slot: f.u32("slot")?, job: f.job()? },
+                "slot-offline" => K::SlotOffline {
+                    slot: f.u32("slot")?,
+                    cause: f.one_of("cause", &OFFLINE_CAUSES)?,
+                },
+                "slot-online" => K::SlotOnline { slot: f.u32("slot")? },
+                "trace-start" => {
+                    return Err(ReadError::new(lineno, "trace-start may only appear as the first line"))
+                }
+                other => return Err(ReadError::new(lineno, format!("unknown event {other:?}"))),
+            })
+        }
+    }
+
+    /// Shuffles the members of every object in `v`, nested ones too, by
+    /// draws from `p`.
+    fn shuffle_keys(v: &mut Value, p: &mut Picks<'_>) {
+        match v {
+            Value::Object(entries) => {
+                for i in (1..entries.len()).rev() {
+                    entries.swap(i, p.next() as usize % (i + 1));
+                }
+                entries.iter_mut().for_each(|(_, child)| shuffle_keys(child, p));
+            }
+            Value::Array(items) => items.iter_mut().for_each(|item| shuffle_keys(item, p)),
+            _ => {}
+        }
+    }
+
+    /// `doc` with the keys of every object shuffled, or with one member of
+    /// one line's object or payload repeated somewhere in that object.
+    fn reordered(doc: &str, p: &mut Picks<'_>) -> String {
+        let mut lines: Vec<Value> =
+            doc.lines().map(|l| serde_json::from_str(l).expect("writer output")).collect();
+        if p.bool() {
+            lines.iter_mut().for_each(|line| shuffle_keys(line, p));
+        } else {
+            let count = lines.len();
+            let line = &mut lines[p.next() as usize % count];
+            let fields = match &*line {
+                Value::Object(entries) => entries.iter().position(|(k, _)| k == "fields"),
+                _ => None,
+            };
+            let object = match (p.bool(), fields, line) {
+                (true, Some(at), Value::Object(entries)) => &mut entries[at].1,
+                (_, _, line) => line,
+            };
+            if let Value::Object(entries) = object {
+                if !entries.is_empty() {
+                    let member = entries[p.next() as usize % entries.len()].clone();
+                    entries.insert(p.next() as usize % (entries.len() + 1), member);
+                }
+            }
+        }
+        lines.iter().map(|v| serde_json::to_string(v).expect("serializer is total") + "\n").collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The reader returns what the reference reader returns, the same
+        /// `Trace` or the same `ReadError`: on writer output, on the same
+        /// lines with their keys shuffled or one key repeated, and after
+        /// one or two hostile edits.
+        #[test]
+        fn reader_agrees_with_reference_reader(
+            words in proptest::collection::vec(proptest::collection::vec(0u64..u64::MAX, 24), 1..12),
+            draws in proptest::collection::vec(0u64..u64::MAX, 64),
+        ) {
+            let mut p = Picks(draws.iter());
+            let mut events = generated_stream(&words);
+            if !p.next().is_multiple_of(4) {
+                events.sort_by_key(|e| e.time);
+            }
+            let doc = match p.next() % 3 {
+                0 => render(&events),
+                1 => reordered(&render(&events), &mut p),
+                _ => {
+                    // A second edit on the same line pits two faults
+                    // against each other.
+                    let line = p.next() as usize;
+                    let edits = 1 + p.next() % 2;
+                    (0..edits).fold(render(&every_variant()), |doc, _| {
+                        hostile_edit(&doc, line, p.next() as usize, p.next() as usize % 9)
+                    })
+                }
+            };
+            match (parse_trace(&doc), reference::parse_trace(&doc)) {
+                (Ok(read), Ok(reference)) => {
+                    prop_assert_eq!(format!("{read:?}"), format!("{reference:?}"), "{}", doc)
+                }
+                (Err(read), Err(reference)) => prop_assert_eq!(read, reference, "{}", doc),
+                (read, reference) => prop_assert!(false, "{doc}\nread {read:?}\nreference {reference:?}"),
+            }
+        }
+    }
+
+    /// The reader finds lines where `str::lines` does: at `\n` or `\r\n`,
+    /// with or without a final one, whatever a newline or a space lands in.
+    #[test]
+    fn lines_split_as_str_lines_splits_them() {
+        let doc = render(&every_variant());
+        let mut docs = vec![
+            doc.replace('\n', "\r\n"),
+            doc.trim_end().to_owned(),
+            format!("{doc}\r"),
+            format!("{doc}\n"),
+            format!("{doc} \n"),
+            doc.replacen('\n', "\n\n", 3),
+            doc.replacen("}\n", "} \r\n", 4),
+        ];
+        // Every position of the header, the `job-submitted` line and the
+        // `task-launched` line.
+        let lines: Vec<usize> = [0, 1, 5].iter().map(|&n| doc.lines().take(n).map(|l| l.len() + 1).sum()).collect();
+        for start in lines {
+            let end = start + doc[start..].find('\n').expect("a newline");
+            for at in start..=end {
+                for insert in ["\n", " ", "\r\n", "\r"] {
+                    docs.push(format!("{}{insert}{}", &doc[..at], &doc[at..]));
+                }
+            }
+        }
+        for doc in docs {
+            let read = parse_trace(&doc).map(|t| format!("{t:?}"));
+            assert_eq!(read, reference::parse_trace(&doc).map(|t| format!("{t:?}")), "{doc:?}");
+        }
+    }
+
+    /// Where a line holds several faults, the reader reports the one the
+    /// reference reports: every pair of members of every line of every
+    /// variant, in the line object or in its payload, each dropped or
+    /// given a value of the wrong type or range.
+    #[test]
+    fn paired_faults_report_as_the_reference_does() {
+        let doc = render(&every_variant());
+        let lines: Vec<Value> = doc.lines().map(|l| serde_json::from_str(l).expect("writer output")).collect();
+        let faults = [None, Some(Value::Str("x".into())), Some(Value::Int(-1)), Some(Value::Null), Some(Value::Bool(true))];
+        fn object(line: &mut Value, in_payload: bool) -> Option<&mut Vec<(String, Value)>> {
+            let Value::Object(entries) = line else { return None };
+            if !in_payload {
+                return Some(entries);
+            }
+            match entries.iter_mut().find(|(k, _)| k == "fields") {
+                Some((_, Value::Object(fields))) => Some(fields),
+                _ => None,
+            }
+        }
+        for (n, line) in lines.iter().enumerate() {
+            for in_payload in [false, true] {
+                let len = object(&mut line.clone(), in_payload).map_or(0, |o| o.len());
+                for (i, j) in (0..len).flat_map(|i| (i + 1..len).map(move |j| (i, j))) {
+                    for a in &faults {
+                        for b in &faults {
+                            let mut edited = lines.clone();
+                            let members = object(&mut edited[n], in_payload).expect("an object");
+                            for (at, fault) in [(j, b), (i, a)] {
+                                match fault {
+                                    Some(v) => members[at].1 = v.clone(),
+                                    None => drop(members.remove(at)),
+                                }
+                            }
+                            let doc: String = edited
+                                .iter()
+                                .map(|v| serde_json::to_string(v).expect("serializer is total") + "\n")
+                                .collect();
+                            assert_eq!(
+                                parse_trace(&doc).map_err(|e| e.to_string()).map(|t| format!("{t:?}")),
+                                reference::parse_trace(&doc).map_err(|e| e.to_string()).map(|t| format!("{t:?}")),
+                                "{doc}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `job-submitted` stage entry that is not an object is reported as
+    /// the reference reports it, wherever `stages` stands in the payload
+    /// and the payload on the line: an array entry is not read as keys and
+    /// values, whatever its length.
+    #[test]
+    fn non_object_stage_entries_report_as_the_reference_does() {
+        let entries = [r#"["x"]"#, r#"["a",1,"b"]"#, r#"["a",1]"#, r#"[["x"]]"#, "[]", r#""x""#, "1", "null"];
+        let payloads = [
+            r#"{"job":0,"name":"a","priority":0,"stages":[ENTRY]}"#,
+            r#"{"job":0,"name":"a","priority":0,"stages":[{"parents":[],"tasks":1},ENTRY]}"#,
+            r#"{"stages":[ENTRY],"job":0,"name":"a","priority":0}"#,
+        ];
+        let lines = [
+            r#"{"event":"job-submitted","fields":PAYLOAD,"seq":1,"time_secs":0.0}"#,
+            r#"{"event":"job-submitted","seq":1,"time_secs":0.0,"fields":PAYLOAD}"#,
+        ];
+        for entry in entries {
+            for payload in payloads {
+                for line in lines {
+                    let doc = format!("{HEADER}\n{}\n", line.replace("PAYLOAD", &payload.replace("ENTRY", entry)));
+                    assert_eq!(
+                        parse_trace(&doc).map(|t| format!("{t:?}")),
+                        reference::parse_trace(&doc).map(|t| format!("{t:?}")),
+                        "{doc}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every event's payload keys, as the reader expects them, are the
+    /// keys the writer writes, in its order; so are the line's and a stage
+    /// entry's.
+    #[test]
+    fn expected_keys_are_the_writers() {
+        let names = |keys: &[Key]| keys.iter().map(|k| k.name().to_owned()).collect::<Vec<_>>();
+        let keys = |v: &Value| match v {
+            Value::Object(entries) => entries.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        for line in render(&every_variant()).lines() {
+            let line: Value = serde_json::from_str(line).expect("writer output");
+            assert_eq!(keys(&line), names(LINE_KEYS));
+            let Value::Object(entries) = &line else { unreachable!("checked above") };
+            let Value::Str(event) = &entries[0].1 else { panic!("event name") };
+            assert_eq!(keys(&entries[1].1), names(payload_keys(event)), "{event}");
+            if let Value::Object(fields) = &entries[1].1 {
+                if let Some((_, Value::Array(stages))) = fields.iter().find(|(k, _)| k == "stages") {
+                    stages.iter().for_each(|s| assert_eq!(keys(s), names(STAGE_KEYS)));
+                }
+            }
+        }
+    }
+
+    /// A line in the writer's shape reads onto the same tape, with the same
+    /// routes, as the general grammar reads it.
+    #[test]
+    fn writer_shape_reads_as_the_general_grammar_does() {
+        let doc = render(&every_variant());
+        let mut shaped = JsonReader::default();
+        let mut general = JsonReader::default();
+        for raw in doc.lines() {
+            assert!(shaped.start(raw).writer_line().is_some(), "{raw}");
+            general.start(raw).document().expect("writer output");
+            let event = general.tape.get(general.top.value[Key::Event as usize]);
+            let Some(Node::Str(event)) = event else { panic!("event name") };
+            let payload = Json { tape: &general.tape, at: general.top.value[Key::Fields as usize] };
+            let payload = Routes::of(payload, payload_keys(event));
+            assert_eq!(format!("{:?}", shaped.tape), format!("{:?}", general.tape), "{raw}");
+            assert_eq!((shaped.top, shaped.payload), (general.top, payload), "{raw}");
         }
     }
 }
