@@ -1,4 +1,4 @@
-//! Online Pareto parameter estimation.
+//! Pareto shape estimation.
 //!
 //! The deadline policy (§IV-B) needs the distribution parameters of the
 //! *current* phase while it is still running:
@@ -6,8 +6,10 @@
 //! * the scale `t_m` "can be well approximated by the duration of the task
 //!   that finishes first in a phase" (paper §IV-B.2),
 //! * the shape `alpha` is fit by maximum likelihood over the durations
-//!   observed so far (the Hill estimator), falling back to a configured
-//!   default while too few samples exist.
+//!   observed so far (the Hill estimator, [`shape_mle`]), falling back to a
+//!   configured default while too few samples exist.
+//!
+//! `ssr_core::DeadlineModel::shape_for` applies both while a phase runs.
 
 use crate::ModelError;
 
@@ -41,122 +43,6 @@ pub fn shape_mle(samples: &[f64], scale: f64) -> Result<f64, ModelError> {
     Ok(samples.len() as f64 / log_sum)
 }
 
-/// A fitted Pareto model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParetoFit {
-    /// The scale parameter `t_m` (sample minimum).
-    pub scale: f64,
-    /// The shape parameter `alpha` (Hill MLE).
-    pub shape: f64,
-}
-
-/// Fits both Pareto parameters: scale = sample minimum, shape by MLE.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if `samples` is empty or contains a non-positive
-/// or non-finite value.
-pub fn fit(samples: &[f64]) -> Result<ParetoFit, ModelError> {
-    if samples.is_empty() {
-        return Err(ModelError::new("fitting needs at least one sample"));
-    }
-    let mut scale = f64::INFINITY;
-    for &x in samples {
-        if !(x.is_finite() && x > 0.0) {
-            return Err(ModelError::new(format!("samples must be finite and positive, got {x}")));
-        }
-        scale = scale.min(x);
-    }
-    let shape = shape_mle(samples, scale)?;
-    Ok(ParetoFit { scale, shape })
-}
-
-/// An incremental estimator fed one task duration at a time — the form the
-/// reservation policy uses while a phase runs.
-///
-/// # Example
-///
-/// ```
-/// use ssr_analytics::fit::OnlineParetoFit;
-///
-/// let mut est = OnlineParetoFit::new(1.6); // default shape before data
-/// assert_eq!(est.shape(), 1.6);
-/// est.observe(2.0);
-/// est.observe(3.0);
-/// est.observe(10.0);
-/// assert_eq!(est.scale(), Some(2.0));
-/// assert!(est.shape() > 0.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct OnlineParetoFit {
-    default_shape: f64,
-    min_samples: usize,
-    count: usize,
-    scale: Option<f64>,
-    log_sum_raw: f64,
-}
-
-impl OnlineParetoFit {
-    /// Creates an estimator that reports `default_shape` until at least
-    /// [`OnlineParetoFit::with_min_samples`] observations (3 by default)
-    /// have arrived.
-    pub fn new(default_shape: f64) -> Self {
-        OnlineParetoFit {
-            default_shape,
-            min_samples: 3,
-            count: 0,
-            scale: None,
-            log_sum_raw: 0.0,
-        }
-    }
-
-    /// Requires at least `min` observations before the MLE replaces the
-    /// default shape.
-    pub fn with_min_samples(mut self, min: usize) -> Self {
-        self.min_samples = min.max(1);
-        self
-    }
-
-    /// Feeds one observed duration (seconds). Non-positive or non-finite
-    /// values are ignored.
-    pub fn observe(&mut self, duration: f64) {
-        if !(duration.is_finite() && duration > 0.0) {
-            return;
-        }
-        self.count += 1;
-        self.log_sum_raw += duration.ln();
-        self.scale = Some(match self.scale {
-            Some(s) => s.min(duration),
-            None => duration,
-        });
-    }
-
-    /// Observations so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// The scale estimate (minimum observed duration), once any sample has
-    /// arrived.
-    pub fn scale(&self) -> Option<f64> {
-        self.scale
-    }
-
-    /// The current shape estimate: the Hill MLE once enough samples exist,
-    /// the configured default otherwise. Clamped to `(1, 16]` so the Eq. 2
-    /// deadline stays finite and meaningful.
-    pub fn shape(&self) -> f64 {
-        let Some(scale) = self.scale else { return self.default_shape };
-        if self.count < self.min_samples {
-            return self.default_shape;
-        }
-        // sum(ln(x_i / s)) = sum(ln x_i) - n ln s.
-        let log_sum = self.log_sum_raw - self.count as f64 * scale.ln();
-        let alpha = if log_sum <= 0.0 { f64::INFINITY } else { self.count as f64 / log_sum };
-        alpha.clamp(1.0 + 1e-6, 16.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,9 +63,11 @@ mod tests {
         let p = Pareto::new(3.0, 2.2).unwrap();
         let mut rng = SimRng::seed_from_u64(2);
         let samples: Vec<f64> = (0..50_000).map(|_| p.sample(&mut rng)).collect();
-        let f = fit(&samples).unwrap();
-        assert!((f.scale - 3.0) / 3.0 < 0.01);
-        assert!((f.shape - 2.2).abs() < 0.1, "shape={}", f.shape);
+        // The deadline model's fit: the sample minimum as scale, then the MLE.
+        let scale = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!((scale - 3.0) / 3.0 < 0.01);
+        let shape = shape_mle(&samples, scale).unwrap();
+        assert!((shape - 2.2).abs() < 0.1, "shape={shape}");
     }
 
     #[test]
@@ -187,58 +75,10 @@ mod tests {
         assert!(shape_mle(&[], 1.0).is_err());
         assert!(shape_mle(&[2.0], 0.0).is_err());
         assert!(shape_mle(&[0.5], 1.0).is_err()); // below scale
-        assert!(fit(&[]).is_err());
-        assert!(fit(&[1.0, -2.0]).is_err());
     }
 
     #[test]
     fn degenerate_samples_give_infinite_shape() {
         assert_eq!(shape_mle(&[2.0, 2.0, 2.0], 2.0).unwrap(), f64::INFINITY);
-    }
-
-    #[test]
-    fn online_defaults_before_enough_samples() {
-        let mut est = OnlineParetoFit::new(1.6).with_min_samples(3);
-        assert_eq!(est.shape(), 1.6);
-        assert_eq!(est.scale(), None);
-        est.observe(5.0);
-        est.observe(4.0);
-        assert_eq!(est.shape(), 1.6); // still below min_samples
-        assert_eq!(est.scale(), Some(4.0));
-        est.observe(8.0);
-        assert_ne!(est.shape(), 1.6);
-    }
-
-    #[test]
-    fn online_matches_batch_mle() {
-        let p = Pareto::new(1.0, 1.4).unwrap();
-        let mut rng = SimRng::seed_from_u64(3);
-        let samples: Vec<f64> = (0..10_000).map(|_| p.sample(&mut rng)).collect();
-        let mut est = OnlineParetoFit::new(9.9);
-        for &s in &samples {
-            est.observe(s);
-        }
-        let batch = fit(&samples).unwrap();
-        assert!((est.shape() - batch.shape).abs() < 1e-9);
-        assert_eq!(est.scale(), Some(batch.scale));
-        assert_eq!(est.count(), samples.len());
-    }
-
-    #[test]
-    fn online_ignores_garbage() {
-        let mut est = OnlineParetoFit::new(1.6);
-        est.observe(f64::NAN);
-        est.observe(-1.0);
-        est.observe(0.0);
-        assert_eq!(est.count(), 0);
-    }
-
-    #[test]
-    fn online_shape_is_clamped() {
-        let mut est = OnlineParetoFit::new(1.6).with_min_samples(1);
-        for _ in 0..5 {
-            est.observe(2.0); // degenerate: raw MLE is infinite
-        }
-        assert_eq!(est.shape(), 16.0);
     }
 }

@@ -6,8 +6,8 @@
 //!   probability (Eq. 2), the utilization lower bound (Eq. 3), the combined
 //!   trade-off curve (Eq. 4) and the deadline that enforces a requested
 //!   isolation level (the tunable knob),
-//! * [`fit`] — online Pareto parameter estimation (scale from the first
-//!   finisher, shape by maximum likelihood) used by the deadline policy,
+//! * [`fit`] — the maximum-likelihood Pareto shape estimate the deadline
+//!   policy fits over a running phase's observed durations,
 //! * [`straggler`] — the §IV-C numerical model of phase completion time
 //!   with and without reserved-slot straggler mitigation (Figs. 8 and 10).
 //!

@@ -36,36 +36,42 @@ pub const ALL: [&str; 13] = [
 /// writes it to disk and CI diffs two invocations to pin replay
 /// determinism of the whole tracing layer.
 pub fn decision_trace_jsonl(seed: u64) -> String {
-    use ssr_cluster::ClusterSpec;
-    use ssr_sim::{OrderConfig, PolicyConfig, Simulation};
+    let (report, sink) =
+        canonical_simulation(seed).with_trace_sink(Box::new(ssr_trace::JsonlSink::new())).run_traced();
+    assert!(report.completed, "canonical trace scenario must complete");
+    sink.expect("sink attached")
+        .into_any()
+        .downcast::<ssr_trace::JsonlSink>()
+        .expect("JsonlSink recovered")
+        .finish()
+}
+
+/// The canonical contended scenario behind `--trace`, `--explain` and
+/// `--counters`, as `(config, foreground, background)`: a high-priority
+/// three-phase pipeline against a low-priority map-only background on a
+/// 4×2 cluster.
+fn canonical_scenario(seed: u64) -> (ssr_sim::SimConfig, ssr_dag::JobSpec, ssr_dag::JobSpec) {
     use ssr_simcore::dist::constant;
-    use ssr_simcore::SimTime;
-    use ssr_trace::JsonlSink;
     use ssr_workload::synthetic::{map_only, pipeline_of};
 
     let fg = pipeline_of(
         "fg-pipeline",
         &[(4, constant(2.0)), (2, constant(6.0)), (1, constant(3.0))],
         common::FG_PRIORITY,
-        SimTime::from_secs(5),
+        ssr_simcore::SimTime::from_secs(5),
     )
     .expect("valid spec");
     let bg = map_only("bg-batch", 16, constant(9.0), common::BG_PRIORITY).expect("valid spec");
-    let cluster = ClusterSpec::new(4, 2).expect("valid cluster");
-    let sim = Simulation::new(
-        common::cluster_sim(cluster, seed),
-        PolicyConfig::ssr_strict(),
-        OrderConfig::FifoPriority,
-        vec![fg, bg],
-    )
-    .with_trace_sink(Box::new(JsonlSink::new()));
-    let (report, sink) = sim.run_traced();
-    assert!(report.completed, "canonical trace scenario must complete");
-    sink.expect("sink attached")
-        .into_any()
-        .downcast::<JsonlSink>()
-        .expect("JsonlSink recovered")
-        .finish()
+    let cluster = ssr_cluster::ClusterSpec::new(4, 2).expect("valid cluster");
+    (common::cluster_sim(cluster, seed), fg, bg)
+}
+
+/// The canonical scenario as one strict-SSR, FIFO-priority simulation.
+fn canonical_simulation(seed: u64) -> ssr_sim::Simulation {
+    use ssr_sim::{OrderConfig, PolicyConfig, Simulation};
+
+    let (config, fg, bg) = canonical_scenario(seed);
+    Simulation::new(config, PolicyConfig::ssr_strict(), OrderConfig::FifoPriority, vec![fg, bg])
 }
 
 /// Runs the canonical decision-trace scenario end-to-end through
@@ -77,30 +83,14 @@ pub fn decision_trace_jsonl(seed: u64) -> String {
 /// disk and CI diffs two invocations, pinning the whole
 /// trace→read→analyze→render pipeline.
 pub fn explain_report(seed: u64) -> String {
-    use ssr_cluster::ClusterSpec;
     use ssr_sim::{Experiment, OrderConfig, PolicyConfig};
-    use ssr_simcore::dist::constant;
-    use ssr_simcore::SimTime;
     use ssr_trace::JsonlSink;
-    use ssr_workload::synthetic::{map_only, pipeline_of};
 
-    let fg = pipeline_of(
-        "fg-pipeline",
-        &[(4, constant(2.0)), (2, constant(6.0)), (1, constant(3.0))],
-        common::FG_PRIORITY,
-        SimTime::from_secs(5),
-    )
-    .expect("valid spec");
-    let bg = map_only("bg-batch", 16, constant(9.0), common::BG_PRIORITY).expect("valid spec");
-    let cluster = ClusterSpec::new(4, 2).expect("valid cluster");
-    let (outcome, sink, alone) = Experiment::new(
-        common::cluster_sim(cluster, seed),
-        PolicyConfig::ssr_strict(),
-        OrderConfig::FifoPriority,
-    )
-    .foreground([fg])
-    .background([bg])
-    .run_traced_with_baselines(Some(Box::new(JsonlSink::new())));
+    let (config, fg, bg) = canonical_scenario(seed);
+    let (outcome, sink, alone) = Experiment::new(config, PolicyConfig::ssr_strict(), OrderConfig::FifoPriority)
+        .foreground([fg])
+        .background([bg])
+        .run_traced_with_baselines(Some(Box::new(JsonlSink::new())));
     assert!(outcome.contended.completed, "explain scenario must complete");
     let contended = sink
         .expect("sink attached")
@@ -125,28 +115,7 @@ pub fn explain_report(seed: u64) -> String {
 /// invocations, pinning the whole counter plane (scheduler increments,
 /// event-queue flow statistics, report harvest, JSON render).
 pub fn counters_report(seed: u64) -> String {
-    use ssr_cluster::ClusterSpec;
-    use ssr_sim::{OrderConfig, PolicyConfig, Simulation};
-    use ssr_simcore::dist::constant;
-    use ssr_simcore::SimTime;
-    use ssr_workload::synthetic::{map_only, pipeline_of};
-
-    let fg = pipeline_of(
-        "fg-pipeline",
-        &[(4, constant(2.0)), (2, constant(6.0)), (1, constant(3.0))],
-        common::FG_PRIORITY,
-        SimTime::from_secs(5),
-    )
-    .expect("valid spec");
-    let bg = map_only("bg-batch", 16, constant(9.0), common::BG_PRIORITY).expect("valid spec");
-    let cluster = ClusterSpec::new(4, 2).expect("valid cluster");
-    let report = Simulation::new(
-        common::cluster_sim(cluster, seed),
-        PolicyConfig::ssr_strict(),
-        OrderConfig::FifoPriority,
-        vec![fg, bg],
-    )
-    .run();
+    let report = canonical_simulation(seed).run();
     assert!(report.completed, "canonical counter scenario must complete");
     report.counters.render_json()
 }
@@ -250,29 +219,8 @@ mod tests {
         // Attaching a decision-trace sink must not move a single counter:
         // trace-gated work is deliberately uncounted, so the counter
         // plane is identical whether or not the run is observed.
-        use ssr_cluster::ClusterSpec;
-        use ssr_sim::{OrderConfig, PolicyConfig, Simulation};
-        use ssr_simcore::dist::constant;
-        use ssr_simcore::SimTime;
-        use ssr_workload::synthetic::{map_only, pipeline_of};
-        let fg = pipeline_of(
-            "fg-pipeline",
-            &[(4, constant(2.0)), (2, constant(6.0)), (1, constant(3.0))],
-            super::common::FG_PRIORITY,
-            SimTime::from_secs(5),
-        )
-        .unwrap();
-        let bg =
-            map_only("bg-batch", 16, constant(9.0), super::common::BG_PRIORITY).unwrap();
-        let cluster = ClusterSpec::new(4, 2).unwrap();
-        let (traced, _) = Simulation::new(
-            super::common::cluster_sim(cluster, 11),
-            PolicyConfig::ssr_strict(),
-            OrderConfig::FifoPriority,
-            vec![fg, bg],
-        )
-        .with_trace_sink(Box::new(ssr_trace::JsonlSink::new()))
-        .run_traced();
+        let (traced, _) =
+            super::canonical_simulation(11).with_trace_sink(Box::new(ssr_trace::JsonlSink::new())).run_traced();
         assert_eq!(a, traced.counters.render_json(), "tracing must not shift counters");
     }
 

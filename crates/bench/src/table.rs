@@ -87,16 +87,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as CSV (no quoting; cells must be comma-free).
-    pub fn to_csv(&self) -> String {
-        let mut out = self.header.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with 3 decimal places (the tables' numeric style).
@@ -132,8 +122,7 @@ mod tests {
         t.row(["1"]);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,b,c\n1,,\n");
+        assert_eq!(t.render(), "a  b  c\n-------\n1\n");
     }
 
     #[test]

@@ -42,27 +42,30 @@ impl LocalityLevel {
         LocalityLevel::Any,
     ];
 
-    /// How many wait periods must elapse before this level is acceptable
-    /// under delay scheduling (0 for `ProcessLocal`).
-    fn rank(self) -> u32 {
+    /// The level's position in [`ALL`](Self::ALL), from 0 for
+    /// `ProcessLocal` to 3 for `Any`: the index of per-level arrays, and
+    /// the number of wait periods that must elapse before the level is
+    /// acceptable under delay scheduling.
+    #[inline]
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Spark's name for the level (`PROCESS_LOCAL` … `ANY`), as `Display`
+    /// writes it and decision traces record it.
+    pub const fn as_str(self) -> &'static str {
         match self {
-            LocalityLevel::ProcessLocal => 0,
-            LocalityLevel::NodeLocal => 1,
-            LocalityLevel::RackLocal => 2,
-            LocalityLevel::Any => 3,
+            LocalityLevel::ProcessLocal => "PROCESS_LOCAL",
+            LocalityLevel::NodeLocal => "NODE_LOCAL",
+            LocalityLevel::RackLocal => "RACK_LOCAL",
+            LocalityLevel::Any => "ANY",
         }
     }
 }
 
 impl fmt::Display for LocalityLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            LocalityLevel::ProcessLocal => "PROCESS_LOCAL",
-            LocalityLevel::NodeLocal => "NODE_LOCAL",
-            LocalityLevel::RackLocal => "RACK_LOCAL",
-            LocalityLevel::Any => "ANY",
-        };
-        f.write_str(s)
+        f.write_str(self.as_str())
     }
 }
 
@@ -76,7 +79,7 @@ impl PartialOrd for LocalityLevel {
 impl Ord for LocalityLevel {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        (*self as u8).cmp(&(*other as u8))
+        self.index().cmp(&other.index())
     }
 }
 
@@ -138,7 +141,7 @@ impl LocalityModel {
     ///
     /// Panics if `factor` is negative or non-finite.
     pub fn with_any_slowdown(mut self, factor: f64) -> Self {
-        self.slowdown[3] = constant(factor);
+        self.slowdown[LocalityLevel::Any.index()] = constant(factor);
         self
     }
 
@@ -147,7 +150,7 @@ impl LocalityModel {
     /// the measured cold-JVM/remote-read slowdowns (up to two orders of
     /// magnitude).
     pub fn with_slowdown_dist(mut self, level: LocalityLevel, dist: DynDistribution) -> Self {
-        self.slowdown[level.rank() as usize] = dist;
+        self.slowdown[level.index()] = dist;
         self
     }
 
@@ -164,12 +167,12 @@ impl LocalityModel {
 
     /// Draws a task slowdown factor for running at `level`.
     pub fn sample_slowdown(&self, level: LocalityLevel, rng: &mut SimRng) -> f64 {
-        self.slowdown[level.rank() as usize].sample(rng)
+        self.slowdown[level.index()].sample(rng)
     }
 
     /// The mean slowdown factor at `level`, if known in closed form.
     pub fn mean_slowdown(&self, level: LocalityLevel) -> Option<f64> {
-        self.slowdown[level.rank() as usize].mean()
+        self.slowdown[level.index()].mean()
     }
 
     /// The most relaxed level a task may accept after waiting `elapsed`
@@ -188,11 +191,6 @@ impl LocalityModel {
             2 => LocalityLevel::RackLocal,
             _ => LocalityLevel::Any,
         }
-    }
-
-    /// The time after which a task waiting since `0` may accept `level`.
-    pub fn unlock_time(&self, level: LocalityLevel) -> SimDuration {
-        self.wait * level.rank() as u64
     }
 
     /// The next elapsed time (strictly greater than `elapsed`) at which a
@@ -300,7 +298,6 @@ mod tests {
         assert_eq!(m.max_allowed_level(w), LocalityLevel::NodeLocal);
         assert_eq!(m.max_allowed_level(w * 2), LocalityLevel::RackLocal);
         assert_eq!(m.max_allowed_level(w * 3), LocalityLevel::Any);
-        assert_eq!(m.unlock_time(LocalityLevel::Any), SimDuration::from_secs(9));
     }
 
     #[test]

@@ -73,15 +73,6 @@ impl DataPlacement {
         preferred
     }
 
-    /// The slot that ran one specific upstream partition, if recorded.
-    pub fn partition_slot(&self, job: JobId, stage: StageId, partition: u32) -> Option<SlotId> {
-        self.outputs
-            .get(&(job, stage))
-            .and_then(|slots| slots.get(partition as usize))
-            .copied()
-            .filter(|s| s.as_u32() != u32::MAX)
-    }
-
     /// Drops all records of `job` (call on job completion).
     pub fn clear_job(&mut self, job: JobId) {
         self.outputs.retain(|(j, _), _| *j != job);
@@ -108,10 +99,10 @@ mod tests {
         let job = JobId::new(1);
         p.record(job, StageId::new(0), 0, SlotId::new(2));
         p.record(job, StageId::new(0), 2, SlotId::new(4));
-        assert_eq!(p.partition_slot(job, StageId::new(0), 0), Some(SlotId::new(2)));
-        assert_eq!(p.partition_slot(job, StageId::new(0), 1), None); // gap
-        assert_eq!(p.partition_slot(job, StageId::new(0), 2), Some(SlotId::new(4)));
-        assert_eq!(p.partition_slot(job, StageId::new(9), 0), None);
+        // Partition 1 is a gap: it never ran, so it prefers no slot.
+        let preferred = p.preferred_slots(job, &[StageId::new(0)]);
+        assert_eq!(preferred.into_iter().collect::<Vec<_>>(), vec![SlotId::new(2), SlotId::new(4)]);
+        assert!(p.preferred_slots(job, &[StageId::new(9)]).is_empty());
     }
 
     #[test]
@@ -140,8 +131,8 @@ mod tests {
         let job = JobId::new(1);
         p.record(job, StageId::new(0), 0, SlotId::new(1));
         p.record(job, StageId::new(0), 0, SlotId::new(9));
-        assert_eq!(p.partition_slot(job, StageId::new(0), 0), Some(SlotId::new(9)));
-        assert_eq!(p.preferred_slots(job, &[StageId::new(0)]).len(), 1);
+        let preferred = p.preferred_slots(job, &[StageId::new(0)]);
+        assert_eq!(preferred.into_iter().collect::<Vec<_>>(), vec![SlotId::new(9)]);
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl ReservationPolicy for SpeculativeReservation {
             Some(n) if n == m => self.reserve_disposition(ctx, task, slot),
             // Lines 9-13 (Case 2.2): release the first m-n finishers.
             Some(n) if n < m => {
-                let finished = u64::from(job.run().completed_tasks(task.stage));
+                let finished = u64::from(job.completed_tasks(task.stage));
                 if finished <= m - n {
                     SlotDisposition::Release
                 } else {
@@ -179,7 +179,7 @@ impl ReservationPolicy for SpeculativeReservation {
             if n <= m {
                 return None;
             }
-            if job.run().finished_fraction(task.stage) < self.config.prereserve_threshold() {
+            if job.finished_fraction(task.stage) < self.config.prereserve_threshold() {
                 return None;
             }
             n - m

@@ -6,14 +6,15 @@
 //! phases — a downstream phase cannot start until *all* tasks of every
 //! upstream phase have completed (paper §II-A).
 //!
-//! The crate has three layers:
+//! The crate has two layers:
 //!
 //! * [`ids`] — typed identifiers ([`JobId`], [`StageId`], [`TaskId`]) and the
 //!   scheduling [`Priority`],
 //! * [`spec`] — immutable job descriptions ([`JobSpec`], [`StageSpec`]) with
-//!   a validated-DAG builder ([`JobSpecBuilder`]),
-//! * [`run`] — runtime execution tracking ([`JobRun`]) that clears barriers
-//!   and exposes the ready frontier as tasks complete.
+//!   a validated-DAG builder ([`JobSpecBuilder`]).
+//!
+//! A running job's barrier state is not kept here: the scheduler derives
+//! it from each phase's task set (`ssr_scheduler::JobState`).
 //!
 //! # Example
 //!
@@ -37,9 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod ids;
-pub mod run;
 pub mod spec;
 
 pub use ids::{JobId, Priority, StageId, TaskId};
-pub use run::{JobRun, StageState};
 pub use spec::{DagError, JobSpec, JobSpecBuilder, StageSpec};

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use ssr_simcore::dist::DynDistribution;
 use ssr_simcore::SimTime;
 
-use crate::ids::{JobId, Priority, StageId};
+use crate::ids::{Priority, StageId};
 
 /// Error produced when a job specification fails validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -442,16 +442,6 @@ impl JobSpecBuilder {
             topo: topo.into(),
         })
     }
-}
-
-/// A job spec paired with the id it was admitted under; produced by the
-/// scheduler when a job is submitted.
-#[derive(Debug, Clone)]
-pub struct SubmittedJob {
-    /// The id assigned at submission.
-    pub id: JobId,
-    /// The job description.
-    pub spec: JobSpec,
 }
 
 #[cfg(test)]

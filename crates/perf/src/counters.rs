@@ -76,9 +76,11 @@ pub struct WorkCounters {
     pub events_popped: Counter,
     /// Events pushed onto the simulation event queue.
     pub events_pushed: Counter,
-    /// Offer rounds answered from the cached free-slot snapshots.
+    /// Offer rounds with a free or reserved slot that reused the cached
+    /// snapshots of the schedulable jobs.
     pub index_hits: Counter,
-    /// Free-slot snapshot rebuilds (cache invalidated since last round).
+    /// Rebuilds of the cached job snapshots (a job's running count,
+    /// pending tasks or completion changed since the last round).
     pub index_rescans: Counter,
     /// Offer rounds executed by the scheduler.
     pub offer_rounds: Counter,

@@ -364,7 +364,7 @@ impl TaskScheduler {
                 })
                 .collect(),
         });
-        let roots = state.run().ready_stages();
+        let roots = state.spec().roots();
         for &stage in &roots {
             let parallelism = state.spec().stage(stage).parallelism();
             state.insert_taskset(TaskSetManager::new(id, stage, parallelism, now), now);
@@ -698,7 +698,7 @@ impl TaskScheduler {
                     continue;
                 }
                 let class = if r.job() == job { 0u8 } else { 2u8 };
-                keep_min(&mut reserved_best[level as usize], (class, slot));
+                keep_min(&mut reserved_best[level.index()], (class, slot));
             }
         }
         // With the free index empty, its searches can only come back
@@ -734,7 +734,7 @@ impl TaskScheduler {
                     .min(),
                 LocalityLevel::Any => self.min_free_fitting(self.slots.free_slots(), demand),
             };
-            let best = match (reserved_best[level as usize], free) {
+            let best = match (reserved_best[level.index()], free) {
                 (Some(r), Some(f)) => Some(r.min((1u8, f))),
                 (Some(r), None) => Some(r),
                 (None, Some(f)) => Some((1u8, f)),
@@ -780,7 +780,7 @@ impl TaskScheduler {
         } else {
             tsm.first_preferred_in(mine.words(), fits)
         };
-        let local_best = &mut best[LocalityLevel::ProcessLocal as usize];
+        let local_best = &mut best[LocalityLevel::ProcessLocal.index()];
         if let Some(slot) = local {
             keep_min(local_best, (class, slot));
             return;
@@ -794,7 +794,7 @@ impl TaskScheduler {
         for slot in mine.iter().filter(|&s| fits(s)) {
             let level = tsm.level_on(&self.spec, slot);
             if level <= allowed {
-                keep_min(&mut best[level as usize], (class, slot));
+                keep_min(&mut best[level.index()], (class, slot));
             }
         }
     }
@@ -1015,12 +1015,8 @@ impl TaskScheduler {
         // JVM for this job).
         self.placement.record(task.job, task.stage, task.partition, slot);
 
-        // Clear the barrier bookkeeping.
-        let mut newly_ready = Vec::new();
-        if outcome.first_finish {
-            newly_ready =
-                self.jobs.get_mut(task.job).expect("job exists").run_mut().on_task_completed(task.stage);
-        }
+        // The phases whose barrier this finish cleared.
+        let newly_ready = self.jobs.get(task.job).expect("job exists").cleared_by(task.stage);
         for &ready_stage in &newly_ready {
             self.emit(now, |_| TraceEventKind::BarrierCleared { job: task.job, stage: ready_stage });
             let state = self.jobs.get(task.job).expect("job exists");
@@ -1037,7 +1033,7 @@ impl TaskScheduler {
         let state = self.jobs.get(task.job).expect("job exists");
         let stage_completed =
             state.taskset(task.stage).expect("stage has a task set").is_complete();
-        let job_completed = state.run().is_complete();
+        let job_completed = stage_completed && state.all_stages_complete();
 
         if stage_completed {
             self.emit(now, |_| TraceEventKind::StageCompleted { job: task.job, stage: task.stage });
@@ -1468,20 +1464,9 @@ fn launch_event(a: &Assignment) -> TraceEventKind {
         stage: a.instance.task.stage,
         partition: a.instance.task.partition,
         attempt: a.instance.attempt,
-        level: level_str(a.level),
+        level: a.level.as_str(),
         speculative: a.speculative,
         warm: a.warm,
-    }
-}
-
-/// The locality level's stable identifier for the trace schema (matches the
-/// `Display` impl in `ssr-cluster`).
-fn level_str(level: LocalityLevel) -> &'static str {
-    match level {
-        LocalityLevel::ProcessLocal => "PROCESS_LOCAL",
-        LocalityLevel::NodeLocal => "NODE_LOCAL",
-        LocalityLevel::RackLocal => "RACK_LOCAL",
-        LocalityLevel::Any => "ANY",
     }
 }
 
@@ -1543,6 +1528,34 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert!(a.iter().all(|x| x.instance.task.job == high));
         assert_eq!(s.running_count_for(low), 0);
+    }
+
+    #[test]
+    fn submit_gives_the_root_phase_a_task_set() {
+        let mut s = scheduler(1, 2);
+        let job = s.submit(two_stage_job("c", 2, 0), SimTime::ZERO);
+        let state = s.jobs().get(job).unwrap();
+        let ready: Vec<StageId> = state.active_tasksets().map(TaskSetManager::stage).collect();
+        assert_eq!(ready, vec![StageId::new(0)]);
+        assert!(state.taskset(StageId::new(1)).is_none());
+    }
+
+    #[test]
+    fn submit_gives_each_root_phase_a_task_set() {
+        let mut s = scheduler(1, 2);
+        let spec = JobSpecBuilder::new("m")
+            .stage("a", 1, constant(1.0))
+            .stage("b", 2, constant(1.0))
+            .stage("join", 1, constant(1.0))
+            .edge(0, 2)
+            .edge(1, 2)
+            .build()
+            .unwrap();
+        let job = s.submit(spec, SimTime::ZERO);
+        let state = s.jobs().get(job).unwrap();
+        let ready: Vec<StageId> = state.active_tasksets().map(TaskSetManager::stage).collect();
+        assert_eq!(ready, vec![StageId::new(0), StageId::new(1)]);
+        assert!(state.taskset(StageId::new(2)).is_none());
     }
 
     #[test]
@@ -2303,7 +2316,7 @@ mod tests {
             if level > allowed {
                 continue;
             }
-            let entry = &mut best[level as usize];
+            let entry = &mut best[level.index()];
             if entry.is_none_or(|b| (class, slot) < b) {
                 *entry = Some((class, slot));
             }

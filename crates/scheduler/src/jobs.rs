@@ -1,10 +1,10 @@
-//! Per-job scheduler state: the DAG run, per-phase task sets and runtime
-//! statistics.
+//! Per-job scheduler state: per-phase task sets, from which each phase's
+//! barrier state follows, and runtime statistics.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ssr_cluster::SlotId;
-use ssr_dag::{JobId, JobRun, JobSpec, Priority, StageId, StageState};
+use ssr_dag::{JobId, JobSpec, Priority, StageId};
 use ssr_simcore::SimTime;
 
 use crate::taskset::{InstanceOutcome, TaskInstance, TaskSetManager};
@@ -67,11 +67,16 @@ impl StageStats {
 }
 
 /// All scheduler-side state of one admitted job.
+///
+/// A phase's task set is its barrier state, as in Spark's DAGScheduler
+/// (paper §II-A, §V): a phase is *blocked* until it has a task set, which
+/// the scheduler creates once every parent phase has finished, *ready*
+/// while that task set has unfinished partitions, and *complete* once all
+/// have finished.
 #[derive(Debug, Clone)]
 pub struct JobState {
     id: JobId,
     spec: JobSpec,
-    run: JobRun,
     tsms: BTreeMap<StageId, TaskSetManager>,
     stats: BTreeMap<StageId, StageStats>,
     submitted_at: SimTime,
@@ -82,11 +87,9 @@ pub struct JobState {
 
 impl JobState {
     pub(crate) fn new(id: JobId, spec: JobSpec, submitted_at: SimTime) -> Self {
-        let run = JobRun::new(id, spec.clone());
         JobState {
             id,
             spec,
-            run,
             tsms: BTreeMap::new(),
             stats: BTreeMap::new(),
             submitted_at,
@@ -103,11 +106,6 @@ impl JobState {
     /// The job's specification.
     pub fn spec(&self) -> &JobSpec {
         &self.spec
-    }
-
-    /// The DAG execution tracker.
-    pub fn run(&self) -> &JobRun {
-        &self.run
     }
 
     /// The scheduling priority.
@@ -151,12 +149,56 @@ impl JobState {
         self.stats.iter().map(|(s, st)| (*s, st))
     }
 
+    /// Number of `stage`'s partitions that have finished — 0 while the
+    /// phase is blocked. A partition counts once, on its first finish.
+    pub fn completed_tasks(&self, stage: StageId) -> u32 {
+        self.tsms.get(&stage).map_or(0, TaskSetManager::finished_count)
+    }
+
+    /// Fraction of `stage`'s partitions that have finished, in `[0, 1]` —
+    /// the quantity compared against the pre-reservation threshold `R` in
+    /// Algorithm 1 (line 16).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` is out of range for this job.
+    pub fn finished_fraction(&self, stage: StageId) -> f64 {
+        self.completed_tasks(stage) as f64 / self.spec.stage(stage).parallelism() as f64
+    }
+
+    /// `true` once every phase's task set has finished, whether or not
+    /// the job has been marked completed yet.
+    pub(crate) fn all_stages_complete(&self) -> bool {
+        self.tsms.len() == self.spec.stages().len() && self.tsms.values().all(TaskSetManager::is_complete)
+    }
+
+    /// The phases whose barrier `stage` cleared: once `stage` is complete,
+    /// each child that has no task set yet and whose parents have all
+    /// finished, in [`JobSpec::children`] order. Empty while `stage` has
+    /// unfinished partitions.
+    pub(crate) fn cleared_by(&self, stage: StageId) -> Vec<StageId> {
+        if !self.tsms.get(&stage).is_some_and(TaskSetManager::is_complete) {
+            return Vec::new();
+        }
+        self.spec
+            .children(stage)
+            .iter()
+            .copied()
+            .filter(|child| {
+                !self.tsms.contains_key(child)
+                    && self
+                        .spec
+                        .parents(*child)
+                        .iter()
+                        .all(|p| self.tsms.get(p).is_some_and(TaskSetManager::is_complete))
+            })
+            .collect()
+    }
+
     /// Task sets of phases that are ready and still have unfinished tasks,
     /// in stage order.
     pub fn active_tasksets(&self) -> impl Iterator<Item = &TaskSetManager> {
-        self.tsms.values().filter(move |t| {
-            self.run.state(t.stage()) == StageState::Ready && !t.is_complete()
-        })
+        self.tsms.values().filter(|t| !t.is_complete())
     }
 
     /// `true` if some ready phase has an unlaunched original task.
@@ -169,13 +211,7 @@ impl JobState {
     /// [`active_tasksets`](Self::active_tasksets) filtered by
     /// `has_pending`, looked up directly.
     pub(crate) fn pending_taskset(&self, stage: StageId) -> Option<&TaskSetManager> {
-        self.tsms.get(&stage).filter(|t| {
-            t.has_pending() && !t.is_complete() && self.run.state(stage) == StageState::Ready
-        })
-    }
-
-    pub(crate) fn run_mut(&mut self) -> &mut JobRun {
-        &mut self.run
+        self.tsms.get(&stage).filter(|t| t.has_pending() && !t.is_complete())
     }
 
     #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
@@ -474,13 +510,165 @@ mod tests {
         );
     }
 
+    pub(super) const JOB: JobId = JobId::new(1);
+
+    /// Admits `spec` as job 1 with a task set for each root phase, as
+    /// `TaskScheduler::submit` does.
+    pub(super) fn admit(spec: JobSpec) -> Jobs {
+        let mut state = JobState::new(JOB, spec, SimTime::ZERO);
+        for stage in state.spec().roots() {
+            let parallelism = state.spec().stage(stage).parallelism();
+            state.insert_taskset(TaskSetManager::new(JOB, stage, parallelism, SimTime::ZERO), SimTime::ZERO);
+        }
+        let mut jobs = Jobs::new();
+        jobs.insert(state);
+        jobs
+    }
+
+    /// Launches and finishes one task of `stage`, then gives each phase
+    /// whose barrier that cleared its task set, as
+    /// `TaskScheduler::task_finished` does. Returns those phases.
+    pub(super) fn finish_one(jobs: &mut Jobs, stage: StageId) -> Vec<StageId> {
+        let instance = jobs.launch_next(JOB, stage, SlotId::new(0)).expect("stage has a pending task");
+        jobs.instance_finished(instance).expect("stage has a task set");
+        let state = jobs.get(JOB).unwrap();
+        let cleared = state.cleared_by(stage);
+        let tasksets: Vec<_> = cleared
+            .iter()
+            .map(|&s| TaskSetManager::new(JOB, s, state.spec().stage(s).parallelism(), SimTime::ZERO))
+            .collect();
+        for tsm in tasksets {
+            jobs.insert_taskset(JOB, tsm, SimTime::ZERO);
+        }
+        cleared
+    }
+
+    fn stages_with_tasksets(jobs: &Jobs) -> Vec<StageId> {
+        let state = jobs.get(JOB).unwrap();
+        state.spec().iter_stage_ids().filter(|&s| state.taskset(s).is_some()).collect()
+    }
+
+    fn active_stages(jobs: &Jobs) -> Vec<StageId> {
+        jobs.get(JOB).unwrap().active_tasksets().map(TaskSetManager::stage).collect()
+    }
+
+    fn two_phase() -> Jobs {
+        let spec = JobSpecBuilder::new("t")
+            .stage("a", 3, constant(1.0))
+            .stage("b", 2, constant(1.0))
+            .chain()
+            .build()
+            .unwrap();
+        admit(spec)
+    }
+
     #[test]
     fn blocked_stage_is_not_active() {
-        let mut js = job_state();
-        // Register a TSM for stage 1, which is still blocked.
-        let tsm = TaskSetManager::new(JobId::new(1), StageId::new(1), 2, SimTime::ZERO);
-        js.insert_taskset(tsm, SimTime::ZERO);
-        assert_eq!(js.active_tasksets().count(), 0);
+        let jobs = two_phase();
+        let (a, b) = (StageId::new(0), StageId::new(1));
+        let state = jobs.get(JOB).unwrap();
+        assert!(state.taskset(b).is_none(), "a blocked phase has no task set");
+        assert!(state.pending_taskset(b).is_none());
+        assert_eq!(active_stages(&jobs), vec![a]);
+    }
+
+    #[test]
+    fn barrier_clears_only_after_the_last_task() {
+        let mut jobs = two_phase();
+        let (a, b) = (StageId::new(0), StageId::new(1));
+        assert!(finish_one(&mut jobs, a).is_empty());
+        assert!(finish_one(&mut jobs, a).is_empty());
+        let state = jobs.get(JOB).unwrap();
+        assert_eq!(state.finished_fraction(a), 2.0 / 3.0);
+        assert!(state.taskset(b).is_none());
+        assert_eq!(finish_one(&mut jobs, a), vec![b]);
+        assert!(jobs.get(JOB).unwrap().taskset(a).unwrap().is_complete());
+        assert!(jobs.get(JOB).unwrap().cleared_by(a).is_empty(), "a barrier clears once");
+        assert_eq!(active_stages(&jobs), vec![b]);
+    }
+
+    #[test]
+    fn job_completes_after_final_stage() {
+        let mut jobs = two_phase();
+        let (a, b) = (StageId::new(0), StageId::new(1));
+        for _ in 0..3 {
+            finish_one(&mut jobs, a);
+        }
+        assert!(!jobs.get(JOB).unwrap().all_stages_complete());
+        assert!(finish_one(&mut jobs, b).is_empty());
+        assert!(!jobs.get(JOB).unwrap().all_stages_complete());
+        assert!(finish_one(&mut jobs, b).is_empty());
+        let state = jobs.get(JOB).unwrap();
+        assert!(state.all_stages_complete());
+        assert_eq!(u64::from(state.completed_tasks(a) + state.completed_tasks(b)), state.spec().total_tasks());
+        assert_eq!(active_stages(&jobs), Vec::<StageId>::new());
+    }
+
+    #[test]
+    fn completed_tasks_counts_up() {
+        let mut jobs = two_phase();
+        let (a, b) = (StageId::new(0), StageId::new(1));
+        assert_eq!(jobs.get(JOB).unwrap().completed_tasks(a), 0);
+        finish_one(&mut jobs, a);
+        assert_eq!(jobs.get(JOB).unwrap().completed_tasks(a), 1);
+        finish_one(&mut jobs, a);
+        assert_eq!(jobs.get(JOB).unwrap().completed_tasks(a), 2);
+        assert_eq!(jobs.get(JOB).unwrap().completed_tasks(b), 0, "a blocked phase has finished nothing");
+    }
+
+    #[test]
+    fn complete_stage_has_nothing_left_to_launch() {
+        let spec = JobSpecBuilder::new("s")
+            .stage("only", 1, constant(1.0))
+            .build()
+            .unwrap();
+        let mut jobs = admit(spec);
+        let only = StageId::new(0);
+        assert!(finish_one(&mut jobs, only).is_empty());
+        assert!(jobs.launch_next(JOB, only, SlotId::new(1)).is_none(), "a complete phase has nothing left to run");
+        assert_eq!(jobs.get(JOB).unwrap().completed_tasks(only), 1);
+    }
+
+    #[test]
+    fn diamond_join_waits_for_both_parents() {
+        let spec = JobSpecBuilder::new("d")
+            .stage("a", 1, constant(1.0))
+            .stage("b", 1, constant(1.0))
+            .stage("join", 1, constant(1.0))
+            .edge(0, 2)
+            .edge(1, 2)
+            .build()
+            .unwrap();
+        let mut jobs = admit(spec);
+        assert!(finish_one(&mut jobs, StageId::new(0)).is_empty());
+        assert!(jobs.get(JOB).unwrap().taskset(StageId::new(2)).is_none());
+        assert_eq!(finish_one(&mut jobs, StageId::new(1)), vec![StageId::new(2)]);
+    }
+
+    #[test]
+    fn stage_gets_its_task_set_only_once_every_parent_finished() {
+        // a (2 tasks) and b (1 task) both feed c; d hangs off b alone.
+        let spec = JobSpecBuilder::new("j")
+            .stage("a", 2, constant(1.0))
+            .stage("b", 1, constant(1.0))
+            .stage("c", 1, constant(1.0))
+            .stage("d", 1, constant(1.0))
+            .edge(0, 2)
+            .edge(1, 2)
+            .edge(1, 3)
+            .build()
+            .unwrap();
+        let mut jobs = admit(spec);
+        let [a, b, c, d] = [0, 1, 2, 3].map(StageId::new);
+        assert_eq!(stages_with_tasksets(&jobs), vec![a, b]);
+        assert!(jobs.launch_next(JOB, c, SlotId::new(1)).is_none(), "a blocked phase has nothing to run");
+        assert_eq!(finish_one(&mut jobs, b), vec![d], "c still waits for a");
+        assert_eq!(stages_with_tasksets(&jobs), vec![a, b, d]);
+        assert_eq!(active_stages(&jobs), vec![a, d]);
+        assert!(finish_one(&mut jobs, a).is_empty());
+        assert_eq!(stages_with_tasksets(&jobs), vec![a, b, d]);
+        assert_eq!(finish_one(&mut jobs, a), vec![c]);
+        assert_eq!(active_stages(&jobs), vec![c, d]);
     }
 
     #[test]
@@ -524,6 +712,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{admit, finish_one, JOB};
     use super::*;
     use proptest::prelude::*;
     use ssr_dag::JobSpecBuilder;
@@ -631,6 +820,49 @@ mod proptests {
     }
 
     proptest! {
+        /// Driving any forward-edge DAG by launching and finishing one
+        /// task at a time drains it: every phase completes, and no phase
+        /// gets a task set before all its parents have finished.
+        #[test]
+        fn any_dag_drains(
+            n in 1usize..8,
+            par in proptest::collection::vec(1u32..4, 8),
+            edges in proptest::collection::vec((0u32..8, 0u32..8), 0..20),
+        ) {
+            let mut b = JobSpecBuilder::new("drain");
+            for (i, &p) in par.iter().enumerate().take(n) {
+                b = b.stage(format!("s{i}"), p, constant(1.0));
+            }
+            for (a, d) in edges {
+                let (a, d) = (a % n as u32, d % n as u32);
+                if a < d {
+                    b = b.edge(a, d);
+                }
+            }
+            let spec = b.build().unwrap();
+            let mut jobs = admit(spec.clone());
+            for _ in 0..spec.total_tasks() {
+                let state = jobs.get(JOB).unwrap();
+                for stage in spec.iter_stage_ids().filter(|&s| state.taskset(s).is_some()) {
+                    for &p in spec.parents(stage) {
+                        prop_assert!(
+                            state.taskset(p).is_some_and(TaskSetManager::is_complete),
+                            "{} has a task set before its parent {} finished", stage, p
+                        );
+                    }
+                }
+                let next = state.active_tasksets().find(|t| t.has_pending()).map(TaskSetManager::stage);
+                prop_assert!(next.is_some(), "deadlock: nothing pending but the job is incomplete");
+                finish_one(&mut jobs, next.unwrap());
+            }
+            let state = jobs.get(JOB).unwrap();
+            prop_assert!(state.all_stages_complete());
+            prop_assert_eq!(
+                spec.iter_stage_ids().map(|s| u64::from(state.completed_tasks(s))).sum::<u64>(),
+                spec.total_tasks()
+            );
+        }
+
         /// The id-indexed job table agrees with an ordered-map reference
         /// on lookups, iteration order, the pending set, the incomplete
         /// count and every job's running count, whatever order ids are

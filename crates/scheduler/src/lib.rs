@@ -5,7 +5,8 @@
 //!
 //! * the **DAG scheduler** — parses each job's workflow DAG and submits a
 //!   phase's task set exactly when its barrier clears (folded into
-//!   [`TaskScheduler`] together with [`ssr_dag::JobRun`]),
+//!   [`TaskScheduler`]; a phase's task set is its barrier state, kept in
+//!   [`JobState`]),
 //! * the **task-set manager** ([`TaskSetManager`]) — tracks the pending /
 //!   running / finished tasks of one phase, including extra task *copies*
 //!   with kill-on-first-finish semantics,

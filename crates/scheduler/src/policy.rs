@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use ssr_cluster::{Reservation, SlotBits, SlotId, SlotPool};
+use ssr_cluster::{Reservation, SlotId, SlotPool};
 use ssr_dag::{JobId, Priority, StageId, TaskId};
 use ssr_simcore::{SimDuration, SimTime};
 
@@ -73,13 +73,6 @@ pub struct PolicyCtx<'a> {
     pub slots: &'a SlotPool,
     /// All admitted jobs.
     pub jobs: &'a Jobs,
-}
-
-impl PolicyCtx<'_> {
-    /// Number of slots currently reserved for `job` — O(log owners).
-    pub fn reserved_count(&self, job: JobId) -> usize {
-        self.slots.reserved_bits(job).map_or(0, SlotBits::len)
-    }
 }
 
 /// The pluggable reservation policy — the seam the paper adds to Spark's
@@ -552,19 +545,5 @@ mod tests {
         // The two rules differ only on the pool sentinel at equal priority.
         assert!(!ApprovalRule::OwnerOrAbove.approves(STATIC_POOL_JOB, rprio, candidate, rprio));
         assert!(ApprovalRule::StaticPoolAtLeast.approves(STATIC_POOL_JOB, rprio, candidate, rprio));
-    }
-
-    #[test]
-    fn reserved_count_helper() {
-        let (mut slots, jobs) = ctx_fixture();
-        slots
-            .reserve(SlotId::new(0), Reservation::new(JobId::new(1), Priority::new(5)))
-            .unwrap();
-        slots
-            .reserve(SlotId::new(1), Reservation::new(JobId::new(2), Priority::new(5)))
-            .unwrap();
-        let ctx = PolicyCtx { now: SimTime::ZERO, slots: &slots, jobs: &jobs };
-        assert_eq!(ctx.reserved_count(JobId::new(1)), 1);
-        assert_eq!(ctx.reserved_count(JobId::new(9)), 0);
     }
 }

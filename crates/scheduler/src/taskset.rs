@@ -302,16 +302,9 @@ impl TaskSetManager {
     }
 
     /// Partitions that are running and have exactly one live instance (no
-    /// copy yet) — the candidates for straggler copies (§IV-C).
-    pub fn copy_candidates(&self) -> Vec<u32> {
-        self.copy_candidate_iter().collect()
-    }
-
-    /// Iterator form of [`copy_candidates`], in ascending partition
-    /// order — the offer-round paths use this to stay allocation-free
-    /// (`tests/offer_round_allocations.rs`).
-    ///
-    /// [`copy_candidates`]: TaskSetManager::copy_candidates
+    /// copy yet), in ascending partition order: the candidates for
+    /// straggler copies (§IV-C). Allocates nothing, so the offer-round
+    /// paths can use it (`tests/offer_round_allocations.rs`).
     pub fn copy_candidate_iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.partitions
             .iter()
@@ -326,9 +319,8 @@ impl TaskSetManager {
     }
 
     /// The single running instance of `partition`, if it is ongoing with
-    /// exactly one live instance (i.e. a [`copy_candidate`]).
-    ///
-    /// [`copy_candidate`]: TaskSetManager::copy_candidates
+    /// exactly one live instance (i.e. a
+    /// [`copy_candidate_iter`](Self::copy_candidate_iter) item).
     pub fn sole_running_instance(&self, partition: u32) -> Option<(TaskInstance, SlotId)> {
         let p = self.partitions.get(partition as usize)?;
         if p.finished || p.running.len() != 1 {
@@ -495,11 +487,11 @@ mod tests {
         let mut t = tsm(3);
         let a = t.launch_next(SlotId::new(0)).unwrap();
         let _b = t.launch_next(SlotId::new(1)).unwrap();
-        assert_eq!(t.copy_candidates(), vec![0, 1]); // partition 2 not launched
+        assert_eq!(t.copy_candidate_iter().collect::<Vec<_>>(), vec![0, 1]); // partition 2 not launched
         t.launch_copy(1, SlotId::new(2));
-        assert_eq!(t.copy_candidates(), vec![0]); // 1 already has a copy
+        assert_eq!(t.copy_candidate_iter().collect::<Vec<_>>(), vec![0]); // 1 already has a copy
         t.instance_finished(a);
-        assert!(t.copy_candidates().is_empty());
+        assert_eq!(t.copy_candidate_iter().next(), None);
     }
 
     #[test]

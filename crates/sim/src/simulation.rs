@@ -178,7 +178,7 @@ struct OpenTrace {
     partition: u32,
     attempt: u32,
     start: SimTime,
-    level: ssr_cluster::LocalityLevel,
+    level: LocalityLevel,
     speculative: bool,
 }
 
@@ -503,7 +503,7 @@ impl Simulation {
             let duration = SimDuration::from_secs_f64(secs);
             let token = self.slot_tokens[a.slot.index()];
             self.events.push(self.now + duration, Event::TaskFinish { slot: a.slot, token });
-            self.collector.locality_counts[locality_index(a.level)] += 1;
+            self.collector.locality_counts[a.level.index()] += 1;
             if self.record_trace {
                 self.open_trace[a.slot.index()] = Some(OpenTrace {
                     job: spec.name().to_owned(),
@@ -668,15 +668,6 @@ impl Simulation {
             events_processed: self.collector.events_processed,
             counters,
         }
-    }
-}
-
-fn locality_index(level: LocalityLevel) -> usize {
-    match level {
-        LocalityLevel::ProcessLocal => 0,
-        LocalityLevel::NodeLocal => 1,
-        LocalityLevel::RackLocal => 2,
-        LocalityLevel::Any => 3,
     }
 }
 

@@ -1,9 +1,8 @@
 //! Task-duration distributions.
 //!
 //! The paper's workload model (§IV-B.2) is built on the Pareto distribution
-//! of Eq. (1); the workload generators additionally use exponential
-//! inter-arrival times, log-normal and uniform service times, and empirical
-//! distributions resampled from synthetic traces.
+//! of Eq. (1); the workload generators also use log-normal and constant
+//! task durations, and test fixtures uniform ones.
 
 use std::fmt;
 
@@ -230,56 +229,6 @@ impl Distribution for Uniform {
     }
 }
 
-/// The exponential distribution with the given rate, used for Poisson job
-/// inter-arrival times in the background-workload synthesizer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with rate `lambda` (mean
-    /// `1 / lambda`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidDistributionError`] unless `rate` is finite and
-    /// positive.
-    pub fn new(rate: f64) -> Result<Self, InvalidDistributionError> {
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(InvalidDistributionError::new(format!(
-                "Exponential rate must be finite and positive, got {rate}"
-            )));
-        }
-        Ok(Exponential { rate })
-    }
-
-    /// Creates an exponential distribution with the given mean.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidDistributionError`] unless `mean` is finite and
-    /// positive.
-    pub fn with_mean(mean: f64) -> Result<Self, InvalidDistributionError> {
-        if !(mean.is_finite() && mean > 0.0) {
-            return Err(InvalidDistributionError::new(format!(
-                "Exponential mean must be finite and positive, got {mean}"
-            )));
-        }
-        Exponential::new(1.0 / mean)
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        -rng.open_f64().ln() / self.rate
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(1.0 / self.rate)
-    }
-}
-
 /// The log-normal distribution, used for moderately skewed (but
 /// light-tailed) task durations in the MLlib-like templates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -335,83 +284,6 @@ impl Distribution for LogNormal {
 
     fn mean(&self) -> Option<f64> {
         Some((self.mu + self.sigma * self.sigma / 2.0).exp())
-    }
-}
-
-/// An empirical distribution that resamples uniformly from observed values,
-/// used to replay measured per-phase task durations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Empirical {
-    values: Vec<f64>,
-}
-
-impl Empirical {
-    /// Creates an empirical distribution over the given samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidDistributionError`] if `values` is empty or contains
-    /// a non-finite or negative entry.
-    pub fn new(values: Vec<f64>) -> Result<Self, InvalidDistributionError> {
-        if values.is_empty() {
-            return Err(InvalidDistributionError::new("Empirical requires at least one sample"));
-        }
-        if let Some(bad) = values.iter().find(|v| !v.is_finite() || **v < 0.0) {
-            return Err(InvalidDistributionError::new(format!(
-                "Empirical samples must be finite and non-negative, got {bad}"
-            )));
-        }
-        Ok(Empirical { values })
-    }
-
-    /// The underlying samples.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-}
-
-impl Distribution for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.values[rng.index(self.values.len())]
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-    }
-}
-
-/// A distribution scaled by a constant factor, e.g. the paper's "task
-/// runtime × 2" stress settings (Figs. 4, 12, 15).
-#[derive(Debug, Clone)]
-pub struct Scaled<D> {
-    inner: D,
-    factor: f64,
-}
-
-impl<D: Distribution> Scaled<D> {
-    /// Wraps `inner`, multiplying every sample by `factor`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidDistributionError`] unless `factor` is finite and
-    /// non-negative.
-    pub fn new(inner: D, factor: f64) -> Result<Self, InvalidDistributionError> {
-        if !(factor.is_finite() && factor >= 0.0) {
-            return Err(InvalidDistributionError::new(format!(
-                "Scaled factor must be finite and non-negative, got {factor}"
-            )));
-        }
-        Ok(Scaled { inner, factor })
-    }
-}
-
-impl<D: Distribution> Distribution for Scaled<D> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.inner.sample(rng) * self.factor
-    }
-
-    fn mean(&self) -> Option<f64> {
-        self.inner.mean().map(|m| m * self.factor)
     }
 }
 
@@ -546,40 +418,11 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_converges() {
-        let e = Exponential::with_mean(3.0).unwrap();
-        assert!((sample_mean(&e, 200_000, 15) - 3.0).abs() < 0.05);
-        assert!(Exponential::new(0.0).is_err());
-    }
-
-    #[test]
     fn lognormal_mean_cv_converges() {
         let l = LogNormal::with_mean_cv(5.0, 0.4).unwrap();
         assert!((l.mean().unwrap() - 5.0).abs() < 1e-9);
         assert!((sample_mean(&l, 200_000, 16) - 5.0).abs() < 0.1);
         assert!(LogNormal::with_mean_cv(-1.0, 0.4).is_err());
-    }
-
-    #[test]
-    fn empirical_resamples_observed_values() {
-        let e = Empirical::new(vec![1.0, 2.0, 4.0]).unwrap();
-        let mut rng = SimRng::seed_from_u64(17);
-        for _ in 0..1000 {
-            let s = e.sample(&mut rng);
-            assert!(s == 1.0 || s == 2.0 || s == 4.0);
-        }
-        assert!((e.mean().unwrap() - 7.0 / 3.0).abs() < 1e-12);
-        assert!(Empirical::new(vec![]).is_err());
-        assert!(Empirical::new(vec![f64::INFINITY]).is_err());
-    }
-
-    #[test]
-    fn scaled_multiplies_samples_and_mean() {
-        let s = Scaled::new(Constant::new(2.0).unwrap(), 2.5).unwrap();
-        let mut rng = SimRng::seed_from_u64(18);
-        assert_eq!(s.sample(&mut rng), 5.0);
-        assert_eq!(s.mean(), Some(5.0));
-        assert!(Scaled::new(Constant::new(1.0).unwrap(), f64::NAN).is_err());
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl<E> EventQueue<E> {
         Some((e.time, e.event))
     }
 
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -188,15 +183,6 @@ mod tests {
         q.push(SimTime::from_secs(5), "c");
         assert_eq!(q.pop(), Some((SimTime::from_secs(5), "a")));
         assert_eq!(q.pop(), Some((SimTime::from_secs(5), "c")));
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(7), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "the RNG barrier: `fork` and `stream` are the only callers of `seed_from_u64` outside tests"
+    reason = "the RNG barrier: `stream` is the only caller of `seed_from_u64` outside tests"
 )]
 
 /// A deterministic xoshiro256\*\* pseudo-random number generator.
@@ -135,13 +135,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child generator; used to give each job or
-    /// experiment repetition its own stream so that adding one workload does
-    /// not perturb the samples drawn by another.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from_u64(self.next_u64())
-    }
-
     /// The generator for trial `index` of a run rooted at `root_seed`.
     ///
     /// Every trial of a grid draws from its own stream, derived purely
@@ -232,19 +225,6 @@ mod tests {
     fn choose_empty_is_none() {
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(rng.choose::<u32>(&[]), None);
-    }
-
-    #[test]
-    fn fork_streams_are_independent_but_deterministic() {
-        let mut parent1 = SimRng::seed_from_u64(99);
-        let mut parent2 = SimRng::seed_from_u64(99);
-        let mut c1 = parent1.fork();
-        let mut c2 = parent2.fork();
-        for _ in 0..100 {
-            assert_eq!(c1.next_u64(), c2.next_u64());
-        }
-        // Child stream differs from the parent's continuation.
-        assert_ne!(parent1.next_u64(), c1.next_u64());
     }
 
     #[test]

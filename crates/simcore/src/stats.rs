@@ -151,92 +151,6 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     percentile_sorted(&sorted, q)
 }
 
-/// Arithmetic mean, or `None` for an empty slice.
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
-}
-
-/// Incremental (Welford) mean/variance accumulator for streaming metrics.
-///
-/// # Example
-///
-/// ```
-/// use ssr_simcore::stats::Online;
-///
-/// let mut acc = Online::new();
-/// for v in [2.0, 4.0, 6.0] {
-///     acc.push(v);
-/// }
-/// assert_eq!(acc.count(), 3);
-/// assert!((acc.mean() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Online {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Online {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Online::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Running mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Running population variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Running population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Online) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-    }
-}
-
 /// Returns the order statistics of `values`: a sorted copy, so that index
 /// `k` holds `t_(k+1)` in the paper's notation (the (k+1)-th shortest).
 pub fn order_statistics(values: &[f64]) -> Vec<f64> {
@@ -291,58 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_helper() {
-        assert_eq!(mean(&[]), None);
-        assert_eq!(mean(&[1.0, 3.0]), Some(2.0));
-    }
-
-    #[test]
-    fn online_matches_batch() {
-        let values = [1.5, 2.5, 3.5, 10.0, -4.0];
-        let mut acc = Online::new();
-        for &v in &values {
-            acc.push(v);
-        }
-        let s = Summary::from_values(&values).unwrap();
-        assert!((acc.mean() - s.mean()).abs() < 1e-12);
-        assert!((acc.std_dev() - s.std_dev()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn online_merge_matches_sequential() {
-        let a_vals = [1.0, 2.0, 3.0];
-        let b_vals = [10.0, 20.0];
-        let mut a = Online::new();
-        let mut b = Online::new();
-        for &v in &a_vals {
-            a.push(v);
-        }
-        for &v in &b_vals {
-            b.push(v);
-        }
-        a.merge(&b);
-        let mut all = Online::new();
-        for &v in a_vals.iter().chain(&b_vals) {
-            all.push(v);
-        }
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn online_merge_with_empty() {
-        let mut a = Online::new();
-        a.push(5.0);
-        let before = a;
-        a.merge(&Online::new());
-        assert_eq!(a, before);
-        let mut empty = Online::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn order_statistics_sorted() {
         assert_eq!(order_statistics(&[3.0, 1.0, 2.0]), vec![1.0, 2.0, 3.0]);
     }
@@ -360,17 +222,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Online accumulator mean equals batch mean for any finite input.
-        #[test]
-        fn online_mean_matches_batch(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-            let mut acc = Online::new();
-            for &v in &values {
-                acc.push(v);
-            }
-            let batch = values.iter().sum::<f64>() / values.len() as f64;
-            prop_assert!((acc.mean() - batch).abs() < 1e-6 * (1.0 + batch.abs()));
-        }
-
         /// Percentiles are monotone in q and bounded by min/max.
         #[test]
         fn percentile_monotone(values in proptest::collection::vec(0f64..1e6, 1..100),

@@ -167,25 +167,6 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Multiplies the span by a non-negative factor, saturating at
-    /// [`SimDuration::MAX`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "SimDuration::mul_f64 requires a finite, non-negative factor, got {factor}"
-        );
-        let scaled = self.0 as f64 * factor;
-        if scaled >= u64::MAX as f64 {
-            SimDuration::MAX
-        } else {
-            SimDuration(scaled.round() as u64)
-        }
-    }
-
     /// Returns the smaller of two spans.
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
@@ -333,16 +314,13 @@ mod tests {
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
         assert_eq!(SimTime::ZERO - SimDuration::from_secs(1), SimTime::ZERO);
         assert_eq!(SimDuration::MAX * 3, SimDuration::MAX);
-        assert_eq!(SimDuration::MAX.mul_f64(2.0), SimDuration::MAX);
     }
 
     #[test]
     fn duration_scaling() {
         let d = SimDuration::from_secs(2);
-        assert_eq!(d.mul_f64(2.5), SimDuration::from_secs(5));
         assert_eq!(d * 3, SimDuration::from_secs(6));
         assert_eq!(d / 2, SimDuration::from_secs(1));
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]
