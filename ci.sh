@@ -29,6 +29,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo bench -- --test (smoke)"
 cargo bench --workspace --offline -- --test
 
+echo "==> examples (each runs in release mode and must exit 0)"
+for example in examples/*.rs; do
+  cargo run -q --release --offline --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> trace replay smoke (byte-identical JSONL across same-seed runs)"
 trace_dir=$(mktemp -d)
 trap 'rm -rf "$trace_dir"' EXIT

@@ -283,9 +283,9 @@ fn fingerprint(sched: &TaskScheduler, now: SimTime) -> String {
                 ts.finished_count()
             );
         }
-        for (stage, stats) in job.iter_stage_stats() {
-            if !stats.durations().is_empty() {
-                let _ = write!(fp, "d{}n{}", stage.as_u32(), stats.durations().len());
+        for ts in job.spec().iter_stage_ids().filter_map(|s| job.taskset(s)) {
+            if !ts.durations().is_empty() {
+                let _ = write!(fp, "d{}n{}", ts.stage().as_u32(), ts.durations().len());
             }
         }
         fp.push(';');

@@ -3,8 +3,8 @@
 //! The cluster substrate for the speculative-slot-reservation (SSR)
 //! reproduction: machines, racks and compute **slots**, the slot state
 //! machine (free / running / reserved with priority and optional deadline),
-//! the data-locality model, and the data-placement map that records where
-//! each phase's outputs live.
+//! and the data-locality model. Where each phase's outputs live is kept by
+//! the phase's task set in `ssr-scheduler`.
 //!
 //! A *slot* is the unit the paper schedules — one Spark executor core. Slot
 //! reservations carry the reserving job's [`Priority`](ssr_dag::Priority)
@@ -34,14 +34,12 @@
 
 pub mod bits;
 pub mod locality;
-pub mod placement;
 pub mod pool;
 pub mod slot;
 pub mod topology;
 
 pub use bits::SlotBits;
 pub use locality::{LocalityLevel, LocalityModel};
-pub use placement::DataPlacement;
 pub use pool::SlotPool;
 pub use slot::{ClusterError, Reservation, SlotState, SlotTable};
 pub use topology::{ClusterSpec, NodeId, RackId, SlotId, TopologyError};

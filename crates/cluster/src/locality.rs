@@ -181,15 +181,9 @@ impl LocalityModel {
     ///
     /// A zero wait disables delay scheduling (everything allowed at once).
     pub fn max_allowed_level(&self, elapsed: SimDuration) -> LocalityLevel {
-        if self.wait.is_zero() {
-            return LocalityLevel::Any;
-        }
-        let periods = elapsed.as_micros() / self.wait.as_micros();
-        match periods {
-            0 => LocalityLevel::ProcessLocal,
-            1 => LocalityLevel::NodeLocal,
-            2 => LocalityLevel::RackLocal,
-            _ => LocalityLevel::Any,
+        match self.periods(elapsed) {
+            Some(periods) => LocalityLevel::ALL[periods],
+            None => LocalityLevel::Any,
         }
     }
 
@@ -200,15 +194,17 @@ impl LocalityModel {
     /// Simulators use this to schedule re-offer events under delay
     /// scheduling.
     pub fn next_unlock_after(&self, elapsed: SimDuration) -> Option<SimDuration> {
-        if self.wait.is_zero() {
-            return None;
-        }
-        let periods = elapsed.as_micros() / self.wait.as_micros();
-        if periods >= 3 {
-            None
-        } else {
-            Some(self.wait * (periods + 1))
-        }
+        let periods = self.periods(elapsed)?;
+        (periods < LocalityLevel::Any.index()).then(|| self.wait * (periods as u64 + 1))
+    }
+
+    /// The whole wait periods in `elapsed`, capped at `Any`'s
+    /// [`index`](LocalityLevel::index) — the number it takes to unlock
+    /// every level; `None` under a zero wait.
+    fn periods(&self, elapsed: SimDuration) -> Option<usize> {
+        let waits = elapsed.as_micros().checked_div(self.wait.as_micros())?;
+        let last = LocalityLevel::Any.index();
+        Some(usize::try_from(waits).map_or(last, |p| p.min(last)))
     }
 }
 

@@ -7,16 +7,18 @@
 //! scale `t_m` is approximated online by the duration of the phase's first
 //! finisher (paper §IV-B.2); the shape is fit by maximum likelihood over
 //! the durations observed so far, falling back to a configured default.
+//! All three inputs — the phase's ready time, its parallelism and its
+//! winners' durations in finish order — come from the phase's
+//! [`TaskSetManager`].
 
 use ssr_analytics::fit::shape_mle;
 use ssr_analytics::tradeoff::deadline_for_isolation;
-use ssr_scheduler::StageStats;
+use ssr_scheduler::TaskSetManager;
 use ssr_simcore::{SimDuration, SimTime};
 
 use crate::config::SsrConfig;
 
-/// Computes absolute reservation deadlines from per-phase runtime
-/// statistics.
+/// Computes absolute reservation deadlines from a phase's task set.
 #[derive(Debug, Clone, Copy)]
 pub struct DeadlineModel {
     isolation_target: f64,
@@ -39,11 +41,12 @@ impl DeadlineModel {
         self.isolation_target
     }
 
-    /// The Pareto shape used for `stats`: the maximum-likelihood fit over
-    /// observed durations once at least `min_fit_samples` exist (clamped
-    /// to `(1, 16]` so the deadline stays finite), otherwise the default.
-    pub fn shape_for(&self, stats: &StageStats) -> f64 {
-        let durations = stats.durations();
+    /// The Pareto shape for the phase of `tsm`: the maximum-likelihood
+    /// fit over its winners' durations once at least `min_fit_samples`
+    /// exist (clamped to `(1, 16]` so the deadline stays finite),
+    /// otherwise the default.
+    pub fn shape_for(&self, tsm: &TaskSetManager) -> f64 {
+        let durations = tsm.durations();
         if durations.len() < self.min_fit_samples {
             return self.default_shape;
         }
@@ -54,65 +57,68 @@ impl DeadlineModel {
         }
     }
 
-    /// The absolute deadline for reservations made while the phase
-    /// described by `stats` (with `parallelism` tasks) is draining, or
-    /// `None` when `P = 1` (reservations never expire — strict isolation).
+    /// The absolute deadline for reservations made while the phase of
+    /// `tsm` is draining, measured from the phase's ready time, or `None`
+    /// when `P = 1` (reservations never expire — strict isolation).
     ///
     /// Returns `None` as well before the phase's first finisher, since no
     /// `t_m` estimate exists yet (no reservation can be made before a task
     /// completes, so this does not occur in practice).
-    pub fn deadline_for(&self, stats: &StageStats, parallelism: u32) -> Option<SimTime> {
+    pub fn deadline_for(&self, tsm: &TaskSetManager) -> Option<SimTime> {
         if self.isolation_target >= 1.0 {
             return None;
         }
-        let t_m = stats.first_duration()?;
-        let ready_at = stats.ready_at()?;
-        let alpha = self.shape_for(stats);
+        let t_m = *tsm.durations().first()?;
+        let alpha = self.shape_for(tsm);
         let d = deadline_for_isolation(
             self.isolation_target,
             t_m.max(1e-9),
             alpha,
-            parallelism.max(1),
+            tsm.parallelism().max(1),
         )
         .ok()?;
         if !d.is_finite() {
             return None;
         }
-        Some(ready_at + SimDuration::from_secs_f64(d))
+        Some(tsm.ready_since() + SimDuration::from_secs_f64(d))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssr_cluster::SlotId;
+    use ssr_dag::{JobId, StageId};
 
-    fn stats_with(durations: &[f64], ready_secs: u64) -> StageStats {
-        // StageStats has no public constructor; drive one through the
-        // scheduler crate's intended flow instead: replicate via the
-        // TaskScheduler would be heavyweight, so we build it through the
-        // crate-public API exposed for tests.
-        let mut s = StageStats::default();
-        s.mark_ready(SimTime::from_secs(ready_secs));
-        for &d in durations {
-            s.record_duration(d);
+    /// A phase of `parallelism` tasks, ready at `ready_secs`, whose first
+    /// partitions finished in `durations`' order with those durations.
+    fn taskset_with(durations: &[f64], ready_secs: u64, parallelism: u32) -> TaskSetManager {
+        let ready = SimTime::from_secs(ready_secs);
+        let mut tsm = TaskSetManager::new(JobId::new(1), StageId::new(0), parallelism, ready);
+        for (i, &d) in durations.iter().enumerate() {
+            let instance = tsm.launch_next(SlotId::new(i as u32)).expect("a pending task");
+            tsm.instance_finished(instance, SimDuration::from_secs_f64(d));
         }
-        s
+        tsm
     }
 
     #[test]
     fn strict_isolation_has_no_deadline() {
         let model = DeadlineModel::new(&SsrConfig::default());
-        let stats = stats_with(&[1.0, 2.0, 3.0], 0);
-        assert_eq!(model.deadline_for(&stats, 10), None);
+        let tsm = taskset_with(&[1.0, 2.0, 3.0], 0, 10);
+        assert_eq!(model.deadline_for(&tsm), None);
     }
 
     #[test]
     fn deadline_uses_first_finisher_as_scale() {
         let config = SsrConfig::builder().isolation_target(0.9).build().unwrap();
         let model = DeadlineModel::new(&config);
-        let stats = stats_with(&[2.0], 10);
-        let deadline = model.deadline_for(&stats, 20).unwrap();
-        // D = t_m (1 - P^{1/N})^{-1/alpha} with t_m = 2, alpha = 1.6 (default).
+        // The first finisher, not the shortest, is t_m; two samples stay
+        // below min_fit_samples, so alpha is the default.
+        let tsm = taskset_with(&[2.0, 1.0], 10, 20);
+        let deadline = model.deadline_for(&tsm).unwrap();
+        // D = t_m (1 - P^{1/N})^{-1/alpha} with t_m = 2, alpha = 1.6
+        // (default), measured from the phase's ready time.
         let expected =
             deadline_for_isolation(0.9, 2.0, 1.6, 20).unwrap();
         let want = SimTime::from_secs(10) + SimDuration::from_secs_f64(expected);
@@ -123,9 +129,8 @@ mod tests {
     fn no_deadline_before_first_finish() {
         let config = SsrConfig::builder().isolation_target(0.5).build().unwrap();
         let model = DeadlineModel::new(&config);
-        let mut stats = StageStats::default();
-        stats.mark_ready(SimTime::ZERO);
-        assert_eq!(model.deadline_for(&stats, 10), None);
+        let tsm = taskset_with(&[], 0, 10);
+        assert_eq!(model.deadline_for(&tsm), None);
     }
 
     #[test]
@@ -137,9 +142,9 @@ mod tests {
             .build()
             .unwrap();
         let model = DeadlineModel::new(&config);
-        let few = stats_with(&[1.0, 2.0], 0);
+        let few = taskset_with(&[1.0, 2.0], 0, 4);
         assert_eq!(model.shape_for(&few), 1.6);
-        let many = stats_with(&[1.0, 2.0, 4.0, 8.0], 0);
+        let many = taskset_with(&[1.0, 2.0, 4.0, 8.0], 0, 4);
         let fitted = model.shape_for(&many);
         assert_ne!(fitted, 1.6);
         assert!(fitted > 1.0 && fitted <= 16.0);
@@ -153,10 +158,10 @@ mod tests {
             .build()
             .unwrap();
         let model = DeadlineModel::new(&config);
-        let stats = stats_with(&[3.0, 3.0, 3.0], 0);
-        assert_eq!(model.shape_for(&stats), 16.0);
+        let tsm = taskset_with(&[3.0, 3.0, 3.0], 0, 8);
+        assert_eq!(model.shape_for(&tsm), 16.0);
         // Deadline stays finite thanks to the clamp.
-        assert!(model.deadline_for(&stats, 8).is_some());
+        assert!(model.deadline_for(&tsm).is_some());
     }
 
     #[test]
@@ -165,9 +170,9 @@ mod tests {
             let config = SsrConfig::builder().isolation_target(p).build().unwrap();
             DeadlineModel::new(&config)
         };
-        let stats = stats_with(&[2.0], 0);
-        let strict = mk(0.95).deadline_for(&stats, 20).unwrap();
-        let loose = mk(0.2).deadline_for(&stats, 20).unwrap();
+        let tsm = taskset_with(&[2.0], 0, 20);
+        let strict = mk(0.95).deadline_for(&tsm).unwrap();
+        let loose = mk(0.2).deadline_for(&tsm).unwrap();
         assert!(loose < strict);
     }
 }

@@ -60,10 +60,7 @@ impl SpeculativeReservation {
 
     /// The absolute expiry for a reservation made now, per §IV-B.
     fn reservation_deadline(&self, ctx: &PolicyCtx<'_>, task: TaskId) -> Option<SimTime> {
-        let job = ctx.jobs.get(task.job)?;
-        let stats = job.stage_stats(task.stage)?;
-        let m = job.spec().stage(task.stage).parallelism();
-        self.deadline.deadline_for(stats, m)
+        self.deadline.deadline_for(ctx.jobs.get(task.job)?.taskset(task.stage)?)
     }
 
     fn reserve_disposition(

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use ssr_cluster::{
-    ClusterSpec, DataPlacement, LocalityLevel, LocalityModel, Reservation, SlotId, SlotPool,
+    ClusterSpec, LocalityLevel, LocalityModel, Reservation, SlotId, SlotPool,
 };
 use ssr_dag::{JobId, JobSpec, Priority, StageId};
 use ssr_perf::{SpanProfiler, WorkCounters};
@@ -134,7 +134,6 @@ struct PendingPrereserve {
 pub struct TaskScheduler {
     spec: ClusterSpec,
     slots: SlotPool,
-    placement: DataPlacement,
     locality: LocalityModel,
     jobs: Jobs,
     /// The instance on each slot, indexed by slot id (`None` when idle).
@@ -205,7 +204,6 @@ impl TaskScheduler {
         TaskScheduler {
             spec: cluster,
             slots,
-            placement: DataPlacement::new(),
             locality,
             jobs: Jobs::new(),
             running: vec![None; cluster.total_slots() as usize],
@@ -367,7 +365,7 @@ impl TaskScheduler {
         let roots = state.spec().roots();
         for &stage in &roots {
             let parallelism = state.spec().stage(stage).parallelism();
-            state.insert_taskset(TaskSetManager::new(id, stage, parallelism, now), now);
+            state.insert_taskset(TaskSetManager::new(id, stage, parallelism, now));
         }
         self.jobs.insert(state);
         self.snapshots_dirty = true;
@@ -920,9 +918,7 @@ impl TaskScheduler {
                 if tsm.has_pending() {
                     continue;
                 }
-                let Some(stats) = state.stage_stats(tsm.stage()) else { continue };
-                let Some(threshold) = cfg.threshold(stats.durations(), tsm.parallelism())
-                else {
+                let Some(threshold) = cfg.threshold(tsm.durations(), tsm.parallelism()) else {
                     continue;
                 };
                 for partition in tsm.copy_candidate_iter() {
@@ -989,12 +985,10 @@ impl TaskScheduler {
             duration_secs: duration.as_secs_f64(),
         });
 
-        self.jobs
-            .get_mut(task.job)
-            .expect("job exists")
-            .stats_mut(task.stage)
-            .record_duration(duration.as_secs_f64());
-        let outcome = self.jobs.instance_finished(ri.instance).expect("stage has a task set");
+        // The task set records the winner's duration and its slot, which
+        // now holds the partition's output (and a warm JVM for this job).
+        let outcome =
+            self.jobs.instance_finished(ri.instance, duration).expect("stage has a task set");
         debug_assert!(outcome.first_finish, "losers are killed, not finished");
 
         // Kill losing copies of the same partition.
@@ -1011,21 +1005,15 @@ impl TaskScheduler {
             killed.push(*loser_slot);
         }
 
-        // The winner's slot now holds the partition's output (and a warm
-        // JVM for this job).
-        self.placement.record(task.job, task.stage, task.partition, slot);
-
         // The phases whose barrier this finish cleared.
         let newly_ready = self.jobs.get(task.job).expect("job exists").cleared_by(task.stage);
         for &ready_stage in &newly_ready {
             self.emit(now, |_| TraceEventKind::BarrierCleared { job: task.job, stage: ready_stage });
             let state = self.jobs.get(task.job).expect("job exists");
-            let parents = state.spec().parents(ready_stage).to_vec();
             let parallelism = state.spec().stage(ready_stage).parallelism();
-            let preferred = self.placement.preferred_slots(task.job, &parents);
             let tsm = TaskSetManager::new(task.job, ready_stage, parallelism, now)
-                .with_preferred(preferred, &self.spec);
-            self.jobs.insert_taskset(task.job, tsm, now);
+                .with_preferred(state.preferred_slots(ready_stage), &self.spec);
+            self.jobs.insert_taskset(task.job, tsm);
             // The phase has started: stop pre-reserving for it.
             self.prereserve.remove(&(task.job, ready_stage));
         }
@@ -1037,11 +1025,6 @@ impl TaskScheduler {
 
         if stage_completed {
             self.emit(now, |_| TraceEventKind::StageCompleted { job: task.job, stage: task.stage });
-            self.jobs
-                .get_mut(task.job)
-                .expect("job exists")
-                .stats_mut(task.stage)
-                .mark_completed(now);
             // Reservations that were held *for* this phase are now stale.
             // The per-job index yields ascending slot ids, like the old
             // full scan.
@@ -1075,7 +1058,6 @@ impl TaskScheduler {
                     job: task.job,
                 });
             }
-            self.placement.clear_job(task.job);
             self.prereserve.retain(|(j, _), _| *j != task.job);
             let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
             self.policy.on_job_completed(&ctx, task.job);
@@ -1366,11 +1348,6 @@ impl TaskScheduler {
     /// All admitted jobs.
     pub fn jobs(&self) -> &Jobs {
         &self.jobs
-    }
-
-    /// The data-placement map.
-    pub fn placement(&self) -> &DataPlacement {
-        &self.placement
     }
 
     /// Slots currently running tasks of `job` — O(1), 0 for an unknown
@@ -1763,16 +1740,18 @@ mod tests {
     }
 
     #[test]
-    fn finish_records_stage_stats() {
+    fn finish_records_durations_and_output_slots() {
         let mut s = scheduler(1, 2);
-        let job = s.submit(one_stage_job("j", 2, 0), SimTime::ZERO);
-        let a = s.resource_offers(SimTime::ZERO);
-        s.task_finished(a[0].slot, SimTime::from_secs(3));
-        s.task_finished(a[1].slot, SimTime::from_secs(5));
-        let stats = s.jobs().get(job).unwrap().stage_stats(StageId::new(0)).unwrap();
-        assert_eq!(stats.first_duration(), Some(3.0));
-        assert_eq!(stats.durations(), &[3.0, 5.0]);
-        assert_eq!(stats.completed_at(), Some(SimTime::from_secs(5)));
+        let job = s.submit(one_stage_job("j", 2, 0), SimTime::from_secs(1));
+        let a = s.resource_offers(SimTime::from_secs(1));
+        // Partition 1 finishes first.
+        let by_partition = |p: u32| a.iter().find(|x| x.instance.task.partition == p).unwrap().slot;
+        s.task_finished(by_partition(1), SimTime::from_secs(4));
+        s.task_finished(by_partition(0), SimTime::from_secs(6));
+        let tsm = s.jobs().get(job).unwrap().taskset(StageId::new(0)).unwrap();
+        assert_eq!(tsm.ready_since(), SimTime::from_secs(1));
+        assert_eq!(tsm.durations(), &[3.0, 5.0]);
+        assert_eq!(tsm.output_slots().collect::<Vec<_>>(), vec![by_partition(0), by_partition(1)]);
     }
 
     #[test]
@@ -1843,6 +1822,10 @@ mod tests {
         let out = s.task_finished(copies[0].slot, SimTime::from_secs(6));
         assert_eq!(out.killed.len(), 1);
         assert!(out.job_completed);
+        // The winning copy's slot, not the original's, holds the output.
+        let tsm = s.jobs().get(job).unwrap().taskset(StageId::new(0)).unwrap();
+        let partition = copies[0].instance.task.partition as usize;
+        assert_eq!(tsm.output_slots().nth(partition), Some(copies[0].slot));
     }
 
     #[test]
@@ -1863,7 +1846,7 @@ mod tests {
     }
 
     #[test]
-    fn placement_prefers_upstream_slots() {
+    fn downstream_prefers_upstream_output_slots() {
         let mut s = scheduler(1, 4);
         let job = s.submit(two_stage_job("p", 2, 0), SimTime::ZERO);
         let a = s.resource_offers(SimTime::ZERO);
@@ -1875,6 +1858,31 @@ mod tests {
         for slot in slots_used {
             assert!(tsm.preferred().contains(&slot));
         }
+    }
+
+    #[test]
+    fn diamond_join_prefers_both_parents_output_slots() {
+        // a (2 tasks) and b (1 task) both feed the join; one slot stays
+        // idle, so it holds no output.
+        let mut s = scheduler(1, 4);
+        let spec = JobSpecBuilder::new("d")
+            .stage("a", 2, constant(1.0))
+            .stage("b", 1, constant(1.0))
+            .stage("join", 1, constant(1.0))
+            .edge(0, 2)
+            .edge(1, 2)
+            .build()
+            .unwrap();
+        let job = s.submit(spec, SimTime::ZERO);
+        let a = s.resource_offers(SimTime::ZERO);
+        assert_eq!(a.len(), 3);
+        let mut used: Vec<SlotId> = a.iter().map(|x| x.slot).collect();
+        for x in &a {
+            s.task_finished(x.slot, SimTime::from_secs(1));
+        }
+        used.sort();
+        let join = s.jobs().get(job).unwrap().taskset(StageId::new(2)).unwrap();
+        assert_eq!(join.preferred(), &used[..], "the ascending union of both parents' outputs");
     }
 
     /// Test policy that releases every slot and pre-reserves aggressively

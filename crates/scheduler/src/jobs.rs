@@ -1,70 +1,13 @@
-//! Per-job scheduler state: per-phase task sets, from which each phase's
-//! barrier state follows, and runtime statistics.
+//! Per-job scheduler state: per-phase task sets, which hold each phase's
+//! barrier state, runtime statistics and output slots.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ssr_cluster::SlotId;
 use ssr_dag::{JobId, JobSpec, Priority, StageId};
-use ssr_simcore::SimTime;
+use ssr_simcore::{SimDuration, SimTime};
 
 use crate::taskset::{InstanceOutcome, TaskInstance, TaskSetManager};
-
-/// Runtime statistics of one phase, fed to reservation policies.
-///
-/// The paper's deadline model (§IV-B) estimates the Pareto scale parameter
-/// `t_m` by "the duration of the task that finishes first in a phase" —
-/// that is [`StageStats::first_duration`].
-#[derive(Debug, Clone, Default)]
-pub struct StageStats {
-    ready_at: Option<SimTime>,
-    completed_at: Option<SimTime>,
-    first_duration: Option<f64>,
-    durations: Vec<f64>,
-}
-
-impl StageStats {
-    /// When the phase's barrier cleared.
-    pub fn ready_at(&self) -> Option<SimTime> {
-        self.ready_at
-    }
-
-    /// When the phase's last task finished.
-    pub fn completed_at(&self) -> Option<SimTime> {
-        self.completed_at
-    }
-
-    /// Duration (seconds) of the phase's first finisher — the online
-    /// estimate of the Pareto scale `t_m`.
-    pub fn first_duration(&self) -> Option<f64> {
-        self.first_duration
-    }
-
-    /// Durations (seconds) of every finished task instance of the phase,
-    /// in finish order.
-    pub fn durations(&self) -> &[f64] {
-        &self.durations
-    }
-
-    /// Marks the phase ready. Normally driven by the scheduler engine;
-    /// public so policies and tests can build fixtures.
-    pub fn mark_ready(&mut self, at: SimTime) {
-        self.ready_at = Some(at);
-    }
-
-    /// Marks the phase completed. Normally driven by the scheduler engine.
-    pub fn mark_completed(&mut self, at: SimTime) {
-        self.completed_at = Some(at);
-    }
-
-    /// Records one finished task-instance duration (seconds). Normally
-    /// driven by the scheduler engine.
-    pub fn record_duration(&mut self, secs: f64) {
-        if self.first_duration.is_none() {
-            self.first_duration = Some(secs);
-        }
-        self.durations.push(secs);
-    }
-}
 
 /// All scheduler-side state of one admitted job.
 ///
@@ -72,13 +15,14 @@ impl StageStats {
 /// (paper §II-A, §V): a phase is *blocked* until it has a task set, which
 /// the scheduler creates once every parent phase has finished, *ready*
 /// while that task set has unfinished partitions, and *complete* once all
-/// have finished.
+/// have finished. The task set also keeps the phase's ready time, its
+/// winners' durations and its output slots, from which the phases it
+/// feeds take their preferred slots.
 #[derive(Debug, Clone)]
 pub struct JobState {
     id: JobId,
     spec: JobSpec,
     tsms: BTreeMap<StageId, TaskSetManager>,
-    stats: BTreeMap<StageId, StageStats>,
     submitted_at: SimTime,
     completed_at: Option<SimTime>,
     /// Slots currently running an instance (original or copy) of this job.
@@ -91,7 +35,6 @@ impl JobState {
             id,
             spec,
             tsms: BTreeMap::new(),
-            stats: BTreeMap::new(),
             submitted_at,
             completed_at: None,
             running: 0,
@@ -137,16 +80,6 @@ impl JobState {
     /// The task-set manager of `stage`, if the phase has become ready.
     pub fn taskset(&self, stage: StageId) -> Option<&TaskSetManager> {
         self.tsms.get(&stage)
-    }
-
-    /// Runtime statistics of `stage`, if the phase has become ready.
-    pub fn stage_stats(&self, stage: StageId) -> Option<&StageStats> {
-        self.stats.get(&stage)
-    }
-
-    /// Iterate over `(stage, stats)` for every phase that has become ready.
-    pub fn iter_stage_stats(&self) -> impl Iterator<Item = (StageId, &StageStats)> {
-        self.stats.iter().map(|(s, st)| (*s, st))
     }
 
     /// Number of `stage`'s partitions that have finished — 0 while the
@@ -195,6 +128,19 @@ impl JobState {
             .collect()
     }
 
+    /// The preferred slots of `stage`'s tasks: the slots holding its
+    /// parents' outputs, in ascending order. A shuffle dependency reads
+    /// every upstream partition, so this is the union over all parents
+    /// (§II-B, §V); a parent partition that has not finished adds none.
+    pub(crate) fn preferred_slots(&self, stage: StageId) -> BTreeSet<SlotId> {
+        self.spec
+            .parents(stage)
+            .iter()
+            .filter_map(|p| self.tsms.get(p))
+            .flat_map(TaskSetManager::output_slots)
+            .collect()
+    }
+
     /// Task sets of phases that are ready and still have unfinished tasks,
     /// in stage order.
     pub fn active_tasksets(&self) -> impl Iterator<Item = &TaskSetManager> {
@@ -220,14 +166,8 @@ impl JobState {
         self.tsms.get_mut(&stage)
     }
 
-    pub(crate) fn insert_taskset(&mut self, tsm: TaskSetManager, now: SimTime) {
-        let stage = tsm.stage();
-        self.tsms.insert(stage, tsm);
-        self.stats.entry(stage).or_default().mark_ready(now);
-    }
-
-    pub(crate) fn stats_mut(&mut self, stage: StageId) -> &mut StageStats {
-        self.stats.entry(stage).or_default()
+    pub(crate) fn insert_taskset(&mut self, tsm: TaskSetManager) {
+        self.tsms.insert(tsm.stage(), tsm);
     }
 
     pub(crate) fn mark_complete(&mut self, at: SimTime) {
@@ -363,11 +303,11 @@ impl Jobs {
         self.refresh_pending(id);
     }
 
-    /// Registers the task set of a phase that became ready at `now`.
-    pub(crate) fn insert_taskset(&mut self, id: JobId, tsm: TaskSetManager, now: SimTime) {
+    /// Registers the task set of a phase that became ready.
+    pub(crate) fn insert_taskset(&mut self, id: JobId, tsm: TaskSetManager) {
         let Some(state) = entry_mut(&mut self.table, id) else { return };
         self.unlock_window.push_back((tsm.ready_since(), id, tsm.stage()));
-        state.insert_taskset(tsm, now);
+        state.insert_taskset(tsm);
         self.refresh_pending(id);
     }
 
@@ -405,13 +345,19 @@ impl Jobs {
         Some(instance)
     }
 
-    /// Forwards a finished instance to its task set (see
-    /// [`TaskSetManager::instance_finished`]). The instance and every
-    /// losing copy the outcome names stop running; the caller kills the
-    /// losers' slots. `None` if the job or its phase is unknown.
-    pub(crate) fn instance_finished(&mut self, instance: TaskInstance) -> Option<InstanceOutcome> {
+    /// Forwards an instance that finished after running for `duration`
+    /// to its task set (see [`TaskSetManager::instance_finished`]). The
+    /// instance and every losing copy the outcome names stop running; the
+    /// caller kills the losers' slots. `None` if the job or its phase is
+    /// unknown.
+    pub(crate) fn instance_finished(
+        &mut self,
+        instance: TaskInstance,
+        duration: SimDuration,
+    ) -> Option<InstanceOutcome> {
         let state = self.get_mut(instance.task.job)?;
-        let outcome = state.tsms.get_mut(&instance.task.stage)?.instance_finished(instance);
+        let outcome =
+            state.tsms.get_mut(&instance.task.stage)?.instance_finished(instance, duration);
         state.running = state.running.saturating_sub(1 + outcome.losers.len());
         Some(outcome)
     }
@@ -500,14 +446,11 @@ mod tests {
     #[test]
     fn taskset_registration_enables_pending() {
         let mut js = job_state();
-        let tsm = TaskSetManager::new(JobId::new(1), StageId::new(0), 2, SimTime::ZERO);
-        js.insert_taskset(tsm, SimTime::from_secs(2));
+        let tsm = TaskSetManager::new(JobId::new(1), StageId::new(0), 2, SimTime::from_secs(2));
+        js.insert_taskset(tsm);
         assert!(js.has_pending_tasks());
         assert_eq!(js.active_tasksets().count(), 1);
-        assert_eq!(
-            js.stage_stats(StageId::new(0)).unwrap().ready_at(),
-            Some(SimTime::from_secs(2))
-        );
+        assert_eq!(js.taskset(StageId::new(0)).unwrap().ready_since(), SimTime::from_secs(2));
     }
 
     pub(super) const JOB: JobId = JobId::new(1);
@@ -518,7 +461,7 @@ mod tests {
         let mut state = JobState::new(JOB, spec, SimTime::ZERO);
         for stage in state.spec().roots() {
             let parallelism = state.spec().stage(stage).parallelism();
-            state.insert_taskset(TaskSetManager::new(JOB, stage, parallelism, SimTime::ZERO), SimTime::ZERO);
+            state.insert_taskset(TaskSetManager::new(JOB, stage, parallelism, SimTime::ZERO));
         }
         let mut jobs = Jobs::new();
         jobs.insert(state);
@@ -530,7 +473,7 @@ mod tests {
     /// `TaskScheduler::task_finished` does. Returns those phases.
     pub(super) fn finish_one(jobs: &mut Jobs, stage: StageId) -> Vec<StageId> {
         let instance = jobs.launch_next(JOB, stage, SlotId::new(0)).expect("stage has a pending task");
-        jobs.instance_finished(instance).expect("stage has a task set");
+        jobs.instance_finished(instance, SimDuration::from_secs(1)).expect("stage has a task set");
         let state = jobs.get(JOB).unwrap();
         let cleared = state.cleared_by(stage);
         let tasksets: Vec<_> = cleared
@@ -538,7 +481,7 @@ mod tests {
             .map(|&s| TaskSetManager::new(JOB, s, state.spec().stage(s).parallelism(), SimTime::ZERO))
             .collect();
         for tsm in tasksets {
-            jobs.insert_taskset(JOB, tsm, SimTime::ZERO);
+            jobs.insert_taskset(JOB, tsm);
         }
         cleared
     }
@@ -672,15 +615,16 @@ mod tests {
     }
 
     #[test]
-    fn stage_stats_record_first_duration() {
-        let mut stats = StageStats::default();
-        assert!(stats.first_duration().is_none());
-        stats.record_duration(4.0);
-        stats.record_duration(2.0); // later finisher, even if shorter
-        assert_eq!(stats.first_duration(), Some(4.0));
-        assert_eq!(stats.durations(), &[4.0, 2.0]);
-        stats.mark_completed(SimTime::from_secs(9));
-        assert_eq!(stats.completed_at(), Some(SimTime::from_secs(9)));
+    fn first_finisher_duration_leads_the_task_sets_durations() {
+        let mut jobs = two_phase();
+        let a = StageId::new(0);
+        let first = jobs.launch_next(JOB, a, SlotId::new(0)).unwrap();
+        let second = jobs.launch_next(JOB, a, SlotId::new(1)).unwrap();
+        assert!(jobs.get(JOB).unwrap().taskset(a).unwrap().durations().is_empty());
+        jobs.instance_finished(first, SimDuration::from_secs(4)).unwrap();
+        // A later finisher is recorded after, even if shorter.
+        jobs.instance_finished(second, SimDuration::from_secs(2)).unwrap();
+        assert_eq!(jobs.get(JOB).unwrap().taskset(a).unwrap().durations(), &[4.0, 2.0]);
     }
 
     #[test]
@@ -751,7 +695,7 @@ mod proptests {
             .unwrap();
         let mut state = JobState::new(JobId::new(id), spec, SimTime::ZERO);
         let tsm = TaskSetManager::new(JobId::new(id), STAGE, parallelism, SimTime::ZERO);
-        state.insert_taskset(tsm, SimTime::ZERO);
+        state.insert_taskset(tsm);
         state
     }
 
@@ -794,9 +738,11 @@ mod proptests {
             Op::Finish(k) => {
                 let Some(instance) = pick(live, k) else { return };
                 let (state, running) = reference.get_mut(&instance.task.job).unwrap();
-                let expected = state.taskset_mut(STAGE).unwrap().instance_finished(instance);
+                let expected =
+                    state.taskset_mut(STAGE).unwrap().instance_finished(instance, SimDuration::ZERO);
                 *running -= 1 + expected.losers.len();
-                let outcome = jobs.instance_finished(instance).expect("live job exists");
+                let outcome =
+                    jobs.instance_finished(instance, SimDuration::ZERO).expect("live job exists");
                 prop_assert_eq!(outcome.first_finish, expected.first_finish);
                 prop_assert_eq!(&outcome.losers, &expected.losers);
                 live.retain(|i| *i != instance && !expected.losers.iter().any(|(l, _)| l == i));

@@ -9,7 +9,8 @@
 //!   [`JobState`]),
 //! * the **task-set manager** ([`TaskSetManager`]) — tracks the pending /
 //!   running / finished tasks of one phase, including extra task *copies*
-//!   with kill-on-first-finish semantics,
+//!   with kill-on-first-finish semantics, and the phase's runtime facts:
+//!   its ready time, its winners' durations and its output slots,
 //! * the **task scheduler** ([`TaskScheduler`]) — matches resource offers
 //!   to tasks, applying delay scheduling (locality wait) and the
 //!   *ApprovalLogic* seam of Algorithm 1 through a pluggable
@@ -37,7 +38,7 @@ pub mod speculation;
 pub mod taskset;
 
 pub use engine::{Assignment, FailureOutcome, FinishOutcome, TaskScheduler};
-pub use jobs::{JobState, Jobs, StageStats};
+pub use jobs::{JobState, Jobs};
 pub use order::{Fair, Fifo, FifoPriority, JobOrder, JobSnapshot};
 pub use policy::{
     ApprovalRule, PolicyCtx, PreReserveRequest, ReservationPolicy, SlotDisposition, StaticReservation,

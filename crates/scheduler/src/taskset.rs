@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use ssr_cluster::{ClusterSpec, LocalityLevel, NodeId, RackId, SlotId};
 use ssr_dag::{JobId, StageId, TaskId};
-use ssr_simcore::SimTime;
+use ssr_simcore::{SimDuration, SimTime};
 
 /// One runnable instance of a task: the original attempt (0) or a
 /// speculative copy (attempt ≥ 1).
@@ -40,10 +40,25 @@ impl std::fmt::Display for TaskInstance {
 struct Partition {
     running: Vec<(TaskInstance, SlotId)>,
     next_attempt: u32,
-    finished: bool,
+    /// The slot of the instance that finished the partition, which holds
+    /// its output; [`NO_OUTPUT`] until then. A bare `u32` keeps the
+    /// partition at 32 bytes.
+    output: u32,
 }
 
-/// Manages the execution of all parallel tasks within one phase.
+/// [`Partition::output`] of a partition that has not finished.
+const NO_OUTPUT: u32 = u32::MAX;
+
+impl Partition {
+    fn finished(&self) -> bool {
+        self.output != NO_OUTPUT
+    }
+}
+
+/// Manages the execution of all parallel tasks within one phase, and
+/// owns the phase's runtime facts: when it became ready, its winners'
+/// durations in finish order, and the slot holding each finished
+/// partition's output.
 ///
 /// # Example
 ///
@@ -51,19 +66,21 @@ struct Partition {
 /// use ssr_scheduler::TaskSetManager;
 /// use ssr_cluster::SlotId;
 /// use ssr_dag::{JobId, StageId};
-/// use ssr_simcore::SimTime;
+/// use ssr_simcore::{SimDuration, SimTime};
 ///
 /// let mut tsm = TaskSetManager::new(JobId::new(1), StageId::new(0), 2, SimTime::ZERO);
 /// let a = tsm.launch_next(SlotId::new(0)).expect("two tasks pending");
 /// let b = tsm.launch_next(SlotId::new(1)).expect("one task pending");
 /// assert!(tsm.launch_next(SlotId::new(2)).is_none());
 ///
-/// let outcome = tsm.instance_finished(a);
+/// let outcome = tsm.instance_finished(a, SimDuration::from_secs(3));
 /// assert!(outcome.first_finish);
 /// assert!(!tsm.is_complete());
-/// let outcome = tsm.instance_finished(b);
+/// let outcome = tsm.instance_finished(b, SimDuration::from_secs(5));
 /// assert!(tsm.is_complete());
 /// assert!(outcome.losers.is_empty());
+/// assert_eq!(tsm.durations(), &[3.0, 5.0]);
+/// assert_eq!(tsm.output_slots().collect::<Vec<_>>(), [SlotId::new(0), SlotId::new(1)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TaskSetManager {
@@ -76,7 +93,9 @@ pub struct TaskSetManager {
     /// (every slot is process-local). Boxed so that phases without a
     /// preference, and the job tables holding them, stay small.
     locality: Option<Box<LocalityView>>,
-    finished_count: u32,
+    /// Durations (seconds) of the instances that finished a partition,
+    /// in finish order: one per finished partition.
+    durations: Vec<f64>,
 }
 
 /// A phase's preferred slots in dense form: the slots and their node and
@@ -202,10 +221,10 @@ impl TaskSetManager {
             // Launch low partitions first: reverse so pop() yields 0, 1, …
             pending: (0..parallelism).rev().collect(),
             partitions: (0..parallelism)
-                .map(|_| Partition { running: Vec::new(), next_attempt: 0, finished: false })
+                .map(|_| Partition { running: Vec::new(), next_attempt: 0, output: NO_OUTPUT })
                 .collect(),
             locality: None,
-            finished_count: 0,
+            durations: Vec::new(),
         }
     }
 
@@ -256,7 +275,8 @@ impl TaskSetManager {
         self.stage
     }
 
-    /// When the phase's barrier cleared (for delay scheduling).
+    /// When the phase's barrier cleared: the start of delay scheduling's
+    /// wait and of §IV-B's reservation deadline.
     pub fn ready_since(&self) -> SimTime {
         self.ready_since
     }
@@ -286,9 +306,23 @@ impl TaskSetManager {
         !self.pending.is_empty()
     }
 
+    /// Durations (seconds) of the instances that finished a partition, in
+    /// finish order. The first is §IV-B's online estimate of the Pareto
+    /// scale `t_m`.
+    pub fn durations(&self) -> &[f64] {
+        &self.durations
+    }
+
+    /// The slots holding the outputs of the finished partitions, in
+    /// partition order: each is the slot of the instance that won its
+    /// partition.
+    pub fn output_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
+        self.partitions.iter().filter(|p| p.finished()).map(|p| SlotId::new(p.output))
+    }
+
     /// Number of partitions whose first finish has been recorded.
     pub fn finished_count(&self) -> u32 {
-        self.finished_count
+        self.durations.len() as u32
     }
 
     /// Total tasks (partitions) in the phase.
@@ -298,7 +332,7 @@ impl TaskSetManager {
 
     /// `true` once every partition has finished.
     pub fn is_complete(&self) -> bool {
-        self.finished_count == self.parallelism()
+        self.finished_count() == self.parallelism()
     }
 
     /// Partitions that are running and have exactly one live instance (no
@@ -309,13 +343,13 @@ impl TaskSetManager {
         self.partitions
             .iter()
             .enumerate()
-            .filter(|(_, p)| !p.finished && p.running.len() == 1)
+            .filter(|(_, p)| !p.finished() && p.running.len() == 1)
             .map(|(i, _)| i as u32)
     }
 
     /// Partitions with at least one live instance and no finish yet.
     pub fn ongoing_count(&self) -> usize {
-        self.partitions.iter().filter(|p| !p.finished && !p.running.is_empty()).count()
+        self.partitions.iter().filter(|p| !p.finished() && !p.running.is_empty()).count()
     }
 
     /// The single running instance of `partition`, if it is ongoing with
@@ -323,7 +357,7 @@ impl TaskSetManager {
     /// [`copy_candidate_iter`](Self::copy_candidate_iter) item).
     pub fn sole_running_instance(&self, partition: u32) -> Option<(TaskInstance, SlotId)> {
         let p = self.partitions.get(partition as usize)?;
-        if p.finished || p.running.len() != 1 {
+        if p.finished() || p.running.len() != 1 {
             None
         } else {
             Some(p.running[0])
@@ -345,7 +379,7 @@ impl TaskSetManager {
     /// range — copies are only valid for ongoing tasks.
     pub fn launch_copy(&mut self, partition: u32, slot: SlotId) -> TaskInstance {
         let p = &self.partitions[partition as usize];
-        assert!(!p.finished, "cannot copy a finished partition");
+        assert!(!p.finished(), "cannot copy a finished partition");
         assert!(!p.running.is_empty(), "cannot copy a partition that is not running");
         self.launch_instance(partition, slot)
     }
@@ -361,25 +395,31 @@ impl TaskSetManager {
         instance
     }
 
-    /// Records that `instance` finished; returns whether it won its
-    /// partition and which sibling instances must be killed.
+    /// Records that `instance` finished after running for `duration`;
+    /// returns whether it won its partition and which sibling instances
+    /// must be killed. A winner's slot becomes the partition's output
+    /// slot and its duration joins [`durations`](Self::durations).
     ///
     /// # Panics
     ///
     /// Panics if the instance is not currently running in this set.
-    pub fn instance_finished(&mut self, instance: TaskInstance) -> InstanceOutcome {
+    pub fn instance_finished(
+        &mut self,
+        instance: TaskInstance,
+        duration: SimDuration,
+    ) -> InstanceOutcome {
         let p = &mut self.partitions[instance.task.partition as usize];
         let idx = p
             .running
             .iter()
             .position(|(i, _)| *i == instance)
             .unwrap_or_else(|| panic!("{instance} is not running"));
-        p.running.swap_remove(idx);
-        let first_finish = !p.finished;
-        p.finished = true;
+        let (_, slot) = p.running.swap_remove(idx);
+        let first_finish = !p.finished();
         let losers = std::mem::take(&mut p.running);
         if first_finish {
-            self.finished_count += 1;
+            p.output = slot.as_u32();
+            self.durations.push(duration.as_secs_f64());
         }
         InstanceOutcome { first_finish, losers }
     }
@@ -403,7 +443,7 @@ impl TaskSetManager {
             return false;
         };
         p.running.swap_remove(idx);
-        if !p.finished && p.running.is_empty() {
+        if !p.finished() && p.running.is_empty() {
             self.pending.push(partition);
             true
         } else {
@@ -430,6 +470,8 @@ impl TaskSetManager {
 mod tests {
     use super::*;
 
+    const SECOND: SimDuration = SimDuration::from_secs(1);
+
     fn tsm(parallelism: u32) -> TaskSetManager {
         TaskSetManager::new(JobId::new(1), StageId::new(0), parallelism, SimTime::ZERO)
     }
@@ -451,9 +493,9 @@ mod tests {
         let a = t.launch_next(SlotId::new(0)).unwrap();
         let b = t.launch_next(SlotId::new(1)).unwrap();
         assert!(!t.is_complete());
-        assert!(t.instance_finished(a).first_finish);
+        assert!(t.instance_finished(a, SECOND).first_finish);
         assert_eq!(t.finished_count(), 1);
-        assert!(t.instance_finished(b).first_finish);
+        assert!(t.instance_finished(b, SECOND).first_finish);
         assert!(t.is_complete());
     }
 
@@ -466,10 +508,51 @@ mod tests {
         assert!(copy.is_copy());
         assert!(!original.is_copy());
 
-        let outcome = t.instance_finished(copy);
+        let outcome = t.instance_finished(copy, SECOND);
         assert!(outcome.first_finish);
         assert_eq!(outcome.losers, vec![(original, SlotId::new(0))]);
         assert!(t.is_complete());
+    }
+
+    #[test]
+    fn winning_copy_slot_becomes_partition_output() {
+        let mut t = tsm(1);
+        let _original = t.launch_next(SlotId::new(0)).unwrap();
+        let copy = t.launch_copy(0, SlotId::new(9));
+        t.instance_finished(copy, SECOND);
+        // The winning copy's slot, not the original's, holds the output.
+        assert_eq!(t.output_slots().collect::<Vec<_>>(), vec![SlotId::new(9)]);
+    }
+
+    #[test]
+    fn fresh_task_set_has_no_output_slots_or_durations() {
+        let mut t = tsm(2);
+        assert!(t.durations().is_empty());
+        assert_eq!(t.output_slots().next(), None);
+        // A launched but unfinished partition holds no output either.
+        t.launch_next(SlotId::new(3)).unwrap();
+        assert!(t.durations().is_empty());
+        assert_eq!(t.output_slots().next(), None);
+    }
+
+    #[test]
+    fn winners_record_durations_and_output_slots() {
+        let mut t = tsm(3);
+        let a = t.launch_next(SlotId::new(4)).unwrap();
+        let b = t.launch_next(SlotId::new(2)).unwrap();
+        let _c = t.launch_next(SlotId::new(7)).unwrap();
+        t.instance_finished(b, SimDuration::from_secs(4));
+        // A later finisher is recorded after, even if shorter.
+        t.instance_finished(a, SimDuration::from_secs(2));
+        assert_eq!(t.durations(), &[4.0, 2.0]);
+        // Partition 2 never finished: it has no output slot.
+        assert_eq!(t.output_slots().collect::<Vec<_>>(), vec![SlotId::new(4), SlotId::new(2)]);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn partition_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<Partition>(), 32);
     }
 
     #[test]
@@ -477,7 +560,7 @@ mod tests {
         let mut t = tsm(1);
         let original = t.launch_next(SlotId::new(0)).unwrap();
         let copy = t.launch_copy(0, SlotId::new(1));
-        let outcome = t.instance_finished(original);
+        let outcome = t.instance_finished(original, SECOND);
         assert!(outcome.first_finish);
         assert_eq!(outcome.losers, vec![(copy, SlotId::new(1))]);
     }
@@ -490,7 +573,7 @@ mod tests {
         assert_eq!(t.copy_candidate_iter().collect::<Vec<_>>(), vec![0, 1]); // partition 2 not launched
         t.launch_copy(1, SlotId::new(2));
         assert_eq!(t.copy_candidate_iter().collect::<Vec<_>>(), vec![0]); // 1 already has a copy
-        t.instance_finished(a);
+        t.instance_finished(a, SECOND);
         assert_eq!(t.copy_candidate_iter().next(), None);
     }
 
@@ -502,7 +585,7 @@ mod tests {
         t.instance_killed(copy);
         assert!(!t.is_complete());
         assert_eq!(t.ongoing_count(), 1);
-        let outcome = t.instance_finished(original);
+        let outcome = t.instance_finished(original, SECOND);
         assert!(outcome.first_finish);
         assert!(outcome.losers.is_empty());
     }
@@ -529,7 +612,7 @@ mod tests {
         let copy = t.launch_copy(0, SlotId::new(1));
         assert!(!t.instance_crashed(original), "copy still racing");
         assert!(!t.has_pending());
-        let outcome = t.instance_finished(copy);
+        let outcome = t.instance_finished(copy, SECOND);
         assert!(outcome.first_finish);
         assert!(t.is_complete());
     }
@@ -541,7 +624,7 @@ mod tests {
         let copy = t.launch_copy(0, SlotId::new(1));
         assert!(!t.instance_crashed(copy), "original still running");
         assert!(!t.has_pending());
-        let outcome = t.instance_finished(original);
+        let outcome = t.instance_finished(original, SECOND);
         assert!(outcome.first_finish);
         assert!(outcome.losers.is_empty());
         assert!(t.is_complete());
@@ -563,7 +646,7 @@ mod tests {
         };
         assert!(!t.instance_crashed(out_of_range), "unknown partition ignored");
         // The tracked instance is untouched by the ignored crashes.
-        assert!(t.instance_finished(original).first_finish);
+        assert!(t.instance_finished(original, SECOND).first_finish);
         assert!(t.is_complete());
     }
 
@@ -575,7 +658,7 @@ mod tests {
             task: TaskId::new(JobId::new(1), StageId::new(0), 0),
             attempt: 5,
         };
-        t.instance_finished(phantom);
+        t.instance_finished(phantom, SECOND);
     }
 
     #[test]
@@ -583,7 +666,7 @@ mod tests {
     fn copying_finished_partition_panics() {
         let mut t = tsm(1);
         let a = t.launch_next(SlotId::new(0)).unwrap();
-        t.instance_finished(a);
+        t.instance_finished(a, SECOND);
         t.launch_copy(0, SlotId::new(1));
     }
 

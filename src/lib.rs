@@ -12,8 +12,8 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`simcore`] | `ssr-simcore` | sim time, deterministic RNG, distributions, event queue, stats |
-//! | [`dag`] | `ssr-dag` | workflow DAGs: jobs, phases, barriers, runtime tracking |
-//! | [`cluster`] | `ssr-cluster` | nodes/slots, reservations, locality, data placement |
+//! | [`dag`] | `ssr-dag` | workflow DAGs: jobs, phases, barriers |
+//! | [`cluster`] | `ssr-cluster` | nodes/slots, reservations, locality |
 //! | [`workload`] | `ssr-workload` | MLlib-like, TPC-DS-like and Google-trace-like generators |
 //! | [`scheduler`] | `ssr-scheduler` | DAG scheduler, task sets, resource offers, baselines |
 //! | [`core`] | `ssr-core` | **the paper's contribution**: Algorithm 1, deadlines, straggler mitigation |

@@ -1,0 +1,143 @@
+//! Metamorphic relations: pairs of runs whose inputs differ in a way the
+//! paper's mechanisms cannot observe must produce the same results.
+//!
+//! Pins and goldens hold the engine to the bytes it produced when they
+//! were recorded; these relations need no recorded data. Both run the
+//! same contended mix on a 20-node × 4-slot cluster at seed 7 — a
+//! k-means job (parallelism 20, priority 10) and a 3-phase Pareto
+//! pipeline (parallelism 30, priority 5) in the foreground against 150
+//! Google-trace-like background jobs (priority 0) — under each of the
+//! four reservation policies and each job order:
+//!
+//! - **Priority shift.** ApprovalLogic, job order and pre-reservation
+//!   compare priorities only with each other and with the configured
+//!   thresholds, so adding the same constant to every priority and every
+//!   threshold (the static pool's class, SSR's
+//!   `reserve_only_at_or_above`) leaves the serialized outcome, task trace
+//!   included, and the work counters byte-identical once the reported
+//!   priorities are mapped back.
+//! - **Late arrival.** A background job arriving long after every other
+//!   job has finished cannot touch their runs: each earlier job's result,
+//!   every task placement of theirs and every foreground slowdown stay
+//!   the same.
+
+use ssr::prelude::*;
+use ssr::sim::{par_map, worker_count};
+use ssr::simcore::rng::SimRng;
+use ssr::workload::google::{GoogleTraceConfig, GoogleTraceGenerator};
+use ssr::workload::mllib::{self, MllibParams};
+use ssr::workload::synthetic::pareto_pipeline;
+
+/// What the priority-shift relation adds to every priority and threshold.
+const SHIFT: i32 = 100;
+
+/// The late background job's name and arrival, far past the mix's end.
+const LATE: &str = "svm";
+const LATE_ARRIVAL_SECS: u64 = 100_000;
+
+/// The foreground and background jobs of the mix, every priority raised
+/// by `shift`, plus the late background job when `late` is set.
+fn mix(shift: i32, late: bool) -> (Vec<JobSpec>, Vec<JobSpec>) {
+    let prio = |p: i32| Priority::new(p + shift);
+    let kmeans = mllib::kmeans(&MllibParams::small().with_parallelism(20).with_priority(prio(10)))
+        .expect("valid job");
+    let pipeline = pareto_pipeline("pipeline", 3, 30, 1.0, 1.6, prio(5)).expect("valid job");
+    let google = GoogleTraceConfig::cluster_hour().with_jobs(150).with_priority(prio(0));
+    let mut background = GoogleTraceGenerator::new(google)
+        .generate(&mut SimRng::stream(7, 0))
+        .expect("valid trace");
+    if late {
+        let params = MllibParams::small()
+            .with_parallelism(4)
+            .with_priority(prio(0))
+            .with_arrival(SimTime::from_secs(LATE_ARRIVAL_SECS));
+        background.push(mllib::svm(&params).expect("valid job"));
+    }
+    (vec![kmeans, pipeline], background)
+}
+
+/// The four reservation policies, each threshold raised by `shift`.
+/// SSR runs with a finite isolation target and straggler mitigation, so
+/// its deadlines and copies are part of what each relation compares.
+fn policies(shift: i32) -> [PolicyConfig; 4] {
+    let ssr = SsrConfig::builder()
+        .isolation_target(0.9)
+        .mitigate_stragglers(true)
+        .reserve_only_at_or_above(5 + shift)
+        .build()
+        .expect("valid configuration");
+    [
+        PolicyConfig::WorkConserving,
+        PolicyConfig::Timeout(SimDuration::from_secs(5)),
+        PolicyConfig::Static { count: 16, class: Priority::new(5 + shift) },
+        PolicyConfig::Ssr(ssr),
+    ]
+}
+
+const ORDERS: [OrderConfig; 3] = [OrderConfig::FifoPriority, OrderConfig::Fair, OrderConfig::Fifo];
+
+fn experiment(policy: PolicyConfig, order: OrderConfig, shift: i32, late: bool) -> Experiment {
+    let config = SimConfig::new(ClusterSpec::new(20, 4).expect("valid cluster"))
+        .with_seed(7)
+        .record_trace(true);
+    let (foreground, background) = mix(shift, late);
+    Experiment::new(config, policy, order).foreground(foreground).background(background)
+}
+
+/// Every (policy index, order) case, in a fixed order.
+fn cases() -> Vec<(usize, OrderConfig)> {
+    (0..4).flat_map(|p| ORDERS.map(|o| (p, o))).collect()
+}
+
+fn serialize(outcome: &ExperimentOutcome) -> String {
+    serde_json::to_string_pretty(outcome).expect("serializable outcome")
+}
+
+#[test]
+fn priority_shift_leaves_outcome_and_counters_unchanged() {
+    let runs = |shift: i32| {
+        let experiments: Vec<Experiment> = cases()
+            .into_iter()
+            .map(|(p, order)| experiment(policies(shift)[p].clone(), order, shift, false))
+            .collect();
+        par_map(worker_count(), &experiments, Experiment::run)
+    };
+    let pairs = runs(0).into_iter().zip(runs(SHIFT));
+    for ((p, order), (base, mut shifted)) in cases().into_iter().zip(pairs) {
+        let case = format!("{} under {order:?}", policies(0)[p].label());
+        assert!(base.contended.completed, "{case}: the mix must drain");
+        for job in &mut shifted.contended.jobs {
+            job.priority -= SHIFT;
+        }
+        assert_eq!(serialize(&shifted), serialize(&base), "{case}: outcome moved");
+        assert_eq!(
+            shifted.counters.render_json(),
+            base.counters.render_json(),
+            "{case}: counters moved"
+        );
+    }
+}
+
+#[test]
+fn late_arrival_leaves_earlier_jobs_unchanged() {
+    let experiments: Vec<Experiment> = cases()
+        .into_iter()
+        .flat_map(|(p, order)| [false, true].map(|late| (policies(0)[p].clone(), order, late)))
+        .map(|(policy, order, late)| experiment(policy, order, 0, late))
+        .collect();
+    let outcomes = par_map(worker_count(), &experiments, Experiment::run);
+    for ((p, order), pair) in cases().into_iter().zip(outcomes.chunks(2)) {
+        let case = format!("{} under {order:?}", policies(0)[p].label());
+        let (base, late) = (&pair[0].contended, &pair[1].contended);
+        assert!(late.completed, "{case}: the late job must run");
+        let last_finish = base.jobs.iter().filter_map(|j| j.completed_secs).fold(0.0, f64::max);
+        assert!(last_finish < LATE_ARRIVAL_SECS as f64, "{case}: the late job must arrive last");
+        assert_eq!(pair[1].foreground, pair[0].foreground, "{case}: a slowdown moved");
+        let (late_job, earlier) = late.jobs.split_last().expect("the late job ran");
+        assert_eq!(late_job.name, LATE);
+        assert_eq!(earlier, &base.jobs[..], "{case}: an earlier job's result moved");
+        let earlier_tasks: Vec<_> = late.trace.iter().filter(|t| t.job != LATE).collect();
+        let base_tasks: Vec<_> = base.trace.iter().collect();
+        assert_eq!(earlier_tasks, base_tasks, "{case}: a placement moved");
+    }
+}
