@@ -105,6 +105,21 @@ printf '%s\n%s\n%s\n%s\n' "$header" \
   '{"event":"job-completed","fields":{"job":0},"seq":3,"time_secs":2.0}' > "$trace_dir/far-reversed.jsonl"
 timeout 30 ./target/release/ssr-cli explain "$trace_dir/far-reversed.jsonl" > "$trace_dir/far-reversed.txt"
 cmp "$trace_dir/far.txt" "$trace_dir/far-reversed.txt"
+# Lines that depart from the writer's bytes leave the direct decoder for
+# the general grammar: CRLF line ends explain to the same bytes, and a
+# slot past u32 is an error there, exit 1.
+sed 's/$/\r/' "$trace_dir/far.jsonl" > "$trace_dir/far-crlf.jsonl"
+timeout 30 ./target/release/ssr-cli explain "$trace_dir/far-crlf.jsonl" > "$trace_dir/far-crlf.txt"
+cmp "$trace_dir/far.txt" "$trace_dir/far-crlf.txt"
+sed 's/"slot":4294967295/"slot":4294967296/' "$trace_dir/far.jsonl" > "$trace_dir/far-overflow.jsonl"
+for cmd in check explain; do
+  status=0
+  timeout 30 ./target/release/ssr-cli "$cmd" "$trace_dir/far-overflow.jsonl" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "ssr-cli $cmd far-overflow.jsonl exited $status, want 1"
+    exit 1
+  fi
+done
 
 echo "==> protocol exploration (pinned state count, byte-identical JSON)"
 for i in 1 2; do

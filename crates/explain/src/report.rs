@@ -5,6 +5,8 @@
 //! clock, no ambient state — so running `ssr-cli explain` twice on the
 //! same input yields byte-identical output, and CI diffs exactly that.
 
+use std::fmt::{self, Write as _};
+
 use serde::Value;
 use ssr_trace::Trace;
 
@@ -70,81 +72,89 @@ impl Report {
     pub fn render_text(&self, width: usize) -> String {
         let tl = &self.timeline;
         let mut out = String::new();
-        out.push_str(&format!(
-            "== ssr-explain: {} slots, {} jobs, horizon {:.3}s (trace schema v{}) ==\n",
+        let _ = writeln!(
+            out,
+            "== ssr-explain: {} slots, {} jobs, horizon {:.3}s (trace schema v{}) ==",
             tl.slots,
             tl.jobs.len(),
             tl.horizon.as_secs_f64(),
             self.trace_schema_version,
-        ));
+        );
         out.push_str("\n-- timeline --\n");
         out.push_str(&tl.render_gantt(width));
 
         out.push_str("\n-- per-job activity (seconds) --\n");
-        out.push_str(&format!(
-            "{:<20} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
+        let _ = writeln!(
+            out,
+            "{:<20} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
             "job", "submit", "complete", "jct", "running", "resv-idle", "waiting"
-        ));
+        );
+        // Seconds in the caller's width and precision, or `-` when absent.
+        let opt_secs = |secs: Option<f64>| {
+            fmt::from_fn(move |f| match secs {
+                Some(secs) => fmt::Display::fmt(&secs, f),
+                None => f.pad("-"),
+            })
+        };
         for job in &tl.jobs {
-            let complete = job
-                .completed
-                .map(|c| format!("{:.3}", c.as_secs_f64()))
-                .unwrap_or_else(|| "-".into());
-            let jct = job.jct_secs().map(|j| format!("{j:.3}")).unwrap_or_else(|| "-".into());
-            out.push_str(&format!(
-                "{:<20} {:>8.3} {:>9} {:>9} {:>9.3} {:>9.3} {:>9.3}\n",
+            let _ = writeln!(
+                out,
+                "{:<20} {:>8.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
                 job.name,
                 job.submitted.as_secs_f64(),
-                complete,
-                jct,
+                opt_secs(job.completed.map(|c| c.as_secs_f64())),
+                opt_secs(job.jct_secs()),
                 total_secs(&job.running),
                 total_secs(&job.reserved_idle),
                 total_secs(&job.waiting),
-            ));
+            );
         }
 
         out.push_str("\n-- critical paths --\n");
         for job in &tl.jobs {
             match job.critical_path() {
                 Some(path) => {
-                    let hops: Vec<String> = path
-                        .iter()
-                        .map(|h| {
-                            format!(
-                                "stage {} ({:.3}..{:.3})",
-                                h.stage.as_u32(),
-                                h.runnable.as_secs_f64(),
-                                h.completed.as_secs_f64()
-                            )
-                        })
-                        .collect();
-                    out.push_str(&format!("{}: {}\n", job.name, hops.join(" -> ")));
+                    let _ = write!(out, "{}: ", job.name);
+                    for (i, h) in path.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(" -> ");
+                        }
+                        let _ = write!(
+                            out,
+                            "stage {} ({:.3}..{:.3})",
+                            h.stage.as_u32(),
+                            h.runnable.as_secs_f64(),
+                            h.completed.as_secs_f64()
+                        );
+                    }
+                    out.push('\n');
                 }
-                None => out.push_str(&format!(
-                    "{}: (no stage metadata or no completed stage)\n",
-                    job.name
-                )),
+                None => {
+                    let _ = writeln!(out, "{}: (no stage metadata or no completed stage)", job.name);
+                }
             }
         }
 
         if !self.attributions.is_empty() {
             out.push_str("\n-- slowdown attribution (contended vs alone) --\n");
             for a in &self.attributions {
-                out.push_str(&format!(
-                    "{}: alone {:.3}s, contended {:.3}s, gap {:.3}s\n",
+                let _ = writeln!(
+                    out,
+                    "{}: alone {:.3}s, contended {:.3}s, gap {:.3}s",
                     a.job, a.alone_jct_secs, a.contended_jct_secs, a.gap_secs
-                ));
-                out.push_str(&format!("  reservation-denied {:>9.3}s\n", a.reservation_denied_secs));
-                out.push_str(&format!("  locality-wait      {:>9.3}s\n", a.locality_secs));
-                out.push_str(&format!("  ramp-up            {:>9.3}s\n", a.rampup_secs));
-                out.push_str(&format!("  fault-recovery     {:>9.3}s\n", a.fault_recovery_secs));
-                out.push_str(&format!("  speculation        {:>9.3}s\n", a.speculation_secs));
-                out.push_str(&format!("  residual           {:>9.3}s\n", a.residual_secs));
-                out.push_str(&format!(
-                    "  sum                {:>9.3}s   (conserves gap: {})\n",
+                );
+                let _ = writeln!(out, "  reservation-denied {:>9.3}s", a.reservation_denied_secs);
+                let _ = writeln!(out, "  locality-wait      {:>9.3}s", a.locality_secs);
+                let _ = writeln!(out, "  ramp-up            {:>9.3}s", a.rampup_secs);
+                let _ = writeln!(out, "  fault-recovery     {:>9.3}s", a.fault_recovery_secs);
+                let _ = writeln!(out, "  speculation        {:>9.3}s", a.speculation_secs);
+                let _ = writeln!(out, "  residual           {:>9.3}s", a.residual_secs);
+                let _ = writeln!(
+                    out,
+                    "  sum                {:>9.3}s   (conserves gap: {})",
                     a.components_sum(),
                     if a.conserves(1e-6) { "yes" } else { "NO" }
-                ));
+                );
             }
         }
         out

@@ -2,12 +2,12 @@
 //! paper's mechanisms cannot observe must produce the same results.
 //!
 //! Pins and goldens hold the engine to the bytes it produced when they
-//! were recorded; these relations need no recorded data. Both run the
+//! were recorded; these relations need no recorded data. Each runs the
 //! same contended mix on a 20-node × 4-slot cluster at seed 7 — a
 //! k-means job (parallelism 20, priority 10) and a 3-phase Pareto
 //! pipeline (parallelism 30, priority 5) in the foreground against 150
 //! Google-trace-like background jobs (priority 0) — under each of the
-//! four reservation policies and each job order:
+//! four reservation policies and each job order, or as it says:
 //!
 //! - **Priority shift.** ApprovalLogic, job order and pre-reservation
 //!   compare priorities only with each other and with the configured
@@ -20,6 +20,15 @@
 //!   job has finished cannot touch their runs: each earlier job's result,
 //!   every task placement of theirs and every foreground slowdown stay
 //!   the same.
+//! - **Renaming.** To the trace analyses a job's name is a label. The
+//!   SSR and work-conserving runs' decision traces, every job renamed
+//!   with a quote, a backslash, an `é` and a tab (which the JSONL writer
+//!   escapes, so the reader leaves those lines to its general grammar),
+//!   read back to the same events once the names are mapped back, and
+//!   give the same checker verdict and the same `explain` attributions
+//!   and per-job timelines, field by field. The renaming is done on the
+//!   trace: the engine keys each task's duration draw by its job's name,
+//!   so a renamed mix is a different run.
 
 use ssr::prelude::*;
 use ssr::sim::{par_map, worker_count};
@@ -27,6 +36,8 @@ use ssr::simcore::rng::SimRng;
 use ssr::workload::google::{GoogleTraceConfig, GoogleTraceGenerator};
 use ssr::workload::mllib::{self, MllibParams};
 use ssr::workload::synthetic::pareto_pipeline;
+use ssr_explain::{explain, parse_trace, Trace};
+use ssr_trace::{JsonlSink, TraceEventKind, TraceSink};
 
 /// What the priority-shift relation adds to every priority and threshold.
 const SHIFT: i32 = 100;
@@ -139,5 +150,85 @@ fn late_arrival_leaves_earlier_jobs_unchanged() {
         let earlier_tasks: Vec<_> = late.trace.iter().filter(|t| t.job != LATE).collect();
         let base_tasks: Vec<_> = base.trace.iter().collect();
         assert_eq!(earlier_tasks, base_tasks, "{case}: a placement moved");
+    }
+}
+
+/// What the renaming relation puts before every job name.
+const RENAMED: &str = "\"\\é\t";
+
+/// The name a renamed job had.
+fn original(name: &str) -> String {
+    name.strip_prefix(RENAMED).expect("a renamed job").to_owned()
+}
+
+/// The JSONL decision traces of the mix under `policy`: the contended
+/// run's and each alone baseline's.
+fn traces(policy: &PolicyConfig) -> (String, Vec<String>) {
+    let (foreground, background) = mix(0, false);
+    let config = SimConfig::new(ClusterSpec::new(20, 4).expect("valid cluster")).with_seed(7);
+    let (_, sink, alone) = Experiment::new(config, policy.clone(), OrderConfig::FifoPriority)
+        .foreground(foreground)
+        .background(background)
+        .run_traced_with_baselines(Some(Box::new(JsonlSink::new())));
+    let jsonl = sink.expect("sink attached").into_any().downcast::<JsonlSink>().expect("a JsonlSink").finish();
+    (jsonl, alone.into_iter().map(|a| a.jsonl).collect())
+}
+
+/// `trace` with every submitted job's name passed through `rename`.
+fn with_names(trace: &Trace, rename: impl Fn(&str) -> String) -> Trace {
+    let mut trace = trace.clone();
+    for event in &mut trace.events {
+        if let TraceEventKind::JobSubmitted { name, .. } = &mut event.kind {
+            *name = rename(name);
+        }
+    }
+    trace
+}
+
+/// `trace` written by the engine's JSONL writer and read back.
+fn rewritten(trace: &Trace) -> (String, Trace) {
+    let mut sink = JsonlSink::new();
+    trace.events.iter().for_each(|e| sink.record(e));
+    let jsonl = sink.finish();
+    let read = parse_trace(&jsonl).expect("writer output parses");
+    (jsonl, read)
+}
+
+/// The engine draws each task's duration from a stream keyed by its job's
+/// name, so that a job's alone baseline sees the durations it saw in
+/// contention; the relation therefore renames the jobs of the traces.
+#[test]
+fn renaming_leaves_trace_verdict_and_explanation_unchanged() {
+    // SSR (with its deadlines and copies) and work-conserving.
+    let policies = [3, 0].map(|p| policies(0)[p].clone());
+    let docs = par_map(worker_count(), &policies, traces);
+    let read = |doc: &String| parse_trace(doc).expect("engine output parses");
+    for (policy, (jsonl, alone)) in policies.iter().zip(&docs) {
+        let case = policy.label();
+        let (base, base_alone) = (read(jsonl), alone.iter().map(read).collect::<Vec<_>>());
+        let rename = |name: &str| format!("{RENAMED}{name}");
+        let (named_jsonl, named) = rewritten(&with_names(&base, rename));
+        let named_alone: Vec<Trace> = base_alone.iter().map(|t| rewritten(&with_names(t, rename)).1).collect();
+        assert!(named_jsonl.contains(r#""name":"\"\\é\t"#), "{case}: names must be escaped");
+        assert_eq!(with_names(&named, original).events, base.events, "{case}: an event moved");
+        for (named, base) in named_alone.iter().zip(&base_alone) {
+            assert_eq!(with_names(named, original).events, base.events, "{case}: an alone event moved");
+        }
+
+        let verdict = |trace: &Trace| InvariantChecker::new().check_all(&trace.events).render_json();
+        assert_eq!(verdict(&named), verdict(&base), "{case}: the verdict moved");
+
+        let base = explain(&base, &base_alone).expect("explains");
+        let named = explain(&named, &named_alone).expect("explains");
+        assert_eq!(named.attributions.len(), base.attributions.len(), "{case}");
+        for (named, base) in named.attributions.iter().zip(&base.attributions) {
+            let named = ssr_explain::Attribution { job: original(&named.job), ..named.clone() };
+            assert_eq!(&named, base, "{case}: an attribution moved");
+        }
+        assert_eq!(named.timeline.jobs.len(), base.timeline.jobs.len(), "{case}");
+        for (named, base) in named.timeline.jobs.iter().zip(&base.timeline.jobs) {
+            let named = ssr_explain::JobTimeline { name: original(&named.name), ..named.clone() };
+            assert_eq!(format!("{named:?}"), format!("{base:?}"), "{case}: a timeline moved");
+        }
     }
 }
