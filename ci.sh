@@ -188,9 +188,16 @@ for workload in fig15 paper_scale traced_faults; do
 done
 
 echo "==> bench regression gate (offer_round rows vs BENCH_scheduler.json, +/-20%)"
-CRITERION_OUTPUT_JSON="$trace_dir/bench-now.json" \
-  cargo bench -q -p ssr-bench --bench scheduler --offline > /dev/null
-./target/release/ssr-cli bench diff BENCH_scheduler.json "$trace_dir/bench-now.json" \
+# Three runs of the gated rows, each row judged by its fastest: load from
+# other work on the host only adds time, so one slow run is not a
+# regression, and a row slow in all three is. The reference rows are
+# single runs, so the gate is looser than 20% by the gap between one run
+# and the fastest of three (EXPERIMENTS.md, "Performance").
+for run in 1 2 3; do
+  CRITERION_OUTPUT_JSON="$trace_dir/bench-now$run.json" \
+    cargo bench -q -p ssr-bench --bench scheduler --offline -- offer_round > /dev/null
+done
+./target/release/ssr-cli bench diff BENCH_scheduler.json "$trace_dir"/bench-now{1,2,3}.json \
   --threshold 20 --only offer_round
 
 echo "==> ci.sh: all green"

@@ -5,8 +5,10 @@
 //! candidate jobs on locality wait (the Fig. 15 shape), a saturated
 //! round in which a phase preferring 2,000 slots takes its 2,000
 //! reservations (the `paper_scale` shape), two per-unit rows for the
-//! offer round's inner loops (the reservation-group walk of a saturated
-//! round at 8 and 64 groups, and the process-local search of a phase
+//! offer round's inner loops (the viability filter of a saturated round
+//! at 8 and 64 reservation groups, the declined tail of a round whose
+//! free slots run out, at the same group counts, and the process-local
+//! search of a phase
 //! preferring 2,000 of 4,000 slots), the ranking of an owner's 2,000
 //! reserved slots for a candidate that declines them, a full small-grid
 //! simulation, the trace codec (writing and reading the small-grid SSR
@@ -122,8 +124,8 @@ fn contended_scheduler(t: SimTime) -> TaskScheduler {
 /// plus one failed attempt each.
 fn bench_offer_round_contended(c: &mut Criterion) {
     let t = SimTime::from_secs(1);
-    let mut sched = contended_scheduler(t);
     c.bench_function("scheduler/offer_round_contended", |b| {
+        let mut sched = contended_scheduler(t);
         b.iter(|| black_box(sched.resource_offers(t).len()))
     });
 }
@@ -234,8 +236,9 @@ fn approval_walk_scheduler(groups: u32, t: SimTime) -> TaskScheduler {
 
 /// A saturated offer round with no free slot and `G` reservation groups,
 /// none approving the [`WALK_CANDIDATES`] candidates: the viability
-/// filter walks every group for every candidate and drops them all, so
-/// the round is `G × 100` group visits plus its fixed cost.
+/// filter drops them all. Each sits at or below the lowest group
+/// priority, so the filter reads that floor instead of walking the
+/// groups, and the round costs the same at any `G`.
 fn bench_approval_walk(c: &mut Criterion) {
     let t = SimTime::from_secs(1);
     let mut group = c.benchmark_group("scheduler/approval_walk");
@@ -243,6 +246,85 @@ fn bench_approval_walk(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(groups), &groups, |b, &groups| {
             let mut sched = approval_walk_scheduler(groups, t);
             b.iter(|| black_box(sched.resource_offers(t).len()))
+        });
+    }
+    group.finish();
+}
+
+/// Free slots at the start of each declined-tail round.
+const TAIL_FREE: u32 = 3;
+
+/// [`approval_walk_scheduler`]'s cluster with [`TAIL_FREE`] more slots,
+/// left free, and a filler job with one task per free slot. Each offer
+/// round starts with free slots, so no candidate is dropped up front: the
+/// filler takes them, and the [`WALK_CANDIDATES`] low-priority jobs that
+/// follow meet a cluster with no free slot and no group that approves
+/// them. The filler has the holders' priority, so no group approves it
+/// either and its placements rank no reserved slots: what grows with the
+/// group count is the tail.
+fn declined_tail_scheduler(groups: u32, t: SimTime) -> TaskScheduler {
+    let mut sched = TaskScheduler::new(
+        ClusterSpec::new(2 * groups + TAIL_FREE, 1).expect("valid"),
+        LocalityModel::paper_simulation(),
+        Box::new(TimeoutReservation::new(SimDuration::from_secs(1_000_000))),
+        Box::new(FifoPriority),
+    );
+    for i in 0..groups {
+        let holder = JobSpecBuilder::new(format!("holder{i}"))
+            .priority(Priority::new(10))
+            .stage("up", 2, constant(1.0))
+            .stage("down", 1, constant(1.0))
+            .chain()
+            .build()
+            .expect("valid");
+        sched.submit(holder, SimTime::ZERO);
+    }
+    let ups = sched.resource_offers(SimTime::ZERO);
+    assert_eq!(ups.len(), 2 * groups as usize, "the holders take free slots");
+    for a in ups.iter().filter(|a| a.instance.task.partition == 0) {
+        sched.task_finished(a.slot, t);
+    }
+    let filler = JobSpecBuilder::new("filler")
+        .priority(Priority::new(10))
+        .stage("map", TAIL_FREE, constant(1.0))
+        .build()
+        .expect("valid");
+    sched.submit(filler, t);
+    for i in 0..WALK_CANDIDATES {
+        let job = JobSpecBuilder::new(format!("bg{i}"))
+            .stage("map", 1, constant(1.0))
+            .build()
+            .expect("valid");
+        sched.submit(job, t);
+    }
+    assert_eq!(sched.slot_pool().counts(), (TAIL_FREE as usize, groups as usize, groups as usize));
+    assert_eq!(declined_tail_round(&mut sched, t), TAIL_FREE as usize);
+    assert_eq!(sched.slot_pool().counts(), (TAIL_FREE as usize, groups as usize, groups as usize));
+    sched
+}
+
+/// One declined-tail round: the filler takes the free slots and every
+/// other candidate declines. The filler's tasks are then crashed and
+/// their slots brought back, which returns the scheduler to the state
+/// the round began from.
+fn declined_tail_round(sched: &mut TaskScheduler, t: SimTime) -> usize {
+    let taken: Vec<_> = sched.resource_offers(t).iter().map(|a| a.slot).collect();
+    sched.fail_slots(&taken, t, true, "bench");
+    sched.restore_slots(&taken, t);
+    taken.len()
+}
+
+/// An offer round that starts with [`TAIL_FREE`] free slots and runs out
+/// of them mid-round, then tries [`WALK_CANDIDATES`] candidates behind
+/// `G` reservation groups, none of which approves them: the tail of a
+/// saturated round, plus the crash and restore of three slots.
+fn bench_declined_tail(c: &mut Criterion) {
+    let t = SimTime::from_secs(1);
+    let mut group = c.benchmark_group("scheduler/declined_tail");
+    for groups in [8u32, 64] {
+        group.bench_with_input(BenchmarkId::from_parameter(groups), &groups, |b, &groups| {
+            let mut sched = declined_tail_scheduler(groups, t);
+            b.iter(|| black_box(declined_tail_round(&mut sched, t)))
         });
     }
     group.finish();
@@ -298,8 +380,8 @@ fn process_local_scheduler(t: SimTime) -> TaskScheduler {
 /// for a free one and finds none: one process-local search per call.
 fn bench_process_local(c: &mut Criterion) {
     let t = SimTime::from_secs(1);
-    let mut sched = process_local_scheduler(t);
     c.bench_function("scheduler/process_local/4000", |b| {
+        let mut sched = process_local_scheduler(t);
         b.iter(|| black_box(sched.resource_offers(t).len()))
     });
 }
@@ -370,8 +452,8 @@ fn rank_reserved_scheduler(t: SimTime) -> TaskScheduler {
 /// reserved-slot ranking per call.
 fn bench_rank_reserved(c: &mut Criterion) {
     let t = SimTime::from_secs(1);
-    let mut sched = rank_reserved_scheduler(t);
     c.bench_function("scheduler/rank_reserved/4000", |b| {
+        let mut sched = rank_reserved_scheduler(t);
         b.iter(|| black_box(sched.resource_offers(t).len()))
     });
 }
@@ -508,6 +590,7 @@ criterion_group!(
     bench_offer_round_contended,
     bench_offer_round_preferred,
     bench_approval_walk,
+    bench_declined_tail,
     bench_process_local,
     bench_rank_reserved,
     bench_saturated_reoffer,

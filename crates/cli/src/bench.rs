@@ -1,8 +1,12 @@
-//! `ssr-cli bench diff` — compare two `BENCH_*.json` snapshots.
+//! `ssr-cli bench diff` — compare a `BENCH_*.json` reference with one or
+//! more current snapshots.
 //!
 //! The comparator reads the benchmark harness's JSON output format
-//! (`{"results": [{"name", "per_iter_ns", "iters"}, ...]}`), joins the
-//! two documents by row name, and renders one verdict per row:
+//! (`{"results": [{"name", "per_iter_ns", "iters"}, ...]}`). Given
+//! several current snapshots, it keeps each row's fastest run: a busy
+//! host only ever adds time, so the minimum is the run nearest the
+//! code's own cost. It joins the reference and that row set by name, and
+//! renders one verdict per row:
 //!
 //! * `ok` — |delta| within the threshold,
 //! * `REGRESSION` — new slower than old beyond the threshold,
@@ -106,6 +110,19 @@ pub fn parse_snapshot(doc: &str, label: &str) -> Result<Vec<BenchRow>, String> {
     Ok(rows)
 }
 
+/// Each row's fastest run across `runs`, in first-seen order: the
+/// lowest `per_iter_ns` any snapshot reports under its name.
+pub fn fastest_rows(runs: &[Vec<BenchRow>]) -> Vec<BenchRow> {
+    let mut fastest: Vec<BenchRow> = Vec::new();
+    for row in runs.iter().flatten() {
+        match fastest.iter_mut().find(|r| r.name == row.name) {
+            Some(kept) => kept.per_iter_ns = kept.per_iter_ns.min(row.per_iter_ns),
+            None => fastest.push(row.clone()),
+        }
+    }
+    fastest
+}
+
 /// Joins two snapshots by name and classifies every row at
 /// `threshold_pct`. Rows are returned sorted by name; `only` restricts
 /// the join to names containing that substring.
@@ -177,10 +194,12 @@ pub fn render(rows: &[DiffRow], threshold_pct: f64) -> String {
     out
 }
 
-/// `ssr-cli bench diff OLD.json NEW.json [--threshold PCT] [--only SUBSTR]`.
+/// `ssr-cli bench diff OLD.json NEW.json [NEW.json...] [--threshold PCT]
+/// [--only SUBSTR]`.
 ///
-/// Prints the joined verdict table and errors (exit 1) when any row
-/// regressed beyond the threshold.
+/// Prints the verdict table of `OLD.json` against the fastest run of
+/// each row across the `NEW.json` snapshots ([`fastest_rows`]), and
+/// errors (exit 1) when any row regressed beyond the threshold.
 ///
 /// # Errors
 ///
@@ -210,21 +229,27 @@ pub fn cmd_diff(args: &[String]) -> Result<(), String> {
             _ => paths.push(arg),
         }
     }
-    let [old_path, new_path] = paths.as_slice() else {
-        return Err("bench diff wants exactly two snapshots: OLD.json NEW.json".to_owned());
+    let [old_path, new_paths @ ..] = paths.as_slice() else {
+        return Err("bench diff wants snapshots: OLD.json NEW.json [NEW.json...]".to_owned());
     };
+    if new_paths.is_empty() {
+        return Err("bench diff wants snapshots: OLD.json NEW.json [NEW.json...]".to_owned());
+    }
     #[expect(clippy::disallowed_methods, reason = "bench diff reads the snapshots it is given")]
     let read = |path: &String| {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+        let doc = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        parse_snapshot(&doc, path)
     };
-    let old = parse_snapshot(&read(old_path)?, old_path)?;
-    let new = parse_snapshot(&read(new_path)?, new_path)?;
-    let rows = diff_rows(&old, &new, threshold, only.as_deref());
+    let old = read(old_path)?;
+    let runs = new_paths.iter().map(|p| read(p)).collect::<Result<Vec<_>, _>>()?;
+    let rows = diff_rows(&old, &fastest_rows(&runs), threshold, only.as_deref());
     print!("{}", render(&rows, threshold));
     let regressions = rows.iter().filter(|r| r.verdict == Verdict::Regression).count();
     if regressions > 0 {
+        let new_paths: Vec<&str> = new_paths.iter().map(|p| p.as_str()).collect();
         return Err(format!(
-            "{regressions} benchmark(s) regressed beyond {threshold}% ({old_path} -> {new_path})"
+            "{regressions} benchmark(s) regressed beyond {threshold}% ({old_path} -> {})",
+            new_paths.join(", ")
         ));
     }
     Ok(())
@@ -243,7 +268,7 @@ mod tests {
         let doc = r#"{
   "results": [
     {"name": "scheduler/offer_round/100", "per_iter_ns": 39001.9, "iters": 5203},
-    {"name": "event_queue/push_pop_10k_fresh", "per_iter_ns": 1908233.9, "iters": 105}
+    {"name": "event_queue/push_pop_10k_fresh", "per_iter_ns": 1908233.9, "iters": 105, "before_ns": 2.5e6}
   ]
 }"#;
         let rows = parse_snapshot(doc, "test").unwrap();
@@ -294,6 +319,25 @@ mod tests {
         assert_eq!(text, render(&diff_rows(&old, &new, 20.0, None), 20.0));
         assert!(text.contains("bench diff (threshold +/-20%)"), "{text}");
         assert!(text.lines().count() == 2 + rows.len());
+    }
+
+    #[test]
+    fn several_runs_are_judged_by_each_rows_fastest() {
+        let old = snapshot(&[("a", 100.0), ("b", 100.0), ("c", 100.0)]);
+        // `a` is slow in one run and `b` in another, as host load would
+        // make them; `c` regressed in every run; `d` is new in the last.
+        let runs = [
+            snapshot(&[("a", 150.0), ("b", 105.0), ("c", 140.0)]),
+            snapshot(&[("a", 101.0), ("b", 160.0), ("c", 130.0)]),
+            snapshot(&[("c", 135.0), ("a", 170.0), ("b", 180.0), ("d", 7.0)]),
+        ];
+        let fastest = fastest_rows(&runs);
+        assert_eq!(fastest, snapshot(&[("a", 101.0), ("b", 105.0), ("c", 130.0), ("d", 7.0)]));
+        let rows = diff_rows(&old, &fastest, 20.0, None);
+        let verdicts: Vec<Verdict> = rows.iter().map(|r| r.verdict).collect();
+        assert_eq!(verdicts, [Verdict::Ok, Verdict::Ok, Verdict::Regression, Verdict::Added]);
+        // One run is judged as it stands.
+        assert_eq!(fastest_rows(&runs[..1]), runs[0]);
     }
 
     #[test]

@@ -72,9 +72,10 @@ fn usage() {
          \x20 check     verify the reservation protocol: replay a trace\n\
          \x20           through the invariant checker, or model-check the\n\
          \x20           scheduler exhaustively with --explore\n\
-         \x20 bench     diff two BENCH_*.json snapshots with a regression\n\
-         \x20           gate: bench diff OLD.json NEW.json\n\
-         \x20           [--threshold PCT] [--only SUBSTR]\n\
+         \x20 bench     diff BENCH_*.json snapshots with a regression\n\
+         \x20           gate: bench diff OLD.json NEW.json [NEW.json...]\n\
+         \x20           [--threshold PCT] [--only SUBSTR]; several NEW\n\
+         \x20           runs are judged by each row's fastest\n\
          \n\
          run flags:\n\
          \x20 --cluster NxS        nodes x slots-per-node (default 4x2)\n\

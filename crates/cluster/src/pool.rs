@@ -12,6 +12,8 @@
 //!   of bitset with a maintained count — O(log owners) per-job counts, O(result)
 //!   `reserved_for` and `release_job_reservations`,
 //! * the `(owner, priority)` **reservation groups** with their counts,
+//!   and the number of groups at each priority — O(log priorities)
+//!   `lowest_group_priority`,
 //! * a **deadline index** over bounded reservations — O(log n)
 //!   `next_deadline` and O(expired · log n) `expire_reservations_with`,
 //! * the `(free, running, reserved)` **counts** — O(1) `counts()`.
@@ -91,6 +93,10 @@ pub struct SlotPool {
     /// Sorted by `(owner, priority)`, with no zero counts: offer rounds
     /// walk it once per candidate, so it is a flat array, not a tree.
     reserved_groups: Vec<(JobId, Priority, usize)>,
+    /// How many of `reserved_groups` sit at each priority, with no zero
+    /// counts: its first key is the lowest group priority, the floor
+    /// below which no priority threshold rule approves anyone.
+    group_priorities: BTreeMap<Priority, usize>,
     /// `(deadline, slot)` for every reservation with a bounded deadline.
     deadlines: BTreeSet<(SimTime, SlotId)>,
     running_count: usize,
@@ -128,6 +134,7 @@ impl SlotPool {
             reserved: SlotBits::new(total),
             reserved_by_job: BTreeMap::new(),
             reserved_groups: Vec::new(),
+            group_priorities: BTreeMap::new(),
             deadlines: BTreeSet::new(),
             running_count: 0,
         }
@@ -176,7 +183,10 @@ impl SlotPool {
                     *count += 1;
                 }
             }
-            Err(i) => self.reserved_groups.insert(i, (r.job(), r.priority(), 1)),
+            Err(i) => {
+                self.reserved_groups.insert(i, (r.job(), r.priority(), 1));
+                *self.group_priorities.entry(r.priority()).or_insert(0) += 1;
+            }
         }
         if let Some(d) = r.deadline() {
             self.deadlines.insert((d, slot));
@@ -196,6 +206,12 @@ impl SlotPool {
         *count -= 1;
         if *count == 0 {
             self.reserved_groups.remove(i);
+            if let Some(groups) = self.group_priorities.get_mut(&r.priority()) {
+                *groups -= 1;
+                if *groups == 0 {
+                    self.group_priorities.remove(&r.priority());
+                }
+            }
         }
     }
 
@@ -540,6 +556,14 @@ impl SlotPool {
         &self.reserved_groups
     }
 
+    /// The lowest priority among the reservation groups, `None` when no
+    /// slot is reserved — O(log priorities). A priority threshold rule
+    /// approves no non-owner at or below it (see
+    /// `ApprovalRule::could_approve` in the scheduler).
+    pub fn lowest_group_priority(&self) -> Option<Priority> {
+        self.group_priorities.first_key_value().map(|(&p, _)| p)
+    }
+
     /// `true` if `job` currently holds at least one reservation — a
     /// binary search of the group table, O(log groups).
     pub fn has_reservations(&self, job: JobId) -> bool {
@@ -708,6 +732,7 @@ mod tests {
         );
         assert!(p.has_reservations(j1));
         assert!(!p.has_reservations(JobId::new(3)));
+        assert_eq!(p.lowest_group_priority(), Some(Priority::new(5)));
         // Consuming a reservation shrinks its group; the last member
         // removes the group entirely.
         p.assign(SlotId::new(0), task(1, 0)).unwrap();
@@ -718,6 +743,9 @@ mod tests {
         p.release_job_reservations(j1);
         assert!(!p.has_reservations(j1));
         assert_eq!(p.reservation_groups().to_vec(), vec![(j2, Priority::new(9), 1)]);
+        assert_eq!(p.lowest_group_priority(), Some(Priority::new(9)));
+        p.release(SlotId::new(2)).unwrap();
+        assert_eq!(p.lowest_group_priority(), None);
     }
 
     #[test]
@@ -872,8 +900,10 @@ mod proptests {
             }
             Op::Finish(s) => prop_assert_eq!(pool.finish(at(s)), table.finish(at(s))),
             Op::Reserve(s, o, raised, d) => {
-                // Each owner holds groups at two priorities.
-                let priority = Priority::new(o as i32 + if raised { 10 } else { 0 });
+                // Each owner holds groups at two priorities, and owners
+                // 0 and 3, 1 and 4 share theirs, so the lowest group
+                // priority outlives one of its groups.
+                let priority = Priority::new(o as i32 % 3 + if raised { 10 } else { 0 });
                 let mut r = Reservation::new(owners()[o], priority);
                 if let Some(d) = d {
                     r = r.with_deadline(SimTime::from_secs(d));
@@ -973,6 +1003,10 @@ mod proptests {
                 *naive_groups.entry((r.job(), r.priority())).or_insert(0) += 1;
             }
         }
+        prop_assert_eq!(
+            pool.lowest_group_priority(),
+            naive_groups.keys().map(|&(_, p)| p).min()
+        );
         prop_assert_eq!(
             pool.reservation_groups().to_vec(),
             naive_groups.into_iter().map(|((j, p), c)| (j, p, c)).collect::<Vec<_>>()

@@ -69,8 +69,12 @@ enum Merge {
 /// disappear from the output.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct WorkCounters {
-    /// `ApprovalLogic` verdicts taken while ranking offer candidates, by
-    /// the inline rule or an `approve` call.
+    /// `ApprovalLogic` verdicts of the group-by-group walk while ranking
+    /// offer candidates, by the inline rule or an `approve` call: one per
+    /// group the candidate does not own. Where the lowest group priority
+    /// proves every verdict false and the walk is skipped, its verdicts
+    /// are counted all the same, so the count does not depend on which
+    /// path answered.
     pub approval_calls: Counter,
     /// Events popped off the simulation event queue.
     pub events_popped: Counter,
@@ -88,7 +92,10 @@ pub struct WorkCounters {
     pub peak_event_queue_len: Counter,
     /// Peak number of task instances running at once.
     pub peak_running_instances: Counter,
-    /// Reservation groups examined while ranking offer candidates.
+    /// Reservation groups the group-by-group walk examines while ranking
+    /// offer candidates, counted as for `approval_calls`: where the
+    /// lowest group priority proves that no group approves and the walk
+    /// is skipped, every group it would have examined.
     pub reservation_groups_touched: Counter,
     /// Scratch buffers allocated fresh (capacity had to grow from zero).
     pub scratch_allocs: Counter,

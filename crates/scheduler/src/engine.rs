@@ -505,7 +505,11 @@ impl TaskScheduler {
                 saw_denied_reservation |= !approved;
                 approved
             };
-            if self.group_approval() {
+            if self.floor_refuses(job, priority) {
+                // No group approves, so any fitting reserved slot is a
+                // denied one.
+                saw_denied_reservation = self.slots.reserved_slots().any(fits);
+            } else if self.group_approval() {
                 self.walk_groups(job, priority, now, false, |owner, rprio, class| {
                     self.slots.reserved_for(owner).any(|slot| {
                         fits(slot) && self.reserved_priority(slot) == Some(rprio)
@@ -549,10 +553,39 @@ impl TaskScheduler {
     /// With zero free slots: can `job` possibly place a task at all?
     /// Only if it owns reservations, or some other job's reservation
     /// group approves its priority (verdicts are group-uniform under
-    /// [`group_approval`](Self::group_approval)).
+    /// [`group_approval`](Self::group_approval)). A job the priority
+    /// floor refuses is answered without the walk, which is counted as
+    /// taken.
     fn viable_on_reserved(&self, job: JobId, priority: Priority, now: SimTime) -> bool {
+        if self.floor_refuses(job, priority) {
+            self.count_refused_walks(1);
+            return false;
+        }
         self.slots.has_reservations(job)
             || self.walk_groups(job, priority, now, true, |_, _, class| class.is_some())
+    }
+
+    /// `true` when the declared rule proves that no reservation group
+    /// approves `job` at `priority`: the job owns none, and sits at or
+    /// below the lowest group priority ([`ApprovalRule::could_approve`]).
+    /// Always `false` without a declared rule, whose verdicts only the
+    /// walk can take. Checked where a refusal saves work (a viability
+    /// test, a whole attempt with no free slot), not in every
+    /// [`walk_groups`](Self::walk_groups), where the many walks it does
+    /// not refuse would pay for it.
+    fn floor_refuses(&self, job: JobId, priority: Priority) -> bool {
+        let lowest = self.slots.lowest_group_priority();
+        self.approval.is_some_and(|rule| lowest.is_none_or(|l| !rule.could_approve(priority, l)))
+            && !self.slots.has_reservations(job)
+    }
+
+    /// Counts `walks` group walks for a job the floor refuses, as
+    /// [`walk_groups`](Self::walk_groups) would have: every group
+    /// touched, one (false) verdict each.
+    fn count_refused_walks(&self, walks: u64) {
+        let groups = walks * self.slots.reservation_groups().len() as u64;
+        self.counters.reservation_groups_touched.add(groups);
+        self.counters.approval_calls.add(groups);
     }
 
     /// `true` when ApprovalLogic verdicts are uniform per `(owner,
@@ -601,6 +634,21 @@ impl TaskScheduler {
     fn try_assign_one(&mut self, job: JobId, now: SimTime) -> Option<Assignment> {
         let state = self.jobs.get(job)?;
         let priority = state.priority();
+        if self.slots.counts().0 == 0 && self.floor_refuses(job, priority) {
+            // No free slot, none of its own and no group that could
+            // approve it: every `best_candidate` below would walk the
+            // groups to no verdict and search the empty free index. The
+            // work they would count is counted: per pending task set, one
+            // group walk and its preferred slots.
+            let (mut sets, mut preferred) = (0, 0);
+            for tsm in state.active_tasksets().filter(|t| t.has_pending()) {
+                sets += 1;
+                preferred += tsm.preferred().len() as u64;
+            }
+            self.count_refused_walks(sets);
+            self.counters.slots_scanned.add(preferred);
+            return None;
+        }
         let mut chosen: Option<(StageId, SlotId, LocalityLevel)> = None;
         for tsm in state.active_tasksets() {
             if !tsm.has_pending() {

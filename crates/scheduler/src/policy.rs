@@ -212,6 +212,22 @@ impl ApprovalRule {
             _ => job == owner || priority > rprio,
         }
     }
+
+    /// Could any reservation group approve a job that owns none, at
+    /// `priority`, when the lowest group priority is `lowest`? `false`
+    /// proves every [`approves`](Self::approves) verdict for it false;
+    /// `true` means some might hold, and only a walk of the groups
+    /// tells which. Both rules are thresholds on priority, so the floor
+    /// decides: above it ([`OwnerOrAbove`](Self::OwnerOrAbove)), or at
+    /// or above it ([`StaticPoolAtLeast`](Self::StaticPoolAtLeast),
+    /// whose static pool serves its own class).
+    #[inline]
+    pub fn could_approve(self, priority: Priority, lowest: Priority) -> bool {
+        match self {
+            ApprovalRule::OwnerOrAbove => priority > lowest,
+            ApprovalRule::StaticPoolAtLeast => priority >= lowest,
+        }
+    }
 }
 
 /// The status-quo baseline: strictly work conserving, never reserves a
@@ -545,5 +561,28 @@ mod tests {
         // The two rules differ only on the pool sentinel at equal priority.
         assert!(!ApprovalRule::OwnerOrAbove.approves(STATIC_POOL_JOB, rprio, candidate, rprio));
         assert!(ApprovalRule::StaticPoolAtLeast.approves(STATIC_POOL_JOB, rprio, candidate, rprio));
+    }
+
+    #[test]
+    fn the_floor_rules_out_only_candidates_no_group_approves() {
+        let candidate = JobId::new(1);
+        let lowest = Priority::new(5);
+        for rule in [ApprovalRule::OwnerOrAbove, ApprovalRule::StaticPoolAtLeast] {
+            for p in 3..9 {
+                let priority = Priority::new(p);
+                // Every group another owner could hold at or above the floor.
+                let any = [JobId::new(2), STATIC_POOL_JOB].into_iter().any(|owner| {
+                    (5..8).any(|r| rule.approves(owner, Priority::new(r), candidate, priority))
+                });
+                if !rule.could_approve(priority, lowest) {
+                    assert!(!any, "{rule:?} ruled out priority {p}, which a group approves");
+                }
+            }
+        }
+        // The boundary: a static pool at the floor serves its own class.
+        assert!(!ApprovalRule::OwnerOrAbove.could_approve(lowest, lowest));
+        assert!(ApprovalRule::StaticPoolAtLeast.could_approve(lowest, lowest));
+        assert!(ApprovalRule::OwnerOrAbove.could_approve(Priority::new(6), lowest));
+        assert!(!ApprovalRule::StaticPoolAtLeast.could_approve(Priority::new(4), lowest));
     }
 }

@@ -23,7 +23,12 @@
 //! with twenty groups at mixed priorities, the candidate that owns one of
 //! them in the middle of the table, and candidates whose viability walk
 //! stops at their first approving group: one under the paper's rule and
-//! one with a static pool's group at the end of the table.
+//! one with a static pool's group at the end of the table. Two more
+//! start with free slots that run out mid-round, leaving two dozen
+//! candidates at or below the lowest group priority, which the rule path
+//! declines without walking the groups: one under the paper's rule, and
+//! one whose lowest group is a static pool at the priority of two
+//! candidates, which its `>=` must still serve.
 
 use ssr_cluster::{ClusterSpec, LocalityModel, Reservation, SlotId};
 use ssr_core::SsrConfig;
@@ -416,4 +421,129 @@ fn many_groups_and_a_static_pool_agree() {
         },
         3,
     );
+}
+
+/// Free slots at the start of [`declined_tail_round`].
+const TAIL_FREE: u32 = 3;
+/// Holders in [`declined_tail_round`]: one group each.
+const TAIL_HOLDERS: u32 = 8;
+/// The static pool's class in [`declined_tail_round`], below every
+/// holder's priority, so that it is the lowest group priority when held.
+const TAIL_POOL_CLASS: i32 = 4;
+
+/// One offer round that starts with [`TAIL_FREE`] free slots and runs out
+/// of them mid-round, under `policy`. [`TAIL_HOLDERS`] holders each hold
+/// one reserved slot at priorities 5..=12 (plus `pool` static-pool slots
+/// at class [`TAIL_POOL_CLASS`]). The round's candidates: three jobs at
+/// priority 20 take the free slots; two at the pool's class come next,
+/// approved by the pool's `>=` only; then 24 at priorities 0..=3, which
+/// own nothing and which the lowest group priority rules out, decline.
+fn declined_tail_round(
+    policy: Box<dyn ReservationPolicy>,
+    pool: u32,
+) -> (Vec<Assignment>, String, WorkCounters) {
+    let now = SimTime::from_secs(1);
+    let mut sched = TaskScheduler::new(
+        ClusterSpec::new(2 * TAIL_HOLDERS + pool + TAIL_FREE, 1).unwrap(),
+        LocalityModel::paper_simulation(),
+        policy,
+        Box::new(FifoPriority),
+    )
+    .with_trace_sink(Box::new(JsonlSink::new()));
+    for i in 0..TAIL_HOLDERS {
+        let holder = JobSpecBuilder::new(format!("holder{i}"))
+            .priority(Priority::new(5 + (i as i32 * 3) % 8))
+            .stage("up", 2, constant(1.0))
+            .stage("down", 1, constant(1.0))
+            .chain()
+            .build()
+            .unwrap();
+        sched.submit(holder, SimTime::ZERO);
+    }
+    let ups = sched.resource_offers(SimTime::ZERO);
+    assert_eq!(ups.len(), 2 * TAIL_HOLDERS as usize, "the holders take free slots only");
+    for a in ups.iter().filter(|a| a.instance.task.partition == 0) {
+        sched.task_finished(a.slot, now);
+    }
+    let priorities = [20, 20, 20, TAIL_POOL_CLASS, TAIL_POOL_CLASS]
+        .into_iter()
+        .chain((0..24).map(|i| (i * 7) % 4));
+    for (i, p) in priorities.enumerate() {
+        let job = JobSpecBuilder::new(format!("c{i}"))
+            .priority(Priority::new(p))
+            .stage("map", 1, constant(1.0))
+            .build()
+            .unwrap();
+        sched.submit(job, now);
+    }
+
+    let pool_view = sched.slot_pool();
+    assert_eq!(pool_view.counts().0, TAIL_FREE as usize, "the round starts with free slots");
+    let groups = pool_view.reservation_groups();
+    assert_eq!(groups.len(), TAIL_HOLDERS as usize + usize::from(pool > 0));
+    let lowest = if pool > 0 { TAIL_POOL_CLASS } else { 5 };
+    assert_eq!(pool_view.lowest_group_priority(), Some(Priority::new(lowest)));
+    assert_eq!(groups.iter().map(|g| g.1).min(), Some(Priority::new(lowest)));
+
+    let placed = sched.resource_offers(now);
+    let jsonl = sched
+        .take_trace_sink()
+        .expect("sink attached")
+        .into_any()
+        .downcast::<JsonlSink>()
+        .expect("JsonlSink recovered")
+        .finish();
+    (placed, jsonl, sched.work_counters().clone())
+}
+
+/// Runs [`declined_tail_round`] under the declared rule, the vtable walk
+/// and the per-slot reference. Every candidate is tried (the round starts
+/// with free slots, so none is dropped up front), so all three write the
+/// same trace; the two group walks also count the same work. Returns the
+/// placements.
+fn declined_tail_differential(
+    build: fn() -> Box<dyn ReservationPolicy>,
+    pool: u32,
+) -> Vec<Assignment> {
+    assert!(build().approval_rule().is_some());
+    let (rule, rule_trace, rule_counters) = declined_tail_round(build(), pool);
+    let (vtable, vtable_trace, vtable_counters) =
+        declined_tail_round(Box::new(Forward { inner: build(), per_slot: false }), pool);
+    let (slot, slot_trace, _) =
+        declined_tail_round(Box::new(Forward { inner: build(), per_slot: true }), pool);
+    assert_eq!(rule, slot, "rule vs per-slot placements");
+    assert_eq!(vtable, slot, "vtable vs per-slot placements");
+    assert!(rule_trace == vtable_trace, "rule vs vtable trace bytes");
+    assert!(rule_trace == slot_trace, "rule vs per-slot trace bytes");
+    assert_eq!(rule_counters, vtable_counters, "rule vs vtable work counters");
+    let declined = rule_trace.lines().filter(|l| l.contains("\"offer-declined\"")).count();
+    assert!(declined >= 24, "the tail declines: {declined}");
+    assert!(rule_trace.contains("\"reason\":\"reservation-denied\""));
+    rule
+}
+
+#[test]
+fn a_declined_tail_agrees_under_the_paper_rule() {
+    let placed = declined_tail_differential(
+        || Box::new(TimeoutReservation::new(SimDuration::from_secs(1_000_000))),
+        0,
+    );
+    // Only the free slots are taken: no group approves priority 4 or less.
+    assert_eq!(placed.len(), TAIL_FREE as usize, "{placed:?}");
+}
+
+#[test]
+fn a_declined_tail_agrees_at_the_static_pool_boundary() {
+    let placed = declined_tail_differential(
+        || {
+            Box::new(PooledTimeout {
+                timeout: TimeoutReservation::new(SimDuration::from_secs(1_000_000)),
+                pool: StaticReservation::new(2, Priority::new(TAIL_POOL_CLASS)),
+            })
+        },
+        2,
+    );
+    // The free slots, then the pool's two slots to the candidates at its
+    // class: the floor equals their priority and must not rule them out.
+    assert_eq!(placed.len(), TAIL_FREE as usize + 2, "{placed:?}");
 }

@@ -72,7 +72,7 @@ impl SimTime {
             secs.is_finite() && secs >= 0.0,
             "SimTime::from_secs_f64 requires a finite, non-negative value, got {secs}"
         );
-        SimTime((secs * 1e6).round() as u64)
+        SimTime(round_micros(secs * 1e6))
     }
 
     /// Microseconds since simulation start.
@@ -149,7 +149,7 @@ impl SimDuration {
             secs.is_finite() && secs >= 0.0,
             "SimDuration::from_secs_f64 requires a finite, non-negative value, got {secs}"
         );
-        SimDuration((secs * 1e6).round() as u64)
+        SimDuration(round_micros(secs * 1e6))
     }
 
     /// The span in microseconds.
@@ -287,9 +287,86 @@ impl Ord for SimDuration {
     }
 }
 
+/// `micros.round() as u64` for a finite `micros >= 0`, without the libm
+/// call `f64::round` makes on the baseline x86-64 target: halves round
+/// away from zero and values past `u64::MAX` saturate, as the cast does.
+/// The fraction `micros - t` is exact (for `micros < 2^52` it is the
+/// value's low bits; above, `micros` is an integer and it is zero), so
+/// the comparison with 0.5 is too.
+#[inline]
+fn round_micros(micros: f64) -> u64 {
+    let t = micros as u64;
+    if micros - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The rounding `round_micros` replaces.
+    fn libm_round(micros: f64) -> u64 {
+        micros.round() as u64
+    }
+
+    proptest! {
+        /// Every finite non-negative value, drawn from its bit pattern.
+        #[test]
+        fn round_micros_matches_f64_round(bits in 0u64..0x7ff0_0000_0000_0000) {
+            let micros = f64::from_bits(bits);
+            prop_assert_eq!(round_micros(micros), libm_round(micros), "{}", micros);
+        }
+
+        /// Exact halves and their neighbours one step either side.
+        #[test]
+        fn round_micros_matches_at_halves(k in 0u64..(1 << 52)) {
+            let half = k as f64 + 0.5;
+            for micros in [half, half.next_down(), half.next_up()] {
+                prop_assert_eq!(round_micros(micros), libm_round(micros), "{}", micros);
+            }
+        }
+
+        /// From 2^52, where every value is an integer, to past 2^64, where
+        /// both saturate.
+        #[test]
+        fn round_micros_matches_on_large_values(exp in 52i32..70, frac in 0u64..(1 << 52)) {
+            let micros = f64::from_bits(((exp + 1023) as u64) << 52 | frac);
+            prop_assert_eq!(round_micros(micros), libm_round(micros), "{}", micros);
+        }
+
+        /// Subnormals round to zero.
+        #[test]
+        fn round_micros_matches_on_subnormals(bits in 0u64..(1 << 52)) {
+            let micros = f64::from_bits(bits);
+            prop_assert_eq!(round_micros(micros), 0);
+            prop_assert_eq!(libm_round(micros), 0);
+        }
+    }
+
+    #[test]
+    fn round_micros_edges() {
+        for micros in [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            18_446_744_073_709_549_568.0,
+            18_446_744_073_709_551_616.0,
+            f64::MAX,
+        ] {
+            assert_eq!(round_micros(micros), libm_round(micros), "{micros}");
+        }
+        assert_eq!(round_micros(f64::MAX), u64::MAX);
+        assert_eq!(round_micros(2.5), 3);
+    }
 
     #[test]
     fn construction_round_trips() {
