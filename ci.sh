@@ -162,6 +162,21 @@ run_timeout --trace "$trace_dir/timeout.jsonl" > "$trace_dir/traced.json"
 cmp "$trace_dir/untraced.json" "$trace_dir/traced.json"
 grep -q '"event":"offer-declined"' "$trace_dir/timeout.jsonl"
 grep -q '"event":"reservation-expired"' "$trace_dir/timeout.jsonl"
+# A saturated SSR mix under each job order: untraced, a round declines
+# the candidates no reservation group can approve in bulk; traced, it
+# attempts and declines each one. Both must report and count the same.
+run_saturated() {
+  ./target/release/ssr-cli run --cluster 10x4 --policy ssr --seed 7 \
+    --fg "kmeans:par=40,prio=10,arrival=30" --bg "google:jobs=200,horizon=600" \
+    --json --counters "$@"
+}
+for order in fifo-priority fair fifo; do
+  run_saturated --order "$order" > "$trace_dir/saturated-$order.json"
+  run_saturated --order "$order" --trace "$trace_dir/saturated-$order.jsonl" \
+    > "$trace_dir/saturated-$order-traced.json"
+  cmp "$trace_dir/saturated-$order.json" "$trace_dir/saturated-$order-traced.json"
+  grep -q '"event":"offer-declined"' "$trace_dir/saturated-$order.jsonl"
+done
 
 echo "==> figures byte-identity (figures all at --jobs 1 and 2 vs the checked-in figures_output.txt)"
 # Perf changes must leave every figure byte alone, and the worker count
@@ -191,8 +206,7 @@ echo "==> bench regression gate (offer_round rows vs BENCH_scheduler.json, +/-20
 # Three runs of the gated rows, each row judged by its fastest: load from
 # other work on the host only adds time, so one slow run is not a
 # regression, and a row slow in all three is. The reference rows are
-# single runs, so the gate is looser than 20% by the gap between one run
-# and the fastest of three (EXPERIMENTS.md, "Performance").
+# themselves the fastest of three runs (EXPERIMENTS.md, "Performance").
 for run in 1 2 3; do
   CRITERION_OUTPUT_JSON="$trace_dir/bench-now$run.json" \
     cargo bench -q -p ssr-bench --bench scheduler --offline -- offer_round > /dev/null

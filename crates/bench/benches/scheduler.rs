@@ -4,13 +4,14 @@
 //! re-offer rounds at the same scales, a contended offer round with 150
 //! candidate jobs on locality wait (the Fig. 15 shape), a saturated
 //! round in which a phase preferring 2,000 slots takes its 2,000
-//! reservations (the `paper_scale` shape), two per-unit rows for the
-//! offer round's inner loops (the viability filter of a saturated round
-//! at 8 and 64 reservation groups, the declined tail of a round whose
-//! free slots run out, at the same group counts, and the process-local
-//! search of a phase
-//! preferring 2,000 of 4,000 slots), the ranking of an owner's 2,000
-//! reserved slots for a candidate that declines them, a full small-grid
+//! reservations (the `paper_scale` shape), per-unit rows for the offer
+//! round's inner loops (the viability filter of a saturated round at 8
+//! and 64 reservation groups, the declined tail of a round whose free
+//! slots run out, at the same group counts, a round that gets through
+//! 100 or 1,000 pending jobs once its two free slots are gone, and the
+//! process-local search of a phase preferring 2,000 of 4,000 slots), the
+//! ranking of an owner's 2,000 reserved slots for a candidate that
+//! declines them, a full small-grid
 //! simulation, the trace codec (writing and reading the small-grid SSR
 //! run's decision trace), and event-queue throughput including the
 //! recycled-allocation path.
@@ -254,17 +255,17 @@ fn bench_approval_walk(c: &mut Criterion) {
 /// Free slots at the start of each declined-tail round.
 const TAIL_FREE: u32 = 3;
 
-/// [`approval_walk_scheduler`]'s cluster with [`TAIL_FREE`] more slots,
-/// left free, and a filler job with one task per free slot. Each offer
-/// round starts with free slots, so no candidate is dropped up front: the
-/// filler takes them, and the [`WALK_CANDIDATES`] low-priority jobs that
-/// follow meet a cluster with no free slot and no group that approves
-/// them. The filler has the holders' priority, so no group approves it
-/// either and its placements rank no reserved slots: what grows with the
-/// group count is the tail.
-fn declined_tail_scheduler(groups: u32, t: SimTime) -> TaskScheduler {
+/// [`approval_walk_scheduler`]'s cluster with `free` more slots, left
+/// free, and a filler job with one task per free slot. Each offer round
+/// starts with free slots, so no candidate is dropped up front: the
+/// filler takes them, and the `candidates` low-priority jobs that follow
+/// meet a cluster with no free slot and no group that approves them. The
+/// filler has the holders' priority, so no group approves it either and
+/// its placements rank no reserved slots: what grows with the group count
+/// and the candidate count is the tail.
+fn declined_tail_scheduler(groups: u32, free: u32, candidates: u32, t: SimTime) -> TaskScheduler {
     let mut sched = TaskScheduler::new(
-        ClusterSpec::new(2 * groups + TAIL_FREE, 1).expect("valid"),
+        ClusterSpec::new(2 * groups + free, 1).expect("valid"),
         LocalityModel::paper_simulation(),
         Box::new(TimeoutReservation::new(SimDuration::from_secs(1_000_000))),
         Box::new(FifoPriority),
@@ -286,20 +287,21 @@ fn declined_tail_scheduler(groups: u32, t: SimTime) -> TaskScheduler {
     }
     let filler = JobSpecBuilder::new("filler")
         .priority(Priority::new(10))
-        .stage("map", TAIL_FREE, constant(1.0))
+        .stage("map", free, constant(1.0))
         .build()
         .expect("valid");
     sched.submit(filler, t);
-    for i in 0..WALK_CANDIDATES {
+    for i in 0..candidates {
         let job = JobSpecBuilder::new(format!("bg{i}"))
             .stage("map", 1, constant(1.0))
             .build()
             .expect("valid");
         sched.submit(job, t);
     }
-    assert_eq!(sched.slot_pool().counts(), (TAIL_FREE as usize, groups as usize, groups as usize));
-    assert_eq!(declined_tail_round(&mut sched, t), TAIL_FREE as usize);
-    assert_eq!(sched.slot_pool().counts(), (TAIL_FREE as usize, groups as usize, groups as usize));
+    let counts = (free as usize, groups as usize, groups as usize);
+    assert_eq!(sched.slot_pool().counts(), counts);
+    assert_eq!(declined_tail_round(&mut sched, t), free as usize);
+    assert_eq!(sched.slot_pool().counts(), counts);
     sched
 }
 
@@ -323,7 +325,29 @@ fn bench_declined_tail(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler/declined_tail");
     for groups in [8u32, 64] {
         group.bench_with_input(BenchmarkId::from_parameter(groups), &groups, |b, &groups| {
-            let mut sched = declined_tail_scheduler(groups, t);
+            let mut sched = declined_tail_scheduler(groups, TAIL_FREE, WALK_CANDIDATES, t);
+            b.iter(|| black_box(declined_tail_round(&mut sched, t)))
+        });
+    }
+    group.finish();
+}
+
+/// Reservation groups ahead of the pending jobs in the pending round.
+const PENDING_GROUPS: u32 = 8;
+
+/// Free slots at the start of each pending round.
+const PENDING_FREE: u32 = 2;
+
+/// A declined-tail round at a fixed [`PENDING_GROUPS`] groups and
+/// [`PENDING_FREE`] free slots, with `P` pending jobs that no group
+/// approves behind the filler: what grows is the pending set a round
+/// must get through once its free slots are gone.
+fn bench_pending_round(c: &mut Criterion) {
+    let t = SimTime::from_secs(1);
+    let mut group = c.benchmark_group("scheduler/pending_round");
+    for pending in [100u32, 1_000] {
+        group.bench_with_input(BenchmarkId::from_parameter(pending), &pending, |b, &pending| {
+            let mut sched = declined_tail_scheduler(PENDING_GROUPS, PENDING_FREE, pending, t);
             b.iter(|| black_box(declined_tail_round(&mut sched, t)))
         });
     }
@@ -591,6 +615,7 @@ criterion_group!(
     bench_offer_round_preferred,
     bench_approval_walk,
     bench_declined_tail,
+    bench_pending_round,
     bench_process_local,
     bench_rank_reserved,
     bench_saturated_reoffer,

@@ -80,11 +80,15 @@ pub struct WorkCounters {
     pub events_popped: Counter,
     /// Events pushed onto the simulation event queue.
     pub events_pushed: Counter,
-    /// Offer rounds with a free or reserved slot that reused the cached
-    /// snapshots of the schedulable jobs.
+    /// Offer rounds with a free or reserved slot that found no job
+    /// changed since the last such round (where a per-round snapshot
+    /// cache, since replaced by the scheduler's ordered pending index,
+    /// was reused).
     pub index_hits: Counter,
-    /// Rebuilds of the cached job snapshots (a job's running count,
-    /// pending tasks or completion changed since the last round).
+    /// Offer rounds with a free or reserved slot that found some job's
+    /// running count, pending tasks or completion changed since the last
+    /// such round, and the first such round (where that cache was
+    /// rebuilt).
     pub index_rescans: Counter,
     /// Offer rounds executed by the scheduler.
     pub offer_rounds: Counter,

@@ -19,8 +19,8 @@ use ssr_perf::{SpanProfiler, WorkCounters};
 use ssr_simcore::SimTime;
 use ssr_trace::{DenyReason, TraceEvent, TraceEventKind, TraceSink};
 
-use crate::jobs::{JobState, Jobs};
-use crate::order::{requeue_served, sort_worst_first, JobOrder, JobSnapshot};
+use crate::jobs::{DeclineTally, JobState, Jobs};
+use crate::order::{requeue_served, JobOrder, JobSnapshot};
 use crate::policy::{ApprovalRule, PolicyCtx, ReservationPolicy, SlotDisposition};
 use crate::speculation::SpeculationConfig;
 use crate::taskset::{TaskInstance, TaskSetManager};
@@ -161,12 +161,6 @@ pub struct TaskScheduler {
     /// guarded by `self.profiler.is_some()`-shaped checks, so the
     /// disabled path costs one branch, as for `trace`.
     profiler: Option<Box<SpanProfiler>>,
-    /// Cached `JobSnapshot`s of schedulable jobs (incomplete with pending
-    /// tasks), rebuilt lazily when `snapshots_dirty`; offer rounds copy
-    /// them into `candidates_buf` and maintain that copy per assignment
-    /// instead of re-deriving the vector from `jobs` each iteration.
-    snapshots: Vec<JobSnapshot>,
-    snapshots_dirty: bool,
     // Reusable scratch buffers for the offer-round hot path — cleared on
     // use, retained across rounds so steady state allocates nothing.
     candidates_buf: Vec<JobSnapshot>,
@@ -216,8 +210,6 @@ impl TaskScheduler {
             trace: None,
             counters: WorkCounters::new(),
             profiler: None,
-            snapshots: Vec::new(),
-            snapshots_dirty: true,
             candidates_buf: Vec::new(),
             straggler_jobs_buf: Vec::new(),
             straggler_slots_buf: Vec::new(),
@@ -368,7 +360,6 @@ impl TaskScheduler {
             state.insert_taskset(TaskSetManager::new(id, stage, parallelism, now));
         }
         self.jobs.insert(state);
-        self.snapshots_dirty = true;
         for stage in roots {
             let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
             self.policy.on_stage_ready(&ctx, id, stage);
@@ -399,16 +390,20 @@ impl TaskScheduler {
         self.emit(now, |_| TraceEventKind::OfferRoundStarted { free, running, reserved });
         let mut available = free + reserved;
         if available > 0 {
-            if self.snapshots_dirty {
-                self.rebuild_snapshots();
+            // `index_rescans` counts the rounds that found some job
+            // changed since the last round with a slot to offer (and the
+            // first such round), `index_hits` those that found none.
+            if self.jobs.rekey(&*self.order) {
+                self.counters.index_rescans.inc();
             } else {
                 self.counters.index_hits.inc();
             }
-            // Work on a copy of the cached snapshots: candidates drop out
-            // as they drain or fail to place, and running counts advance
-            // per assignment.
+            // Work on a copy of the pending index, worst job first, so
+            // each attempt serves the last element: the same job `select`
+            // would pick from the rest. Candidates drop out as they drain
+            // or fail to place, and running counts advance per assignment.
             let mut candidates = take_scratch(&self.counters, &mut self.candidates_buf);
-            candidates.extend_from_slice(&self.snapshots);
+            candidates.extend_from_slice(self.jobs.pending_worst_first());
             if free == 0 && self.group_approval() {
                 // No free slot: a job can only place onto a reserved slot
                 // it owns or whose group approves its priority. Dropped
@@ -416,7 +411,8 @@ impl TaskScheduler {
                 // the filter stays valid mid-round — assignments only
                 // consume slots (free stays 0, groups only shrink) — so
                 // the assignment sequence is identical to the unfiltered
-                // round. The dropped ids are kept only for the trace.
+                // round. The dropped ids are kept only for the trace,
+                // which lists them in job-id order.
                 let tracing = self.trace_enabled();
                 let mut dropped: Vec<JobId> = Vec::new();
                 candidates.retain(|c| {
@@ -426,16 +422,21 @@ impl TaskScheduler {
                     }
                     viable
                 });
+                dropped.sort_unstable();
                 for job in dropped {
                     self.emit(now, |s| declined_event(s, job, now));
                 }
             }
-            // Sort once, worst job first, so each attempt serves the last
-            // element: the same job `select` would pick from the rest.
-            sort_worst_first(&*self.order, &mut candidates);
+            // Untraced, the candidates the floor refuses once the free
+            // slots are gone are declined in bulk before each attempt;
+            // traced, each is attempted and declined with its own reason.
+            let bulk_decline = self.approval.is_some() && !self.trace_enabled();
             while available > 0 {
+                if bulk_decline && self.slots.counts().0 == 0 {
+                    self.decline_hopeless(&mut candidates);
+                }
                 let Some(job) = candidates.last().map(|c| c.id) else { break };
-                match self.try_assign_one(job, now) {
+                match self.try_assign_one(job, now, !bulk_decline) {
                     Some(a) => {
                         self.emit(now, |_| launch_event(&a));
                         assignments.push(a);
@@ -463,10 +464,6 @@ impl TaskScheduler {
             self.span_enter("speculation_scan");
             assignments.extend(self.launch_progress_speculation(now));
             self.span_exit();
-        }
-        if !assignments.is_empty() {
-            // Launches changed running counts / pending sets.
-            self.snapshots_dirty = true;
         }
         self.emit(now, |_| TraceEventKind::OfferRoundEnded { assignments: assignments.len() });
         self.span_exit();
@@ -536,20 +533,6 @@ impl TaskScheduler {
         (reason, Some(blocked_stage))
     }
 
-    /// Re-derives the cached snapshot vector of schedulable jobs from the
-    /// pending-job index.
-    fn rebuild_snapshots(&mut self) {
-        self.counters.index_rescans.inc();
-        self.snapshots.clear();
-        self.snapshots.extend(self.jobs.pending_jobs().map(|j| JobSnapshot {
-            id: j.id(),
-            priority: j.priority(),
-            arrival: j.submitted_at(),
-            running_slots: j.running_count(),
-        }));
-        self.snapshots_dirty = false;
-    }
-
     /// With zero free slots: can `job` possibly place a task at all?
     /// Only if it owns reservations, or some other job's reservation
     /// group approves its priority (verdicts are group-uniform under
@@ -558,7 +541,8 @@ impl TaskScheduler {
     /// taken.
     fn viable_on_reserved(&self, job: JobId, priority: Priority, now: SimTime) -> bool {
         if self.floor_refuses(job, priority) {
-            self.count_refused_walks(1);
+            // One group walk, with no free-slot search.
+            self.count_refused(DeclineTally { sets: 1, preferred: 0 });
             return false;
         }
         self.slots.has_reservations(job)
@@ -575,17 +559,57 @@ impl TaskScheduler {
     /// not refuse would pay for it.
     fn floor_refuses(&self, job: JobId, priority: Priority) -> bool {
         let lowest = self.slots.lowest_group_priority();
-        self.approval.is_some_and(|rule| lowest.is_none_or(|l| !rule.could_approve(priority, l)))
+        self.approval.is_some_and(|rule| self.refused(rule, lowest, job, priority))
+    }
+
+    /// [`floor_refuses`](Self::floor_refuses) under `rule`, with the
+    /// lowest group priority read once by the caller.
+    #[inline]
+    fn refused(
+        &self,
+        rule: ApprovalRule,
+        lowest: Option<Priority>,
+        job: JobId,
+        priority: Priority,
+    ) -> bool {
+        lowest.is_none_or(|l| !rule.could_approve(priority, l))
             && !self.slots.has_reservations(job)
     }
 
-    /// Counts `walks` group walks for a job the floor refuses, as
-    /// [`walk_groups`](Self::walk_groups) would have: every group
-    /// touched, one (false) verdict each.
-    fn count_refused_walks(&self, walks: u64) {
-        let groups = walks * self.slots.reservation_groups().len() as u64;
+    /// Counts the work of attempts the floor refused as the walks they
+    /// stand for would have: per task set in `tally`, one group walk
+    /// (every group touched, one false verdict each), plus its preferred
+    /// slots, which `best_candidate`'s process-local search counts.
+    fn count_refused(&self, tally: DeclineTally) {
+        let groups = u64::from(tally.sets) * self.slots.reservation_groups().len() as u64;
         self.counters.reservation_groups_touched.add(groups);
         self.counters.approval_calls.add(groups);
+        self.counters.slots_scanned.add(u64::from(tally.preferred));
+    }
+
+    /// Pops the candidates at the end of `candidates` that the floor
+    /// refuses, each declined as [`try_assign_one`](Self::try_assign_one)
+    /// would decline it with no free slot: one comparison and one
+    /// ownership check per candidate, and its tally added to the counted
+    /// work. The floor is read once per call: with no free slot it moves
+    /// only when an assignment consumes a reserved slot, and the round
+    /// calls this again before its next attempt.
+    fn decline_hopeless(&self, candidates: &mut Vec<JobSnapshot>) {
+        let Some(rule) = self.approval else { return };
+        let lowest = self.slots.lowest_group_priority();
+        let mut declined = DeclineTally::default();
+        while let Some(c) = candidates.last() {
+            if !self.refused(rule, lowest, c.id, c.priority) {
+                break;
+            }
+            if let Some(job) = self.jobs.get(c.id) {
+                declined.add(job.decline_tally());
+            }
+            candidates.pop();
+        }
+        if declined.sets > 0 {
+            self.count_refused(declined);
+        }
     }
 
     /// `true` when ApprovalLogic verdicts are uniform per `(owner,
@@ -631,22 +655,23 @@ impl TaskScheduler {
 
     /// Finds the best placement for one pending task of `job` and applies
     /// it, or returns `None` if no acceptable slot exists this round.
-    fn try_assign_one(&mut self, job: JobId, now: SimTime) -> Option<Assignment> {
+    /// With `check_floor`, a job the floor refuses while no slot is free
+    /// is declined first, at the cost of its tally; a caller that has
+    /// already declined those jobs passes `false`.
+    fn try_assign_one(
+        &mut self,
+        job: JobId,
+        now: SimTime,
+        check_floor: bool,
+    ) -> Option<Assignment> {
         let state = self.jobs.get(job)?;
         let priority = state.priority();
-        if self.slots.counts().0 == 0 && self.floor_refuses(job, priority) {
+        if check_floor && self.slots.counts().0 == 0 && self.floor_refuses(job, priority) {
             // No free slot, none of its own and no group that could
             // approve it: every `best_candidate` below would walk the
             // groups to no verdict and search the empty free index. The
-            // work they would count is counted: per pending task set, one
-            // group walk and its preferred slots.
-            let (mut sets, mut preferred) = (0, 0);
-            for tsm in state.active_tasksets().filter(|t| t.has_pending()) {
-                sets += 1;
-                preferred += tsm.preferred().len() as u64;
-            }
-            self.count_refused_walks(sets);
-            self.counters.slots_scanned.add(preferred);
+            // work they would count is counted.
+            self.count_refused(state.decline_tally());
             return None;
         }
         let mut chosen: Option<(StageId, SlotId, LocalityLevel)> = None;
@@ -1019,9 +1044,6 @@ impl TaskScheduler {
             .stop_instance(slot)
             .unwrap_or_else(|| panic!("task_finished on {slot} with no running instance"));
         let task = ri.instance.task;
-        // Running counts, pending sets and completion states all change
-        // here: the cached job snapshots are stale.
-        self.snapshots_dirty = true;
         self.slots.finish(slot).expect("slot was running");
         let duration = now.saturating_since(ri.started);
         self.emit(now, |_| TraceEventKind::TaskFinished {
@@ -1284,9 +1306,6 @@ impl TaskScheduler {
                     let freed = self.slots.finish(slot);
                     debug_assert!(freed.is_ok(), "tracked instance occupies a busy slot");
                     let requeued = self.jobs.instance_crashed(ri.instance);
-                    // Pending sets and running counts changed: the cached
-                    // job snapshots are stale.
-                    self.snapshots_dirty = true;
                     self.emit(now, |_| TraceEventKind::TaskCrashed {
                         slot: slot.as_u32(),
                         job: task.job,
@@ -2149,7 +2168,35 @@ mod tests {
             .filter(|j| !j.is_complete() && j.has_pending_tasks())
             .map(|j| j.id())
             .collect();
-        assert_eq!(s.jobs().pending_ids().collect::<Vec<_>>(), pending, "pending-job index");
+        assert_eq!(s.jobs().pending_ids().collect::<Vec<_>>(), pending, "pending-job set");
+        // The ordered pending index, re-keyed as the next offer round
+        // would, against the per-round rebuild it replaced: the pending
+        // jobs' snapshots, sorted worst first.
+        let mut jobs = s.jobs.clone();
+        jobs.rekey(&*s.order);
+        let mut rebuilt: Vec<JobSnapshot> = pending
+            .iter()
+            .map(|&id| {
+                let j = s.jobs().get(id).expect("pending job exists");
+                let keyed = if s.order.reads_running_slots() { j.running_count() } else { 0 };
+                JobSnapshot {
+                    id,
+                    priority: j.priority(),
+                    arrival: j.submitted_at(),
+                    running_slots: keyed,
+                }
+            })
+            .collect();
+        crate::order::sort_worst_first(&*s.order, &mut rebuilt);
+        assert_eq!(jobs.pending_worst_first(), &rebuilt[..], "pending index at {now:?}");
+        // Every job's decline tally against the walk of its task sets.
+        for state in s.jobs().iter() {
+            let mut walked = DeclineTally::default();
+            for tsm in state.active_tasksets().filter(|t| t.has_pending()) {
+                walked.add(DeclineTally { sets: 1, preferred: tsm.preferred().len() as u32 });
+            }
+            assert_eq!(state.decline_tally(), walked, "decline tally of {:?}", state.id());
+        }
         assert_eq!(
             s.next_locality_unlock(now),
             s.next_locality_unlock_full_walk(now),
@@ -2266,7 +2313,7 @@ mod tests {
     /// a random fault schedule (node crashes, network partitions, heals),
     /// checking the indexes after every public call.
     fn drive_with_faults(seed: u64, policy: usize, order: usize, wait_ms: u64) {
-        use crate::order::Fifo;
+        use crate::order::{Fifo, SelectOnly};
         use ssr_simcore::rng::SimRng;
         let mut rng = SimRng::stream(seed, 0);
         // Half the clusters are sized: every third slot is large, and
@@ -2284,7 +2331,8 @@ mod tests {
         let order: Box<dyn JobOrder> = match order {
             0 => Box::new(FifoPriority),
             1 => Box::new(Fair),
-            _ => Box::new(Fifo),
+            2 => Box::new(Fifo),
+            _ => Box::new(SelectOnly(Fair)),
         };
         let locality =
             LocalityModel::paper_simulation().with_wait(SimDuration::from_millis(wait_ms));
@@ -2336,18 +2384,33 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The pending-job index, the locality-unlock window and the
-        /// incomplete-job count agree with full walks of the job table
-        /// after every call, under random workloads, fault schedules,
-        /// policies and orders.
+        /// The pending-job set and its ordered index, the decline tallies,
+        /// the locality-unlock window and the incomplete-job count agree
+        /// with full walks of the job table after every call, under
+        /// random workloads, fault schedules, policies and orders (the
+        /// built-in three, and a `select`-only one that sorts with the
+        /// default `compare`).
         #[test]
         fn indexes_agree_with_full_walks_under_faults(
             seed in 0u64..1_000_000,
             policy in 0usize..3,
-            order in 0usize..3,
+            order in 0usize..4,
             wait_ms in 0u64..5_000,
         ) {
             drive_with_faults(seed, policy, order, wait_ms);
+        }
+    }
+
+    /// An order that implements only `select` keeps its pending index
+    /// through the default `compare`, as a decorator that times another
+    /// order does: the index still equals the sorted rebuild after every
+    /// call, under each policy.
+    #[test]
+    fn select_only_order_keeps_the_pending_index() {
+        for seed in 0..8 {
+            for policy in 0..3 {
+                drive_with_faults(seed, policy, 3, 500);
+            }
         }
     }
 

@@ -1,13 +1,50 @@
 //! Per-job scheduler state: per-phase task sets, which hold each phase's
 //! barrier state, runtime statistics and output slots.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ssr_cluster::SlotId;
 use ssr_dag::{JobId, JobSpec, Priority, StageId};
 use ssr_simcore::{SimDuration, SimTime};
 
+use crate::order::{JobOrder, JobSnapshot};
 use crate::taskset::{InstanceOutcome, TaskInstance, TaskSetManager};
+
+/// A job's pending task sets and the preferred slots over them: what
+/// `best_candidate` counts for a job that no reservation group can
+/// approve and no free slot can serve, one group walk and one
+/// preferred-slot search per pending set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct DeclineTally {
+    /// Task sets that are ready, unfinished and have an unlaunched
+    /// original task.
+    pub(crate) sets: u32,
+    /// The preferred slots of those sets, summed.
+    pub(crate) preferred: u32,
+}
+
+impl DeclineTally {
+    /// `tsm`'s share: one set and its preferred slots while it is
+    /// pending, nothing otherwise.
+    fn of(tsm: &TaskSetManager) -> Self {
+        if tsm.has_pending() && !tsm.is_complete() {
+            DeclineTally { sets: 1, preferred: tsm.preferred().len() as u32 }
+        } else {
+            DeclineTally::default()
+        }
+    }
+
+    pub(crate) fn add(&mut self, other: Self) {
+        self.sets += other.sets;
+        self.preferred += other.preferred;
+    }
+
+    fn sub(&mut self, other: Self) {
+        self.sets = self.sets.saturating_sub(other.sets);
+        self.preferred = self.preferred.saturating_sub(other.preferred);
+    }
+}
 
 /// All scheduler-side state of one admitted job.
 ///
@@ -26,7 +63,13 @@ pub struct JobState {
     submitted_at: SimTime,
     completed_at: Option<SimTime>,
     /// Slots currently running an instance (original or copy) of this job.
-    running: usize,
+    running: u32,
+    /// Its pending task sets, kept by every change to a set's pending
+    /// status: a set inserted, drained by a launch, or re-queued by a
+    /// crash.
+    tally: DeclineTally,
+    /// `true` while the job waits in [`Jobs`]' touched list.
+    touched: bool,
 }
 
 impl JobState {
@@ -38,6 +81,8 @@ impl JobState {
             submitted_at,
             completed_at: None,
             running: 0,
+            tally: DeclineTally::default(),
+            touched: false,
         }
     }
 
@@ -74,7 +119,7 @@ impl JobState {
     /// Number of slots currently running an instance of this job —
     /// originals and copies alike; 0 once the job has drained.
     pub fn running_count(&self) -> usize {
-        self.running
+        self.running as usize
     }
 
     /// The task-set manager of `stage`, if the phase has become ready.
@@ -152,6 +197,32 @@ impl JobState {
         self.active_tasksets().any(|t| t.has_pending())
     }
 
+    /// `true` if the job is incomplete and has an unlaunched original
+    /// task — [`has_pending_tasks`](Self::has_pending_tasks) on an
+    /// incomplete job, read from the tally instead of the task sets.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
+    fn is_pending(&self) -> bool {
+        !self.is_complete() && self.tally.sets > 0
+    }
+
+    /// The pending task sets and their preferred slots — equal to summing
+    /// [`active_tasksets`](Self::active_tasksets) filtered by
+    /// `has_pending`, without the walk.
+    pub(crate) fn decline_tally(&self) -> DeclineTally {
+        self.tally
+    }
+
+    /// The job as the job order sees it with `running` slots.
+    fn keyed(&self, running: u32) -> JobSnapshot {
+        JobSnapshot {
+            id: self.id,
+            priority: self.priority(),
+            arrival: self.submitted_at,
+            running_slots: running as usize,
+        }
+    }
+
     /// The task set of `stage` if that phase is ready, unfinished and has
     /// an unlaunched original task — one element of
     /// [`active_tasksets`](Self::active_tasksets) filtered by
@@ -167,7 +238,10 @@ impl JobState {
     }
 
     pub(crate) fn insert_taskset(&mut self, tsm: TaskSetManager) {
-        self.tsms.insert(tsm.stage(), tsm);
+        self.tally.add(DeclineTally::of(&tsm));
+        if let Some(replaced) = self.tsms.insert(tsm.stage(), tsm) {
+            self.tally.sub(DeclineTally::of(&replaced));
+        }
     }
 
     pub(crate) fn mark_complete(&mut self, at: SimTime) {
@@ -182,14 +256,17 @@ impl JobState {
 /// ids 0, 1, 2… and never reuses one, so a lookup is an index, not a
 /// tree walk. An id that was never admitted is an empty entry (only
 /// hand-built fixtures skip ids). Each job also carries its running
-/// count, kept by the launch, finish and crash mutations below.
+/// count and a tally of its pending task sets, kept by the launch,
+/// finish, crash and phase-ready mutations below.
 ///
 /// Besides the jobs themselves it keeps three indexes, each updated by
 /// the mutation that can change it, so per-event queries never walk the
 /// whole job table:
 ///
-/// - the *pending set*: incomplete jobs with an unlaunched original task
-///   (exactly the jobs an offer round may serve);
+/// - the *pending index*: incomplete jobs with an unlaunched original
+///   task (exactly the jobs an offer round may serve), sorted worst first
+///   by [`JobOrder::compare`]. Each mutation marks its job touched, and
+///   the next offer round re-keys only the touched jobs;
 /// - the *unlock window*: task sets in creation order, from which the
 ///   scheduler prunes those too old to unlock another locality level;
 /// - the count of incomplete jobs.
@@ -202,7 +279,7 @@ impl JobState {
 pub struct Jobs {
     table: Vec<Option<JobState>>,
     len: usize,
-    pending: BTreeSet<JobId>,
+    pending: PendingIndex,
     unlock_window: VecDeque<(SimTime, JobId, StageId)>,
     incomplete: usize,
 }
@@ -240,19 +317,54 @@ impl Jobs {
 
     /// Ids of the incomplete jobs with an unlaunched original task, in
     /// ascending order — equal to filtering [`iter`](Self::iter) by
-    /// `!is_complete() && has_pending_tasks()`, without the walk.
+    /// `!is_complete() && has_pending_tasks()`, read from each job's
+    /// tally.
     pub fn pending_ids(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.pending.iter().copied()
+        self.iter().filter(|j| j.is_pending()).map(JobState::id)
     }
 
-    /// The jobs of [`pending_ids`](Self::pending_ids), in id order.
-    pub(crate) fn pending_jobs(&self) -> impl Iterator<Item = &JobState> {
-        self.pending.iter().filter_map(|&id| self.get(id))
-    }
-
-    /// `true` if `id` is incomplete and has an unlaunched original task.
+    /// `true` if `id` is incomplete and has an unlaunched original task —
+    /// O(1).
     pub(crate) fn is_pending(&self, id: JobId) -> bool {
-        self.pending.contains(&id)
+        self.get(id).is_some_and(JobState::is_pending)
+    }
+
+    /// The pending index as of the last [`rekey`](Self::rekey): the
+    /// snapshots of the pending jobs, sorted worst first by the order
+    /// that re-keyed them, so the job to serve next is the last.
+    pub(crate) fn pending_worst_first(&self) -> &[JobSnapshot] {
+        &self.pending.ranked
+    }
+
+    /// Brings the pending index up to date under `order`: each job
+    /// touched since the last call leaves it, re-enters it with its
+    /// current snapshot if it is still pending, or keeps its place when
+    /// its new key still sorts there — O(log P) comparisons per touched
+    /// job. `order` must be the one every earlier call used. Returns
+    /// `true` if some job changed since the last call (or this is the
+    /// first call).
+    #[inline]
+    pub(crate) fn rekey(&mut self, order: &dyn JobOrder) -> bool {
+        if !self.pending.touched.is_empty() {
+            self.rekey_touched(order);
+        }
+        !std::mem::replace(&mut self.pending.unchanged, true)
+    }
+
+    /// The re-key of [`rekey`](Self::rekey) for a non-empty touched
+    /// list, out of line: most offer rounds find nothing to move.
+    #[inline(never)]
+    fn rekey_touched(&mut self, order: &dyn JobOrder) {
+        let index = &mut self.pending;
+        index.static_keys = !order.reads_running_slots();
+        for &(id, keyed) in &index.touched {
+            let Some(state) = entry_mut(&mut self.table, id) else { continue };
+            state.touched = false;
+            let old = keyed.map(|running| state.keyed(running));
+            let new = index.key_of(state).map(|running| state.keyed(running));
+            rekey_entry(&mut index.ranked, order, old, new);
+        }
+        index.touched.clear();
     }
 
     /// `(job, stage)` of every task set still in the locality-unlock
@@ -273,8 +385,9 @@ impl Jobs {
         }
     }
 
-    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
-    #[deny(clippy::panic, clippy::unreachable)]
+    /// The job `id`, mutably, bypassing the indexes: for tests that
+    /// drive a task set directly.
+    #[cfg(test)]
     pub(crate) fn get_mut(&mut self, id: JobId) -> Option<&mut JobState> {
         entry_mut(&mut self.table, id)
     }
@@ -285,7 +398,7 @@ impl Jobs {
     ///
     /// Panics if the id does not fit a `usize` (the static-pool sentinel
     /// is never admitted).
-    pub(crate) fn insert(&mut self, state: JobState) {
+    pub(crate) fn insert(&mut self, mut state: JobState) {
         let id = state.id();
         let i = index(id).expect("admitted job ids fit a usize");
         if i >= self.table.len() {
@@ -298,17 +411,17 @@ impl Jobs {
         if !state.is_complete() {
             self.incomplete += 1;
         }
+        self.pending.touch(&mut state, None);
         self.table[i] = Some(state);
         self.len += 1;
-        self.refresh_pending(id);
     }
 
     /// Registers the task set of a phase that became ready.
     pub(crate) fn insert_taskset(&mut self, id: JobId, tsm: TaskSetManager) {
         let Some(state) = entry_mut(&mut self.table, id) else { return };
+        self.pending.touch(state, self.pending.key_of(state));
         self.unlock_window.push_back((tsm.ready_since(), id, tsm.stage()));
         state.insert_taskset(tsm);
-        self.refresh_pending(id);
     }
 
     /// Launches the next pending original task of `stage` on `slot`.
@@ -318,13 +431,21 @@ impl Jobs {
         stage: StageId,
         slot: SlotId,
     ) -> Option<TaskInstance> {
-        let state = self.get_mut(id)?;
+        let state = entry_mut(&mut self.table, id)?;
         let tsm = state.tsms.get_mut(&stage)?;
         let instance = tsm.launch_next(slot)?;
+        let drained = (!tsm.has_pending()).then(|| tsm.preferred().len() as u32);
+        let running = state.running;
         state.running += 1;
-        // Only draining this phase can end the job's pending state.
-        if !tsm.has_pending() {
-            self.refresh_pending(id);
+        match drained {
+            Some(preferred) => {
+                // The phase leaves the tally. The job was pending (it had
+                // a task to launch), keyed with its running count before.
+                state.tally.sub(DeclineTally { sets: 1, preferred });
+                let keyed = if self.pending.static_keys { 0 } else { running };
+                self.pending.touch(state, Some(keyed));
+            }
+            None => self.pending.touch_running(state, running),
         }
         Some(instance)
     }
@@ -339,9 +460,11 @@ impl Jobs {
         partition: u32,
         slot: SlotId,
     ) -> Option<TaskInstance> {
-        let state = self.get_mut(id)?;
+        let state = entry_mut(&mut self.table, id)?;
         let instance = state.tsms.get_mut(&stage)?.launch_copy(partition, slot);
+        let running = state.running;
         state.running += 1;
+        self.pending.touch_running(state, running);
         Some(instance)
     }
 
@@ -355,10 +478,13 @@ impl Jobs {
         instance: TaskInstance,
         duration: SimDuration,
     ) -> Option<InstanceOutcome> {
-        let state = self.get_mut(instance.task.job)?;
+        let state = entry_mut(&mut self.table, instance.task.job)?;
         let outcome =
             state.tsms.get_mut(&instance.task.stage)?.instance_finished(instance, duration);
-        state.running = state.running.saturating_sub(1 + outcome.losers.len());
+        let running = state.running;
+        let stopped = u32::try_from(1 + outcome.losers.len()).unwrap_or(u32::MAX);
+        state.running = running.saturating_sub(stopped);
+        self.pending.touch_running(state, running);
         Some(outcome)
     }
 
@@ -369,16 +495,20 @@ impl Jobs {
     #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
     #[deny(clippy::panic, clippy::unreachable)]
     pub(crate) fn instance_crashed(&mut self, instance: TaskInstance) -> bool {
-        let id = instance.task.job;
-        let Some(state) = self.get_mut(id) else { return false };
+        let Some(state) = entry_mut(&mut self.table, instance.task.job) else { return false };
+        self.pending.touch(state, self.pending.key_of(state));
         state.running = state.running.saturating_sub(1);
         let taskset = state.taskset_mut(instance.task.stage);
         debug_assert!(taskset.is_some(), "running instance has a task set");
-        let requeued = taskset.is_some_and(|ts| ts.instance_crashed(instance));
-        // The re-queued partition's phase is ready and unfinished (it
-        // still had a live instance), so no rescan is needed.
-        if requeued && !state.is_complete() {
-            self.pending.insert(id);
+        let mut requeued = false;
+        if let Some(ts) = taskset {
+            let before = DeclineTally::of(ts);
+            requeued = ts.instance_crashed(instance);
+            // A re-queue onto an empty queue makes the phase pending
+            // again.
+            let after = DeclineTally::of(ts);
+            state.tally.sub(before);
+            state.tally.add(after);
         }
         requeued
     }
@@ -386,20 +516,113 @@ impl Jobs {
     /// Marks job `id` completed at `at`.
     pub(crate) fn mark_complete(&mut self, id: JobId, at: SimTime) {
         let Some(state) = entry_mut(&mut self.table, id) else { return };
+        self.pending.touch(state, self.pending.key_of(state));
         if !state.is_complete() {
             self.incomplete -= 1;
         }
         state.mark_complete(at);
-        self.pending.remove(&id);
+    }
+}
+
+/// The pending jobs, sorted worst first by the job order's
+/// [`compare`](JobOrder::compare), and the jobs whose entries may have
+/// moved since the last re-key.
+///
+/// Every [`Jobs`] mutation *touches* its job, noting the key the index
+/// holds for it, which is the key it had before the mutation: a job
+/// untouched since the last re-key is still as that re-key saw it.
+/// [`Jobs::rekey`] then moves only the touched jobs' entries, so the
+/// index is exact right after it and may lag behind the jobs until then.
+/// Under an order that does not read running counts
+/// ([`JobOrder::reads_running_slots`]) every key holds a running count of
+/// 0, and a mutation that changes only a job's running count (a launch
+/// that leaves its phase pending, a copy, a finish) touches nothing.
+#[derive(Debug, Clone, Default)]
+struct PendingIndex {
+    /// The pending jobs' snapshots, worst first, as of the last re-key.
+    ranked: Vec<JobSnapshot>,
+    /// Jobs touched since the last re-key, each listed once with the
+    /// running count its entry is keyed with (`None` when it has none).
+    touched: Vec<(JobId, Option<u32>)>,
+    /// `true` while no job has changed since the last re-key; a new
+    /// registry starts stale.
+    unchanged: bool,
+    /// `true` when the last re-key's order does not read running counts.
+    static_keys: bool,
+}
+
+impl PendingIndex {
+    /// The running count `state` is keyed with while it is pending, as
+    /// of now; `None` while it is not pending.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
+    fn key_of(&self, state: &JobState) -> Option<u32> {
+        state.is_pending().then_some(if self.static_keys { 0 } else { state.running })
     }
 
-    /// Re-derives whether job `id` belongs in the pending set.
-    fn refresh_pending(&mut self, id: JobId) {
-        if self.get(id).is_some_and(|j| !j.is_complete() && j.has_pending_tasks()) {
-            self.pending.insert(id);
-        } else {
-            self.pending.remove(&id);
+    /// Records that `state` changed from its entry keyed `keyed`, as
+    /// [`key_of`](Self::key_of) read it before the change.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
+    fn touch(&mut self, state: &mut JobState, keyed: Option<u32>) {
+        self.unchanged = false;
+        if !state.touched {
+            state.touched = true;
+            self.touched.push((state.id, keyed));
         }
+    }
+
+    /// Records that `state`'s running count alone changed, from
+    /// `running`: its pending status did not, and under static keys
+    /// neither did its key.
+    fn touch_running(&mut self, state: &mut JobState, running: u32) {
+        if self.static_keys {
+            self.unchanged = false;
+        } else {
+            let keyed = state.is_pending().then_some(running);
+            self.touch(state, keyed);
+        }
+    }
+}
+
+/// Moves one job's entry in the worst-first `index`: from its `old` key
+/// (`None` when it had no entry) to its `new` one (`None` when it leaves).
+/// A key that still sorts where the old one was is written in place.
+fn rekey_entry(
+    index: &mut Vec<JobSnapshot>,
+    order: &dyn JobOrder,
+    old: Option<JobSnapshot>,
+    new: Option<JobSnapshot>,
+) {
+    if old == new {
+        // Touched, but its key did not move.
+        return;
+    }
+    let at = old.and_then(|old| {
+        let at = index.partition_point(|c| order.compare(c, &old) == Ordering::Greater);
+        if index.get(at).is_some_and(|c| c.id == old.id) {
+            Some(at)
+        } else {
+            // Only an order whose `compare` is not the total order it
+            // promises can hide the entry from the search.
+            index.iter().position(|c| c.id == old.id)
+        }
+    });
+    if let (Some(at), Some(new)) = (at, new) {
+        let after_worse = at == 0 || order.compare(&index[at - 1], &new) == Ordering::Greater;
+        let before_better =
+            index.get(at + 1).is_none_or(|next| order.compare(&new, next) == Ordering::Greater);
+        if after_worse && before_better {
+            index[at] = new;
+            return;
+        }
+    }
+    if let Some(at) = at {
+        index.remove(at);
+    }
+    if let Some(new) = new {
+        let at = index.partition_point(|c| order.compare(c, &new) == Ordering::Greater);
+        index.insert(at, new);
     }
 }
 
@@ -658,6 +881,7 @@ mod tests {
 mod proptests {
     use super::tests::{admit, finish_one, JOB};
     use super::*;
+    use crate::order::Fair;
     use proptest::prelude::*;
     use ssr_dag::JobSpecBuilder;
     use ssr_simcore::dist::constant;
@@ -810,9 +1034,9 @@ mod proptests {
         }
 
         /// The id-indexed job table agrees with an ordered-map reference
-        /// on lookups, iteration order, the pending set, the incomplete
-        /// count and every job's running count, whatever order ids are
-        /// admitted in.
+        /// on lookups, iteration order, the pending set and its ordered
+        /// index, the incomplete count and every job's running count,
+        /// whatever order ids are admitted in.
         #[test]
         fn job_table_agrees_with_ordered_map_reference(
             ops in proptest::collection::vec(op_strategy(), 0..200)
@@ -840,6 +1064,21 @@ mod proptests {
                     jobs.incomplete_count(),
                     reference.values().filter(|(j, _)| !j.is_complete()).count()
                 );
+                // The ordered pending index, re-keyed under an order that
+                // reads running counts, against sorting the reference.
+                jobs.rekey(&Fair);
+                let mut sorted: Vec<JobSnapshot> = reference
+                    .values()
+                    .filter(|(j, _)| !j.is_complete() && j.has_pending_tasks())
+                    .map(|(j, running)| JobSnapshot {
+                        id: j.id(),
+                        priority: j.priority(),
+                        arrival: j.submitted_at(),
+                        running_slots: *running,
+                    })
+                    .collect();
+                crate::order::sort_worst_first(&Fair, &mut sorted);
+                prop_assert_eq!(jobs.pending_worst_first(), &sorted[..]);
                 for j in 0..9u64 {
                     let id = JobId::new(j);
                     let got = jobs.get(id).map(|s| {

@@ -22,7 +22,9 @@ pub struct JobSnapshot {
     pub priority: Priority,
     /// Its submission time.
     pub arrival: SimTime,
-    /// Slots currently running its tasks (for fair sharing).
+    /// Slots currently running its tasks (for fair sharing); 0 for an
+    /// order whose [`reads_running_slots`](JobOrder::reads_running_slots)
+    /// is `false`.
     pub running_slots: usize,
 }
 
@@ -31,9 +33,9 @@ pub struct JobSnapshot {
 /// Implementations must be deterministic: ties must be broken by a total
 /// order (we use job id) so simulations replay exactly. `select` must
 /// return the minimum of `candidates` under that order, and
-/// [`compare`](JobOrder::compare) must agree with it: the offer round
-/// sorts its candidates once with `compare` and then serves them best
-/// first.
+/// [`compare`](JobOrder::compare) must agree with it: the scheduler keeps
+/// its pending jobs sorted with `compare`, re-keying a job when it
+/// changes, and an offer round serves them best first.
 pub trait JobOrder: fmt::Debug {
     /// Picks the next job to serve from `candidates` (jobs with at least
     /// one pending task), or `None` if empty.
@@ -52,6 +54,16 @@ pub trait JobOrder: fmt::Debug {
         } else {
             Ordering::Greater
         }
+    }
+
+    /// `true` if [`select`](JobOrder::select) and
+    /// [`compare`](JobOrder::compare) read
+    /// [`running_slots`](JobSnapshot::running_slots). An order that
+    /// returns `false` is handed snapshots whose running count is 0, and
+    /// the scheduler does not re-rank a job whose running count alone
+    /// changed. The default, `true`, is always correct.
+    fn reads_running_slots(&self) -> bool {
+        true
     }
 
     /// A short human-readable name for reports.
@@ -76,6 +88,10 @@ impl JobOrder for FifoPriority {
             .then(a.id.cmp(&b.id))
     }
 
+    fn reads_running_slots(&self) -> bool {
+        false
+    }
+
     fn name(&self) -> &'static str {
         "fifo-priority"
     }
@@ -92,6 +108,10 @@ impl JobOrder for Fifo {
 
     fn compare(&self, a: &JobSnapshot, b: &JobSnapshot) -> Ordering {
         a.arrival.cmp(&b.arrival).then(a.id.cmp(&b.id))
+    }
+
+    fn reads_running_slots(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -124,12 +144,15 @@ impl JobOrder for Fair {
 
 /// Sorts an offer round's candidates worst first, so the job to serve
 /// next is always the last element — the one
-/// [`select`](JobOrder::select) would pick from the whole slice.
+/// [`select`](JobOrder::select) would pick from the whole slice. The
+/// reference the scheduler's incrementally kept pending index is tested
+/// against.
+#[cfg(test)]
 pub(crate) fn sort_worst_first(order: &dyn JobOrder, queue: &mut [JobSnapshot]) {
     queue.sort_unstable_by(|a, b| order.compare(b, a));
 }
 
-/// Puts the last candidate of a [`sort_worst_first`] queue — the job just
+/// Puts the last candidate of a worst-first queue — the job just
 /// served one more slot — back in order after bumping its running count.
 /// Only an order that reads running counts ([`Fair`]) can move it; for
 /// the static orders one comparison confirms it stays at the end.
@@ -142,6 +165,23 @@ pub(crate) fn requeue_served(order: &dyn JobOrder, queue: &mut Vec<JobSnapshot>)
             queue.insert(pos, served);
         }
         _ => queue.push(served),
+    }
+}
+
+/// An order that implements only `select`, so `compare` falls back to
+/// the trait default (as decorators that wrap another order do).
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct SelectOnly<O>(pub(crate) O);
+
+#[cfg(test)]
+impl<O: JobOrder> JobOrder for SelectOnly<O> {
+    fn select(&self, candidates: &[JobSnapshot]) -> Option<JobId> {
+        self.0.select(candidates)
+    }
+
+    fn name(&self) -> &'static str {
+        "select-only"
     }
 }
 
@@ -211,21 +251,6 @@ mod tests {
         assert_eq!(running[0] + running[1], 100);
     }
 
-    /// An order that implements only `select`, so `compare` falls back
-    /// to the trait default (as decorators that wrap another order do).
-    #[derive(Debug)]
-    struct SelectOnly(Fair);
-
-    impl JobOrder for SelectOnly {
-        fn select(&self, candidates: &[JobSnapshot]) -> Option<JobId> {
-            self.0.select(candidates)
-        }
-
-        fn name(&self) -> &'static str {
-            "select-only"
-        }
-    }
-
     #[test]
     fn native_compare_agrees_with_select() {
         let c = [snap(1, 0, 4, 3), snap(2, 7, 9, 1), snap(3, 7, 2, 1), snap(4, 0, 4, 0)];
@@ -240,9 +265,16 @@ mod tests {
                     let first = if order.compare(a, b) == Ordering::Less { a.id } else { b.id };
                     assert_eq!(order.select(&[*a, *b]), Some(first), "{}", order.name());
                     assert_eq!(order.compare(a, b), order.compare(b, a).reverse());
+                    if !order.reads_running_slots() {
+                        // The scheduler hands such an order running
+                        // counts of 0.
+                        let zeroed = |s: &JobSnapshot| JobSnapshot { running_slots: 0, ..*s };
+                        assert_eq!(order.compare(&zeroed(a), &zeroed(b)), order.compare(a, b));
+                    }
                 }
             }
         }
+        assert!(Fair.reads_running_slots() && SelectOnly(Fifo).reads_running_slots());
     }
 
     /// How one offer-round attempt on the served job ends.

@@ -23,9 +23,10 @@ const RECOVERY_DENY: [&str; 2] = [
 ];
 
 /// The recovery reach set outside `cluster/src/pool.rs`: every function
-/// the retired P001 call graph reached from `fail_slots`, `restore_slots`,
-/// `instance_crashed`, `instance_killed`, `take_offline`, `bring_online`
-/// and `expire_reservations`, by file. `Type::name` picks one of several
+/// reached from `fail_slots`, `restore_slots`, `instance_crashed`,
+/// `instance_killed`, `take_offline`, `bring_online` and
+/// `expire_reservations` (first listed from the retired P001 call graph),
+/// by file. `Type::name` picks one of several
 /// functions called `name`.
 const RECOVERY_FNS: &[(&str, &[&str])] = &[
     ("cluster/src/slot.rs", &["deadline", "expired_at", "reservation", "expire_reservations"]),
@@ -35,8 +36,9 @@ const RECOVERY_FNS: &[(&str, &[&str])] = &[
     ("scheduler/src/engine.rs", &["advance_clock", "trace_enabled", "span_enter", "span_exit"]),
     ("scheduler/src/engine.rs", &["emit", "stop_instance", "expire_reservations"]),
     ("scheduler/src/engine.rs", &["fail_slots", "restore_slots"]),
-    ("scheduler/src/jobs.rs", &["taskset_mut", "get_mut", "instance_crashed"]),
-    ("scheduler/src/jobs.rs", &["index", "entry_mut"]),
+    ("scheduler/src/jobs.rs", &["taskset_mut", "instance_crashed", "JobState::is_pending"]),
+    ("scheduler/src/jobs.rs", &["index", "entry_mut", "PendingIndex::key_of"]),
+    ("scheduler/src/jobs.rs", &["PendingIndex::touch"]),
     ("scheduler/src/taskset.rs", &["instance_crashed", "instance_killed"]),
     ("trace/src/event.rs", &["new"]),
 ];
