@@ -5,6 +5,15 @@
 //! it never bumps, fails here. The readers' side is held by the
 //! exhaustive `match` in `TraceEventKind::name` with ssr-trace's
 //! every-variant round trip, and by `fields_cover_struct` in ssr-perf.
+//!
+//! The same scenarios, rendered through `JsonlSink`, are pinned byte for
+//! byte in `tests/golden/contract_traces.jsonl`: every event kind and
+//! every fault cause, as the engine writes them. To regenerate it after an
+//! intentional change to the trace format:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test contract_coverage
+//! ```
 
 use std::collections::BTreeSet;
 
@@ -15,10 +24,10 @@ use ssr::sim::{FaultPlan, OrderConfig, PolicyConfig, SimConfig, SimReport, Simul
 use ssr::simcore::dist::{constant, pareto};
 use ssr::simcore::{SimDuration, SimTime};
 use ssr::workload::synthetic::{map_only, pareto_pipeline, pipeline_of};
-use ssr_trace::VecSink;
+use ssr_trace::{parse_trace, JsonlSink, TraceEvent, TraceSink, VecSink};
 
-/// Runs one traced scenario; returns its report and event names.
-fn run(config: SimConfig, policy: PolicyConfig) -> (SimReport, BTreeSet<&'static str>) {
+/// Runs one traced scenario; returns its report and its decision trace.
+fn run(config: SimConfig, policy: PolicyConfig) -> (SimReport, Vec<TraceEvent>) {
     let fg = pipeline_of(
         "fg",
         &[(4, constant(2.0)), (6, constant(3.0)), (2, constant(1.0))],
@@ -38,10 +47,10 @@ fn run(config: SimConfig, policy: PolicyConfig) -> (SimReport, BTreeSet<&'static
         .downcast::<VecSink>()
         .expect("VecSink recovered")
         .into_events();
-    (report, events.iter().map(|e| e.kind.name()).collect())
+    (report, events)
 }
 
-fn scenarios() -> Vec<(SimReport, BTreeSet<&'static str>)> {
+fn scenarios() -> Vec<(SimReport, Vec<TraceEvent>)> {
     let cluster = ClusterSpec::new(2, 3).expect("valid cluster");
     let base = SimConfig::new(cluster).with_seed(7);
     let faults = FaultPlan::parse(
@@ -70,7 +79,8 @@ fn scenarios() -> Vec<(SimReport, BTreeSet<&'static str>)> {
 
 #[test]
 fn scenarios_emit_every_trace_event() {
-    let emitted: BTreeSet<&str> = scenarios().into_iter().flat_map(|(_, names)| names).collect();
+    let emitted: BTreeSet<&str> =
+        scenarios().iter().flat_map(|(_, events)| events.iter().map(|e| e.kind.name())).collect();
     let missing: Vec<&str> =
         ssr_trace::ALL_EVENT_NAMES.iter().copied().filter(|n| !emitted.contains(n)).collect();
     assert!(missing.is_empty(), "never emitted: {missing:?}");
@@ -97,4 +107,39 @@ fn scenarios_move_every_work_counter() {
         .map(|(name, _)| name)
         .collect();
     assert!(zero.is_empty(), "counters never bumped: {zero:?}\n{text}");
+}
+
+/// `events` as `JsonlSink` writes them.
+fn render(events: &[TraceEvent]) -> String {
+    let mut sink = JsonlSink::new();
+    events.iter().for_each(|e| sink.record(e));
+    sink.finish()
+}
+
+#[test]
+fn scenario_traces_match_golden_and_read_back_to_the_same_bytes() {
+    let docs: Vec<String> = scenarios().iter().map(|(_, events)| render(events)).collect();
+    for doc in &docs {
+        let read = parse_trace(doc).expect("writer output parses");
+        assert!(render(&read.events) == *doc, "a trace read back renders to other bytes");
+    }
+    let actual = docs.concat();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/contract_traces.jsonl");
+    if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::create_dir_all(path.parent().expect("golden dir has a parent")).expect("create golden dir");
+        std::fs::write(&path, &actual).expect("write golden trace");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden trace {}: {e}", path.display()));
+    let drift = expected.lines().zip(actual.lines()).position(|(e, a)| e != a);
+    assert!(
+        expected == actual,
+        "the scenario traces drifted from {} (first differing line {:?}, {} lines expected, {} written); \
+         if the change is intentional, regenerate with UPDATE_GOLDEN=1 cargo test --test contract_coverage",
+        path.display(),
+        drift.map(|n| n + 1),
+        expected.lines().count(),
+        actual.lines().count(),
+    );
 }
