@@ -7,6 +7,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
+echo "==> rustfmt --check (crates/trace, held to rustfmt.toml's 120 columns)"
+# rustfmt walks the crate's module tree from lib.rs. The rest of the
+# workspace predates rustfmt.toml and is not yet held to it.
+rustfmt --check --edition 2021 crates/trace/src/lib.rs
+
 echo "==> determinism fixtures (each determinism code is rejected by its clippy lint)"
 # Lints tests/fixtures/determinism with the determinism pass below and
 # fails unless every `//~ LINT` line is rejected by LINT and nothing else

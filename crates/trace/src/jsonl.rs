@@ -123,12 +123,7 @@ impl JsonlSink {
 
     /// Appends one line: the event name, the payload `fields` writes, the
     /// sequence number and the timestamp.
-    fn write_line(
-        &mut self,
-        event: &'static str,
-        time_secs: f64,
-        fields: impl FnOnce(&mut FieldWriter<'_>),
-    ) {
+    fn write_line(&mut self, event: &'static str, time_secs: f64, fields: impl FnOnce(&mut FieldWriter<'_>)) {
         let seq = self.seq;
         if time_secs.to_bits() != self.time.0 {
             self.time.0 = time_secs.to_bits();
@@ -252,10 +247,7 @@ impl FieldWriter<'_> {
     /// A static identifier (event name, level, reason, cause): written
     /// raw, as it needs no escaping.
     fn ident(&mut self, key: &'static str, name: &'static str) {
-        debug_assert!(
-            !name.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20),
-            "identifier {name:?} needs escaping"
-        );
+        debug_assert!(!name.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20), "identifier {name:?} needs escaping");
         let out = self.key(key);
         out.push('"');
         out.push_str(name);
@@ -580,16 +572,9 @@ fn payload_keys(event: &str) -> &'static [Key] {
         "offer-round-started" => &[Key::Free, Key::Reserved, Key::Running],
         "offer-round-ended" => &[Key::Assignments],
         "offer-declined" => &[Key::Job, Key::Reason, Key::Stage],
-        "task-launched" => &[
-            Key::Attempt,
-            Key::Job,
-            Key::Level,
-            Key::Partition,
-            Key::Slot,
-            Key::Speculative,
-            Key::Stage,
-            Key::Warm,
-        ],
+        "task-launched" => {
+            &[Key::Attempt, Key::Job, Key::Level, Key::Partition, Key::Slot, Key::Speculative, Key::Stage, Key::Warm]
+        }
         "task-finished" => &[Key::Attempt, Key::DurationSecs, Key::Job, Key::Partition, Key::Slot, Key::Stage],
         "copy-killed" => &[Key::Job, Key::Partition, Key::Slot, Key::Stage],
         "reservation-granted" | "prereserve-filled" => {
@@ -675,10 +660,15 @@ enum Node<'a> {
     Float(f64),
     Str(Cow<'a, str>),
     /// An array; its items follow, up to node `end`.
-    Array { end: usize },
+    Array {
+        end: usize,
+    },
     /// An object of `len` members; each key (a `Str`) and its value
     /// follow, up to node `end`.
-    Object { len: usize, end: usize },
+    Object {
+        len: usize,
+        end: usize,
+    },
 }
 
 /// A line as [`JsonReader::line`] read it: its tape, the routes of its
@@ -798,11 +788,7 @@ impl<'a> JsonReader<'a> {
 
     /// An array (`close` is `]`) or an object (`}`), from its opening
     /// bracket on; `item` reads each item or member.
-    fn container(
-        &mut self,
-        close: u8,
-        mut item: impl FnMut(&mut Self) -> Result<(), String>,
-    ) -> Result<(), String> {
+    fn container(&mut self, close: u8, mut item: impl FnMut(&mut Self) -> Result<(), String>) -> Result<(), String> {
         let at = self.tape.len();
         self.tape.push(Node::Null);
         self.pos += 1;
@@ -970,10 +956,9 @@ impl<'t> Json<'t> {
 impl fmt::Debug for Json<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.node() {
-            Node::Array { .. } => f
-                .debug_tuple("Array")
-                .field(&fmt::from_fn(|f| f.debug_list().entries(self.items()).finish()))
-                .finish(),
+            Node::Array { .. } => {
+                f.debug_tuple("Array").field(&fmt::from_fn(|f| f.debug_list().entries(self.items()).finish())).finish()
+            }
             Node::Object { .. } => f
                 .debug_tuple("Object")
                 .field(&fmt::from_fn(|f| f.debug_list().entries(self.entries()).finish()))
@@ -1059,8 +1044,7 @@ impl<'a> Fields<'a> {
     }
 
     fn get(&self, key: Key) -> Result<Json<'a>, ReadError> {
-        self.get_opt(key)
-            .ok_or_else(|| self.err(format!("missing field {:?}", key.name())))
+        self.get_opt(key).ok_or_else(|| self.err(format!("missing field {:?}", key.name())))
     }
 
     /// Like [`get`](Self::get) but tolerating absence (schema v1 traces).
@@ -1119,11 +1103,7 @@ impl<'a> Fields<'a> {
     /// engine's static identifier.
     fn one_of(&self, key: Key, names: &[&'static str]) -> Result<&'static str, ReadError> {
         let value = self.string(key)?;
-        names
-            .iter()
-            .copied()
-            .find(|n| *n == value)
-            .ok_or_else(|| self.err(format!("unknown {} {value:?}", key.name())))
+        names.iter().copied().find(|n| *n == value).ok_or_else(|| self.err(format!("unknown {} {value:?}", key.name())))
     }
 
     fn job(&self) -> Result<JobId, ReadError> {
@@ -1192,12 +1172,8 @@ const LOCALITY_LEVELS: [&str; 4] = ["PROCESS_LOCAL", "NODE_LOCAL", "RACK_LOCAL",
 const OFFLINE_CAUSES: [&str; 4] = ["crash", "revocation", "partition", "restart"];
 
 /// Every [`DenyReason`], decoded through [`DenyReason::as_str`].
-const DENY_REASONS: [DenyReason; 4] = [
-    DenyReason::NoPendingTasks,
-    DenyReason::LocalityWait,
-    DenyReason::ReservationDenied,
-    DenyReason::NoFittingSlot,
-];
+const DENY_REASONS: [DenyReason; 4] =
+    [DenyReason::NoPendingTasks, DenyReason::LocalityWait, DenyReason::ReservationDenied, DenyReason::NoFittingSlot];
 
 /// Lowers one line's `(event, fields)` pair into the typed event kind: the
 /// inverse of [`write_fields`], name for name. The order of the accessors
@@ -1268,11 +1244,9 @@ fn parse_kind(lineno: usize, event: &str, f: &Fields<'_>) -> Result<TraceEventKi
         },
         "reservation-expired" => K::ReservationExpired { slot: f.u32(Key::Slot)?, job: f.job()? },
         "reservation-released" => K::ReservationReleased { slot: f.u32(Key::Slot)?, job: f.job()? },
-        "stale-reservation-released" => K::StaleReservationReleased {
-            slot: f.u32(Key::Slot)?,
-            job: f.job()?,
-            stage: f.stage()?,
-        },
+        "stale-reservation-released" => {
+            K::StaleReservationReleased { slot: f.u32(Key::Slot)?, job: f.job()?, stage: f.stage()? }
+        }
         "barrier-cleared" => K::BarrierCleared { job: f.job()?, stage: f.stage()? },
         "stage-completed" => K::StageCompleted { job: f.job()?, stage: f.stage()? },
         "job-completed" => K::JobCompleted { job: f.job()? },
@@ -1286,14 +1260,9 @@ fn parse_kind(lineno: usize, event: &str, f: &Fields<'_>) -> Result<TraceEventKi
             requeued: f.bool(Key::Requeued)?,
         },
         "reservation-revoked" => K::ReservationRevoked { slot: f.u32(Key::Slot)?, job: f.job()? },
-        "slot-offline" => K::SlotOffline {
-            slot: f.u32(Key::Slot)?,
-            cause: f.one_of(Key::Cause, &OFFLINE_CAUSES)?,
-        },
+        "slot-offline" => K::SlotOffline { slot: f.u32(Key::Slot)?, cause: f.one_of(Key::Cause, &OFFLINE_CAUSES)? },
         "slot-online" => K::SlotOnline { slot: f.u32(Key::Slot)? },
-        "trace-start" => {
-            return Err(ReadError::new(lineno, "trace-start may only appear as the first line"))
-        }
+        "trace-start" => return Err(ReadError::new(lineno, "trace-start may only appear as the first line")),
         other => return Err(ReadError::new(lineno, format!("unknown event {other:?}"))),
     })
 }
@@ -1606,11 +1575,9 @@ impl<'a> Decoder<'a> {
             "reservation-expired" => K::ReservationExpired { job: self.job()?, slot: self.u32(Key::Slot)? },
             "reservation-released" => K::ReservationReleased { job: self.job()?, slot: self.u32(Key::Slot)? },
             "reservation-revoked" => K::ReservationRevoked { job: self.job()?, slot: self.u32(Key::Slot)? },
-            "stale-reservation-released" => K::StaleReservationReleased {
-                job: self.job()?,
-                slot: self.u32(Key::Slot)?,
-                stage: self.stage()?,
-            },
+            "stale-reservation-released" => {
+                K::StaleReservationReleased { job: self.job()?, slot: self.u32(Key::Slot)?, stage: self.stage()? }
+            }
             "barrier-cleared" => K::BarrierCleared { job: self.job()?, stage: self.stage()? },
             "stage-completed" => K::StageCompleted { job: self.job()?, stage: self.stage()? },
             "job-completed" => K::JobCompleted { job: self.job()? },
@@ -1623,10 +1590,9 @@ impl<'a> Decoder<'a> {
                 slot: self.u32(Key::Slot)?,
                 stage: self.stage()?,
             },
-            "slot-offline" => K::SlotOffline {
-                cause: self.one_of(Key::Cause, &OFFLINE_CAUSES)?,
-                slot: self.u32(Key::Slot)?,
-            },
+            "slot-offline" => {
+                K::SlotOffline { cause: self.one_of(Key::Cause, &OFFLINE_CAUSES)?, slot: self.u32(Key::Slot)? }
+            }
             "slot-online" => K::SlotOnline { slot: self.u32(Key::Slot)? },
             _ => return None,
         })
@@ -1659,9 +1625,8 @@ mod tests {
     /// the direct writer is byte-compared against.
     fn event_fields(kind: &TraceEventKind) -> Value {
         use TraceEventKind as K;
-        let obj = |entries: Vec<(&str, Value)>| {
-            Value::Object(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-        };
+        let obj =
+            |entries: Vec<(&str, Value)>| Value::Object(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect());
         let uint = |n: u32| Value::UInt(u64::from(n));
         let opt_secs = |d: Option<f64>| d.map(Value::Float).unwrap_or(Value::Null);
         match kind {
@@ -1689,26 +1654,22 @@ mod tests {
                 ("reserved", Value::UInt(*reserved as u64)),
                 ("running", Value::UInt(*running as u64)),
             ]),
-            K::OfferRoundEnded { assignments } => {
-                obj(vec![("assignments", Value::UInt(*assignments as u64))])
-            }
+            K::OfferRoundEnded { assignments } => obj(vec![("assignments", Value::UInt(*assignments as u64))]),
             K::OfferDeclined { job, reason, stage } => obj(vec![
                 ("job", Value::UInt(job.as_u64())),
                 ("reason", Value::Str(reason.as_str().into())),
                 ("stage", stage.map(|s| uint(s.as_u32())).unwrap_or(Value::Null)),
             ]),
-            K::TaskLaunched { slot, job, stage, partition, attempt, level, speculative, warm } => {
-                obj(vec![
-                    ("attempt", uint(*attempt)),
-                    ("job", Value::UInt(job.as_u64())),
-                    ("level", Value::Str((*level).into())),
-                    ("partition", uint(*partition)),
-                    ("slot", uint(*slot)),
-                    ("speculative", Value::Bool(*speculative)),
-                    ("stage", uint(stage.as_u32())),
-                    ("warm", Value::Bool(*warm)),
-                ])
-            }
+            K::TaskLaunched { slot, job, stage, partition, attempt, level, speculative, warm } => obj(vec![
+                ("attempt", uint(*attempt)),
+                ("job", Value::UInt(job.as_u64())),
+                ("level", Value::Str((*level).into())),
+                ("partition", uint(*partition)),
+                ("slot", uint(*slot)),
+                ("speculative", Value::Bool(*speculative)),
+                ("stage", uint(stage.as_u32())),
+                ("warm", Value::Bool(*warm)),
+            ]),
             K::TaskFinished { slot, job, stage, partition, attempt, duration_secs } => obj(vec![
                 ("attempt", uint(*attempt)),
                 ("duration_secs", Value::Float(*duration_secs)),
@@ -1737,19 +1698,15 @@ mod tests {
                 ("slot", uint(*slot)),
                 ("stage", uint(stage.as_u32())),
             ]),
-            K::ReservationExpired { slot, job } | K::ReservationReleased { slot, job } => obj(vec![
-                ("job", Value::UInt(job.as_u64())),
-                ("slot", uint(*slot)),
-            ]),
-            K::StaleReservationReleased { slot, job, stage } => obj(vec![
-                ("job", Value::UInt(job.as_u64())),
-                ("slot", uint(*slot)),
-                ("stage", uint(stage.as_u32())),
-            ]),
-            K::BarrierCleared { job, stage } | K::StageCompleted { job, stage } => obj(vec![
-                ("job", Value::UInt(job.as_u64())),
-                ("stage", uint(stage.as_u32())),
-            ]),
+            K::ReservationExpired { slot, job } | K::ReservationReleased { slot, job } => {
+                obj(vec![("job", Value::UInt(job.as_u64())), ("slot", uint(*slot))])
+            }
+            K::StaleReservationReleased { slot, job, stage } => {
+                obj(vec![("job", Value::UInt(job.as_u64())), ("slot", uint(*slot)), ("stage", uint(stage.as_u32()))])
+            }
+            K::BarrierCleared { job, stage } | K::StageCompleted { job, stage } => {
+                obj(vec![("job", Value::UInt(job.as_u64())), ("stage", uint(stage.as_u32()))])
+            }
             K::JobCompleted { job } => obj(vec![("job", Value::UInt(job.as_u64()))]),
             K::LocalityUnlocked => obj(vec![]),
             K::TaskCrashed { slot, job, stage, partition, attempt, requeued } => obj(vec![
@@ -1760,14 +1717,8 @@ mod tests {
                 ("slot", uint(*slot)),
                 ("stage", uint(stage.as_u32())),
             ]),
-            K::ReservationRevoked { slot, job } => obj(vec![
-                ("job", Value::UInt(job.as_u64())),
-                ("slot", uint(*slot)),
-            ]),
-            K::SlotOffline { slot, cause } => obj(vec![
-                ("cause", Value::Str((*cause).into())),
-                ("slot", uint(*slot)),
-            ]),
+            K::ReservationRevoked { slot, job } => obj(vec![("job", Value::UInt(job.as_u64())), ("slot", uint(*slot))]),
+            K::SlotOffline { slot, cause } => obj(vec![("cause", Value::Str((*cause).into())), ("slot", uint(*slot))]),
             K::SlotOnline { slot } => obj(vec![("slot", uint(*slot))]),
         }
     }
@@ -1897,10 +1848,7 @@ mod tests {
 
         fn stages(&mut self) -> Vec<StageMeta> {
             (0..self.next() % 4)
-                .map(|_| StageMeta {
-                    tasks: self.u32(),
-                    parents: (0..self.next() % 3).map(|_| self.stage()).collect(),
-                })
+                .map(|_| StageMeta { tasks: self.u32(), parents: (0..self.next() % 3).map(|_| self.stage()).collect() })
                 .collect()
         }
     }
@@ -2005,8 +1953,14 @@ mod tests {
     fn rejects_malformed_documents() {
         let cases: &[(&str, &str)] = &[
             ("", "missing trace-start"),
-            ("{\"event\":\"job-completed\",\"fields\":{\"job\":0},\"seq\":0,\"time_secs\":0.0}\n", "expected trace-start"),
-            ("{\"event\":\"trace-start\",\"fields\":{\"schema_version\":99},\"seq\":0,\"time_secs\":0.0}\n", "unsupported schema_version"),
+            (
+                "{\"event\":\"job-completed\",\"fields\":{\"job\":0},\"seq\":0,\"time_secs\":0.0}\n",
+                "expected trace-start",
+            ),
+            (
+                "{\"event\":\"trace-start\",\"fields\":{\"schema_version\":99},\"seq\":0,\"time_secs\":0.0}\n",
+                "unsupported schema_version",
+            ),
             ("not json\n", "invalid JSON"),
         ];
         for (doc, needle) in cases {
@@ -2024,9 +1978,11 @@ mod tests {
         let err = parse_one(r#"{"event":"job-completed","fields":{"job":"one"},"seq":1,"time_secs":0.0}"#).unwrap_err();
         assert!(err.to_string().contains(r#""job" must be an unsigned integer"#), "{err}");
 
-        let bad_time = format!("{HEADER}\n{}\n{}\n",
+        let bad_time = format!(
+            "{HEADER}\n{}\n{}\n",
             r#"{"event":"job-completed","fields":{"job":1},"seq":1,"time_secs":5.0}"#,
-            r#"{"event":"job-completed","fields":{"job":2},"seq":2,"time_secs":4.0}"#);
+            r#"{"event":"job-completed","fields":{"job":2},"seq":2,"time_secs":4.0}"#
+        );
         let err = parse_trace(&bad_time).unwrap_err();
         assert_eq!(err.line, 3);
         assert!(err.to_string().contains("precedes"));
@@ -2051,12 +2007,15 @@ mod tests {
 
     #[test]
     fn rejects_unknown_and_duplicate_fields() {
-        let err = parse_one(r#"{"event":"job-completed","fields":{"bogus":5,"job":0},"seq":1,"time_secs":0.0}"#).unwrap_err();
+        let err =
+            parse_one(r#"{"event":"job-completed","fields":{"bogus":5,"job":0},"seq":1,"time_secs":0.0}"#).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains(r#"field "bogus""#), "{err}");
-        let err = parse_one(r#"{"event":"job-completed","fields":{"job":0,"job":1},"seq":1,"time_secs":0.0}"#).unwrap_err();
+        let err =
+            parse_one(r#"{"event":"job-completed","fields":{"job":0,"job":1},"seq":1,"time_secs":0.0}"#).unwrap_err();
         assert!(err.to_string().contains(r#"duplicate field "job""#), "{err}");
-        let err = parse_one(r#"{"event":"job-completed","extra":1,"fields":{"job":0},"seq":1,"time_secs":0.0}"#).unwrap_err();
+        let err =
+            parse_one(r#"{"event":"job-completed","extra":1,"fields":{"job":0},"seq":1,"time_secs":0.0}"#).unwrap_err();
         assert!(err.to_string().contains(r#"field "extra""#), "{err}");
         let err = parse_one(concat!(
             r#"{"event":"job-submitted","fields":{"job":0,"name":"fg","priority":1,"#,
@@ -2129,14 +2088,11 @@ mod tests {
                     && w.iter().all(|(k, wv)| match r.iter().find(|(rk, _)| rk == k) {
                         Some((_, rv)) => same(rv, wv),
                         None => {
-                            (k == "stages" && *wv == Value::Array(Vec::new()))
-                                || (k == "stage" && *wv == Value::Null)
+                            (k == "stages" && *wv == Value::Array(Vec::new())) || (k == "stage" && *wv == Value::Null)
                         }
                     })
             }
-            (Value::Array(r), Value::Array(w)) => {
-                r.len() == w.len() && r.iter().zip(w).all(|(a, b)| same(a, b))
-            }
+            (Value::Array(r), Value::Array(w)) => r.len() == w.len() && r.iter().zip(w).all(|(a, b)| same(a, b)),
             _ => match (value_number(read), value_number(written)) {
                 (Some(a), Some(b)) => a == b,
                 _ => read == written,
@@ -2163,8 +2119,7 @@ mod tests {
     /// a member, item or line dropped (6), a key added (7), or two lines
     /// swapped (8).
     fn hostile_edit(doc: &str, line_pick: usize, position_pick: usize, mutation: usize) -> String {
-        let mut lines: Vec<Value> =
-            doc.lines().map(|l| serde_json::from_str(l).expect("writer output")).collect();
+        let mut lines: Vec<Value> = doc.lines().map(|l| serde_json::from_str(l).expect("writer output")).collect();
         let count = lines.len();
         let line = line_pick % count;
         let mut paths = Vec::new();
@@ -2281,7 +2236,10 @@ mod tests {
             assert_eq!(err.line, 3, "{name:?}: {err}");
             assert!(err.message.starts_with("invalid JSON: "), "{name:?}: {err}");
         }
-        let raw_key = format!("{HEADER}\n{}\n", r#"{"event":"job-completed","fields":{"jo\u{1}b":0},"seq":1,"time_secs":0.0}"#.replace("\\u{1}", "\u{1}"));
+        let raw_key = format!(
+            "{HEADER}\n{}\n",
+            r#"{"event":"job-completed","fields":{"jo\u{1}b":0},"seq":1,"time_secs":0.0}"#.replace("\\u{1}", "\u{1}")
+        );
         let err = parse_trace(&raw_key).expect_err("raw control character in a key");
         assert_eq!(err.line, 2);
         assert!(err.message.starts_with("invalid JSON: "), "{err}");
@@ -2289,9 +2247,28 @@ mod tests {
 
     /// Number and literal tokens of the vendored grammar, valid or not.
     const SCALARS: [&str; 22] = [
-        "0", "1", "-2", "0.5", "1e400", "-1e400", "-0", "1.5e-3", "2E+5", "-0.0e+0", "18446744073709551615",
-        "18446744073709551616", "-9223372036854775808", "-9223372036854775809", "1.2.3", "1e", "-", "01", "null",
-        "true", "false", "nul",
+        "0",
+        "1",
+        "-2",
+        "0.5",
+        "1e400",
+        "-1e400",
+        "-0",
+        "1.5e-3",
+        "2E+5",
+        "-0.0e+0",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "1.2.3",
+        "1e",
+        "-",
+        "01",
+        "null",
+        "true",
+        "false",
+        "nul",
     ];
 
     /// String tokens: plain, escaped, and ones both parsers must reject.
@@ -2403,9 +2380,8 @@ mod tests {
 
         pub(super) fn parse_trace(input: &str) -> Result<Trace, ReadError> {
             let mut lines = input.lines().enumerate();
-            let (_, header) = lines
-                .next()
-                .ok_or_else(|| ReadError::new(0, "empty document: missing trace-start header"))?;
+            let (_, header) =
+                lines.next().ok_or_else(|| ReadError::new(0, "empty document: missing trace-start header"))?;
             let mut reader = JsonReader::default();
             let header = lex(&mut reader, 1, header)?;
             let (event, seq, _, fields) = read_line(1, header)?;
@@ -2475,9 +2451,7 @@ mod tests {
         impl<'a> Fields<'a> {
             fn new(lineno: usize, value: Json<'a>, what: &str) -> Result<Self, ReadError> {
                 match value.node() {
-                    Node::Object { len, .. } if *len <= 64 => {
-                        Ok(Fields { lineno, object: value, read: Cell::new(0) })
-                    }
+                    Node::Object { len, .. } if *len <= 64 => Ok(Fields { lineno, object: value, read: Cell::new(0) }),
                     Node::Object { .. } => Err(ReadError::new(lineno, format!("{what} has too many keys"))),
                     _ => Err(ReadError::new(lineno, format!("{what} must be an object, got {value:?}"))),
                 }
@@ -2525,9 +2499,7 @@ mod tests {
                 let value = self.get(key)?;
                 let raw = match value.node() {
                     Node::Int(n) => *n,
-                    Node::UInt(n) => {
-                        i64::try_from(*n).map_err(|_| self.err(format!("{key:?} exceeds i64 range")))?
-                    }
+                    Node::UInt(n) => i64::try_from(*n).map_err(|_| self.err(format!("{key:?} exceeds i64 range")))?,
                     _ => return Err(self.err(format!("{key:?} must be an integer, got {value:?}"))),
                 };
                 i32::try_from(raw).map_err(|_| self.err(format!("{key:?} exceeds i32 range")))
@@ -2555,11 +2527,7 @@ mod tests {
 
             fn one_of(&self, key: &str, names: &[&'static str]) -> Result<&'static str, ReadError> {
                 let value = self.string(key)?;
-                names
-                    .iter()
-                    .copied()
-                    .find(|n| *n == value)
-                    .ok_or_else(|| self.err(format!("unknown {key} {value:?}")))
+                names.iter().copied().find(|n| *n == value).ok_or_else(|| self.err(format!("unknown {key} {value:?}")))
             }
 
             fn job(&self) -> Result<JobId, ReadError> {
@@ -2682,11 +2650,9 @@ mod tests {
                 },
                 "reservation-expired" => K::ReservationExpired { slot: f.u32("slot")?, job: f.job()? },
                 "reservation-released" => K::ReservationReleased { slot: f.u32("slot")?, job: f.job()? },
-                "stale-reservation-released" => K::StaleReservationReleased {
-                    slot: f.u32("slot")?,
-                    job: f.job()?,
-                    stage: f.stage()?,
-                },
+                "stale-reservation-released" => {
+                    K::StaleReservationReleased { slot: f.u32("slot")?, job: f.job()?, stage: f.stage()? }
+                }
                 "barrier-cleared" => K::BarrierCleared { job: f.job()?, stage: f.stage()? },
                 "stage-completed" => K::StageCompleted { job: f.job()?, stage: f.stage()? },
                 "job-completed" => K::JobCompleted { job: f.job()? },
@@ -2700,14 +2666,9 @@ mod tests {
                     requeued: f.bool("requeued")?,
                 },
                 "reservation-revoked" => K::ReservationRevoked { slot: f.u32("slot")?, job: f.job()? },
-                "slot-offline" => K::SlotOffline {
-                    slot: f.u32("slot")?,
-                    cause: f.one_of("cause", &OFFLINE_CAUSES)?,
-                },
+                "slot-offline" => K::SlotOffline { slot: f.u32("slot")?, cause: f.one_of("cause", &OFFLINE_CAUSES)? },
                 "slot-online" => K::SlotOnline { slot: f.u32("slot")? },
-                "trace-start" => {
-                    return Err(ReadError::new(lineno, "trace-start may only appear as the first line"))
-                }
+                "trace-start" => return Err(ReadError::new(lineno, "trace-start may only appear as the first line")),
                 other => return Err(ReadError::new(lineno, format!("unknown event {other:?}"))),
             })
         }
@@ -2731,8 +2692,7 @@ mod tests {
     /// `doc` with the keys of every object shuffled, or with one member of
     /// one line's object or payload repeated somewhere in that object.
     fn reordered(doc: &str, p: &mut Picks<'_>) -> String {
-        let mut lines: Vec<Value> =
-            doc.lines().map(|l| serde_json::from_str(l).expect("writer output")).collect();
+        let mut lines: Vec<Value> = doc.lines().map(|l| serde_json::from_str(l).expect("writer output")).collect();
         if p.bool() {
             lines.iter_mut().for_each(|line| shuffle_keys(line, p));
         } else {
@@ -2876,7 +2836,8 @@ mod tests {
     fn paired_faults_report_as_the_reference_does() {
         let doc = render(&every_variant());
         let lines: Vec<Value> = doc.lines().map(|l| serde_json::from_str(l).expect("writer output")).collect();
-        let faults = [None, Some(Value::Str("x".into())), Some(Value::Int(-1)), Some(Value::Null), Some(Value::Bool(true))];
+        let faults =
+            [None, Some(Value::Str("x".into())), Some(Value::Int(-1)), Some(Value::Null), Some(Value::Bool(true))];
         fn object(line: &mut Value, in_payload: bool) -> Option<&mut Vec<(String, Value)>> {
             let Value::Object(entries) = line else { return None };
             if !in_payload {
@@ -2983,7 +2944,8 @@ mod tests {
             )
         };
         let granted = r#"{"event":"reservation-granted","fields":{"deadline_secs":null,"job":1,"priority":-3,"slot":3,"stage":null},"seq":1,"time_secs":1.5}"#;
-        let declined = r#"{"event":"offer-declined","fields":{"job":1,"reason":"locality-wait"},"seq":1,"time_secs":1.5}"#;
+        let declined =
+            r#"{"event":"offer-declined","fields":{"job":1,"reason":"locality-wait"},"seq":1,"time_secs":1.5}"#;
         // (what, line, whether the decoder takes it)
         let cases = [
             ("slot past u32", launched.replace(r#""slot":3"#, r#""slot":4294967296"#), false),
@@ -3035,9 +2997,8 @@ mod tests {
     /// are left to the general grammar.
     #[test]
     fn writer_shape_reads_as_the_general_grammar_does() {
-        let words: Vec<Vec<u64>> = (0..400u64)
-            .map(|i| (0..24).map(|j| (i * 24 + j).wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect())
-            .collect();
+        let words: Vec<Vec<u64>> =
+            (0..400u64).map(|i| (0..24).map(|j| (i * 24 + j).wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect()).collect();
         let mut events = every_variant();
         events.extend(generated_stream(&words));
         let doc = render(&events);

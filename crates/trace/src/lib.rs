@@ -85,10 +85,7 @@ mod tests {
         let out = sink.finish();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 21);
-        assert_eq!(
-            lines[0],
-            r#"{"event":"trace-start","fields":{"schema_version":3},"seq":0,"time_secs":0.0}"#
-        );
+        assert_eq!(lines[0], r#"{"event":"trace-start","fields":{"schema_version":3},"seq":0,"time_secs":0.0}"#);
         assert_eq!(
             lines[1],
             concat!(
@@ -260,10 +257,7 @@ mod tests {
 
     #[test]
     fn split_sink_feeds_both_outputs() {
-        let mut sink = SplitSink {
-            jsonl: Some(JsonlSink::new()),
-            metrics: Some(MetricsSink::new()),
-        };
+        let mut sink = SplitSink { jsonl: Some(JsonlSink::new()), metrics: Some(MetricsSink::new()) };
         for e in every_variant() {
             sink.record(&e);
         }

@@ -14,8 +14,7 @@ use crate::sink::TraceSink;
 /// Bucket upper bounds (seconds) for the reservation hold-time histogram.
 /// Log2-spaced from sub-second holds to multi-minute leases; anything above
 /// the last bound lands in the overflow bucket.
-pub const HOLD_TIME_BOUNDS_SECS: [f64; 10] =
-    [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
+pub const HOLD_TIME_BOUNDS_SECS: [f64; 10] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
 
 /// Fixed-bucket histogram over non-negative seconds.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -205,21 +204,14 @@ impl MetricsReport {
             ));
         }
         let h = &self.reservation_hold_secs;
-        line(format!(
-            "  reservation hold time: {} closed, mean {:.3}s",
-            h.count,
-            h.mean()
-        ));
+        line(format!("  reservation hold time: {} closed, mean {:.3}s", h.count, h.mean()));
         for (i, n) in h.buckets.iter().enumerate() {
             if *n == 0 {
                 continue;
             }
             match HOLD_TIME_BOUNDS_SECS.get(i) {
                 Some(bound) => line(format!("    <= {bound}s: {n}")),
-                None => line(format!(
-                    "    > {}s: {n}",
-                    HOLD_TIME_BOUNDS_SECS[HOLD_TIME_BOUNDS_SECS.len() - 1]
-                )),
+                None => line(format!("    > {}s: {n}", HOLD_TIME_BOUNDS_SECS[HOLD_TIME_BOUNDS_SECS.len() - 1])),
             }
         }
         match self.speculation_win_rate() {
@@ -229,10 +221,7 @@ impl MetricsReport {
             )),
             None => line("  speculation: no copies launched".into()),
         }
-        line(format!(
-            "  barriers cleared: {}, locality unlocks: {}",
-            self.barriers_cleared, self.locality_unlocks
-        ));
+        line(format!("  barriers cleared: {}, locality unlocks: {}", self.barriers_cleared, self.locality_unlocks));
         if !self.slot_seconds_per_job.is_empty() {
             line("  slot occupancy (busy slot-seconds per job):".into());
             for (job, secs) in &self.slot_seconds_per_job {
@@ -248,18 +237,14 @@ impl MetricsReport {
     /// the reservation hold-time histogram.
     pub fn render_json(&self) -> String {
         use serde::Value;
-        let obj = |entries: Vec<(&str, Value)>| {
-            Value::Object(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-        };
+        let obj =
+            |entries: Vec<(&str, Value)>| Value::Object(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect());
         let uint = Value::UInt;
         let opt = |v: Option<f64>| v.map(Value::Float).unwrap_or(Value::Null);
 
         let h = &self.reservation_hold_secs;
         let hold = obj(vec![
-            (
-                "bounds_secs",
-                Value::Array(HOLD_TIME_BOUNDS_SECS.iter().copied().map(Value::Float).collect()),
-            ),
+            ("bounds_secs", Value::Array(HOLD_TIME_BOUNDS_SECS.iter().copied().map(Value::Float).collect())),
             ("buckets", Value::Array(h.buckets.iter().copied().map(Value::UInt).collect())),
             ("count", uint(h.count)),
             ("mean_secs", Value::Float(h.mean())),
@@ -268,16 +253,11 @@ impl MetricsReport {
             ("p99_secs", opt(h.quantile(0.99))),
             ("sum_secs", Value::Float(h.sum)),
         ]);
-        let declined = Value::Object(
-            self.offers_declined.iter().map(|(k, &n)| (k.clone(), uint(n))).collect(),
-        );
+        let declined = Value::Object(self.offers_declined.iter().map(|(k, &n)| (k.clone(), uint(n))).collect());
         // Job-id keys must re-sort as strings: numeric order "9" < "10"
         // violates the ASCII-sorted-keys contract.
-        let mut per_job: Vec<(String, Value)> = self
-            .slot_seconds_per_job
-            .iter()
-            .map(|(job, &secs)| (job.to_string(), Value::Float(secs)))
-            .collect();
+        let mut per_job: Vec<(String, Value)> =
+            self.slot_seconds_per_job.iter().map(|(job, &secs)| (job.to_string(), Value::Float(secs))).collect();
         per_job.sort_by(|a, b| a.0.cmp(&b.0));
 
         let root = obj(vec![
@@ -376,10 +356,7 @@ impl TraceSink for MetricsSink {
             K::LocalityUnlocked => r.locality_unlocks += 1,
             K::TaskCrashed { .. } => r.tasks_crashed += 1,
             K::ReservationRevoked { .. } => r.reservations_revoked += 1,
-            K::OfferRoundEnded { .. }
-            | K::StageCompleted { .. }
-            | K::SlotOffline { .. }
-            | K::SlotOnline { .. } => {}
+            K::OfferRoundEnded { .. } | K::StageCompleted { .. } | K::SlotOffline { .. } | K::SlotOnline { .. } => {}
         }
         // An occupancy change ends whatever the slot held (a launch
         // consumes a reservation). Going offline changes nothing: a
@@ -395,8 +372,7 @@ impl TraceSink for MetricsSink {
                 r.reservation_hold_secs.record(now - since.as_secs_f64());
             }
             SlotState::Running { job, since, .. } => {
-                *r.slot_seconds_per_job.entry(job.as_u64()).or_insert(0.0) +=
-                    now - since.as_secs_f64();
+                *r.slot_seconds_per_job.entry(job.as_u64()).or_insert(0.0) += now - since.as_secs_f64();
             }
         }
     }

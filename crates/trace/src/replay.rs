@@ -232,10 +232,7 @@ mod tests {
         let held = SlotState::Reserved { job, since: SimTime::from_secs(1) };
         assert_eq!(
             touched,
-            [
-                (7, Slot { state: SlotState::Free, offline: true }),
-                (u32::MAX, Slot { state: held, offline: false }),
-            ]
+            [(7, Slot { state: SlotState::Free, offline: true }), (u32::MAX, Slot { state: held, offline: false }),]
         );
         assert_eq!(replay.slot(8), Slot::FREE, "untouched slots read as free");
     }

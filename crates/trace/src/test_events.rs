@@ -16,18 +16,31 @@ pub(crate) fn every_variant() -> Vec<TraceEvent> {
     let prio = Priority::new(-2);
     let at = |s: f64, kind: TraceEventKind| TraceEvent::new(SimTime::from_secs_f64(s), kind);
     vec![
-        at(0.0, K::JobSubmitted {
-            job,
-            name: "fixture".into(),
-            priority: prio,
-            stages: vec![StageMeta { tasks: 3, parents: vec![] }, StageMeta { tasks: 1, parents: vec![s0] }],
-        }),
+        at(
+            0.0,
+            K::JobSubmitted {
+                job,
+                name: "fixture".into(),
+                priority: prio,
+                stages: vec![StageMeta { tasks: 3, parents: vec![] }, StageMeta { tasks: 1, parents: vec![s0] }],
+            },
+        ),
         at(0.0, K::OfferRoundStarted { free: 2, running: 1, reserved: 1 }),
         at(0.0, K::OfferRoundEnded { assignments: 1 }),
         at(0.0, K::OfferDeclined { job, reason: DenyReason::ReservationDenied, stage: Some(s0) }),
-        at(0.0, K::TaskLaunched {
-            slot: 3, job, stage: s0, partition: 2, attempt: 1, level: "RACK_LOCAL", speculative: true, warm: true,
-        }),
+        at(
+            0.0,
+            K::TaskLaunched {
+                slot: 3,
+                job,
+                stage: s0,
+                partition: 2,
+                attempt: 1,
+                level: "RACK_LOCAL",
+                speculative: true,
+                warm: true,
+            },
+        ),
         at(1.25, K::TaskFinished { slot: 3, job, stage: s0, partition: 2, attempt: 1, duration_secs: 1.25 }),
         at(1.25, K::CopyKilled { slot: 0, job, stage: s0, partition: 2 }),
         at(1.25, K::ReservationGranted { slot: 3, job, priority: prio, stage: Some(s1), deadline_secs: Some(31.25) }),
