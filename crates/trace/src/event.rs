@@ -280,61 +280,6 @@ pub enum TraceEventKind {
     },
 }
 
-impl TraceEventKind {
-    /// Stable kebab-case event name used in the JSONL schema.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEventKind::JobSubmitted { .. } => "job-submitted",
-            TraceEventKind::OfferRoundStarted { .. } => "offer-round-started",
-            TraceEventKind::OfferRoundEnded { .. } => "offer-round-ended",
-            TraceEventKind::OfferDeclined { .. } => "offer-declined",
-            TraceEventKind::TaskLaunched { .. } => "task-launched",
-            TraceEventKind::TaskFinished { .. } => "task-finished",
-            TraceEventKind::CopyKilled { .. } => "copy-killed",
-            TraceEventKind::ReservationGranted { .. } => "reservation-granted",
-            TraceEventKind::PrereserveFilled { .. } => "prereserve-filled",
-            TraceEventKind::ReservationExpired { .. } => "reservation-expired",
-            TraceEventKind::ReservationReleased { .. } => "reservation-released",
-            TraceEventKind::StaleReservationReleased { .. } => "stale-reservation-released",
-            TraceEventKind::BarrierCleared { .. } => "barrier-cleared",
-            TraceEventKind::StageCompleted { .. } => "stage-completed",
-            TraceEventKind::JobCompleted { .. } => "job-completed",
-            TraceEventKind::LocalityUnlocked => "locality-unlocked",
-            TraceEventKind::TaskCrashed { .. } => "task-crashed",
-            TraceEventKind::ReservationRevoked { .. } => "reservation-revoked",
-            TraceEventKind::SlotOffline { .. } => "slot-offline",
-            TraceEventKind::SlotOnline { .. } => "slot-online",
-        }
-    }
-}
-
-/// Every event name the schema defines, in declaration order. The
-/// exhaustive `match` in [`TraceEventKind::name`] is the compile-time
-/// witness that every variant has a name; the every-variant round-trip
-/// test checks this list against it.
-pub const ALL_EVENT_NAMES: [&str; 20] = [
-    "job-submitted",
-    "offer-round-started",
-    "offer-round-ended",
-    "offer-declined",
-    "task-launched",
-    "task-finished",
-    "copy-killed",
-    "reservation-granted",
-    "prereserve-filled",
-    "reservation-expired",
-    "reservation-released",
-    "stale-reservation-released",
-    "barrier-cleared",
-    "stage-completed",
-    "job-completed",
-    "locality-unlocked",
-    "task-crashed",
-    "reservation-revoked",
-    "slot-offline",
-    "slot-online",
-];
-
 /// A timestamped scheduler decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {

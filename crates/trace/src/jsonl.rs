@@ -1,6 +1,16 @@
 //! The JSONL trace format, both directions: [`JsonlSink`] writes it and
 //! [`parse_trace`] reads it back.
 //!
+//! Each event's wire shape is declared once, in the event table below (an
+//! `events!` invocation): its [`TraceEventKind`] variant, its wire name,
+//! its fields in wire order, each with its [`Wire`] codec, and the order
+//! in which the general reader checks them. The table is the only place
+//! an event's shape lives. The writer, each event's expected keys, the
+//! direct decoder, the general reader's lowering, [`TraceEventKind::name`]
+//! and [`ALL_EVENT_NAMES`] are all generated from it, and the generated
+//! patterns and literals hold it to the enum: a variant whose fields
+//! change without its row fails to compile.
+//!
 //! The reader validates a document against the schema the writer emits
 //! (event names, field names and types are required; key order is not)
 //! and lowers each line back into the typed [`TraceEvent`] the engine
@@ -30,7 +40,7 @@
 //! Tests hold the writer to the tree writer it replaced, the general
 //! grammar to the vendored parser, the direct decoder to the general
 //! grammar, and the reader to the search-per-field reader it replaced,
-//! error for error.
+//! error for error. None of those references is generated from the table.
 //!
 //! The reader accepts schema v1 through v3 documents. v1 traces lack the
 //! per-stage DAG metadata on `job-submitted` and the blocked `stage` on
@@ -66,6 +76,483 @@ use crate::sink::TraceSink;
 ///   runs with an empty `FaultPlan` contain none of them, so v2 readers
 ///   still parse fault-free v3 output.
 pub const SCHEMA_VERSION: u32 = 3;
+
+/// Generates everything that depends on an event's shape from the event
+/// table: [`TraceEventKind::name`], [`ALL_EVENT_NAMES`], `write_fields`,
+/// `payload_keys`, `parse_kind` and [`Decoder::payload`].
+///
+/// A row reads `Variant = "wire-name" { field: Codec, .. } read [field, ..];`.
+/// The fields come in wire order (sorted), as the writer writes them and
+/// the direct decoder expects them; each field is also its [`Key`]. The
+/// `read` list is the order in which the general reader checks the
+/// fields, the variant's declaration order: where a line holds several
+/// faults, the first in that order is the one reported.
+macro_rules! events {
+    ($($variant:ident = $name:literal { $($field:ident: $codec:ty),* $(,)? } read [$($read:ident),* $(,)?];)*) => {
+        impl TraceEventKind {
+            /// Stable kebab-case event name used in the JSONL schema.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(TraceEventKind::$variant { .. } => $name,)*
+                }
+            }
+        }
+
+        /// Every event name the schema defines, in declaration order.
+        pub const ALL_EVENT_NAMES: [&str; [$($name),*].len()] = [$($name),*];
+
+        /// Writes an event's payload, keys sorted.
+        fn write_fields(f: &mut FieldWriter<'_>, kind: &TraceEventKind) {
+            match kind {
+                $(TraceEventKind::$variant { $($field),* } => {
+                    $(<$codec as Wire>::write(f.key(Key::$field), $field);)*
+                })*
+            }
+        }
+
+        /// The payload keys of `event`, in the order [`write_fields`] emits
+        /// them (sorted); none for `locality-unlocked` and for unknown events.
+        fn payload_keys(event: &str) -> &'static [Key] {
+            match event {
+                "trace-start" => &[Key::schema_version],
+                $($name => &[$(Key::$field),*],)*
+                _ => &[],
+            }
+        }
+
+        /// Lowers one line's `(event, fields)` pair into the typed event
+        /// kind: the inverse of [`write_fields`], name for name. Each field
+        /// is read, and the first fault in the row's `read` order is the
+        /// one reported.
+        fn parse_kind(lineno: usize, event: &str, f: &Fields<'_>) -> Result<TraceEventKind, ReadError> {
+            Ok(match event {
+                $($name => {
+                    $(let $field = <$codec as Wire>::read(f, Key::$field);)*
+                    TraceEventKind::$variant { $($read: $read?),* }
+                })*
+                "trace-start" => return Err(ReadError::new(lineno, "trace-start may only appear as the first line")),
+                other => return Err(ReadError::new(lineno, format!("unknown event {other:?}"))),
+            })
+        }
+
+        impl Decoder<'_> {
+            /// The payload of `event`, its members read in the order
+            /// [`write_fields`] writes them; `None` for `trace-start` and
+            /// for unknown events.
+            fn payload(&mut self, event: &str) -> Option<TraceEventKind> {
+                Some(match event {
+                    $($name => {
+                        $(
+                            self.key(Key::$field)?;
+                            let $field = <$codec as Wire>::decode(self)?;
+                        )*
+                        TraceEventKind::$variant { $($field),* }
+                    })*
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+events! {
+    JobSubmitted = "job-submitted" { job: JobId, name: String, priority: Priority, stages: Vec<StageMeta> }
+        read [job, name, priority, stages];
+    OfferRoundStarted = "offer-round-started" { free: usize, reserved: usize, running: usize }
+        read [free, running, reserved];
+    OfferRoundEnded = "offer-round-ended" { assignments: usize } read [assignments];
+    OfferDeclined = "offer-declined" { job: JobId, reason: DenyReason, stage: Option<StageId> }
+        read [job, reason, stage];
+    TaskLaunched = "task-launched" {
+        attempt: u32, job: JobId, level: Level, partition: u32, slot: u32, speculative: bool, stage: StageId, warm: bool,
+    } read [slot, job, stage, partition, attempt, level, speculative, warm];
+    TaskFinished = "task-finished" {
+        attempt: u32, duration_secs: f64, job: JobId, partition: u32, slot: u32, stage: StageId,
+    } read [slot, job, stage, partition, attempt, duration_secs];
+    CopyKilled = "copy-killed" { job: JobId, partition: u32, slot: u32, stage: StageId }
+        read [slot, job, stage, partition];
+    ReservationGranted = "reservation-granted" {
+        deadline_secs: Option<f64>, job: JobId, priority: Priority, slot: u32, stage: Option<StageId>,
+    } read [slot, job, priority, stage, deadline_secs];
+    PrereserveFilled = "prereserve-filled" {
+        deadline_secs: Option<f64>, job: JobId, priority: Priority, slot: u32, stage: StageId,
+    } read [slot, job, stage, priority, deadline_secs];
+    ReservationExpired = "reservation-expired" { job: JobId, slot: u32 } read [slot, job];
+    ReservationReleased = "reservation-released" { job: JobId, slot: u32 } read [slot, job];
+    StaleReservationReleased = "stale-reservation-released" { job: JobId, slot: u32, stage: StageId }
+        read [slot, job, stage];
+    BarrierCleared = "barrier-cleared" { job: JobId, stage: StageId } read [job, stage];
+    StageCompleted = "stage-completed" { job: JobId, stage: StageId } read [job, stage];
+    JobCompleted = "job-completed" { job: JobId } read [job];
+    LocalityUnlocked = "locality-unlocked" {} read [];
+    TaskCrashed = "task-crashed" {
+        attempt: u32, job: JobId, partition: u32, requeued: bool, slot: u32, stage: StageId,
+    } read [slot, job, stage, partition, attempt, requeued];
+    ReservationRevoked = "reservation-revoked" { job: JobId, slot: u32 } read [slot, job];
+    SlotOffline = "slot-offline" { cause: Cause, slot: u32 } read [slot, cause];
+    SlotOnline = "slot-online" { slot: u32 } read [slot];
+}
+
+/// The codec of one wire value type, which the event table picks for each
+/// field: how the writer writes a value, how the direct decoder decodes it
+/// and how the general reader reads it, or reports what is wrong with it.
+trait Wire {
+    /// The field's type in [`TraceEventKind`].
+    type Value;
+
+    /// Appends the value after its key, in the vendored serializer's byte
+    /// format: integers as `{n}`, floats as `{x:?}` (`null` when not
+    /// finite), free text through its string escaping.
+    fn write(out: &mut String, value: &Self::Value);
+
+    /// Decodes the value after its key, if it is in the writer's byte
+    /// shape.
+    fn decode(d: &mut Decoder<'_>) -> Option<Self::Value>;
+
+    /// Reads member `key` of `f`.
+    fn read(f: &Fields<'_>, key: Key) -> Result<Self::Value, ReadError>;
+}
+
+impl Wire for u32 {
+    type Value = u32;
+
+    fn write(out: &mut String, n: &u32) {
+        push_uint(out, (*n).into());
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<u32> {
+        d.uint32()
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<u32, ReadError> {
+        u32::try_from(f.u64(key)?).map_err(|_| f.fault(key, "exceeds u32 range"))
+    }
+}
+
+impl Wire for usize {
+    type Value = usize;
+
+    fn write(out: &mut String, n: &usize) {
+        push_uint(out, *n as u64);
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<usize> {
+        usize::try_from(d.uint()?).ok()
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<usize, ReadError> {
+        usize::try_from(f.u64(key)?).map_err(|_| f.fault(key, "exceeds usize range"))
+    }
+}
+
+impl Wire for JobId {
+    type Value = JobId;
+
+    fn write(out: &mut String, job: &JobId) {
+        push_uint(out, job.as_u64());
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<JobId> {
+        d.uint().map(JobId::new)
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<JobId, ReadError> {
+        f.u64(key).map(JobId::new)
+    }
+}
+
+impl Wire for StageId {
+    type Value = StageId;
+
+    fn write(out: &mut String, stage: &StageId) {
+        push_uint(out, stage.as_u32().into());
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<StageId> {
+        d.uint32().map(StageId::new)
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<StageId, ReadError> {
+        u32::read(f, key).map(StageId::new)
+    }
+}
+
+/// A nullable stage (`offer-declined`, `reservation-granted`), which
+/// schema v1 `offer-declined` lines leave out.
+impl Wire for Option<StageId> {
+    type Value = Option<StageId>;
+
+    fn write(out: &mut String, stage: &Option<StageId>) {
+        match stage {
+            Some(stage) => StageId::write(out, stage),
+            None => out.push_str("null"),
+        }
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<Option<StageId>> {
+        if d.eat("null") {
+            return Some(None);
+        }
+        StageId::decode(d).map(Some)
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<Option<StageId>, ReadError> {
+        match f.get_opt(key).map(Json::node) {
+            None | Some(Node::Null) => Ok(None),
+            Some(_) => StageId::read(f, key).map(Some),
+        }
+    }
+}
+
+impl Wire for Priority {
+    type Value = Priority;
+
+    fn write(out: &mut String, priority: &Priority) {
+        let level = priority.level();
+        if level < 0 {
+            out.push('-');
+        }
+        push_uint(out, level.unsigned_abs().into());
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<Priority> {
+        let negative = d.eat("-");
+        let n = i64::try_from(d.uint()?).ok()?;
+        i32::try_from(if negative { -n } else { n }).ok().map(Priority::new)
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<Priority, ReadError> {
+        let value = f.get(key)?;
+        let raw = match value.node() {
+            Node::Int(n) => *n,
+            Node::UInt(n) => i64::try_from(*n).map_err(|_| f.fault(key, "exceeds i64 range"))?,
+            _ => return Err(f.mistyped(key, "an integer", value)),
+        };
+        i32::try_from(raw).map(Priority::new).map_err(|_| f.fault(key, "exceeds i32 range"))
+    }
+}
+
+impl Wire for bool {
+    type Value = bool;
+
+    fn write(out: &mut String, b: &bool) {
+        out.push_str(if *b { "true" } else { "false" });
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<bool> {
+        if d.eat("true") {
+            return Some(true);
+        }
+        d.lit("false").map(|()| false)
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<bool, ReadError> {
+        let value = f.get(key)?;
+        match value.node() {
+            Node::Bool(b) => Ok(*b),
+            _ => Err(f.mistyped(key, "a boolean", value)),
+        }
+    }
+}
+
+impl Wire for f64 {
+    type Value = f64;
+
+    fn write(out: &mut String, x: &f64) {
+        push_float(out, *x);
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<f64> {
+        d.float()
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<f64, ReadError> {
+        f.f64(key)
+    }
+}
+
+/// Optional seconds (a deadline): a number or `null`, never absent.
+impl Wire for Option<f64> {
+    type Value = Option<f64>;
+
+    fn write(out: &mut String, x: &Option<f64>) {
+        match x {
+            Some(x) => push_float(out, *x),
+            None => out.push_str("null"),
+        }
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<Option<f64>> {
+        if d.eat("null") {
+            return Some(None);
+        }
+        d.float().map(Some)
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<Option<f64>, ReadError> {
+        match f.get(key)?.node() {
+            Node::Null => Ok(None),
+            _ => f.f64(key).map(Some),
+        }
+    }
+}
+
+/// Free text (a job name), escaped by the vendored serializer.
+impl Wire for String {
+    type Value = String;
+
+    fn write(out: &mut String, text: &String) {
+        out.push_str(&serde_json::to_string(text).expect("serializer is total"));
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<String> {
+        d.string().map(str::to_owned)
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<String, ReadError> {
+        f.string(key).map(str::to_owned)
+    }
+}
+
+/// `job-submitted`'s `stages`, each entry `{"parents":[..],"tasks":n}`;
+/// absent in schema v1 traces.
+impl Wire for Vec<StageMeta> {
+    type Value = Vec<StageMeta>;
+
+    fn write(out: &mut String, stages: &Vec<StageMeta>) {
+        push_array(out, stages, |out, s| {
+            FieldWriter::write_object(out, |m| {
+                push_array(m.key(Key::parents), &s.parents, StageId::write);
+                u32::write(m.key(Key::tasks), &s.tasks);
+            });
+        });
+    }
+
+    fn decode(d: &mut Decoder<'_>) -> Option<Vec<StageMeta>> {
+        d.array(|d| {
+            d.lit(r#"{"parents":"#)?;
+            let parents = d.array(StageId::decode)?;
+            d.lit(r#","tasks":"#)?;
+            let tasks = d.uint32()?;
+            d.lit("}")?;
+            Some(StageMeta { tasks, parents })
+        })
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<Vec<StageMeta>, ReadError> {
+        let Some(value) = f.get_opt(key) else {
+            return Ok(Vec::new());
+        };
+        let Node::Array { .. } = value.node() else {
+            return Err(f.mistyped(key, "an array", value));
+        };
+        value
+            .items()
+            .map(|item| {
+                let routes = Routes::of(item, STAGE_KEYS);
+                let meta = Fields::new(f.lineno, item, "stage entry", &routes)?;
+                let parents = meta.get(Key::parents)?;
+                let Node::Array { .. } = parents.node() else {
+                    return Err(f.err("\"parents\" must be an array"));
+                };
+                let parents = parents
+                    .items()
+                    .map(|p| match p.node() {
+                        Node::UInt(n) => {
+                            u32::try_from(*n).map(StageId::new).map_err(|_| f.err("parent stage id exceeds u32 range"))
+                        }
+                        _ => Err(f.err(format!("parent stage id must be an unsigned integer, got {p:?}"))),
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                let tasks = u32::read(&meta, Key::tasks)?;
+                meta.finish()?;
+                Ok(StageMeta { tasks, parents })
+            })
+            .collect()
+    }
+}
+
+/// Every [`DenyReason`], decoded through [`DenyReason::as_str`].
+const DENY_REASONS: [DenyReason; 4] =
+    [DenyReason::NoPendingTasks, DenyReason::LocalityWait, DenyReason::ReservationDenied, DenyReason::NoFittingSlot];
+
+impl Wire for DenyReason {
+    type Value = DenyReason;
+
+    fn write(out: &mut String, reason: &DenyReason) {
+        push_ident(out, reason.as_str());
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<DenyReason> {
+        let reason = d.string()?;
+        DENY_REASONS.into_iter().find(|r| r.as_str() == reason)
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<DenyReason, ReadError> {
+        let reason = f.string(key)?;
+        DENY_REASONS
+            .into_iter()
+            .find(|r| r.as_str() == reason)
+            .ok_or_else(|| f.err(format!("unknown deny reason {reason:?}")))
+    }
+}
+
+/// The delay-scheduling locality levels the engine writes on
+/// `task-launched`.
+const LOCALITY_LEVELS: [&str; 4] = ["PROCESS_LOCAL", "NODE_LOCAL", "RACK_LOCAL", "ANY"];
+
+/// The fault causes the engine writes on `slot-offline`.
+const OFFLINE_CAUSES: [&str; 4] = ["crash", "revocation", "partition", "restart"];
+
+/// A field whose value is one of a fixed list of static identifiers,
+/// each written raw and read back as the list's own `&'static str`.
+trait Idents {
+    const NAMES: &'static [&'static str];
+}
+
+/// The codec of `task-launched`'s `level`.
+struct Level;
+
+/// The codec of `slot-offline`'s `cause`.
+struct Cause;
+
+impl Idents for Level {
+    const NAMES: &'static [&'static str] = &LOCALITY_LEVELS;
+}
+
+impl Idents for Cause {
+    const NAMES: &'static [&'static str] = &OFFLINE_CAUSES;
+}
+
+impl<I: Idents> Wire for I {
+    type Value = &'static str;
+
+    fn write(out: &mut String, name: &&'static str) {
+        push_ident(out, name);
+    }
+
+    #[inline(always)]
+    fn decode(d: &mut Decoder<'_>) -> Option<&'static str> {
+        let value = d.string()?;
+        I::NAMES.iter().copied().find(|n| *n == value)
+    }
+
+    fn read(f: &Fields<'_>, key: Key) -> Result<&'static str, ReadError> {
+        let value = f.string(key)?;
+        I::NAMES.iter().copied().find(|n| *n == value).ok_or_else(|| f.err(format!("unknown {} {value:?}", key.name())))
+    }
+}
 
 /// Streams events as byte-stable JSON Lines.
 ///
@@ -106,7 +593,7 @@ impl JsonlSink {
     pub fn new() -> Self {
         let mut sink = JsonlSink { out: String::new(), seq: 0, time: (0.0_f64.to_bits(), String::new()) };
         push_float(&mut sink.time.1, 0.0);
-        sink.write_line("trace-start", 0.0, |f| f.uint("schema_version", SCHEMA_VERSION));
+        sink.write_line("trace-start", 0.0, |f| u32::write(f.key(Key::schema_version), &SCHEMA_VERSION));
         sink
     }
 
@@ -132,10 +619,10 @@ impl JsonlSink {
         }
         let time = &self.time.1;
         FieldWriter::write_object(&mut self.out, |line| {
-            line.ident("event", event);
-            line.object("fields", fields);
-            line.uint("seq", seq);
-            line.key("time_secs").push_str(time);
+            push_ident(line.key(Key::event), event);
+            FieldWriter::write_object(line.key(Key::fields), fields);
+            push_uint(line.key(Key::seq), seq);
+            line.key(Key::time_secs).push_str(time);
         });
         self.out.push('\n');
         self.seq += 1;
@@ -152,15 +639,14 @@ impl TraceSink for JsonlSink {
     }
 }
 
-/// Writes one JSON object's members straight into the line buffer, in the
-/// byte format of the vendored serializer: integers as `{n}`, floats as
-/// `{x:?}` (`null` when not finite), free text through its string escaping.
+/// Writes one JSON object's members straight into the line buffer, each
+/// value as its [`Wire`] codec writes it.
 ///
 /// Keys must come in sorted order, as the format promises; debug builds
 /// check it.
 struct FieldWriter<'o> {
     out: &'o mut String,
-    last: Option<&'static str>,
+    last: Option<Key>,
 }
 
 impl FieldWriter<'_> {
@@ -173,91 +659,41 @@ impl FieldWriter<'_> {
     }
 
     /// Writes the separator and `"key":`, returning the buffer for the value.
-    fn key(&mut self, key: &'static str) -> &mut String {
+    fn key(&mut self, key: Key) -> &mut String {
         debug_assert!(
-            self.last.is_none_or(|last| last < key),
-            "JSONL keys must be sorted: {key:?} after {:?}",
-            self.last
+            self.last.is_none_or(|last| last.name() < key.name()),
+            "JSONL keys must be sorted: {:?} after {:?}",
+            key.name(),
+            self.last.map(|last| last.name())
         );
         if self.last.is_some() {
             self.out.push(',');
         }
         self.last = Some(key);
-        self.out.push('"');
-        self.out.push_str(key);
-        self.out.push_str("\":");
+        self.out.push_str(key.quoted());
         self.out
     }
+}
 
-    fn object(&mut self, key: &'static str, members: impl FnOnce(&mut FieldWriter<'_>)) {
-        FieldWriter::write_object(self.key(key), members);
-    }
-
-    fn array<T>(
-        &mut self,
-        key: &'static str,
-        items: impl IntoIterator<Item = T>,
-        mut item: impl FnMut(&mut String, T),
-    ) {
-        let out = self.key(key);
-        out.push('[');
-        for (i, value) in items.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            item(out, value);
+/// Appends `[`, the items as `item` writes them separated by `,`, then `]`.
+fn push_array<T>(out: &mut String, items: impl IntoIterator<Item = T>, mut item: impl FnMut(&mut String, T)) {
+    out.push('[');
+    for (i, value) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        out.push(']');
+        item(out, value);
     }
+    out.push(']');
+}
 
-    fn uint(&mut self, key: &'static str, n: impl Into<u64>) {
-        push_uint(self.key(key), n.into());
-    }
-
-    fn int(&mut self, key: &'static str, n: i32) {
-        let out = self.key(key);
-        if n < 0 {
-            out.push('-');
-        }
-        push_uint(out, n.unsigned_abs().into());
-    }
-
-    fn opt_uint(&mut self, key: &'static str, n: Option<u32>) {
-        match n {
-            Some(n) => self.uint(key, n),
-            None => self.key(key).push_str("null"),
-        }
-    }
-
-    fn float(&mut self, key: &'static str, x: f64) {
-        push_float(self.key(key), x);
-    }
-
-    fn opt_float(&mut self, key: &'static str, x: Option<f64>) {
-        match x {
-            Some(x) => self.float(key, x),
-            None => self.key(key).push_str("null"),
-        }
-    }
-
-    fn bool(&mut self, key: &'static str, b: bool) {
-        self.key(key).push_str(if b { "true" } else { "false" });
-    }
-
-    /// A static identifier (event name, level, reason, cause): written
-    /// raw, as it needs no escaping.
-    fn ident(&mut self, key: &'static str, name: &'static str) {
-        debug_assert!(!name.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20), "identifier {name:?} needs escaping");
-        let out = self.key(key);
-        out.push('"');
-        out.push_str(name);
-        out.push('"');
-    }
-
-    /// Free text, escaped by the vendored serializer.
-    fn text(&mut self, key: &'static str, text: &str) {
-        self.key(key).push_str(&serde_json::to_string(text).expect("serializer is total"));
-    }
+/// Appends a static identifier (event name, level, reason, cause) as a
+/// string: raw, as it needs no escaping.
+fn push_ident(out: &mut String, name: &str) {
+    debug_assert!(!name.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20), "identifier {name:?} needs escaping");
+    out.push('"');
+    out.push_str(name);
+    out.push('"');
 }
 
 /// Appends `n` as `{n}` formats it.
@@ -281,103 +717,6 @@ fn push_float(out: &mut String, x: f64) {
         let _ = write!(out, "{x:?}");
     } else {
         out.push_str("null");
-    }
-}
-
-/// Writes an event's payload, keys sorted.
-fn write_fields(f: &mut FieldWriter<'_>, kind: &TraceEventKind) {
-    use TraceEventKind as K;
-    match kind {
-        K::JobSubmitted { job, name, priority, stages } => {
-            f.uint("job", job.as_u64());
-            f.text("name", name);
-            f.int("priority", priority.level());
-            f.array("stages", stages, |out, s| {
-                FieldWriter::write_object(out, |m| {
-                    m.array("parents", &s.parents, |out, p| push_uint(out, p.as_u32().into()));
-                    m.uint("tasks", s.tasks);
-                });
-            });
-        }
-        K::OfferRoundStarted { free, running, reserved } => {
-            f.uint("free", *free as u64);
-            f.uint("reserved", *reserved as u64);
-            f.uint("running", *running as u64);
-        }
-        K::OfferRoundEnded { assignments } => f.uint("assignments", *assignments as u64),
-        K::OfferDeclined { job, reason, stage } => {
-            f.uint("job", job.as_u64());
-            f.ident("reason", reason.as_str());
-            f.opt_uint("stage", stage.map(StageId::as_u32));
-        }
-        K::TaskLaunched { slot, job, stage, partition, attempt, level, speculative, warm } => {
-            f.uint("attempt", *attempt);
-            f.uint("job", job.as_u64());
-            f.ident("level", level);
-            f.uint("partition", *partition);
-            f.uint("slot", *slot);
-            f.bool("speculative", *speculative);
-            f.uint("stage", stage.as_u32());
-            f.bool("warm", *warm);
-        }
-        K::TaskFinished { slot, job, stage, partition, attempt, duration_secs } => {
-            f.uint("attempt", *attempt);
-            f.float("duration_secs", *duration_secs);
-            f.uint("job", job.as_u64());
-            f.uint("partition", *partition);
-            f.uint("slot", *slot);
-            f.uint("stage", stage.as_u32());
-        }
-        K::CopyKilled { slot, job, stage, partition } => {
-            f.uint("job", job.as_u64());
-            f.uint("partition", *partition);
-            f.uint("slot", *slot);
-            f.uint("stage", stage.as_u32());
-        }
-        K::ReservationGranted { slot, job, priority, stage, deadline_secs } => {
-            f.opt_float("deadline_secs", *deadline_secs);
-            f.uint("job", job.as_u64());
-            f.int("priority", priority.level());
-            f.uint("slot", *slot);
-            f.opt_uint("stage", stage.map(StageId::as_u32));
-        }
-        K::PrereserveFilled { slot, job, stage, priority, deadline_secs } => {
-            f.opt_float("deadline_secs", *deadline_secs);
-            f.uint("job", job.as_u64());
-            f.int("priority", priority.level());
-            f.uint("slot", *slot);
-            f.uint("stage", stage.as_u32());
-        }
-        K::ReservationExpired { slot, job }
-        | K::ReservationReleased { slot, job }
-        | K::ReservationRevoked { slot, job } => {
-            f.uint("job", job.as_u64());
-            f.uint("slot", *slot);
-        }
-        K::StaleReservationReleased { slot, job, stage } => {
-            f.uint("job", job.as_u64());
-            f.uint("slot", *slot);
-            f.uint("stage", stage.as_u32());
-        }
-        K::BarrierCleared { job, stage } | K::StageCompleted { job, stage } => {
-            f.uint("job", job.as_u64());
-            f.uint("stage", stage.as_u32());
-        }
-        K::JobCompleted { job } => f.uint("job", job.as_u64()),
-        K::LocalityUnlocked => {}
-        K::TaskCrashed { slot, job, stage, partition, attempt, requeued } => {
-            f.uint("attempt", *attempt);
-            f.uint("job", job.as_u64());
-            f.uint("partition", *partition);
-            f.bool("requeued", *requeued);
-            f.uint("slot", *slot);
-            f.uint("stage", stage.as_u32());
-        }
-        K::SlotOffline { slot, cause } => {
-            f.ident("cause", cause);
-            f.uint("slot", *slot);
-        }
-        K::SlotOnline { slot } => f.uint("slot", *slot),
     }
 }
 
@@ -441,7 +780,7 @@ pub fn parse_trace(input: &str) -> Result<Trace, ReadError> {
     if seq != 0 {
         return Err(ReadError::new(1, format!("header seq must be 0, got {seq}")));
     }
-    let schema_version = fields.u32(Key::SchemaVersion)?;
+    let schema_version = u32::read(&fields, Key::schema_version)?;
     fields.finish()?;
     if schema_version == 0 || schema_version > SCHEMA_VERSION {
         return Err(ReadError::new(
@@ -498,29 +837,32 @@ struct EventLine {
     kind: Result<TraceEventKind, ReadError>,
 }
 
-/// Declares [`Key`], one variant per key name.
+/// Declares [`Key`], one variant per key name, spelled as the key is.
 macro_rules! keys {
-    ($($key:ident = $name:literal,)*) => {
+    ($($key:ident)*) => {
         /// A key of the format at any depth: the line's four, a stage
-        /// entry's two and every payload field.
+        /// entry's two and every payload field. Each variant is spelled as
+        /// its key is written, so that each field of the event table is
+        /// also its key.
         #[derive(Clone, Copy, PartialEq, Eq)]
+        #[allow(non_camel_case_types, reason = "each variant is spelled as its key is written")]
         enum Key {
             $($key,)*
         }
 
         impl Key {
-            const COUNT: usize = [$($name),*].len();
+            const COUNT: usize = [$(stringify!($key)),*].len();
 
             fn name(self) -> &'static str {
                 match self {
-                    $(Key::$key => $name,)*
+                    $(Key::$key => stringify!($key),)*
                 }
             }
 
             /// The key as it starts a member: `"name":`.
             fn quoted(self) -> &'static str {
                 match self {
-                    $(Key::$key => concat!("\"", $name, "\":"),)*
+                    $(Key::$key => concat!("\"", stringify!($key), "\":"),)*
                 }
             }
         }
@@ -528,68 +870,17 @@ macro_rules! keys {
 }
 
 keys! {
-    Event = "event",
-    Fields = "fields",
-    Seq = "seq",
-    TimeSecs = "time_secs",
-    Parents = "parents",
-    Tasks = "tasks",
-    Assignments = "assignments",
-    Attempt = "attempt",
-    Cause = "cause",
-    DeadlineSecs = "deadline_secs",
-    DurationSecs = "duration_secs",
-    Free = "free",
-    Job = "job",
-    Level = "level",
-    Name = "name",
-    Partition = "partition",
-    Priority = "priority",
-    Reason = "reason",
-    Requeued = "requeued",
-    Reserved = "reserved",
-    Running = "running",
-    SchemaVersion = "schema_version",
-    Slot = "slot",
-    Speculative = "speculative",
-    Stage = "stage",
-    Stages = "stages",
-    Warm = "warm",
+    event fields seq time_secs
+    parents tasks
+    assignments attempt cause deadline_secs duration_secs free job level name partition priority reason requeued
+    reserved running schema_version slot speculative stage stages warm
 }
 
 /// A line's keys, in the order the writer emits them.
-const LINE_KEYS: &[Key] = &[Key::Event, Key::Fields, Key::Seq, Key::TimeSecs];
+const LINE_KEYS: &[Key] = &[Key::event, Key::fields, Key::seq, Key::time_secs];
 
 /// A `job-submitted` stage entry's keys, in the order the writer emits them.
-const STAGE_KEYS: &[Key] = &[Key::Parents, Key::Tasks];
-
-/// The payload keys of `event`, in the order [`write_fields`] emits them
-/// (sorted); none for `locality-unlocked` and for unknown events.
-fn payload_keys(event: &str) -> &'static [Key] {
-    match event {
-        "trace-start" => &[Key::SchemaVersion],
-        "job-submitted" => &[Key::Job, Key::Name, Key::Priority, Key::Stages],
-        "offer-round-started" => &[Key::Free, Key::Reserved, Key::Running],
-        "offer-round-ended" => &[Key::Assignments],
-        "offer-declined" => &[Key::Job, Key::Reason, Key::Stage],
-        "task-launched" => {
-            &[Key::Attempt, Key::Job, Key::Level, Key::Partition, Key::Slot, Key::Speculative, Key::Stage, Key::Warm]
-        }
-        "task-finished" => &[Key::Attempt, Key::DurationSecs, Key::Job, Key::Partition, Key::Slot, Key::Stage],
-        "copy-killed" => &[Key::Job, Key::Partition, Key::Slot, Key::Stage],
-        "reservation-granted" | "prereserve-filled" => {
-            &[Key::DeadlineSecs, Key::Job, Key::Priority, Key::Slot, Key::Stage]
-        }
-        "reservation-expired" | "reservation-released" | "reservation-revoked" => &[Key::Job, Key::Slot],
-        "stale-reservation-released" => &[Key::Job, Key::Slot, Key::Stage],
-        "barrier-cleared" | "stage-completed" => &[Key::Job, Key::Stage],
-        "job-completed" => &[Key::Job],
-        "task-crashed" => &[Key::Attempt, Key::Job, Key::Partition, Key::Requeued, Key::Slot, Key::Stage],
-        "slot-offline" => &[Key::Cause, Key::Slot],
-        "slot-online" => &[Key::Slot],
-        _ => &[],
-    }
-}
+const STAGE_KEYS: &[Key] = &[Key::parents, Key::tasks];
 
 /// Marks an absent tape index in [`Routes`].
 const ABSENT: usize = usize::MAX;
@@ -727,7 +1018,7 @@ impl<'a> JsonReader<'a> {
         }
         if let Some(Node::Object { .. }) = self.tape.first() {
             self.top = Routes::of(Json { tape: &self.tape, at: 0 }, LINE_KEYS);
-            let (event, fields) = (self.top.value[Key::Event as usize], self.top.value[Key::Fields as usize]);
+            let (event, fields) = (self.top.value[Key::event as usize], self.top.value[Key::fields as usize]);
             if let (Some(Node::Str(event)), Some(Node::Object { .. })) = (self.tape.get(event), self.tape.get(fields)) {
                 self.payload = Routes::of(Json { tape: &self.tape, at: fields }, payload_keys(event));
             }
@@ -972,15 +1263,15 @@ impl fmt::Debug for Json<'_> {
 /// accessors over its `fields`.
 fn read_line(lineno: usize, line: Line<'_>) -> Result<(&str, u64, SimTime, Fields<'_>), ReadError> {
     let top = Fields::new(lineno, line.root(), "line", line.top)?;
-    let event = top.string(Key::Event)?;
-    let seq = top.u64(Key::Seq)?;
+    let event = top.string(Key::event)?;
+    let seq = top.u64(Key::seq)?;
     // The upper bound keeps the instant representable: `SimTime` would
     // silently saturate beyond it.
-    let time_secs = top.f64(Key::TimeSecs)?;
+    let time_secs = top.f64(Key::time_secs)?;
     if !(0.0..=SimTime::MAX.as_secs_f64()).contains(&time_secs) {
         return Err(top.err(format!("time_secs {time_secs} is outside the simulated clock's range")));
     }
-    let fields = Fields::new(lineno, top.get(Key::Fields)?, "fields", line.payload)?;
+    let fields = Fields::new(lineno, top.get(Key::fields)?, "fields", line.payload)?;
     top.finish()?;
     Ok((event, seq, SimTime::from_secs_f64(time_secs), fields))
 }
@@ -998,9 +1289,10 @@ fn number(v: Json<'_>) -> Option<f64> {
     }
 }
 
-/// Typed accessors over one JSON object of a line (the line itself, its
-/// `"fields"` or a stage entry), through its [`Routes`]; [`finish`]
-/// rejects the members no accessor reads.
+/// The accessors over one JSON object of a line (the line itself, its
+/// `"fields"` or a stage entry), through its [`Routes`], that the
+/// [`Wire`] codecs read with; [`finish`] rejects the members no accessor
+/// reads.
 ///
 /// [`finish`]: Fields::finish
 struct Fields<'a> {
@@ -1061,34 +1353,8 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn u32(&self, key: Key) -> Result<u32, ReadError> {
-        u32::try_from(self.u64(key)?).map_err(|_| self.fault(key, "exceeds u32 range"))
-    }
-
-    fn usize(&self, key: Key) -> Result<usize, ReadError> {
-        usize::try_from(self.u64(key)?).map_err(|_| self.fault(key, "exceeds usize range"))
-    }
-
-    fn i32(&self, key: Key) -> Result<i32, ReadError> {
-        let value = self.get(key)?;
-        let raw = match value.node() {
-            Node::Int(n) => *n,
-            Node::UInt(n) => i64::try_from(*n).map_err(|_| self.fault(key, "exceeds i64 range"))?,
-            _ => return Err(self.mistyped(key, "an integer", value)),
-        };
-        i32::try_from(raw).map_err(|_| self.fault(key, "exceeds i32 range"))
-    }
-
     fn f64(&self, key: Key) -> Result<f64, ReadError> {
         number(self.get(key)?).ok_or_else(|| self.fault(key, "must be a finite number"))
-    }
-
-    fn bool(&self, key: Key) -> Result<bool, ReadError> {
-        let value = self.get(key)?;
-        match value.node() {
-            Node::Bool(b) => Ok(*b),
-            _ => Err(self.mistyped(key, "a boolean", value)),
-        }
     }
 
     fn string(&self, key: Key) -> Result<&'a str, ReadError> {
@@ -1098,173 +1364,6 @@ impl<'a> Fields<'a> {
             _ => Err(self.mistyped(key, "a string", value)),
         }
     }
-
-    /// A string field that must be one of `names`, returned as the
-    /// engine's static identifier.
-    fn one_of(&self, key: Key, names: &[&'static str]) -> Result<&'static str, ReadError> {
-        let value = self.string(key)?;
-        names.iter().copied().find(|n| *n == value).ok_or_else(|| self.err(format!("unknown {} {value:?}", key.name())))
-    }
-
-    fn job(&self) -> Result<JobId, ReadError> {
-        Ok(JobId::new(self.u64(Key::Job)?))
-    }
-
-    fn stage(&self) -> Result<StageId, ReadError> {
-        Ok(StageId::new(self.u32(Key::Stage)?))
-    }
-
-    /// `stage` as a nullable field (`offer-declined`, `reservation-granted`);
-    /// also absent entirely in schema v1 `offer-declined` lines.
-    fn opt_stage(&self) -> Result<Option<StageId>, ReadError> {
-        match self.get_opt(Key::Stage).map(Json::node) {
-            None | Some(Node::Null) => Ok(None),
-            Some(_) => self.stage().map(Some),
-        }
-    }
-
-    fn opt_secs(&self, key: Key) -> Result<Option<f64>, ReadError> {
-        match self.get(key)?.node() {
-            Node::Null => Ok(None),
-            _ => self.f64(key).map(Some),
-        }
-    }
-
-    /// `job-submitted`'s `stages` array; absent in schema v1 traces.
-    fn stage_metas(&self) -> Result<Vec<StageMeta>, ReadError> {
-        let Some(value) = self.get_opt(Key::Stages) else {
-            return Ok(Vec::new());
-        };
-        let Node::Array { .. } = value.node() else {
-            return Err(self.err(format!("\"stages\" must be an array, got {value:?}")));
-        };
-        value
-            .items()
-            .map(|item| {
-                let routes = Routes::of(item, STAGE_KEYS);
-                let meta = Fields::new(self.lineno, item, "stage entry", &routes)?;
-                let parents = meta.get(Key::Parents)?;
-                let Node::Array { .. } = parents.node() else {
-                    return Err(self.err("\"parents\" must be an array"));
-                };
-                let parents = parents
-                    .items()
-                    .map(|p| match p.node() {
-                        Node::UInt(n) => u32::try_from(*n)
-                            .map(StageId::new)
-                            .map_err(|_| self.err("parent stage id exceeds u32 range")),
-                        _ => Err(self.err(format!("parent stage id must be an unsigned integer, got {p:?}"))),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let tasks = meta.u32(Key::Tasks)?;
-                meta.finish()?;
-                Ok(StageMeta { tasks, parents })
-            })
-            .collect()
-    }
-}
-
-/// The delay-scheduling locality levels the engine writes on
-/// `task-launched`.
-const LOCALITY_LEVELS: [&str; 4] = ["PROCESS_LOCAL", "NODE_LOCAL", "RACK_LOCAL", "ANY"];
-
-/// The fault causes the engine writes on `slot-offline`.
-const OFFLINE_CAUSES: [&str; 4] = ["crash", "revocation", "partition", "restart"];
-
-/// Every [`DenyReason`], decoded through [`DenyReason::as_str`].
-const DENY_REASONS: [DenyReason; 4] =
-    [DenyReason::NoPendingTasks, DenyReason::LocalityWait, DenyReason::ReservationDenied, DenyReason::NoFittingSlot];
-
-/// Lowers one line's `(event, fields)` pair into the typed event kind: the
-/// inverse of [`write_fields`], name for name. The order of the accessors
-/// decides which of several faults a line reports.
-fn parse_kind(lineno: usize, event: &str, f: &Fields<'_>) -> Result<TraceEventKind, ReadError> {
-    use TraceEventKind as K;
-    Ok(match event {
-        "job-submitted" => K::JobSubmitted {
-            job: f.job()?,
-            name: f.string(Key::Name)?.to_owned(),
-            priority: Priority::new(f.i32(Key::Priority)?),
-            stages: f.stage_metas()?,
-        },
-        "offer-round-started" => K::OfferRoundStarted {
-            free: f.usize(Key::Free)?,
-            running: f.usize(Key::Running)?,
-            reserved: f.usize(Key::Reserved)?,
-        },
-        "offer-round-ended" => K::OfferRoundEnded { assignments: f.usize(Key::Assignments)? },
-        "offer-declined" => K::OfferDeclined {
-            job: f.job()?,
-            reason: {
-                let reason = f.string(Key::Reason)?;
-                DENY_REASONS
-                    .into_iter()
-                    .find(|r| r.as_str() == reason)
-                    .ok_or_else(|| f.err(format!("unknown deny reason {reason:?}")))?
-            },
-            stage: f.opt_stage()?,
-        },
-        "task-launched" => K::TaskLaunched {
-            slot: f.u32(Key::Slot)?,
-            job: f.job()?,
-            stage: f.stage()?,
-            partition: f.u32(Key::Partition)?,
-            attempt: f.u32(Key::Attempt)?,
-            level: f.one_of(Key::Level, &LOCALITY_LEVELS)?,
-            speculative: f.bool(Key::Speculative)?,
-            warm: f.bool(Key::Warm)?,
-        },
-        "task-finished" => K::TaskFinished {
-            slot: f.u32(Key::Slot)?,
-            job: f.job()?,
-            stage: f.stage()?,
-            partition: f.u32(Key::Partition)?,
-            attempt: f.u32(Key::Attempt)?,
-            duration_secs: f.f64(Key::DurationSecs)?,
-        },
-        "copy-killed" => K::CopyKilled {
-            slot: f.u32(Key::Slot)?,
-            job: f.job()?,
-            stage: f.stage()?,
-            partition: f.u32(Key::Partition)?,
-        },
-        "reservation-granted" => K::ReservationGranted {
-            slot: f.u32(Key::Slot)?,
-            job: f.job()?,
-            priority: Priority::new(f.i32(Key::Priority)?),
-            stage: f.opt_stage()?,
-            deadline_secs: f.opt_secs(Key::DeadlineSecs)?,
-        },
-        "prereserve-filled" => K::PrereserveFilled {
-            slot: f.u32(Key::Slot)?,
-            job: f.job()?,
-            stage: f.stage()?,
-            priority: Priority::new(f.i32(Key::Priority)?),
-            deadline_secs: f.opt_secs(Key::DeadlineSecs)?,
-        },
-        "reservation-expired" => K::ReservationExpired { slot: f.u32(Key::Slot)?, job: f.job()? },
-        "reservation-released" => K::ReservationReleased { slot: f.u32(Key::Slot)?, job: f.job()? },
-        "stale-reservation-released" => {
-            K::StaleReservationReleased { slot: f.u32(Key::Slot)?, job: f.job()?, stage: f.stage()? }
-        }
-        "barrier-cleared" => K::BarrierCleared { job: f.job()?, stage: f.stage()? },
-        "stage-completed" => K::StageCompleted { job: f.job()?, stage: f.stage()? },
-        "job-completed" => K::JobCompleted { job: f.job()? },
-        "locality-unlocked" => K::LocalityUnlocked,
-        "task-crashed" => K::TaskCrashed {
-            slot: f.u32(Key::Slot)?,
-            job: f.job()?,
-            stage: f.stage()?,
-            partition: f.u32(Key::Partition)?,
-            attempt: f.u32(Key::Attempt)?,
-            requeued: f.bool(Key::Requeued)?,
-        },
-        "reservation-revoked" => K::ReservationRevoked { slot: f.u32(Key::Slot)?, job: f.job()? },
-        "slot-offline" => K::SlotOffline { slot: f.u32(Key::Slot)?, cause: f.one_of(Key::Cause, &OFFLINE_CAUSES)? },
-        "slot-online" => K::SlotOnline { slot: f.u32(Key::Slot)? },
-        "trace-start" => return Err(ReadError::new(lineno, "trace-start may only appear as the first line")),
-        other => return Err(ReadError::new(lineno, format!("unknown event {other:?}"))),
-    })
 }
 
 /// Decodes an event line in the writer's exact byte shape straight into
@@ -1283,9 +1382,9 @@ fn parse_kind(lineno: usize, event: &str, f: &Fields<'_>) -> Result<TraceEventKi
 /// or anything after the closing brace other than `\n`, `\r\n` or the
 /// end of input.
 ///
-/// Its readers are inlined into [`payload`](Decoder::payload), where each
-/// key is a constant, so that each key comparison compiles to a few
-/// compares of constant bytes.
+/// The [`Wire`] decoders are inlined into [`payload`](Decoder::payload),
+/// generated from the event table, where each key is a constant, so that
+/// each key comparison compiles to a few compares of constant bytes.
 struct Decoder<'a> {
     text: &'a str,
     pos: usize,
@@ -1399,86 +1498,6 @@ impl<'a> Decoder<'a> {
         u32::try_from(self.uint()?).ok()
     }
 
-    #[inline(always)]
-    fn u64(&mut self, key: Key) -> Option<u64> {
-        self.key(key)?;
-        self.uint()
-    }
-
-    #[inline(always)]
-    fn u32(&mut self, key: Key) -> Option<u32> {
-        self.key(key)?;
-        self.uint32()
-    }
-
-    #[inline(always)]
-    fn usize(&mut self, key: Key) -> Option<usize> {
-        usize::try_from(self.u64(key)?).ok()
-    }
-
-    #[inline(always)]
-    fn priority(&mut self) -> Option<Priority> {
-        self.key(Key::Priority)?;
-        let negative = self.eat("-");
-        let n = i64::try_from(self.uint()?).ok()?;
-        i32::try_from(if negative { -n } else { n }).ok().map(Priority::new)
-    }
-
-    #[inline(always)]
-    fn f64(&mut self, key: Key) -> Option<f64> {
-        self.key(key)?;
-        self.float()
-    }
-
-    #[inline(always)]
-    fn opt_secs(&mut self, key: Key) -> Option<Option<f64>> {
-        self.key(key)?;
-        if self.eat("null") {
-            return Some(None);
-        }
-        self.float().map(Some)
-    }
-
-    #[inline(always)]
-    fn bool(&mut self, key: Key) -> Option<bool> {
-        self.key(key)?;
-        if self.eat("true") {
-            return Some(true);
-        }
-        self.lit("false").map(|()| false)
-    }
-
-    #[inline(always)]
-    fn text(&mut self, key: Key) -> Option<&'a str> {
-        self.key(key)?;
-        self.string()
-    }
-
-    #[inline(always)]
-    fn one_of(&mut self, key: Key, names: &[&'static str]) -> Option<&'static str> {
-        let value = self.text(key)?;
-        names.iter().copied().find(|n| *n == value)
-    }
-
-    #[inline(always)]
-    fn job(&mut self) -> Option<JobId> {
-        self.u64(Key::Job).map(JobId::new)
-    }
-
-    #[inline(always)]
-    fn stage(&mut self) -> Option<StageId> {
-        self.u32(Key::Stage).map(StageId::new)
-    }
-
-    #[inline(always)]
-    fn opt_stage(&mut self) -> Option<Option<StageId>> {
-        self.key(Key::Stage)?;
-        if self.eat("null") {
-            return Some(None);
-        }
-        self.uint32().map(|stage| Some(StageId::new(stage)))
-    }
-
     /// An array of `item`s: `[`, the items separated by `,`, then `]`.
     fn array<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
         self.lit("[")?;
@@ -1493,109 +1512,6 @@ impl<'a> Decoder<'a> {
             }
             self.lit(",")?;
         }
-    }
-
-    /// `job-submitted`'s `stages`, each entry `{"parents":[..],"tasks":n}`.
-    fn stages(&mut self) -> Option<Vec<StageMeta>> {
-        self.key(Key::Stages)?;
-        self.array(|d| {
-            d.lit(r#"{"parents":"#)?;
-            let parents = d.array(|d| d.uint32().map(StageId::new))?;
-            d.lit(r#","tasks":"#)?;
-            let tasks = d.uint32()?;
-            d.lit("}")?;
-            Some(StageMeta { tasks, parents })
-        })
-    }
-
-    /// The payload of `event`, its members read in the order
-    /// [`write_fields`] writes them; `None` for `trace-start` and for
-    /// unknown events.
-    fn payload(&mut self, event: &str) -> Option<TraceEventKind> {
-        use TraceEventKind as K;
-        Some(match event {
-            "job-submitted" => K::JobSubmitted {
-                job: self.job()?,
-                name: self.text(Key::Name)?.to_owned(),
-                priority: self.priority()?,
-                stages: self.stages()?,
-            },
-            "offer-round-started" => K::OfferRoundStarted {
-                free: self.usize(Key::Free)?,
-                reserved: self.usize(Key::Reserved)?,
-                running: self.usize(Key::Running)?,
-            },
-            "offer-round-ended" => K::OfferRoundEnded { assignments: self.usize(Key::Assignments)? },
-            "offer-declined" => K::OfferDeclined {
-                job: self.job()?,
-                reason: {
-                    let reason = self.text(Key::Reason)?;
-                    DENY_REASONS.into_iter().find(|r| r.as_str() == reason)?
-                },
-                stage: self.opt_stage()?,
-            },
-            "task-launched" => K::TaskLaunched {
-                attempt: self.u32(Key::Attempt)?,
-                job: self.job()?,
-                level: self.one_of(Key::Level, &LOCALITY_LEVELS)?,
-                partition: self.u32(Key::Partition)?,
-                slot: self.u32(Key::Slot)?,
-                speculative: self.bool(Key::Speculative)?,
-                stage: self.stage()?,
-                warm: self.bool(Key::Warm)?,
-            },
-            "task-finished" => K::TaskFinished {
-                attempt: self.u32(Key::Attempt)?,
-                duration_secs: self.f64(Key::DurationSecs)?,
-                job: self.job()?,
-                partition: self.u32(Key::Partition)?,
-                slot: self.u32(Key::Slot)?,
-                stage: self.stage()?,
-            },
-            "copy-killed" => K::CopyKilled {
-                job: self.job()?,
-                partition: self.u32(Key::Partition)?,
-                slot: self.u32(Key::Slot)?,
-                stage: self.stage()?,
-            },
-            "reservation-granted" => K::ReservationGranted {
-                deadline_secs: self.opt_secs(Key::DeadlineSecs)?,
-                job: self.job()?,
-                priority: self.priority()?,
-                slot: self.u32(Key::Slot)?,
-                stage: self.opt_stage()?,
-            },
-            "prereserve-filled" => K::PrereserveFilled {
-                deadline_secs: self.opt_secs(Key::DeadlineSecs)?,
-                job: self.job()?,
-                priority: self.priority()?,
-                slot: self.u32(Key::Slot)?,
-                stage: self.stage()?,
-            },
-            "reservation-expired" => K::ReservationExpired { job: self.job()?, slot: self.u32(Key::Slot)? },
-            "reservation-released" => K::ReservationReleased { job: self.job()?, slot: self.u32(Key::Slot)? },
-            "reservation-revoked" => K::ReservationRevoked { job: self.job()?, slot: self.u32(Key::Slot)? },
-            "stale-reservation-released" => {
-                K::StaleReservationReleased { job: self.job()?, slot: self.u32(Key::Slot)?, stage: self.stage()? }
-            }
-            "barrier-cleared" => K::BarrierCleared { job: self.job()?, stage: self.stage()? },
-            "stage-completed" => K::StageCompleted { job: self.job()?, stage: self.stage()? },
-            "job-completed" => K::JobCompleted { job: self.job()? },
-            "locality-unlocked" => K::LocalityUnlocked,
-            "task-crashed" => K::TaskCrashed {
-                attempt: self.u32(Key::Attempt)?,
-                job: self.job()?,
-                partition: self.u32(Key::Partition)?,
-                requeued: self.bool(Key::Requeued)?,
-                slot: self.u32(Key::Slot)?,
-                stage: self.stage()?,
-            },
-            "slot-offline" => {
-                K::SlotOffline { cause: self.one_of(Key::Cause, &OFFLINE_CAUSES)?, slot: self.u32(Key::Slot)? }
-            }
-            "slot-online" => K::SlotOnline { slot: self.u32(Key::Slot)? },
-            _ => return None,
-        })
     }
 }
 

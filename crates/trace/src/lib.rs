@@ -20,8 +20,9 @@
 //!   and histograms (`ssr-cli run --metrics`).
 //!
 //! The crate also owns the two things every trace consumer needs:
-//! [`parse_trace`], the inverse of `JsonlSink` (the writer and reader share
-//! one module, so the format is spelled once), and [`SlotReplay`], the one
+//! [`parse_trace`], the inverse of `JsonlSink` (the writer and both of the
+//! reader's paths are generated from one table, one row per event, so the
+//! format is spelled once), and [`SlotReplay`], the one
 //! per-slot state machine that `ssr-check`, `ssr-explain` and
 //! `MetricsSink` read slot lifecycles from.
 //!
@@ -39,8 +40,8 @@ mod sink;
 #[cfg(test)]
 mod test_events;
 
-pub use event::{DenyReason, StageMeta, TraceEvent, TraceEventKind, ALL_EVENT_NAMES};
-pub use jsonl::{parse_trace, JsonlSink, ReadError, Trace, SCHEMA_VERSION};
+pub use event::{DenyReason, StageMeta, TraceEvent, TraceEventKind};
+pub use jsonl::{parse_trace, JsonlSink, ReadError, Trace, ALL_EVENT_NAMES, SCHEMA_VERSION};
 pub use metrics::{Histogram, MetricsReport, MetricsSink, HOLD_TIME_BOUNDS_SECS};
 pub use replay::{Slot, SlotReplay, SlotState, SlotTable};
 pub use sink::{SplitSink, TraceSink, VecSink};

@@ -61,8 +61,9 @@ pub(crate) fn every_variant() -> Vec<TraceEvent> {
 
 #[cfg(test)]
 mod tests {
-    /// `TraceEventKind::name`'s exhaustive `match` is the compile-time
-    /// witness; the fixture and `ALL_EVENT_NAMES` must agree with it.
+    /// `TraceEventKind::name`'s exhaustive `match`, generated from the
+    /// event table, is the compile-time witness; the fixture must agree
+    /// with it and with `ALL_EVENT_NAMES`.
     #[test]
     fn witness_agrees_with_event_names() {
         let names: Vec<&str> = super::every_variant().iter().map(|e| e.kind.name()).collect();

@@ -2,9 +2,10 @@
 //! small scenarios (speculation, pre-reservation, every fault kind) must
 //! between them emit every trace event name and move every
 //! `WorkCounters` field. A variant the engine never emits, or a counter
-//! it never bumps, fails here. The readers' side is held by the
-//! exhaustive `match` in `TraceEventKind::name` with ssr-trace's
-//! every-variant round trip, and by `fields_cover_struct` in ssr-perf.
+//! it never bumps, fails here. The readers' side is held by ssr-trace's
+//! event table, from which `TraceEventKind::name`'s exhaustive `match`
+//! and both readers are generated, with its every-variant round trip,
+//! and by `fields_cover_struct` in ssr-perf.
 //!
 //! The same scenarios, rendered through `JsonlSink`, are pinned byte for
 //! byte in `tests/golden/contract_traces.jsonl`: every event kind and
@@ -17,14 +18,14 @@
 
 use std::collections::BTreeSet;
 
-use ssr::cluster::{ClusterSpec, LocalityModel};
-use ssr::dag::Priority;
+use ssr::cluster::{ClusterSpec, LocalityLevel, LocalityModel};
+use ssr::dag::{JobId, Priority, StageId};
 use ssr::scheduler::SpeculationConfig;
 use ssr::sim::{FaultPlan, OrderConfig, PolicyConfig, SimConfig, SimReport, Simulation};
 use ssr::simcore::dist::{constant, pareto};
 use ssr::simcore::{SimDuration, SimTime};
 use ssr::workload::synthetic::{map_only, pareto_pipeline, pipeline_of};
-use ssr_trace::{parse_trace, JsonlSink, TraceEvent, TraceSink, VecSink};
+use ssr_trace::{parse_trace, JsonlSink, TraceEvent, TraceEventKind, TraceSink, VecSink};
 
 /// Runs one traced scenario; returns its report and its decision trace.
 fn run(config: SimConfig, policy: PolicyConfig) -> (SimReport, Vec<TraceEvent>) {
@@ -124,9 +125,9 @@ fn scenario_traces_match_golden_and_read_back_to_the_same_bytes() {
         assert!(render(&read.events) == *doc, "a trace read back renders to other bytes");
     }
     let actual = docs.concat();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/contract_traces.jsonl");
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/contract_traces.jsonl");
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("golden dir has a parent")).expect("create golden dir");
         std::fs::write(&path, &actual).expect("write golden trace");
         return;
     }
@@ -135,11 +136,37 @@ fn scenario_traces_match_golden_and_read_back_to_the_same_bytes() {
     let drift = expected.lines().zip(actual.lines()).position(|(e, a)| e != a);
     assert!(
         expected == actual,
-        "the scenario traces drifted from {} (first differing line {:?}, {} lines expected, {} written); \
-         if the change is intentional, regenerate with UPDATE_GOLDEN=1 cargo test --test contract_coverage",
+        "the scenario traces drifted from {} (first differing line {:?}, {} lines expected, \
+         {} written); if the change is intentional, regenerate with \
+         UPDATE_GOLDEN=1 cargo test --test contract_coverage",
         path.display(),
         drift.map(|n| n + 1),
         expected.lines().count(),
         actual.lines().count(),
     );
+}
+
+/// ssr-trace keeps its own list of the locality level names, as it does
+/// not depend on ssr-cluster: a `task-launched` line at every level the
+/// engine can write must read back as the event it was written from.
+#[test]
+fn every_locality_level_reads_back() {
+    let events: Vec<TraceEvent> = (0..)
+        .zip(LocalityLevel::ALL)
+        .map(|(slot, level)| {
+            let kind = TraceEventKind::TaskLaunched {
+                slot,
+                job: JobId::new(1),
+                stage: StageId::new(0),
+                partition: slot,
+                attempt: 0,
+                level: level.as_str(),
+                speculative: false,
+                warm: false,
+            };
+            TraceEvent::new(SimTime::from_secs(u64::from(slot)), kind)
+        })
+        .collect();
+    let read = parse_trace(&render(&events)).expect("every locality level reads back");
+    assert_eq!(read.events, events);
 }

@@ -20,6 +20,12 @@
 //!   job has finished cannot touch their runs: each earlier job's result,
 //!   every task placement of theirs and every foreground slowdown stay
 //!   the same.
+//! - **Late faults.** Faults that strike after the last job has completed
+//!   find nothing left to disturb: the run stops at its last completion,
+//!   so they are never applied. The serialized outcome and the contended
+//!   run's JSONL decision trace stay byte-identical. Only the event-queue
+//!   counters may move, `events_pushed` and `peak_event_queue_len`, since
+//!   every fault strike is queued when the run starts.
 //! - **Renaming.** To the trace analyses a job's name is a label. The
 //!   SSR and work-conserving runs' decision traces, every job renamed
 //!   with a quote, a backslash, an `é` and a tab (which the JSONL writer
@@ -150,6 +156,62 @@ fn late_arrival_leaves_earlier_jobs_unchanged() {
         let earlier_tasks: Vec<_> = late.trace.iter().filter(|t| t.job != LATE).collect();
         let base_tasks: Vec<_> = base.trace.iter().collect();
         assert_eq!(earlier_tasks, base_tasks, "{case}: a placement moved");
+    }
+}
+
+/// A fault of every kind, each striking long after the mix has drained.
+const LATE_FAULTS: &str = "crash:node=0,at=200000,down=5;revoke:slot=3,at=200001;\
+                           partition:node=1,at=200002,secs=2;storm:at=200003,secs=5,factor=2;\
+                           restart:node=2,at=200004,down=1,rampup=3,cold=2";
+
+/// The counters the late faults may move: each strike is queued at start.
+const QUEUE_COUNTERS: [&str; 2] = ["events_pushed", "peak_event_queue_len"];
+
+#[test]
+fn late_faults_leave_outcome_and_trace_unchanged() {
+    let faults = FaultPlan::parse(LATE_FAULTS).expect("valid fault plan");
+    let experiments: Vec<Experiment> = cases()
+        .into_iter()
+        .flat_map(|(p, order)| [FaultPlan::default(), faults.clone()].map(|plan| (p, order, plan)))
+        .map(|(p, order, plan)| {
+            let config = SimConfig::new(ClusterSpec::new(20, 4).expect("valid cluster"))
+                .with_seed(7)
+                .record_trace(true)
+                .with_faults(plan);
+            let (foreground, background) = mix(0, false);
+            Experiment::new(config, policies(0)[p].clone(), order)
+                .foreground(foreground)
+                .background(background)
+        })
+        .collect();
+    let runs = par_map(worker_count(), &experiments, |experiment| {
+        let (outcome, sink, _) =
+            experiment.run_traced_with_baselines(Some(Box::new(JsonlSink::new())));
+        let sink = sink.expect("sink attached").into_any().downcast::<JsonlSink>();
+        (outcome, sink.expect("a JsonlSink").finish())
+    });
+    // Every counter but the event queue's, one `"name": value` line each.
+    let steady = |outcome: &ExperimentOutcome| -> Vec<String> {
+        let json = outcome.counters.render_json();
+        let moved = |line: &str| QUEUE_COUNTERS.iter().any(|c| line.contains(&format!("\"{c}\"")));
+        json.lines().filter(|line| !moved(line)).map(str::to_owned).collect()
+    };
+    let first_fault = faults.events().iter().map(|f| f.at.as_secs_f64()).fold(f64::MAX, f64::min);
+    for ((p, order), pair) in cases().into_iter().zip(runs.chunks(2)) {
+        let case = format!("{} under {order:?}", policies(0)[p].label());
+        let ((base, base_jsonl), (faulted, faulted_jsonl)) = (&pair[0], &pair[1]);
+        assert!(base.contended.completed, "{case}: the mix must drain");
+        let last_finish =
+            base.contended.jobs.iter().filter_map(|j| j.completed_secs).fold(0.0, f64::max);
+        assert!(last_finish < first_fault, "{case}: the faults must strike after the mix");
+        assert_eq!(serialize(faulted), serialize(base), "{case}: outcome moved");
+        assert!(faulted_jsonl == base_jsonl, "{case}: the decision trace moved");
+        assert_eq!(steady(faulted), steady(base), "{case}: a counter moved");
+        assert_eq!(
+            faulted.counters.events_pushed.get(),
+            base.counters.events_pushed.get() + faults.events().len() as u64,
+            "{case}: each fault strike is queued once"
+        );
     }
 }
 
