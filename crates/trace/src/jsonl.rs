@@ -385,7 +385,7 @@ impl Wire for Option<f64> {
 
     fn write(out: &mut String, x: &Option<f64>) {
         match x {
-            Some(x) => push_float(out, *x),
+            Some(x) => f64::write(out, x),
             None => out.push_str("null"),
         }
     }
@@ -395,13 +395,13 @@ impl Wire for Option<f64> {
         if d.eat("null") {
             return Some(None);
         }
-        d.float().map(Some)
+        f64::decode(d).map(Some)
     }
 
     fn read(f: &Fields<'_>, key: Key) -> Result<Option<f64>, ReadError> {
         match f.get(key)?.node() {
             Node::Null => Ok(None),
-            _ => f.f64(key).map(Some),
+            _ => f64::read(f, key).map(Some),
         }
     }
 }
