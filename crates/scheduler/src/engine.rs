@@ -11,9 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use ssr_cluster::{
-    ClusterSpec, LocalityLevel, LocalityModel, Reservation, SlotId, SlotPool,
-};
+use ssr_cluster::{ClusterSpec, LocalityLevel, LocalityModel, Reservation, SlotId, SlotPool};
 use ssr_dag::{JobId, JobSpec, Priority, StageId};
 use ssr_perf::{SpanProfiler, WorkCounters};
 use ssr_simcore::SimTime;
@@ -228,11 +226,7 @@ impl TaskScheduler {
     #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
     #[deny(clippy::panic, clippy::unreachable)]
     fn advance_clock(&mut self, now: SimTime) {
-        debug_assert!(
-            now >= self.last_now,
-            "TaskScheduler time went backwards: {now:?} after {:?}",
-            self.last_now
-        );
+        debug_assert!(now >= self.last_now, "TaskScheduler time went backwards: {now:?} after {:?}", self.last_now);
         self.last_now = now;
     }
 
@@ -379,9 +373,7 @@ impl TaskScheduler {
         // Task sets whose every locality level has unlocked can never
         // wake the driver again; `now` only grows, so they leave for good.
         let locality = &self.locality;
-        self.jobs.prune_unlock_window(|since| {
-            locality.next_unlock_after(now.saturating_since(since)).is_none()
-        });
+        self.jobs.prune_unlock_window(|since| locality.next_unlock_after(now.saturating_since(since)).is_none());
         self.fill_prereservations(now);
         let mut assignments = Vec::new();
         // Early exit for a saturated cluster: no free or reserved slot means
@@ -508,9 +500,8 @@ impl TaskScheduler {
                 saw_denied_reservation = self.slots.reserved_slots().any(fits);
             } else if self.group_approval() {
                 self.walk_groups(job, priority, now, false, |owner, rprio, class| {
-                    self.slots.reserved_for(owner).any(|slot| {
-                        fits(slot) && self.reserved_priority(slot) == Some(rprio)
-                    }) && note(class.is_some())
+                    self.slots.reserved_for(owner).any(|slot| fits(slot) && self.reserved_priority(slot) == Some(rprio))
+                        && note(class.is_some())
                 });
             } else {
                 let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
@@ -545,8 +536,7 @@ impl TaskScheduler {
             self.count_refused(DeclineTally { sets: 1, preferred: 0 });
             return false;
         }
-        self.slots.has_reservations(job)
-            || self.walk_groups(job, priority, now, true, |_, _, class| class.is_some())
+        self.slots.has_reservations(job) || self.walk_groups(job, priority, now, true, |_, _, class| class.is_some())
     }
 
     /// `true` when the declared rule proves that no reservation group
@@ -565,15 +555,8 @@ impl TaskScheduler {
     /// [`floor_refuses`](Self::floor_refuses) under `rule`, with the
     /// lowest group priority read once by the caller.
     #[inline]
-    fn refused(
-        &self,
-        rule: ApprovalRule,
-        lowest: Option<Priority>,
-        job: JobId,
-        priority: Priority,
-    ) -> bool {
-        lowest.is_none_or(|l| !rule.could_approve(priority, l))
-            && !self.slots.has_reservations(job)
+    fn refused(&self, rule: ApprovalRule, lowest: Option<Priority>, job: JobId, priority: Priority) -> bool {
+        lowest.is_none_or(|l| !rule.could_approve(priority, l)) && !self.slots.has_reservations(job)
     }
 
     /// Counts the work of attempts the floor refused as the walks they
@@ -636,9 +619,7 @@ impl TaskScheduler {
     ) -> bool {
         let groups = self.slots.reservation_groups();
         let (touched, calls, stopped) = match self.approval {
-            Some(rule) => {
-                walk_groups_with(groups, job, visit, |o, p| rule.approves(o, p, job, priority))
-            }
+            Some(rule) => walk_groups_with(groups, job, visit, |o, p| rule.approves(o, p, job, priority)),
             None => {
                 let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
                 walk_groups_with(groups, job, visit, |o, p| {
@@ -658,12 +639,7 @@ impl TaskScheduler {
     /// With `check_floor`, a job the floor refuses while no slot is free
     /// is declined first, at the cost of its tally; a caller that has
     /// already declined those jobs passes `false`.
-    fn try_assign_one(
-        &mut self,
-        job: JobId,
-        now: SimTime,
-        check_floor: bool,
-    ) -> Option<Assignment> {
+    fn try_assign_one(&mut self, job: JobId, now: SimTime, check_floor: bool) -> Option<Assignment> {
         let state = self.jobs.get(job)?;
         let priority = state.priority();
         if check_floor && self.slots.counts().0 == 0 && self.floor_refuses(job, priority) {
@@ -682,9 +658,7 @@ impl TaskScheduler {
             let demand = state.spec().stage(tsm.stage()).demand();
             let elapsed = now.saturating_since(tsm.ready_since());
             let allowed = self.locality.max_allowed_level(elapsed);
-            if let Some((slot, level)) =
-                self.best_candidate(job, priority, tsm, demand, allowed, now)
-            {
+            if let Some((slot, level)) = self.best_candidate(job, priority, tsm, demand, allowed, now) {
                 chosen = Some((tsm.stage(), slot, level));
                 break;
             }
@@ -784,15 +758,11 @@ impl TaskScheduler {
                 // per-slot filter it replaced did.
                 LocalityLevel::ProcessLocal if !preferred.is_empty() => {
                     self.counters.slots_scanned.add(preferred.len() as u64);
-                    tsm.first_preferred_in(self.slots.free_bits(), |s| {
-                        self.slots.size(s) >= demand
-                    })
+                    tsm.first_preferred_in(self.slots.free_bits(), |s| self.slots.size(s) >= demand)
                 }
                 _ if no_free => None,
                 // No preference: every slot is process-local.
-                LocalityLevel::ProcessLocal => {
-                    self.min_free_fitting(self.slots.free_slots(), demand)
-                }
+                LocalityLevel::ProcessLocal => self.min_free_fitting(self.slots.free_slots(), demand),
                 LocalityLevel::NodeLocal => tsm
                     .pref_nodes()
                     .iter()
@@ -843,9 +813,7 @@ impl TaskScheduler {
         let Some(mine) = self.slots.reserved_bits(owner) else { return };
         self.counters.slots_scanned.add(mine.len() as u64);
         // §III-C: a task only fits a slot of at least its demand.
-        let fits = |slot: SlotId| {
-            self.reserved_priority(slot) == Some(rprio) && self.slots.size(slot) >= demand
-        };
+        let fits = |slot: SlotId| self.reserved_priority(slot) == Some(rprio) && self.slots.size(slot) >= demand;
         let local = if tsm.preferred().is_empty() {
             mine.iter().find(|&s| fits(s))
         } else {
@@ -856,10 +824,7 @@ impl TaskScheduler {
             keep_min(local_best, (class, slot));
             return;
         }
-        if local_best.is_some()
-            || allowed == LocalityLevel::ProcessLocal
-            || tsm.preferred().is_empty()
-        {
+        if local_best.is_some() || allowed == LocalityLevel::ProcessLocal || tsm.preferred().is_empty() {
             return;
         }
         for slot in mine.iter().filter(|&s| fits(s)) {
@@ -877,11 +842,7 @@ impl TaskScheduler {
 
     /// The minimum free slot of size ≥ `demand` from an ascending
     /// iterator over the pool's free index (all of it, a node or a rack).
-    fn min_free_fitting(
-        &self,
-        mut iter: impl Iterator<Item = SlotId>,
-        demand: u32,
-    ) -> Option<SlotId> {
+    fn min_free_fitting(&self, mut iter: impl Iterator<Item = SlotId>, demand: u32) -> Option<SlotId> {
         if self.slots.uniform_size() {
             // Homogeneous cluster: the first slot fits iff any does.
             let first = iter.next();
@@ -890,8 +851,7 @@ impl TaskScheduler {
             }
             return first.filter(|&s| self.slots.size(s) >= demand);
         }
-        iter.inspect(|_| self.counters.slots_scanned.inc())
-            .find(|&s| self.slots.size(s) >= demand)
+        iter.inspect(|_| self.counters.slots_scanned.inc()).find(|&s| self.slots.size(s) >= demand)
     }
 
     /// §IV-C: for each job whose reserved-idle slots can cover all ongoing
@@ -921,8 +881,7 @@ impl TaskScheduler {
                     continue;
                 }
                 let demand = state.spec().stage(tsm.stage()).demand();
-                let fitting =
-                    remaining.iter().filter(|&&s| self.slots.size(s) >= demand).count();
+                let fitting = remaining.iter().filter(|&&s| self.slots.size(s) >= demand).count();
                 let ongoing = tsm.ongoing_count();
                 if ongoing == 0 || fitting < ongoing || budget < ongoing {
                     continue;
@@ -937,35 +896,21 @@ impl TaskScheduler {
                 budget -= plans.len() - before;
             }
             for &(stage, partition) in &plans {
-                let demand = self
-                    .jobs
-                    .get(job)
-                    .expect("job exists")
-                    .spec()
-                    .stage(stage)
-                    .demand();
-                let Some(pos) = remaining.iter().position(|&s| {
-                    self.slots.size(s) >= demand && !self.slots.get(s).is_running()
-                }) else {
+                let demand = self.jobs.get(job).expect("job exists").spec().stage(stage).demand();
+                let Some(pos) =
+                    remaining.iter().position(|&s| self.slots.size(s) >= demand && !self.slots.get(s).is_running())
+                else {
                     break;
                 };
                 let slot = remaining.remove(pos);
-                let instance = self
-                    .jobs
-                    .launch_copy(job, stage, partition, slot)
-                    .expect("stage has a task set");
+                let instance = self.jobs.launch_copy(job, stage, partition, slot).expect("stage has a task set");
                 self.slots.assign(slot, instance.task).expect("reserved slot is assignable");
                 self.start_instance(
                     slot,
                     RunningInstance { instance, started: now, level: LocalityLevel::ProcessLocal },
                 );
-                let a = Assignment {
-                    slot,
-                    instance,
-                    level: LocalityLevel::ProcessLocal,
-                    speculative: true,
-                    warm: true,
-                };
+                let a =
+                    Assignment { slot, instance, level: LocalityLevel::ProcessLocal, speculative: true, warm: true };
                 self.emit(now, |_| launch_event(&a));
                 out.push(a);
             }
@@ -996,8 +941,7 @@ impl TaskScheduler {
                 };
                 for partition in tsm.copy_candidate_iter() {
                     self.counters.speculation_candidates_examined.inc();
-                    let Some((instance, running_slot)) = tsm.sole_running_instance(partition)
-                    else {
+                    let Some((instance, running_slot)) = tsm.sole_running_instance(partition) else {
                         continue;
                     };
                     let Some(Some(ri)) = self.running.get(running_slot.index()) else { continue };
@@ -1007,8 +951,7 @@ impl TaskScheduler {
                         continue;
                     }
                     let demand = state.spec().stage(tsm.stage()).demand();
-                    let Some(pos) = free.iter().position(|&s| self.slots.size(s) >= demand)
-                    else {
+                    let Some(pos) = free.iter().position(|&s| self.slots.size(s) >= demand) else {
                         continue;
                     };
                     let slot = free.remove(pos);
@@ -1019,8 +962,7 @@ impl TaskScheduler {
         }
         let mut out = Vec::new();
         for &(job, stage, partition, slot, level) in &plans {
-            let instance =
-                self.jobs.launch_copy(job, stage, partition, slot).expect("stage has a task set");
+            let instance = self.jobs.launch_copy(job, stage, partition, slot).expect("stage has a task set");
             self.slots.assign(slot, instance.task).expect("free slot is assignable");
             self.start_instance(slot, RunningInstance { instance, started: now, level });
             let a = Assignment { slot, instance, level, speculative: true, warm: false };
@@ -1040,9 +982,7 @@ impl TaskScheduler {
     /// cancel finish events of killed copies.
     pub fn task_finished(&mut self, slot: SlotId, now: SimTime) -> FinishOutcome {
         self.advance_clock(now);
-        let ri = self
-            .stop_instance(slot)
-            .unwrap_or_else(|| panic!("task_finished on {slot} with no running instance"));
+        let ri = self.stop_instance(slot).unwrap_or_else(|| panic!("task_finished on {slot} with no running instance"));
         let task = ri.instance.task;
         self.slots.finish(slot).expect("slot was running");
         let duration = now.saturating_since(ri.started);
@@ -1057,8 +997,7 @@ impl TaskScheduler {
 
         // The task set records the winner's duration and its slot, which
         // now holds the partition's output (and a warm JVM for this job).
-        let outcome =
-            self.jobs.instance_finished(ri.instance, duration).expect("stage has a task set");
+        let outcome = self.jobs.instance_finished(ri.instance, duration).expect("stage has a task set");
         debug_assert!(outcome.first_finish, "losers are killed, not finished");
 
         // Kill losing copies of the same partition.
@@ -1089,8 +1028,7 @@ impl TaskScheduler {
         }
 
         let state = self.jobs.get(task.job).expect("job exists");
-        let stage_completed =
-            state.taskset(task.stage).expect("stage has a task set").is_complete();
+        let stage_completed = state.taskset(task.stage).expect("stage has a task set").is_complete();
         let job_completed = stage_completed && state.all_stages_complete();
 
         if stage_completed {
@@ -1101,12 +1039,7 @@ impl TaskScheduler {
             let stale: Vec<SlotId> = self
                 .slots
                 .reserved_for(task.job)
-                .filter(|&s| {
-                    self.slots
-                        .get(s)
-                        .reservation()
-                        .is_some_and(|r| r.stage() == Some(task.stage))
-                })
+                .filter(|&s| self.slots.get(s).reservation().is_some_and(|r| r.stage() == Some(task.stage)))
                 .collect();
             for s in stale {
                 self.slots.release(s).expect("stale reservation is releasable");
@@ -1123,10 +1056,7 @@ impl TaskScheduler {
             self.emit(now, |_| TraceEventKind::JobCompleted { job: task.job });
             self.jobs.mark_complete(task.job, now);
             for s in self.slots.release_job_reservations(task.job) {
-                self.emit(now, |_| TraceEventKind::ReservationReleased {
-                    slot: s.as_u32(),
-                    job: task.job,
-                });
+                self.emit(now, |_| TraceEventKind::ReservationReleased { slot: s.as_u32(), job: task.job });
             }
             self.prereserve.retain(|(j, _), _| *j != task.job);
             let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
@@ -1165,16 +1095,13 @@ impl TaskScheduler {
             let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
             if let Some(req) = self.policy.prereserve(&ctx, task) {
                 if req.extra > 0 {
-                    let entry = self
-                        .prereserve
-                        .entry((req.job, req.stage))
-                        .or_insert(PendingPrereserve {
-                            target: 0,
-                            granted: 0,
-                            priority: req.priority,
-                            deadline: req.deadline,
-                            min_size: req.min_size,
-                        });
+                    let entry = self.prereserve.entry((req.job, req.stage)).or_insert(PendingPrereserve {
+                        target: 0,
+                        granted: 0,
+                        priority: req.priority,
+                        deadline: req.deadline,
+                        min_size: req.min_size,
+                    });
                     entry.target = entry.target.max(req.extra);
                     entry.priority = req.priority;
                     entry.deadline = req.deadline;
@@ -1184,14 +1111,7 @@ impl TaskScheduler {
         }
         self.fill_prereservations(now);
 
-        FinishOutcome {
-            instance: ri.instance,
-            duration,
-            newly_ready,
-            killed,
-            stage_completed,
-            job_completed,
-        }
+        FinishOutcome { instance: ri.instance, duration, newly_ready, killed, stage_completed, job_completed }
     }
 
     /// Grants pending pre-reservations from currently free slots.
@@ -1221,8 +1141,7 @@ impl TaskScheduler {
             let mut granted = entry.granted;
             while granted < entry.target {
                 // §III-C: pre-reserved slots must be of the right size.
-                let Some(pos) = free.iter().position(|&(_, size)| size >= entry.min_size)
-                else {
+                let Some(pos) = free.iter().position(|&(_, size)| size >= entry.min_size) else {
                     break;
                 };
                 let (slot, _) = free.remove(pos);
@@ -1319,10 +1238,7 @@ impl TaskScheduler {
             }
             if let Ok(Some(r)) = self.slots.take_offline(slot) {
                 outcome.revoked.push(slot);
-                self.emit(now, |_| TraceEventKind::ReservationRevoked {
-                    slot: slot.as_u32(),
-                    job: r.job(),
-                });
+                self.emit(now, |_| TraceEventKind::ReservationRevoked { slot: slot.as_u32(), job: r.job() });
             }
             self.emit(now, |_| TraceEventKind::SlotOffline { slot: slot.as_u32(), cause });
         }
@@ -1425,10 +1341,7 @@ impl TaskScheduler {
 
     /// Iterate over `(slot, running instance)` pairs.
     pub fn running_instances(&self) -> impl Iterator<Item = (SlotId, &RunningInstance)> {
-        self.running
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| Some((SlotId::new(i as u32), r.as_ref()?)))
+        self.running.iter().enumerate().filter_map(|(i, r)| Some((SlotId::new(i as u32), r.as_ref()?)))
     }
 
     /// `true` while some admitted job is incomplete.
@@ -1839,9 +1752,7 @@ mod tests {
             Box::new(FifoPriority),
         );
         let job = ssr_dag::JobSpecBuilder::new("fat")
-            .stage_spec(
-                ssr_dag::StageSpec::new("only", 3, constant(1.0)).with_demand(4),
-            )
+            .stage_spec(ssr_dag::StageSpec::new("only", 3, constant(1.0)).with_demand(4))
             .build()
             .unwrap();
         s.submit(job, SimTime::ZERO);
@@ -2009,16 +1920,14 @@ mod tests {
 
         // One `low` up-task finishes: its freed slot immediately serves
         // low's own pre-reservation (the only pending request).
-        let low_slot =
-            a.iter().find(|x| x.instance.task.job == low).unwrap().slot;
+        let low_slot = a.iter().find(|x| x.instance.task.job == low).unwrap().slot;
         s.task_finished(low_slot, SimTime::from_secs(1));
         assert_eq!(s.slot_pool().reserved_for(low).count(), 1);
 
         // One `high` up-task finishes: now both jobs have a pending
         // request and exactly one slot is free. Priority order must give
         // it to `high`; the buggy key order gave it to `low` (JobId 0).
-        let high_slot =
-            a.iter().find(|x| x.instance.task.job == high).unwrap().slot;
+        let high_slot = a.iter().find(|x| x.instance.task.job == high).unwrap().slot;
         s.task_finished(high_slot, SimTime::from_secs(2));
         assert_eq!(
             s.slot_pool().reserved_for(high).count(),
@@ -2065,11 +1974,7 @@ mod tests {
         s.expire_reservations(SimTime::from_secs(31));
         let sink = s.take_trace_sink().expect("sink attached");
         assert!(!s.trace_enabled());
-        let events = sink
-            .into_any()
-            .downcast::<VecSink>()
-            .expect("VecSink recovered")
-            .into_events();
+        let events = sink.into_any().downcast::<VecSink>().expect("VecSink recovered").into_events();
         let names: Vec<&'static str> = events.iter().map(|e| e.kind.name()).collect();
         assert!(names.contains(&"job-submitted"));
         assert!(names.contains(&"offer-round-started"));
@@ -2082,9 +1987,7 @@ mod tests {
         let denial = events
             .iter()
             .find_map(|e| match e.kind {
-                TraceEventKind::OfferDeclined { job, reason, stage } => {
-                    Some((job, reason, stage))
-                }
+                TraceEventKind::OfferDeclined { job, reason, stage } => Some((job, reason, stage)),
                 _ => None,
             })
             .expect("a decline was traced");
@@ -2162,12 +2065,8 @@ mod tests {
     /// the candidate-slot ranking of every pending task set against the
     /// scan per decision.
     fn assert_indexes_match_full_walks(s: &TaskScheduler, now: SimTime) {
-        let pending: Vec<JobId> = s
-            .jobs()
-            .iter()
-            .filter(|j| !j.is_complete() && j.has_pending_tasks())
-            .map(|j| j.id())
-            .collect();
+        let pending: Vec<JobId> =
+            s.jobs().iter().filter(|j| !j.is_complete() && j.has_pending_tasks()).map(|j| j.id()).collect();
         assert_eq!(s.jobs().pending_ids().collect::<Vec<_>>(), pending, "pending-job set");
         // The ordered pending index, re-keyed as the next offer round
         // would, against the per-round rebuild it replaced: the pending
@@ -2179,12 +2078,7 @@ mod tests {
             .map(|&id| {
                 let j = s.jobs().get(id).expect("pending job exists");
                 let keyed = if s.order.reads_running_slots() { j.running_count() } else { 0 };
-                JobSnapshot {
-                    id,
-                    priority: j.priority(),
-                    arrival: j.submitted_at(),
-                    running_slots: keyed,
-                }
+                JobSnapshot { id, priority: j.priority(), arrival: j.submitted_at(), running_slots: keyed }
             })
             .collect();
         crate::order::sort_worst_first(&*s.order, &mut rebuilt);
@@ -2214,11 +2108,7 @@ mod tests {
         }
         assert_eq!(s.running_instances().count(), s.slot_pool().counts().1, "running slots");
         for job in s.jobs().iter().map(|j| j.id()) {
-            assert_eq!(
-                s.deny_reason(job, now),
-                deny_reason_per_slot(s, job, now),
-                "deny reason of {job:?} at {now:?}"
-            );
+            assert_eq!(s.deny_reason(job, now), deny_reason_per_slot(s, job, now), "deny reason of {job:?} at {now:?}");
         }
         for state in s.jobs().iter().filter(|j| !j.is_complete()) {
             for tsm in state.active_tasksets().filter(|t| t.has_pending()) {
@@ -2250,8 +2140,7 @@ mod tests {
         allowed: LocalityLevel,
         now: SimTime,
     ) -> Option<(SlotId, LocalityLevel)> {
-        let preferred: std::collections::BTreeSet<SlotId> =
-            tsm.preferred().iter().copied().collect();
+        let preferred: std::collections::BTreeSet<SlotId> = tsm.preferred().iter().copied().collect();
         let ctx = PolicyCtx { now, slots: &s.slots, jobs: &s.jobs };
         s.spec
             .iter_slots()
@@ -2260,8 +2149,7 @@ mod tests {
                 let class = match s.slots.get(x) {
                     ssr_cluster::SlotState::Free => 1u8,
                     ssr_cluster::SlotState::Reserved(r) if r.job() == job => 0,
-                    ssr_cluster::SlotState::Reserved(r)
-                        if s.policy.approve(&ctx, r, job, priority) => 2,
+                    ssr_cluster::SlotState::Reserved(r) if s.policy.approve(&ctx, r, job, priority) => 2,
                     _ => return None,
                 };
                 let level = ssr_cluster::locality::level_for(&s.spec, &preferred, x);
@@ -2273,11 +2161,7 @@ mod tests {
 
     /// `deny_reason` as it read before it shared the group walk: one
     /// `approve` call per fitting reserved slot, per pending stage.
-    fn deny_reason_per_slot(
-        s: &TaskScheduler,
-        job: JobId,
-        now: SimTime,
-    ) -> (DenyReason, Option<StageId>) {
+    fn deny_reason_per_slot(s: &TaskScheduler, job: JobId, now: SimTime) -> (DenyReason, Option<StageId>) {
         let Some(state) = s.jobs.get(job) else {
             return (DenyReason::NoPendingTasks, None);
         };
@@ -2334,8 +2218,7 @@ mod tests {
             2 => Box::new(Fifo),
             _ => Box::new(SelectOnly(Fair)),
         };
-        let locality =
-            LocalityModel::paper_simulation().with_wait(SimDuration::from_millis(wait_ms));
+        let locality = LocalityModel::paper_simulation().with_wait(SimDuration::from_millis(wait_ms));
         let mut s = TaskScheduler::new(cluster, locality, policy, order);
         if rng.chance(0.3) {
             s = s.with_speculation(SpeculationConfig::spark_defaults());
@@ -2350,8 +2233,8 @@ mod tests {
             match rng.next_below(10) {
                 0 if submitted < 8 => {
                     submitted += 1;
-                    let mut b = JobSpecBuilder::new(format!("j{submitted}"))
-                        .priority(Priority::new(rng.next_below(3) as i32));
+                    let mut b =
+                        JobSpecBuilder::new(format!("j{submitted}")).priority(Priority::new(rng.next_below(3) as i32));
                     for st in 0..1 + rng.next_below(3) {
                         let par = 1 + rng.next_below(4) as u32;
                         let demand = if sized { 1 + rng.next_below(2) as u32 } else { 1 };
@@ -2465,8 +2348,7 @@ mod tests {
         } else {
             Box::new(StaticReservation::new(0, Priority::new(2)))
         };
-        let mut s =
-            TaskScheduler::new(spec, LocalityModel::paper_simulation(), policy, Box::new(Fair));
+        let mut s = TaskScheduler::new(spec, LocalityModel::paper_simulation(), policy, Box::new(Fair));
         let owners = [JobId::new(0), JobId::new(1), JobId::new(2), STATIC_POOL_JOB];
         let now = SimTime::ZERO;
         for slot in spec.iter_slots() {
@@ -2492,8 +2374,7 @@ mod tests {
             let demand = 1 + rng.next_below(u64::from(spec.max_slot_size())) as u32;
             let density = [0.0, 0.03, 0.3][rng.next_below(3) as usize];
             let preferred = spec.iter_slots().filter(|_| rng.chance(density)).collect();
-            let tsm = TaskSetManager::new(job, StageId::new(0), 1, now)
-                .with_preferred(preferred, &spec);
+            let tsm = TaskSetManager::new(job, StageId::new(0), 1, now).with_preferred(preferred, &spec);
             for allowed in LocalityLevel::ALL {
                 let (mut words, mut slots) = ([None; 4], [None; 4]);
                 let scanned = |f: &mut dyn FnMut()| {
@@ -2565,8 +2446,7 @@ mod tests {
         let job = s.submit(one_stage_job("j", 6, 0), SimTime::ZERO);
         assert_eq!(s.resource_offers(SimTime::ZERO).len(), 4);
         let state = |s: &TaskScheduler| {
-            let running: Vec<(SlotId, RunningInstance)> =
-                s.running_instances().map(|(slot, ri)| (slot, *ri)).collect();
+            let running: Vec<(SlotId, RunningInstance)> = s.running_instances().map(|(slot, ri)| (slot, *ri)).collect();
             (s.slot_pool().counts(), running, s.work_counters().render_json())
         };
         let before = state(&s);
@@ -2581,8 +2461,7 @@ mod tests {
         assert_eq!(state(&s), before);
         let stage = StageId::new(0);
         for (partition, attempt) in [(99, 0), (0, 7)] {
-            let phantom =
-                TaskInstance { task: ssr_dag::TaskId::new(job, stage, partition), attempt };
+            let phantom = TaskInstance { task: ssr_dag::TaskId::new(job, stage, partition), attempt };
             let tsm = s.jobs.get_mut(job).and_then(|j| j.taskset_mut(stage)).unwrap();
             tsm.instance_killed(phantom);
             assert_eq!(state(&s), before);

@@ -425,12 +425,7 @@ impl Jobs {
     }
 
     /// Launches the next pending original task of `stage` on `slot`.
-    pub(crate) fn launch_next(
-        &mut self,
-        id: JobId,
-        stage: StageId,
-        slot: SlotId,
-    ) -> Option<TaskInstance> {
+    pub(crate) fn launch_next(&mut self, id: JobId, stage: StageId, slot: SlotId) -> Option<TaskInstance> {
         let state = entry_mut(&mut self.table, id)?;
         let tsm = state.tsms.get_mut(&stage)?;
         let instance = tsm.launch_next(slot)?;
@@ -479,8 +474,7 @@ impl Jobs {
         duration: SimDuration,
     ) -> Option<InstanceOutcome> {
         let state = entry_mut(&mut self.table, instance.task.job)?;
-        let outcome =
-            state.tsms.get_mut(&instance.task.stage)?.instance_finished(instance, duration);
+        let outcome = state.tsms.get_mut(&instance.task.stage)?.instance_finished(instance, duration);
         let running = state.running;
         let stopped = u32::try_from(1 + outcome.losers.len()).unwrap_or(u32::MAX);
         state.running = running.saturating_sub(stopped);
@@ -588,12 +582,7 @@ impl PendingIndex {
 /// Moves one job's entry in the worst-first `index`: from its `old` key
 /// (`None` when it had no entry) to its `new` one (`None` when it leaves).
 /// A key that still sorts where the old one was is written in place.
-fn rekey_entry(
-    index: &mut Vec<JobSnapshot>,
-    order: &dyn JobOrder,
-    old: Option<JobSnapshot>,
-    new: Option<JobSnapshot>,
-) {
+fn rekey_entry(index: &mut Vec<JobSnapshot>, order: &dyn JobOrder, old: Option<JobSnapshot>, new: Option<JobSnapshot>) {
     if old == new {
         // Touched, but its key did not move.
         return;
@@ -610,8 +599,7 @@ fn rekey_entry(
     });
     if let (Some(at), Some(new)) = (at, new) {
         let after_worse = at == 0 || order.compare(&index[at - 1], &new) == Ordering::Greater;
-        let before_better =
-            index.get(at + 1).is_none_or(|next| order.compare(&new, next) == Ordering::Greater);
+        let before_better = index.get(at + 1).is_none_or(|next| order.compare(&new, next) == Ordering::Greater);
         if after_worse && before_better {
             index[at] = new;
             return;
@@ -647,12 +635,8 @@ mod tests {
     use ssr_simcore::dist::constant;
 
     fn job_state() -> JobState {
-        let spec = JobSpecBuilder::new("j")
-            .stage("a", 2, constant(1.0))
-            .stage("b", 2, constant(1.0))
-            .chain()
-            .build()
-            .unwrap();
+        let spec =
+            JobSpecBuilder::new("j").stage("a", 2, constant(1.0)).stage("b", 2, constant(1.0)).chain().build().unwrap();
         JobState::new(JobId::new(1), spec, SimTime::from_secs(1))
     }
 
@@ -719,12 +703,8 @@ mod tests {
     }
 
     fn two_phase() -> Jobs {
-        let spec = JobSpecBuilder::new("t")
-            .stage("a", 3, constant(1.0))
-            .stage("b", 2, constant(1.0))
-            .chain()
-            .build()
-            .unwrap();
+        let spec =
+            JobSpecBuilder::new("t").stage("a", 3, constant(1.0)).stage("b", 2, constant(1.0)).chain().build().unwrap();
         admit(spec)
     }
 
@@ -784,10 +764,7 @@ mod tests {
 
     #[test]
     fn complete_stage_has_nothing_left_to_launch() {
-        let spec = JobSpecBuilder::new("s")
-            .stage("only", 1, constant(1.0))
-            .build()
-            .unwrap();
+        let spec = JobSpecBuilder::new("s").stage("only", 1, constant(1.0)).build().unwrap();
         let mut jobs = admit(spec);
         let only = StageId::new(0);
         assert!(finish_one(&mut jobs, only).is_empty());
@@ -855,10 +832,7 @@ mod tests {
         let mut jobs = Jobs::new();
         assert!(jobs.is_empty());
         for id in [3u64, 1, 2] {
-            let spec = JobSpecBuilder::new(format!("j{id}"))
-                .stage("s", 1, constant(1.0))
-                .build()
-                .unwrap();
+            let spec = JobSpecBuilder::new(format!("j{id}")).stage("s", 1, constant(1.0)).build().unwrap();
             jobs.insert(JobState::new(JobId::new(id), spec, SimTime::ZERO));
         }
         let ids: Vec<u64> = jobs.iter().map(|j| j.id().as_u64()).collect();
@@ -913,10 +887,7 @@ mod proptests {
     /// A one-phase job whose phase is ready at time zero, as `submit`
     /// builds it.
     fn job(id: u64, parallelism: u32) -> JobState {
-        let spec = JobSpecBuilder::new(format!("j{id}"))
-            .stage("s", parallelism, constant(1.0))
-            .build()
-            .unwrap();
+        let spec = JobSpecBuilder::new(format!("j{id}")).stage("s", parallelism, constant(1.0)).build().unwrap();
         let mut state = JobState::new(JobId::new(id), spec, SimTime::ZERO);
         let tsm = TaskSetManager::new(JobId::new(id), STAGE, parallelism, SimTime::ZERO);
         state.insert_taskset(tsm);
@@ -950,23 +921,17 @@ mod proptests {
                 let Some(of) = pick(live, k) else { return };
                 let (id, slot) = (of.task.job, SlotId::new(s));
                 let (state, running) = reference.get_mut(&id).expect("live job exists");
-                let expected =
-                    state.taskset_mut(STAGE).unwrap().launch_copy(of.task.partition, slot);
+                let expected = state.taskset_mut(STAGE).unwrap().launch_copy(of.task.partition, slot);
                 *running += 1;
-                prop_assert_eq!(
-                    jobs.launch_copy(id, STAGE, of.task.partition, slot),
-                    Some(expected)
-                );
+                prop_assert_eq!(jobs.launch_copy(id, STAGE, of.task.partition, slot), Some(expected));
                 live.push(expected);
             }
             Op::Finish(k) => {
                 let Some(instance) = pick(live, k) else { return };
                 let (state, running) = reference.get_mut(&instance.task.job).unwrap();
-                let expected =
-                    state.taskset_mut(STAGE).unwrap().instance_finished(instance, SimDuration::ZERO);
+                let expected = state.taskset_mut(STAGE).unwrap().instance_finished(instance, SimDuration::ZERO);
                 *running -= 1 + expected.losers.len();
-                let outcome =
-                    jobs.instance_finished(instance, SimDuration::ZERO).expect("live job exists");
+                let outcome = jobs.instance_finished(instance, SimDuration::ZERO).expect("live job exists");
                 prop_assert_eq!(outcome.first_finish, expected.first_finish);
                 prop_assert_eq!(&outcome.losers, &expected.losers);
                 live.retain(|i| *i != instance && !expected.losers.iter().any(|(l, _)| l == i));

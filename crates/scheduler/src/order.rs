@@ -131,10 +131,7 @@ impl JobOrder for Fair {
     }
 
     fn compare(&self, a: &JobSnapshot, b: &JobSnapshot) -> Ordering {
-        a.running_slots
-            .cmp(&b.running_slots)
-            .then(a.arrival.cmp(&b.arrival))
-            .then(a.id.cmp(&b.id))
+        a.running_slots.cmp(&b.running_slots).then(a.arrival.cmp(&b.arrival)).then(a.id.cmp(&b.id))
     }
 
     fn name(&self) -> &'static str {
@@ -290,11 +287,7 @@ mod tests {
 
     /// The pre-queue offer loop: `select` over what is left, then remove
     /// by position. Returns the served job sequence.
-    fn served_by_select(
-        order: &dyn JobOrder,
-        mut candidates: Vec<JobSnapshot>,
-        outcomes: &[Outcome],
-    ) -> Vec<JobId> {
+    fn served_by_select(order: &dyn JobOrder, mut candidates: Vec<JobSnapshot>, outcomes: &[Outcome]) -> Vec<JobId> {
         let mut served = Vec::new();
         for &outcome in outcomes {
             let Some(job) = order.select(&candidates) else { break };
@@ -311,11 +304,7 @@ mod tests {
     }
 
     /// The sorted queue the offer round uses.
-    fn served_by_queue(
-        order: &dyn JobOrder,
-        mut queue: Vec<JobSnapshot>,
-        outcomes: &[Outcome],
-    ) -> Vec<JobId> {
+    fn served_by_queue(order: &dyn JobOrder, mut queue: Vec<JobSnapshot>, outcomes: &[Outcome]) -> Vec<JobId> {
         sort_worst_first(order, &mut queue);
         let mut served = Vec::new();
         for &outcome in outcomes {
@@ -332,12 +321,7 @@ mod tests {
     }
 
     fn outcome_strategy() -> impl Strategy<Value = Outcome> {
-        prop_oneof![
-            Just(Outcome::Assigned),
-            Just(Outcome::Assigned),
-            Just(Outcome::Drained),
-            Just(Outcome::Declined),
-        ]
+        prop_oneof![Just(Outcome::Assigned), Just(Outcome::Assigned), Just(Outcome::Drained), Just(Outcome::Declined),]
     }
 
     proptest! {

@@ -84,12 +84,7 @@ pub trait ReservationPolicy: fmt::Debug {
     /// Called when `task` completes (or a losing copy is killed), freeing
     /// `slot`; decides whether to release or reserve it. This is the
     /// paper's `HandleTaskCompletion` (Algorithm 1, lines 1–17).
-    fn on_task_completed(
-        &mut self,
-        ctx: &PolicyCtx<'_>,
-        task: TaskId,
-        slot: SlotId,
-    ) -> SlotDisposition;
+    fn on_task_completed(&mut self, ctx: &PolicyCtx<'_>, task: TaskId, slot: SlotId) -> SlotDisposition;
 
     /// The ApprovalLogic (Algorithm 1, lines 18–22) stated as data: the
     /// [`ApprovalRule`] every [`approve`](Self::approve) verdict follows,
@@ -110,13 +105,7 @@ pub trait ReservationPolicy: fmt::Debug {
     /// The default evaluates the declared
     /// [`approval_rule`](Self::approval_rule), or the paper's rule
     /// ([`ApprovalRule::OwnerOrAbove`]) when none is declared.
-    fn approve(
-        &self,
-        ctx: &PolicyCtx<'_>,
-        reservation: &Reservation,
-        job: JobId,
-        priority: Priority,
-    ) -> bool {
+    fn approve(&self, ctx: &PolicyCtx<'_>, reservation: &Reservation, job: JobId, priority: Priority) -> bool {
         let _ = ctx;
         self.approval_rule().unwrap_or(ApprovalRule::OwnerOrAbove).approves(
             reservation.job(),
@@ -245,12 +234,7 @@ impl ReservationPolicy for WorkConserving {
         Some(ApprovalRule::OwnerOrAbove)
     }
 
-    fn on_task_completed(
-        &mut self,
-        _ctx: &PolicyCtx<'_>,
-        _task: TaskId,
-        _slot: SlotId,
-    ) -> SlotDisposition {
+    fn on_task_completed(&mut self, _ctx: &PolicyCtx<'_>, _task: TaskId, _slot: SlotId) -> SlotDisposition {
         SlotDisposition::Release
     }
 }
@@ -284,22 +268,11 @@ impl ReservationPolicy for TimeoutReservation {
         Some(ApprovalRule::OwnerOrAbove)
     }
 
-    fn on_task_completed(
-        &mut self,
-        ctx: &PolicyCtx<'_>,
-        task: TaskId,
-        _slot: SlotId,
-    ) -> SlotDisposition {
-        let priority = ctx
-            .jobs
-            .get(task.job)
-            .map(|j| j.priority())
-            .unwrap_or_default();
+    fn on_task_completed(&mut self, ctx: &PolicyCtx<'_>, task: TaskId, _slot: SlotId) -> SlotDisposition {
+        let priority = ctx.jobs.get(task.job).map(|j| j.priority()).unwrap_or_default();
         // Blind: reserves even after the final phase (the inefficiency the
         // paper calls out).
-        SlotDisposition::Reserve(
-            Reservation::new(task.job, priority).with_deadline(ctx.now + self.timeout),
-        )
+        SlotDisposition::Reserve(Reservation::new(task.job, priority).with_deadline(ctx.now + self.timeout))
     }
 }
 
@@ -342,12 +315,7 @@ impl ReservationPolicy for StaticReservation {
         self.pool_slots = slots.to_vec();
     }
 
-    fn on_task_completed(
-        &mut self,
-        ctx: &PolicyCtx<'_>,
-        _task: TaskId,
-        slot: SlotId,
-    ) -> SlotDisposition {
+    fn on_task_completed(&mut self, ctx: &PolicyCtx<'_>, _task: TaskId, slot: SlotId) -> SlotDisposition {
         if self.pool_slots.contains(&slot) {
             // Restore the pool reservation once the class task vacates.
             let _ = ctx;
@@ -425,10 +393,7 @@ mod tests {
         }
         // Blind even for the final phase.
         let final_task = TaskId::new(JobId::new(1), StageId::new(1), 0);
-        assert!(matches!(
-            p.on_task_completed(&ctx, final_task, SlotId::new(0)),
-            SlotDisposition::Reserve(_)
-        ));
+        assert!(matches!(p.on_task_completed(&ctx, final_task, SlotId::new(0)), SlotDisposition::Reserve(_)));
     }
 
     #[test]
@@ -482,10 +447,7 @@ mod tests {
             TimeoutReservation::new(SimDuration::from_secs(1)).approval_rule(),
             Some(ApprovalRule::OwnerOrAbove)
         );
-        assert_eq!(
-            StaticReservation::new(1, Priority::new(1)).approval_rule(),
-            Some(ApprovalRule::StaticPoolAtLeast)
-        );
+        assert_eq!(StaticReservation::new(1, Priority::new(1)).approval_rule(), Some(ApprovalRule::StaticPoolAtLeast));
     }
 
     /// The paper's `approve` body as the default implemented it before
@@ -513,12 +475,7 @@ mod tests {
             "no-rule"
         }
 
-        fn on_task_completed(
-            &mut self,
-            _ctx: &PolicyCtx<'_>,
-            _task: TaskId,
-            _slot: SlotId,
-        ) -> SlotDisposition {
+        fn on_task_completed(&mut self, _ctx: &PolicyCtx<'_>, _task: TaskId, _slot: SlotId) -> SlotDisposition {
             SlotDisposition::Release
         }
     }
@@ -571,9 +528,9 @@ mod tests {
             for p in 3..9 {
                 let priority = Priority::new(p);
                 // Every group another owner could hold at or above the floor.
-                let any = [JobId::new(2), STATIC_POOL_JOB].into_iter().any(|owner| {
-                    (5..8).any(|r| rule.approves(owner, Priority::new(r), candidate, priority))
-                });
+                let any = [JobId::new(2), STATIC_POOL_JOB]
+                    .into_iter()
+                    .any(|owner| (5..8).any(|r| rule.approves(owner, Priority::new(r), candidate, priority)));
                 if !rule.could_approve(priority, lowest) {
                     assert!(!any, "{rule:?} ruled out priority {p}, which a group approves");
                 }

@@ -37,11 +37,8 @@ impl SpeculationConfig {
     /// speculation; below 0 is meaningless. `NaN` falls back to the Spark
     /// default (0.75).
     pub fn with_quantile(mut self, quantile: f64) -> Self {
-        self.quantile = if quantile.is_nan() {
-            SpeculationConfig::spark_defaults().quantile
-        } else {
-            quantile.clamp(0.0, 1.0)
-        };
+        self.quantile =
+            if quantile.is_nan() { SpeculationConfig::spark_defaults().quantile } else { quantile.clamp(0.0, 1.0) };
         self
     }
 
@@ -143,20 +140,10 @@ mod tests {
 
     #[test]
     fn nan_inputs_fall_back_to_spark_defaults() {
-        let c = SpeculationConfig::spark_defaults()
-            .with_quantile(f64::NAN)
-            .with_multiplier(f64::NAN);
+        let c = SpeculationConfig::spark_defaults().with_quantile(f64::NAN).with_multiplier(f64::NAN);
         assert_eq!(c, SpeculationConfig::spark_defaults());
         // Infinities are finite-clamped, not defaulted.
-        assert_eq!(
-            SpeculationConfig::spark_defaults().with_quantile(f64::INFINITY).quantile,
-            1.0
-        );
-        assert_eq!(
-            SpeculationConfig::spark_defaults()
-                .with_multiplier(f64::NEG_INFINITY)
-                .multiplier,
-            1.0
-        );
+        assert_eq!(SpeculationConfig::spark_defaults().with_quantile(f64::INFINITY).quantile, 1.0);
+        assert_eq!(SpeculationConfig::spark_defaults().with_multiplier(f64::NEG_INFINITY).multiplier, 1.0);
     }
 }

@@ -233,8 +233,7 @@ impl TaskSetManager {
     /// no scan over the preference set. An empty set leaves the phase
     /// without a preference.
     pub fn with_preferred(mut self, preferred: BTreeSet<SlotId>, spec: &ClusterSpec) -> Self {
-        self.locality =
-            (!preferred.is_empty()).then(|| Box::new(LocalityView::new(&preferred, spec)));
+        self.locality = (!preferred.is_empty()).then(|| Box::new(LocalityView::new(&preferred, spec)));
         self
     }
 
@@ -257,11 +256,7 @@ impl TaskSetManager {
     ///
     /// [`SlotPool::free_bits`]: ssr_cluster::SlotPool::free_bits
     #[inline]
-    pub(crate) fn first_preferred_in(
-        &self,
-        slots: &[u64],
-        fits: impl FnMut(SlotId) -> bool,
-    ) -> Option<SlotId> {
+    pub(crate) fn first_preferred_in(&self, slots: &[u64], fits: impl FnMut(SlotId) -> bool) -> Option<SlotId> {
         self.locality.as_ref()?.first_slot_in(slots, fits)
     }
 
@@ -340,11 +335,7 @@ impl TaskSetManager {
     /// straggler copies (§IV-C). Allocates nothing, so the offer-round
     /// paths can use it (`tests/offer_round_allocations.rs`).
     pub fn copy_candidate_iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.partitions
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.finished() && p.running.len() == 1)
-            .map(|(i, _)| i as u32)
+        self.partitions.iter().enumerate().filter(|(_, p)| !p.finished() && p.running.len() == 1).map(|(i, _)| i as u32)
     }
 
     /// Partitions with at least one live instance and no finish yet.
@@ -386,10 +377,7 @@ impl TaskSetManager {
 
     fn launch_instance(&mut self, partition: u32, slot: SlotId) -> TaskInstance {
         let p = &mut self.partitions[partition as usize];
-        let instance = TaskInstance {
-            task: TaskId::new(self.job, self.stage, partition),
-            attempt: p.next_attempt,
-        };
+        let instance = TaskInstance { task: TaskId::new(self.job, self.stage, partition), attempt: p.next_attempt };
         p.next_attempt += 1;
         p.running.push((instance, slot));
         instance
@@ -403,17 +391,10 @@ impl TaskSetManager {
     /// # Panics
     ///
     /// Panics if the instance is not currently running in this set.
-    pub fn instance_finished(
-        &mut self,
-        instance: TaskInstance,
-        duration: SimDuration,
-    ) -> InstanceOutcome {
+    pub fn instance_finished(&mut self, instance: TaskInstance, duration: SimDuration) -> InstanceOutcome {
         let p = &mut self.partitions[instance.task.partition as usize];
-        let idx = p
-            .running
-            .iter()
-            .position(|(i, _)| *i == instance)
-            .unwrap_or_else(|| panic!("{instance} is not running"));
+        let idx =
+            p.running.iter().position(|(i, _)| *i == instance).unwrap_or_else(|| panic!("{instance} is not running"));
         let (_, slot) = p.running.swap_remove(idx);
         let first_finish = !p.finished();
         let losers = std::mem::take(&mut p.running);
@@ -640,10 +621,7 @@ mod tests {
         let original = t.launch_next(SlotId::new(0)).unwrap();
         let stale = TaskInstance { task: original.task, attempt: original.attempt + 7 };
         assert!(!t.instance_crashed(stale), "stale attempt ignored");
-        let out_of_range = TaskInstance {
-            task: TaskId::new(JobId::new(1), StageId::new(0), 99),
-            attempt: 0,
-        };
+        let out_of_range = TaskInstance { task: TaskId::new(JobId::new(1), StageId::new(0), 99), attempt: 0 };
         assert!(!t.instance_crashed(out_of_range), "unknown partition ignored");
         // The tracked instance is untouched by the ignored crashes.
         assert!(t.instance_finished(original, SECOND).first_finish);
@@ -654,10 +632,7 @@ mod tests {
     #[should_panic(expected = "is not running")]
     fn finishing_unknown_instance_panics() {
         let mut t = tsm(1);
-        let phantom = TaskInstance {
-            task: TaskId::new(JobId::new(1), StageId::new(0), 0),
-            attempt: 5,
-        };
+        let phantom = TaskInstance { task: TaskId::new(JobId::new(1), StageId::new(0), 0), attempt: 5 };
         t.instance_finished(phantom, SECOND);
     }
 
@@ -723,11 +698,7 @@ mod tests {
     fn assert_view_matches_set(spec: &ClusterSpec, preferred: &BTreeSet<SlotId>) {
         let t = tsm(1).with_preferred(preferred.clone(), spec);
         for slot in spec.iter_slots() {
-            assert_eq!(
-                t.level_on(spec, slot),
-                ssr_cluster::locality::level_for(spec, preferred, slot),
-                "slot {slot}"
-            );
+            assert_eq!(t.level_on(spec, slot), ssr_cluster::locality::level_for(spec, preferred, slot), "slot {slot}");
         }
         let nodes: BTreeSet<NodeId> = preferred.iter().map(|&s| spec.node_of(s)).collect();
         let racks: BTreeSet<RackId> = nodes.iter().map(|&n| spec.rack_of(n)).collect();
@@ -755,16 +726,8 @@ mod tests {
 
     /// The process-local search as it read before the word-wise one: a
     /// filter over every preferred slot, then the minimum.
-    fn process_local_reference(
-        t: &TaskSetManager,
-        pool: &ssr_cluster::SlotPool,
-        demand: u32,
-    ) -> Option<SlotId> {
-        t.preferred()
-            .iter()
-            .copied()
-            .filter(|&s| pool.is_free_in_service(s) && pool.size(s) >= demand)
-            .min()
+    fn process_local_reference(t: &TaskSetManager, pool: &ssr_cluster::SlotPool, demand: u32) -> Option<SlotId> {
+        t.preferred().iter().copied().filter(|&s| pool.is_free_in_service(s) && pool.size(s) >= demand).min()
     }
 
     proptest::proptest! {
