@@ -17,8 +17,8 @@ use ssr_perf::{SpanProfiler, WorkCounters};
 use ssr_simcore::SimTime;
 use ssr_trace::{DenyReason, TraceEvent, TraceEventKind, TraceSink};
 
-use crate::jobs::{DeclineTally, JobState, Jobs};
-use crate::order::{requeue_served, JobOrder, JobSnapshot};
+use crate::jobs::{DeclineTally, JobState, Jobs, LevelTallies};
+use crate::order::{JobOrder, JobSnapshot};
 use crate::policy::{ApprovalRule, PolicyCtx, ReservationPolicy, SlotDisposition};
 use crate::speculation::SpeculationConfig;
 use crate::taskset::{TaskInstance, TaskSetManager};
@@ -159,9 +159,12 @@ pub struct TaskScheduler {
     /// guarded by `self.profiler.is_some()`-shaped checks, so the
     /// disabled path costs one branch, as for `trace`.
     profiler: Option<Box<SpanProfiler>>,
-    // Reusable scratch buffers for the offer-round hot path — cleared on
-    // use, retained across rounds so steady state allocates nothing.
-    candidates_buf: Vec<JobSnapshot>,
+    /// `true` once an offer round with a slot to offer found a pending
+    /// job (see [`resource_offers`](Self::resource_offers)).
+    offered_pending: bool,
+    // Reusable scratch for the offer-round hot path — cleared on use,
+    // retained across rounds so steady state allocates nothing.
+    round: RoundNotes,
     straggler_jobs_buf: Vec<JobId>,
     straggler_slots_buf: Vec<SlotId>,
     straggler_plans_buf: Vec<(StageId, u32)>,
@@ -208,7 +211,8 @@ impl TaskScheduler {
             trace: None,
             counters: WorkCounters::new(),
             profiler: None,
-            candidates_buf: Vec::new(),
+            offered_pending: false,
+            round: RoundNotes::default(),
             straggler_jobs_buf: Vec::new(),
             straggler_slots_buf: Vec::new(),
             straggler_plans_buf: Vec::new(),
@@ -380,7 +384,7 @@ impl TaskScheduler {
         // no assignment can possibly be made this round.
         let (free, running, reserved) = self.slots.counts();
         self.emit(now, |_| TraceEventKind::OfferRoundStarted { free, running, reserved });
-        let mut available = free + reserved;
+        let available = free + reserved;
         if available > 0 {
             // `index_rescans` counts the rounds that found some job
             // changed since the last round with a slot to offer (and the
@@ -390,62 +394,23 @@ impl TaskScheduler {
             } else {
                 self.counters.index_hits.inc();
             }
-            // Work on a copy of the pending index, worst job first, so
-            // each attempt serves the last element: the same job `select`
-            // would pick from the rest. Candidates drop out as they drain
-            // or fail to place, and running counts advance per assignment.
-            let mut candidates = take_scratch(&self.counters, &mut self.candidates_buf);
-            candidates.extend_from_slice(self.jobs.pending_worst_first());
+            // The scratch counters count one buffer per round with a slot
+            // to offer, as the copy of the pending index that rounds once
+            // worked on did: fresh until a round has found a pending job,
+            // reused after.
+            if self.offered_pending {
+                self.counters.scratch_reuses.inc();
+            } else {
+                self.counters.scratch_allocs.inc();
+            }
+            self.offered_pending |= !self.jobs.pending_worst_first().is_empty();
+            let mut notes = std::mem::take(&mut self.round);
+            notes.clear(self.jobs.pending_levels());
             if free == 0 && self.group_approval() {
-                // No free slot: a job can only place onto a reserved slot
-                // it owns or whose group approves its priority. Dropped
-                // candidates would fail `try_assign_one` unchanged, and
-                // the filter stays valid mid-round — assignments only
-                // consume slots (free stays 0, groups only shrink) — so
-                // the assignment sequence is identical to the unfiltered
-                // round. The dropped ids are kept only for the trace,
-                // which lists them in job-id order.
-                let tracing = self.trace_enabled();
-                let mut dropped: Vec<JobId> = Vec::new();
-                candidates.retain(|c| {
-                    let viable = self.viable_on_reserved(c.id, c.priority, now);
-                    if !viable && tracing {
-                        dropped.push(c.id);
-                    }
-                    viable
-                });
-                dropped.sort_unstable();
-                for job in dropped {
-                    self.emit(now, |s| declined_event(s, job, now));
-                }
+                self.filter_candidates(&mut notes, now);
             }
-            // Untraced, the candidates the floor refuses once the free
-            // slots are gone are declined in bulk before each attempt;
-            // traced, each is attempted and declined with its own reason.
-            let bulk_decline = self.approval.is_some() && !self.trace_enabled();
-            while available > 0 {
-                if bulk_decline && self.slots.counts().0 == 0 {
-                    self.decline_hopeless(&mut candidates);
-                }
-                let Some(job) = candidates.last().map(|c| c.id) else { break };
-                match self.try_assign_one(job, now, !bulk_decline) {
-                    Some(a) => {
-                        self.emit(now, |_| launch_event(&a));
-                        assignments.push(a);
-                        available -= 1;
-                        if self.jobs.is_pending(job) {
-                            requeue_served(&*self.order, &mut candidates);
-                        } else {
-                            candidates.pop();
-                        }
-                    }
-                    None => {
-                        self.emit(now, |s| declined_event(s, job, now));
-                        candidates.pop();
-                    }
-                }
-            }
-            self.candidates_buf = candidates;
+            self.serve_candidates(&mut notes, available, &mut assignments, now);
+            self.round = notes;
         }
         if self.policy.mitigate_stragglers() {
             self.span_enter("speculation_scan");
@@ -460,6 +425,252 @@ impl TaskScheduler {
         self.emit(now, |_| TraceEventKind::OfferRoundEnded { assignments: assignments.len() });
         self.span_exit();
         assignments
+    }
+
+    /// The viability filter of a round that starts with no free slot. A
+    /// job can then place only onto a reserved slot it owns or whose group
+    /// approves its priority, so the others are dropped before the round
+    /// serves anyone. A dropped candidate would fail `try_assign_one`
+    /// unchanged, and a drop stays valid through the round (assignments
+    /// only consume slots: free stays 0 and groups only shrink), so the
+    /// assignment sequence is the unfiltered round's. Each drop counts its
+    /// refusal or its group walk. Traced, the dropped candidates are
+    /// declined in job-id order.
+    ///
+    /// Untraced with a declared rule, only the candidates above the floor
+    /// are walked. Those at or below it that own nothing are counted from
+    /// the index's level sums, one refused walk each, and noted as passed.
+    fn filter_candidates(&mut self, notes: &mut RoundNotes, now: SimTime) {
+        let lowest = self.slots.lowest_group_priority();
+        notes.filter_floor = Some(lowest);
+        let ranked = self.jobs.pending_worst_first();
+        match self.approval {
+            Some(rule) if !self.trace_enabled() => {
+                let (mut refused, mut above) = (0, 0);
+                for (priority, level) in self.jobs.pending_levels().iter() {
+                    if above_floor(rule, priority, lowest) {
+                        above += level.entries as usize;
+                    } else {
+                        refused += level.entries;
+                        notes.passed.add_level(priority, level);
+                    }
+                }
+                // Owners at or below the floor are kept.
+                for owner in self.slots.reservations_by_job().filter_map(|(owner, _)| self.jobs.keyed(owner)) {
+                    if !above_floor(rule, owner.priority, lowest) {
+                        refused -= 1;
+                        notes.passed.sub(owner.priority, self.jobs.decline_tally(owner.id));
+                    }
+                }
+                self.count_refused(DeclineTally { sets: refused, preferred: 0 });
+                // Under an order that ranks by priority first, the
+                // candidates above the floor are the best ones.
+                let top = &ranked[ranked.len().saturating_sub(above)..];
+                let scan = if top.iter().all(|c| above_floor(rule, c.priority, lowest)) { top } else { ranked };
+                for c in scan.iter().filter(|c| above_floor(rule, c.priority, lowest)) {
+                    if !self.slots.has_reservations(c.id)
+                        && !self.walk_groups(c.id, c.priority, now, true, |_, _, class| class.is_some())
+                    {
+                        notes.dropped.push(c.id);
+                        notes.passed.add(c.priority, self.jobs.decline_tally(c.id));
+                    }
+                }
+            }
+            _ => {
+                for c in ranked {
+                    if !self.viable_on_reserved(c.id, c.priority, now) {
+                        notes.dropped.push(c.id);
+                    }
+                }
+            }
+        }
+        notes.dropped.sort_unstable();
+        if self.trace_enabled() {
+            for &job in &notes.dropped {
+                self.emit(now, |s| declined_event(s, job, now));
+            }
+        }
+    }
+
+    /// Serves the pending index best first until `available` slots are
+    /// used or no candidate is left, walking it in place with a cursor:
+    /// the candidates still to come are the entries below it. A served
+    /// job is re-keyed where it stands, and one that stays pending stays
+    /// below the cursor (serving a job never ranks it sooner); a declined
+    /// one is passed.
+    ///
+    /// Untraced with a declared rule, once no slot is free and no
+    /// candidate to come sits above the floor, the rest of the round goes
+    /// to [`serve_owners`](Self::serve_owners), which declines the refused
+    /// candidates in bulk. Traced, each candidate is attempted and
+    /// declined on its own, with its `offer-declined` line.
+    fn serve_candidates(
+        &mut self,
+        notes: &mut RoundNotes,
+        mut available: usize,
+        assignments: &mut Vec<Assignment>,
+        now: SimTime,
+    ) {
+        let bulk = self.approval.is_some() && !self.trace_enabled();
+        let mut cursor = self.jobs.pending_worst_first().len();
+        while available > 0 {
+            let Some(&c) = cursor.checked_sub(1).and_then(|at| self.jobs.pending_worst_first().get(at)) else {
+                break;
+            };
+            if self.slots.counts().0 == 0 {
+                let filtered = self.filtered(notes, &c);
+                if bulk && (filtered || self.floor_refuses(c.id, c.priority)) && self.none_above_floor(notes) {
+                    self.serve_owners(notes, cursor, available, assignments, now);
+                    return;
+                }
+                if filtered {
+                    cursor -= 1;
+                    continue;
+                }
+            }
+            match self.try_assign_one(c.id, now) {
+                Some((a, held_by)) => {
+                    self.emit(now, |_| launch_event(&a));
+                    assignments.push(a);
+                    available -= 1;
+                    self.note_lost(notes, held_by);
+                    self.jobs.rekey_served(&*self.order);
+                    match self.jobs.keyed(c.id) {
+                        Some(k) => debug_assert!(
+                            self.jobs.rank(&*self.order, &k) < cursor,
+                            "{}: serving {:?} ranked it ahead of the candidates the round passed",
+                            self.order.name(),
+                            c.id
+                        ),
+                        // Drained: its entry, the last to come, left.
+                        None => cursor -= 1,
+                    }
+                }
+                None => {
+                    self.emit(now, |s| declined_event(s, c.id, now));
+                    if bulk {
+                        notes.passed.add(c.priority, self.jobs.decline_tally(c.id));
+                    }
+                    cursor -= 1;
+                }
+            }
+        }
+    }
+
+    /// The rest of an untraced round once no slot is free and no
+    /// candidate below `cursor` sits above the floor: of those candidates
+    /// only the reservation owners can place, and every other one would be
+    /// declined as the floor refuses it. The owners are served best first,
+    /// the cursor jumping from one to the next; the candidates it jumps
+    /// over are declined in bulk before the owner's attempt, as the groups
+    /// stand then. Once no owner is left, the candidates still to come are
+    /// declined in bulk from the index's level sums less the entries
+    /// passed or declined. A round that runs out of slots declines none of
+    /// the candidates ranked below the owner it served last.
+    fn serve_owners(
+        &mut self,
+        notes: &mut RoundNotes,
+        mut cursor: usize,
+        mut available: usize,
+        assignments: &mut Vec<Assignment>,
+        now: SimTime,
+    ) {
+        // The tallies declined in bulk so far.
+        let mut declined = DeclineTally::default();
+        while available > 0 {
+            let next = self
+                .slots
+                .reservations_by_job()
+                .filter_map(|(owner, _)| self.jobs.keyed(owner))
+                .map(|k| (self.jobs.rank(&*self.order, &k), k))
+                .filter(|&(at, _)| at < cursor)
+                .max_by_key(|&(at, _)| at);
+            let Some((at, next)) = next else { break };
+            let jumped = self.refused_between(notes, at + 1, cursor, declined);
+            self.count_refused(jumped);
+            declined.add(jumped);
+            match self.try_assign_one(next.id, now) {
+                Some((a, held_by)) => {
+                    self.emit(now, |_| launch_event(&a));
+                    assignments.push(a);
+                    available -= 1;
+                    self.note_lost(notes, held_by);
+                    self.jobs.rekey_served(&*self.order);
+                    cursor = if self.jobs.is_pending(next.id) { at + 1 } else { at };
+                }
+                None => {
+                    self.emit(now, |s| declined_event(s, next.id, now));
+                    notes.passed.add(next.priority, self.jobs.decline_tally(next.id));
+                    cursor = at;
+                }
+            }
+        }
+        if available > 0 {
+            let mut rest = self.unpassed(notes);
+            rest.sub(declined);
+            self.count_refused(rest);
+        }
+    }
+
+    /// The tallies of the entries the round has neither passed nor
+    /// dropped in its filter: the index's level sums less `passed`'s.
+    fn unpassed(&self, notes: &RoundNotes) -> DeclineTally {
+        let mut sum = DeclineTally::default();
+        for (priority, level) in self.jobs.pending_levels().iter() {
+            sum.add(level.tally);
+            sum.sub(notes.passed.get(priority).tally);
+        }
+        sum
+    }
+
+    /// The tallies of the entries in `from..to` of the pending index that
+    /// the filter did not drop, given that every entry from `to` up is
+    /// passed or among those `declined` in bulk. Walks that range or, when
+    /// shorter, the entries below it, taking them from the unpassed sum.
+    fn refused_between(&self, notes: &RoundNotes, from: usize, to: usize, declined: DeclineTally) -> DeclineTally {
+        let ranked = self.jobs.pending_worst_first();
+        let sum = |entries: &[JobSnapshot]| {
+            let mut sum = DeclineTally::default();
+            for c in entries.iter().filter(|c| !self.filtered(notes, c)) {
+                sum.add(self.jobs.decline_tally(c.id));
+            }
+            sum
+        };
+        if to - from <= from {
+            return sum(&ranked[from..to]);
+        }
+        let mut between = self.unpassed(notes);
+        between.sub(declined);
+        between.sub(sum(&ranked[..from]));
+        between
+    }
+
+    /// `true` for a candidate the viability filter dropped, which the
+    /// round passes without an attempt: one the rule refuses at the
+    /// filter's floor and that owned nothing then, or one noted dropped.
+    fn filtered(&self, notes: &RoundNotes, c: &JobSnapshot) -> bool {
+        let Some(lowest) = notes.filter_floor else { return false };
+        let refused = self.approval.is_some_and(|rule| !above_floor(rule, c.priority, lowest));
+        let owned = || self.slots.has_reservations(c.id) || notes.lost.contains(&c.id);
+        (refused && !owned()) || notes.dropped.binary_search(&c.id).is_ok()
+    }
+
+    /// Notes, in a filtered round, that the job whose reserved slot an
+    /// assignment took has none left.
+    fn note_lost(&self, notes: &mut RoundNotes, held_by: Option<JobId>) {
+        if let Some(owner) = held_by.filter(|&o| notes.filter_floor.is_some() && !self.slots.has_reservations(o)) {
+            notes.lost.push(owner);
+        }
+    }
+
+    /// `true` when every candidate still to come sits at or below the
+    /// floor: each level above it holds only entries the round passed.
+    fn none_above_floor(&self, notes: &RoundNotes) -> bool {
+        let Some(rule) = self.approval else { return false };
+        let lowest = self.slots.lowest_group_priority();
+        self.jobs.pending_levels().iter().all(|(priority, level)| {
+            !above_floor(rule, priority, lowest) || level.entries == notes.passed.get(priority).entries
+        })
     }
 
     /// Classifies why a candidate job could not place a task this round,
@@ -548,15 +759,9 @@ impl TaskScheduler {
     /// [`walk_groups`](Self::walk_groups), where the many walks it does
     /// not refuse would pay for it.
     fn floor_refuses(&self, job: JobId, priority: Priority) -> bool {
-        let lowest = self.slots.lowest_group_priority();
-        self.approval.is_some_and(|rule| self.refused(rule, lowest, job, priority))
-    }
-
-    /// [`floor_refuses`](Self::floor_refuses) under `rule`, with the
-    /// lowest group priority read once by the caller.
-    #[inline]
-    fn refused(&self, rule: ApprovalRule, lowest: Option<Priority>, job: JobId, priority: Priority) -> bool {
-        lowest.is_none_or(|l| !rule.could_approve(priority, l)) && !self.slots.has_reservations(job)
+        self.approval.is_some_and(|rule| {
+            !above_floor(rule, priority, self.slots.lowest_group_priority()) && !self.slots.has_reservations(job)
+        })
     }
 
     /// Counts the work of attempts the floor refused as the walks they
@@ -568,31 +773,6 @@ impl TaskScheduler {
         self.counters.reservation_groups_touched.add(groups);
         self.counters.approval_calls.add(groups);
         self.counters.slots_scanned.add(u64::from(tally.preferred));
-    }
-
-    /// Pops the candidates at the end of `candidates` that the floor
-    /// refuses, each declined as [`try_assign_one`](Self::try_assign_one)
-    /// would decline it with no free slot: one comparison and one
-    /// ownership check per candidate, and its tally added to the counted
-    /// work. The floor is read once per call: with no free slot it moves
-    /// only when an assignment consumes a reserved slot, and the round
-    /// calls this again before its next attempt.
-    fn decline_hopeless(&self, candidates: &mut Vec<JobSnapshot>) {
-        let Some(rule) = self.approval else { return };
-        let lowest = self.slots.lowest_group_priority();
-        let mut declined = DeclineTally::default();
-        while let Some(c) = candidates.last() {
-            if !self.refused(rule, lowest, c.id, c.priority) {
-                break;
-            }
-            if let Some(job) = self.jobs.get(c.id) {
-                declined.add(job.decline_tally());
-            }
-            candidates.pop();
-        }
-        if declined.sets > 0 {
-            self.count_refused(declined);
-        }
     }
 
     /// `true` when ApprovalLogic verdicts are uniform per `(owner,
@@ -635,14 +815,14 @@ impl TaskScheduler {
     }
 
     /// Finds the best placement for one pending task of `job` and applies
-    /// it, or returns `None` if no acceptable slot exists this round.
-    /// With `check_floor`, a job the floor refuses while no slot is free
-    /// is declined first, at the cost of its tally; a caller that has
-    /// already declined those jobs passes `false`.
-    fn try_assign_one(&mut self, job: JobId, now: SimTime, check_floor: bool) -> Option<Assignment> {
+    /// it, or returns `None` if no acceptable slot exists this round. A
+    /// job the floor refuses while no slot is free is declined first, at
+    /// the cost of its tally. Beside the assignment, returns the job whose
+    /// reservation the slot held, if any.
+    fn try_assign_one(&mut self, job: JobId, now: SimTime) -> Option<(Assignment, Option<JobId>)> {
         let state = self.jobs.get(job)?;
         let priority = state.priority();
-        if check_floor && self.slots.counts().0 == 0 && self.floor_refuses(job, priority) {
+        if self.slots.counts().0 == 0 && self.floor_refuses(job, priority) {
             // No free slot, none of its own and no group that could
             // approve it: every `best_candidate` below would walk the
             // groups to no verdict and search the empty free index. The
@@ -664,10 +844,11 @@ impl TaskScheduler {
             }
         }
         let (stage, slot, level) = chosen?;
+        let held_by = self.slots.get(slot).reservation().map(|r| r.job());
         let instance = self.jobs.launch_next(job, stage, slot).expect("stage had a pending task");
         self.slots.assign(slot, instance.task).expect("candidate slot was not running");
         self.start_instance(slot, RunningInstance { instance, started: now, level });
-        Some(Assignment { slot, instance, level, speculative: false, warm: false })
+        Some((Assignment { slot, instance, level, speculative: false, warm: false }, held_by))
     }
 
     /// Records `ri` as running on `slot` and counts the launch.
@@ -1358,6 +1539,45 @@ impl TaskScheduler {
     pub fn order_name(&self) -> &'static str {
         self.order.name()
     }
+}
+
+/// What an offer round notes while it walks the pending index, kept
+/// across rounds for its capacity.
+#[derive(Debug, Default)]
+struct RoundNotes {
+    /// In a round that starts with no free slot, the lowest group
+    /// priority the viability filter read.
+    filter_floor: Option<Option<Priority>>,
+    /// The jobs that held reservations when the filter ran and have
+    /// since had their last one taken.
+    lost: Vec<JobId>,
+    /// The candidates the filter dropped, by id; untraced with a declared
+    /// rule, only those above its floor.
+    dropped: Vec<JobId>,
+    /// Untraced with a declared rule, the entries the round has passed,
+    /// by declining them or in the filter, per priority level.
+    passed: LevelTallies,
+}
+
+impl RoundNotes {
+    /// Empties the notes for a round over an index with `levels`. The
+    /// passed entries never span more levels than the index, so their
+    /// table is sized to it here: a round allocates for it only when the
+    /// index has gained a level.
+    fn clear(&mut self, levels: &LevelTallies) {
+        self.filter_floor = None;
+        self.lost.clear();
+        self.dropped.clear();
+        self.passed.clear_for(levels);
+    }
+}
+
+/// `true` when `rule` could approve a job that owns no reservation at
+/// `priority` while the lowest group priority is `lowest`: at or below
+/// that floor, or with no group at all, every verdict is false.
+#[inline]
+fn above_floor(rule: ApprovalRule, priority: Priority, lowest: Option<Priority>) -> bool {
+    lowest.is_some_and(|l| rule.could_approve(priority, l))
 }
 
 /// [`TaskScheduler::walk_groups`], monomorphic per verdict source: returns
@@ -2058,6 +2278,68 @@ mod tests {
         });
         assert!(saturated_decline, "a round with no free slot declines a candidate");
         assert!(events.iter().any(|e| e.kind.name() == "reservation-expired"));
+    }
+
+    /// A round that starts with a free slot, loses it to the filler, and
+    /// then meets a refused candidate ranked above a reservation owner:
+    /// the untraced round declines that candidate in bulk, serves the
+    /// owner its two reserved slots, and stops there with no slot left.
+    /// Two refused candidates whose pending phases prefer slots are still
+    /// ranked below the owner; the round never reached them, so their
+    /// preferred-slot searches are not counted. The untraced round must
+    /// place and count exactly what the traced round, which attempts
+    /// candidates one at a time, does.
+    #[test]
+    fn round_that_stops_at_an_owner_counts_only_the_candidates_it_reached() {
+        let run = |traced: bool| {
+            let mut s = TaskScheduler::new(
+                ClusterSpec::new(1, 4).unwrap(),
+                LocalityModel::paper_simulation().with_wait(SimDuration::ZERO),
+                Box::new(WorkConserving),
+                Box::new(FifoPriority),
+            );
+            if traced {
+                s.set_trace_sink(Box::new(ssr_trace::VecSink::new()));
+            }
+            let at = |secs: u64| SimTime::from_secs(secs);
+            // A busy job holds slot 0 throughout. The two jobs ranked last
+            // run their upstream phases on slots 1 and 2, so their
+            // downstream phases prefer those slots.
+            s.submit(one_stage_job("busy", 1, 20), at(0));
+            let after = s.submit(two_stage_job("after", 1, 4), at(0));
+            let background = s.submit(two_stage_job("bg", 1, 0), at(0));
+            assert_eq!(s.resource_offers(at(0)).len(), 3);
+            s.task_finished(SlotId::new(1), at(1));
+            s.task_finished(SlotId::new(2), at(1));
+            let filler = s.submit(one_stage_job("filler", 1, 10), at(2));
+            let before = s.submit(one_stage_job("before", 2, 5), at(2));
+            let owner = s.submit(one_stage_job("owner", 2, 5), at(2));
+            // Slots 1 and 2 are the owner's, at its own priority, which
+            // refuses the candidate ranked just above it; slot 3 is free.
+            for slot in [1, 2] {
+                s.slots.reserve(SlotId::new(slot), Reservation::new(owner, Priority::new(5))).unwrap();
+            }
+            let placed: Vec<(u32, JobId)> =
+                s.resource_offers(at(3)).iter().map(|a| (a.slot.as_u32(), a.instance.task.job)).collect();
+            assert_eq!(placed, [(3, filler), (1, owner), (2, owner)]);
+            let ranked: Vec<JobId> = s.jobs().pending_worst_first().iter().map(|c| c.id).collect();
+            assert_eq!(ranked, [background, after, before], "candidates left below the owner");
+            let declined = s.take_trace_sink().map(|sink| {
+                let events = sink.into_any().downcast::<ssr_trace::VecSink>().expect("VecSink").into_events();
+                let declined = events.iter().filter_map(|e| match e.kind {
+                    TraceEventKind::OfferDeclined { job, .. } => Some(job),
+                    _ => None,
+                });
+                declined.collect::<Vec<_>>()
+            });
+            (placed, s.work_counters().clone(), declined, before)
+        };
+        let (plain, plain_counters, _, _) = run(false);
+        let (traced, traced_counters, declined, before) = run(true);
+        assert_eq!(plain, traced);
+        assert_eq!(plain_counters, traced_counters);
+        // Only the candidate ranked above the owner was declined.
+        assert_eq!(declined, Some(vec![before]));
     }
 
     /// Asserts every index `TaskScheduler` keeps against the full walk it

@@ -40,9 +40,77 @@ impl DeclineTally {
         self.preferred += other.preferred;
     }
 
-    fn sub(&mut self, other: Self) {
+    pub(crate) fn sub(&mut self, other: Self) {
         self.sets = self.sets.saturating_sub(other.sets);
         self.preferred = self.preferred.saturating_sub(other.preferred);
+    }
+}
+
+/// The entries at one priority level of a set of pending jobs, and their
+/// decline tallies summed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LevelTally {
+    /// Jobs at this level.
+    pub(crate) entries: u32,
+    /// Their decline tallies, summed.
+    pub(crate) tally: DeclineTally,
+}
+
+/// [`LevelTally`]s per priority level, ascending by priority; a level
+/// leaves when its last entry does.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct LevelTallies(Vec<(Priority, LevelTally)>);
+
+impl LevelTallies {
+    /// The levels, lowest priority first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Priority, LevelTally)> + '_ {
+        self.0.iter().copied()
+    }
+
+    /// The tally at `priority`: zero when no entry is there.
+    pub(crate) fn get(&self, priority: Priority) -> LevelTally {
+        self.0.get(self.find(priority)).filter(|(p, _)| *p == priority).map_or(LevelTally::default(), |&(_, l)| l)
+    }
+
+    /// Adds one entry at `priority` with `tally`.
+    pub(crate) fn add(&mut self, priority: Priority, tally: DeclineTally) {
+        self.add_level(priority, LevelTally { entries: 1, tally });
+    }
+
+    /// Adds `level`'s entries at `priority`.
+    pub(crate) fn add_level(&mut self, priority: Priority, level: LevelTally) {
+        let at = self.find(priority);
+        match self.0.get_mut(at) {
+            Some((p, l)) if *p == priority => {
+                l.entries += level.entries;
+                l.tally.add(level.tally);
+            }
+            _ => self.0.insert(at, (priority, level)),
+        }
+    }
+
+    /// Takes one entry at `priority` with `tally` out.
+    pub(crate) fn sub(&mut self, priority: Priority, tally: DeclineTally) {
+        let at = self.find(priority);
+        if let Some((p, l)) = self.0.get_mut(at).filter(|(p, _)| *p == priority) {
+            debug_assert!(l.entries > 0, "an entry leaves level {p:?} that holds none");
+            l.entries = l.entries.saturating_sub(1);
+            l.tally.sub(tally);
+            if l.entries == 0 {
+                debug_assert_eq!(l.tally, DeclineTally::default(), "an empty level holds no tally");
+                self.0.remove(at);
+            }
+        }
+    }
+
+    /// Forgets every level, keeping room for as many as `other` holds.
+    pub(crate) fn clear_for(&mut self, other: &LevelTallies) {
+        self.0.clear();
+        self.0.reserve(other.0.len());
+    }
+
+    fn find(&self, priority: Priority) -> usize {
+        self.0.partition_point(|&(p, _)| p < priority)
     }
 }
 
@@ -336,6 +404,31 @@ impl Jobs {
         &self.pending.ranked
     }
 
+    /// The pending index's entries and their decline tallies per priority
+    /// level, as of the last re-key.
+    pub(crate) fn pending_levels(&self) -> &LevelTallies {
+        &self.pending.levels
+    }
+
+    /// The snapshot `id` is keyed with while pending, `None` while it is
+    /// not: its entry in the pending index when no job is touched.
+    pub(crate) fn keyed(&self, id: JobId) -> Option<JobSnapshot> {
+        let state = self.get(id)?;
+        self.pending.key_of(state).map(|k| state.keyed(k.running))
+    }
+
+    /// The position `key` takes in the pending index under `order`: the
+    /// number of entries it ranks ahead of.
+    pub(crate) fn rank(&self, order: &dyn JobOrder, key: &JobSnapshot) -> usize {
+        self.pending.ranked.partition_point(|c| order.compare(c, key) == Ordering::Greater)
+    }
+
+    /// `id`'s pending task sets and their preferred slots; zero for an
+    /// unknown job.
+    pub(crate) fn decline_tally(&self, id: JobId) -> DeclineTally {
+        self.get(id).map_or(DeclineTally::default(), JobState::decline_tally)
+    }
+
     /// Brings the pending index up to date under `order`: each job
     /// touched since the last call leaves it, re-enters it with its
     /// current snapshot if it is still pending, or keeps its place when
@@ -345,10 +438,19 @@ impl Jobs {
     /// first call).
     #[inline]
     pub(crate) fn rekey(&mut self, order: &dyn JobOrder) -> bool {
+        self.rekey_served(order);
+        !std::mem::replace(&mut self.pending.unchanged, true)
+    }
+
+    /// Moves the entries of the jobs touched since the last re-key, as
+    /// [`rekey`](Self::rekey) does, but leaves the change noted for the
+    /// next `rekey` to report: an offer round calls it after each of its
+    /// own assignments, so the index it walks stays exact.
+    #[inline]
+    pub(crate) fn rekey_served(&mut self, order: &dyn JobOrder) {
         if !self.pending.touched.is_empty() {
             self.rekey_touched(order);
         }
-        !std::mem::replace(&mut self.pending.unchanged, true)
     }
 
     /// The re-key of [`rekey`](Self::rekey) for a non-empty touched
@@ -357,11 +459,23 @@ impl Jobs {
     fn rekey_touched(&mut self, order: &dyn JobOrder) {
         let index = &mut self.pending;
         index.static_keys = !order.reads_running_slots();
-        for &(id, keyed) in &index.touched {
+        for &(id, was) in &index.touched {
             let Some(state) = entry_mut(&mut self.table, id) else { continue };
             state.touched = false;
-            let old = keyed.map(|running| state.keyed(running));
-            let new = index.key_of(state).map(|running| state.keyed(running));
+            let now = index.key_of(state);
+            if was == now {
+                // Touched, but neither its key nor its tally moved.
+                continue;
+            }
+            let priority = state.priority();
+            if let Some(was) = was {
+                index.levels.sub(priority, was.tally);
+            }
+            if let Some(now) = now {
+                index.levels.add(priority, now.tally);
+            }
+            let old = was.map(|k| state.keyed(k.running));
+            let new = now.map(|k| state.keyed(k.running));
             rekey_entry(&mut index.ranked, order, old, new);
         }
         index.touched.clear();
@@ -434,11 +548,12 @@ impl Jobs {
         state.running += 1;
         match drained {
             Some(preferred) => {
-                // The phase leaves the tally. The job was pending (it had
-                // a task to launch), keyed with its running count before.
+                // The phase leaves the tally. The job's entry, if it has
+                // one, is keyed with its running count and tally before.
+                let running = if self.pending.static_keys { 0 } else { running };
+                let keyed = state.is_pending().then_some(Indexed { running, tally: state.tally });
+                self.pending.touch(state, keyed);
                 state.tally.sub(DeclineTally { sets: 1, preferred });
-                let keyed = if self.pending.static_keys { 0 } else { running };
-                self.pending.touch(state, Some(keyed));
             }
             None => self.pending.touch_running(state, running),
         }
@@ -522,22 +637,30 @@ impl Jobs {
 /// [`compare`](JobOrder::compare), and the jobs whose entries may have
 /// moved since the last re-key.
 ///
-/// Every [`Jobs`] mutation *touches* its job, noting the key the index
-/// holds for it, which is the key it had before the mutation: a job
-/// untouched since the last re-key is still as that re-key saw it.
+/// Every [`Jobs`] mutation *touches* its job, noting the key and tally
+/// the index holds for it, which are the ones it had before the
+/// mutation: a job untouched since the last re-key is still as that
+/// re-key saw it.
 /// [`Jobs::rekey`] then moves only the touched jobs' entries, so the
 /// index is exact right after it and may lag behind the jobs until then.
 /// Under an order that does not read running counts
 /// ([`JobOrder::reads_running_slots`]) every key holds a running count of
 /// 0, and a mutation that changes only a job's running count (a launch
 /// that leaves its phase pending, a copy, a finish) touches nothing.
+///
+/// Beside the ranking it keeps, per priority level, the number of entries
+/// and the sum of their [`DeclineTally`]s, moved with the entries: an
+/// offer round reads from them the work of declining a run of candidates
+/// that no reservation group can approve without visiting each.
 #[derive(Debug, Clone, Default)]
 struct PendingIndex {
     /// The pending jobs' snapshots, worst first, as of the last re-key.
     ranked: Vec<JobSnapshot>,
-    /// Jobs touched since the last re-key, each listed once with the
-    /// running count its entry is keyed with (`None` when it has none).
-    touched: Vec<(JobId, Option<u32>)>,
+    /// `ranked`'s entries and tallies per priority level.
+    levels: LevelTallies,
+    /// Jobs touched since the last re-key, each listed once with what its
+    /// entry holds (`None` when it has none).
+    touched: Vec<(JobId, Option<Indexed>)>,
     /// `true` while no job has changed since the last re-key; a new
     /// registry starts stale.
     unchanged: bool,
@@ -545,20 +668,29 @@ struct PendingIndex {
     static_keys: bool,
 }
 
+/// What the pending index holds for one job: the running count its entry
+/// is keyed with and the decline tally its level sums.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Indexed {
+    running: u32,
+    tally: DeclineTally,
+}
+
 impl PendingIndex {
-    /// The running count `state` is keyed with while it is pending, as
-    /// of now; `None` while it is not pending.
+    /// What `state`'s entry holds while it is pending, as of now; `None`
+    /// while it is not pending.
     #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
     #[deny(clippy::panic, clippy::unreachable)]
-    fn key_of(&self, state: &JobState) -> Option<u32> {
-        state.is_pending().then_some(if self.static_keys { 0 } else { state.running })
+    fn key_of(&self, state: &JobState) -> Option<Indexed> {
+        let running = if self.static_keys { 0 } else { state.running };
+        state.is_pending().then_some(Indexed { running, tally: state.tally })
     }
 
-    /// Records that `state` changed from its entry keyed `keyed`, as
+    /// Records that `state` changed from its entry `keyed`, as
     /// [`key_of`](Self::key_of) read it before the change.
     #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
     #[deny(clippy::panic, clippy::unreachable)]
-    fn touch(&mut self, state: &mut JobState, keyed: Option<u32>) {
+    fn touch(&mut self, state: &mut JobState, keyed: Option<Indexed>) {
         self.unchanged = false;
         if !state.touched {
             state.touched = true;
@@ -573,7 +705,7 @@ impl PendingIndex {
         if self.static_keys {
             self.unchanged = false;
         } else {
-            let keyed = state.is_pending().then_some(running);
+            let keyed = state.is_pending().then_some(Indexed { running, tally: state.tally });
             self.touch(state, keyed);
         }
     }
@@ -582,7 +714,12 @@ impl PendingIndex {
 /// Moves one job's entry in the worst-first `index`: from its `old` key
 /// (`None` when it had no entry) to its `new` one (`None` when it leaves).
 /// A key that still sorts where the old one was is written in place.
-fn rekey_entry(index: &mut Vec<JobSnapshot>, order: &dyn JobOrder, old: Option<JobSnapshot>, new: Option<JobSnapshot>) {
+pub(crate) fn rekey_entry(
+    index: &mut Vec<JobSnapshot>,
+    order: &dyn JobOrder,
+    old: Option<JobSnapshot>,
+    new: Option<JobSnapshot>,
+) {
     if old == new {
         // Touched, but its key did not move.
         return;
@@ -855,7 +992,7 @@ mod tests {
 mod proptests {
     use super::tests::{admit, finish_one, JOB};
     use super::*;
-    use crate::order::Fair;
+    use crate::order::{Fair, FifoPriority};
     use proptest::prelude::*;
     use ssr_dag::JobSpecBuilder;
     use ssr_simcore::dist::constant;
@@ -885,9 +1022,13 @@ mod proptests {
     }
 
     /// A one-phase job whose phase is ready at time zero, as `submit`
-    /// builds it.
+    /// builds it, at one of three priorities.
     fn job(id: u64, parallelism: u32) -> JobState {
-        let spec = JobSpecBuilder::new(format!("j{id}")).stage("s", parallelism, constant(1.0)).build().unwrap();
+        let spec = JobSpecBuilder::new(format!("j{id}"))
+            .priority(Priority::new((id % 3) as i32))
+            .stage("s", parallelism, constant(1.0))
+            .build()
+            .unwrap();
         let mut state = JobState::new(JobId::new(id), spec, SimTime::ZERO);
         let tsm = TaskSetManager::new(JobId::new(id), STAGE, parallelism, SimTime::ZERO);
         state.insert_taskset(tsm);
@@ -898,12 +1039,16 @@ mod proptests {
     /// task sets directly, with its own running count per job.
     type Reference = BTreeMap<JobId, (JobState, usize)>;
 
-    fn apply(jobs: &mut Jobs, reference: &mut Reference, live: &mut Vec<TaskInstance>, op: Op) {
+    /// Applies `op` to the reference and to each registry in `all`, which
+    /// must agree with it and with each other.
+    fn apply(all: &mut [Jobs], reference: &mut Reference, live: &mut Vec<TaskInstance>, op: Op) {
         let pick = |live: &Vec<TaskInstance>, k: usize| live.get(k % live.len().max(1)).copied();
         match op {
             Op::Insert(j, p) => {
                 if let btree_map::Entry::Vacant(entry) = reference.entry(JobId::new(j)) {
-                    jobs.insert(job(j, p));
+                    for jobs in all.iter_mut() {
+                        jobs.insert(job(j, p));
+                    }
                     entry.insert((job(j, p), 0));
                 }
             }
@@ -914,7 +1059,9 @@ mod proptests {
                     *running += 1;
                     Some(instance)
                 });
-                prop_assert_eq!(jobs.launch_next(id, STAGE, slot), expected);
+                for jobs in all.iter_mut() {
+                    prop_assert_eq!(jobs.launch_next(id, STAGE, slot), expected);
+                }
                 live.extend(expected);
             }
             Op::Copy(k, s) => {
@@ -923,7 +1070,9 @@ mod proptests {
                 let (state, running) = reference.get_mut(&id).expect("live job exists");
                 let expected = state.taskset_mut(STAGE).unwrap().launch_copy(of.task.partition, slot);
                 *running += 1;
-                prop_assert_eq!(jobs.launch_copy(id, STAGE, of.task.partition, slot), Some(expected));
+                for jobs in all.iter_mut() {
+                    prop_assert_eq!(jobs.launch_copy(id, STAGE, of.task.partition, slot), Some(expected));
+                }
                 live.push(expected);
             }
             Op::Finish(k) => {
@@ -931,9 +1080,11 @@ mod proptests {
                 let (state, running) = reference.get_mut(&instance.task.job).unwrap();
                 let expected = state.taskset_mut(STAGE).unwrap().instance_finished(instance, SimDuration::ZERO);
                 *running -= 1 + expected.losers.len();
-                let outcome = jobs.instance_finished(instance, SimDuration::ZERO).expect("live job exists");
-                prop_assert_eq!(outcome.first_finish, expected.first_finish);
-                prop_assert_eq!(&outcome.losers, &expected.losers);
+                for jobs in all.iter_mut() {
+                    let outcome = jobs.instance_finished(instance, SimDuration::ZERO).expect("live job exists");
+                    prop_assert_eq!(outcome.first_finish, expected.first_finish);
+                    prop_assert_eq!(&outcome.losers, &expected.losers);
+                }
                 live.retain(|i| *i != instance && !expected.losers.iter().any(|(l, _)| l == i));
             }
             Op::Crash(k) => {
@@ -941,7 +1092,9 @@ mod proptests {
                 let (state, running) = reference.get_mut(&instance.task.job).unwrap();
                 let expected = state.taskset_mut(STAGE).unwrap().instance_crashed(instance);
                 *running -= 1;
-                prop_assert_eq!(jobs.instance_crashed(instance), expected);
+                for jobs in all.iter_mut() {
+                    prop_assert_eq!(jobs.instance_crashed(instance), expected);
+                }
                 live.retain(|i| *i != instance);
             }
             Op::Complete(j) => {
@@ -949,9 +1102,26 @@ mod proptests {
                 if let Some((state, _)) = reference.get_mut(&id) {
                     state.mark_complete(SimTime::from_secs(j));
                 }
-                jobs.mark_complete(id, SimTime::from_secs(j));
+                for jobs in all.iter_mut() {
+                    jobs.mark_complete(id, SimTime::from_secs(j));
+                }
             }
         }
+    }
+
+    /// The reference's pending jobs per priority level: their count and
+    /// their pending task sets and preferred slots, walked from the task
+    /// sets.
+    fn reference_levels(reference: &Reference) -> Vec<(Priority, LevelTally)> {
+        let mut levels: BTreeMap<Priority, LevelTally> = BTreeMap::new();
+        for (state, _) in reference.values().filter(|(j, _)| !j.is_complete() && j.has_pending_tasks()) {
+            let level = levels.entry(state.priority()).or_default();
+            level.entries += 1;
+            for tsm in state.active_tasksets().filter(|t| t.has_pending()) {
+                level.tally.add(DeclineTally { sets: 1, preferred: tsm.preferred().len() as u32 });
+            }
+        }
+        levels.into_iter().collect()
     }
 
     proptest! {
@@ -999,18 +1169,44 @@ mod proptests {
         }
 
         /// The id-indexed job table agrees with an ordered-map reference
-        /// on lookups, iteration order, the pending set and its ordered
-        /// index, the incomplete count and every job's running count,
-        /// whatever order ids are admitted in.
+        /// on lookups, iteration order, the pending set, its ordered index
+        /// and that index's per-priority entry counts and tally sums, the
+        /// incomplete count and every job's running count, whatever order
+        /// ids are admitted in. The index is held to the reference under
+        /// an order that reads running counts and under one with static
+        /// keys.
         #[test]
         fn job_table_agrees_with_ordered_map_reference(
             ops in proptest::collection::vec(op_strategy(), 0..200)
         ) {
-            let mut jobs = Jobs::new();
+            let orders: [&dyn JobOrder; 2] = [&Fair, &FifoPriority];
+            let mut all = [Jobs::new(), Jobs::new()];
             let mut reference = Reference::new();
             let mut live = Vec::new();
             for op in ops {
-                apply(&mut jobs, &mut reference, &mut live, op);
+                apply(&mut all, &mut reference, &mut live, op);
+                for (order, jobs) in orders.into_iter().zip(&mut all) {
+                    jobs.rekey(order);
+                    let mut sorted: Vec<JobSnapshot> = reference
+                        .values()
+                        .filter(|(j, _)| !j.is_complete() && j.has_pending_tasks())
+                        .map(|(j, running)| JobSnapshot {
+                            id: j.id(),
+                            priority: j.priority(),
+                            arrival: j.submitted_at(),
+                            running_slots: if order.reads_running_slots() { *running } else { 0 },
+                        })
+                        .collect();
+                    crate::order::sort_worst_first(order, &mut sorted);
+                    prop_assert_eq!(jobs.pending_worst_first(), &sorted[..], "{}", order.name());
+                    prop_assert_eq!(
+                        jobs.pending_levels().iter().collect::<Vec<_>>(),
+                        reference_levels(&reference),
+                        "{}",
+                        order.name()
+                    );
+                }
+                let jobs = &all[0];
                 prop_assert_eq!(jobs.len(), reference.len());
                 prop_assert_eq!(jobs.is_empty(), reference.is_empty());
                 prop_assert_eq!(
@@ -1029,21 +1225,6 @@ mod proptests {
                     jobs.incomplete_count(),
                     reference.values().filter(|(j, _)| !j.is_complete()).count()
                 );
-                // The ordered pending index, re-keyed under an order that
-                // reads running counts, against sorting the reference.
-                jobs.rekey(&Fair);
-                let mut sorted: Vec<JobSnapshot> = reference
-                    .values()
-                    .filter(|(j, _)| !j.is_complete() && j.has_pending_tasks())
-                    .map(|(j, running)| JobSnapshot {
-                        id: j.id(),
-                        priority: j.priority(),
-                        arrival: j.submitted_at(),
-                        running_slots: *running,
-                    })
-                    .collect();
-                crate::order::sort_worst_first(&Fair, &mut sorted);
-                prop_assert_eq!(jobs.pending_worst_first(), &sorted[..]);
                 for j in 0..9u64 {
                     let id = JobId::new(j);
                     let got = jobs.get(id).map(|s| {

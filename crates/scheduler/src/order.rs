@@ -35,7 +35,10 @@ pub struct JobSnapshot {
 /// return the minimum of `candidates` under that order, and
 /// [`compare`](JobOrder::compare) must agree with it: the scheduler keeps
 /// its pending jobs sorted with `compare`, re-keying a job when it
-/// changes, and an offer round serves them best first.
+/// changes, and an offer round serves them best first. One more running
+/// slot must never rank a job sooner: an offer round walks the sorted
+/// jobs once, and a job it has just served must stay among those still
+/// to come (debug builds assert it).
 pub trait JobOrder: fmt::Debug {
     /// Picks the next job to serve from `candidates` (jobs with at least
     /// one pending task), or `None` if empty.
@@ -147,22 +150,6 @@ impl JobOrder for Fair {
 #[cfg(test)]
 pub(crate) fn sort_worst_first(order: &dyn JobOrder, queue: &mut [JobSnapshot]) {
     queue.sort_unstable_by(|a, b| order.compare(b, a));
-}
-
-/// Puts the last candidate of a worst-first queue — the job just
-/// served one more slot — back in order after bumping its running count.
-/// Only an order that reads running counts ([`Fair`]) can move it; for
-/// the static orders one comparison confirms it stays at the end.
-pub(crate) fn requeue_served(order: &dyn JobOrder, queue: &mut Vec<JobSnapshot>) {
-    let Some(mut served) = queue.pop() else { return };
-    served.running_slots += 1;
-    match queue.last() {
-        Some(next) if order.compare(&served, next) == Ordering::Greater => {
-            let pos = queue.partition_point(|c| order.compare(c, &served) == Ordering::Greater);
-            queue.insert(pos, served);
-        }
-        _ => queue.push(served),
-    }
 }
 
 /// An order that implements only `select`, so `compare` falls back to
@@ -303,18 +290,28 @@ mod tests {
         served
     }
 
-    /// The sorted queue the offer round uses.
+    /// The offer round's walk: a cursor over the sorted index from its
+    /// best end. A served job is re-keyed in place and stays below the
+    /// cursor, a drained one leaves the index, a declined one is passed.
     fn served_by_queue(order: &dyn JobOrder, mut queue: Vec<JobSnapshot>, outcomes: &[Outcome]) -> Vec<JobId> {
         sort_worst_first(order, &mut queue);
+        let mut cursor = queue.len();
         let mut served = Vec::new();
         for &outcome in outcomes {
-            let Some(job) = queue.last().map(|c| c.id) else { break };
-            served.push(job);
+            let Some(&job) = cursor.checked_sub(1).map(|at| &queue[at]) else { break };
+            served.push(job.id);
             match outcome {
-                Outcome::Assigned => requeue_served(order, &mut queue),
-                Outcome::Drained | Outcome::Declined => {
-                    queue.pop();
+                Outcome::Assigned => {
+                    let bumped = JobSnapshot { running_slots: job.running_slots + 1, ..job };
+                    crate::jobs::rekey_entry(&mut queue, order, Some(job), Some(bumped));
+                    let at = queue.iter().position(|c| c.id == job.id).unwrap();
+                    assert!(at < cursor, "{}: a served job stays among those to come", order.name());
                 }
+                Outcome::Drained => {
+                    crate::jobs::rekey_entry(&mut queue, order, Some(job), None);
+                    cursor -= 1;
+                }
+                Outcome::Declined => cursor -= 1,
             }
         }
         served
@@ -325,10 +322,11 @@ mod tests {
     }
 
     proptest! {
-        /// The sorted offer queue — including `Fair`'s re-insert after an
-        /// assignment — serves exactly the job sequence that repeated
-        /// `select` + remove serves, for every built-in order and for a
-        /// select-only order that relies on the default `compare`.
+        /// The offer round's cursor over the sorted index — including
+        /// `Fair`'s re-key after an assignment — serves exactly the job
+        /// sequence that repeated `select` + remove serves, for every
+        /// built-in order and for a select-only order that relies on the
+        /// default `compare`.
         #[test]
         fn sorted_queue_serves_like_repeated_select(
             jobs in proptest::collection::vec((0i32..3, 0u64..4, 0usize..6), 0..24),
