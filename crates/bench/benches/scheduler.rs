@@ -8,7 +8,7 @@
 //! round's inner loops (the viability filter of a saturated round at 8
 //! and 64 reservation groups, the declined tail of a round whose free
 //! slots run out, at the same group counts, a round that gets through
-//! 100 or 1,000 pending jobs once its two free slots are gone, and the
+//! 100, 1,000 or 4,000 pending jobs once its two free slots are gone, and the
 //! process-local search of a phase preferring 2,000 of 4,000 slots), the
 //! ranking of an owner's 2,000 reserved slots for a candidate that
 //! declines them, a full small-grid
@@ -345,7 +345,7 @@ const PENDING_FREE: u32 = 2;
 fn bench_pending_round(c: &mut Criterion) {
     let t = SimTime::from_secs(1);
     let mut group = c.benchmark_group("scheduler/pending_round");
-    for pending in [100u32, 1_000] {
+    for pending in [100u32, 1_000, 4_000] {
         group.bench_with_input(BenchmarkId::from_parameter(pending), &pending, |b, &pending| {
             let mut sched = declined_tail_scheduler(PENDING_GROUPS, PENDING_FREE, pending, t);
             b.iter(|| black_box(declined_tail_round(&mut sched, t)))

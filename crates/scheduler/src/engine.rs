@@ -517,16 +517,20 @@ impl TaskScheduler {
             let Some(&c) = cursor.checked_sub(1).and_then(|at| self.jobs.pending_worst_first().get(at)) else {
                 break;
             };
-            if self.slots.counts().0 == 0 {
-                let filtered = self.filtered(notes, &c);
-                if bulk && (filtered || self.floor_refuses(c.id, c.priority)) && self.none_above_floor(notes) {
+            // With no slot free, a candidate the floor refuses, or one the
+            // filter dropped, cannot place.
+            if self.slots.counts().0 == 0
+                && (self.floor_refuses(c.id, c.priority) || notes.dropped.binary_search(&c.id).is_ok())
+            {
+                if bulk && self.none_above_floor(notes) {
                     self.serve_owners(notes, cursor, available, assignments, now);
                     return;
                 }
-                if filtered {
-                    cursor -= 1;
-                    continue;
+                if !self.filtered(notes, &c) {
+                    self.decline_refused(notes, &c, now);
                 }
+                cursor -= 1;
+                continue;
             }
             match self.try_assign_one(c.id, now) {
                 Some((a, held_by)) => {
@@ -535,22 +539,20 @@ impl TaskScheduler {
                     available -= 1;
                     self.note_lost(notes, held_by);
                     self.jobs.rekey_served(&*self.order);
-                    match self.jobs.keyed(c.id) {
-                        Some(k) => debug_assert!(
-                            self.jobs.rank(&*self.order, &k) < cursor,
-                            "{}: serving {:?} ranked it ahead of the candidates the round passed",
-                            self.order.name(),
-                            c.id
-                        ),
+                    debug_assert!(
+                        self.jobs.keyed(c.id).is_none_or(|k| self.jobs.rank(&*self.order, &k) < cursor),
+                        "{}: serving {:?} ranked it ahead of the candidates the round passed",
+                        self.order.name(),
+                        c.id
+                    );
+                    if !self.jobs.is_pending(c.id) {
                         // Drained: its entry, the last to come, left.
-                        None => cursor -= 1,
+                        cursor -= 1;
                     }
                 }
                 None => {
                     self.emit(now, |s| declined_event(s, c.id, now));
-                    if bulk {
-                        notes.passed.add(c.priority, self.jobs.decline_tally(c.id));
-                    }
+                    self.note_passed(notes, &c);
                     cursor -= 1;
                 }
             }
@@ -586,7 +588,7 @@ impl TaskScheduler {
                 .filter(|&(at, _)| at < cursor)
                 .max_by_key(|&(at, _)| at);
             let Some((at, next)) = next else { break };
-            let jumped = self.refused_between(notes, at + 1, cursor, declined);
+            let jumped = self.refused_between(notes, at + 1, cursor);
             self.count_refused(jumped);
             declined.add(jumped);
             match self.try_assign_one(next.id, now) {
@@ -600,49 +602,31 @@ impl TaskScheduler {
                 }
                 None => {
                     self.emit(now, |s| declined_event(s, next.id, now));
-                    notes.passed.add(next.priority, self.jobs.decline_tally(next.id));
+                    self.note_passed(notes, &next);
                     cursor = at;
                 }
             }
         }
         if available > 0 {
-            let mut rest = self.unpassed(notes);
+            // Every entry the round has neither passed nor declined in bulk.
+            let mut rest = DeclineTally::default();
+            for (priority, level) in self.jobs.pending_levels().iter() {
+                rest.add(level.tally);
+                rest.sub(notes.passed.get(priority).tally);
+            }
             rest.sub(declined);
             self.count_refused(rest);
         }
     }
 
-    /// The tallies of the entries the round has neither passed nor
-    /// dropped in its filter: the index's level sums less `passed`'s.
-    fn unpassed(&self, notes: &RoundNotes) -> DeclineTally {
+    /// The tallies of the entries in `from..to` of the pending index that
+    /// the filter did not drop.
+    fn refused_between(&self, notes: &RoundNotes, from: usize, to: usize) -> DeclineTally {
         let mut sum = DeclineTally::default();
-        for (priority, level) in self.jobs.pending_levels().iter() {
-            sum.add(level.tally);
-            sum.sub(notes.passed.get(priority).tally);
+        for c in self.jobs.pending_worst_first()[from..to].iter().filter(|c| !self.filtered(notes, c)) {
+            sum.add(self.jobs.decline_tally(c.id));
         }
         sum
-    }
-
-    /// The tallies of the entries in `from..to` of the pending index that
-    /// the filter did not drop, given that every entry from `to` up is
-    /// passed or among those `declined` in bulk. Walks that range or, when
-    /// shorter, the entries below it, taking them from the unpassed sum.
-    fn refused_between(&self, notes: &RoundNotes, from: usize, to: usize, declined: DeclineTally) -> DeclineTally {
-        let ranked = self.jobs.pending_worst_first();
-        let sum = |entries: &[JobSnapshot]| {
-            let mut sum = DeclineTally::default();
-            for c in entries.iter().filter(|c| !self.filtered(notes, c)) {
-                sum.add(self.jobs.decline_tally(c.id));
-            }
-            sum
-        };
-        if to - from <= from {
-            return sum(&ranked[from..to]);
-        }
-        let mut between = self.unpassed(notes);
-        between.sub(declined);
-        between.sub(sum(&ranked[..from]));
-        between
     }
 
     /// `true` for a candidate the viability filter dropped, which the
@@ -653,6 +637,23 @@ impl TaskScheduler {
         let refused = self.approval.is_some_and(|rule| !above_floor(rule, c.priority, lowest));
         let owned = || self.slots.has_reservations(c.id) || notes.lost.contains(&c.id);
         (refused && !owned()) || notes.dropped.binary_search(&c.id).is_ok()
+    }
+
+    /// Declines `c`, which the floor refuses while no slot is free: every
+    /// `best_candidate` of its pending task sets would walk the groups to
+    /// no verdict and search the empty free index, so the work they would
+    /// count is counted.
+    fn decline_refused(&mut self, notes: &mut RoundNotes, c: &JobSnapshot, now: SimTime) {
+        self.count_refused(self.jobs.decline_tally(c.id));
+        self.emit(now, |s| declined_event(s, c.id, now));
+        self.note_passed(notes, c);
+    }
+
+    /// Notes `c` as passed where the round declines in bulk.
+    fn note_passed(&self, notes: &mut RoundNotes, c: &JobSnapshot) {
+        if self.approval.is_some() && !self.trace_enabled() {
+            notes.passed.add(c.priority, self.jobs.decline_tally(c.id));
+        }
     }
 
     /// Notes, in a filtered round, that the job whose reserved slot an
@@ -815,21 +816,12 @@ impl TaskScheduler {
     }
 
     /// Finds the best placement for one pending task of `job` and applies
-    /// it, or returns `None` if no acceptable slot exists this round. A
-    /// job the floor refuses while no slot is free is declined first, at
-    /// the cost of its tally. Beside the assignment, returns the job whose
-    /// reservation the slot held, if any.
+    /// it, or returns `None` if no acceptable slot exists this round.
+    /// Beside the assignment, returns the job whose reservation the slot
+    /// held, if any.
     fn try_assign_one(&mut self, job: JobId, now: SimTime) -> Option<(Assignment, Option<JobId>)> {
         let state = self.jobs.get(job)?;
         let priority = state.priority();
-        if self.slots.counts().0 == 0 && self.floor_refuses(job, priority) {
-            // No free slot, none of its own and no group that could
-            // approve it: every `best_candidate` below would walk the
-            // groups to no verdict and search the empty free index. The
-            // work they would count is counted.
-            self.count_refused(state.decline_tally());
-            return None;
-        }
         let mut chosen: Option<(StageId, SlotId, LocalityLevel)> = None;
         for tsm in state.active_tasksets() {
             if !tsm.has_pending() {
