@@ -7,11 +7,12 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
-echo "==> rustfmt --check (crates/trace and crates/scheduler, held to rustfmt.toml's 120 columns)"
+echo "==> rustfmt --check (crates/trace, crates/scheduler and crates/sim, held to rustfmt.toml's 120 columns)"
 # rustfmt walks each crate's module tree from lib.rs. The rest of the
 # workspace predates rustfmt.toml and is not yet held to it.
 rustfmt --check --edition 2021 crates/trace/src/lib.rs
 rustfmt --check --edition 2021 crates/scheduler/src/lib.rs
+rustfmt --check --edition 2021 crates/sim/src/lib.rs
 
 echo "==> determinism fixtures (each determinism code is rejected by its clippy lint)"
 # Lints tests/fixtures/determinism with the determinism pass below and

@@ -8,8 +8,7 @@ use ssr_core::{SpeculativeReservation, SsrConfig};
 use ssr_dag::{JobSpec, Priority};
 use ssr_perf::SpanProfiler;
 use ssr_scheduler::{
-    Fair, Fifo, FifoPriority, JobOrder, ReservationPolicy, StaticReservation, TimeoutReservation,
-    WorkConserving,
+    Fair, Fifo, FifoPriority, JobOrder, ReservationPolicy, StaticReservation, TimeoutReservation, WorkConserving,
 };
 use ssr_simcore::SimDuration;
 
@@ -43,12 +42,7 @@ impl PolicyConfig {
 
     /// SSR with strict isolation and §IV-C straggler mitigation.
     pub fn ssr_strict_with_stragglers() -> Self {
-        PolicyConfig::Ssr(
-            SsrConfig::builder()
-                .mitigate_stragglers(true)
-                .build()
-                .expect("valid static configuration"),
-        )
+        PolicyConfig::Ssr(SsrConfig::builder().mitigate_stragglers(true).build().expect("valid static configuration"))
     }
 
     /// SSR reserving only for jobs at or above `level` — the paper's
@@ -60,10 +54,7 @@ impl PolicyConfig {
     /// Never panics; the default configuration is always valid.
     pub fn ssr_foreground_only(level: i32) -> Self {
         PolicyConfig::Ssr(
-            SsrConfig::builder()
-                .reserve_only_at_or_above(level)
-                .build()
-                .expect("valid static configuration"),
+            SsrConfig::builder().reserve_only_at_or_above(level).build().expect("valid static configuration"),
         )
     }
 
@@ -74,10 +65,7 @@ impl PolicyConfig {
     /// Panics if `p` is outside `[0, 1]`.
     pub fn ssr_with_isolation(p: f64) -> Self {
         PolicyConfig::Ssr(
-            SsrConfig::builder()
-                .isolation_target(p)
-                .build()
-                .expect("isolation target must lie in [0, 1]"),
+            SsrConfig::builder().isolation_target(p).build().expect("isolation target must lie in [0, 1]"),
         )
     }
 
@@ -87,12 +75,7 @@ impl PolicyConfig {
     ///
     /// Panics if `r` is outside `[0, 1]`.
     pub fn ssr_with_prereserve_threshold(r: f64) -> Self {
-        PolicyConfig::Ssr(
-            SsrConfig::builder()
-                .prereserve_threshold(r)
-                .build()
-                .expect("threshold must lie in [0, 1]"),
-        )
+        PolicyConfig::Ssr(SsrConfig::builder().prereserve_threshold(r).build().expect("threshold must lie in [0, 1]"))
     }
 
     /// Instantiates the policy.
@@ -100,9 +83,7 @@ impl PolicyConfig {
         match self {
             PolicyConfig::WorkConserving => Box::new(WorkConserving),
             PolicyConfig::Timeout(timeout) => Box::new(TimeoutReservation::new(*timeout)),
-            PolicyConfig::Static { count, class } => {
-                Box::new(StaticReservation::new(*count, *class))
-            }
+            PolicyConfig::Static { count, class } => Box::new(StaticReservation::new(*count, *class)),
             PolicyConfig::Ssr(config) => Box::new(SpeculativeReservation::with_config(*config)),
         }
     }
@@ -210,12 +191,8 @@ pub struct AloneTrace {
 /// What [`Experiment::run_instrumented`] hands back: the outcome plus
 /// every attached instrument returned for harvesting — the contended
 /// run's trace sink, the alone-baseline traces, and the span profiler.
-pub type InstrumentedOutcome = (
-    ExperimentOutcome,
-    Option<Box<dyn ssr_trace::TraceSink>>,
-    Vec<AloneTrace>,
-    Option<Box<SpanProfiler>>,
-);
+pub type InstrumentedOutcome =
+    (ExperimentOutcome, Option<Box<dyn ssr_trace::TraceSink>>, Vec<AloneTrace>, Option<Box<SpanProfiler>>);
 
 /// A contention experiment: foreground jobs (measured) run against
 /// background jobs (load), each foreground job also measured running
@@ -233,14 +210,7 @@ pub struct Experiment {
 impl Experiment {
     /// Creates an experiment on the given cluster configuration.
     pub fn new(sim_config: SimConfig, policy: PolicyConfig, order: OrderConfig) -> Self {
-        Experiment {
-            sim_config,
-            policy,
-            order,
-            foreground: Vec::new(),
-            background: Vec::new(),
-            progress_every: None,
-        }
+        Experiment { sim_config, policy, order, foreground: Vec::new(), background: Vec::new(), progress_every: None }
     }
 
     /// Enables the contended run's stderr progress heartbeat every
@@ -323,8 +293,7 @@ impl Experiment {
     ) -> InstrumentedOutcome {
         let mut jobs = self.foreground.clone();
         jobs.extend(self.background.iter().cloned());
-        let mut sim =
-            Simulation::new(self.sim_config.clone(), self.policy.clone(), self.order, jobs);
+        let mut sim = Simulation::new(self.sim_config.clone(), self.policy.clone(), self.order, jobs);
         if let Some(sink) = sink {
             sim = sim.with_trace_sink(sink);
         }
@@ -335,10 +304,8 @@ impl Experiment {
             sim = sim.with_progress_heartbeat(every);
         }
         let (contended, sink, profiler) = sim.run_instrumented();
-        let alone_runs: Vec<(SimReport, Option<AloneTrace>)> = crate::runner::par_map(
-            crate::runner::worker_count(),
-            &self.foreground,
-            |job| {
+        let alone_runs: Vec<(SimReport, Option<AloneTrace>)> =
+            crate::runner::par_map(crate::runner::worker_count(), &self.foreground, |job| {
                 let alone = Simulation::new(
                     self.sim_config.clone().without_faults(),
                     PolicyConfig::WorkConserving,
@@ -348,8 +315,7 @@ impl Experiment {
                 if !trace_baselines {
                     return (alone.run(), None);
                 }
-                let (report, sink) =
-                    alone.with_trace_sink(Box::new(ssr_trace::JsonlSink::new())).run_traced();
+                let (report, sink) = alone.with_trace_sink(Box::new(ssr_trace::JsonlSink::new())).run_traced();
                 let jsonl = sink
                     .expect("sink attached above")
                     .into_any()
@@ -357,10 +323,8 @@ impl Experiment {
                     .expect("JsonlSink recovered")
                     .finish();
                 (report, Some(AloneTrace { job: job.name().to_owned(), jsonl }))
-            },
-        );
-        let (alone_reports, alone_traces): (Vec<SimReport>, Vec<Option<AloneTrace>>) =
-            alone_runs.into_iter().unzip();
+            });
+        let (alone_reports, alone_traces): (Vec<SimReport>, Vec<Option<AloneTrace>>) = alone_runs.into_iter().unzip();
         let alone_traces: Vec<AloneTrace> = alone_traces.into_iter().flatten().collect();
         let mut events_processed = contended.events_processed;
         let counters = contended.counters.clone();
@@ -374,9 +338,9 @@ impl Experiment {
                 let alone = alone_report
                     .jct_secs(job.name())
                     .unwrap_or_else(|| panic!("job {} did not finish alone", job.name()));
-                let in_contention = contended.jct_secs(job.name()).unwrap_or_else(|| {
-                    panic!("foreground job {} did not finish in contention", job.name())
-                });
+                let in_contention = contended
+                    .jct_secs(job.name())
+                    .unwrap_or_else(|| panic!("foreground job {} did not finish in contention", job.name()));
                 SlowdownRow {
                     name: job.name().to_owned(),
                     alone_jct_secs: alone,
@@ -385,13 +349,8 @@ impl Experiment {
                 }
             })
             .collect();
-        let outcome = ExperimentOutcome {
-            policy: self.policy.label(),
-            foreground,
-            contended,
-            events_processed,
-            counters,
-        };
+        let outcome =
+            ExperimentOutcome { policy: self.policy.label(), foreground, contended, events_processed, counters };
         (outcome, sink, alone_traces, profiler)
     }
 }
@@ -400,15 +359,13 @@ impl Experiment {
 mod tests {
     use super::*;
     use ssr_simcore::dist::constant;
+    use ssr_simcore::dist::uniform;
     use ssr_simcore::SimTime;
     use ssr_workload::synthetic::{map_only, pipeline_of};
-    use ssr_simcore::dist::uniform;
 
     fn sim_config() -> SimConfig {
         SimConfig::new(ClusterSpec::new(1, 4).unwrap())
-            .with_locality(
-                ssr_cluster::LocalityModel::paper_simulation().with_wait(SimDuration::ZERO),
-            )
+            .with_locality(ssr_cluster::LocalityModel::paper_simulation().with_wait(SimDuration::ZERO))
             .with_seed(3)
     }
 
@@ -417,11 +374,7 @@ mod tests {
         // seconds without letting a single straggler dominate the JCT.
         pipeline_of(
             "fg",
-            &[
-                (4, uniform(1.0, 4.0)),
-                (4, uniform(1.0, 4.0)),
-                (4, uniform(1.0, 4.0)),
-            ],
+            &[(4, uniform(1.0, 4.0)), (4, uniform(1.0, 4.0)), (4, uniform(1.0, 4.0))],
             Priority::new(10),
             SimTime::ZERO,
         )
@@ -452,16 +405,8 @@ mod tests {
         };
         let wc = run(PolicyConfig::WorkConserving);
         let ssr = run(PolicyConfig::ssr_strict());
-        assert!(
-            wc.mean_slowdown() > 1.5,
-            "work conserving should suffer: {}",
-            wc.mean_slowdown()
-        );
-        assert!(
-            ssr.mean_slowdown() < 1.2,
-            "SSR should isolate: {}",
-            ssr.mean_slowdown()
-        );
+        assert!(wc.mean_slowdown() > 1.5, "work conserving should suffer: {}", wc.mean_slowdown());
+        assert!(ssr.mean_slowdown() < 1.2, "SSR should isolate: {}", ssr.mean_slowdown());
         assert!(ssr.mean_slowdown() < wc.mean_slowdown());
     }
 
@@ -469,9 +414,7 @@ mod tests {
     fn policy_labels() {
         assert_eq!(PolicyConfig::WorkConserving.label(), "work-conserving");
         assert!(PolicyConfig::Timeout(SimDuration::from_secs(5)).label().contains("timeout"));
-        assert!(
-            PolicyConfig::Static { count: 3, class: Priority::new(1) }.label().contains("static(3)")
-        );
+        assert!(PolicyConfig::Static { count: 3, class: Priority::new(1) }.label().contains("static(3)"));
         assert!(PolicyConfig::ssr_strict().label().contains("P=1"));
         assert!(PolicyConfig::ssr_strict_with_stragglers().label().contains("strag"));
         assert!(PolicyConfig::ssr_with_isolation(0.4).label().contains("P=0.4"));
@@ -522,8 +465,7 @@ mod tests {
                 .background([background()])
         };
         let plain = build().run();
-        let (traced, sink, alone) =
-            build().run_traced_with_baselines(Some(Box::new(ssr_trace::JsonlSink::new())));
+        let (traced, sink, alone) = build().run_traced_with_baselines(Some(Box::new(ssr_trace::JsonlSink::new())));
         // The contended trace sink must not perturb the outcome, and the
         // alone baselines must agree whether or not they carry a sink.
         assert_eq!(plain.foreground.len(), traced.foreground.len());
@@ -535,9 +477,7 @@ mod tests {
         assert!(sink.is_some());
         assert_eq!(alone.len(), 1);
         assert_eq!(alone[0].job, "fg");
-        assert!(alone[0].jsonl.starts_with(
-            r#"{"event":"trace-start","fields":{"schema_version":3}"#
-        ));
+        assert!(alone[0].jsonl.starts_with(r#"{"event":"trace-start","fields":{"schema_version":3}"#));
         assert!(alone[0].jsonl.contains(r#""event":"job-completed""#));
     }
 

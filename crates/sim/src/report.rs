@@ -263,5 +263,4 @@ mod tests {
         r.free_slot_secs = 0.0;
         assert_eq!(r.utilization(), 0.0);
     }
-
 }

@@ -92,9 +92,7 @@ where
     slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot is filled once the scope joins")
+            slot.into_inner().expect("result slot poisoned").expect("every slot is filled once the scope joins")
         })
         .collect()
 }
@@ -111,8 +109,13 @@ mod tests {
 
     fn tiny_experiment(tasks: u32) -> Experiment {
         let config = SimConfig::new(ClusterSpec::new(1, 2).unwrap()).with_seed(0);
-        Experiment::new(config, PolicyConfig::WorkConserving, OrderConfig::FifoPriority)
-            .foreground([map_only("fg", tasks, uniform(1.0, 2.0), Priority::new(10)).unwrap()])
+        Experiment::new(config, PolicyConfig::WorkConserving, OrderConfig::FifoPriority).foreground([map_only(
+            "fg",
+            tasks,
+            uniform(1.0, 2.0),
+            Priority::new(10),
+        )
+        .unwrap()])
     }
 
     #[test]

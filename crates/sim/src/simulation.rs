@@ -131,7 +131,10 @@ impl SimConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     JobArrival(usize),
-    TaskFinish { slot: SlotId, token: u64 },
+    TaskFinish {
+        slot: SlotId,
+        token: u64,
+    },
     ReservationExpiry,
     LocalityUnlock,
     /// A scheduled fault strikes (index into the plan's event list).
@@ -184,12 +187,7 @@ struct OpenTrace {
 
 impl Simulation {
     /// Creates a run over `jobs` with the given policy and job order.
-    pub fn new(
-        config: SimConfig,
-        policy: PolicyConfig,
-        order: OrderConfig,
-        jobs: Vec<JobSpec>,
-    ) -> Self {
+    pub fn new(config: SimConfig, policy: PolicyConfig, order: OrderConfig, jobs: Vec<JobSpec>) -> Self {
         Simulation::from_policy(config, policy.build(), order, jobs)
     }
 
@@ -201,8 +199,7 @@ impl Simulation {
         order: OrderConfig,
         jobs: Vec<JobSpec>,
     ) -> Self {
-        let mut sched =
-            TaskScheduler::new(config.cluster, config.locality.clone(), policy, order.build());
+        let mut sched = TaskScheduler::new(config.cluster, config.locality.clone(), policy, order.build());
         if let Some(spec_cfg) = config.speculation {
             sched = sched.with_speculation(spec_cfg);
         }
@@ -220,10 +217,7 @@ impl Simulation {
         for (i, f) in config.faults.events().iter().enumerate() {
             events.push(f.at, Event::Fault(i));
         }
-        let stop_pending = jobs
-            .iter()
-            .filter(|j| config.stop_after.iter().any(|n| n == j.name()))
-            .count();
+        let stop_pending = jobs.iter().filter(|j| config.stop_after.iter().any(|n| n == j.name())).count();
         Simulation {
             sched,
             events,
@@ -298,9 +292,7 @@ impl Simulation {
     /// attached via
     /// [`with_span_profiler`](Simulation::with_span_profiler) (`None` if
     /// none was), carrying the run's aggregated wall-clock spans.
-    pub fn run_instrumented(
-        mut self,
-    ) -> (SimReport, Option<Box<dyn ssr_trace::TraceSink>>, Option<Box<SpanProfiler>>) {
+    pub fn run_instrumented(mut self) -> (SimReport, Option<Box<dyn ssr_trace::TraceSink>>, Option<Box<SpanProfiler>>) {
         self.run_loop();
         let sink = self.sched.take_trace_sink();
         let profiler = self.sched.take_span_profiler();
@@ -326,8 +318,7 @@ impl Simulation {
     }
 
     fn run_loop(&mut self) {
-        let heartbeat =
-            self.progress_every.map(|every| (crate::walltime::Stopwatch::start(), every));
+        let heartbeat = self.progress_every.map(|every| (crate::walltime::Stopwatch::start(), every));
         self.span_enter("run_loop");
         while let Some((t, event)) = self.events.pop() {
             if t > self.horizon {
@@ -573,15 +564,9 @@ impl Simulation {
         if self.tracked.is_empty() {
             return;
         }
-        let running: Vec<(String, usize)> = self
-            .tracked
-            .iter()
-            .map(|(id, name)| (name.clone(), self.sched.running_count_for(*id)))
-            .collect();
-        self.collector.timeseries.push(TimeSample {
-            time_secs: self.now.as_secs_f64(),
-            running,
-        });
+        let running: Vec<(String, usize)> =
+            self.tracked.iter().map(|(id, name)| (name.clone(), self.sched.running_count_for(*id))).collect();
+        self.collector.timeseries.push(TimeSample { time_secs: self.now.as_secs_f64(), running });
     }
 
     fn close_trace(&mut self, slot: SlotId, end: SimTime, outcome: &str) {
@@ -633,8 +618,7 @@ impl Simulation {
         counters.peak_event_queue_len.high_water(self.events.peak_len() as u64);
         recycle_event_queue(std::mem::take(&mut self.events));
         // Report unfinished jobs too.
-        let mut jobs: Vec<JobResult> =
-            self.collector.results.iter().map(|(_, r)| r.clone()).collect();
+        let mut jobs: Vec<JobResult> = self.collector.results.iter().map(|(_, r)| r.clone()).collect();
         let mut all_done = self.submitted == self.jobs.len();
         for state in self.sched.jobs().iter() {
             if state.is_complete() {
@@ -713,8 +697,7 @@ mod tests {
     fn single_job_completes_with_exact_jct() {
         let job = map_only("m", 8, constant(2.0), Priority::default()).unwrap();
         let report =
-            Simulation::new(config(2, 2), PolicyConfig::WorkConserving, OrderConfig::FifoPriority, vec![job])
-                .run();
+            Simulation::new(config(2, 2), PolicyConfig::WorkConserving, OrderConfig::FifoPriority, vec![job]).run();
         assert!(report.completed);
         assert_eq!(report.jct_secs("m"), Some(4.0)); // 8 tasks / 4 slots x 2 s
         assert_eq!(report.makespan_secs, 4.0);
@@ -724,16 +707,10 @@ mod tests {
 
     #[test]
     fn pipeline_jct_accounts_for_barriers() {
-        let job = pipeline_of(
-            "p",
-            &[(4, constant(1.0)), (4, constant(2.0))],
-            Priority::default(),
-            SimTime::ZERO,
-        )
-        .unwrap();
+        let job =
+            pipeline_of("p", &[(4, constant(1.0)), (4, constant(2.0))], Priority::default(), SimTime::ZERO).unwrap();
         let report =
-            Simulation::new(config(2, 2), PolicyConfig::WorkConserving, OrderConfig::FifoPriority, vec![job])
-                .run();
+            Simulation::new(config(2, 2), PolicyConfig::WorkConserving, OrderConfig::FifoPriority, vec![job]).run();
         assert_eq!(report.jct_secs("p"), Some(3.0));
     }
 
@@ -804,28 +781,17 @@ mod tests {
         let jct_alone = alone.jct_secs("fg").unwrap();
         // Under work conservation the foreground waits behind 50 s
         // background tasks at each barrier.
-        assert!(
-            jct_wc > jct_alone * 1.5,
-            "work conserving should inflate JCT: {jct_wc} vs alone {jct_alone}"
-        );
+        assert!(jct_wc > jct_alone * 1.5, "work conserving should inflate JCT: {jct_wc} vs alone {jct_alone}");
         // SSR keeps it within a whisker of running alone.
-        assert!(
-            jct_ssr < jct_alone * 1.2,
-            "SSR should isolate: {jct_ssr} vs alone {jct_alone}"
-        );
+        assert!(jct_ssr < jct_alone * 1.2, "SSR should isolate: {jct_ssr} vs alone {jct_alone}");
     }
 
     #[test]
     fn background_still_completes_under_ssr() {
         let fg = pareto_pipeline("fg", 3, 4, 1.0, 1.3, Priority::new(10)).unwrap();
         let bg = map_only("bg", 16, constant(5.0), Priority::new(0)).unwrap();
-        let report = Simulation::new(
-            config(1, 4),
-            PolicyConfig::ssr_strict(),
-            OrderConfig::FifoPriority,
-            vec![fg, bg],
-        )
-        .run();
+        let report =
+            Simulation::new(config(1, 4), PolicyConfig::ssr_strict(), OrderConfig::FifoPriority, vec![fg, bg]).run();
         assert!(report.completed, "all jobs must finish");
         assert!(report.jct_secs("bg").is_some());
     }
@@ -841,12 +807,7 @@ mod tests {
         )
         .run();
         assert!(!report.timeseries.is_empty());
-        let max_running = report
-            .timeseries
-            .iter()
-            .flat_map(|s| s.running.iter().map(|(_, c)| *c))
-            .max()
-            .unwrap();
+        let max_running = report.timeseries.iter().flat_map(|s| s.running.iter().map(|(_, c)| *c)).max().unwrap();
         assert_eq!(max_running, 4);
     }
 
@@ -892,16 +853,10 @@ mod tests {
 
     #[test]
     fn locality_counts_accumulate() {
-        let job = pipeline_of(
-            "p",
-            &[(4, constant(1.0)), (4, constant(1.0))],
-            Priority::default(),
-            SimTime::ZERO,
-        )
-        .unwrap();
+        let job =
+            pipeline_of("p", &[(4, constant(1.0)), (4, constant(1.0))], Priority::default(), SimTime::ZERO).unwrap();
         let report =
-            Simulation::new(config(2, 2), PolicyConfig::WorkConserving, OrderConfig::FifoPriority, vec![job])
-                .run();
+            Simulation::new(config(2, 2), PolicyConfig::WorkConserving, OrderConfig::FifoPriority, vec![job]).run();
         let total: u64 = report.locality_counts.iter().sum();
         assert_eq!(total, 8);
         // Downstream tasks land on their upstream slots (free at barrier).
@@ -910,13 +865,8 @@ mod tests {
 
     #[test]
     fn trace_records_every_instance() {
-        let job = pipeline_of(
-            "p",
-            &[(4, constant(1.0)), (4, constant(2.0))],
-            Priority::default(),
-            SimTime::ZERO,
-        )
-        .unwrap();
+        let job =
+            pipeline_of("p", &[(4, constant(1.0)), (4, constant(2.0))], Priority::default(), SimTime::ZERO).unwrap();
         let report = Simulation::new(
             config(2, 2).record_trace(true),
             PolicyConfig::WorkConserving,
@@ -932,12 +882,7 @@ mod tests {
             assert!(!r.speculative);
         }
         // Stage 1 records start after stage 0's barrier clears.
-        let s0_end = report
-            .trace
-            .iter()
-            .filter(|r| r.stage == 0)
-            .map(|r| r.end_secs)
-            .fold(0.0f64, f64::max);
+        let s0_end = report.trace.iter().filter(|r| r.stage == 0).map(|r| r.end_secs).fold(0.0f64, f64::max);
         for r in report.trace.iter().filter(|r| r.stage == 1) {
             assert!(r.start_secs >= s0_end);
         }
@@ -946,8 +891,7 @@ mod tests {
             config(2, 2),
             PolicyConfig::WorkConserving,
             OrderConfig::FifoPriority,
-            vec![pipeline_of("q", &[(2, constant(1.0))], Priority::default(), SimTime::ZERO)
-                .unwrap()],
+            vec![pipeline_of("q", &[(2, constant(1.0))], Priority::default(), SimTime::ZERO).unwrap()],
         )
         .run();
         assert!(quiet.trace.is_empty());
@@ -971,10 +915,7 @@ mod tests {
     }
 
     fn jsonl_of(sink: Box<dyn ssr_trace::TraceSink>) -> String {
-        sink.into_any()
-            .downcast::<ssr_trace::JsonlSink>()
-            .expect("JsonlSink recovered")
-            .finish()
+        sink.into_any().downcast::<ssr_trace::JsonlSink>().expect("JsonlSink recovered").finish()
     }
 
     #[test]
@@ -991,9 +932,8 @@ mod tests {
                 .run_traced()
         };
         let (plain, plain_sink) = run(config(2, 4).with_seed(11).record_trace(true));
-        let (faulted, faulted_sink) = run(
-            config(2, 4).with_seed(11).record_trace(true).with_faults(FaultPlan::default()),
-        );
+        let (faulted, faulted_sink) =
+            run(config(2, 4).with_seed(11).record_trace(true).with_faults(FaultPlan::default()));
         assert_eq!(
             jsonl_of(plain_sink.unwrap()),
             jsonl_of(faulted_sink.unwrap()),
@@ -1009,8 +949,7 @@ mod tests {
     #[test]
     fn node_crash_requeues_and_still_completes() {
         let job = map_only("m", 8, constant(2.0), Priority::default()).unwrap();
-        let plan = FaultPlan::new()
-            .with(SimTime::from_secs(1), FaultKind::NodeCrash { node: 1, down: None });
+        let plan = FaultPlan::new().with(SimTime::from_secs(1), FaultKind::NodeCrash { node: 1, down: None });
         let report = Simulation::new(
             config(2, 2).record_trace(true).with_faults(plan),
             PolicyConfig::WorkConserving,
@@ -1053,12 +992,9 @@ mod tests {
     #[test]
     fn crashed_node_rejoins_after_downtime() {
         let job = map_only("m", 12, constant(2.0), Priority::default()).unwrap();
-        let heal = FaultPlan::new().with(
-            SimTime::from_secs(1),
-            FaultKind::NodeCrash { node: 1, down: Some(SimDuration::from_secs(3)) },
-        );
-        let permanent = FaultPlan::new()
-            .with(SimTime::from_secs(1), FaultKind::NodeCrash { node: 1, down: None });
+        let heal = FaultPlan::new()
+            .with(SimTime::from_secs(1), FaultKind::NodeCrash { node: 1, down: Some(SimDuration::from_secs(3)) });
+        let permanent = FaultPlan::new().with(SimTime::from_secs(1), FaultKind::NodeCrash { node: 1, down: None });
         let run = |plan: FaultPlan| {
             Simulation::new(
                 config(2, 2).with_faults(plan),
@@ -1081,10 +1017,8 @@ mod tests {
     #[test]
     fn partition_survivors_finish_out_of_service() {
         let job = map_only("m", 8, constant(2.0), Priority::default()).unwrap();
-        let plan = FaultPlan::new().with(
-            SimTime::from_secs(1),
-            FaultKind::NetworkPartition { node: 1, secs: SimDuration::from_secs(10) },
-        );
+        let plan = FaultPlan::new()
+            .with(SimTime::from_secs(1), FaultKind::NetworkPartition { node: 1, secs: SimDuration::from_secs(10) });
         let report = Simulation::new(
             config(2, 2).record_trace(true).with_faults(plan),
             PolicyConfig::WorkConserving,
@@ -1102,10 +1036,8 @@ mod tests {
 
     #[test]
     fn straggler_storm_stretches_in_flight_window() {
-        let plan = FaultPlan::new().with(
-            SimTime::from_secs(1),
-            FaultKind::StragglerStorm { factor: 2.0, secs: SimDuration::from_secs(100) },
-        );
+        let plan = FaultPlan::new()
+            .with(SimTime::from_secs(1), FaultKind::StragglerStorm { factor: 2.0, secs: SimDuration::from_secs(100) });
         let report = Simulation::new(
             config(2, 2).with_faults(plan),
             PolicyConfig::WorkConserving,
@@ -1150,22 +1082,17 @@ mod tests {
     fn occupancy_integral_accounts_every_slot_second() {
         let job = pareto_pipeline("p", 2, 4, 1.0, 1.6, Priority::default()).unwrap();
         let report =
-            Simulation::new(config(1, 4), PolicyConfig::ssr_strict(), OrderConfig::FifoPriority, vec![job])
-                .run();
+            Simulation::new(config(1, 4), PolicyConfig::ssr_strict(), OrderConfig::FifoPriority, vec![job]).run();
         let total = report.busy_slot_secs + report.reserved_idle_slot_secs + report.free_slot_secs;
         let expected = 4.0 * report.makespan_secs;
-        assert!(
-            (total - expected).abs() < 1e-6,
-            "integral {total} != slots x makespan {expected}"
-        );
+        assert!((total - expected).abs() < 1e-6, "integral {total} != slots x makespan {expected}");
     }
 
     #[test]
     fn work_counters_are_harvested_into_the_report() {
         let job = pareto_pipeline("p", 2, 8, 1.0, 1.6, Priority::default()).unwrap();
         let report =
-            Simulation::new(config(1, 4), PolicyConfig::ssr_strict(), OrderConfig::FifoPriority, vec![job])
-                .run();
+            Simulation::new(config(1, 4), PolicyConfig::ssr_strict(), OrderConfig::FifoPriority, vec![job]).run();
         let c = &report.counters;
         assert!(!c.is_zero());
         assert_eq!(c.tasks_assigned.get(), 16, "2 phases x 8 partitions, no copies");
@@ -1189,18 +1116,11 @@ mod tests {
             }
         }
         let job = || pareto_pipeline("p", 2, 8, 1.0, 1.6, Priority::default()).unwrap();
-        let build = || {
-            Simulation::new(
-                config(1, 4),
-                PolicyConfig::ssr_strict(),
-                OrderConfig::FifoPriority,
-                vec![job()],
-            )
-        };
+        let build =
+            || Simulation::new(config(1, 4), PolicyConfig::ssr_strict(), OrderConfig::FifoPriority, vec![job()]);
         let plain = build().run();
-        let (profiled, _, profiler) = build()
-            .with_span_profiler(Box::new(SpanProfiler::new(Box::new(Zero))))
-            .run_instrumented();
+        let (profiled, _, profiler) =
+            build().with_span_profiler(Box::new(SpanProfiler::new(Box::new(Zero)))).run_instrumented();
         let profiler = profiler.expect("profiler attached");
         assert_eq!(profiler.open_spans(), 0, "all spans must close");
         let spans = profiler.report();
@@ -1217,12 +1137,8 @@ mod tests {
     fn progress_heartbeat_only_observes() {
         let job = || map_only("m", 8, constant(2.0), Priority::default()).unwrap();
         let build = |hb: bool| {
-            let sim = Simulation::new(
-                config(2, 2),
-                PolicyConfig::WorkConserving,
-                OrderConfig::FifoPriority,
-                vec![job()],
-            );
+            let sim =
+                Simulation::new(config(2, 2), PolicyConfig::WorkConserving, OrderConfig::FifoPriority, vec![job()]);
             if hb {
                 sim.with_progress_heartbeat(1).run()
             } else {

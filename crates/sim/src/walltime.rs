@@ -9,10 +9,7 @@
 //! If you need timing somewhere new, take a [`Stopwatch`] here rather
 //! than opting another module out of the ban.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the wall-clock barrier: readings reach stderr only"
-)]
+#![expect(clippy::disallowed_types, reason = "the wall-clock barrier: readings reach stderr only")]
 
 use std::time::Instant;
 

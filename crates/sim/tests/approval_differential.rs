@@ -36,8 +36,8 @@ use ssr_dag::{JobId, JobSpec, JobSpecBuilder, Priority, StageId, TaskId};
 use ssr_perf::WorkCounters;
 use ssr_scheduler::policy::{ApprovalRule, STATIC_POOL_JOB};
 use ssr_scheduler::{
-    Assignment, FifoPriority, PolicyCtx, PreReserveRequest, ReservationPolicy, SlotDisposition,
-    StaticReservation, TaskScheduler, TimeoutReservation,
+    Assignment, FifoPriority, PolicyCtx, PreReserveRequest, ReservationPolicy, SlotDisposition, StaticReservation,
+    TaskScheduler, TimeoutReservation,
 };
 use ssr_sim::{FaultKind, FaultPlan, OrderConfig, PolicyConfig, SimConfig, Simulation};
 use ssr_simcore::dist::{constant, uniform};
@@ -70,22 +70,11 @@ impl ReservationPolicy for Forward {
         self.inner.name()
     }
 
-    fn on_task_completed(
-        &mut self,
-        ctx: &PolicyCtx<'_>,
-        task: TaskId,
-        slot: SlotId,
-    ) -> SlotDisposition {
+    fn on_task_completed(&mut self, ctx: &PolicyCtx<'_>, task: TaskId, slot: SlotId) -> SlotDisposition {
         self.inner.on_task_completed(ctx, task, slot)
     }
 
-    fn approve(
-        &self,
-        ctx: &PolicyCtx<'_>,
-        reservation: &Reservation,
-        job: JobId,
-        priority: Priority,
-    ) -> bool {
+    fn approve(&self, ctx: &PolicyCtx<'_>, reservation: &Reservation, job: JobId, priority: Priority) -> bool {
         if self.per_slot {
             reference_approve(reservation, job, priority)
         } else {
@@ -176,9 +165,7 @@ fn case(seed: u64, policy: usize, order: usize) -> Case {
         let secs = SimDuration::from_millis(1_000 + rng.next_below(10_000));
         let kind = match rng.next_below(5) {
             0 => FaultKind::NodeCrash { node, down: rng.chance(0.7).then_some(secs) },
-            1 => FaultKind::SlotRevocation {
-                slot: rng.next_below(u64::from(cluster.total_slots())) as u32,
-            },
+            1 => FaultKind::SlotRevocation { slot: rng.next_below(u64::from(cluster.total_slots())) as u32 },
             2 => FaultKind::NetworkPartition { node, secs },
             3 => FaultKind::StragglerStorm { factor: 2.0, secs },
             _ => FaultKind::ExecutorRestart { node, down: secs, rampup: secs, cold_factor: 1.5 },
@@ -186,10 +173,7 @@ fn case(seed: u64, policy: usize, order: usize) -> Case {
         faults.push(at, kind);
     }
     let config = SimConfig::new(cluster)
-        .with_locality(
-            LocalityModel::paper_simulation()
-                .with_wait(SimDuration::from_millis(rng.next_below(4_000))),
-        )
+        .with_locality(LocalityModel::paper_simulation().with_wait(SimDuration::from_millis(rng.next_below(4_000))))
         .with_seed(seed)
         .with_faults(faults)
         .with_horizon(SimTime::from_secs(100_000));
@@ -198,16 +182,10 @@ fn case(seed: u64, policy: usize, order: usize) -> Case {
 
 /// The whole trace and the work counters of one run.
 fn run(case: &Case, policy: Box<dyn ReservationPolicy>) -> (String, WorkCounters) {
-    let (report, sink) =
-        Simulation::from_policy(case.config.clone(), policy, case.order, case.jobs.clone())
-            .with_trace_sink(Box::new(JsonlSink::new()))
-            .run_traced();
-    let jsonl = sink
-        .expect("sink attached")
-        .into_any()
-        .downcast::<JsonlSink>()
-        .expect("JsonlSink recovered")
-        .finish();
+    let (report, sink) = Simulation::from_policy(case.config.clone(), policy, case.order, case.jobs.clone())
+        .with_trace_sink(Box::new(JsonlSink::new()))
+        .run_traced();
+    let jsonl = sink.expect("sink attached").into_any().downcast::<JsonlSink>().expect("JsonlSink recovered").finish();
     (jsonl, report.counters)
 }
 
@@ -239,8 +217,7 @@ fn differential(seed: u64, policy: usize, order: usize) {
     let per_slot = Forward { inner: case.policy.build(), per_slot: true };
     let (slot_trace, _) = run(&case, Box::new(per_slot));
 
-    let (rule, vtable, slot) =
-        (decisions(&rule_trace), decisions(&vtable_trace), decisions(&slot_trace));
+    let (rule, vtable, slot) = (decisions(&rule_trace), decisions(&vtable_trace), decisions(&slot_trace));
     assert!(!launches(&rule).is_empty(), "seed {seed}: the workload runs");
     assert_eq!(launches(&rule), launches(&slot), "seed {seed}: rule vs per-slot assignments");
     assert_eq!(launches(&vtable), launches(&slot), "seed {seed}: vtable vs per-slot assignments");
@@ -283,12 +260,7 @@ impl ReservationPolicy for PooledTimeout {
         Some(ApprovalRule::StaticPoolAtLeast)
     }
 
-    fn on_task_completed(
-        &mut self,
-        ctx: &PolicyCtx<'_>,
-        task: TaskId,
-        slot: SlotId,
-    ) -> SlotDisposition {
+    fn on_task_completed(&mut self, ctx: &PolicyCtx<'_>, task: TaskId, slot: SlotId) -> SlotDisposition {
         if self.pool.pool_slots().contains(&slot) {
             self.pool.on_task_completed(ctx, task, slot)
         } else {
@@ -317,10 +289,7 @@ const MID_OWNER: JobId = JobId::new(10);
 /// task still pending and holds both its slots. Twelve one-task jobs at
 /// priorities 0..=11 then arrive, and one offer round runs with no free
 /// slot.
-fn scripted_round(
-    policy: Box<dyn ReservationPolicy>,
-    pool: u32,
-) -> (Vec<Assignment>, String, WorkCounters) {
+fn scripted_round(policy: Box<dyn ReservationPolicy>, pool: u32) -> (Vec<Assignment>, String, WorkCounters) {
     let now = SimTime::from_secs(1);
     let mut sched = TaskScheduler::new(
         ClusterSpec::new(2 * HOLDERS as u32 + pool, 1).unwrap(),
@@ -342,9 +311,7 @@ fn scripted_round(
     }
     let ups = sched.resource_offers(SimTime::ZERO);
     assert_eq!(ups.len(), 2 * HOLDERS as usize, "the holders fill the free slots");
-    for a in
-        ups.iter().filter(|a| a.instance.task.partition == 0 || a.instance.task.job == MID_OWNER)
-    {
+    for a in ups.iter().filter(|a| a.instance.task.partition == 0 || a.instance.task.job == MID_OWNER) {
         sched.task_finished(a.slot, now);
     }
     for (i, p) in [5, 0, 9, 2, 11, 4, 1, 7, 3, 10, 6, 8].into_iter().enumerate() {
@@ -404,10 +371,7 @@ fn scripted_differential(build: fn() -> Box<dyn ReservationPolicy>, pool: u32) {
 
 #[test]
 fn many_groups_agree_when_the_viability_walk_stops_early() {
-    scripted_differential(
-        || Box::new(TimeoutReservation::new(SimDuration::from_secs(1_000_000))),
-        0,
-    );
+    scripted_differential(|| Box::new(TimeoutReservation::new(SimDuration::from_secs(1_000_000))), 0);
 }
 
 #[test]
@@ -438,10 +402,7 @@ const TAIL_POOL_CLASS: i32 = 4;
 /// priority 20 take the free slots; two at the pool's class come next,
 /// approved by the pool's `>=` only; then 24 at priorities 0..=3, which
 /// own nothing and which the lowest group priority rules out, decline.
-fn declined_tail_round(
-    policy: Box<dyn ReservationPolicy>,
-    pool: u32,
-) -> (Vec<Assignment>, String, WorkCounters) {
+fn declined_tail_round(policy: Box<dyn ReservationPolicy>, pool: u32) -> (Vec<Assignment>, String, WorkCounters) {
     let now = SimTime::from_secs(1);
     let mut sched = TaskScheduler::new(
         ClusterSpec::new(2 * TAIL_HOLDERS + pool + TAIL_FREE, 1).unwrap(),
@@ -465,9 +426,7 @@ fn declined_tail_round(
     for a in ups.iter().filter(|a| a.instance.task.partition == 0) {
         sched.task_finished(a.slot, now);
     }
-    let priorities = [20, 20, 20, TAIL_POOL_CLASS, TAIL_POOL_CLASS]
-        .into_iter()
-        .chain((0..24).map(|i| (i * 7) % 4));
+    let priorities = [20, 20, 20, TAIL_POOL_CLASS, TAIL_POOL_CLASS].into_iter().chain((0..24).map(|i| (i * 7) % 4));
     for (i, p) in priorities.enumerate() {
         let job = JobSpecBuilder::new(format!("c{i}"))
             .priority(Priority::new(p))
@@ -501,16 +460,12 @@ fn declined_tail_round(
 /// with free slots, so none is dropped up front), so all three write the
 /// same trace; the two group walks also count the same work. Returns the
 /// placements.
-fn declined_tail_differential(
-    build: fn() -> Box<dyn ReservationPolicy>,
-    pool: u32,
-) -> Vec<Assignment> {
+fn declined_tail_differential(build: fn() -> Box<dyn ReservationPolicy>, pool: u32) -> Vec<Assignment> {
     assert!(build().approval_rule().is_some());
     let (rule, rule_trace, rule_counters) = declined_tail_round(build(), pool);
     let (vtable, vtable_trace, vtable_counters) =
         declined_tail_round(Box::new(Forward { inner: build(), per_slot: false }), pool);
-    let (slot, slot_trace, _) =
-        declined_tail_round(Box::new(Forward { inner: build(), per_slot: true }), pool);
+    let (slot, slot_trace, _) = declined_tail_round(Box::new(Forward { inner: build(), per_slot: true }), pool);
     assert_eq!(rule, slot, "rule vs per-slot placements");
     assert_eq!(vtable, slot, "vtable vs per-slot placements");
     assert!(rule_trace == vtable_trace, "rule vs vtable trace bytes");
@@ -524,10 +479,7 @@ fn declined_tail_differential(
 
 #[test]
 fn a_declined_tail_agrees_under_the_paper_rule() {
-    let placed = declined_tail_differential(
-        || Box::new(TimeoutReservation::new(SimDuration::from_secs(1_000_000))),
-        0,
-    );
+    let placed = declined_tail_differential(|| Box::new(TimeoutReservation::new(SimDuration::from_secs(1_000_000))), 0);
     // Only the free slots are taken: no group approves priority 4 or less.
     assert_eq!(placed.len(), TAIL_FREE as usize, "{placed:?}");
 }

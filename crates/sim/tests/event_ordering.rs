@@ -28,36 +28,20 @@ use ssr_workload::synthetic::{map_only, pipeline_of};
 /// is too low to be approved). The background task on slot 2 finishes at
 /// exactly t = 31 — the same instant the slot-1 reservation lapses.
 fn collision_sim() -> Simulation {
-    let fg = pipeline_of(
-        "fg",
-        &[(2, constant(1.0)), (1, constant(40.0))],
-        Priority::new(10),
-        SimTime::ZERO,
-    )
-    .unwrap();
+    let fg = pipeline_of("fg", &[(2, constant(1.0)), (1, constant(40.0))], Priority::new(10), SimTime::ZERO).unwrap();
     let bg = map_only("bg", 3, constant(31.0), Priority::new(0)).unwrap();
     let config = SimConfig::new(ClusterSpec::new(1, 3).unwrap())
         .with_locality(LocalityModel::paper_simulation().with_wait(SimDuration::ZERO))
         .with_seed(11);
-    Simulation::new(
-        config,
-        PolicyConfig::Timeout(SimDuration::from_secs(30)),
-        OrderConfig::FifoPriority,
-        vec![fg, bg],
-    )
+    Simulation::new(config, PolicyConfig::Timeout(SimDuration::from_secs(30)), OrderConfig::FifoPriority, vec![fg, bg])
 }
 
 #[test]
 fn colliding_expiry_and_finish_replay_byte_identically() {
     let run = || {
-        let (report, sink) =
-            collision_sim().with_trace_sink(Box::new(JsonlSink::new())).run_traced();
-        let jsonl = sink
-            .expect("sink attached")
-            .into_any()
-            .downcast::<JsonlSink>()
-            .expect("JsonlSink recovered")
-            .finish();
+        let (report, sink) = collision_sim().with_trace_sink(Box::new(JsonlSink::new())).run_traced();
+        let jsonl =
+            sink.expect("sink attached").into_any().downcast::<JsonlSink>().expect("JsonlSink recovered").finish();
         (serde_json::to_string_pretty(&report).unwrap(), jsonl)
     };
     let (report_a, trace_a) = run();
@@ -65,22 +49,15 @@ fn colliding_expiry_and_finish_replay_byte_identically() {
     assert_eq!(report_a, report_b, "same-seed reports must be byte-identical");
     assert_eq!(trace_a, trace_b, "same-seed decision traces must be byte-identical");
     // The collision actually happened: the trace holds an expiry at t=31.
-    assert!(
-        trace_a.contains(r#""event":"reservation-expired""#),
-        "scenario must produce a reservation expiry"
-    );
+    assert!(trace_a.contains(r#""event":"reservation-expired""#), "scenario must produce a reservation expiry");
 }
 
 #[test]
 fn finish_processes_before_expiry_at_equal_time() {
     let (report, sink) = collision_sim().with_trace_sink(Box::new(VecSink::new())).run_traced();
     assert!(report.completed);
-    let events = sink
-        .expect("sink attached")
-        .into_any()
-        .downcast::<VecSink>()
-        .expect("VecSink recovered")
-        .into_events();
+    let events =
+        sink.expect("sink attached").into_any().downcast::<VecSink>().expect("VecSink recovered").into_events();
 
     let t31 = SimTime::from_secs(31);
     let finish_idx = events
@@ -93,10 +70,7 @@ fn finish_processes_before_expiry_at_equal_time() {
         .expect("a reservation expires at t=31");
     // The finish event was queued at t=0, the expiry wakeup at t=1: FIFO
     // tie-break processes the finish (and its offer round) first.
-    assert!(
-        finish_idx < expiry_idx,
-        "task finish must process before reservation expiry at the same instant"
-    );
+    assert!(finish_idx < expiry_idx, "task finish must process before reservation expiry at the same instant");
     // The expired slot is only handed out *after* the expiry: the launch
     // onto it appears later in the stream.
     let expired_slot = match events[expiry_idx].kind {
@@ -106,20 +80,14 @@ fn finish_processes_before_expiry_at_equal_time() {
     let launch_on_expired = events
         .iter()
         .position(|e| {
-            e.time == t31
-                && matches!(e.kind, TraceEventKind::TaskLaunched { slot, .. } if slot == expired_slot)
+            e.time == t31 && matches!(e.kind, TraceEventKind::TaskLaunched { slot, .. } if slot == expired_slot)
         })
         .expect("the freed slot is re-used in the same instant");
-    assert!(
-        expiry_idx < launch_on_expired,
-        "the lapsed slot can only be claimed after its expiry processed"
-    );
+    assert!(expiry_idx < launch_on_expired, "the lapsed slot can only be claimed after its expiry processed");
     // Between the finish and the expiry, the freed-but-still-reserved slot
     // denied the backlogged background job at least once.
     assert!(
-        events[..expiry_idx]
-            .iter()
-            .any(|e| matches!(e.kind, TraceEventKind::OfferDeclined { .. })),
+        events[..expiry_idx].iter().any(|e| matches!(e.kind, TraceEventKind::OfferDeclined { .. })),
         "the idle reservation must deny the background job before expiring"
     );
 }
@@ -130,39 +98,22 @@ fn finish_processes_before_expiry_at_equal_time() {
 /// simulation construction — before any task finish or expiry wakeup can
 /// be pushed — so the FIFO tie-break processes the revocation first.
 fn revocation_collision_sim() -> Simulation {
-    let fg = pipeline_of(
-        "fg",
-        &[(2, constant(1.0)), (1, constant(40.0))],
-        Priority::new(10),
-        SimTime::ZERO,
-    )
-    .unwrap();
+    let fg = pipeline_of("fg", &[(2, constant(1.0)), (1, constant(40.0))], Priority::new(10), SimTime::ZERO).unwrap();
     let bg = map_only("bg", 3, constant(31.0), Priority::new(0)).unwrap();
-    let faults = FaultPlan::new()
-        .with(SimTime::from_secs(31), FaultKind::SlotRevocation { slot: 1 });
+    let faults = FaultPlan::new().with(SimTime::from_secs(31), FaultKind::SlotRevocation { slot: 1 });
     let config = SimConfig::new(ClusterSpec::new(1, 3).unwrap())
         .with_locality(LocalityModel::paper_simulation().with_wait(SimDuration::ZERO))
         .with_seed(11)
         .with_faults(faults);
-    Simulation::new(
-        config,
-        PolicyConfig::Timeout(SimDuration::from_secs(30)),
-        OrderConfig::FifoPriority,
-        vec![fg, bg],
-    )
+    Simulation::new(config, PolicyConfig::Timeout(SimDuration::from_secs(30)), OrderConfig::FifoPriority, vec![fg, bg])
 }
 
 #[test]
 fn revocation_preempts_expiry_at_equal_time() {
-    let (report, sink) =
-        revocation_collision_sim().with_trace_sink(Box::new(VecSink::new())).run_traced();
+    let (report, sink) = revocation_collision_sim().with_trace_sink(Box::new(VecSink::new())).run_traced();
     assert!(report.completed, "losing one of three slots must not wedge the run");
-    let events = sink
-        .expect("sink attached")
-        .into_any()
-        .downcast::<VecSink>()
-        .expect("VecSink recovered")
-        .into_events();
+    let events =
+        sink.expect("sink attached").into_any().downcast::<VecSink>().expect("VecSink recovered").into_events();
 
     let t31 = SimTime::from_secs(31);
     // The construction-queued fault wins every t=31 tie: the revocation
@@ -170,23 +121,16 @@ fn revocation_preempts_expiry_at_equal_time() {
     // and before the expiry wakeup (pushed at grant, t=1).
     let revoked_idx = events
         .iter()
-        .position(|e| {
-            e.time == t31
-                && matches!(e.kind, TraceEventKind::ReservationRevoked { slot: 1, .. })
-        })
+        .position(|e| e.time == t31 && matches!(e.kind, TraceEventKind::ReservationRevoked { slot: 1, .. }))
         .expect("the fault revokes slot 1's reservation at t=31");
     let finish_idx = events
         .iter()
         .position(|e| e.time == t31 && matches!(e.kind, TraceEventKind::TaskFinished { .. }))
         .expect("a task still finishes at t=31");
-    assert!(
-        revoked_idx < finish_idx,
-        "the construction-queued fault must process before the task finish"
-    );
+    assert!(revoked_idx < finish_idx, "the construction-queued fault must process before the task finish");
     assert!(
         events.iter().any(|e| {
-            e.time == t31
-                && matches!(e.kind, TraceEventKind::SlotOffline { slot: 1, cause: "revocation" })
+            e.time == t31 && matches!(e.kind, TraceEventKind::SlotOffline { slot: 1, cause: "revocation" })
         }),
         "the revoked slot leaves service in the same instant"
     );
@@ -201,22 +145,14 @@ fn revocation_preempts_expiry_at_equal_time() {
 #[test]
 fn revocation_collision_replays_byte_identically() {
     let run = || {
-        let (report, sink) =
-            revocation_collision_sim().with_trace_sink(Box::new(JsonlSink::new())).run_traced();
-        let jsonl = sink
-            .expect("sink attached")
-            .into_any()
-            .downcast::<JsonlSink>()
-            .expect("JsonlSink recovered")
-            .finish();
+        let (report, sink) = revocation_collision_sim().with_trace_sink(Box::new(JsonlSink::new())).run_traced();
+        let jsonl =
+            sink.expect("sink attached").into_any().downcast::<JsonlSink>().expect("JsonlSink recovered").finish();
         (serde_json::to_string_pretty(&report).unwrap(), jsonl)
     };
     let (report_a, trace_a) = run();
     let (report_b, trace_b) = run();
     assert_eq!(report_a, report_b, "same-plan reports must be byte-identical");
     assert_eq!(trace_a, trace_b, "same-plan decision traces must be byte-identical");
-    assert!(
-        trace_a.contains(r#""event":"reservation-revoked""#),
-        "scenario must produce the revocation"
-    );
+    assert!(trace_a.contains(r#""event":"reservation-revoked""#), "scenario must produce the revocation");
 }

@@ -95,10 +95,7 @@ fn case(seed: u64, policy: usize, order: usize) -> Case {
         faults.push(at, kind);
     }
     let config = SimConfig::new(cluster)
-        .with_locality(
-            LocalityModel::paper_simulation()
-                .with_wait(SimDuration::from_millis(rng.next_below(4_000))),
-        )
+        .with_locality(LocalityModel::paper_simulation().with_wait(SimDuration::from_millis(rng.next_below(4_000))))
         .with_seed(seed)
         .with_faults(faults)
         .with_horizon(SimTime::from_secs(100_000));
@@ -108,15 +105,12 @@ fn case(seed: u64, policy: usize, order: usize) -> Case {
 /// The report JSON and the counter JSON of one run, and its trace when
 /// `traced`.
 fn run(case: &Case, traced: bool) -> (String, String, Option<String>) {
-    let mut sim =
-        Simulation::new(case.config.clone(), case.policy.clone(), case.order, case.jobs.clone());
+    let mut sim = Simulation::new(case.config.clone(), case.policy.clone(), case.order, case.jobs.clone());
     if traced {
         sim = sim.with_trace_sink(Box::new(JsonlSink::new()));
     }
     let (report, sink) = sim.run_traced();
-    let jsonl = sink.map(|sink| {
-        sink.into_any().downcast::<JsonlSink>().expect("JsonlSink recovered").finish()
-    });
+    let jsonl = sink.map(|sink| sink.into_any().downcast::<JsonlSink>().expect("JsonlSink recovered").finish());
     (serde_json::to_string_pretty(&report).unwrap(), report.counters.render_json(), jsonl)
 }
 
