@@ -11,7 +11,8 @@
 //! 100, 1,000 or 4,000 pending jobs once its two free slots are gone, and the
 //! process-local search of a phase preferring 2,000 of 4,000 slots), the
 //! ranking of an owner's 2,000 reserved slots for a candidate that
-//! declines them, a full small-grid
+//! declines them, a warm task's launch, finish and re-offer at 100 and
+//! 4,000 slots (per task), a full small-grid
 //! simulation, the trace codec (writing and reading the small-grid SSR
 //! run's decision trace), and event-queue throughput including the
 //! recycled-allocation path.
@@ -33,6 +34,7 @@ use ssr_simcore::dist::{constant, pareto};
 use ssr_simcore::events::EventQueue;
 use ssr_simcore::{SimDuration, SimTime};
 use ssr_trace::{parse_trace, JsonlSink, TraceEvent, TraceSink, VecSink};
+use std::time::{Duration, Instant};
 
 /// The scales the acceptance criteria track: a small rack, a mid-size
 /// cluster, and the paper's 1000-node / 4000-slot simulator.
@@ -497,6 +499,64 @@ fn bench_saturated_reoffer(c: &mut Criterion) {
     group.finish();
 }
 
+/// Offer rounds each scheduler of [`bench_task_lifecycle`] serves.
+const LIFECYCLE_ROUNDS: u32 = 8;
+
+/// `slots` slots and one job whose first phase has a task per slot for
+/// one more round than [`LIFECYCLE_ROUNDS`], so no round's finishes
+/// complete it.
+fn lifecycle_scheduler(slots: u32) -> TaskScheduler {
+    let mut sched = TaskScheduler::new(
+        ClusterSpec::with_racks(slots / 4, 4, 20).expect("valid"),
+        LocalityModel::paper_simulation().with_wait(SimDuration::ZERO),
+        Box::new(WorkConserving),
+        Box::new(FifoPriority),
+    );
+    let job = JobSpecBuilder::new("long")
+        .stage("map", slots * (LIFECYCLE_ROUNDS + 1), constant(1.0))
+        .stage("reduce", 1, constant(1.0))
+        .chain()
+        .build()
+        .expect("valid");
+    sched.submit(job, SimTime::ZERO);
+    sched
+}
+
+/// A task's launch, finish and re-offer, in ns per task: each round
+/// launches a task on every slot into a reused buffer, then finishes them
+/// all, so the next round re-offers every slot. One warm-up round per
+/// fresh scheduler is not timed. This is the `task_finished` layer row.
+fn bench_task_lifecycle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scheduler/task_lifecycle");
+    for slots in [100u32, 4_000] {
+        group.bench_with_input(BenchmarkId::from_parameter(slots), &slots, |b, &slots| {
+            let mut round = Vec::new();
+            b.iter_custom(|tasks| {
+                let (mut elapsed, mut done) = (Duration::ZERO, 0u64);
+                while done < tasks {
+                    let mut sched = lifecycle_scheduler(slots);
+                    for r in 0..=LIFECYCLE_ROUNDS {
+                        let now = SimTime::from_secs(u64::from(r));
+                        let started = Instant::now();
+                        sched.resource_offers_into(now, &mut round);
+                        for a in &round {
+                            sched.task_finished(a.slot, now);
+                        }
+                        if r > 0 {
+                            elapsed += started.elapsed();
+                            done += round.len() as u64;
+                        }
+                    }
+                }
+                // Scaled to the `tasks` asked for: the last scheduler's
+                // rounds may run past them.
+                elapsed.mul_f64(tasks as f64 / done as f64)
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Full small-grid simulation: a contended foreground/background mix on a
 /// 100-slot cluster, end to end through the event loop.
 fn bench_full_sim_small_grid(c: &mut Criterion) {
@@ -619,6 +679,7 @@ criterion_group!(
     bench_process_local,
     bench_rank_reserved,
     bench_saturated_reoffer,
+    bench_task_lifecycle,
     bench_full_sim_small_grid,
     bench_trace_codec,
     bench_event_queue

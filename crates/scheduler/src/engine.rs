@@ -352,13 +352,16 @@ impl TaskScheduler {
                 })
                 .collect(),
         });
-        let roots = state.spec().roots();
-        for &stage in &roots {
-            let parallelism = state.spec().stage(stage).parallelism();
-            state.insert_taskset(TaskSetManager::new(id, stage, parallelism, now));
+        for stage in (0..state.spec().stages().len() as u32).map(StageId::new) {
+            if state.spec().parents(stage).is_empty() {
+                let parallelism = state.spec().stage(stage).parallelism();
+                state.insert_taskset(TaskSetManager::new(id, stage, parallelism, now));
+            }
         }
         self.jobs.insert(state);
-        for stage in roots {
+        // The root phases are the job's only task sets yet, in stage order.
+        let state = self.jobs.get(id).expect("job just admitted");
+        for stage in state.active_tasksets().map(TaskSetManager::stage) {
             let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
             self.policy.on_stage_ready(&ctx, id, stage);
         }
@@ -369,8 +372,21 @@ impl TaskScheduler {
     /// pre-reservations, then assigns tasks to available slots (free, or
     /// reserved and approved) in job order under delay scheduling, and
     /// finally launches straggler copies on reserved-idle slots if the
-    /// policy mitigates stragglers.
+    /// policy mitigates stragglers. Returns the round's assignments in
+    /// placement order; [`resource_offers_into`](Self::resource_offers_into)
+    /// fills a caller's buffer instead.
     pub fn resource_offers(&mut self, now: SimTime) -> Vec<Assignment> {
+        let mut assignments = Vec::new();
+        self.resource_offers_into(now, &mut assignments);
+        assignments
+    }
+
+    /// Runs the offer round of [`resource_offers`](Self::resource_offers)
+    /// and leaves its assignments in `assignments`, which it clears
+    /// first: a driver that passes the same buffer every round allocates
+    /// for it only while it grows.
+    pub fn resource_offers_into(&mut self, now: SimTime, assignments: &mut Vec<Assignment>) {
+        assignments.clear();
         self.advance_clock(now);
         self.counters.offer_rounds.inc();
         self.span_enter("offer_round");
@@ -379,7 +395,6 @@ impl TaskScheduler {
         let locality = &self.locality;
         self.jobs.prune_unlock_window(|since| locality.next_unlock_after(now.saturating_since(since)).is_none());
         self.fill_prereservations(now);
-        let mut assignments = Vec::new();
         // Early exit for a saturated cluster: no free or reserved slot means
         // no assignment can possibly be made this round.
         let (free, running, reserved) = self.slots.counts();
@@ -409,22 +424,21 @@ impl TaskScheduler {
             if free == 0 && self.group_approval() {
                 self.filter_candidates(&mut notes, now);
             }
-            self.serve_candidates(&mut notes, available, &mut assignments, now);
+            self.serve_candidates(&mut notes, available, assignments, now);
             self.round = notes;
         }
         if self.policy.mitigate_stragglers() {
             self.span_enter("speculation_scan");
-            assignments.extend(self.launch_straggler_copies(now));
+            self.launch_straggler_copies(now, assignments);
             self.span_exit();
         }
         if self.speculation.is_some() {
             self.span_enter("speculation_scan");
-            assignments.extend(self.launch_progress_speculation(now));
+            self.launch_progress_speculation(now, assignments);
             self.span_exit();
         }
         self.emit(now, |_| TraceEventKind::OfferRoundEnded { assignments: assignments.len() });
         self.span_exit();
-        assignments
     }
 
     /// The viability filter of a round that starts with no free slot. A
@@ -1031,9 +1045,8 @@ impl TaskScheduler {
     /// tasks of a phase (with no originals left to launch), runs one extra
     /// copy of each ongoing task on a reserved slot. Copies run on warm
     /// slots that just executed the same phase, so they incur no locality
-    /// or cold-JVM penalty.
-    fn launch_straggler_copies(&mut self, now: SimTime) -> Vec<Assignment> {
-        let mut out = Vec::new();
+    /// or cold-JVM penalty. Appends the copies to `out`.
+    fn launch_straggler_copies(&mut self, now: SimTime, out: &mut Vec<Assignment>) {
         // Only jobs actually holding reservations can launch copies; the
         // per-job reservation index lists them in ascending id order, the
         // same relative order the all-jobs scan visited them in.
@@ -1091,12 +1104,12 @@ impl TaskScheduler {
         self.straggler_jobs_buf = job_ids;
         self.straggler_slots_buf = remaining;
         self.straggler_plans_buf = plans;
-        out
     }
 
     /// Status-quo speculation: copies of slow tasks on free slots, cold.
-    fn launch_progress_speculation(&mut self, now: SimTime) -> Vec<Assignment> {
-        let Some(cfg) = self.speculation else { return Vec::new() };
+    /// Appends the copies to `out`.
+    fn launch_progress_speculation(&mut self, now: SimTime, out: &mut Vec<Assignment>) {
+        let Some(cfg) = self.speculation else { return };
         // Plan immutably first: (job, stage, partition, slot, level).
         let mut plans = take_scratch(&self.counters, &mut self.spec_plans_buf);
         let mut free = take_scratch(&self.counters, &mut self.spec_free_buf);
@@ -1133,7 +1146,6 @@ impl TaskScheduler {
                 }
             }
         }
-        let mut out = Vec::new();
         for &(job, stage, partition, slot, level) in &plans {
             let instance = self.jobs.launch_copy(job, stage, partition, slot).expect("stage has a task set");
             self.slots.assign(slot, instance.task).expect("free slot is assignable");
@@ -1144,7 +1156,6 @@ impl TaskScheduler {
         }
         self.spec_plans_buf = plans;
         self.spec_free_buf = free;
-        out
     }
 
     /// Processes the completion of the task instance running on `slot`.
@@ -2647,7 +2658,7 @@ mod tests {
             let priority = Priority::new(rng.next_below(6) as i32);
             let demand = 1 + rng.next_below(u64::from(spec.max_slot_size())) as u32;
             let density = [0.0, 0.03, 0.3][rng.next_below(3) as usize];
-            let preferred = spec.iter_slots().filter(|_| rng.chance(density)).collect();
+            let preferred: Vec<SlotId> = spec.iter_slots().filter(|_| rng.chance(density)).collect();
             let tsm = TaskSetManager::new(job, StageId::new(0), 1, now).with_preferred(preferred, &spec);
             for allowed in LocalityLevel::ALL {
                 let (mut words, mut slots) = ([None; 4], [None; 4]);

@@ -2,7 +2,7 @@
 //! barrier state, runtime statistics and output slots.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use ssr_cluster::SlotId;
 use ssr_dag::{JobId, JobSpec, Priority, StageId};
@@ -127,7 +127,9 @@ impl LevelTallies {
 pub struct JobState {
     id: JobId,
     spec: JobSpec,
-    tsms: BTreeMap<StageId, TaskSetManager>,
+    /// Each phase's task set, indexed by stage id; `None` while the
+    /// phase is blocked.
+    tsms: Vec<Option<TaskSetManager>>,
     submitted_at: SimTime,
     completed_at: Option<SimTime>,
     /// Slots currently running an instance (original or copy) of this job.
@@ -144,8 +146,8 @@ impl JobState {
     pub(crate) fn new(id: JobId, spec: JobSpec, submitted_at: SimTime) -> Self {
         JobState {
             id,
+            tsms: std::iter::repeat_with(|| None).take(spec.stages().len()).collect(),
             spec,
-            tsms: BTreeMap::new(),
             submitted_at,
             completed_at: None,
             running: 0,
@@ -192,13 +194,18 @@ impl JobState {
 
     /// The task-set manager of `stage`, if the phase has become ready.
     pub fn taskset(&self, stage: StageId) -> Option<&TaskSetManager> {
-        self.tsms.get(&stage)
+        self.tsms.get(stage.index())?.as_ref()
+    }
+
+    /// The task sets of the ready phases, in stage order.
+    fn tasksets(&self) -> impl Iterator<Item = &TaskSetManager> {
+        self.tsms.iter().flatten()
     }
 
     /// Number of `stage`'s partitions that have finished — 0 while the
     /// phase is blocked. A partition counts once, on its first finish.
     pub fn completed_tasks(&self, stage: StageId) -> u32 {
-        self.tsms.get(&stage).map_or(0, TaskSetManager::finished_count)
+        self.taskset(stage).map_or(0, TaskSetManager::finished_count)
     }
 
     /// Fraction of `stage`'s partitions that have finished, in `[0, 1]` —
@@ -215,7 +222,7 @@ impl JobState {
     /// `true` once every phase's task set has finished, whether or not
     /// the job has been marked completed yet.
     pub(crate) fn all_stages_complete(&self) -> bool {
-        self.tsms.len() == self.spec.stages().len() && self.tsms.values().all(TaskSetManager::is_complete)
+        self.tsms.iter().all(|t| t.as_ref().is_some_and(TaskSetManager::is_complete))
     }
 
     /// The phases whose barrier `stage` cleared: once `stage` is complete,
@@ -223,7 +230,7 @@ impl JobState {
     /// finished, in [`JobSpec::children`] order. Empty while `stage` has
     /// unfinished partitions.
     pub(crate) fn cleared_by(&self, stage: StageId) -> Vec<StageId> {
-        if !self.tsms.get(&stage).is_some_and(TaskSetManager::is_complete) {
+        if !self.taskset(stage).is_some_and(TaskSetManager::is_complete) {
             return Vec::new();
         }
         self.spec
@@ -231,33 +238,29 @@ impl JobState {
             .iter()
             .copied()
             .filter(|child| {
-                !self.tsms.contains_key(child)
+                self.taskset(*child).is_none()
                     && self
                         .spec
                         .parents(*child)
                         .iter()
-                        .all(|p| self.tsms.get(p).is_some_and(TaskSetManager::is_complete))
+                        .all(|&p| self.taskset(p).is_some_and(TaskSetManager::is_complete))
             })
             .collect()
     }
 
     /// The preferred slots of `stage`'s tasks: the slots holding its
-    /// parents' outputs, in ascending order. A shuffle dependency reads
+    /// parents' outputs, parent by parent, each in partition order (a
+    /// slot holding several outputs repeats). A shuffle dependency reads
     /// every upstream partition, so this is the union over all parents
     /// (§II-B, §V); a parent partition that has not finished adds none.
-    pub(crate) fn preferred_slots(&self, stage: StageId) -> BTreeSet<SlotId> {
-        self.spec
-            .parents(stage)
-            .iter()
-            .filter_map(|p| self.tsms.get(p))
-            .flat_map(TaskSetManager::output_slots)
-            .collect()
+    pub(crate) fn preferred_slots(&self, stage: StageId) -> impl Iterator<Item = SlotId> + '_ {
+        self.spec.parents(stage).iter().filter_map(|&p| self.taskset(p)).flat_map(TaskSetManager::output_slots)
     }
 
     /// Task sets of phases that are ready and still have unfinished tasks,
     /// in stage order.
     pub fn active_tasksets(&self) -> impl Iterator<Item = &TaskSetManager> {
-        self.tsms.values().filter(|t| !t.is_complete())
+        self.tasksets().filter(|t| !t.is_complete())
     }
 
     /// `true` if some ready phase has an unlaunched original task.
@@ -296,18 +299,24 @@ impl JobState {
     /// [`active_tasksets`](Self::active_tasksets) filtered by
     /// `has_pending`, looked up directly.
     pub(crate) fn pending_taskset(&self, stage: StageId) -> Option<&TaskSetManager> {
-        self.tsms.get(&stage).filter(|t| t.has_pending() && !t.is_complete())
+        self.taskset(stage).filter(|t| t.has_pending() && !t.is_complete())
     }
 
     #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
     #[deny(clippy::panic, clippy::unreachable)]
     pub(crate) fn taskset_mut(&mut self, stage: StageId) -> Option<&mut TaskSetManager> {
-        self.tsms.get_mut(&stage)
+        self.tsms.get_mut(stage.index())?.as_mut()
     }
 
+    /// Registers `tsm` as its phase's task set, replacing any earlier one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the phase is out of range for this job.
     pub(crate) fn insert_taskset(&mut self, tsm: TaskSetManager) {
         self.tally.add(DeclineTally::of(&tsm));
-        if let Some(replaced) = self.tsms.insert(tsm.stage(), tsm) {
+        let entry = self.tsms.get_mut(tsm.stage().index()).expect("the task set's phase belongs to the job");
+        if let Some(replaced) = entry.replace(tsm) {
             self.tally.sub(DeclineTally::of(&replaced));
         }
     }
@@ -519,7 +528,7 @@ impl Jobs {
             self.table.resize_with(i + 1, || None);
         }
         debug_assert!(self.table[i].is_none(), "job ids are never reused");
-        for tsm in state.tsms.values() {
+        for tsm in state.tasksets() {
             self.unlock_window.push_back((tsm.ready_since(), id, tsm.stage()));
         }
         if !state.is_complete() {
@@ -541,7 +550,7 @@ impl Jobs {
     /// Launches the next pending original task of `stage` on `slot`.
     pub(crate) fn launch_next(&mut self, id: JobId, stage: StageId, slot: SlotId) -> Option<TaskInstance> {
         let state = entry_mut(&mut self.table, id)?;
-        let tsm = state.tsms.get_mut(&stage)?;
+        let tsm = state.taskset_mut(stage)?;
         let instance = tsm.launch_next(slot)?;
         let drained = (!tsm.has_pending()).then(|| tsm.preferred().len() as u32);
         let running = state.running;
@@ -571,7 +580,7 @@ impl Jobs {
         slot: SlotId,
     ) -> Option<TaskInstance> {
         let state = entry_mut(&mut self.table, id)?;
-        let instance = state.tsms.get_mut(&stage)?.launch_copy(partition, slot);
+        let instance = state.taskset_mut(stage)?.launch_copy(partition, slot);
         let running = state.running;
         state.running += 1;
         self.pending.touch_running(state, running);
@@ -589,7 +598,7 @@ impl Jobs {
         duration: SimDuration,
     ) -> Option<InstanceOutcome> {
         let state = entry_mut(&mut self.table, instance.task.job)?;
-        let outcome = state.tsms.get_mut(&instance.task.stage)?.instance_finished(instance, duration);
+        let outcome = state.taskset_mut(instance.task.stage)?.instance_finished(instance, duration);
         let running = state.running;
         let stopped = u32::try_from(1 + outcome.losers.len()).unwrap_or(u32::MAX);
         state.running = running.saturating_sub(stopped);
@@ -996,7 +1005,7 @@ mod proptests {
     use proptest::prelude::*;
     use ssr_dag::JobSpecBuilder;
     use ssr_simcore::dist::constant;
-    use std::collections::btree_map;
+    use std::collections::{btree_map, BTreeMap};
 
     const STAGE: StageId = StageId::new(0);
 

@@ -7,8 +7,6 @@
 //! (the original plus speculative copies); the first to finish wins and the
 //! rest are killed.
 
-use std::collections::BTreeSet;
-
 use ssr_cluster::{ClusterSpec, LocalityLevel, NodeId, RackId, SlotId};
 use ssr_dag::{JobId, StageId, TaskId};
 use ssr_simcore::{SimDuration, SimTime};
@@ -36,23 +34,57 @@ impl std::fmt::Display for TaskInstance {
     }
 }
 
-#[derive(Debug, Clone)]
+/// One partition's record: its first live instance inline, its attempt
+/// counter, and the slot holding its output once it finished. Further
+/// live instances (speculative copies) sit in the task set's copy list,
+/// so launching and finishing a partition's only instance allocates
+/// nothing.
+///
+/// A finished partition has no live instance (the finish kills the
+/// losers) and a live one has not finished, so one field holds the live
+/// instance's slot or the output slot. The partition's live instances,
+/// in the order a `Vec` would hold them under `push` and `swap_remove`,
+/// are the inline one, then its copy-list entries in list order.
+#[derive(Debug, Clone, Copy)]
 struct Partition {
-    running: Vec<(TaskInstance, SlotId)>,
+    /// The attempt of the first live instance; [`NONE`] while none is.
+    attempt: u32,
+    /// The first live instance's slot while one is live; once the
+    /// partition finished, the slot of the instance that won it, which
+    /// holds its output; [`NONE`] before either.
+    slot: u32,
     next_attempt: u32,
-    /// The slot of the instance that finished the partition, which holds
-    /// its output; [`NO_OUTPUT`] until then. A bare `u32` keeps the
-    /// partition at 32 bytes.
-    output: u32,
+    /// Live instances past the first: this partition's entries in the
+    /// task set's copy list.
+    copies: u32,
 }
 
-/// [`Partition::output`] of a partition that has not finished.
-const NO_OUTPUT: u32 = u32::MAX;
+/// [`Partition::attempt`] with no live instance, and [`Partition::slot`]
+/// with neither a live instance nor an output.
+const NONE: u32 = u32::MAX;
 
 impl Partition {
     fn finished(&self) -> bool {
-        self.output != NO_OUTPUT
+        !self.is_live() && self.slot != NONE
     }
+
+    /// `true` while at least one instance is live.
+    fn is_live(&self) -> bool {
+        self.attempt != NONE
+    }
+
+    /// `true` while exactly one instance is live.
+    fn is_sole(&self) -> bool {
+        self.is_live() && self.copies == 0
+    }
+}
+
+/// A live instance past a partition's first, in the copy list.
+#[derive(Debug, Clone, Copy)]
+struct LiveCopy {
+    partition: u32,
+    attempt: u32,
+    slot: SlotId,
 }
 
 /// Manages the execution of all parallel tasks within one phase, and
@@ -87,8 +119,16 @@ pub struct TaskSetManager {
     job: JobId,
     stage: StageId,
     ready_since: SimTime,
-    pending: Vec<u32>,
+    /// The lowest partition never launched; those from it up are pending.
+    fresh: u32,
+    /// Partitions re-queued by a crash, launched last-in first-out ahead
+    /// of the fresh ones.
+    requeued: Vec<u32>,
     partitions: Vec<Partition>,
+    /// The live instances past each partition's first, in launch order
+    /// but for `swap_remove`'s moves within a partition (see
+    /// [`Partition`]).
+    copies: Vec<LiveCopy>,
     /// The phase's data-locality preference; `None` when it has none
     /// (every slot is process-local). Boxed so that phases without a
     /// preference, and the job tables holding them, stay small.
@@ -116,8 +156,8 @@ struct LocalityView {
 }
 
 impl LocalityView {
-    fn new(preferred: &BTreeSet<SlotId>, spec: &ClusterSpec) -> Self {
-        let slots: Vec<SlotId> = preferred.iter().copied().collect();
+    /// The view of `slots`, which must be ascending and distinct.
+    fn new(slots: Vec<SlotId>, spec: &ClusterSpec) -> Self {
         // Slots are numbered node by node and nodes rack by rack, so the
         // projections of an ascending list are ascending: dedup suffices.
         let mut nodes: Vec<NodeId> = slots.iter().map(|&s| spec.node_of(s)).collect();
@@ -218,22 +258,27 @@ impl TaskSetManager {
             job,
             stage,
             ready_since,
-            // Launch low partitions first: reverse so pop() yields 0, 1, …
-            pending: (0..parallelism).rev().collect(),
+            fresh: 0,
+            requeued: Vec::new(),
             partitions: (0..parallelism)
-                .map(|_| Partition { running: Vec::new(), next_attempt: 0, output: NO_OUTPUT })
+                .map(|_| Partition { attempt: NONE, slot: NONE, next_attempt: 0, copies: 0 })
                 .collect(),
+            copies: Vec::new(),
             locality: None,
-            durations: Vec::new(),
+            // One per partition at most: sized once, so no finish grows it.
+            durations: Vec::with_capacity(parallelism as usize),
         }
     }
 
     /// Sets the preferred slots (those holding upstream outputs), with
     /// their node and rack projections, so per-slot locality lookups need
-    /// no scan over the preference set. An empty set leaves the phase
-    /// without a preference.
-    pub fn with_preferred(mut self, preferred: BTreeSet<SlotId>, spec: &ClusterSpec) -> Self {
-        self.locality = (!preferred.is_empty()).then(|| Box::new(LocalityView::new(&preferred, spec)));
+    /// no scan over the preference set. Repeated slots count once; none
+    /// leaves the phase without a preference.
+    pub fn with_preferred(mut self, preferred: impl IntoIterator<Item = SlotId>, spec: &ClusterSpec) -> Self {
+        let mut slots: Vec<SlotId> = preferred.into_iter().collect();
+        slots.sort_unstable();
+        slots.dedup();
+        self.locality = (!slots.is_empty()).then(|| Box::new(LocalityView::new(slots, spec)));
         self
     }
 
@@ -293,12 +338,12 @@ impl TaskSetManager {
 
     /// Number of tasks not yet launched (originals only).
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        (self.parallelism() - self.fresh) as usize + self.requeued.len()
     }
 
     /// `true` if at least one original task awaits launch.
     pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
+        self.fresh < self.parallelism() || !self.requeued.is_empty()
     }
 
     /// Durations (seconds) of the instances that finished a partition, in
@@ -312,7 +357,7 @@ impl TaskSetManager {
     /// partition order: each is the slot of the instance that won its
     /// partition.
     pub fn output_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
-        self.partitions.iter().filter(|p| p.finished()).map(|p| SlotId::new(p.output))
+        self.partitions.iter().filter(|p| p.finished()).map(|p| SlotId::new(p.slot))
     }
 
     /// Number of partitions whose first finish has been recorded.
@@ -335,30 +380,39 @@ impl TaskSetManager {
     /// straggler copies (§IV-C). Allocates nothing, so the offer-round
     /// paths can use it (`tests/offer_round_allocations.rs`).
     pub fn copy_candidate_iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.partitions.iter().enumerate().filter(|(_, p)| !p.finished() && p.running.len() == 1).map(|(i, _)| i as u32)
+        self.partitions.iter().enumerate().filter(|(_, p)| p.is_sole()).map(|(i, _)| i as u32)
     }
 
     /// Partitions with at least one live instance and no finish yet.
     pub fn ongoing_count(&self) -> usize {
-        self.partitions.iter().filter(|p| !p.finished() && !p.running.is_empty()).count()
+        self.partitions.iter().filter(|p| p.is_live()).count()
     }
 
     /// The single running instance of `partition`, if it is ongoing with
     /// exactly one live instance (i.e. a
     /// [`copy_candidate_iter`](Self::copy_candidate_iter) item).
     pub fn sole_running_instance(&self, partition: u32) -> Option<(TaskInstance, SlotId)> {
-        let p = self.partitions.get(partition as usize)?;
-        if p.finished() || p.running.len() != 1 {
-            None
-        } else {
-            Some(p.running[0])
-        }
+        let p = self.partitions.get(partition as usize).filter(|p| p.is_sole())?;
+        Some((self.instance(partition, p.attempt), SlotId::new(p.slot)))
+    }
+
+    fn instance(&self, partition: u32, attempt: u32) -> TaskInstance {
+        TaskInstance { task: TaskId::new(self.job, self.stage, partition), attempt }
     }
 
     /// Launches the next pending original task on `slot`; returns `None`
     /// if no original is pending.
     pub fn launch_next(&mut self, slot: SlotId) -> Option<TaskInstance> {
-        let partition = self.pending.pop()?;
+        // A re-queued partition first, then the fresh ones in ascending
+        // order.
+        let partition = match self.requeued.pop() {
+            Some(partition) => partition,
+            None if self.fresh < self.parallelism() => {
+                self.fresh += 1;
+                self.fresh - 1
+            }
+            None => return None,
+        };
         Some(self.launch_instance(partition, slot))
     }
 
@@ -371,16 +425,55 @@ impl TaskSetManager {
     pub fn launch_copy(&mut self, partition: u32, slot: SlotId) -> TaskInstance {
         let p = &self.partitions[partition as usize];
         assert!(!p.finished(), "cannot copy a finished partition");
-        assert!(!p.running.is_empty(), "cannot copy a partition that is not running");
+        assert!(p.is_live(), "cannot copy a partition that is not running");
         self.launch_instance(partition, slot)
     }
 
     fn launch_instance(&mut self, partition: u32, slot: SlotId) -> TaskInstance {
         let p = &mut self.partitions[partition as usize];
-        let instance = TaskInstance { task: TaskId::new(self.job, self.stage, partition), attempt: p.next_attempt };
+        let attempt = p.next_attempt;
         p.next_attempt += 1;
-        p.running.push((instance, slot));
-        instance
+        if p.is_live() {
+            p.copies += 1;
+            self.copies.push(LiveCopy { partition, attempt, slot });
+        } else {
+            debug_assert!(!p.finished(), "a finished partition is never relaunched");
+            (p.attempt, p.slot) = (attempt, slot.as_u32());
+        }
+        self.instance(partition, attempt)
+    }
+
+    /// Removes live `instance` and returns its slot, moving the
+    /// partition's last live instance into its place as `Vec::swap_remove`
+    /// does; `None` if this set is not running `instance`. A partition
+    /// left with no live instance and no finish gets its slot cleared.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+    #[deny(clippy::panic, clippy::unreachable)]
+    fn take_live(&mut self, instance: TaskInstance) -> Option<SlotId> {
+        let TaskId { job, stage, partition } = instance.task;
+        if (job, stage) != (self.job, self.stage) {
+            return None;
+        }
+        let p = self.partitions.get_mut(partition as usize).filter(|p| p.is_live())?;
+        let copies = &mut self.copies;
+        let last = || copies.iter().rposition(|c| c.partition == partition);
+        if p.attempt == instance.attempt {
+            let slot = SlotId::new(p.slot);
+            let moved = if p.copies > 0 { last().map(|at| copies.remove(at)) } else { None };
+            (p.attempt, p.slot, p.copies) = match moved {
+                Some(moved) => (moved.attempt, moved.slot.as_u32(), p.copies.saturating_sub(1)),
+                None => (NONE, NONE, 0),
+            };
+            return Some(slot);
+        }
+        let at = copies.iter().position(|c| c.partition == partition && c.attempt == instance.attempt)?;
+        let last = last().unwrap_or(at);
+        let moved = copies.remove(last);
+        p.copies = p.copies.saturating_sub(1);
+        match copies.get_mut(at).filter(|_| at != last) {
+            Some(taken) => Some(std::mem::replace(taken, moved).slot),
+            None => Some(moved.slot),
+        }
     }
 
     /// Records that `instance` finished after running for `duration`;
@@ -392,17 +485,25 @@ impl TaskSetManager {
     ///
     /// Panics if the instance is not currently running in this set.
     pub fn instance_finished(&mut self, instance: TaskInstance, duration: SimDuration) -> InstanceOutcome {
-        let p = &mut self.partitions[instance.task.partition as usize];
-        let idx =
-            p.running.iter().position(|(i, _)| *i == instance).unwrap_or_else(|| panic!("{instance} is not running"));
-        let (_, slot) = p.running.swap_remove(idx);
-        let first_finish = !p.finished();
-        let losers = std::mem::take(&mut p.running);
-        if first_finish {
-            p.output = slot.as_u32();
-            self.durations.push(duration.as_secs_f64());
+        let partition = instance.task.partition;
+        let slot = self.take_live(instance).unwrap_or_else(|| panic!("{instance} is not running"));
+        let p = self.partitions[partition as usize];
+        let mut losers = Vec::new();
+        if p.is_live() {
+            losers.reserve_exact(1 + p.copies as usize);
+            losers.push((self.instance(partition, p.attempt), SlotId::new(p.slot)));
+            if p.copies > 0 {
+                let of_partition = self.copies.iter().filter(|c| c.partition == partition);
+                losers.extend(of_partition.map(|c| (self.instance(partition, c.attempt), c.slot)));
+                self.copies.retain(|c| c.partition != partition);
+            }
         }
-        InstanceOutcome { first_finish, losers }
+        // A live instance's partition has not finished, so it always
+        // wins: the finish kills the other live instances.
+        let p = &mut self.partitions[partition as usize];
+        (p.attempt, p.slot, p.copies) = (NONE, slot.as_u32(), 0);
+        self.durations.push(duration.as_secs_f64());
+        InstanceOutcome { first_finish: true, losers }
     }
 
     /// Removes `instance` after its slot was lost to a fault. If the
@@ -419,17 +520,16 @@ impl TaskSetManager {
     #[deny(clippy::panic, clippy::unreachable)]
     pub fn instance_crashed(&mut self, instance: TaskInstance) -> bool {
         let partition = instance.task.partition;
-        let Some(p) = self.partitions.get_mut(partition as usize) else { return false };
-        let Some(idx) = p.running.iter().position(|(i, _)| *i == instance) else {
+        if self.take_live(instance).is_none() {
             return false;
-        };
-        p.running.swap_remove(idx);
-        if !p.finished() && p.running.is_empty() {
-            self.pending.push(partition);
-            true
-        } else {
-            false
         }
+        // A live instance's partition has not finished: with its last
+        // instance gone it is pending again.
+        let requeue = self.partitions.get(partition as usize).is_some_and(|p| !p.is_live());
+        if requeue {
+            self.requeued.push(partition);
+        }
+        requeue
     }
 
     /// Removes `instance` from the running set without finishing its
@@ -440,16 +540,14 @@ impl TaskSetManager {
     #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
     #[deny(clippy::panic, clippy::unreachable)]
     pub fn instance_killed(&mut self, instance: TaskInstance) {
-        let Some(p) = self.partitions.get_mut(instance.task.partition as usize) else { return };
-        if let Some(idx) = p.running.iter().position(|(i, _)| *i == instance) {
-            p.running.swap_remove(idx);
-        }
+        self.take_live(instance);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     const SECOND: SimDuration = SimDuration::from_secs(1);
 
@@ -532,8 +630,8 @@ mod tests {
 
     #[cfg(target_pointer_width = "64")]
     #[test]
-    fn partition_stays_32_bytes() {
-        assert_eq!(std::mem::size_of::<Partition>(), 32);
+    fn partition_stays_16_bytes() {
+        assert_eq!(std::mem::size_of::<Partition>(), 16);
     }
 
     #[test]
@@ -792,5 +890,147 @@ mod tests {
         let c2 = t.launch_copy(0, SlotId::new(2));
         assert_eq!(c2.attempt, 2);
         assert_eq!(format!("{c2}"), "job-1/stage-0/task-0#2");
+    }
+
+    /// The instance store as it read before live instances moved inline:
+    /// one `Vec` of live instances per partition, changed by `push` and
+    /// `swap_remove`, the finish taking the rest as its losers.
+    #[derive(Default)]
+    struct Reference {
+        pending: Vec<u32>,
+        running: Vec<Vec<(TaskInstance, SlotId)>>,
+        next_attempt: Vec<u32>,
+        output: Vec<Option<SlotId>>,
+    }
+
+    impl Reference {
+        fn new(parallelism: u32) -> Self {
+            let n = parallelism as usize;
+            Reference {
+                pending: (0..parallelism).rev().collect(),
+                running: vec![Vec::new(); n],
+                next_attempt: vec![0; n],
+                output: vec![None; n],
+            }
+        }
+
+        fn launch(&mut self, partition: u32, slot: SlotId) -> TaskInstance {
+            let p = partition as usize;
+            let task = TaskId::new(JobId::new(1), StageId::new(0), partition);
+            let instance = TaskInstance { task, attempt: self.next_attempt[p] };
+            self.next_attempt[p] += 1;
+            self.running[p].push((instance, slot));
+            instance
+        }
+
+        fn remove(&mut self, instance: TaskInstance) -> Option<SlotId> {
+            let running = self.running.get_mut(instance.task.partition as usize)?;
+            let idx = running.iter().position(|(i, _)| *i == instance)?;
+            Some(running.swap_remove(idx).1)
+        }
+
+        fn finish(&mut self, instance: TaskInstance) -> Vec<(TaskInstance, SlotId)> {
+            let slot = self.remove(instance).expect("a live instance");
+            let p = instance.task.partition as usize;
+            self.output[p] = Some(slot);
+            std::mem::take(&mut self.running[p])
+        }
+
+        fn crash(&mut self, instance: TaskInstance) -> bool {
+            let p = instance.task.partition;
+            let requeue = self.remove(instance).is_some()
+                && self.output[p as usize].is_none()
+                && self.running[p as usize].is_empty();
+            if requeue {
+                self.pending.push(p);
+            }
+            requeue
+        }
+
+        fn live(&self) -> Vec<TaskInstance> {
+            self.running.iter().flatten().map(|&(i, _)| i).collect()
+        }
+
+        fn sole(&self, partition: u32) -> Option<(TaskInstance, SlotId)> {
+            let running = &self.running[partition as usize];
+            (running.len() == 1).then(|| running[0])
+        }
+    }
+
+    /// Asserts every query of the compact store against the reference.
+    fn assert_same_queries(t: &TaskSetManager, r: &Reference) {
+        let candidates: Vec<u32> = (0..t.parallelism()).filter(|&p| r.sole(p).is_some()).collect();
+        assert_eq!(t.copy_candidate_iter().collect::<Vec<_>>(), candidates);
+        assert_eq!(t.ongoing_count(), r.running.iter().filter(|l| !l.is_empty()).count());
+        for p in 0..t.parallelism() + 1 {
+            let expected = r.running.get(p as usize).and_then(|_| r.sole(p));
+            assert_eq!(t.sole_running_instance(p), expected, "partition {p}");
+        }
+        assert_eq!(t.pending_count(), r.pending.len());
+        assert_eq!(t.output_slots().collect::<Vec<_>>(), r.output.iter().flatten().copied().collect::<Vec<_>>());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random launches, copies, finishes, crashes and kills leave the
+        /// compact store answering what the per-partition `Vec` answers:
+        /// the same losers in the same order, the same re-queues, and the
+        /// same sole instances, copy candidates and ongoing count after
+        /// every step. Copies are drawn three times as often as the other
+        /// steps, so partitions race several copies at once and the copy
+        /// list interleaves partitions. Stale instances (finished, killed,
+        /// or never launched attempts) are crashed and killed too.
+        #[test]
+        fn compact_store_matches_the_vec_reference(
+            parallelism in 1u32..6,
+            ops in proptest::collection::vec((0u32..7, 0u32..64, 0u32..64), 0..120),
+        ) {
+            let mut t = tsm(parallelism);
+            let mut r = Reference::new(parallelism);
+            for (op, pick, slot) in ops {
+                let slot = SlotId::new(slot);
+                let live = r.live();
+                let copyable: Vec<u32> =
+                    (0..parallelism).filter(|&p| !r.running[p as usize].is_empty()).collect();
+                match op {
+                    0 => {
+                        let expected = r.pending.pop().map(|p| r.launch(p, slot));
+                        assert_eq!(t.launch_next(slot), expected);
+                    }
+                    1 | 5 | 6 if !copyable.is_empty() => {
+                        let p = copyable[pick as usize % copyable.len()];
+                        assert_eq!(t.launch_copy(p, slot), r.launch(p, slot));
+                    }
+                    2 if !live.is_empty() => {
+                        let instance = live[pick as usize % live.len()];
+                        let outcome = t.instance_finished(instance, SECOND);
+                        assert!(outcome.first_finish);
+                        assert_eq!(outcome.losers, r.finish(instance));
+                    }
+                    3 | 4 => {
+                        // A live instance, or a stale attempt of some partition.
+                        let partition = pick % (parallelism + 1);
+                        let stale = TaskInstance {
+                            task: TaskId::new(JobId::new(1), StageId::new(0), partition),
+                            attempt: pick % 4,
+                        };
+                        let instance = if pick % 3 == 0 || live.is_empty() {
+                            stale
+                        } else {
+                            live[pick as usize % live.len()]
+                        };
+                        if op == 3 {
+                            assert_eq!(t.instance_crashed(instance), r.crash(instance));
+                        } else {
+                            t.instance_killed(instance);
+                            r.remove(instance);
+                        }
+                    }
+                    _ => {}
+                }
+                assert_same_queries(&t, &r);
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@ use ssr_cluster::{ClusterSpec, LocalityLevel, LocalityModel, NodeId, SlotId};
 use ssr_dag::{JobId, JobSpec};
 use ssr_faults::{FaultKind, FaultPlan};
 use ssr_perf::SpanProfiler;
-use ssr_scheduler::{ReservationPolicy, TaskScheduler};
+use ssr_scheduler::{Assignment, ReservationPolicy, TaskScheduler};
 use ssr_simcore::events::EventQueue;
 use ssr_simcore::rng::SimRng;
 use ssr_simcore::{SimDuration, SimTime};
@@ -172,6 +172,8 @@ pub struct Simulation {
     cold_until: Vec<SimTime>,
     cold_factor: Vec<f64>,
     progress_every: Option<u64>,
+    /// The offer rounds' assignment buffer, reused across rounds.
+    offers: Vec<Assignment>,
 }
 
 #[derive(Debug, Clone)]
@@ -243,6 +245,7 @@ impl Simulation {
             cold_until: vec![SimTime::ZERO; total_slots],
             cold_factor: vec![1.0; total_slots],
             progress_every: None,
+            offers: Vec::new(),
         }
     }
 
@@ -466,7 +469,8 @@ impl Simulation {
     /// Runs one resource-offer round and schedules the resulting finish,
     /// expiry and unlock events.
     fn dispatch(&mut self) {
-        let assignments = self.sched.resource_offers(self.now);
+        let mut assignments = std::mem::take(&mut self.offers);
+        self.sched.resource_offers_into(self.now, &mut assignments);
         for a in &assignments {
             let task = a.instance.task;
             let spec = self.sched.jobs().get(task.job).expect("assigned job exists").spec();
@@ -510,6 +514,7 @@ impl Simulation {
                 self.collector.speculative_copies += 1;
             }
         }
+        self.offers = assignments;
         // Reservation-expiry wakeup.
         if let Some(expiry) = self.sched.next_reservation_expiry() {
             let wake = expiry.max(self.now);

@@ -122,7 +122,8 @@ struct Case {
 fn case(seed: u64, policy: usize, order: usize) -> Case {
     let mut rng = SimRng::stream(seed, 0);
     let nodes = 2 + rng.next_below(3) as u32;
-    let cluster = ClusterSpec::with_racks(nodes, 1 + rng.next_below(3) as u32, 2).unwrap();
+    let per_node = 1 + rng.next_below(3) as u32;
+    let cluster = ClusterSpec::with_racks(nodes, per_node, 2).unwrap();
     let jobs = (0..2 + rng.next_below(6))
         .map(|j| {
             let mut b = JobSpecBuilder::new(format!("j{j}"))
@@ -158,14 +159,22 @@ fn case(seed: u64, policy: usize, order: usize) -> Case {
         1 => OrderConfig::Fair,
         _ => OrderConfig::Fifo,
     };
+    // The last node outlives every fault that never heals (a crash with no
+    // rejoin, a revocation), so some slot always comes back and every
+    // case launches work. Slots are numbered node by node, so the last
+    // node's slots are the top `per_node` ids.
+    let spared = nodes - 1;
     let mut faults = FaultPlan::new();
     for _ in 0..rng.next_below(4) {
         let at = SimTime::from_millis(rng.next_below(30_000));
         let node = rng.next_below(u64::from(nodes)) as u32;
         let secs = SimDuration::from_millis(1_000 + rng.next_below(10_000));
         let kind = match rng.next_below(5) {
-            0 => FaultKind::NodeCrash { node, down: rng.chance(0.7).then_some(secs) },
-            1 => FaultKind::SlotRevocation { slot: rng.next_below(u64::from(cluster.total_slots())) as u32 },
+            0 => match rng.chance(0.7).then_some(secs) {
+                Some(down) => FaultKind::NodeCrash { node, down: Some(down) },
+                None => FaultKind::NodeCrash { node: node % spared, down: None },
+            },
+            1 => FaultKind::SlotRevocation { slot: rng.next_below(u64::from(spared * per_node)) as u32 },
             2 => FaultKind::NetworkPartition { node, secs },
             3 => FaultKind::StragglerStorm { factor: 2.0, secs },
             _ => FaultKind::ExecutorRestart { node, down: secs, rampup: secs, cold_factor: 1.5 },
@@ -240,6 +249,14 @@ proptest::proptest! {
     ) {
         differential(seed, policy, order);
     }
+}
+
+/// The draw whose faults once took every slot for good before the first
+/// job arrived (a revocation and two crashes without a rejoin on 2 nodes
+/// × 1 slot): the spared node now runs its work.
+#[test]
+fn a_case_whose_faults_once_killed_every_node_runs() {
+    differential(272_987, 0, 2);
 }
 
 /// Timeout reservation with a static pool: slots of the pool return to

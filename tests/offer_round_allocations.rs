@@ -1,7 +1,8 @@
 //! Offer rounds allocate nothing when they assign nothing, and a small
 //! bounded amount per assignment when they do: the allocator's own count
-//! around warm `resource_offers` calls. One `#[test]` in its own binary,
-//! so no other test thread allocates while a count is open.
+//! around warm `resource_offers_into` calls that fill a reused buffer.
+//! One `#[test]` in its own binary, so no other test thread allocates
+//! while a count is open.
 
 use std::alloc::System;
 use std::collections::BTreeSet;
@@ -53,10 +54,11 @@ fn drive(s: &mut TaskScheduler, warm_up: SimTime) -> Counts {
     let mut counts: Counts = (0, 0, 0, 0);
     let mut running: BTreeSet<(SimTime, SlotId)> = BTreeSet::new();
     let mut now = SimTime::ZERO;
+    let mut round = Vec::new();
     loop {
         for repeat in [false, true] {
             let region = Region::new(&GLOBAL);
-            let round = s.resource_offers(now);
+            s.resource_offers_into(now, &mut round);
             let allocs = region.change().allocations;
             assert!(!repeat || round.is_empty(), "a repeat round at {now:?} assigned {round:?}");
             if now >= warm_up && round.is_empty() {
@@ -66,7 +68,7 @@ fn drive(s: &mut TaskScheduler, warm_up: SimTime) -> Counts {
                 counts.2 += round.len();
                 counts.3 += allocs;
             }
-            for a in round {
+            for a in &round {
                 let secs = match a.instance.task.partition {
                     0 => 6.0,
                     _ => 1.0 + 0.25 * f64::from(a.slot.as_u32() % 4),
@@ -110,12 +112,11 @@ fn warm_offer_rounds_allocate_only_for_assignments() {
             // A round that places nothing reuses the scheduler's scratch
             // buffers and returns an unallocated `Vec`.
             assert_eq!(idle_allocs, 0, "{cell}");
-            // A placing round allocates its returned `Vec` (one block and
-            // its doublings) and churns B-tree nodes as slots leave the
-            // pool's free and reserved sets: about 1.4 per assignment on
-            // this workload. Three leaves room for the tree shapes of
-            // other runs, not for a per-candidate or per-slot allocation.
-            assert!(assigning_allocs <= 3 * assignments, "{cell}");
+            // A placing round fills the reused buffer and allocates only
+            // where an index takes a new entry or grows: at most 2 in a
+            // cell of about 95 assignments on this workload. One per 20 assignments leaves over twice
+            // that, and no room for an allocation per assignment.
+            assert!(assigning_allocs * 20 <= assignments, "{cell}");
         }
     }
 }

@@ -39,7 +39,7 @@ const RECOVERY_FNS: &[(&str, &[&str])] = &[
     ("scheduler/src/jobs.rs", &["taskset_mut", "instance_crashed", "JobState::is_pending"]),
     ("scheduler/src/jobs.rs", &["index", "entry_mut", "PendingIndex::key_of"]),
     ("scheduler/src/jobs.rs", &["PendingIndex::touch"]),
-    ("scheduler/src/taskset.rs", &["instance_crashed", "instance_killed"]),
+    ("scheduler/src/taskset.rs", &["instance_crashed", "instance_killed", "take_live"]),
     ("trace/src/event.rs", &["new"]),
 ];
 
